@@ -28,7 +28,8 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simkernel import Environment, Event, Resource
-from repro.adios.spill import SpillLedger, SpillStore
+from repro.fate import FateLedger
+from repro.adios.spill import SpillStore
 
 #: failover states of a link's transport
 LIVE = "live"
@@ -204,12 +205,13 @@ class SstEngine(Engine):
 
 
 class FileEngine(Engine):
-    """Engine adapter over a :class:`SpillStore`: puts become segments.
+    """Engine adapter over a :class:`SpillStore`: puts become spills.
 
-    Carries its own :class:`SpillLedger` for sequencing and digests when
-    used standalone (e.g. as a history tee for cold-start replay); the
-    failover layer instead passes the pipeline's shared ledger so all
-    spill accounting lands in one place.
+    A put records a spill in ``ledger`` and completes once the segment is
+    durable.  Used standalone (e.g. as a history tee for cold-start
+    replay) the engine keeps a private :class:`~repro.fate.FateLedger` and
+    writes its own segments; the failover layer passes the pipeline's
+    ledger instead, whose subscriber writes them.
     """
 
     name = "file"
@@ -220,24 +222,29 @@ class FileEngine(Engine):
         store: SpillStore,
         node,
         stage: str = "file",
-        ledger: Optional[SpillLedger] = None,
+        ledger: Optional[FateLedger] = None,
         reason: str = "credit_collapse",
     ):
         self.env = env
         self.store = store
         self.node = node
         self.stage = stage
-        self.ledger = ledger if ledger is not None else SpillLedger()
+        if ledger is None:
+            ledger = FateLedger()
+            ledger.spill_subscribers.append(
+                lambda record, _: store.write_segment(node, record)
+            )
+        self.ledger = ledger
         self.reason = reason
 
     def put(self, chunk, attributes: Optional[dict] = None):
-        record = self.ledger.record(
+        record = self.ledger.spill(
             chunk.timestep, self.stage, self.reason, self.env.now,
             nbytes=chunk.nbytes, chunk_id=getattr(chunk, "chunk_id", None),
         )
         if record is None:  # timestep already has a fate; durable no-op
             return self.env.timeout(0)
-        return self.store.write_segment(self.node, record)
+        return self.store.durable(record.seq)
 
     def read_history(self, node, upto_seq: Optional[int] = None):
         """Process: read every recorded segment in seq order (the cold-start
@@ -246,7 +253,7 @@ class FileEngine(Engine):
 
     def _read_history(self, node, upto_seq):
         out = []
-        for record in list(self.ledger.records):
+        for record in list(self.ledger.spill_records):
             if upto_seq is not None and record.seq > upto_seq:
                 break
             yield self.store.read_segment(node, record)

@@ -4,13 +4,13 @@ The paper's overload remedies are lossy — stride skips and offline prunes
 drop timesteps permanently (the brownout ladder reproduces that).  The
 :class:`FailoverManager` converts those losses into latency:
 
-* **Spill path** — an interceptor installed on the pipeline's
-  :class:`~repro.overload.shed.ShedLedger` diverts every would-be shed
-  decision to the :class:`~repro.adios.spill.SpillLedger`, writing the
-  timestep to a durable :class:`~repro.adios.spill.SpillStore` as a
-  sequenced, content-digested segment.  A sweeper additionally watches
-  for collapsed credit windows and flushes a collapsed link's
-  undispatched backlog through the ``spill_engage`` control protocol.
+* **Spill path** — the pipeline's :class:`~repro.fate.FateLedger`
+  diverts every would-be shed whose reason the policy covers to a spill;
+  a ledger subscriber writes each spilled timestep to a durable
+  :class:`~repro.adios.spill.SpillStore` as a sequenced,
+  content-digested segment.  A sweeper additionally watches for
+  collapsed credit windows and flushes a collapsed link's undispatched
+  backlog through the ``spill_engage`` control protocol.
 * **Replay path** — when the consumer side is healthy again (the ladder
   unwinds, a REPLACE recovery completes, a cold-start consumer attaches,
   or simply the run ends), the ``replay_catchup`` protocol reads pending
@@ -18,12 +18,12 @@ drop timesteps permanently (the brownout ladder reproduces that).  The
   reader-side flow control, and hands over to the live stream at the
   snapshot watermark with no gap, no duplicate, and credits re-primed.
 
-The exactly-one-fate invariant generalizes: every produced timestep ends
-as delivered ∪ shed ∪ spilled, and every spilled timestep eventually
-settles as replayed (delivered) or superseded (delivered live first).
+Every produced timestep ends delivered, shed, or spilled, and every
+spilled timestep eventually settles as replayed (delivered) or superseded
+(delivered live first) — the fate ledger enforces the transitions.
 
-All of this is strictly opt-in: without a FailoverManager the shed
-ledger's ``intercept`` stays None and legacy pipelines are byte-identical.
+All of this is strictly opt-in: without a FailoverManager the ledger
+diverts nothing and legacy pipelines are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from repro.adios.engine import (
     SstStream,
 )
 from repro.adios.spill import SpillLedger, SpillStore
-from repro.overload.shed import SHED_REASONS
+from repro.fate import REPLAY_SINK, SHED_REASONS
 
 
 @dataclass
 class FailoverPolicy:
     """Tuning for the spill/replay layer (the spec ``failover:`` block)."""
 
-    #: shed reasons the interceptor diverts to the spill path
+    #: shed reasons the fate ledger diverts to the spill path
     spill_reasons: Tuple[str, ...] = SHED_REASONS
     #: sweeper period: collapse detection and catch-up eligibility checks
     sweep_interval: float = 10.0
@@ -97,9 +97,9 @@ class FailoverManager:
     """Owns the spill store, the spill ledger, and the failover protocols.
 
     Attached by the pipeline builder when the spec enables failover; wires
-    itself into the shed ledger (interceptor), the degradation trace
-    (catch-up on recovery transitions), and the recovery manager (catch-up
-    after REPLACE commits).
+    itself into the fate ledger (diverted reasons, spill subscriber), the
+    degradation trace (catch-up on recovery transitions), and the recovery
+    manager (catch-up after REPLACE commits).
     """
 
     def __init__(self, env: Environment, pipe, policy: Optional[FailoverPolicy] = None):
@@ -112,9 +112,12 @@ class FailoverManager:
             per_stream_bandwidth=self.policy.store_bandwidth,
             metadata_latency=self.policy.store_metadata_latency,
         )
-        self.ledger = SpillLedger(is_delivered=pipe._exited_steps.__contains__)
-        pipe.spill_ledger = self.ledger
-        pipe.shed_ledger.intercept = self._intercept
+        fates = pipe.fates
+        fates.spill_reasons = self.policy.spill_reasons
+        # first-order sizing of a diverted shed: one full output step
+        fates.spill_nbytes = float(pipe.driver.workload.bytes_per_step)
+        fates.spill_subscribers.append(self._on_spill)
+        self.ledger = pipe.spill_ledger = SpillLedger(fates)
         #: one engine switch per DataTap link, starting on the live transport
         self.switches: Dict[str, EngineSwitch] = {}
         for lname, link in pipe.links.items():
@@ -123,7 +126,7 @@ class FailoverManager:
                 switch.add_engine(DataTapEngine(link.writers[0]), "datatap")
             switch.add_engine(
                 FileEngine(env, self.store, self._store_node(), stage=lname,
-                           ledger=self.ledger),
+                           ledger=fates),
                 "file",
             )
             if self.policy.live_transport == "sst":
@@ -197,53 +200,21 @@ class FailoverManager:
             return name, self._store_node()
         return "sink", self._store_node()
 
-    def _nbytes_for(self, stage: str) -> float:
-        # First-order sizing: one full output step.  Stage-level spills of
-        # concrete chunks pass their true size instead (see _spill_chunk).
-        return float(self.pipe.driver.workload.bytes_per_step)
-
     # -- the spill path -------------------------------------------------------------
 
-    def _intercept(self, timestep, stage, reason, time, chunk_id) -> bool:
-        """ShedLedger hook: divert a would-be shed to the spill path.
-
-        Returns True when the timestep's fate is (now) ``spilled``; False
-        lets the shed record proceed (reason not covered, or the timestep
-        was already shed — a second fragment of an existing decision must
-        stay a shed record, never a second fate).
-        """
-        if reason not in self.policy.spill_reasons:
-            return False
-        if timestep in self.pipe.shed_ledger.steps():
-            return False
-        record = self.ledger.record(
-            timestep, stage, reason, time,
-            nbytes=self._nbytes_for(stage), chunk_id=chunk_id,
-        )
-        if record is None:
-            # Already spilled (another fragment/decision) — fate exists.
-            return True
+    def _on_spill(self, record, fates) -> None:
+        """Ledger subscriber: make every spill durable.  A diverted shed
+        also flips its stage's link to the file engine; a spill_engage
+        flush leaves that to the protocol's mark round."""
         self.store.write_segment(self._store_node(), record)
-        switch = self._switch_for_stage(stage)
+        if record.reason not in self.policy.spill_reasons:
+            return
+        switch = self._switch_for_stage(record.stage)
         if switch is not None and switch.state == LIVE:
-            switch.set_state(SPILLING, time)
+            switch.set_state(SPILLING, record.time)
             switch.switch_to("file")
-            self.pipe.telemetry.mark(time, f"failover: {switch.name} spilling")
+            self.pipe.telemetry.mark(record.time, f"failover: {switch.name} spilling")
         REGISTRY.count("failover.intercepted")
-        return True
-
-    def _spill_chunk(self, chunk, stage: str, reason: str) -> bool:
-        """Spill one concrete chunk (the spill_engage flush path)."""
-        if chunk.timestep in self.pipe.shed_ledger.steps():
-            return False  # fate already shed; do not add a second fate
-        record = self.ledger.record(
-            chunk.timestep, stage, reason, self.env.now,
-            nbytes=chunk.nbytes, chunk_id=chunk.chunk_id,
-        )
-        if record is None:
-            return False
-        self.store.write_segment(self._store_node(), record)
-        return True
 
     # -- spill_engage protocol rounds -----------------------------------------------
 
@@ -270,7 +241,10 @@ class FailoverManager:
         flushed = 0
         for writer in list(link.writers):
             for chunk in writer.spill_buffer():
-                self._spill_chunk(chunk, lname, "credit_collapse")
+                self.pipe.fates.spill(
+                    chunk.timestep, lname, "credit_collapse", self.env.now,
+                    nbytes=chunk.nbytes, chunk_id=chunk.chunk_id,
+                )
                 flushed += 1
         ctx["flushed"] = flushed
 
@@ -349,12 +323,12 @@ class FailoverManager:
                 if attrs.get("eos"):
                     return
                 record = attrs["record"]
-                if record.timestep in self.pipe._exited_steps:
-                    self.ledger.mark_superseded(record.seq, self.env.now)
+                if self.pipe.fates.delivered(record.timestep):
+                    self.pipe.fates.supersede(record.seq, self.env.now)
                     ctx["superseded"] += 1
                 else:
-                    self.pipe.record_exit(chunk, sink="replay")
-                    self.ledger.mark_replayed(record.seq, self.env.now)
+                    # the replay-sink exit settles the spill as replayed
+                    self.pipe.record_exit(chunk, sink=REPLAY_SINK)
                     ctx["replayed"] += 1
                     order.append(record.seq)
 
@@ -471,7 +445,7 @@ class FailoverManager:
             if consumer is not None and consumer.gather_count > 1:
                 # Fragment links: spilling one writer's fragment would
                 # strand the gather of the others.  The driver-side stride
-                # interceptor covers this link's overload instead.
+                # stride diversion covers this link's overload instead.
                 continue
             collapsed = (
                 credits.window <= credits.min_window and credits.backlog > 0

@@ -1,204 +1,71 @@
-"""Degrade-to-disk accounting: the spill ledger and the spill store.
+"""Degrade-to-disk accounting: the spill view and the spill store.
 
 The paper's only remedy for a failed or lagging consumer is to shed data
 (stride skips, offline prunes).  The failover layer replaces that loss
-with *latency*: a timestep that would have been shed is instead written
-to a simulated file store as a sequenced, content-digested segment and
-recorded in the :class:`SpillLedger`.  The exactly-one-fate invariant
-then generalizes from ``delivered ∪ shed`` to
-``delivered ∪ shed ∪ spilled`` — a spilled timestep is owed eventual
-delivery via replay, never silently dropped.
-
-Mirrors :class:`repro.overload.shed.ShedLedger` deliberately: same
-suppression rule (a delivered timestep cannot also be spilled), same
-subscriber hook, same one-decision-per-timestep discipline.
+with *latency*: a timestep that would have been shed is instead spilled —
+the pipeline's :class:`~repro.fate.FateLedger` records it as a sequenced,
+content-digested :class:`~repro.fate.SpillRecord`, and the
+:class:`SpillStore` writes it to a simulated file store as a segment.  A
+spilled timestep is owed eventual delivery via replay, never silently
+dropped.  :class:`SpillLedger` is the read view over the spill records
+(``pipe.spill_ledger``).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from repro.overload.shed import SHED_REASONS
-from repro.perf.registry import REGISTRY
+from repro.fate import (
+    SPILL_REASONS,
+    SPILL_STATUSES,
+    FateLedger,
+    SpillRecord,
+    segment_digest,
+)
 from repro.simkernel import Environment, Event
 from repro.adios.filesystem import ParallelFileSystem
 
-#: the legal spill reasons: every shed reason (the failover interceptor
-#: converts those decisions in place), plus the two triggers that only
-#: exist once spilling is available.
-SPILL_REASONS = SHED_REASONS + (
-    "credit_collapse",   # a link's credit window collapsed with a backlog
-    "consumer_crash",    # the consumer died and redelivery was not possible
-)
-
-#: lifecycle of a spill record: spilled -> replayed (delivered via the
-#: catch-up stream) or superseded (the timestep was delivered live before
-#: replay reached it, so the segment is redundant).
-SPILL_STATUSES = ("spilled", "replayed", "superseded")
-
-
-def segment_digest(stage: str, timestep: int, reason: str, nbytes: float) -> str:
-    """Deterministic content digest for a spilled segment.
-
-    Hash of the segment's identity tuple, not of simulated payload bytes
-    (there are none) — stable across runs, schedules, and machines, so
-    replay-identity checks can compare digests byte-for-byte.
-    """
-    key = f"{stage}:{timestep}:{reason}:{int(nbytes)}"
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
-
-
-@dataclass
-class SpillRecord:
-    """One spill decision: a timestep diverted to the file store.
-
-    Mutable (unlike :class:`~repro.overload.shed.ShedRecord`) because a
-    spill is not terminal — ``status`` advances to ``replayed`` or
-    ``superseded`` when the catch-up stream settles the timestep's fate.
-    """
-
-    timestep: int
-    stage: str
-    reason: str
-    time: float
-    seq: int
-    nbytes: float
-    digest: str
-    chunk_id: Optional[int] = None
-    status: str = "spilled"
-    #: simulation time the record left ``spilled`` (replay or supersede)
-    settled_at: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "timestep": self.timestep,
-            "stage": self.stage,
-            "reason": self.reason,
-            "time": self.time,
-            "seq": self.seq,
-            "nbytes": self.nbytes,
-            "digest": self.digest,
-            "chunk_id": self.chunk_id,
-            "status": self.status,
-            "settled_at": self.settled_at,
-        }
+__all__ = [
+    "SPILL_REASONS", "SPILL_STATUSES", "Segment", "SpillLedger", "SpillRecord",
+    "SpillStore", "segment_digest",
+]
 
 
 class SpillLedger:
-    """Append-only record of every spill decision, with fate tracking.
+    """The spill records of a :class:`~repro.fate.FateLedger`."""
 
-    The same suppression discipline as the shed ledger: a record for a
-    timestep that already exited the pipeline is refused (its fate is
-    ``delivered``), and a second spill for an already-spilled timestep is
-    absorbed into the existing record rather than double-counted — one
-    segment per timestep is what replay re-delivers.
-    """
+    def __init__(self, fates: FateLedger):
+        self.fates = fates
 
-    def __init__(self, is_delivered: Optional[Callable[[int], bool]] = None):
-        self.records: List[SpillRecord] = []
-        self.subscribers: List[Callable[[SpillRecord, "SpillLedger"], None]] = []
-        self._is_delivered = is_delivered or (lambda step: False)
-        self._by_step: Dict[int, SpillRecord] = {}
-        self._next_seq = 0
-        #: refused records (timestep already delivered)
-        self.suppressed = 0
-        #: duplicate spills folded into an existing record
-        self.absorbed = 0
+    @property
+    def records(self) -> List[SpillRecord]:
+        return self.fates.spill_records
 
-    def record(
-        self,
-        timestep: int,
-        stage: str,
-        reason: str,
-        time: float,
-        nbytes: float,
-        chunk_id: Optional[int] = None,
-    ) -> Optional[SpillRecord]:
-        """Record a spill decision; returns the new record, or None if the
-        timestep already has a fate (delivered, or already spilled)."""
-        if reason not in SPILL_REASONS:
-            raise ValueError(
-                f"unknown spill reason {reason!r}; legal: {SPILL_REASONS}"
-            )
-        if self._is_delivered(timestep):
-            self.suppressed += 1
-            REGISTRY.count("failover.spill_suppressed")
-            return None
-        if timestep in self._by_step:
-            self.absorbed += 1
-            REGISTRY.count("failover.spill_absorbed")
-            return None
-        record = SpillRecord(
-            timestep=timestep,
-            stage=stage,
-            reason=reason,
-            time=time,
-            seq=self._next_seq,
-            nbytes=float(nbytes),
-            digest=segment_digest(stage, timestep, reason, nbytes),
-            chunk_id=chunk_id,
-        )
-        self._next_seq += 1
-        self.records.append(record)
-        self._by_step[timestep] = record
-        REGISTRY.count("failover.spilled")
-        for subscriber in self.subscribers:
-            subscriber(record, self)
-        return record
-
-    # -- fate transitions -----------------------------------------------------------
-
-    def mark_replayed(self, seq: int, time: float) -> None:
-        self._settle(seq, "replayed", time)
-        REGISTRY.count("failover.replayed")
-
-    def mark_superseded(self, seq: int, time: float) -> None:
-        self._settle(seq, "superseded", time)
-        REGISTRY.count("failover.superseded")
-
-    def _settle(self, seq: int, status: str, time: float) -> None:
-        record = self.records[seq]
-        if record.seq != seq:  # records are appended in seq order
-            record = next(r for r in self.records if r.seq == seq)
-        if record.status != "spilled":
-            raise ValueError(
-                f"spill seq {seq} already settled as {record.status!r}"
-            )
-        record.status = status
-        record.settled_at = time
-
-    # -- views ----------------------------------------------------------------------
+    def record(self, timestep, stage, reason, time, nbytes, chunk_id=None):
+        """Spill through the ledger (see :meth:`FateLedger.spill`)."""
+        return self.fates.spill(timestep, stage, reason, time, nbytes, chunk_id)
 
     def steps(self) -> set:
         """Timesteps with a spill record (any status)."""
-        return set(self._by_step)
+        return {r.timestep for r in self.records}
 
     def record_for(self, timestep: int) -> Optional[SpillRecord]:
-        return self._by_step.get(timestep)
+        return self.fates.spill_record(timestep)
 
     def pending(self) -> List[SpillRecord]:
         """Records still owed replay, in spill (seq) order."""
-        return [r for r in self.records if r.status == "spilled"]
+        return self.fates.pending()
 
     def replayed_steps(self) -> set:
         return {r.timestep for r in self.records if r.status == "replayed"}
 
     def by_reason(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-        return counts
+        return dict(Counter(r.reason for r in self.records))
 
     def by_status(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
-
-    def spill_fraction(self, total_steps: int) -> float:
-        return len(self._by_step) / total_steps if total_steps else 0.0
+        return dict(Counter(r.status for r in self.records))
 
     def as_dicts(self) -> List[dict]:
         return [r.as_dict() for r in self.records]
@@ -209,7 +76,7 @@ class SpillLedger:
     def __repr__(self) -> str:
         return (
             f"<SpillLedger {len(self.records)} records "
-            f"pending={len(self.pending())} suppressed={self.suppressed}>"
+            f"pending={len(self.pending())} suppressed={self.fates.suppressed}>"
         )
 
 
@@ -260,7 +127,8 @@ class SpillStore:
             f".seq{record.seq:06d}.bp"
         )
 
-    def _durable_event(self, seq: int) -> Event:
+    def durable(self, seq: int) -> Event:
+        """Event firing with the segment once spill ``seq`` is durable."""
         event = self._durable.get(seq)
         if event is None:
             event = Event(self.env)
@@ -298,7 +166,7 @@ class SpillStore:
             durable_at=self.env.now,
         )
         self.segments.append(segment)
-        event = self._durable_event(record.seq)
+        event = self.durable(record.seq)
         if not event.triggered:
             event.succeed(segment)
         return segment
@@ -311,7 +179,7 @@ class SpillStore:
         )
 
     def _read_segment(self, node, record: SpillRecord):
-        event = self._durable_event(record.seq)
+        event = self.durable(record.seq)
         if not event.triggered:
             yield event
         file_record = yield self.fs.read(node, self.segment_name(record))

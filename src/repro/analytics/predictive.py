@@ -140,7 +140,7 @@ class PredictiveManager:
         sees `time_in_degraded` / shed deltas *as they happen*, not at
         pipeline end."""
         pipe.degradation.subscribers.append(self._on_degradation)
-        pipe.shed_ledger.subscribers.append(self._on_shed)
+        pipe.fates.shed_subscribers.append(self._on_shed)
 
     def _on_degradation(self, step, trace) -> None:
         self.store.append("overload.degradation_level", step.time,
@@ -148,8 +148,9 @@ class PredictiveManager:
         self.store.append("overload.time_in_degraded", step.time,
                           trace.time_in_degraded(step.time))
 
-    def _on_shed(self, record, ledger) -> None:
-        self.store.append("overload.shed_steps", record.time, float(len(ledger.steps())))
+    def _on_shed(self, record, fates) -> None:
+        self.store.append("overload.shed_steps", record.time,
+                          float(len(fates.shed_steps())))
         self.store.append(f"shed.{record.stage}", record.time, float(record.timestep))
 
     # -- the sampling loop ----------------------------------------------------------

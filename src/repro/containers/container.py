@@ -12,6 +12,7 @@ from repro.data import DataChunk
 from repro.datatap.link import DataTapLink
 from repro.datatap.scheduling import PullScheduler
 from repro.evpath.channel import Messenger
+from repro.fate import FateLedger
 from repro.adios.filesystem import ParallelFileSystem
 from repro.monitoring.metrics import LatencyWindow
 from repro.smartpointer.component import ComponentSpec
@@ -48,6 +49,7 @@ class Container:
         writer_buffer_bytes: Optional[float] = None,
         sla_factor: float = 1.0,
         retain_output: bool = False,
+        fates: Optional[FateLedger] = None,
     ):
         if model not in spec.compute_models:
             raise SimulationError(
@@ -113,9 +115,8 @@ class Container:
         #: (the paper's "add hashes of the data to the output")
         self.hashing = False
         self.skipped = 0
-        #: pipeline-wide :class:`~repro.overload.shed.ShedLedger`, if shed
-        #: accounting is wired (None keeps drops unaccounted, as before)
-        self.shed_ledger = None
+        #: the pipeline's fate ledger (a private one when standalone)
+        self.fates = fates if fates is not None else FateLedger()
         self.latency = LatencyWindow(maxlen=8)
         self.completions = 0
         #: samples of (time, total queued chunks) for overflow prediction

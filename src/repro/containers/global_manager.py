@@ -32,6 +32,7 @@ from repro.containers.protocol import ProtocolTracer
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
+from repro.fate import SHED, FateLedger
 from repro.monitoring.metrics import LatencyWindow, Telemetry
 
 
@@ -52,6 +53,7 @@ class GlobalManager:
         overflow_horizon: float = 120.0,
         transaction_manager=None,
         engine: Optional[ControlPlaneEngine] = None,
+        fates: Optional[FateLedger] = None,
     ):
         self.env = env
         self.messenger = messenger
@@ -79,8 +81,8 @@ class GlobalManager:
         self.control_lock = Resource(env, capacity=1)
         #: attached RecoveryManager, if fault tolerance is enabled
         self.recovery = None
-        #: pipeline-wide shed ledger, when shed accounting is wired
-        self.shed_ledger = None
+        #: the pipeline's fate ledger (a private one when standalone)
+        self.fates = fates if fates is not None else FateLedger()
         #: fleet identity: multi-tenant runs shard one GM per tenant and
         #: route spare-pool traffic through the shared FleetArbiter
         self.tenant = "default"
@@ -412,45 +414,41 @@ class GlobalManager:
                 self.scheduler._free.append(node)
             self.actions_taken.append(f"offline {cname}")
         # Flush: chunks buffered in the writers feeding each pruned stage
-        # will never be pulled; write them to disk with their provenance.
-        # (This covers both the live upstream's writers — e.g. Helper's when
-        # Bonds goes down — and the pruned stages' own inter-stage writers.)
+        # will never be pulled.  (This covers both the live upstream's
+        # writers — e.g. Helper's when Bonds goes down — and the pruned
+        # stages' own inter-stage writers.)
         for cname in affected:
             pruned = self._manager(cname).container
-            if pruned.input_link is None:
-                continue
-            for writer in pruned.input_link.writers:
-                for chunk in writer.drain_buffer():
-                    # An accounted drop: the prune, not silence, owns this
-                    # timestep (suppressed if it already exited downstream).
-                    recorded = True
-                    if self.shed_ledger is not None:
-                        recorded = self.shed_ledger.record(
-                            chunk.timestep, cname, "offline_prune",
-                            self.env.now, chunk_id=chunk.chunk_id,
-                        )
-                    # With a failover interceptor installed, a diverted
-                    # (spilled) chunk is already durable in the spill store;
-                    # flushing it here too would double-write.  Without one,
-                    # flush unconditionally — the legacy strand path.
-                    diverted = (
-                        not recorded
-                        and self.shed_ledger is not None
-                        and self.shed_ledger.intercept is not None
-                    )
-                    if pruned.sink_fs is not None and not diverted:
-                        yield pruned.sink_fs.write(
-                            writer.node,
-                            f"{writer.name}.flush.ts{chunk.timestep:06d}.bp",
-                            chunk.nbytes,
-                            {
-                                "provenance": list(chunk.provenance),
-                                "timestep": chunk.timestep,
-                                "incomplete_pipeline": True,
-                            },
-                        )
+            if pruned.input_link is not None:
+                yield from self._flush_input(pruned)
         self.telemetry.mark(self.env.now, f"offline cascade from {name}")
         return affected
+
+    def _flush_input(self, container):
+        """Drain the writers feeding ``container`` as offline-prune sheds.
+
+        Only a chunk the ledger answers ``shed`` for is stranded to disk
+        with its provenance: a delivered timestep needs no strand (and a
+        post-processor would re-run one), and a spilled one is already
+        durable in the spill store.
+        """
+        for writer in list(container.input_link.writers):
+            for chunk in writer.drain_buffer():
+                fate = self.fates.shed(
+                    chunk.timestep, container.name, "offline_prune",
+                    self.env.now, chunk_id=chunk.chunk_id,
+                )
+                if fate == SHED and container.sink_fs is not None:
+                    yield container.sink_fs.write(
+                        writer.node,
+                        f"{writer.name}.flush.ts{chunk.timestep:06d}.bp",
+                        chunk.nbytes,
+                        {
+                            "provenance": list(chunk.provenance),
+                            "timestep": chunk.timestep,
+                            "incomplete_pipeline": True,
+                        },
+                    )
 
     def set_stride(self, name: str, stride: int):
         """Process: ask a container to process only every ``stride``-th
@@ -534,27 +532,7 @@ class GlobalManager:
         name = container.name
         container.offline = False
         if container.input_link is not None:
-            for writer in list(container.input_link.writers):
-                for chunk in writer.drain_buffer():
-                    recorded = True
-                    if self.shed_ledger is not None:
-                        recorded = self.shed_ledger.record(
-                            chunk.timestep, name, "offline_prune",
-                            self.env.now, chunk_id=chunk.chunk_id,
-                        )
-                    # A suppressed record means the timestep already exited
-                    # the pipeline; flushing it again would double-write.
-                    if recorded and container.sink_fs is not None:
-                        yield container.sink_fs.write(
-                            writer.node,
-                            f"{writer.name}.flush.ts{chunk.timestep:06d}.bp",
-                            chunk.nbytes,
-                            {
-                                "provenance": list(chunk.provenance),
-                                "timestep": chunk.timestep,
-                                "incomplete_pipeline": True,
-                            },
-                        )
+            yield from self._flush_input(container)
         wanted = units if units else 1
         if wanted > self.scheduler.free_nodes:
             self._borrow(wanted)

@@ -512,11 +512,10 @@ class LocalManager:
             for chunk in stranded_chunks:
                 # Pulled-but-unprocessed work dies with the stage: account
                 # the drop before the disk strand.
-                if container.shed_ledger is not None:
-                    container.shed_ledger.record(
-                        chunk.timestep, container.name, "offline_prune",
-                        self.env.now, chunk_id=chunk.chunk_id,
-                    )
+                container.fates.shed(
+                    chunk.timestep, container.name, "offline_prune",
+                    self.env.now, chunk_id=chunk.chunk_id,
+                )
                 if container.sink_fs is not None:
                     yield container.sink_fs.write(
                         replica.node,

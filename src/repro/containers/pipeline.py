@@ -32,6 +32,7 @@ from repro.datatap.scheduling import PullScheduler
 from repro.datatap.writer import DataTapWriter
 from repro.adios.filesystem import ParallelFileSystem
 from repro.evpath.channel import Messenger
+from repro.fate import FateLedger
 from repro.lammps.driver import LammpsDriver
 from repro.lammps.workload import WeakScalingWorkload
 from repro.monitoring.metrics import Telemetry
@@ -119,12 +120,13 @@ class Pipeline:
         #: A fan-out topology has several sinks, each delivering the full
         #: stream once; exactly-once is per (sink, timestep) pair.
         self.exit_log: List[tuple] = []
-        #: overload accounting: every deliberate drop is a ShedRecord, and
-        #: records for already-delivered timesteps are suppressed
-        self._exited_steps: set = set()
+        #: every timestep's fate — delivered, shed, or spilled then
+        #: replayed — written only through this ledger
+        self.fates = FateLedger()
         from repro.overload import DegradationTrace, ShedLedger
 
-        self.shed_ledger = ShedLedger(is_delivered=self._exited_steps.__contains__)
+        #: read view over the ledger's shed records
+        self.shed_ledger = ShedLedger(self.fates)
         #: structured record of every degradation/restoration transition
         self.degradation = DegradationTrace()
         #: overload controllers, attached by the builder when enabled
@@ -133,9 +135,10 @@ class Pipeline:
         #: predictive manager (repro.analytics), attached by the builder
         #: when the spec's overload block says ``mode: predictive``
         self.analytics = None
-        #: degrade-to-disk failover (repro.adios.failover) and its ledger,
-        #: attached by the builder when the spec's failover block is set;
-        #: None keeps every legacy path byte-identical
+        #: degrade-to-disk failover (repro.adios.failover) and the read
+        #: view over the ledger's spill records, attached by the builder
+        #: when the spec's failover block is set; None keeps every legacy
+        #: path byte-identical
         self.failover = None
         self.spill_ledger = None
 
@@ -220,11 +223,11 @@ class Pipeline:
     def record_exit(self, chunk, sink: str = "pipeline") -> None:
         latency = self.env.now - chunk.created_at
         PERF.count("pipeline.exits")
-        self._exited_steps.add(chunk.timestep)
         self.end_to_end.append((self.env.now, chunk.timestep, latency))
         self.exit_log.append((self.env.now, sink, chunk.timestep))
         self.telemetry.record("pipeline", "end_to_end", self.env.now, latency)
         self.telemetry.record("pipeline", "end_to_end_by_step", chunk.timestep, latency)
+        self.fates.deliver(sink, chunk.timestep, self.env.now)
 
     # -- fault injection -------------------------------------------------------------------
 
@@ -306,6 +309,7 @@ class Pipeline:
             queue_capacity=queue_capacity,
             sink_fs=self.fs,
             natoms_hint=self.driver.workload.natoms if self.driver else 0,
+            fates=self.fates,
         )
         self.containers[name] = container
         container.on_complete = self.make_on_complete(name)
@@ -522,6 +526,7 @@ class PipelineBuilder:
             overflow_horizon=self.overflow_horizon,
             transaction_manager=self.transaction_manager,
             engine=pipe.control_plane,
+            fates=pipe.fates,
         )
         if self.tenant is not None:
             gm.tenant = self.tenant
@@ -565,6 +570,7 @@ class PipelineBuilder:
             pull_scheduler=pull_sched,
         )
         pipe.driver = driver
+        pipe.fates.expected = wl.total_steps
 
         # Patch driver writes so chunks get their stage-entry timestamp.
         self._instrument_driver(driver)
@@ -644,6 +650,7 @@ class PipelineBuilder:
                 writer_buffer_bytes=self.stage_buffer_bytes,
                 sla_factor=stage.sla_factor,
                 retain_output=self.fault_tolerance,
+                fates=pipe.fates,
             )
             pipe.containers[name] = container
 
@@ -680,10 +687,7 @@ class PipelineBuilder:
         # Shed accounting is always wired (recording is pure bookkeeping —
         # a run that never sheds is unchanged); the controllers that *cause*
         # sheds are strictly opt-in below.
-        for container in pipe.containers.values():
-            container.shed_ledger = pipe.shed_ledger
-        gm.shed_ledger = pipe.shed_ledger
-        driver.on_shed = lambda step: pipe.shed_ledger.record(
+        driver.on_shed = lambda step: pipe.fates.shed(
             step, "lammps", "backpressure_stride", env.now
         )
 
@@ -698,12 +702,12 @@ class PipelineBuilder:
             _t.record("overload", "time_in_degraded", step.time,
                       trace.time_in_degraded(step.time))
 
-        def _publish_shed(record, ledger, _t=telemetry):
+        def _publish_shed(record, fates, _t=telemetry):
             _t.record("overload", "shed_steps", record.time,
-                      float(len(ledger.steps())))
+                      float(len(fates.shed_steps())))
 
         pipe.degradation.subscribers.append(_publish_transition)
-        pipe.shed_ledger.subscribers.append(_publish_shed)
+        pipe.fates.shed_subscribers.append(_publish_shed)
 
         predictor = None
         if self.predictive:
@@ -780,7 +784,7 @@ class PipelineBuilder:
                 manager_lease_timeout=self.manager_lease_timeout,
             )
 
-        # Degrade-to-disk failover: intercept sheds into the spill store,
+        # Degrade-to-disk failover: divert sheds into the spill store,
         # replay them once the consumer side is healthy again.  Attached
         # last so it sees the recovery manager and the credit-equipped
         # links; the fault plan arms after it so injected crashes hit a

@@ -104,11 +104,10 @@ class Replica:
                 # is a terminal outcome for the chunk, so custody ends here —
                 # and the drop is accounted before custody is released.
                 container.skipped += 1
-                if container.shed_ledger is not None:
-                    container.shed_ledger.record(
-                        chunk.timestep, container.name, "container_stride",
-                        self.env.now, chunk_id=chunk.chunk_id,
-                    )
+                container.fates.shed(
+                    chunk.timestep, container.name, "container_stride",
+                    self.env.now, chunk_id=chunk.chunk_id,
+                )
                 self._ack_sources(chunk)
                 continue
             self._service_proc = self.env.process(self._service(chunk))

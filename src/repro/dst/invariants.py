@@ -102,16 +102,19 @@ class NodeConservation(Invariant):
 
 
 @register
-class ExactlyOnceDelivery(Invariant):
-    """Every timestep exits the pipeline at most once — and, if the driver
-    finished, exactly once.
+class ExactlyOneFate(Invariant):
+    """Every emitted timestep gets exactly one fate: delivered once per
+    sink, shed by one decision, or spilled and then replayed/superseded.
 
-    The DataTap custody chain (retained buffers, link-level dedup,
-    redelivery on crash) exists precisely so that a crash neither loses a
-    timestep nor delivers it twice; ``pipe.end_to_end`` records the exits.
+    The pipeline's :class:`~repro.fate.FateLedger` enforces the rule where
+    fates are written and parks every refused transition (a duplicate
+    delivery, a second shed decision, a shed of a spilled step, a bad
+    settle) in ``violations``; this oracle drains them each sweep.  Once
+    the driver finished, the final sweep also flags timesteps that never
+    got a fate at all.
     """
 
-    name = "exactly_once_delivery"
+    name = "exactly_one_fate"
 
     def __init__(self):
         self._finished = False
@@ -120,157 +123,13 @@ class ExactlyOnceDelivery(Invariant):
         self._finished = finished
 
     def check(self, pipe, final: bool) -> List[str]:
-        exits = [step for _, step, _ in pipe.end_to_end]
-        problems: List[str] = []
-        # A fan-out topology has several sink stages, each owed the full
-        # stream once — duplicates are per (sink, timestep), not per step.
-        exit_log = getattr(pipe, "exit_log", None)
-        pairs = (
-            [(sink, step) for _, sink, step in exit_log]
-            if exit_log is not None else [(None, s) for s in exits]
-        )
-        if len(pairs) != len(set(pairs)):
-            dupes = sorted({p[1] for p in pairs if pairs.count(p) > 1})
-            problems.append(f"timesteps delivered more than once: {dupes}")
-        if final and self._finished and pipe.driver is not None:
-            expected = pipe.driver.workload.total_steps
-            ledger = getattr(pipe, "shed_ledger", None)
-            shed = ledger.steps() if ledger is not None else set()
-            spill = getattr(pipe, "spill_ledger", None)
-            spilled = spill.steps() if spill is not None else set()
-            missing = set(range(expected)) - set(exits) - shed - spilled
-            if missing:
-                problems.append(
-                    f"timesteps neither delivered, shed, nor spilled: "
-                    f"{sorted(missing)[:10]}"
-                    f"{'...' if len(missing) > 10 else ''}"
-                )
-        return problems
-
-
-@register
-class ShedAccounting(Invariant):
-    """Under overload, exactly-once generalizes to exactly-one-fate: every
-    emitted timestep is either delivered end-to-end or attributed to
-    exactly one shed decision — never both, never neither, never two
-    distinct decisions.
-
-    The :class:`~repro.overload.shed.ShedLedger` records each decision
-    (backpressure stride skip, container stride skip, offline prune); its
-    delivery-aware guard suppresses records for already-exited timesteps,
-    so an overlap here means custody accounting broke.
-    """
-
-    name = "shed_accounting"
-
-    def __init__(self):
-        self._finished = False
-
-    def note_finished(self, finished: bool) -> None:
-        self._finished = finished
-
-    def check(self, pipe, final: bool) -> List[str]:
-        ledger = getattr(pipe, "shed_ledger", None)
-        if ledger is None:
-            return []
-        problems: List[str] = []
-        delivered = {step for _, step, _ in pipe.end_to_end}
-        overlap = delivered & ledger.steps()
-        if overlap:
-            problems.append(
-                f"timesteps both delivered and shed: {sorted(overlap)[:10]}"
-            )
-        for step, decisions in ledger.decisions().items():
-            if len(decisions) > 1:
-                problems.append(
-                    f"timestep {step} attributed to multiple shed decisions: "
-                    f"{sorted(decisions)}"
-                )
-        spill = getattr(pipe, "spill_ledger", None)
-        spilled = spill.steps() if spill is not None else set()
-        two_fates = spilled & ledger.steps()
-        if two_fates:
-            problems.append(
-                f"timesteps both shed and spilled: {sorted(two_fates)[:10]}"
-            )
-        if final and self._finished and pipe.driver is not None:
-            expected = pipe.driver.workload.total_steps
-            missing = set(range(expected)) - delivered - ledger.steps() - spilled
+        problems = list(pipe.fates.violations)
+        if final and self._finished:
+            missing = sorted(pipe.fates.unfated())
             if missing:
                 problems.append(
                     f"timesteps with no fate (neither delivered, shed, nor "
-                    f"spilled): "
-                    f"{sorted(missing)[:10]}{'...' if len(missing) > 10 else ''}"
-                )
-        return problems
-
-
-@register
-class SpillReplayConservation(Invariant):
-    """The spill path loses nothing and invents nothing.
-
-    On failover pipelines (``pipe.spill_ledger`` attached):
-
-    * a spilled timestep is never also shed (one fate per step);
-    * every record's content digest matches a recomputation from its
-      identity fields (the segment the store wrote is the segment the
-      ledger owes);
-    * a ``replayed`` or ``superseded`` record's timestep was actually
-      delivered end-to-end, and a replayed one was delivered by the
-      replay sink exactly once;
-    * settled records carry a settle time at or after the spill time.
-
-    No-op without a spill ledger (legacy pipelines have nothing to audit).
-    """
-
-    name = "spill_replay_conservation"
-
-    def check(self, pipe, final: bool) -> List[str]:
-        spill = getattr(pipe, "spill_ledger", None)
-        if spill is None:
-            return []
-        from repro.adios.spill import segment_digest
-
-        problems: List[str] = []
-        shed = getattr(pipe, "shed_ledger", None)
-        if shed is not None:
-            overlap = spill.steps() & shed.steps()
-            if overlap:
-                problems.append(
-                    f"timesteps both spilled and shed: {sorted(overlap)[:10]}"
-                )
-        delivered = {step for _, step, _ in pipe.end_to_end}
-        replay_exits = [
-            step for _, sink, step in getattr(pipe, "exit_log", [])
-            if sink == "replay"
-        ]
-        dupes = sorted({s for s in replay_exits if replay_exits.count(s) > 1})
-        if dupes:
-            problems.append(f"timesteps replayed more than once: {dupes}")
-        for record in spill.records:
-            expect = segment_digest(
-                record.stage, record.timestep, record.reason, record.nbytes
-            )
-            if record.digest != expect:
-                problems.append(
-                    f"seq {record.seq} digest mismatch: ledger {record.digest} "
-                    f"!= identity {expect}"
-                )
-            if record.status in ("replayed", "superseded"):
-                if record.timestep not in delivered:
-                    problems.append(
-                        f"seq {record.seq} marked {record.status} but "
-                        f"timestep {record.timestep} never exited"
-                    )
-                if record.settled_at is None or record.settled_at < record.time:
-                    problems.append(
-                        f"seq {record.seq} settled at {record.settled_at}, "
-                        f"before its spill at {record.time}"
-                    )
-            if record.status == "replayed" and record.timestep not in replay_exits:
-                problems.append(
-                    f"seq {record.seq} marked replayed but timestep "
-                    f"{record.timestep} has no replay-sink exit"
+                    f"spilled): {missing[:10]}{'...' if len(missing) > 10 else ''}"
                 )
         return problems
 

@@ -60,7 +60,7 @@ def predictive(env: Environment) -> Pipeline:
 def failover(env: Environment) -> Pipeline:
     """The overload scenario with degrade-to-disk failover attached: the
     same burst exposure, but every would-be shed spills to the store and
-    is owed an eventual replay — the ``spill_replay_conservation`` and
+    is owed an eventual replay — the ``exactly_one_fate`` and
     ``no_gap_no_dup_after_handover`` oracles audit the catch-up."""
     return build(env, load_preset("failover").override(workload=dict(steps=12)))
 

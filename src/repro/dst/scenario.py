@@ -185,21 +185,13 @@ class DSTScenario:
         exactly-once oracle must flag.
         """
         env = pipe.env
-        expected = pipe.driver.workload.total_steps
         deadline = env.now + self.drain
-        ledger = getattr(pipe, "shed_ledger", None)
-        spill = getattr(pipe, "spill_ledger", None)
         while env.now < deadline:
             # a shed timestep has its fate already — only undecided
             # timesteps hold the drain open.  A *spilled* timestep has a
             # fate too, but is owed an eventual replay: keep draining
             # until the spill backlog settles (bounded by the deadline).
-            fated = {step for _, step, _ in pipe.end_to_end}
-            if ledger is not None:
-                fated |= ledger.steps()
-            if spill is not None:
-                fated |= spill.steps()
-            if len(fated) >= expected and (spill is None or not spill.pending()):
+            if not pipe.fates.unfated() and not pipe.fates.pending():
                 return
             env.run(until=min(env.now + 30.0, deadline))
 

@@ -333,9 +333,7 @@ def run_overload(seed: int = 1, steps: int = 24, include_baseline: bool = True,
             "blocked_seconds": pipe.driver.total_blocked_time,
             "delivered_steps": len(delivered),
             "shed_steps": len(ledger.steps()),
-            "unaccounted_steps": sorted(
-                set(range(wl.total_steps)) - delivered - ledger.steps()
-            ),
+            "unaccounted_steps": sorted(pipe.fates.unfated()),
             "sla_compliance_pct": (
                 100.0 * sum(1 for lat in latencies if lat <= sla) / len(latencies)
                 if latencies else 0.0
@@ -645,10 +643,7 @@ def run_fleet(seed: int = 1, tenants: int = 6, steps: int = 6, **_) -> dict:
     rows = fleet.summaries()
     unaccounted = {}
     for name, tenant in sorted(fleet.tenants.items()):
-        wl = tenant.pipe.driver.workload
-        delivered = {s for _, s, _ in tenant.pipe.end_to_end}
-        missing = (set(range(wl.total_steps)) - delivered
-                   - tenant.pipe.shed_ledger.steps())
+        missing = tenant.pipe.fates.unfated()
         if missing:
             unaccounted[name] = sorted(missing)
     victims = [t for t in fleet.tenants.values() if t.spec.overload_burst]

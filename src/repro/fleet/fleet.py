@@ -126,8 +126,7 @@ class Tenant:
         return len({step for _, step, _ in self.pipe.end_to_end})
 
     def shed_steps(self) -> int:
-        ledger = self.pipe.shed_ledger
-        return len(ledger.steps()) if ledger is not None else 0
+        return len(self.pipe.shed_ledger.steps())
 
     def sla_seconds(self) -> float:
         wl = self.pipe.driver.workload

@@ -126,16 +126,7 @@ class FleetDSTScenario:
         env = fleet.env
         deadline = env.now + self.drain
         while env.now < deadline:
-            pending = False
-            for tenant in fleet.tenants.values():
-                pipe = tenant.pipe
-                fated = {step for _, step, _ in pipe.end_to_end}
-                if pipe.shed_ledger is not None:
-                    fated |= pipe.shed_ledger.steps()
-                if len(fated) < pipe.driver.workload.total_steps:
-                    pending = True
-                    break
-            if not pending:
+            if not any(t.pipe.fates.unfated() for t in fleet.tenants.values()):
                 return
             env.run(until=min(env.now + 30.0, deadline))
 

@@ -11,7 +11,8 @@ manager leaves open under sustained overload:
   steal → stride → offline) as control-plane protocols, de-escalating
   with hysteresis once latency holds below the SLA;
 * :mod:`repro.overload.shed` — every dropped timestep becomes an
-  explicit, invariant-checked :class:`ShedRecord`.
+  explicit :class:`ShedRecord` in the pipeline's
+  :class:`~repro.fate.FateLedger`, which refuses a second fate.
 
 All of it is off by default; an unconfigured pipeline is byte-identical
 to one built before this package existed.

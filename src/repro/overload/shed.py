@@ -1,125 +1,44 @@
-"""Accounted load shedding: every dropped timestep is an explicit record.
+"""Accounted load shedding: the shed records of the pipeline's fate ledger.
 
 When the pipeline must drop work — the driver raising its output stride
 under backpressure, a container skipping timesteps under a brownout
 stride, an offline prune flushing undeliverable buffers — the drop is not
 silent: it becomes a :class:`ShedRecord` in the pipeline's
-:class:`ShedLedger`.  The exactly-once delivery guarantee then
-generalizes to *every emitted timestep is either delivered or attributed
-to exactly one shed decision* — the property the
-``shed_accounting`` DST invariant checks on every schedule.
-
-The ledger is pure bookkeeping: recording schedules no simulation events,
-so wiring it into a pipeline changes nothing about runs that never shed.
+:class:`~repro.fate.FateLedger`, which decides whether the drop is a shed,
+a spill, or already moot.  :class:`ShedLedger` is the read view over those
+records (``pipe.shed_ledger``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.perf.registry import REGISTRY
+from repro.fate import SHED_REASONS, FateLedger, ShedRecord
 
-#: the legal shed reasons (a decision is a (stage, reason) pair)
-SHED_REASONS = (
-    "backpressure_stride",  # the LAMMPS driver skipped an output step
-    "container_stride",     # a container's sampling stride skipped the step
-    "offline_prune",        # an offline cascade flushed/stranded the chunk
-)
-
-
-@dataclass(frozen=True)
-class ShedRecord:
-    """One shed decision applied to one timestep."""
-
-    timestep: int
-    #: the stage that took the decision ("lammps", "bonds", "csym", ...)
-    stage: str
-    #: one of :data:`SHED_REASONS`
-    reason: str
-    time: float
-    #: the dropped chunk, when the decision hit a concrete chunk
-    chunk_id: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "timestep": self.timestep,
-            "stage": self.stage,
-            "reason": self.reason,
-            "time": self.time,
-            "chunk_id": self.chunk_id,
-        }
+__all__ = ["SHED_REASONS", "ShedLedger", "ShedRecord"]
 
 
 class ShedLedger:
-    """The pipeline-wide account of every shed decision.
+    """The shed records of a :class:`~repro.fate.FateLedger`."""
 
-    ``is_delivered`` (when given) suppresses records for timesteps that
-    already exited the pipeline: an offline-teardown race can leave an
-    already-delivered chunk in a writer buffer, and flushing that copy
-    later must not mis-attribute a *delivered* timestep to a shed
-    decision.  Suppressions are counted, not hidden.
-    """
+    def __init__(self, fates: FateLedger):
+        self.fates = fates
 
-    def __init__(self, is_delivered: Optional[Callable[[int], bool]] = None):
-        self.records: List[ShedRecord] = []
-        self.is_delivered = is_delivered
-        self.suppressed = 0
-        #: optional spill hook, installed by the failover layer: called as
-        #: ``intercept(timestep, stage, reason, time, chunk_id)`` before a
-        #: decision is recorded; returning True means the timestep was
-        #: diverted to the spill path instead of shed (no record is made).
-        #: None (the default) is the legacy shed-only behavior.
-        self.intercept: Optional[Callable] = None
-        self._steps: Set[int] = set()
-        #: callables invoked as ``fn(record, ledger)`` after every
-        #: accounted shed, so live consumers (the analytics series store)
-        #: see shed deltas as they happen rather than at pipeline end
-        self.subscribers: List[Callable] = []
+    @property
+    def records(self) -> List[ShedRecord]:
+        return self.fates.shed_records
 
-    def record(
-        self,
-        timestep: int,
-        stage: str,
-        reason: str,
-        time: float,
-        chunk_id: Optional[int] = None,
-    ) -> bool:
-        """Account one shed decision; False when suppressed as delivered."""
-        if reason not in SHED_REASONS:
-            raise ValueError(f"unknown shed reason {reason!r}; known: {SHED_REASONS}")
-        if self.is_delivered is not None and self.is_delivered(timestep):
-            self.suppressed += 1
-            REGISTRY.count("overload.shed_suppressed")
-            return False
-        if self.intercept is not None and self.intercept(
-            timestep, stage, reason, time, chunk_id
-        ):
-            # Diverted to the spill path: the timestep's fate is "spilled",
-            # owed eventual delivery via replay — not a shed record.
-            return False
-        record = ShedRecord(int(timestep), stage, reason, float(time), chunk_id)
-        self.records.append(record)
-        self._steps.add(int(timestep))
-        REGISTRY.count("overload.shed")
-        for fn in self.subscribers:
-            fn(record, self)
-        return True
-
-    # -- accounting views ---------------------------------------------------------
+    def record(self, timestep, stage, reason, time, chunk_id=None) -> str:
+        """Shed through the ledger (see :meth:`FateLedger.shed`)."""
+        return self.fates.shed(timestep, stage, reason, time, chunk_id)
 
     def steps(self) -> Set[int]:
         """The set of shed timesteps."""
-        return set(self._steps)
+        return self.fates.shed_steps()
 
     def decisions(self) -> Dict[int, Set[Tuple[str, str]]]:
-        """timestep -> distinct (stage, reason) decisions recorded for it.
-
-        Several records per timestep are legal only when they share one
-        decision (e.g. a flush touching each writer's fragment of the
-        step); two *distinct* decisions for one timestep is the
-        double-count the ``shed_accounting`` invariant rejects.
-        """
+        """timestep -> distinct (stage, reason) decisions recorded for it;
+        the ledger refuses a second one, so each set has one member."""
         out: Dict[int, Set[Tuple[str, str]]] = {}
         for rec in self.records:
             out.setdefault(rec.timestep, set()).add((rec.stage, rec.reason))
@@ -133,7 +52,7 @@ class ShedLedger:
         return {reason: len(steps) for reason, steps in sorted(out.items())}
 
     def shed_fraction(self, total_steps: int) -> float:
-        return len(self._steps) / total_steps if total_steps else 0.0
+        return len(self.steps()) / total_steps if total_steps else 0.0
 
     def as_dicts(self) -> List[dict]:
         return [rec.as_dict() for rec in self.records]
@@ -143,6 +62,6 @@ class ShedLedger:
 
     def __repr__(self) -> str:
         return (
-            f"<ShedLedger {len(self.records)} records over {len(self._steps)} "
-            f"timesteps ({self.suppressed} suppressed)>"
+            f"<ShedLedger {len(self.records)} records over {len(self.steps())} "
+            f"timesteps ({self.fates.suppressed} suppressed)>"
         )

@@ -303,7 +303,7 @@ def _validate_overload(spec: PipelineSpec) -> None:
 
 
 def _validate_failover(spec: PipelineSpec) -> None:
-    from repro.adios.spill import SPILL_REASONS
+    from repro.fate import SPILL_REASONS
 
     fo = spec.failover
     if fo.spill_reasons is not None:

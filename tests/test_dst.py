@@ -18,6 +18,7 @@ from repro.dst import (
     shrink,
 )
 from repro.dst.invariants import D2TPresumedAbort
+from repro.fate import REFUSED, SHED
 
 pytestmark = pytest.mark.dst
 
@@ -139,7 +140,7 @@ class TestRegistry:
     def test_catalogue_is_complete(self):
         assert set(INVARIANTS) >= {
             "node_conservation",
-            "exactly_once_delivery",
+            "exactly_one_fate",
             "controlplane_well_formed",
             "d2t_presumed_abort",
             "monotone_perf",
@@ -232,6 +233,50 @@ class TestPlantedBugIsCaughtAndShrunk:
         """Same plan, no planted bug: all invariants hold again."""
         report = DSTScenario(name="fixed", plan=_crash_plus_noise).run(0)
         assert report.ok and report.finished
+
+
+# -- a planted second fate is refused where it is written ---------------------------
+
+
+def _second_shed_decision(answers):
+    """Test-only bug: every accepted shed decision is followed by a
+    second, distinct one for the same timestep (a stride skip on top of a
+    prune, or a prune on top of a stride skip)."""
+
+    def hook(pipe):
+        fates = pipe.fates
+        original = fates.shed
+
+        def double(step, stage, reason, time, chunk_id=None):
+            answer = original(step, stage, reason, time, chunk_id)
+            if answer == SHED:
+                other = ("container_stride" if reason == "offline_prune"
+                         else "offline_prune")
+                answers.append(original(step, stage, other, time, chunk_id))
+            return answer
+
+        fates.shed = double
+
+    return hook
+
+
+class TestPlantedSecondShedDecision:
+    def test_ledger_refuses_and_explorer_reports(self):
+        from repro.dst.scenario import plan_for
+
+        answers = []
+        scenario = DSTScenario(name="double-shed", preset="overload",
+                               plan=plan_for("overload"),
+                               hook=_second_shed_decision(answers))
+        exploration = explore(scenario, range(3))
+        assert answers and set(answers) == {REFUSED}
+        assert not exploration.ok
+        failure = exploration.failure
+        assert failure.seed == 0
+        assert any(v.invariant == "exactly_one_fate" and "shed by" in v.detail
+                   for v in failure.violations), failure.violations
+        assert f"--seed {failure.seed}" in failure.repro
+        assert "--scenario overload" in failure.repro
 
 
 # -- the predictive oracle ---------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.adios.spill import (
     SpillStore,
     segment_digest,
 )
+from repro.fate import REFUSED, SPILLED, FateLedger
 from repro.containers.presets import build_failover_pipeline
 from repro.overload.scenario import overload_burst_plan
 from repro.smartpointer.component import VIZ_COMPONENT
@@ -111,50 +112,61 @@ class TestSstFlowControl:
 
 class TestSpillLedger:
     def test_one_fate_per_timestep(self):
-        ledger = SpillLedger()
-        first = ledger.record(3, "bonds", "backpressure_stride", 1.0, nbytes=100.0)
+        fates = FateLedger()
+        first = fates.spill(3, "bonds", "backpressure_stride", 1.0, nbytes=100.0)
         assert first is not None and first.seq == 0
         assert first.digest == segment_digest("bonds", 3, "backpressure_stride", 100.0)
         # a second spill of the same timestep is absorbed, not double-counted
-        assert ledger.record(3, "bonds", "credit_collapse", 2.0, nbytes=100.0) is None
-        assert ledger.absorbed == 1
-        assert len(ledger) == 1
+        assert fates.spill(3, "bonds", "credit_collapse", 2.0, nbytes=100.0) is None
+        assert fates.absorbed == 1
+        assert len(SpillLedger(fates)) == 1
 
     def test_delivered_timestep_refused(self):
-        ledger = SpillLedger(is_delivered=lambda ts: ts == 7)
-        assert ledger.record(7, "bonds", "backpressure_stride", 1.0, nbytes=1.0) is None
-        assert ledger.suppressed == 1
-        assert ledger.steps() == set()
+        fates = FateLedger()
+        fates.deliver("pipeline", 7, 0.5)
+        assert fates.spill(7, "bonds", "backpressure_stride", 1.0, nbytes=1.0) is None
+        assert fates.suppressed == 1
+        assert SpillLedger(fates).steps() == set()
 
     def test_unknown_reason_rejected(self):
-        ledger = SpillLedger()
         with pytest.raises(ValueError, match="unknown spill reason"):
-            ledger.record(0, "bonds", "cosmic_ray", 0.0, nbytes=1.0)
+            FateLedger().spill(0, "bonds", "cosmic_ray", 0.0, nbytes=1.0)
         assert "credit_collapse" in SPILL_REASONS
 
     def test_double_settle_raises(self):
-        ledger = SpillLedger()
-        record = ledger.record(0, "bonds", "backpressure_stride", 0.0, nbytes=1.0)
-        ledger.mark_replayed(record.seq, 5.0)
+        fates = FateLedger()
+        record = fates.spill(0, "bonds", "backpressure_stride", 0.0, nbytes=1.0)
+        assert fates.deliver("replay", 0, 5.0)  # a replay delivery settles it
         assert record.status == "replayed" and record.settled_at == 5.0
         with pytest.raises(ValueError, match="already settled"):
-            ledger.mark_superseded(record.seq, 6.0)
+            fates.supersede(record.seq, 6.0)
+        assert len(fates.violations) == 1
 
     def test_pending_in_seq_order(self):
-        ledger = SpillLedger()
+        fates = FateLedger()
         for ts in (5, 1, 9):
-            ledger.record(ts, "bonds", "backpressure_stride", 0.0, nbytes=1.0)
-        ledger.mark_replayed(1, 2.0)  # settle the middle record
+            fates.spill(ts, "bonds", "backpressure_stride", 0.0, nbytes=1.0)
+        fates.deliver("replay", 1, 2.0)  # settle the middle record
+        ledger = SpillLedger(fates)
         assert [r.timestep for r in ledger.pending()] == [5, 9]
         assert ledger.by_status() == {"spilled": 2, "replayed": 1}
+
+    def test_covered_shed_diverted_to_spill(self):
+        fates = FateLedger()
+        fates.spill_reasons = ("offline_prune",)
+        assert fates.shed(4, "csym", "offline_prune", 1.0) == SPILLED
+        assert fates.shed_records == [] and fates.spill_record(4).reason == "offline_prune"
+        # a shed the policy does not cover cannot give a spilled step a
+        # second fate
+        assert fates.shed(4, "csym", "container_stride", 2.0) == REFUSED
+        assert len(fates.violations) == 1
 
 
 class TestSpillStore:
     def test_read_back_verifies_digest(self):
         env = Environment()
         store = SpillStore(env)
-        ledger = SpillLedger()
-        record = ledger.record(4, "bonds", "backpressure_stride", 0.0, nbytes=2**20)
+        record = FateLedger().spill(4, "bonds", "backpressure_stride", 0.0, nbytes=2**20)
         node = stub_node()
 
         def flow():
@@ -173,8 +185,7 @@ class TestSpillStore:
         instead of missing the segment."""
         env = Environment()
         store = SpillStore(env, per_stream_bandwidth=2**20)  # slow: ~1s/MiB
-        ledger = SpillLedger()
-        record = ledger.record(0, "bonds", "backpressure_stride", 0.0, nbytes=2**20)
+        record = FateLedger().spill(0, "bonds", "backpressure_stride", 0.0, nbytes=2**20)
         node = stub_node()
         times = {}
 
@@ -226,7 +237,7 @@ class TestEngineSwitch:
 
         env.process(flow())
         env.run(until=30.0)
-        assert len(engine.ledger) == 1
+        assert len(engine.ledger.spill_records) == 1
         assert store.durable_count == 1
 
 
@@ -366,7 +377,7 @@ class TestColdStartConsumer:
             # Subscribe *before* replaying so nothing published during the
             # catch-up is missed; the watermark splits history from live.
             sub = stream.subscribe("cold", window=4)
-            watermark = tee.ledger.records[-1].seq
+            watermark = tee.ledger.spill_records[-1].seq
             history = yield tee.read_history(stub_node(), upto_seq=watermark)
             got = [(r.timestep, r.nbytes) for r in history]
             while len(got) < total:

@@ -105,6 +105,33 @@ class TestDependencyGraph:
         assert offline_actions[-1] == "offline bonds"
         assert set(order) == {"bonds", "csym", "cna"}
 
+    def test_offline_flush_strands_only_shed_chunks(self):
+        """The teardown race: a copy of an already-delivered timestep's
+        chunk still sits in the pruned stage's input writer.  The flush
+        must not strand it to disk (post-processing would re-run it) and
+        the ledger counts one suppression."""
+        from repro.data import DataChunk
+
+        env = Environment()
+        pipe = build(env, steps=8)
+        writer = pipe.containers["csym"].input_link.writers[0]
+        flushed = []
+
+        def ctl(env):
+            while not pipe.fates.delivered(0):
+                yield env.timeout(1)
+            stale = DataChunk(timestep=0, nbytes=1e6, created_at=0.0)
+            assert writer.buffer.try_insert(stale)
+            before = {f.name for f in pipe.fs.files}
+            yield pipe.global_manager.take_offline("csym")
+            flushed.extend(f.name for f in pipe.fs.files if f.name not in before)
+
+        env.process(ctl(env))
+        pipe.run(settle=300)
+        assert not [name for name in flushed if ".flush.ts000000" in name], flushed
+        assert pipe.fates.suppressed == 1
+        assert pipe.fates.violations == []
+
     def test_retire_returns_nodes_to_spares(self):
         env = Environment()
         pipe = build(env, spare=0, steps=8)

@@ -5,6 +5,7 @@ import pytest
 from repro.simkernel import Environment, Store
 from repro.data import DataChunk
 from repro.datatap import DataTapLink, DataTapReader, DataTapWriter
+from repro.fate import REFUSED, SHED, SUPPRESSED, FateLedger
 from repro.overload import DegradationTrace, LinkCredits, ShedLedger
 
 
@@ -14,14 +15,14 @@ def chunk(ts=0, nbytes=1000):
 
 class TestShedLedger:
     def test_unknown_reason_rejected(self):
-        ledger = ShedLedger()
         with pytest.raises(ValueError, match="unknown shed reason"):
-            ledger.record(0, "bonds", "because", 1.0)
+            FateLedger().shed(0, "bonds", "because", 1.0)
 
     def test_records_accumulate_by_step(self):
-        ledger = ShedLedger()
-        assert ledger.record(3, "lammps", "backpressure_stride", 10.0)
-        assert ledger.record(5, "bonds", "container_stride", 12.0, chunk_id=7)
+        fates = FateLedger()
+        ledger = ShedLedger(fates)
+        assert fates.shed(3, "lammps", "backpressure_stride", 10.0) == SHED
+        assert fates.shed(5, "bonds", "container_stride", 12.0, chunk_id=7) == SHED
         assert ledger.steps() == {3, 5}
         assert ledger.by_reason() == {
             "backpressure_stride": 1, "container_stride": 1,
@@ -29,21 +30,28 @@ class TestShedLedger:
         assert ledger.shed_fraction(10) == pytest.approx(0.2)
 
     def test_delivered_steps_suppressed(self):
-        delivered = {4}
-        ledger = ShedLedger(is_delivered=delivered.__contains__)
-        assert not ledger.record(4, "bonds", "offline_prune", 20.0)
-        assert ledger.record(5, "bonds", "offline_prune", 20.0)
-        assert ledger.suppressed == 1
-        assert ledger.steps() == {5}
+        fates = FateLedger()
+        fates.deliver("pipeline", 4, 19.0)
+        assert fates.shed(4, "bonds", "offline_prune", 20.0) == SUPPRESSED
+        assert fates.shed(5, "bonds", "offline_prune", 20.0) == SHED
+        assert fates.suppressed == 1
+        assert ShedLedger(fates).steps() == {5}
+        assert fates.violations == []
 
     def test_same_decision_multiple_records_is_one_decision(self):
         # an offline flush touches each writer's fragment of the step:
         # several records, one decision — not a double-count
-        ledger = ShedLedger()
-        ledger.record(2, "csym", "offline_prune", 30.0, chunk_id=1)
-        ledger.record(2, "csym", "offline_prune", 30.0, chunk_id=2)
+        fates = FateLedger()
+        ledger = ShedLedger(fates)
+        assert fates.shed(2, "csym", "offline_prune", 30.0, chunk_id=1) == SHED
+        assert fates.shed(2, "csym", "offline_prune", 30.0, chunk_id=2) == SHED
         assert ledger.decisions() == {2: {("csym", "offline_prune")}}
         assert len(ledger) == 2
+        assert fates.violations == []
+        # a second, distinct decision is refused where it is written
+        assert fates.shed(2, "csym", "container_stride", 31.0) == REFUSED
+        assert len(ledger) == 2
+        assert len(fates.violations) == 1
 
 
 class FakeWriter:
