@@ -15,26 +15,31 @@
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
 from repro.containers.policy import LatencyPolicy, QueueDerivativePolicy
 from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
+
+
+def _spec(staging_nodes, steps, stages, **builder):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=staging_nodes, spare=0, steps=steps)
+    return PipelineSpec("ablation", workload=wl, stages=stages, builder=builder)
+
+
+def _three_stages(bonds_units, bonds_model=ComputeModel.ROUND_ROBIN):
+    return (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", bonds_units, model=bonds_model.value, upstream="helper"),
+        StageSpec("csym", 3, upstream="bonds"),
+    )
 
 from conftest import print_table
 
 
 def fig7_pipe(policy=None, use_pull_scheduler=True, steps=40, model=ComputeModel.ROUND_ROBIN):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13, spare_staging_nodes=0,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 4, model, upstream="helper"),
-        StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        StageConfig("cna", 2, ComputeModel.ROUND_ROBIN, upstream="bonds", standby=True),
-    ]
-    pipe = PipelineBuilder(env, wl, stages=stages, seed=1, policy=policy,
-                           use_pull_scheduler=use_pull_scheduler).build()
+    stages = _three_stages(4, model) + (StageSpec("cna", 2, upstream="bonds", standby=True),)
+    spec = _spec(13, steps, stages, seed=1, use_pull_scheduler=use_pull_scheduler)
+    pipe = build(env, spec, policy=policy)
     pipe.run(settle=600)
     return pipe
 
@@ -70,15 +75,8 @@ class TestWriterPauseConsistency:
 
         def run():
             env = Environment()
-            wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=24,
-                                     output_interval=15.0, total_steps=30)
-            stages = [
-                StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-                StageConfig("bonds", 12, ComputeModel.ROUND_ROBIN, upstream="helper"),
-                StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-            ]
-            pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                                   control_interval=10_000).build()
+            pipe = build(env, _spec(24, 30, _three_stages(12), seed=0,
+                                    control_interval=10_000))
 
             def ctl(env):
                 for _ in range(3):
@@ -107,15 +105,8 @@ class TestWriterPauseConsistency:
 
         def run():
             env = Environment()
-            wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=24,
-                                     output_interval=15.0, total_steps=20)
-            stages = [
-                StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-                StageConfig("bonds", 12, ComputeModel.ROUND_ROBIN, upstream="helper"),
-                StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-            ]
-            pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                                   control_interval=10_000).build()
+            pipe = build(env, _spec(24, 20, _three_stages(12), seed=0,
+                                    control_interval=10_000))
 
             def ctl(env):
                 yield env.timeout(60)
@@ -173,15 +164,8 @@ class TestAprunArtifact:
             results = {}
             for model in (ComputeModel.ROUND_ROBIN, ComputeModel.PARALLEL):
                 env = Environment()
-                wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=20,
-                                         output_interval=15.0, total_steps=4)
-                stages = [
-                    StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-                    StageConfig("bonds", 4, model, upstream="helper"),
-                    StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-                ]
-                pipe = PipelineBuilder(env, wl, stages=stages, seed=3,
-                                       control_interval=10_000).build()
+                pipe = build(env, _spec(20, 4, _three_stages(4, model), seed=3,
+                                        control_interval=10_000))
 
                 def do(env, pipe=pipe):
                     yield env.timeout(1)

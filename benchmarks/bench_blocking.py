@@ -17,7 +17,7 @@ and on:
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 from conftest import print_table
 
@@ -26,14 +26,13 @@ MIB = 2**20
 
 def run(managed: bool, steps: int = 60):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24, spare_staging_nodes=4,
-                             output_interval=15.0, total_steps=steps)
-    pipe = PipelineBuilder(
-        env, wl, seed=1,
+    wl = WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=steps)
+    pipe = build(env, PipelineSpec("blocking", workload=wl, builder=dict(
+        seed=1,
         control_interval=30.0 if managed else 1e9,
         stage_buffer_bytes=480 * MIB,   # ~1 chunk of slack per stage writer
         sim_buffer_bytes=3 * 68 * MIB,  # 3 output fragments per sim writer
-    ).build()
+    )))
     finished = pipe.run(settle=300)
     return pipe, finished
 

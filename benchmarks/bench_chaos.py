@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 from repro.faults import FaultPlan
 from repro.perf.registry import REGISTRY
 from repro.perf.report import write_kernel_report
@@ -43,14 +43,12 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 def run_chaos(seed=SEED):
     """One managed Fig-7 run with a scripted mid-run staging-node crash."""
     env = Environment()
-    wl = WeakScalingWorkload(
-        sim_nodes=256, staging_nodes=13 + SPARES, spare_staging_nodes=SPARES,
-        output_interval=15.0, total_steps=STEPS,
-    )
-    pipe = PipelineBuilder(
-        env, wl, seed=1, control_interval=30.0,
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13 + SPARES, spare=SPARES,
+                      steps=STEPS)
+    pipe = build(env, PipelineSpec("chaos", workload=wl, builder=dict(
+        seed=1, control_interval=30.0,
         fault_tolerance=True, lease_timeout=LEASE, heartbeat_interval=1.0,
-    ).build()
+    )))
     # Target a concrete placement: a Bonds replica that does not co-host
     # the local manager (replicas[0]'s node does).
     victim = pipe.containers["bonds"].replicas[1]

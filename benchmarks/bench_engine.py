@@ -46,7 +46,7 @@ from repro.cluster import Machine
 from repro.evpath import Messenger
 from repro.evpath import channel as _channel
 from repro.evpath.messages import Message, MessageType, validate_message
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 from repro.perf.registry import REGISTRY
 from repro.perf.report import load_kernel_report, write_kernel_report
 
@@ -84,10 +84,10 @@ N_DRAIN = 20_000 if SMOKE else 200_000
 N_CHURN = 2_000 if SMOKE else 20_000
 N_SEND = 1_000 if SMOKE else 8_000
 PIPELINES = (
-    ("fig7_small", dict(sim_nodes=128, staging_nodes=13, output_interval=15.0,
-                        total_steps=6 if SMOKE else 12)),
-    ("fig7_256", dict(sim_nodes=256, staging_nodes=13, output_interval=15.0,
-                      total_steps=4 if SMOKE else 20)),
+    ("fig7_small", dict(sim_nodes=128, staging_nodes=13, spare=0,
+                        steps=6 if SMOKE else 12)),
+    ("fig7_256", dict(sim_nodes=256, staging_nodes=13, spare=0,
+                      steps=4 if SMOKE else 20)),
 )
 #: acceptance floor: timeout_drain must beat the pre-PR engine by this much
 DRAIN_SPEEDUP_FLOOR = 10.0
@@ -229,8 +229,9 @@ def run_pipeline_suite():
         for engine_name, env_cls in ENGINES:
             def one_run():
                 env = env_cls()
-                wl = WeakScalingWorkload(**cfg)
-                pipe = PipelineBuilder(env, wl, seed=1).build()
+                spec = PipelineSpec(label, workload=WorkloadSpec(**cfg),
+                                    builder=dict(seed=1))
+                pipe = build(env, spec)
                 assert pipe.run(settle=120)
                 return env.now
 

@@ -18,34 +18,30 @@ rising-then-sharp-drop shape of the published figure.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
 from conftest import print_series, print_table
 
 
 def run_1024(steps=60):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24, spare_staging_nodes=4,
-                             output_interval=15.0, total_steps=steps)
-    pipe = PipelineBuilder(env, wl, seed=1).build()
+    wl = WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=steps)
+    pipe = build(env, PipelineSpec("fig10-1024", workload=wl, builder=dict(seed=1)))
     pipe.run(settle=300)
     return pipe
 
 
 def run_640(steps=60):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=640, staging_nodes=24, spare_staging_nodes=4,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 5, ComputeModel.ROUND_ROBIN, upstream="helper"),
-        StageConfig("csym", 6, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        StageConfig("cna", 3, ComputeModel.ROUND_ROBIN, upstream="bonds", standby=True),
-    ]
-    pipe = PipelineBuilder(env, wl, stages=stages, seed=1,
-                           overflow_occupancy=0.25).build()
+    wl = WorkloadSpec(sim_nodes=640, staging_nodes=24, spare=4, steps=steps)
+    stages = (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 5, upstream="helper"),
+        StageSpec("csym", 6, upstream="bonds"),
+        StageSpec("cna", 3, upstream="bonds", standby=True),
+    )
+    pipe = build(env, PipelineSpec("fig10-640", workload=wl, stages=stages,
+                                   builder=dict(seed=1, overflow_occupancy=0.25)))
     pipe.run(settle=300)
     return pipe
 

@@ -10,22 +10,17 @@ out.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 from conftest import print_table
 
 
 def run_increase(new_nodes=2):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=16, spare_staging_nodes=3,
-                             output_interval=15.0, total_steps=4)
-    # Keep the default 13-node stage allocation; 3 spares remain for us.
-    from repro.containers.pipeline import default_stages
-
-    builder = PipelineBuilder(env, wl, stages=default_stages(
-        WeakScalingWorkload(sim_nodes=256, staging_nodes=13)),
-        seed=0, control_interval=10_000)
-    pipe = builder.build()
+    # The default 13-node stage allocation; 3 spares remain for us.
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=16, spare=3, steps=4)
+    pipe = build(env, PipelineSpec("fig3", workload=wl, builder=dict(
+        seed=0, control_interval=10_000)))
 
     def do(env):
         yield env.timeout(1)

@@ -14,9 +14,19 @@ The paper's findings, which this bench reproduces as shape criteria:
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig, default_stages
 from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
+
+
+def _spec(staging_nodes, bonds_model, seed):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=staging_nodes, spare=0, steps=4)
+    stages = (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 4, model=bonds_model.value, upstream="helper"),
+        StageSpec("csym", 3, upstream="bonds"),
+    )
+    return PipelineSpec("fig4", workload=wl, stages=stages,
+                        builder=dict(seed=seed, control_interval=10_000))
 
 from conftest import print_table
 
@@ -27,15 +37,7 @@ def run_increase_sweep(model=ComputeModel.ROUND_ROBIN):
     results = []
     for size in SIZES:
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13 + 16,
-                                 output_interval=15.0, total_steps=4)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 4, model, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = build(env, _spec(13 + 16, model, seed=0))
 
         def do(env):
             yield env.timeout(1)
@@ -85,15 +87,7 @@ def test_fig4_aprun_dwarfs_protocol_for_mpi_model(benchmark):
 
     def run():
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13 + 8,
-                                 output_interval=15.0, total_steps=4)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 4, ComputeModel.PARALLEL, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=7,
-                               control_interval=10_000).build()
+        pipe = build(env, _spec(13 + 8, ComputeModel.PARALLEL, seed=7))
 
         def do(env):
             yield env.timeout(1)

@@ -8,28 +8,30 @@ decrease sizes and prints the breakdown, asserting writer-pause dominance.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
 from conftest import print_table
 
 SIZES = (1, 2, 4, 8)
+
+#: bonds over-provisioned at 12 replicas, so it has room to shrink
+FIG5_SPEC = PipelineSpec(
+    "fig5",
+    workload=WorkloadSpec(sim_nodes=256, staging_nodes=24, spare=0, steps=20),
+    stages=(
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 12, upstream="helper"),
+        StageSpec("csym", 3, upstream="bonds"),
+    ),
+    builder=dict(seed=0, control_interval=10_000),
+)
 
 
 def run_decrease_sweep(active_traffic=True):
     results = []
     for size in SIZES:
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=24,
-                                 output_interval=15.0, total_steps=20)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 12, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = build(env, FIG5_SPEC)
 
         def do(env):
             # Let data flow first so writers are genuinely active.
@@ -73,15 +75,7 @@ def test_fig5_no_timestep_lost_during_decrease(benchmark):
 
     def run():
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=24,
-                                 output_interval=15.0, total_steps=20)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 12, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = build(env, FIG5_SPEC)
 
         def do(env):
             yield env.timeout(40)

@@ -12,17 +12,17 @@ shows the latency growth the management actions prevent.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 from conftest import print_series, print_table
 
 
 def run(managed=True, steps=40):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13, spare_staging_nodes=0,
-                             output_interval=15.0, total_steps=steps)
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=steps)
     control = 30.0 if managed else 10_000_000.0
-    pipe = PipelineBuilder(env, wl, seed=1, control_interval=control).build()
+    pipe = build(env, PipelineSpec("fig7", workload=wl, builder=dict(
+        seed=1, control_interval=control)))
     pipe.run(settle=900)
     return pipe
 

@@ -9,16 +9,15 @@ preventing the pipeline from blocking the application.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 from conftest import print_series, print_table
 
 
 def run(steps=60):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24, spare_staging_nodes=4,
-                             output_interval=15.0, total_steps=steps)
-    pipe = PipelineBuilder(env, wl, seed=1).build()
+    wl = WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=steps)
+    pipe = build(env, PipelineSpec("fig9", workload=wl, builder=dict(seed=1)))
     pipe.run(settle=300)
     return pipe
 

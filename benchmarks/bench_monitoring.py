@@ -101,15 +101,15 @@ def test_overlay_reduces_root_hotspot(benchmark):
 def test_overlay_monitoring_pipeline_equivalence(benchmark):
     """Full pipeline: the overlay transport changes perturbation, not the
     management outcome."""
-    from repro import PipelineBuilder, WeakScalingWorkload
+    from repro.spec import PipelineSpec, WorkloadSpec, build
 
     def both():
         results = {}
         for mode in ("direct", "overlay"):
             env = Environment()
-            wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                     output_interval=15.0, total_steps=25)
-            pipe = PipelineBuilder(env, wl, seed=1, monitoring=mode).build()
+            wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=25)
+            pipe = build(env, PipelineSpec("monitoring", workload=wl, builder=dict(
+                seed=1, monitoring=mode)))
             pipe.run(settle=300)
             results[mode] = pipe
         return results

@@ -16,7 +16,7 @@ from repro.containers.placement import (
     PlacementProblem,
     TopologyAwarePlacement,
 )
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 from conftest import print_table
 
@@ -72,10 +72,9 @@ def test_placement_end_to_end_latency(benchmark):
 
     def run(placement):
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=10)
-        pipe = PipelineBuilder(env, wl, seed=0, placement=placement,
-                               control_interval=10_000).build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=10)
+        pipe = build(env, PipelineSpec("placement", workload=wl, builder=dict(
+            seed=0, placement=placement, control_interval=10_000)))
         pipe.run(settle=300)
         series = pipe.telemetry.get("helper", "latency_by_step")
         return sum(series.values) / len(series.values), pipe

@@ -9,27 +9,26 @@ detection, spare grants, stateful resizes, zero application blocking.
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.s3d.components import S3D_COMPONENTS
-from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
 from conftest import print_series, print_table
 
 
+def s3d_stages(front_units):
+    """reduce -> front -> track from the S3D component library."""
+    return (
+        StageSpec("reduce", 3, model="tree", library="s3d"),
+        StageSpec("front", front_units, upstream="reduce", library="s3d"),
+        StageSpec("track", 2, upstream="front", library="s3d"),
+    )
+
+
 def run(steps=30, spare=2):
     env = Environment()
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=9 + spare,
-                             spare_staging_nodes=spare,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("reduce", 3, ComputeModel.TREE, upstream=None),
-        StageConfig("front", 4, ComputeModel.ROUND_ROBIN, upstream="reduce"),
-        StageConfig("track", 2, ComputeModel.ROUND_ROBIN, upstream="front"),
-    ]
-    for stage in stages:
-        stage.spec = (lambda s=stage: S3D_COMPONENTS[s.component])
-    pipe = PipelineBuilder(env, wl, stages=stages, seed=0).build()
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=9 + spare, spare=spare,
+                      steps=steps)
+    pipe = build(env, PipelineSpec("s3d", workload=wl, stages=s3d_stages(4),
+                                   builder=dict(seed=0)))
     pipe.run(settle=300)
     return pipe
 
@@ -69,18 +68,9 @@ def test_s3d_stateful_resize_migrates_tracker(benchmark):
     # Force an explicit grow of the stateful tracking stage and check the
     # migration round appears in the protocol trace.
     env2 = Environment()
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=12,
-                             spare_staging_nodes=2,
-                             output_interval=15.0, total_steps=10)
-    stages = [
-        StageConfig("reduce", 3, ComputeModel.TREE, upstream=None),
-        StageConfig("front", 5, ComputeModel.ROUND_ROBIN, upstream="reduce"),
-        StageConfig("track", 2, ComputeModel.ROUND_ROBIN, upstream="front"),
-    ]
-    for stage in stages:
-        stage.spec = (lambda s=stage: S3D_COMPONENTS[s.component])
-    pipe2 = PipelineBuilder(env2, wl, stages=stages, seed=0,
-                            control_interval=10_000).build()
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=12, spare=2, steps=10)
+    pipe2 = build(env2, PipelineSpec("s3d", workload=wl, stages=s3d_stages(5),
+                                     builder=dict(seed=0, control_interval=10_000)))
 
     def ctl(env):
         yield env.timeout(30)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.simkernel import Environment, Resource, Store
 from repro.cluster import Machine
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 def test_event_throughput(benchmark):
@@ -97,9 +97,8 @@ def test_full_pipeline_wall_time(benchmark):
 
     def run():
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=20)
-        pipe = PipelineBuilder(env, wl, seed=1).build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=20)
+        pipe = build(env, PipelineSpec("fig7", workload=wl, builder=dict(seed=1)))
         pipe.run(settle=120)
         return pipe.containers["csym"].completions
 

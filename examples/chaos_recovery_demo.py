@@ -17,21 +17,22 @@ and the pipeline finishes with every timestep delivered exactly once.
 Run:  PYTHONPATH=src python examples/chaos_recovery_demo.py
 """
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
 from repro.faults import FaultPlan
 from repro.perf.registry import REGISTRY
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 def main() -> None:
     env = Environment()
-    workload = WeakScalingWorkload(
-        sim_nodes=256, staging_nodes=16, spare_staging_nodes=3,
-        output_interval=15.0, total_steps=40,
+    spec = PipelineSpec(
+        "chaos",
+        workload=WorkloadSpec(sim_nodes=256, staging_nodes=16, spare=3, steps=40),
+        builder=dict(seed=1, control_interval=30.0, fault_tolerance=True,
+                     lease_timeout=5.0, heartbeat_interval=1.0),
     )
-    pipe = PipelineBuilder(
-        env, workload, seed=1, control_interval=30.0,
-        fault_tolerance=True, lease_timeout=5.0, heartbeat_interval=1.0,
-    ).build()
+    pipe = build(env, spec)
+    workload = pipe.driver.workload
 
     victim = pipe.containers["bonds"].replicas[1]
     print(f"armed: node {victim.node.node_id} (hosting {victim.name}) "

@@ -21,24 +21,25 @@ Timeline of this demo:
 Run:  python examples/interactive_visualization.py
 """
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
+from repro import Environment
 from repro.smartpointer.component import VIZ_COMPONENT
-from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
 
 def main() -> None:
     env = Environment()
-    workload = WeakScalingWorkload(
-        sim_nodes=256, staging_nodes=13, spare_staging_nodes=4,
-        output_interval=15.0, total_steps=30,
+    spec = PipelineSpec(
+        "interactive",
+        workload=WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=4, steps=30),
+        stages=(
+            StageSpec("helper", 2, model="tree"),
+            StageSpec("bonds", 4, upstream="helper"),
+            StageSpec("csym", 3, upstream="bonds"),
+        ),
+        builder=dict(seed=0),
     )
-    stages = [
-        StageConfig("helper", 2, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 4, ComputeModel.ROUND_ROBIN, upstream="helper"),
-        StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-    ]
-    pipe = PipelineBuilder(env, workload, stages=stages, seed=0).build()
+    pipe = build(env, spec)
+    workload = pipe.driver.workload
 
     def user(env):
         yield env.timeout(20)

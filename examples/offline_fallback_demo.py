@@ -15,16 +15,19 @@ Run:  python examples/offline_fallback_demo.py
 
 from collections import Counter
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 def main() -> None:
     env = Environment()
-    workload = WeakScalingWorkload(
-        sim_nodes=1024, staging_nodes=24, spare_staging_nodes=4,
-        output_interval=15.0, total_steps=60,
+    spec = PipelineSpec(
+        "fig9",
+        workload=WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=60),
+        builder=dict(seed=1),
     )
-    pipe = PipelineBuilder(env, workload, seed=1).build()
+    pipe = build(env, spec)
+    workload = pipe.driver.workload
     print(f"1024-node run: {workload.bytes_per_step / 2**20:.0f} MiB per step, "
           f"24 staging nodes (4 spare)\n")
     pipe.run(settle=300)

@@ -10,19 +10,25 @@ steals a node from the over-provisioned Helper, and the pipeline stabilizes.
 Run:  python examples/quickstart.py
 """
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 def main() -> None:
     env = Environment()
-    workload = WeakScalingWorkload(
-        sim_nodes=256,          # simulation partition (Table II row 1)
-        staging_nodes=13,       # staging partition, fully allocated
-        spare_staging_nodes=0,  # no spares: management must *steal*
-        output_interval=15.0,   # the paper's stressed output cadence
-        total_steps=40,
+    spec = PipelineSpec(
+        "quickstart",
+        workload=WorkloadSpec(
+            sim_nodes=256,         # simulation partition (Table II row 1)
+            staging_nodes=13,      # staging partition, fully allocated
+            spare=0,               # no spares: management must *steal*
+            output_interval=15.0,  # the paper's stressed output cadence
+            steps=40,
+        ),
+        builder=dict(seed=1),
     )
-    pipe = PipelineBuilder(env, workload, seed=1).build()
+    pipe = build(env, spec)
+    workload = pipe.driver.workload
 
     print(f"Simulating {workload.natoms:,} atoms "
           f"({workload.bytes_per_step / 2**20:.0f} MiB per output step) ...")

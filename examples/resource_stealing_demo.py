@@ -14,16 +14,18 @@ Two management behaviours compose during the run:
 Run:  python examples/resource_stealing_demo.py
 """
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 def main() -> None:
     env = Environment()
-    workload = WeakScalingWorkload(
-        sim_nodes=256, staging_nodes=13, spare_staging_nodes=0,
-        output_interval=15.0, total_steps=30,
+    spec = PipelineSpec(
+        "fig7",
+        workload=WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=30),
+        builder=dict(seed=2, crack_step=12),
     )
-    pipe = PipelineBuilder(env, workload, seed=2, crack_step=12).build()
+    pipe = build(env, spec)
     print("Running 30 output steps; crack forms at step 12 ...\n")
     pipe.run(settle=300)
 

@@ -15,9 +15,10 @@ container runtime:
 Run:  python examples/transactions_demo.py
 """
 
-from repro import Environment, PipelineBuilder, TransactionManager, WeakScalingWorkload
+from repro import Environment, TransactionManager
 from repro.cluster import redsky
 from repro.evpath import Messenger
+from repro.spec import PipelineSpec, WorkloadSpec, build
 from repro.transactions import FailureInjector
 import repro.transactions.coordinator as coordinator_module
 
@@ -76,9 +77,9 @@ def demo_failure_handling() -> None:
 def demo_transactional_trade() -> None:
     print("\n=== 3. Transactional resource trade between containers ===")
     env = Environment()
-    workload = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                   output_interval=15.0, total_steps=8)
-    pipe = PipelineBuilder(env, workload, seed=0, control_interval=10_000).build()
+    workload = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=8)
+    pipe = build(env, PipelineSpec("trade", workload=workload, builder=dict(
+        seed=0, control_interval=10_000)))
     tm = TransactionManager(env, pipe.messenger, pipe.machine.nodes[0])
     pipe.global_manager.transaction_manager = tm
 

@@ -9,25 +9,25 @@ physics, the SmartPointer analytics kernels -- and, on top of them, the
 paper's contribution: managed I/O containers with local/global managers,
 latency-driven resource trading, and offline fallback.
 
+Every pipeline is described by a validated :class:`~repro.spec.PipelineSpec`
+and compiled by one function, :func:`repro.spec.build` (see ``repro.spec``).
 Quickstart::
 
-    from repro import Environment, PipelineBuilder, WeakScalingWorkload
+    from repro import Environment
+    from repro.spec import PipelineSpec, WorkloadSpec, build
 
     env = Environment()
-    workload = WeakScalingWorkload(sim_nodes=256, staging_nodes=13, total_steps=30)
-    pipe = PipelineBuilder(env, workload).build()
+    spec = PipelineSpec("quickstart", workload=WorkloadSpec(
+        sim_nodes=256, staging_nodes=13, spare=0, steps=30))
+    pipe = build(env, spec)
     pipe.run()
     print(pipe.global_manager.actions_taken)
 
-or, declaratively, from a validated pipeline spec (see ``repro.spec``)::
+or a bundled preset, with overlays::
 
-    from repro.simkernel import Environment
-    from repro.spec import load_preset
-    from repro.spec.build import build
+    from repro.spec import build_preset
 
-    env = Environment()
-    pipe = build(env, load_preset("fig7"))
-    pipe.run()
+    pipe = build_preset(Environment(), "fig7", workload=dict(steps=4))
 """
 
 from repro.simkernel import Environment
@@ -57,7 +57,6 @@ from repro.containers import (
     LatencyPolicy,
     LocalManager,
     Pipeline,
-    PipelineBuilder,
     StageConfig,
 )
 from repro.transactions import TransactionManager
@@ -87,7 +86,6 @@ __all__ = [
     "OverlayTree",
     "ParallelFileSystem",
     "Pipeline",
-    "PipelineBuilder",
     "PullScheduler",
     "SMARTPOINTER_COMPONENTS",
     "SMARTPOINTER_COSTS",

@@ -7,20 +7,22 @@ managers, and the global manager.  The resulting :class:`Pipeline` exposes
 ``run()`` plus the telemetry the Figure 7-10 benches print.
 
 The default stage allocations per workload reproduce the paper's three
-configurations (see DESIGN.md's experiment index); all knobs are exposed for
-the ablation benches.
+configurations (see DESIGN.md's experiment index).  Every knob lives in the
+:class:`~repro.spec.model.PipelineSpec` the builder compiles; pipelines are
+built through :func:`repro.spec.build.build`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 from repro.cluster.machine import Machine
 from repro.cluster.presets import franklin
-from repro.cluster.scheduler import AprunModel, BatchScheduler
+from repro.cluster.scheduler import BatchScheduler
 from repro.containers.container import Container
 from repro.containers.global_manager import GlobalManager
 from repro.containers.local_manager import LocalManager
@@ -39,6 +41,9 @@ from repro.monitoring.metrics import Telemetry
 from repro.perf.registry import REGISTRY as PERF
 from repro.smartpointer.component import SMARTPOINTER_COMPONENTS, ComponentSpec
 from repro.smartpointer.costs import ComputeModel
+
+if TYPE_CHECKING:
+    from repro.spec.model import PipelineSpec
 
 
 @dataclass
@@ -380,101 +385,48 @@ class Pipeline:
 
 
 class PipelineBuilder:
-    """Builds a :class:`Pipeline` for a workload."""
+    """Compiles a validated :class:`~repro.spec.model.PipelineSpec` into a
+    wired :class:`Pipeline`.
+
+    Everything portable comes from the spec: the workload, the stage list,
+    the builder block (over :data:`~repro.spec.model.BUILDER_DEFAULTS`),
+    the ``overload`` block (predictive control) and the ``failover`` block
+    (degrade-to-disk, retry jitter).  The keyword arguments are the
+    runtime-only objects a serialized spec cannot hold: a shared fleet
+    ``machine``, the ``tenant`` name, and a management ``policy``
+    instance.  Construct through :func:`repro.spec.build.build`, which
+    validates the spec first.
+    """
 
     def __init__(
         self,
         env: Environment,
-        workload: WeakScalingWorkload,
-        stages: Optional[List[StageConfig]] = None,
-        policy: Optional[ManagementPolicy] = None,
+        spec: PipelineSpec,
+        *,
         machine: Optional[Machine] = None,
-        num_sim_writers: int = 4,
-        control_interval: float = 30.0,
-        monitor_interval: float = 15.0,
-        crack_step: Optional[int] = None,
-        use_pull_scheduler: bool = True,
-        sla_interval: Optional[float] = None,
-        overflow_occupancy: float = 0.35,
-        overflow_horizon: float = 150.0,
-        aprun: Optional[AprunModel] = None,
-        seed: int = 0,
-        transaction_manager=None,
-        placement: str = "naive",
-        monitoring: str = "direct",
-        stage_buffer_bytes: Optional[float] = None,
-        sim_buffer_bytes: Optional[float] = None,
-        fault_plan=None,
-        fault_tolerance: Optional[bool] = None,
-        heartbeat_interval: float = 1.0,
-        lease_timeout: float = 5.0,
-        manager_lease_timeout: Optional[float] = None,
-        backpressure=False,
-        brownout=False,
-        predictive=False,
-        failover=False,
-        retry_jitter: float = 0.0,
         tenant: Optional[str] = None,
+        policy: Optional[ManagementPolicy] = None,
     ):
         self.env = env
-        self.workload = workload
+        self.spec = spec
+        self.workload = spec.workload.to_workload()
+        #: the builder block over its defaults
+        self.knobs = knobs = spec.settings()
+        self.stages = spec.stage_configs() or default_stages(self.workload)
+        self.policy = policy or LatencyPolicy(
+            overflow_occupancy=knobs["overflow_occupancy"]
+        )
+        self.machine = machine
         #: fleet tenancy: prefixes this pipeline's machine partitions and
         #: namespaces its scheduler occupancy counters as ``fleet.<tenant>.*``
         self.tenant = tenant
-        self.stages = stages if stages is not None else default_stages(workload)
-        self.policy = policy or LatencyPolicy(overflow_occupancy=overflow_occupancy)
-        self.machine = machine
-        self.num_sim_writers = num_sim_writers
-        self.control_interval = control_interval
-        self.monitor_interval = monitor_interval
-        self.crack_step = crack_step
-        self.use_pull_scheduler = use_pull_scheduler
-        self.sla_interval = sla_interval or workload.output_interval
-        self.overflow_horizon = overflow_horizon
-        self.aprun = aprun or AprunModel()
-        self.seed = seed
-        self.transaction_manager = transaction_manager
-        if placement not in ("naive", "topology"):
-            raise ValueError(f"unknown placement strategy {placement!r}")
-        self.placement = placement
-        if monitoring not in ("direct", "overlay"):
-            raise ValueError(f"unknown monitoring mode {monitoring!r}")
-        self.monitoring = monitoring
-        #: caps on staging buffers (None = node-memory defaults); tightening
-        #: these makes the blocking pathology reproducible at small scale
-        self.stage_buffer_bytes = stage_buffer_bytes
-        self.sim_buffer_bytes = sim_buffer_bytes
-        #: fault tolerance: chunk custody/redelivery, replica heartbeats,
-        #: and a RecoveryManager.  Defaults on when a fault plan is given.
-        self.fault_plan = fault_plan
-        self.fault_tolerance = (
-            fault_tolerance if fault_tolerance is not None else fault_plan is not None
-        )
-        self.heartbeat_interval = heartbeat_interval
-        self.lease_timeout = lease_timeout
-        self.manager_lease_timeout = (
-            manager_lease_timeout
-            if manager_lease_timeout is not None
-            else 4.0 * monitor_interval
-        )
-        #: overload subsystems: False = off (byte-identical legacy paths),
-        #: True = defaults, or a dict of config overrides for the controller
-        self.backpressure = backpressure
-        self.brownout = brownout
-        #: forecast-driven management: False = reactive controllers only
-        #: (byte-identical schedules), True = PredictiveConfig defaults,
-        #: or a dict of PredictiveConfig overrides
-        self.predictive = predictive
-        #: degrade-to-disk failover: False = lossy sheds (legacy), True =
-        #: FailoverPolicy defaults, or a dict of FailoverPolicy overrides
-        self.failover = failover
-        #: seeded scatter on the messenger's retry backoff; 0 keeps the
-        #: historical fixed ladder byte-identically
-        self.retry_jitter = retry_jitter
 
     def build(self) -> Pipeline:
         env = self.env
         wl = self.workload
+        spec = self.spec
+        k = self.knobs
+        sla_interval = k["sla_interval"] or wl.output_interval
         pipe = Pipeline(env)
 
         # Machine and partitions.  The simulation partition only needs the
@@ -482,18 +434,20 @@ class PipelineBuilder:
         # writers + staging to keep the topology graph small, while the
         # workload object carries the logical simulation node count.
         machine = self.machine or franklin(
-            env, num_nodes=self.num_sim_writers + wl.staging_nodes + 2
+            env, num_nodes=k["num_sim_writers"] + wl.staging_nodes + 2
         )
         pipe.machine = machine
         pipe.tenant = self.tenant
         prefix = f"{self.tenant}:" if self.tenant else ""
-        sim_part = machine.partition(f"{prefix}sim", self.num_sim_writers)
+        sim_part = machine.partition(f"{prefix}sim", k["num_sim_writers"])
         staging = machine.partition(f"{prefix}staging", wl.staging_nodes)
 
-        if self.retry_jitter:
+        # seeded scatter on the messenger's retry backoff; no failover
+        # block (or zero jitter) keeps the historical fixed ladder
+        if spec.failover is not None and spec.failover.retry_jitter:
             from repro.evpath.channel import RetryPolicy
 
-            retry = RetryPolicy(jitter=self.retry_jitter, seed=self.seed)
+            retry = RetryPolicy(jitter=spec.failover.retry_jitter, seed=k["seed"])
             messenger = Messenger(env, machine.network, retry=retry)
         else:
             messenger = Messenger(env, machine.network)
@@ -501,14 +455,14 @@ class PipelineBuilder:
         fs = ParallelFileSystem(env)
         pipe.fs = fs
         scheduler = BatchScheduler(
-            env, staging, aprun=self.aprun,
+            env, staging,
             label=f"fleet.{self.tenant}" if self.tenant else "cluster.scheduler",
         )
         pipe.scheduler = scheduler
 
         import numpy as np
 
-        scheduler.rng = np.random.default_rng(self.seed)
+        scheduler.rng = np.random.default_rng(k["seed"])
 
         # Global manager co-located on the first staging node (a management
         # process, not a replica slot — documented in DESIGN.md).
@@ -518,13 +472,12 @@ class PipelineBuilder:
             messenger,
             gm_node,
             scheduler,
-            sla_interval=self.sla_interval,
+            sla_interval=sla_interval,
             policy=self.policy,
             tracer=pipe.tracer,
             telemetry=pipe.telemetry,
-            control_interval=self.control_interval,
-            overflow_horizon=self.overflow_horizon,
-            transaction_manager=self.transaction_manager,
+            control_interval=k["control_interval"],
+            overflow_horizon=k["overflow_horizon"],
             engine=pipe.control_plane,
             fates=pipe.fates,
         )
@@ -548,25 +501,25 @@ class PipelineBuilder:
                 env, messenger, sim_part[i % len(sim_part)],
                 buffer=(
                     StagingBuffer(env, sim_part[i % len(sim_part)],
-                                  capacity_bytes=self.sim_buffer_bytes,
+                                  capacity_bytes=k["sim_buffer_bytes"],
                                   name=f"lammps-w{i}.buf")
-                    if self.sim_buffer_bytes is not None else None
+                    if k["sim_buffer_bytes"] is not None else None
                 ),
                 name=f"lammps-w{i}",
-                retain_until_processed=self.fault_tolerance,
+                retain_until_processed=k["fault_tolerance"],
             )
-            for i in range(self.num_sim_writers)
+            for i in range(k["num_sim_writers"])
         ]
         for writer in sim_writers:
             links[first_stage.component].add_writer(writer)
 
         pull_sched = (
             PullScheduler(env, max_concurrent_pulls=4, defer_during_output=True)
-            if self.use_pull_scheduler
+            if k["use_pull_scheduler"]
             else None
         )
         driver = LammpsDriver(
-            env, sim_writers, wl, crack_step=self.crack_step,
+            env, sim_writers, wl, crack_step=k["crack_step"],
             pull_scheduler=pull_sched,
         )
         pipe.driver = driver
@@ -586,7 +539,7 @@ class PipelineBuilder:
         # precompute a stage -> node assignment minimizing hop-weighted data
         # movement; otherwise stages take nodes first-fit.
         planned: Optional[Dict[str, List]] = None
-        if self.placement == "topology":
+        if k["placement"] == "topology":
             from repro.containers.placement import (
                 TopologyAwarePlacement,
                 pipeline_placement_problem,
@@ -611,7 +564,7 @@ class PipelineBuilder:
 
         for stage in self.stages:
             name = stage.component
-            spec = stage.spec()
+            component = stage.spec()
             consumers = downstream_of.get(name, [])
             standby_names = {s.component for s in self.stages if s.standby}
             # Each active consumer gets its own link (every consumer sees the
@@ -631,15 +584,15 @@ class PipelineBuilder:
             container = Container(
                 env,
                 messenger,
-                spec,
+                component,
                 stage.model,
-                # the *stage* name, not spec.name: several stages may run the
+                # the *stage* name, not component.name: several stages may run the
                 # same component, and managers/recovery key on this
                 name=name,
                 input_link=links[name],
                 output_links=output_links,
                 queue_capacity=stage.queue_capacity,
-                gather_count=self.num_sim_writers if stage.upstream is None else 1,
+                gather_count=k["num_sim_writers"] if stage.upstream is None else 1,
                 # DataStager scheduling gates the pulls that cross from the
                 # simulation into the staging area (the first stage); pulls
                 # between staging nodes stay unscheduled.
@@ -647,9 +600,9 @@ class PipelineBuilder:
                 sink_fs=fs,
                 active=not stage.standby,
                 natoms_hint=wl.natoms,
-                writer_buffer_bytes=self.stage_buffer_bytes,
+                writer_buffer_bytes=k["stage_buffer_bytes"],
                 sla_factor=stage.sla_factor,
-                retain_output=self.fault_tolerance,
+                retain_output=k["fault_tolerance"],
                 fates=pipe.fates,
             )
             pipe.containers[name] = container
@@ -672,8 +625,8 @@ class PipelineBuilder:
                 scheduler=scheduler,
                 tracer=pipe.tracer,
                 telemetry=pipe.telemetry,
-                monitor_interval=self.monitor_interval,
-                sla_interval=self.sla_interval,
+                monitor_interval=k["monitor_interval"],
+                sla_interval=sla_interval,
                 engine=pipe.control_plane,
             )
             pipe.managers[name] = manager
@@ -710,33 +663,33 @@ class PipelineBuilder:
         pipe.fates.shed_subscribers.append(_publish_shed)
 
         predictor = None
-        if self.predictive:
+        if spec.overload is not None and spec.overload.mode == "predictive":
             from repro.analytics import PredictiveConfig, PredictiveManager
 
-            pm_kwargs = self.predictive if isinstance(self.predictive, dict) else {}
             predictor = PredictiveManager(
-                env, pipe, config=PredictiveConfig(**pm_kwargs)
+                env, pipe,
+                config=PredictiveConfig(**spec.overload.predictive_kwargs()),
             )
             predictor.attach(pipe)
             pipe.analytics = predictor
 
-        if self.backpressure:
+        if k["backpressure"]:
             from repro.overload import BackpressureController, LinkCredits
 
             for link in links.values():
                 link.credits = LinkCredits(env, link)
-            bp_kwargs = self.backpressure if isinstance(self.backpressure, dict) else {}
+            bp_kwargs = k["backpressure"] if isinstance(k["backpressure"], Mapping) else {}
             pipe.backpressure = BackpressureController(
                 env, pipe, degradation=pipe.degradation, predictor=predictor,
                 **bp_kwargs
             )
-        if self.brownout:
+        if k["brownout"]:
             from repro.overload import BrownoutConfig, BrownoutController, NullPolicy
 
             # The ladder owns remediation; the legacy policy loop would
             # fight it (and its offline decisions are permanent).
             gm.policy = NullPolicy()
-            bo_kwargs = self.brownout if isinstance(self.brownout, dict) else {}
+            bo_kwargs = k["brownout"] if isinstance(k["brownout"], Mapping) else {}
             pipe.brownout = BrownoutController(
                 env, gm, config=BrownoutConfig(**bo_kwargs),
                 degradation=pipe.degradation, predictor=predictor,
@@ -745,7 +698,7 @@ class PipelineBuilder:
         # Monitoring transport: direct manager-to-manager messages (default)
         # or a windowed aggregation overlay (Section III-E) whose root sits
         # on the global manager's node.
-        if self.monitoring == "overlay":
+        if k["monitoring"] == "overlay":
             from repro.evpath.overlay import OverlayTree
 
             leaf_nodes = []
@@ -760,7 +713,7 @@ class PipelineBuilder:
                 gm_node,
                 leaf_nodes,
                 on_report=lambda msg: gm.ingest_report(msg.payload),
-                flush_interval=self.monitor_interval,
+                flush_interval=k["monitor_interval"],
             )
             pipe.monitoring_overlay = overlay
             for manager in pipe.managers.values():
@@ -771,32 +724,33 @@ class PipelineBuilder:
         # Fault tolerance: replica heartbeat leases into each local manager,
         # manager liveness tracked off the metric-report stream, and the
         # recovery protocols behind both.
-        if self.fault_tolerance:
+        if k["fault_tolerance"]:
             from repro.containers.recovery import RecoveryManager
 
             for manager in pipe.managers.values():
                 manager.enable_fault_detection(
-                    lease_timeout=self.lease_timeout,
-                    heartbeat_interval=self.heartbeat_interval,
+                    lease_timeout=k["lease_timeout"],
+                    heartbeat_interval=k["heartbeat_interval"],
                 )
             pipe.recovery = RecoveryManager(
                 env, messenger, gm,
-                manager_lease_timeout=self.manager_lease_timeout,
+                manager_lease_timeout=(
+                    k["manager_lease_timeout"] or 4.0 * k["monitor_interval"]
+                ),
             )
 
         # Degrade-to-disk failover: divert sheds into the spill store,
         # replay them once the consumer side is healthy again.  Attached
         # last so it sees the recovery manager and the credit-equipped
-        # links; the fault plan arms after it so injected crashes hit a
+        # links; fault plans arm after build, so injected crashes hit a
         # fully wired failover path.
-        if self.failover:
+        if spec.failover is not None:
             from repro.adios.failover import FailoverManager, FailoverPolicy
 
-            fo_kwargs = self.failover if isinstance(self.failover, dict) else {}
+            fo_kwargs = spec.failover.failover_kwargs()
+            if spec.transport == "sst":
+                fo_kwargs["live_transport"] = "sst"
             FailoverManager(env, pipe, policy=FailoverPolicy(**fo_kwargs))
-
-        if self.fault_plan is not None:
-            pipe.arm_faults(self.fault_plan)
 
         return pipe
 

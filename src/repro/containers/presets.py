@@ -1,180 +1,30 @@
-"""Shared pipeline presets, backed by the bundled spec library.
+"""Named entry points to the bundled overload-experiment specs.
 
-Before the fleet existed, ``repro.dst.presets``, ``repro.overload.scenario``,
-and ``repro.experiments.figures`` each constructed the Figure-7 / overload
-pipelines by hand — three slightly different copies of the same workload and
-builder configuration.  These recipes are now thin wrappers over
-:mod:`repro.spec`: each loads its bundled spec (``repro/spec/bundled/*.yaml``),
-overlays the caller's workload/seed arguments, and compiles it through
-:func:`repro.spec.build.build`.  Keyword overrides still flow straight into
-:class:`~repro.containers.pipeline.PipelineBuilder`, so the fleet can build
-the same presets against a *shared* machine with per-tenant partitions
-(``machine=`` + ``tenant=``).
-
-The bundled defaults are load-bearing: the ``fig7`` spec with no overrides is
-byte-identical to the historical ``smoke`` DST preset, so golden traces and
-the seeded DST sweeps are unchanged.
+Every preset is a bundled spec (``repro/spec/bundled/<name>.yaml``) built
+with :func:`repro.spec.build.build_preset`; these three are that call
+under the names the overload head-to-head experiments and benchmarks use.
+Each takes ``steps``/``seed`` overlays whose defaults are the bundled
+values.  Anything else — an unmanaged baseline, resized buffers, a
+shared fleet machine — is a spec overlay or a ``build_preset`` argument.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict
-
 from repro.simkernel import Environment
 from repro.containers.pipeline import Pipeline
-from repro.lammps.workload import WeakScalingWorkload
-from repro.spec.build import build as build_spec, load_preset
+from repro.spec.build import build_preset
 
 
-def make_workload(
-    sim_nodes: int = 256,
-    staging_nodes: int = 15,
-    spare: int = 2,
-    steps: int = 8,
-    output_interval: float = 15.0,
-) -> WeakScalingWorkload:
-    """The weak-scaling workload shared by every pipeline recipe."""
-    return WeakScalingWorkload(
-        sim_nodes=sim_nodes,
-        staging_nodes=staging_nodes,
-        spare_staging_nodes=spare,
-        output_interval=output_interval,
-        total_steps=steps,
-    )
+def build_overload_pipeline(env: Environment, steps: int = 16, seed: int = 1) -> Pipeline:
+    """The ``overload`` preset: tight buffers, backpressure and brownout."""
+    return build_preset(env, "overload", workload=dict(steps=steps), builder=dict(seed=seed))
 
 
-def build_fig7_pipeline(
-    env: Environment,
-    steps: int = 8,
-    seed: int = 1,
-    sim_nodes: int = 256,
-    staging_nodes: int = 15,
-    spare: int = 2,
-    **overrides,
-) -> Pipeline:
-    """The Figure-7 stage mix with fault tolerance on.
-
-    With no overrides this is exactly the historical DST ``smoke``
-    configuration: two spare staging nodes for the recovery ladder,
-    heartbeats every second, five-second leases.
-    """
-    spec = load_preset("fig7").override(
-        workload=dict(sim_nodes=sim_nodes, staging_nodes=staging_nodes,
-                      spare=spare, steps=steps),
-        builder=dict(seed=seed),
-    )
-    return build_spec(env, spec, **overrides)
+def build_predictive_pipeline(env: Environment, steps: int = 16, seed: int = 1) -> Pipeline:
+    """The ``predictive`` preset: ``overload`` under ``mode: predictive``."""
+    return build_preset(env, "predictive", workload=dict(steps=steps), builder=dict(seed=seed))
 
 
-def build_overload_pipeline(
-    env: Environment,
-    steps: int = 16,
-    seed: int = 1,
-    managed: bool = True,
-    allow_resize: bool = False,
-    **overrides,
-) -> Pipeline:
-    """A Figure-7 pipeline with tight buffers, primed to wedge under a burst.
-
-    ``managed=False`` builds the unprotected baseline: no backpressure, no
-    brownout, and an effectively disabled control loop — the configuration
-    in which a burst blocks the producer for the rest of the run.
-
-    The tight ``sim_buffer_bytes``/``stage_buffer_bytes`` are this preset's
-    point: overriding them silently turns the overload scenario into a
-    different experiment.  Pass ``allow_resize=True`` to do it deliberately.
-    """
-    resized = sorted(
-        k for k in ("sim_buffer_bytes", "stage_buffer_bytes") if k in overrides
-    )
-    if resized and not allow_resize:
-        warnings.warn(
-            f"build_overload_pipeline: overriding {resized} replaces the "
-            f"deliberately tight buffers this preset exists to test; pass "
-            f"allow_resize=True if that is intended",
-            stacklevel=2,
-        )
-    spec = load_preset("overload").override(
-        workload=dict(steps=steps),
-        builder=dict(seed=seed),
-    )
-    if not managed:
-        # No overload handling at all; the legacy policy loop is disabled
-        # too, so nothing reshapes the pipeline when the burst lands.
-        spec = spec.override(
-            builder=dict(control_interval=1e9),
-            drop_builder=("backpressure", "brownout"),
-        )
-    return build_spec(env, spec, **overrides)
-
-
-def build_predictive_pipeline(
-    env: Environment,
-    steps: int = 16,
-    seed: int = 1,
-    **overrides,
-) -> Pipeline:
-    """The overload preset under ``mode: predictive``.
-
-    Identical workload, buffers and burst exposure to
-    :func:`build_overload_pipeline` — the only delta is the spec's
-    overload block, which attaches the :mod:`repro.analytics` forecaster
-    stack to the brownout/backpressure controllers.  This is the
-    predictive half of the head-to-head experiment.
-    """
-    spec = load_preset("predictive").override(
-        workload=dict(steps=steps),
-        builder=dict(seed=seed),
-    )
-    return build_spec(env, spec, **overrides)
-
-
-def build_failover_pipeline(
-    env: Environment,
-    steps: int = 16,
-    seed: int = 1,
-    **overrides,
-) -> Pipeline:
-    """The overload preset with degrade-to-disk failover attached.
-
-    Identical workload, buffers and burst exposure to
-    :func:`build_overload_pipeline` — the only delta is the spec's
-    failover block, which diverts every would-be shed to the spill store
-    and replays it once the consumer side is healthy.  This is the
-    failover half of the head-to-head experiment: same pressure, zero
-    loss, bounded catch-up.
-    """
-    spec = load_preset("failover").override(
-        workload=dict(steps=steps),
-        builder=dict(seed=seed),
-    )
-    return build_spec(env, spec, **overrides)
-
-
-def build_s3d_pipeline(
-    env: Environment,
-    steps: int = 8,
-    seed: int = 0,
-    spare: int = 2,
-    **overrides,
-) -> Pipeline:
-    """The S3D flame-front stage set (reduce -> front -> track) under the
-    same management stack — the generality check the S3D bench runs."""
-    spec = load_preset("s3d").override(
-        workload=dict(staging_nodes=9 + spare, spare=spare, steps=steps),
-        builder=dict(seed=seed),
-    )
-    return build_spec(env, spec, **overrides)
-
-
-#: name -> recipe; the fleet builds mixed-tenant workloads from this table.
-#: Each recipe is backed by the bundled spec of the same name
-#: (``repro/spec/bundled/<name>.yaml``).
-PIPELINE_PRESETS: Dict[str, Callable[..., Pipeline]] = {
-    "fig7": build_fig7_pipeline,
-    "overload": build_overload_pipeline,
-    "predictive": build_predictive_pipeline,
-    "failover": build_failover_pipeline,
-    "s3d": build_s3d_pipeline,
-}
+def build_failover_pipeline(env: Environment, steps: int = 16, seed: int = 1) -> Pipeline:
+    """The ``failover`` preset: ``overload`` with degrade-to-disk failover."""
+    return build_preset(env, "failover", workload=dict(steps=steps), builder=dict(seed=seed))

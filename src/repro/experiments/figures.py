@@ -18,28 +18,22 @@ from repro.evpath import Messenger
 from repro.lammps.workload import TABLE_II, WeakScalingWorkload
 from repro.smartpointer.component import SMARTPOINTER_COMPONENTS
 from repro.spec import PipelineSpec, StageSpec, WorkloadSpec
-from repro.spec.build import build as build_spec
-from repro.spec.model import BUILDER_KEYS
+from repro.spec.build import build as build_spec, load_preset
 from repro.transactions import TransactionManager
 
 
 def _build(name: str, workload: WorkloadSpec, seed: int,
-           stages=None, **builder_kwargs):
+           stages=None, **builder):
     """One programmatic spec -> pipeline, for the figure micro-configs.
 
-    Builder keys land in the spec's declarative block (validated); anything
-    else is a runtime-only override forwarded to the compiler.  These specs
-    deliberately leave fault tolerance off — the control-protocol figures
-    measure the management plane, not the recovery ladder.
+    ``builder`` knobs land in the spec's (validated) builder block.  These
+    specs deliberately leave fault tolerance off — the control-protocol
+    figures measure the management plane, not the recovery ladder.
     """
     env = Environment()
-    builder = {"seed": seed}
-    runtime = {}
-    for key, value in builder_kwargs.items():
-        (builder if key in BUILDER_KEYS else runtime)[key] = value
     spec = PipelineSpec(name=name, workload=workload, stages=stages,
-                        builder=builder)
-    return env, build_spec(env, spec, **runtime)
+                        builder={"seed": seed, **builder})
+    return env, build_spec(env, spec)
 
 
 def _series(pipe, scope: str, metric: str) -> List[List[float]]:
@@ -307,11 +301,22 @@ def run_overload(seed: int = 1, steps: int = 24, include_baseline: bool = True,
     containers re-activate, and the degradation trace closes.  Every
     timestep not delivered is attributed to exactly one shed decision.
     """
-    from repro.overload.scenario import build_overload_pipeline, overload_burst_plan
+    from repro.overload.scenario import overload_burst_plan
 
     def one(managed: bool) -> dict:
         env = Environment()
-        pipe = build_overload_pipeline(env, steps=steps, seed=seed, managed=managed)
+        spec = load_preset("overload").override(
+            workload=dict(steps=steps), builder=dict(seed=seed),
+        )
+        if not managed:
+            # No overload handling at all; the legacy policy loop is
+            # disabled too, so nothing reshapes the pipeline when the
+            # burst lands.
+            spec = spec.override(
+                builder=dict(control_interval=1e9),
+                drop_builder=("backpressure", "brownout"),
+            )
+        pipe = build_spec(env, spec)
         # standby stages (cna) start offline by design; only stages pruned
         # by the ladder and not re-activated count as unrestored
         initially_offline = {n for n, c in pipe.containers.items() if c.offline}

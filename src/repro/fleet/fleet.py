@@ -17,7 +17,7 @@ bench measures (t00 browns out; nobody else misses their SLA).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.simkernel import Environment
@@ -29,12 +29,7 @@ from repro.fleet.quota import TenantQuota
 from repro.monitoring.metrics import Telemetry
 from repro.perf.registry import REGISTRY as PERF
 from repro.spec.build import build as build_spec, bundled_spec_names, load_preset
-from repro.spec.model import (
-    BUILDER_KEYS,
-    PipelineSpec,
-    TenantSpecBlock,
-    WorkloadSpec,
-)
+from repro.spec.model import PipelineSpec, TenantSpecBlock
 
 #: (sim writers, staging nodes) each preset's *default* build carves from
 #: the shared machine — read off the bundled spec library, so the machine
@@ -42,30 +37,11 @@ from repro.spec.model import (
 #: workload overrides shrink the carved partitions, never the reservation.
 PRESET_FOOTPRINT: Dict[str, tuple] = {
     name: (
-        int(load_preset(name).builder.get("num_sim_writers", 4)),
+        int(load_preset(name).settings()["num_sim_writers"]),
         load_preset(name).workload.staging_nodes,
     )
     for name in bundled_spec_names()
 }
-
-_WORKLOAD_FIELDS = frozenset(f.name for f in fields(WorkloadSpec))
-
-
-def _split_overrides(overrides: dict) -> tuple:
-    """Partition tenant overrides into (workload, builder, runtime) — the
-    first two overlay the tenant's :class:`PipelineSpec`, the rest are
-    runtime-only objects forwarded to :func:`repro.spec.build.build`."""
-    workload: dict = {}
-    builder: dict = {}
-    runtime: dict = {}
-    for key, value in overrides.items():
-        if key in _WORKLOAD_FIELDS:
-            workload[key] = value
-        elif key in BUILDER_KEYS:
-            builder[key] = value
-        else:
-            runtime[key] = value
-    return workload, builder, runtime
 
 
 @dataclass
@@ -84,20 +60,18 @@ class TenantSpec:
     #: (~7x) for the queueing tail a tenant sees when its node-increase
     #: request is denied and must wait out a rebalance cycle.
     sla_factor: float = 12.0
-    #: extra keyword overrides forwarded to the preset builder
-    overrides: dict = field(default_factory=dict)
+    #: overlay merged into the preset spec's workload block
+    workload: dict = field(default_factory=dict)
 
     def to_spec(self) -> PipelineSpec:
         """The per-tenant :class:`PipelineSpec` overlay: the bundled preset
-        spec with this tenant's steps/workload/builder overrides merged in
-        and the quota/SLA block attached."""
+        spec with this tenant's steps/workload overlay merged in and the
+        quota/SLA block attached."""
         if self.preset not in PRESET_FOOTPRINT:
             raise ValueError(
                 f"unknown fleet preset {self.preset!r}; "
                 f"known: {sorted(PRESET_FOOTPRINT)}"
             )
-        workload, builder, _ = _split_overrides(self.overrides)
-        workload["steps"] = self.steps
         quota = self.quota
         tenant = TenantSpecBlock(
             priority=self.priority,
@@ -107,7 +81,7 @@ class TenantSpec:
             overload_burst=self.overload_burst,
         )
         return load_preset(self.preset).override(
-            workload=workload, builder=builder, tenant=tenant,
+            workload={**self.workload, "steps": self.steps}, tenant=tenant,
         )
 
 
@@ -325,9 +299,7 @@ def build_fleet(env: Environment, specs: List[TenantSpec], spares: int = 4,
     )
     fleet = Fleet(env, machine, arbiter, telemetry)
     for spec, pspec in resolved:
-        _, _, runtime = _split_overrides(spec.overrides)
-        pipe = build_spec(env, pspec, machine=machine, tenant=spec.name,
-                          **runtime)
+        pipe = build_spec(env, pspec, machine=machine, tenant=spec.name)
         base = len(pipe.scheduler.pool.nodes)
         quota = spec.quota or TenantQuota(
             # by default a tenant's own spare staging nodes (2 per preset)
@@ -366,7 +338,7 @@ def mixed_specs(tenants: int, steps: int = 6) -> List[TenantSpec]:
             # fig7 tenants carry no local spares: their recovery ladder
             # *must* borrow replacement nodes from the fleet arbiter —
             # the sharded version of the single-pipeline spare pool
-            overrides=dict(staging_nodes=13, spare=0) if fig7 else {},
+            workload=dict(staging_nodes=13, spare=0) if fig7 else {},
         ))
     return specs
 

@@ -5,8 +5,8 @@ staging buffers — a couple of timesteps of headroom at the simulation
 writers, a few at each stage — so a sustained slowdown burst in the
 analysis stages fills the buffers and, without flow control, blocks the
 producer indefinitely (the ``StagingBuffer``-full, reader-stalled wedge
-of Figure 9).  With ``managed=True`` the credit/backpressure/brownout
-subsystems are on and the same burst degrades instead: the driver's
+of Figure 9).  The bundled ``overload`` spec turns the credit/backpressure/
+brownout subsystems on, so the same burst degrades instead: the driver's
 output stride rises, the brownout ladder reshapes the staging area, and
 once the burst passes both unwind to a fully restored pipeline.
 

@@ -11,14 +11,14 @@ anything is built, and compiles to a wired
 :func:`build`.
 
 The bundled specs under ``repro/spec/bundled/`` are the preset library
-(``fig7`` / ``overload`` / ``s3d``); their default builds are
-byte-identical to the historical keyword presets.  :mod:`repro.spec.fuzz`
+(see :func:`bundled_spec_names`); :func:`build_preset` builds one by name
+with optional workload/builder overlays.  :mod:`repro.spec.fuzz`
 generates random-but-valid specs from a splitmix64 seed — the topology
 dimension of the DST sweep.
 """
 
 from repro.spec.model import (
-    BUILDER_KEYS,
+    BUILDER_DEFAULTS,
     OVERLOAD_MODES,
     TRANSPORTS,
     FailoverPolicyBlock,
@@ -37,6 +37,7 @@ from repro.spec.build import (
     FAULT_RECIPES,
     SPEC_DIR,
     build,
+    build_preset,
     bundled_spec_names,
     bundled_spec_path,
     load_preset,
@@ -45,7 +46,7 @@ from repro.spec.build import (
 )
 
 __all__ = [
-    "BUILDER_KEYS",
+    "BUILDER_DEFAULTS",
     "OVERLOAD_MODES",
     "TRANSPORTS",
     "FailoverPolicyBlock",
@@ -62,6 +63,7 @@ __all__ = [
     "FAULT_RECIPES",
     "SPEC_DIR",
     "build",
+    "build_preset",
     "bundled_spec_names",
     "bundled_spec_path",
     "load_preset",

@@ -1,31 +1,36 @@
 """Compile a :class:`~repro.spec.model.PipelineSpec` into a wired Pipeline.
 
-:func:`build` is the single entry point every consumer constructs
-pipelines through: validate the spec, materialize the workload and stage
-configs, and hand :class:`~repro.containers.pipeline.PipelineBuilder`
-exactly the keyword arguments the spec declares — unset keys keep the
-builder's defaults, so a spec-built pipeline is byte-identical to the
-historical keyword-built one.
+:func:`build` is the one construction path: it validates the spec once and
+hands it to :class:`~repro.containers.pipeline.PipelineBuilder`, which
+reads the spec itself — the workload, the stages, the builder block over
+:data:`~repro.spec.model.BUILDER_DEFAULTS`, and the ``overload`` and
+``failover`` blocks.
 
-Runtime-only objects that cannot live in a serialized spec (a shared
-fleet ``Machine``, a tenant name, a concrete ``FaultPlan``, custom
-``StageConfig`` lists, policy/aprun/transaction-manager instances) are
-passed as keyword overrides: ``build(env, spec, machine=m, tenant="t03")``.
-Overrides are applied *after* the spec's builder block, so they win — the
-escape hatch the fleet and the ablation benches use.
+Only runtime objects that cannot live in a serialized spec are passed
+alongside it: a shared fleet ``machine``, a ``tenant`` name, and a
+management ``policy`` instance —
+``build(env, spec, machine=m, tenant="t03")``.  A concrete fault plan
+targets node ids that exist only after build; arm it with
+``pipe.arm_faults(plan)`` (or declare it in the spec's ``faults`` block
+and resolve it with :func:`resolve_fault_plan`).
+
+:func:`build_preset` builds a bundled spec by name, with optional
+workload/builder overlays.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.simkernel import Environment
+from repro.cluster.machine import Machine
 from repro.containers.pipeline import Pipeline, PipelineBuilder
+from repro.containers.policy import ManagementPolicy
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.spec.model import PipelineSpec, SpecError
 
-#: bundled spec files: the preset library (fig7 / overload / s3d)
+#: bundled spec files: the preset library (see :func:`bundled_spec_names`)
 SPEC_DIR = Path(__file__).resolve().parent / "bundled"
 
 #: name -> seeded plan factory ``(seed, pipe) -> FaultPlan``; specs refer
@@ -55,39 +60,16 @@ def _ensure_recipes() -> None:
 def build(
     env: Environment,
     spec: PipelineSpec,
-    validate: bool = True,
-    **overrides,
+    *,
+    machine: Optional[Machine] = None,
+    tenant: Optional[str] = None,
+    policy: Optional[ManagementPolicy] = None,
 ) -> Pipeline:
-    """Compile ``spec`` into a fully wired :class:`Pipeline`.
-
-    ``overrides`` are forwarded verbatim to :class:`PipelineBuilder`
-    (after the spec's own builder block) — the runtime escape hatch for
-    machines, tenants, custom stage lists, and live fault plans.
-    """
-    if validate:
-        spec.validate()
-    if spec.transport not in ("datatap", "sst"):
-        raise SpecError(
-            f"spec {spec.name!r} selects transport {spec.transport!r}, but "
-            f"the pipeline builder currently wires the online 'datatap' "
-            f"and 'sst' paths only (the field is the engine-selection hook "
-            f"for swappable backends)"
-        )
-    kwargs = dict(spec.builder)
-    stages = spec.stage_configs()
-    if stages is not None:
-        kwargs["stages"] = stages
-    if spec.overload is not None and spec.overload.mode == "predictive":
-        kwargs["predictive"] = spec.overload.predictive_kwargs() or True
-    if spec.failover is not None:
-        fo_kwargs = spec.failover.failover_kwargs()
-        if spec.transport == "sst":
-            fo_kwargs["live_transport"] = "sst"
-        kwargs["failover"] = fo_kwargs or True
-        if spec.failover.retry_jitter:
-            kwargs["retry_jitter"] = spec.failover.retry_jitter
-    kwargs.update(overrides)
-    pipe = PipelineBuilder(env, spec.workload.to_workload(), **kwargs).build()
+    """Validate ``spec`` and compile it into a fully wired :class:`Pipeline`."""
+    spec.validate()
+    pipe = PipelineBuilder(
+        env, spec, machine=machine, tenant=tenant, policy=policy
+    ).build()
     pipe.spec = spec
     return pipe
 
@@ -144,7 +126,11 @@ def bundled_spec_names() -> list:
 
 
 def load_preset(name: str) -> PipelineSpec:
-    """Load (and cache) a bundled spec by name (``fig7``/``overload``/``s3d``)."""
+    """Load (and cache) a bundled spec by name (see :func:`bundled_spec_names`).
+
+    The cached spec is shared by every caller in the process; it is
+    read-only, so overlays go through :meth:`PipelineSpec.override`.
+    """
     cached = _PRESET_CACHE.get(name)
     if cached is None:
         cached = PipelineSpec.load(bundled_spec_path(name))
@@ -153,3 +139,18 @@ def load_preset(name: str) -> PipelineSpec:
 
 
 _PRESET_CACHE: Dict[str, PipelineSpec] = {}
+
+
+def build_preset(
+    env: Environment,
+    name: str,
+    *,
+    workload: Optional[Mapping[str, Any]] = None,
+    builder: Optional[Mapping[str, Any]] = None,
+    machine: Optional[Machine] = None,
+    tenant: Optional[str] = None,
+) -> Pipeline:
+    """Build the bundled spec ``name``, with ``workload``/``builder``
+    overlays merged into its blocks (see :meth:`PipelineSpec.override`)."""
+    spec = load_preset(name).override(workload=workload, builder=builder)
+    return build(env, spec, machine=machine, tenant=tenant)

@@ -7,10 +7,10 @@ free) and validated before anything is built.  The spec captures the
 *portable* half of a pipeline: topology (stages with fan-out), compute
 models, workload sizing, SLA targets, buffer sizing, fault plan,
 overload policy, transport method, and the tenant/quota block the fleet
-overlays.  Runtime-only objects (a shared ``Machine``, a concrete
-``FaultPlan`` targeting live node ids, custom ``StageConfig`` lists)
-stay out of the spec and are supplied at build time — see
-:func:`repro.spec.build.build`.
+overlays.  Runtime-only objects (a shared ``Machine``, a tenant name, a
+management policy instance) stay out of the spec and are supplied at
+build time — see :func:`repro.spec.build.build`; a concrete ``FaultPlan``
+targeting live node ids arms after build through ``pipe.arm_faults``.
 
 Specs are frozen dataclasses: value equality is spec equality, and
 :meth:`PipelineSpec.to_yaml` / :meth:`PipelineSpec.from_yaml` round-trip
@@ -21,6 +21,7 @@ through a canonical dict form (sorted keys, plain scalars) so
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.lammps.workload import WeakScalingWorkload
@@ -42,39 +43,48 @@ def _yaml():
     return yaml
 
 
-#: PipelineBuilder keyword arguments a spec may set.  Everything here is a
-#: plain scalar (or a plain dict of scalars for the overload controllers),
-#: so the builder block serializes losslessly.  Runtime-only builder
-#: arguments (machine, stages, policy, fault_plan, aprun,
-#: transaction_manager, tenant) are deliberately absent: pass them to
-#: ``build(...)`` instead.
-BUILDER_KEYS: Tuple[str, ...] = (
-    "seed",
-    "num_sim_writers",
-    "control_interval",
-    "monitor_interval",
-    "crack_step",
-    "use_pull_scheduler",
-    "sla_interval",
-    "overflow_occupancy",
-    "overflow_horizon",
-    "placement",
-    "monitoring",
-    "stage_buffer_bytes",
-    "sim_buffer_bytes",
-    "fault_tolerance",
-    "heartbeat_interval",
-    "lease_timeout",
-    "manager_lease_timeout",
-    "backpressure",
-    "brownout",
-)
+#: Every knob of the spec's ``builder`` block, with its default — the one
+#: place those names and defaults are declared.  The pipeline builder, the
+#: validation pass and the fleet's machine sizing all read it (through
+#: :meth:`PipelineSpec.settings`), and a spec's builder block lists only the
+#: knobs it changes.  Every value is a plain scalar (or, for the overload
+#: controllers, a plain mapping of scalars), so the block serializes
+#: losslessly.
+BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
+    "seed": 0,
+    "num_sim_writers": 4,
+    "control_interval": 30.0,
+    "monitor_interval": 15.0,
+    #: timestep from which the simulation reports a crack (None = never)
+    "crack_step": None,
+    "use_pull_scheduler": True,
+    #: None = the workload's output interval
+    "sla_interval": None,
+    "overflow_occupancy": 0.35,
+    "overflow_horizon": 150.0,
+    "placement": "naive",
+    "monitoring": "direct",
+    #: caps on staging buffers (None = node-memory defaults); tightening
+    #: these makes the blocking pathology reproducible at small scale
+    "stage_buffer_bytes": None,
+    "sim_buffer_bytes": None,
+    #: chunk custody/redelivery, replica heartbeats and a RecoveryManager
+    "fault_tolerance": False,
+    "heartbeat_interval": 1.0,
+    "lease_timeout": 5.0,
+    #: None = four monitor intervals
+    "manager_lease_timeout": None,
+    #: overload controllers: False = off, True = defaults, or a mapping of
+    #: controller config overrides
+    "backpressure": False,
+    "brownout": False,
+})
 
 #: transport methods a spec may name (see :mod:`repro.adios.methods`).
 #: ``datatap`` is the staged online path; ``sst`` selects the streaming
 #: publish/subscribe engine (requires a ``failover:`` block, which owns
-#: the engine switches); ``posix``/``null`` remain declarative-only hooks.
-TRANSPORTS: Tuple[str, ...] = ("datatap", "sst", "posix", "null")
+#: the engine switches).
+TRANSPORTS: Tuple[str, ...] = ("datatap", "sst")
 
 
 @dataclass(frozen=True)
@@ -407,10 +417,10 @@ class PipelineSpec:
 
     ``stages=None`` means the paper's default Figure 7-9 stage mix for the
     workload (:func:`repro.containers.pipeline.default_stages`).
-    ``builder`` holds scalar :class:`~repro.containers.pipeline.PipelineBuilder`
-    overrides (whitelisted in :data:`BUILDER_KEYS`); anything the builder
-    defaults is simply omitted, so a spec stays minimal and the builder's
-    defaults keep applying byte-identically.
+    ``builder`` holds the knobs this spec changes from
+    :data:`BUILDER_DEFAULTS`; it is read-only, so a cached spec (see
+    :func:`repro.spec.build.load_preset`) cannot be mutated in place —
+    derive a new one with :meth:`override`.
     """
 
     name: str
@@ -429,8 +439,9 @@ class PipelineSpec:
     failover: Optional[FailoverPolicyBlock] = None
 
     def __post_init__(self):
-        # freeze the builder mapping so the spec hashes/compares by value
-        object.__setattr__(self, "builder", dict(self.builder))
+        # a read-only copy: the spec hashes/compares by value, and no
+        # holder of a (possibly cached) spec can change it under others
+        object.__setattr__(self, "builder", _frozen(self.builder))
         if self.stages is not None:
             object.__setattr__(self, "stages", tuple(self.stages))
 
@@ -474,16 +485,16 @@ class PipelineSpec:
 
     # -- builder views --------------------------------------------------------------
 
+    def settings(self) -> Dict[str, Any]:
+        """Every builder knob: :data:`BUILDER_DEFAULTS` under this spec's
+        builder block (a fresh dict; nested mappings stay read-only)."""
+        return {**BUILDER_DEFAULTS, **self.builder}
+
     def stage_configs(self):
         """StageConfig list for the builder (None = builder defaults)."""
         if self.stages is None:
             return None
         return [s.to_config() for s in self.stages]
-
-    def roots(self) -> Tuple[StageSpec, ...]:
-        if self.stages is None:
-            return ()
-        return tuple(s for s in self.stages if s.upstream is None)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -496,7 +507,7 @@ class PipelineSpec:
                 None if self.stages is None
                 else [s.as_dict() for s in self.stages]
             ),
-            "builder": {k: self.builder[k] for k in sorted(self.builder)},
+            "builder": _thawed(self.builder),
             "transport": self.transport,
             "sla": self.sla,
             "faults": None if self.faults is None else self.faults.as_dict(),
@@ -581,6 +592,20 @@ def component_library(name: str) -> Dict[str, Any]:
     raise SpecError(
         f"unknown component library {name!r}; known: ['s3d', 'smartpointer']"
     )
+
+
+def _frozen(value):
+    """A read-only deep copy of a builder mapping (nested mappings too)."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _frozen(value[k]) for k in sorted(value)})
+    return value
+
+
+def _thawed(value):
+    """A plain, mutable deep copy of a (frozen) builder mapping."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return {k: _thawed(v) for k, v in value.items()}
+    return value
 
 
 def _checked_kwargs(cls, data: Mapping[str, Any], what: str) -> dict:

@@ -22,10 +22,11 @@ field, and bound involved.  The pass covers:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import List
 
 from repro.spec.model import (
-    BUILDER_KEYS,
+    BUILDER_DEFAULTS,
     OVERLOAD_MODES,
     TRANSPORTS,
     FaultSpec,
@@ -156,7 +157,7 @@ def _validate_stages(spec: PipelineSpec) -> None:
             f"root stage {roots[0].name!r} cannot be standby: a standby "
             f"stage activates by joining its upstream's output link"
         )
-    writers = spec.builder.get("num_sim_writers", 4)
+    writers = spec.settings()["num_sim_writers"]
     if writers > 1 and roots[0].compute_model().value != "tree":
         raise SpecError(
             f"root stage {roots[0].name!r} gathers {writers} partial writes "
@@ -188,11 +189,11 @@ def _validate_stages(spec: PipelineSpec) -> None:
 
 
 def _validate_builder(spec: PipelineSpec) -> None:
-    unknown = sorted(set(spec.builder) - set(BUILDER_KEYS))
+    unknown = sorted(set(spec.builder) - set(BUILDER_DEFAULTS))
     if unknown:
         raise SpecError(
             f"unknown builder key(s) {unknown}; declarable keys: "
-            f"{sorted(BUILDER_KEYS)} (runtime-only objects are passed to "
+            f"{sorted(BUILDER_DEFAULTS)} (runtime-only objects are passed to "
             f"build(...) instead)"
         )
     b = spec.builder
@@ -210,7 +211,7 @@ def _validate_builder(spec: PipelineSpec) -> None:
         )
     for key in ("backpressure", "brownout"):
         value = b.get(key)
-        if value is not None and not isinstance(value, (bool, dict)):
+        if value is not None and not isinstance(value, (bool, Mapping)):
             raise SpecError(
                 f"builder.{key} must be a bool or a config dict, "
                 f"got {type(value).__name__}"
@@ -220,7 +221,7 @@ def _validate_builder(spec: PipelineSpec) -> None:
     # admit a write, wedging the pipeline at step zero.  The sim-side
     # buffers are per writer (each carries 1/num_writers of a step).
     wl = spec.workload.to_workload()
-    writers = b.get("num_sim_writers", 4)
+    writers = spec.settings()["num_sim_writers"]
     sim_floor = wl.bytes_per_step / max(1, writers)
     sim_buffer = b.get("sim_buffer_bytes")
     if sim_buffer is not None and sim_buffer < sim_floor:

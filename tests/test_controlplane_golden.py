@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.simkernel import Environment
-from repro import PipelineBuilder, WeakScalingWorkload
+from repro.spec import PipelineSpec, WorkloadSpec, build as build_spec
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_traces.json").read_text()
@@ -22,11 +22,11 @@ GOLDEN = json.loads(
 
 
 def build(env, steps=4, spare=3, **kwargs):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13 + spare,
-                             spare_staging_nodes=spare,
-                             output_interval=15.0, total_steps=steps)
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13 + spare, spare=spare,
+                      output_interval=15.0, steps=steps)
     kwargs.setdefault("control_interval", 10_000)
-    return PipelineBuilder(env, wl, seed=0, **kwargs).build()
+    return build_spec(env, PipelineSpec("golden", workload=wl,
+                                        builder=dict(seed=0, **kwargs)))
 
 
 def assert_matches_golden(record, golden):
@@ -154,7 +154,7 @@ def _run_brownout_scenario():
     from repro.overload.scenario import build_overload_pipeline, overload_burst_plan
 
     env = Environment()
-    pipe = build_overload_pipeline(env, steps=12, seed=3, managed=True)
+    pipe = build_overload_pipeline(env, steps=12, seed=3)
     pipe.arm_faults(overload_burst_plan(3, pipe))
     pipe.run(settle=600)
     return pipe

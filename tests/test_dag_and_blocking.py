@@ -2,11 +2,25 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro import Environment
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
 MIB = 2**20
+
+#: Bonds feeds CSym *and* CNA simultaneously (no standby, no branch)
+FAN_OUT = (
+    StageSpec("helper", 4, model="tree"),
+    StageSpec("bonds", 5, upstream="helper"),
+    StageSpec("csym", 3, upstream="bonds"),
+    StageSpec("cna", 4, upstream="bonds"),
+)
+
+
+def _build(env, steps, staging_nodes, stages=None, spare=0, sim_nodes=256, **builder):
+    wl = WorkloadSpec(sim_nodes=sim_nodes, staging_nodes=staging_nodes,
+                      spare=spare, steps=steps)
+    return build(env, PipelineSpec("dag", workload=wl, stages=stages,
+                                   builder=builder))
 
 
 class TestStaticFanOut:
@@ -14,17 +28,7 @@ class TestStaticFanOut:
         """A declared DAG: Bonds feeds CSym *and* CNA simultaneously (no
         standby, no branch) — both must process every timestep."""
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=16,
-                                 output_interval=15.0, total_steps=12)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 5, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-            StageConfig("cna", 4, ComputeModel.ROUND_ROBIN, upstream="bonds",
-                        standby=False),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = _build(env, 12, 16, FAN_OUT, seed=0, control_interval=10_000)
         assert len(pipe.containers["bonds"].output_links) == 2
         pipe.run(settle=900)
         assert pipe.containers["csym"].completions == 12
@@ -36,41 +40,26 @@ class TestStaticFanOut:
     def test_fanout_exit_counts_each_sink(self):
         """Pipeline exits are recorded once per sink completion."""
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=16,
-                                 output_interval=15.0, total_steps=6)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 5, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-            StageConfig("cna", 4, ComputeModel.ROUND_ROBIN, upstream="bonds",
-                        standby=False),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = _build(env, 6, 16, FAN_OUT, seed=0, control_interval=10_000)
         pipe.run(settle=900)
         assert len(pipe.end_to_end) == 12  # 6 steps x 2 sinks
 
     def test_branch_semantics_preserved_with_standby(self):
         """The default (standby CNA) still swaps rather than fans out."""
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=6)
-        pipe = PipelineBuilder(env, wl, seed=0, control_interval=10_000).build()
+        pipe = _build(env, 6, 13, seed=0, control_interval=10_000)
         assert len(pipe.containers["bonds"].output_links) == 1
 
 
 class TestBlockingAccounting:
     def _tight(self, managed, steps=40):
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24,
-                                 spare_staging_nodes=4,
-                                 output_interval=15.0, total_steps=steps)
-        pipe = PipelineBuilder(
-            env, wl, seed=1,
+        pipe = _build(
+            env, steps, 24, spare=4, sim_nodes=1024, seed=1,
             control_interval=30.0 if managed else 1e9,
             stage_buffer_bytes=480 * MIB,
             sim_buffer_bytes=3 * 68 * MIB,
-        ).build()
+        )
         finished = pipe.run(settle=120)
         return pipe, finished
 
@@ -92,13 +81,10 @@ class TestBlockingAccounting:
         """A wedged pipeline terminates at the deadline instead of ticking
         its monitors forever."""
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24,
-                                 spare_staging_nodes=4,
-                                 output_interval=15.0, total_steps=40)
-        pipe = PipelineBuilder(
-            env, wl, seed=1, control_interval=1e9,
+        pipe = _build(
+            env, 40, 24, spare=4, sim_nodes=1024, seed=1, control_interval=1e9,
             stage_buffer_bytes=480 * MIB, sim_buffer_bytes=3 * 68 * MIB,
-        ).build()
+        )
         finished = pipe.run(deadline=250.0)
         assert not finished
         assert env.now == pytest.approx(250.0, abs=1.0)

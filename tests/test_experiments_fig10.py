@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
 from repro.experiments import run_experiment
 from repro.experiments.report import render
 from repro.simkernel.errors import SimulationError
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 class TestFig10Runner:
@@ -37,9 +38,10 @@ class TestFig10Runner:
 
 class TestManagerOpEdges:
     def _pipe(self, env):
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=6)
-        return PipelineBuilder(env, wl, seed=0, control_interval=10_000).build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=6)
+        return build(env, PipelineSpec(
+            "fig10-edges", workload=wl,
+            builder=dict(seed=0, control_interval=10_000)))
 
     def test_activate_already_active_is_noop(self):
         env = Environment()

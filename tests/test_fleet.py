@@ -348,7 +348,7 @@ class TestFleetValidation:
     def test_tenant_spec_overlay(self):
         spec = TenantSpec(
             name="t07", preset="fig7", steps=5, priority=2,
-            overrides=dict(staging_nodes=13, spare=0),
+            workload=dict(staging_nodes=13, spare=0),
         ).to_spec()
         assert spec.workload.steps == 5
         assert spec.workload.staging_nodes == 13

@@ -7,21 +7,20 @@ data to the output for soft error detection.
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro import Environment
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
 
 
-def build(env, steps=20, **kwargs):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 5, ComputeModel.ROUND_ROBIN, upstream="helper"),
-        StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-    ]
-    return PipelineBuilder(env, wl, stages=stages, seed=0,
-                           control_interval=10_000, **kwargs).build()
+def build(env, steps=20):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=steps)
+    stages = (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 5, upstream="helper"),
+        StageSpec("csym", 3, upstream="bonds"),
+    )
+    return build_spec(env, PipelineSpec(
+        "flow-controls", workload=wl, stages=stages,
+        builder=dict(seed=0, control_interval=10_000)))
 
 
 class TestStride:

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
 from repro.simkernel.errors import SimulationError
+from repro.spec import PipelineSpec, WorkloadSpec, build as build_spec
 
 
-def build(env, spare=4, steps=10, **kwargs):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13 + spare,
-                             spare_staging_nodes=spare,
-                             output_interval=15.0, total_steps=steps)
-    kwargs.setdefault("control_interval", 10_000)
-    return PipelineBuilder(env, wl, seed=0, **kwargs).build()
+def build(env, spare=4, steps=10, **builder):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13 + spare, spare=spare,
+                      steps=steps)
+    builder.setdefault("control_interval", 10_000)
+    return build_spec(env, PipelineSpec("gm-ops", workload=wl,
+                                        builder=dict(seed=0, **builder)))
 
 
 class TestIncreaseDecrease:

@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
+from repro import Environment
 from repro.simkernel.errors import SimulationError
 from repro.smartpointer.component import VIZ_COMPONENT
-from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
 
 
-def build(env, steps=20, staging=17, stages=None, **kwargs):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=staging,
-                             spare_staging_nodes=staging - 13,
-                             output_interval=15.0, total_steps=steps)
-    return PipelineBuilder(env, wl, stages=stages, seed=0, **kwargs).build()
+def build(env, steps=20, staging=17, stages=None, **builder):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=staging,
+                      spare=staging - 13, steps=steps)
+    return build_spec(env, PipelineSpec("launch", workload=wl, stages=stages,
+                                        builder=dict(seed=0, **builder)))
 
 
 class TestLaunchStage:
@@ -104,11 +103,11 @@ class TestStealingFromViz:
         viz as the donor.
         """
         env = Environment()
-        stages = [
-            StageConfig("helper", 2, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 4, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
+        stages = (
+            StageSpec("helper", 2, model="tree"),
+            StageSpec("bonds", 4, upstream="helper"),
+            StageSpec("csym", 3, upstream="bonds"),
+        )
         # staging 13: 9 allocated + 4 spare; viz takes all 4 spares.
         pipe = build(env, staging=13, steps=30, stages=stages)
 

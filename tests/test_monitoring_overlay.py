@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
 from repro.cluster import Machine
 from repro.evpath import Messenger, OverlayTree
+from repro.spec import PipelineSpec, SpecError, WorkloadSpec, build
 
 
 class TestWindowedOverlay:
@@ -79,9 +80,9 @@ class TestWindowedOverlay:
 class TestPipelineOverlayMonitoring:
     def _run(self, monitoring):
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=25)
-        pipe = PipelineBuilder(env, wl, seed=1, monitoring=monitoring).build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=25)
+        pipe = build(env, PipelineSpec("overlay", workload=wl, builder=dict(
+            seed=1, monitoring=monitoring)))
         pipe.run(settle=300)
         return pipe
 
@@ -107,7 +108,6 @@ class TestPipelineOverlayMonitoring:
         assert pipe.monitoring_overlay is None
 
     def test_unknown_monitoring_rejected(self):
-        env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13)
-        with pytest.raises(ValueError):
-            PipelineBuilder(env, wl, monitoring="telepathy")
+        spec = PipelineSpec("overlay", builder=dict(monitoring="telepathy"))
+        with pytest.raises(SpecError, match="builder.monitoring"):
+            build(Environment(), spec)

@@ -269,7 +269,7 @@ class TestReactivateOrdering:
         )
 
         env = Environment()
-        pipe = build_managed(env, steps=16, seed=1, managed=True)
+        pipe = build_managed(env, steps=16, seed=1)
         plan = overload_burst_plan(1, pipe)
         if plan.events:
             pipe.arm_faults(plan)

@@ -20,7 +20,7 @@ from repro.overload.scenario import build_overload_pipeline, overload_burst_plan
 @settings(max_examples=6, deadline=None)
 def test_delivered_and_shed_partition_emitted(seed, steps):
     env = Environment()
-    pipe = build_overload_pipeline(env, steps=steps, seed=seed, managed=True)
+    pipe = build_overload_pipeline(env, steps=steps, seed=seed)
     plan = overload_burst_plan(seed, pipe)
     if plan.events:
         pipe.arm_faults(plan)

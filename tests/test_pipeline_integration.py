@@ -6,17 +6,18 @@ assert the qualitative results of Section IV (see DESIGN.md shape criteria).
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment, WeakScalingWorkload
 from repro.containers.pipeline import default_stages
 from repro.containers.policy import QueueDerivativePolicy
+from repro.spec import PipelineSpec, WorkloadSpec, build as build_spec
 
 
-def build(env, sim, staging, spare, steps=40, **kwargs):
-    wl = WeakScalingWorkload(
-        sim_nodes=sim, staging_nodes=staging, spare_staging_nodes=spare,
-        output_interval=15.0, total_steps=steps,
-    )
-    return PipelineBuilder(env, wl, seed=1, **kwargs).build()
+def build(env, sim, staging, spare, steps=40, seed=1, policy=None, **builder):
+    wl = WorkloadSpec(sim_nodes=sim, staging_nodes=staging, spare=spare,
+                      steps=steps)
+    spec = PipelineSpec("integration", workload=wl,
+                        builder=dict(seed=seed, **builder))
+    return build_spec(env, spec, policy=policy)
 
 
 class TestFigure7Scenario:
@@ -156,9 +157,7 @@ class TestDynamicBranch:
     @pytest.fixture(scope="class")
     def pipe(self):
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=30)
-        pipe = PipelineBuilder(env, wl, seed=2, crack_step=10).build()
+        pipe = build(env, 256, 13, 0, steps=30, seed=2, crack_step=10)
         pipe.run(settle=300)
         return pipe
 

@@ -7,9 +7,13 @@ emitted timestep either exits the pipeline or lands on disk with provenance.
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro import Environment
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
+
+
+def _spec(workload, stages=None, **builder):
+    return PipelineSpec("properties", workload=workload, stages=stages,
+                        builder=builder)
 
 
 @given(
@@ -21,20 +25,15 @@ from repro.smartpointer.costs import ComputeModel
 @settings(max_examples=12, deadline=None)
 def test_no_timestep_ever_lost(sim_nodes, steps, spare, seed):
     env = Environment()
-    wl = WeakScalingWorkload(
-        sim_nodes=sim_nodes,
-        staging_nodes=13 + spare,
-        spare_staging_nodes=spare,
-        output_interval=15.0,
-        total_steps=steps,
+    wl = WorkloadSpec(sim_nodes=sim_nodes, staging_nodes=13 + spare,
+                      spare=spare, steps=steps)
+    stages = (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 4, upstream="helper"),
+        StageSpec("csym", 3, upstream="bonds"),
+        StageSpec("cna", 2, upstream="bonds", standby=True),
     )
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 4, ComputeModel.ROUND_ROBIN, upstream="helper"),
-        StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        StageConfig("cna", 2, ComputeModel.ROUND_ROBIN, upstream="bonds", standby=True),
-    ]
-    pipe = PipelineBuilder(env, wl, stages=stages, seed=seed).build()
+    pipe = build(env, _spec(wl, stages, seed=seed))
     pipe.run(settle=900)
 
     exited = {ts for _, ts, _ in pipe.end_to_end}
@@ -65,11 +64,8 @@ def test_node_conservation_under_management(seed):
     """Nodes held by containers + standby + spare pool is constant across
     any sequence of management actions."""
     env = Environment()
-    wl = WeakScalingWorkload(
-        sim_nodes=1024, staging_nodes=24, spare_staging_nodes=4,
-        output_interval=15.0, total_steps=25,
-    )
-    pipe = PipelineBuilder(env, wl, seed=seed).build()
+    wl = WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=25)
+    pipe = build(env, _spec(wl, seed=seed))
 
     def total():
         held = sum(c.units for c in pipe.containers.values())
@@ -90,10 +86,8 @@ def test_branch_preserves_coverage(crack_step):
     analyzed by exactly one of CSym (pre-branch) or CNA (post-branch), or
     accounted for on disk."""
     env = Environment()
-    wl = WeakScalingWorkload(
-        sim_nodes=256, staging_nodes=13, output_interval=15.0, total_steps=20,
-    )
-    pipe = PipelineBuilder(env, wl, seed=3, crack_step=crack_step).build()
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=20)
+    pipe = build(env, _spec(wl, seed=3, crack_step=crack_step))
     pipe.run(settle=900)
     assert pipe.branch_fired
     analyzed = {f.attributes.get("timestep") for f in pipe.fs.files}

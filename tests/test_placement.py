@@ -141,20 +141,21 @@ class TestPlanners:
 
 class TestBuilderIntegration:
     def test_pipeline_with_topology_placement_runs(self):
-        from repro import Environment, PipelineBuilder, WeakScalingWorkload
+        from repro import Environment
+        from repro.spec import PipelineSpec, WorkloadSpec, build
 
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=8)
-        pipe = PipelineBuilder(env, wl, seed=0, placement="topology").build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=8)
+        pipe = build(env, PipelineSpec("placement", workload=wl, builder=dict(
+            seed=0, placement="topology")))
         pipe.run(settle=200)
         assert pipe.containers["csym"].completions == 8
         assert pipe.driver.blocked_time == 0.0
 
     def test_unknown_placement_rejected(self):
-        from repro import Environment, PipelineBuilder, WeakScalingWorkload
+        from repro import Environment
+        from repro.spec import PipelineSpec, SpecError, build
 
-        env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13)
-        with pytest.raises(ValueError):
-            PipelineBuilder(env, wl, placement="psychic")
+        spec = PipelineSpec("placement", builder=dict(placement="psychic"))
+        with pytest.raises(SpecError, match="builder.placement"):
+            build(Environment(), spec)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload, write_bp, read_bp
+from repro import Environment, write_bp, read_bp
 from repro.adios.filesystem import FileRecord
 from repro.lammps import hex_lattice
 from repro.postprocess import (
@@ -69,11 +69,11 @@ class TestBacklog:
     def test_backlog_from_real_offline_run(self):
         """End-to-end: the Figure 9 run's file system yields a coherent
         backlog covering every pruned timestep."""
+        from repro.spec import PipelineSpec, WorkloadSpec, build
+
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=1024, staging_nodes=24,
-                                 spare_staging_nodes=4, output_interval=15.0,
-                                 total_steps=40)
-        pipe = PipelineBuilder(env, wl, seed=1).build()
+        wl = WorkloadSpec(sim_nodes=1024, staging_nodes=24, spare=4, steps=40)
+        pipe = build(env, PipelineSpec("fig9", workload=wl, builder=dict(seed=1)))
         pipe.run(settle=300)
         backlog = analysis_backlog(pipe.fs.files)
         assert backlog

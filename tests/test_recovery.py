@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
+from repro import Environment
 from repro.faults import FaultPlan
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
 
 
-def build(env, spare=2, steps=10, staging=13, **kwargs):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=staging + spare,
-                             spare_staging_nodes=spare,
-                             output_interval=15.0, total_steps=steps)
-    kwargs.setdefault("control_interval", 10_000)
-    kwargs.setdefault("fault_tolerance", True)
-    kwargs.setdefault("lease_timeout", 5.0)
-    kwargs.setdefault("heartbeat_interval", 1.0)
-    return PipelineBuilder(env, wl, seed=0, **kwargs).build()
+def build(env, spare=2, steps=10, staging=13, stages=None, **builder):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=staging + spare,
+                      spare=spare, steps=steps)
+    builder.setdefault("control_interval", 10_000)
+    builder.setdefault("fault_tolerance", True)
+    builder.setdefault("lease_timeout", 5.0)
+    builder.setdefault("heartbeat_interval", 1.0)
+    return build_spec(env, PipelineSpec("recovery", workload=wl, stages=stages,
+                                        builder=dict(seed=0, **builder)))
 
 
 def crash_plan(node, at=30.0):
@@ -83,22 +84,19 @@ class TestReplace:
         assert pipe.containers["bonds"].units == 3
 
     def test_stateful_replacement_remigrates_state(self, monkeypatch):
-        from repro.containers.pipeline import StageConfig
         from repro.smartpointer.component import (
             FRAGMENTS_COMPONENT,
             SMARTPOINTER_COMPONENTS,
         )
-        from repro.smartpointer.costs import ComputeModel
 
         monkeypatch.setitem(
             SMARTPOINTER_COMPONENTS, "fragments", FRAGMENTS_COMPONENT
         )
         env = Environment()
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE),
-            StageConfig("fragments", 3, ComputeModel.ROUND_ROBIN,
-                        upstream="helper"),
-        ]
+        stages = (
+            StageSpec("helper", 4, model="tree"),
+            StageSpec("fragments", 3, upstream="helper"),
+        )
         pipe = build(env, spare=2, staging=7, stages=stages)
         frags = pipe.containers["fragments"]
         victim = frags.replicas[1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.s3d import FrontTracker, ReactionDiffusion, extract_front, front_position
-from repro.s3d.components import S3D_COMPONENTS
 
 
 class TestSolver:
@@ -153,23 +152,18 @@ class TestS3DPipeline:
     def test_managed_s3d_pipeline(self):
         """The DES pipeline with the S3D stage set: the front stage is the
         bottleneck; management fixes it from spares."""
-        from repro import Environment, PipelineBuilder, WeakScalingWorkload
-        from repro.containers.pipeline import StageConfig
-        from repro.smartpointer.costs import ComputeModel
+        from repro import Environment
+        from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
 
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=14,
-                                 spare_staging_nodes=2,
-                                 output_interval=15.0, total_steps=25)
-        stages = [
-            StageConfig("reduce", 3, ComputeModel.TREE, upstream=None),
-            StageConfig("front", 4, ComputeModel.ROUND_ROBIN, upstream="reduce"),
-            StageConfig("track", 2, ComputeModel.ROUND_ROBIN, upstream="front"),
-        ]
-        # StageConfig.spec() looks up SMARTPOINTER_COMPONENTS; patch lookup.
-        for stage in stages:
-            stage.spec = (lambda s=stage: S3D_COMPONENTS[s.component])
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0).build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=14, spare=2, steps=25)
+        stages = (
+            StageSpec("reduce", 3, model="tree", library="s3d"),
+            StageSpec("front", 4, upstream="reduce", library="s3d"),
+            StageSpec("track", 2, upstream="front", library="s3d"),
+        )
+        pipe = build(env, PipelineSpec("s3d", workload=wl, stages=stages,
+                                       builder=dict(seed=0)))
         pipe.run(settle=300)
         assert pipe.containers["track"].completions == 25
         assert pipe.driver.blocked_time == 0.0

@@ -8,32 +8,30 @@ low latency."
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
-from repro.smartpointer.costs import ComputeModel
+from repro import Environment
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
 
 
 def build(env, csym_sla=1.0, spare=4, steps=20):
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=14 + spare,
-                             spare_staging_nodes=spare,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 5, ComputeModel.ROUND_ROBIN, upstream="helper"),
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=14 + spare, spare=spare,
+                      steps=steps)
+    stages = (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 5, upstream="helper"),
         # csym service is 30 s at this scale: fine for a 15 s deadline SLA
         # with 2 replicas (throughput), but a low-latency SLA demands more.
-        StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds",
-                    sla_factor=csym_sla),
-        StageConfig("cna", 2, ComputeModel.ROUND_ROBIN, upstream="bonds",
-                    standby=True),
-    ]
-    return PipelineBuilder(env, wl, stages=stages, seed=0).build()
+        StageSpec("csym", 3, upstream="bonds", sla_factor=csym_sla),
+        StageSpec("cna", 2, upstream="bonds", standby=True),
+    )
+    return build_spec(env, PipelineSpec("sla", workload=wl, stages=stages,
+                                        builder=dict(seed=0)))
 
 
 class TestSlaFactor:
     def test_validation(self, env, messenger):
         from repro.containers import Container
         from repro.smartpointer.component import SMARTPOINTER_COMPONENTS
+        from repro.smartpointer.costs import ComputeModel
 
         with pytest.raises(ValueError):
             Container(env, messenger, SMARTPOINTER_COMPONENTS["csym"],

@@ -1,19 +1,13 @@
 """Tests for repro.spec: the model round-trip, the validation pass, the
 bundled preset library, and the byte-identity of spec-built pipelines."""
 
-import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Environment, shuffle
-from repro.containers.pipeline import PipelineBuilder, StageConfig
-from repro.containers.presets import (
-    build_overload_pipeline,
-    build_s3d_pipeline,
-    make_workload,
-)
-from repro.smartpointer.costs import ComputeModel
+from repro.containers import presets
 from repro.spec import (
     FaultEventSpec,
     FaultSpec,
@@ -23,7 +17,7 @@ from repro.spec import (
     TenantSpecBlock,
     WorkloadSpec,
 )
-from repro.spec.build import build, bundled_spec_names, load_preset
+from repro.spec.build import build, build_preset, bundled_spec_names, load_preset
 from repro.spec.fuzz import generate_spec
 
 
@@ -196,53 +190,31 @@ def _trace(pipe):
 
 
 class TestBuild:
+    # The schedules these two presets produced when they were still built
+    # from builder keywords, pinned so the historical runs stay fixed.
     def test_fig7_spec_matches_legacy_builder_byte_for_byte(self):
-        def via_spec():
-            env = Environment(tie_breaker=shuffle(5))
-            pipe = build(env, load_preset("fig7").override(
-                workload=dict(steps=3)))
-            pipe.run(settle=60)
-            return _trace(pipe)
-
-        def via_legacy_kwargs():
-            env = Environment(tie_breaker=shuffle(5))
-            wl = make_workload(steps=3)
-            pipe = PipelineBuilder(
-                env, wl, seed=1, control_interval=30.0, fault_tolerance=True,
-                heartbeat_interval=1.0, lease_timeout=5.0,
-            ).build()
-            pipe.run(settle=60)
-            return _trace(pipe)
-
-        assert via_spec() == via_legacy_kwargs()
+        env = Environment(tie_breaker=shuffle(5))
+        pipe = build(env, load_preset("fig7").override(workload=dict(steps=3)))
+        pipe.run(settle=60)
+        assert _trace(pipe) == (
+            {"pool": set(range(4, 19)), "free": [18], "failed": set(),
+             "held": set(range(4, 18))},
+            [(60.03024481540642, "increase bonds +1")],
+            [],
+        )
+        assert env.events_processed == 13584
 
     def test_s3d_spec_matches_legacy_builder_byte_for_byte(self):
-        from repro.s3d.components import S3D_COMPONENTS
-
-        def via_spec():
-            env = Environment(tie_breaker=shuffle(2))
-            pipe = build_s3d_pipeline(env, steps=2)
-            pipe.run(settle=60)
-            return _trace(pipe)
-
-        def via_legacy_kwargs():
-            env = Environment(tie_breaker=shuffle(2))
-            wl = make_workload(staging_nodes=11, spare=2, steps=2)
-            stages = [
-                StageConfig("reduce", 3, ComputeModel.TREE, upstream=None,
-                            component_spec=S3D_COMPONENTS["reduce"]),
-                StageConfig("front", 4, ComputeModel.ROUND_ROBIN,
-                            upstream="reduce",
-                            component_spec=S3D_COMPONENTS["front"]),
-                StageConfig("track", 2, ComputeModel.ROUND_ROBIN,
-                            upstream="front",
-                            component_spec=S3D_COMPONENTS["track"]),
-            ]
-            pipe = PipelineBuilder(env, wl, seed=0, stages=stages).build()
-            pipe.run(settle=60)
-            return _trace(pipe)
-
-        assert via_spec() == via_legacy_kwargs()
+        env = Environment(tie_breaker=shuffle(2))
+        pipe = build_preset(env, "s3d", workload=dict(steps=2))
+        pipe.run(settle=60)
+        assert _trace(pipe) == (
+            {"pool": set(range(4, 15)), "free": [14], "failed": set(),
+             "held": set(range(4, 14))},
+            [(60.030201968371586, "increase front +1")],
+            [],
+        )
+        assert env.events_processed == 737
 
     def test_build_attaches_spec(self):
         env = Environment()
@@ -251,9 +223,10 @@ class TestBuild:
         assert pipe.spec == spec
 
     def test_non_datatap_transport_rejected(self):
-        spec = _spec(transport="posix")
-        with pytest.raises(SpecError, match="datatap"):
-            build(Environment(), spec)
+        # a spec that validates must build, so validation is the gate
+        for transport in ("posix", "null"):
+            with pytest.raises(SpecError, match="unknown transport"):
+                _spec(transport=transport).validate()
 
     def test_override_overlay(self):
         base = load_preset("overload")
@@ -269,18 +242,71 @@ class TestBuild:
         assert derived.builder["control_interval"] == 1e9
 
 
-# -- the overload buffer-override footgun ------------------------------------------
+# -- the bundled preset library ------------------------------------------------------
 
 
-class TestOverloadResizeGuard:
-    def test_buffer_override_warns_without_allow_resize(self):
-        env = Environment()
-        with pytest.warns(UserWarning, match="allow_resize"):
-            build_overload_pipeline(env, steps=2, sim_buffer_bytes=2**30)
+def _outcome(pipe):
+    # chunk ids come from a process-wide counter, so two builds in one
+    # process differ there; every other field of a shed record must match
+    return (
+        pipe.exit_log,
+        [(r.timestep, r.stage, r.reason, r.time) for r in pipe.fates.shed_records],
+        pipe.env.events_processed,
+    )
 
-    def test_allow_resize_silences_the_warning(self):
-        env = Environment()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build_overload_pipeline(env, steps=2, sim_buffer_bytes=2**30,
-                                    allow_resize=True)
+
+class TestPresets:
+    @pytest.mark.parametrize("name", bundled_spec_names())
+    def test_build_preset_equals_building_the_loaded_spec(self, name):
+        by_name = build_preset(Environment(), name)
+        by_spec = build(Environment(), load_preset(name))
+        assert by_name.spec == by_spec.spec == load_preset(name)
+        by_name.run()
+        by_spec.run()
+        assert _outcome(by_name) == _outcome(by_spec)
+
+    @pytest.mark.parametrize("name", ["overload", "predictive", "failover"])
+    def test_benchmark_aliases_take_steps_and_seed(self, name):
+        alias = getattr(presets, f"build_{name}_pipeline")
+        pipe = alias(Environment(), steps=2, seed=3)
+        assert pipe.spec == load_preset(name).override(
+            workload=dict(steps=2), builder=dict(seed=3))
+
+    def test_cached_preset_is_read_only(self):
+        before = load_preset("fig7")
+        digest = hash(before)
+        with pytest.raises(TypeError):
+            before.builder["seed"] = 99
+        derived = before.override(builder=dict(seed=99))
+        derived.as_dict()["builder"]["seed"] = 7
+        after = load_preset("fig7")
+        assert after.builder["seed"] == 1
+        assert hash(after) == digest
+        assert derived.builder["seed"] == 99
+
+    def test_nested_builder_values_are_read_only(self):
+        spec = _spec(builder={"backpressure": {"credit_refresh": 2.0}})
+        with pytest.raises(TypeError):
+            spec.builder["backpressure"]["credit_refresh"] = 9.0
+        spec.as_dict()["builder"]["backpressure"]["credit_refresh"] = 9.0
+        assert spec.builder["backpressure"]["credit_refresh"] == 2.0
+
+
+# -- one construction surface ---------------------------------------------------------
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pipeline_builder_is_constructed_only_by_spec_build():
+    """Every pipeline goes through ``repro.spec.build.build``."""
+    needle = "PipelineBuilder" + "("
+    allowed = _ROOT / "src" / "repro" / "spec" / "build.py"
+    offenders = [
+        f"{path.relative_to(_ROOT)}:{lineno}"
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((_ROOT / top).rglob("*.py"))
+        if path != allowed
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if needle in line
+    ]
+    assert not offenders, offenders

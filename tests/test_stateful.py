@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import Environment, PipelineBuilder, WeakScalingWorkload
-from repro.containers.pipeline import StageConfig
+from repro import Environment
 from repro.evpath import Message, MessageType
 from repro.smartpointer.component import (
     FRAGMENTS_COMPONENT,
@@ -11,6 +10,13 @@ from repro.smartpointer.component import (
     ComponentSpec,
 )
 from repro.smartpointer.costs import ComputeModel
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build
+
+
+def _build(env, steps, stages):
+    wl = WorkloadSpec(sim_nodes=256, staging_nodes=16, spare=3, steps=steps)
+    return build(env, PipelineSpec("stateful", workload=wl, stages=stages,
+                                   builder=dict(seed=0, control_interval=10_000)))
 
 
 class TestSpecStateModel:
@@ -28,16 +34,10 @@ class TestSpecStateModel:
 
 def build_with_fragments(env, fragments_units=3, steps=12):
     """helper -> bonds -> fragments pipeline (the CTH-style chain)."""
-    wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=16,
-                             spare_staging_nodes=3,
-                             output_interval=15.0, total_steps=steps)
-    stages = [
-        StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", 6, ComputeModel.ROUND_ROBIN, upstream="helper"),
-    ]
-    builder = PipelineBuilder(env, wl, stages=stages, seed=0,
-                              control_interval=10_000)
-    pipe = builder.build()
+    pipe = _build(env, steps, (
+        StageSpec("helper", 4, model="tree"),
+        StageSpec("bonds", 6, upstream="helper"),
+    ))
 
     def launch(env):
         yield env.timeout(1)
@@ -87,16 +87,11 @@ class TestStatefulResize:
 
     def test_stateless_resize_has_no_migration(self):
         env = Environment()
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=16,
-                                 spare_staging_nodes=3,
-                                 output_interval=15.0, total_steps=8)
-        stages = [
-            StageConfig("helper", 4, ComputeModel.TREE, upstream=None),
-            StageConfig("bonds", 6, ComputeModel.ROUND_ROBIN, upstream="helper"),
-            StageConfig("csym", 3, ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        ]
-        pipe = PipelineBuilder(env, wl, stages=stages, seed=0,
-                               control_interval=10_000).build()
+        pipe = _build(env, 8, (
+            StageSpec("helper", 4, model="tree"),
+            StageSpec("bonds", 6, upstream="helper"),
+            StageSpec("csym", 3, upstream="bonds"),
+        ))
 
         def ctl(env):
             yield env.timeout(30)

@@ -158,12 +158,11 @@ class TestTradeTransaction:
     """Node-conservation guarantee for manager-level resource trades."""
 
     def _pipeline(self, env):
-        from repro import PipelineBuilder, WeakScalingWorkload
+        from repro.spec import PipelineSpec, WorkloadSpec, build
 
-        wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13,
-                                 output_interval=15.0, total_steps=6)
-        builder = PipelineBuilder(env, wl, seed=0, control_interval=10_000)
-        pipe = builder.build()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=6)
+        pipe = build(env, PipelineSpec("trade", workload=wl, builder=dict(
+            seed=0, control_interval=10_000)))
         tm = TransactionManager(env, pipe.messenger, pipe.machine.nodes[0])
         pipe.global_manager.transaction_manager = tm
         return pipe, tm
