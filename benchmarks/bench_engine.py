@@ -19,13 +19,14 @@ Micro benches (events retired per second, and µs per event):
   request-timeout pattern: losers are cancelled organically by the
   condition pruning.
 * ``messenger_send`` — control-plane sends over a real machine/NIC model:
-  the ``_FastSend`` chain vs the pre-PR process-per-message path.
+  the ``_FastSend`` chain vs the process-per-message send frozen in
+  :mod:`repro.evpath._reference`.
 
 Pipeline benches: simulated seconds per wall second for Figure-7-shaped
 runs at two sizes, both engines.
 
-The report (``schema/meta/results/counters/baseline_comparison``, like
-every other ``BENCH_*.json``) carries a regression gate: the within-run
+The report (``schema/meta/results/counters``, like every other
+``BENCH_*.json``) backs a regression gate: the within-run
 ``*_speedup_vs_reference`` ratios are machine-independent, so CI fails if
 any drops below 80% of the committed baseline's ratio — i.e. if the fast
 path loses more than 20% of its advantage.  ``BENCH_SMOKE=1`` shrinks the
@@ -44,6 +45,7 @@ from repro.simkernel import Environment
 from repro.simkernel._reference import ReferenceEnvironment
 from repro.cluster import Machine
 from repro.evpath import Messenger
+from repro.evpath import _reference as _reference_send
 from repro.evpath import channel as _channel
 from repro.evpath.messages import Message, MessageType, validate_message
 from repro.spec import PipelineSpec, WorkloadSpec, build
@@ -57,7 +59,8 @@ def _pre_pr_send(self, src_node, to, message):
     validate_message(message)
     dest = self.lookup(to)
     return self.env.process(
-        self._send(src_node, dest, message), name=f"send {message.mtype.value}"
+        _reference_send.send(self, src_node, dest, message),
+        name=f"send {message.mtype.value}",
     )
 
 

@@ -37,6 +37,7 @@ from repro.dst.scenario import (
     DSTReport,
     DSTScenario,
     default_smoke_plan,
+    links_plan,
     repro_command,
 )
 from repro.dst.shrink import ShrinkResult, shrink
@@ -53,6 +54,7 @@ __all__ = [
     "Violation",
     "default_smoke_plan",
     "explore",
+    "links_plan",
     "preset",
     "register",
     "repro_command",

@@ -39,6 +39,14 @@ def smoke(env: Environment) -> Pipeline:
     return build(env, load_preset("fig7"))
 
 
+@preset("links")
+def links(env: Environment) -> Pipeline:
+    """The smoke pipeline, swept under the link-fault plan
+    (:func:`repro.dst.scenario.links_plan`): partitions, drops and
+    degraded links drive the messenger's retry ladder."""
+    return smoke(env)
+
+
 @preset("overload")
 def overload(env: Environment) -> Pipeline:
     """The overload scenario: tight staging buffers plus backpressure and

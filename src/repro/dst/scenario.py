@@ -24,18 +24,10 @@ from repro.spec.build import register_fault_recipe
 PlanFactory = Callable[[int, Pipeline], FaultPlan]
 
 
-@register_fault_recipe("smoke")
-def default_smoke_plan(seed: int, pipe: Pipeline) -> FaultPlan:
-    """One mid-run crash of a non-essential replica plus one slowdown.
-
-    Victims are drawn from the bonds/csym round-robin replicas *excluding*
-    each container's first replica (which co-hosts its local manager) and
-    the global manager's node, so the scenario is always recoverable —
-    the invariants must then hold on every seed.
-    """
-    wl = pipe.driver.workload
-    nominal = wl.total_steps * wl.output_interval
-    rng = np.random.default_rng(seed if seed is not None else 0)
+def _replica_victims(pipe: Pipeline) -> List[int]:
+    """Nodes a recoverable plan may hit: the bonds/csym round-robin
+    replicas *excluding* each container's first replica (which co-hosts
+    its local manager) and every manager's node."""
     gm_id = pipe.global_manager.node.node_id
     manager_ids = {m.node.node_id for m in pipe.managers.values()}
     candidates = []
@@ -47,6 +39,20 @@ def default_smoke_plan(seed: int, pipe: Pipeline) -> FaultPlan:
             nid = replica.node.node_id
             if nid != gm_id and nid not in manager_ids:
                 candidates.append(nid)
+    return candidates
+
+
+@register_fault_recipe("smoke")
+def default_smoke_plan(seed: int, pipe: Pipeline) -> FaultPlan:
+    """One mid-run crash of a non-essential replica plus one slowdown.
+
+    Victims are drawn from :func:`_replica_victims`, so the scenario is
+    always recoverable — the invariants must then hold on every seed.
+    """
+    wl = pipe.driver.workload
+    nominal = wl.total_steps * wl.output_interval
+    rng = np.random.default_rng(seed if seed is not None else 0)
+    candidates = _replica_victims(pipe)
     plan = FaultPlan(seed=seed if seed is not None else 0)
     if not candidates:
         return plan
@@ -55,6 +61,47 @@ def default_smoke_plan(seed: int, pipe: Pipeline) -> FaultPlan:
     slow = int(candidates[rng.integers(len(candidates))])
     plan.node_slowdown(
         float(rng.uniform(0.2, 0.8)) * nominal, slow,
+        factor=float(rng.uniform(1.5, 3.0)),
+        duration=0.15 * nominal,
+    )
+    return plan
+
+
+@register_fault_recipe("links")
+def links_plan(seed: int, pipe: Pipeline) -> FaultPlan:
+    """Link faults only: one partition, one message-drop and one
+    link-degrade window, each on a :func:`_replica_victims` node.
+
+    No node fails, so every lost message is a transfer the sender's
+    retry ladder must absorb (control sends through
+    :class:`~repro.evpath.channel.RetryPolicy`, data pulls through the
+    reader's backoff).  The partition is transient — longer than the
+    default ladder's 0.35 s, so some sends exhaust it, but shorter than
+    the bundled 5 s lease — and the drop window loses each attempt with
+    probability 0.2-0.5.
+    """
+    wl = pipe.driver.workload
+    nominal = wl.total_steps * wl.output_interval
+    rng = np.random.default_rng((seed, 0x11A5))
+    candidates = _replica_victims(pipe)
+    plan = FaultPlan(seed=seed)
+    if not candidates:
+        return plan
+
+    def victim():
+        return (int(candidates[rng.integers(len(candidates))]),)
+
+    plan.link_partition(
+        float(rng.uniform(0.3, 0.7)) * nominal, victim(),
+        duration=float(rng.uniform(0.5, 2.0)),
+    )
+    plan.message_drop(
+        float(rng.uniform(0.2, 0.8)) * nominal, victim(),
+        probability=float(rng.uniform(0.2, 0.5)),
+        duration=0.15 * nominal,
+    )
+    plan.link_degrade(
+        float(rng.uniform(0.2, 0.8)) * nominal, victim(),
         factor=float(rng.uniform(1.5, 3.0)),
         duration=0.15 * nominal,
     )
@@ -73,6 +120,8 @@ def plan_for(preset: str) -> PlanFactory:
     """The default plan factory for a preset name."""
     if preset in ("overload", "predictive", "failover"):
         return overload_plan
+    if preset == "links":
+        return links_plan
     return default_smoke_plan
 
 

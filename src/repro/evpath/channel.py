@@ -8,7 +8,7 @@ from typing import Dict, Optional
 from repro.simkernel import Environment, Event
 from repro.simkernel.errors import FaultError, SimulationError
 from repro.simkernel.events import NORMAL, URGENT
-from repro.cluster.network import Network, TransferError
+from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.evpath.endpoint import Endpoint
 from repro.evpath.messages import Message, validate_message
@@ -71,45 +71,53 @@ class RetryPolicy:
 
 
 class _FastSend:
-    """Hand-compiled send chain for the fault-free common case.
+    """The send path: one message walked through the network as callbacks.
 
-    The process-based send costs two generators, two ``Initialize`` events,
-    a ``Condition`` and several f-string names per message.  When no faults
-    are armed this class walks the *identical* event sequence with bare
-    events and plain callbacks:
+    A process-per-message send costs two generators, two ``Initialize``
+    events, a ``Condition`` and several names per message.  This class walks
+    the *identical* event sequence — fault windows, retries and rehosted
+    endpoints included — with bare events and plain callbacks:
 
-    ==  =========================  ============================
-    #   process path               fast path
-    ==  =========================  ============================
-    1   Initialize(send proc)      step event -> _begin
-    2   Initialize(xfer proc)      step event -> _transfer_start
-    3   send-channel Request       same (real Request)
-    4   recv-channel Request       same (real Request)
-    5   AllOf condition fires      step event -> _serialize
-    6   serialization Timeout      same (real Timeout)
-    7   xfer process completes     step event -> _deliver
-    8   mailbox StorePut           same (real StorePut)
-    9   send process completes     ``result`` event
-    ==  =========================  ============================
+    ==  ==========================  =====================================
+    #   process path                callback chain
+    ==  ==========================  =====================================
+    1   Initialize(send proc)       step event -> _begin
+    2   Initialize(xfer proc)       step event -> _transfer_start
+    3   send-channel Request        same (real Request)
+    4   recv-channel Request        same (real Request)
+    5   AllOf condition fires       step event -> _serialize
+    6   serialization Timeout       same (real Timeout)
+    7   xfer process completes      step event -> _deliver
+    8   mailbox StorePut            same (real StorePut)
+    9   send process completes      ``result`` succeeds
+    F   xfer process fails          defused failed event -> _on_failure
+    R   retry backoff Timeout       same (real Timeout) -> _retry -> row 2
+    X   retries exhausted           ``result`` fails
+    ==  ==========================  =====================================
 
     Each row schedules at the same priority/time and in the same global
-    ``schedule()`` call order, so with the default ``InsertionOrder``
-    tie-breaker the heap — and therefore every downstream schedule — is
-    byte-identical to the process path.  NIC channel contention is real:
-    rows 3/4 are ordinary :class:`Resource` requests that queue exactly as
-    before.  An intra-node send (``src is dst``) walks the shorter
-    1-2-overhead-7-8-9 chain, mirroring the process path's early return.
+    ``schedule()`` call order, so under any tie-breaker the heap — and
+    therefore every downstream schedule — is byte-identical to the process
+    path, which :mod:`repro.evpath._reference` keeps as the differential
+    oracle.  NIC contention is real: rows 3/4 are ordinary
+    :class:`Resource` requests that queue exactly as before.  An intra-node
+    send (``src is dst``) walks the shorter 1-2-overhead-7-8-9 chain.
 
-    :meth:`Messenger.send` only takes this path when ``network.faults`` is
-    unarmed and both endpoints are up — the configurations in which the
-    process path provably performs no retry and no fault check fires — and
-    falls back to the process path otherwise (fault windows, retry/backoff,
-    endpoint rehosting all stay on the fully general code).
+    Row F is reached from row 2 (a dead endpoint node, a partition, a
+    dropped message: ``Network._check_endpoints`` then
+    ``faults.transit_check``, the calls the transfer process makes) or
+    from row 6 (an endpoint node crashed mid-serialization).  A
+    :class:`FaultError` is retried along the messenger's
+    :class:`RetryPolicy` ladder, keyed ``src:dest:messages_sent`` as of row
+    1, and ``dest.node`` is re-read before each attempt so a rehosted
+    endpoint's new placement applies; once the ladder is spent ``result``
+    fails, so an unwatched send is counted in ``env.swallowed_faults``.
     """
 
     __slots__ = (
         "messenger", "src", "dest", "message", "result",
         "_dst", "_granted", "_send_req", "_recv_req", "_start", "_duration",
+        "_seq", "_delays",
     )
 
     def __init__(self, messenger: "Messenger", src_node: Node, dest: Endpoint, message: Message):
@@ -117,10 +125,10 @@ class _FastSend:
         self.src = src_node
         self.dest = dest
         self.message = message
-        #: fires with the message after mailbox delivery — the drop-in
-        #: replacement for the send process's own completion event
+        #: fires with the message after mailbox delivery, or fails with the
+        #: transfer's last error once retries are exhausted
         self.result = Event(messenger.env)
-        self._granted = 0
+        self._delays = None
         self._step(self._begin, URGENT)
 
     def _step(self, fn, priority: int) -> None:
@@ -133,28 +141,36 @@ class _FastSend:
         env.schedule(ev, priority)
 
     def _begin(self, _event) -> None:
-        # [1] what the send process did first: control-plane accounting.
+        # [1] what the send process did first: control-plane accounting,
+        # then the first attempt's destination placement.
         messenger = self.messenger
         messenger.messages_sent += 1
         messenger.bytes_sent += self.message.size_bytes
+        self._seq = messenger.messages_sent
+        self._dst = self.dest.node
         self._step(self._transfer_start, URGENT)
 
     def _transfer_start(self, _event) -> None:
         # [2] the transfer process body up to its first yield.
-        src = self.src
-        dst = self._dst = self.dest.node  # read here, like the process path
-        if src.failed or dst.failed:
-            # Unreachable while the send() guard holds (nodes only fail via
-            # armed fault plans); kept for parity with _check_endpoints.
-            self.result.fail(TransferError(f"node {src.node_id if src.failed else dst.node_id} is down"))
-            return
-        env = self.messenger.env
+        src, dst = self.src, self._dst
+        network = self.messenger.network
+        faults = network.faults
+        if faults is not None or src.failed or dst.failed:
+            try:
+                network._check_endpoints(src, dst)
+                if faults is not None:
+                    faults.transit_check(src, dst, self.message.size_bytes)
+            except FaultError as error:
+                self._fail(error)
+                return
+        env = network.env
         if src is dst:
             # Intra-node move: software overhead only, then deliver.
-            t = env.timeout(self.messenger.network.software_overhead)
+            t = env.timeout(network.software_overhead)
             t.callbacks.append(self._local_done)
             return
         self._start = env.now
+        self._granted = 0
         send_req = self._send_req = src.nic.send_channel.request()
         recv_req = self._recv_req = dst.nic.recv_channel.request()
         send_req.callbacks.append(self._on_grant)
@@ -171,9 +187,10 @@ class _FastSend:
         network = self.messenger.network
         env = network.env
         self._start = env.now - self._start  # now holds the waited time
-        duration = self._duration = network.ideal_transfer_time(
-            self.src, self._dst, self.message.size_bytes
-        )
+        duration = network.ideal_transfer_time(self.src, self._dst, self.message.size_bytes)
+        if network.faults is not None:
+            duration *= network.faults.delay_factor(self.src, self._dst)
+        self._duration = duration
         t = env.timeout(duration)
         t.callbacks.append(self._transfer_done)
 
@@ -181,22 +198,58 @@ class _FastSend:
         # [6] pop: release channels (may grant queued requests, exactly as
         # the process path's finally block), account, complete the transfer.
         src, dst = self.src, self._dst
+        network = self.messenger.network
         src.nic.send_channel.release(self._send_req)
         dst.nic.recv_channel.release(self._recv_req)
-        if src.failed or dst.failed:  # parity with the post-check
-            self.result.fail(TransferError(f"node {src.node_id if src.failed else dst.node_id} is down"))
-            return
+        if src.failed or dst.failed:
+            # A crash during serialization loses the message at the receiver.
+            try:
+                network._check_endpoints(src, dst)
+            except FaultError as error:
+                self._fail(error)
+                return
         nbytes = self.message.size_bytes
         src.nic.bytes_sent += nbytes
         dst.nic.bytes_received += nbytes
-        self.messenger.network.stats.record(
-            src.node_id, dst.node_id, nbytes, self._duration, self._start
-        )
+        network.stats.record(src.node_id, dst.node_id, nbytes, self._duration, self._start)
         self._step(self._deliver, NORMAL)
 
     def _local_done(self, _event) -> None:
         # Intra-node [overhead] pop -> the transfer process's completion.
         self._step(self._deliver, NORMAL)
+
+    def _fail(self, error: FaultError) -> None:
+        # [F] the transfer process failing: a failed event the send process
+        # would have caught (hence defused), popped at NORMAL.
+        ev = Event(self.messenger.env)
+        ev._ok = False
+        ev._value = error
+        ev._defused = True
+        ev.callbacks.append(self._on_failure)
+        self.messenger.env.schedule(ev, NORMAL)
+
+    def _on_failure(self, event) -> None:
+        # [F] pop: the send process's ``except FaultError`` clause.
+        messenger = self.messenger
+        if self._delays is None:
+            key = f"{self.src.node_id}:{self.dest.name}:{self._seq}"
+            self._delays = iter(messenger.retry.delays(key))
+        delay = next(self._delays, None)
+        if delay is None:
+            # [X] retries exhausted: surface the FaultError.
+            self.result.fail(event._value)
+            return
+        messenger.retries += 1
+        REGISTRY.count("evpath.retries")
+        # [R] back off, then re-place and retry the transfer.
+        t = messenger.env.timeout(delay)
+        t.callbacks.append(self._retry)
+
+    def _retry(self, _event) -> None:
+        # [R] pop: dest.node is read per attempt, so a rehosted endpoint's
+        # new placement takes effect on the retry.
+        self._dst = self.dest.node
+        self._step(self._transfer_start, URGENT)
 
     def _deliver(self, _event) -> None:
         # [7] pop: the send process resumed and called dest.deliver().
@@ -257,45 +310,16 @@ class Messenger:
     def send(self, src_node: Node, to: str, message: Message):
         """Send ``message`` to the endpoint named ``to``.
 
-        Returns an event that fires after the message is delivered into the
-        destination mailbox.  The payload is validated against the message
-        type's declared schema *before* the send is created, so malformed
-        control messages raise at the call site.
-
-        Fault-free sends take the :class:`_FastSend` chain — byte-identical
-        event sequence, no generator machinery; anything that could drop,
-        delay, retry, or lose the message goes through the process path.
+        Returns an event that fires with the message after it is delivered
+        into the destination mailbox, or fails with the transfer's last
+        :class:`FaultError` once the :class:`RetryPolicy` ladder is spent.
+        The payload is validated against the message type's declared schema
+        *before* the send is created, so malformed control messages raise at
+        the call site.  Every send, fault-armed or not, is a
+        :class:`_FastSend` chain.
         """
         validate_message(message)
-        dest = self.lookup(to)
-        if self.network.faults is None and not src_node.failed and not dest.node.failed:
-            return _FastSend(self, src_node, dest, message).result
-        return self.env.process(
-            self._send(src_node, dest, message), name=("send {}", message.mtype.value)
-        )
-
-    def _send(self, src_node: Node, dest: Endpoint, message: Message):
-        self.messages_sent += 1
-        self.bytes_sent += message.size_bytes
-        # The jitter key names this send uniquely and deterministically:
-        # sender node, destination endpoint, and the send's sequence number.
-        key = f"{src_node.node_id}:{dest.name}:{self.messages_sent}"
-        delays = iter(self.retry.delays(key))
-        while True:
-            try:
-                # dest.node is read per attempt: a rehosted endpoint's new
-                # placement takes effect on the retry.
-                yield self.network.transfer(src_node, dest.node, message.size_bytes)
-                break
-            except FaultError:
-                delay = next(delays, None)
-                if delay is None:  # retries exhausted: surface the FaultError
-                    raise
-                self.retries += 1
-                REGISTRY.count("evpath.retries")
-                yield self.env.timeout(delay)
-        yield dest.deliver(message)
-        return message
+        return _FastSend(self, src_node, self.lookup(to), message).result
 
     def request(
         self,

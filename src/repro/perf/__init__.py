@@ -6,9 +6,8 @@ the benchmark harness:
 * :mod:`repro.perf.registry` — wall-clock kernel timers and event counters
   (cell-list rebuilds, cache hits, ...) accumulated in a process-global
   registry that benches snapshot and reset;
-* :mod:`repro.perf.report` — the ``BENCH_kernels.json`` emitter with
-  baseline comparison, so kernel speedups and regressions are
-  machine-readable across PRs;
+* :mod:`repro.perf.report` — the ``BENCH_*.json`` emitter and loader, so
+  bench results are machine-readable across PRs;
 * :mod:`repro.perf.cache` — a snapshot-keyed kernel cache letting pipeline
   stages that re-derive the same intermediate (CSym and CNA both need the
   Bonds adjacency) share one computation per timestep.
@@ -25,11 +24,7 @@ from repro.perf.registry import (
     timed,
     timer,
 )
-from repro.perf.report import (
-    compare_to_baseline,
-    load_kernel_report,
-    write_kernel_report,
-)
+from repro.perf.report import load_kernel_report, write_kernel_report
 from repro.perf.cache import KERNEL_CACHE, SnapshotKernelCache
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "PerfRegistry",
     "REGISTRY",
     "SnapshotKernelCache",
-    "compare_to_baseline",
     "count",
     "counter",
     "load_kernel_report",

@@ -1,11 +1,11 @@
-"""``BENCH_kernels.json`` emitter with baseline comparison.
+"""``BENCH_*.json`` emitter and loader.
 
-The kernel micro-bench (``benchmarks/bench_kernels.py``) produces a flat
-mapping of ``metric name -> seconds`` plus the perf-registry counters; this
-module writes them to disk in a stable schema and, when a previous report
-exists, annotates every shared numeric metric with its speedup relative to
-that baseline, so cross-PR regressions show up as ``speedup < 1`` entries
-without any extra tooling.
+Each bench under ``benchmarks/`` produces a flat mapping of ``metric name
+-> value`` plus the perf-registry counters; this module writes them to disk
+in a stable schema and reads a committed report back for a bench's own
+gate.  It renders no verdict across runs: the metrics mix seconds, rates
+and fractions, so "better" depends on each metric's direction, which the
+benchmark suite's ``bench.py compare`` declares per metric.
 """
 
 from __future__ import annotations
@@ -32,65 +32,19 @@ def load_kernel_report(path: PathLike) -> Optional[Dict]:
     return doc if isinstance(doc, dict) else None
 
 
-def compare_to_baseline(
-    results: Dict[str, float], baseline_results: Dict[str, float]
-) -> Dict[str, Dict[str, float]]:
-    """Per-metric speedup of ``results`` over ``baseline_results``.
-
-    ``speedup > 1`` means the current run is faster (metrics are seconds).
-    Only metrics present in both runs with positive numeric values compare.
-    """
-    comparison: Dict[str, Dict[str, float]] = {}
-    for name, current in results.items():
-        previous = baseline_results.get(name)
-        if not isinstance(current, (int, float)) or not isinstance(
-            previous, (int, float)
-        ):
-            continue
-        if current <= 0 or previous <= 0:
-            continue
-        comparison[name] = {
-            "baseline_seconds": float(previous),
-            "current_seconds": float(current),
-            "speedup": float(previous) / float(current),
-        }
-    return comparison
-
-
-def regressions(comparison: Dict[str, Dict[str, float]],
-                threshold: float = 0.8) -> Dict[str, float]:
-    """Metrics whose speedup fell below ``threshold`` (i.e. got slower)."""
-    return {
-        name: entry["speedup"]
-        for name, entry in comparison.items()
-        if entry["speedup"] < threshold
-    }
-
-
 def write_kernel_report(
     path: PathLike,
     results: Dict[str, float],
     counters: Optional[Dict[str, int]] = None,
     meta: Optional[Dict] = None,
-    baseline: Optional[Dict] = None,
 ) -> Dict:
-    """Write ``BENCH_kernels.json`` and return the written document.
-
-    ``baseline`` defaults to whatever report already exists at ``path`` —
-    re-running the bench therefore always reports speedups versus the last
-    recorded run.  Pass an explicit baseline document to pin a reference.
-    """
+    """Write a ``BENCH_*.json`` report and return the written document."""
     path = Path(path)
-    if baseline is None:
-        baseline = load_kernel_report(path)
-    baseline_results = (baseline or {}).get("results", {})
-    comparison = compare_to_baseline(results, baseline_results)
     doc = {
         "schema": SCHEMA_VERSION,
         "meta": meta or {},
         "results": {k: results[k] for k in sorted(results)},
         "counters": dict(sorted((counters or {}).items())),
-        "baseline_comparison": {k: comparison[k] for k in sorted(comparison)},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:

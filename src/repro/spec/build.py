@@ -52,7 +52,7 @@ def register_fault_recipe(name: str):
 
 def _ensure_recipes() -> None:
     """Import the modules that register the standard recipes."""
-    import repro.dst.scenario  # noqa: F401 - registers "smoke"
+    import repro.dst.scenario  # noqa: F401 - registers "smoke", "links"
     import repro.overload.scenario  # noqa: F401 - registers "overload_burst"
     import repro.spec.fuzz  # noqa: F401 - registers "fuzz_chaos"
 

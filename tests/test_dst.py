@@ -176,6 +176,42 @@ class TestGreenRuns:
         assert exploration.seeds_run == list(range(12))
 
 
+class TestLinksScenario:
+    """The ``links`` recipe puts the messenger's retry ladder under DST."""
+
+    def test_plan_is_link_faults_on_replica_nodes(self):
+        from repro.dst import PRESETS, links_plan
+        from repro.dst.scenario import _replica_victims, plan_for
+        from repro.faults.plan import FaultKind
+        from repro.simkernel import Environment
+
+        assert plan_for("links") is links_plan
+        pipe = PRESETS["links"](Environment())
+        plan = links_plan(3, pipe)
+        assert sorted(ev.kind.value for ev in plan.events) == sorted(
+            k.value for k in (FaultKind.LINK_PARTITION, FaultKind.MESSAGE_DROP,
+                              FaultKind.LINK_DEGRADE))
+        victims = set(_replica_victims(pipe))
+        assert all(set(ev.targets) <= victims for ev in plan.events)
+        assert plan.signature() == links_plan(3, PRESETS["links"](Environment())).signature()
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_green_run_reaches_the_retry_ladder(self, seed):
+        from repro.dst.scenario import plan_for
+
+        pipes = []
+        scenario = DSTScenario(name="links", preset="links", plan=plan_for("links"),
+                               hook=pipes.append)
+        report = scenario.run(seed)
+        assert report.finished and report.ok, [v.detail for v in report.violations]
+        assert "--scenario links" in report.repro
+        pipe = pipes[0]
+        faults = pipe.machine.network.faults
+        assert faults.partitioned > 0 and faults.dropped > 0
+        assert pipe.messenger.retries > 0
+        assert pipe.env.swallowed_faults > 0  # a fire-and-forget send ran out
+
+
 # -- the acceptance case: plant a bug, catch it, shrink it -------------------------
 
 

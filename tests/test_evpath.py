@@ -230,44 +230,66 @@ class TestOverlay:
 
 class TestFastSendIdentity:
     """The _FastSend chain must schedule the *identical* event sequence the
-    process-based send does — that is the whole byte-identity contract of
-    the messenger fast path."""
+    process-based send in :mod:`repro.evpath._reference` does — fault-free
+    or fault-armed — which is the whole byte-identity contract of the one
+    send path."""
 
     @staticmethod
-    def _scenario(force_process_path):
-        """One fixed send pattern: contended cross-node sends (capacity-1
-        NIC channels force queueing) plus an intra-node send."""
+    def _run(oracle, scenario, retry=None):
+        """Run ``scenario(env, machine, messenger, send)`` under a
+        ``schedule()`` spy, sending through ``Messenger.send`` or, with
+        ``oracle``, through the reference process-per-message send."""
         from repro.simkernel import Environment
         from repro.simkernel.events import NORMAL
         from repro.cluster import Machine
-        from repro.evpath import Messenger
-        from repro.evpath.messages import Message, MessageType
+        from repro.evpath import _reference
 
         env = Environment()
-        machine = Machine(env, num_nodes=4, cores_per_node=2)
-        messenger = Messenger(env, machine.network)
-        ep = messenger.endpoint(machine.nodes[1], "dst")
-        ep_local = messenger.endpoint(machine.nodes[0], "loop")
+        machine = Machine(env, num_nodes=6, cores_per_node=2)
+        messenger = Messenger(env, machine.network, retry=retry)
 
         log = []
         orig = env.schedule
 
+        def kind(event):
+            name = type(event).__name__
+            if name.endswith("Request") or name in ("Timeout", "StorePut", "FilterStoreGet"):
+                return name
+            return "ev"  # a process step or its callback-chain counterpart
+
         def spy(event, priority=NORMAL, delay=0.0):
-            log.append((round(env.now, 12), priority, round(delay, 12),
-                        "Request" if type(event).__name__.endswith("Request")
-                        else "ev"))
+            log.append((round(env.now, 12), priority, round(delay, 12), kind(event)))
             return orig(event, priority, delay)
 
         env.schedule = spy
 
         def send(src, to, msg):
-            if force_process_path:
-                dest = messenger.lookup(to)
-                from repro.evpath.messages import validate_message
-                validate_message(msg)
-                return env.process(messenger._send(src, dest, msg))
+            if oracle:
+                return _reference.send_process(messenger, src, to, msg)
             return messenger.send(src, to, msg)
 
+        outcome = scenario(env, machine, messenger, send)
+        env.run()
+        stats = machine.network.stats
+        faults = machine.network.faults
+        return dict(
+            log=log, outcome=outcome, now=env.now,
+            sent=messenger.messages_sent, bytes_sent=messenger.bytes_sent,
+            retries=messenger.retries, swallowed=env.swallowed_faults,
+            dropped=getattr(faults, "dropped", None),
+            partitioned=getattr(faults, "partitioned", None),
+            stats=(stats.messages, stats.bytes, stats.busy_time, stats.wait_time,
+                   dict(stats.per_pair)),
+        )
+
+    @staticmethod
+    def _contended(env, machine, messenger, send):
+        """Contended cross-node sends (capacity-1 NIC channels force
+        queueing) plus an intra-node send."""
+        from repro.evpath.messages import Message, MessageType
+
+        ep = messenger.endpoint(machine.nodes[1], "dst")
+        ep_local = messenger.endpoint(machine.nodes[0], "loop")
         done = []
 
         def sender(env, src, to, payload):
@@ -282,30 +304,100 @@ class TestFastSendIdentity:
         env.process(sender(env, machine.nodes[2], "dst", 3))
         env.process(sender(env, machine.nodes[0], "loop", 4))
 
-        received = []
-
         def receiver(env, endpoint, n):
             for _ in range(n):
                 msg = yield endpoint.recv()
-                received.append((env.now, msg.payload))
+                done.append((env.now, "recv", msg.payload))
 
         env.process(receiver(env, ep, 3))
         env.process(receiver(env, ep_local, 1))
-        env.run()
-        stats = machine.network.stats
-        return (log, done, received, env.now, messenger.messages_sent,
-                messenger.bytes_sent, stats.messages, stats.bytes,
-                stats.busy_time, stats.wait_time)
+        return done
+
+    @staticmethod
+    def _faulty(env, machine, messenger, send):
+        """Every fault the send path handles: a partition healed between
+        retries, a drop window (intra-node sends included), link
+        degradation, a node crashed before a send, another crashed
+        mid-serialization whose endpoint is rehosted between retries, and a
+        fire-and-forget send that exhausts its retries."""
+        from repro.faults import NetworkFaultState
+        from repro.faults.plan import FaultPlan
+        from repro.evpath.messages import Message, MessageType
+        from repro.simkernel.errors import FaultError
+
+        n = machine.nodes
+        plan = FaultPlan(seed=11)
+        plan.link_partition(0.0, (1,), duration=0.12)
+        plan.message_drop(1.0, (2,), probability=0.5, duration=2.0)
+        plan.link_degrade(0.0, (3,), factor=3.0, duration=10.0)
+        machine.network.faults = NetworkFaultState(env, plan)
+
+        messenger.endpoint(n[1], "behind_partition")
+        messenger.endpoint(n[2], "lossy")
+        messenger.endpoint(n[2], "lossy_local")
+        mover = messenger.endpoint(n[3], "mover")
+        messenger.endpoint(n[5], "dead")
+        done = []
+
+        def sender(env, at, src, to, payload, size=None):
+            yield env.timeout(at)
+            msg = Message(MessageType.ACK, "src", payload=payload)
+            if size is not None:
+                msg.size_bytes = size
+            try:
+                got = yield send(src, to, msg)
+                done.append((env.now, payload, "ok", got.payload))
+            except FaultError as error:
+                done.append((env.now, payload, "failed", str(error)))
+
+        def chaos(env):
+            yield env.timeout(2.5)
+            n[5].fail()  # before the sends to "dead"
+            yield env.timeout(1.0)
+            n[3].fail()  # mid-serialization of the big send to "mover"
+            yield env.timeout(0.05)
+            mover.node = n[4]  # rehosted before the retry fires
+
+        env.process(chaos(env))
+        for i in range(3):  # partitioned, then healed on a retry
+            env.process(sender(env, 0.0, n[0], "behind_partition", f"p{i}"))
+        for i in range(12):  # drop window, cross-node and intra-node
+            env.process(sender(env, 1.0 + 0.1 * i, n[0], "lossy", f"d{i}"))
+            env.process(sender(env, 1.0 + 0.1 * i, n[2], "lossy_local", f"l{i}"))
+        env.process(sender(env, 3.0, n[0], "mover", "big", size=int(1.6 * 2**30)))
+        env.process(sender(env, 3.0, n[0], "dead", "waited"))
+
+        def fire_and_forget(env):
+            yield env.timeout(3.0)
+            send(n[1], "dead", Message(MessageType.ACK, "src", payload="lost"))
+
+        env.process(fire_and_forget(env))
+        return done
 
     def test_fast_chain_matches_process_path(self):
-        fast = self._scenario(force_process_path=False)
-        slow = self._scenario(force_process_path=True)
+        fast = self._run(False, self._contended)
+        slow = self._run(True, self._contended)
         assert fast == slow
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_fault_armed_chain_matches_process_path(self, jitter):
+        from repro.evpath.channel import RetryPolicy
+
+        fast = self._run(False, self._faulty, RetryPolicy(jitter=jitter, seed=7))
+        slow = self._run(True, self._faulty, RetryPolicy(jitter=jitter, seed=7))
+        assert fast == slow
+        # the scenario really reaches every branch it is meant to pin
+        outcome = {payload: (now, *rest) for now, payload, *rest in fast["outcome"]}
+        assert fast["partitioned"] > 0 and fast["dropped"] > 0
+        assert fast["retries"] > 0 and fast["swallowed"] == 1
+        assert outcome["big"][1] == "ok"  # delivered on its rehosted node
+        assert outcome["waited"][1:] == ("failed", "destination node 5 is down")
+        # an intra-node send in the drop window was dropped and retried
+        assert any(outcome[f"l{i}"][0] >= 1.0 + 0.1 * i + 0.05 for i in range(12))
+
     def test_fast_path_taken_when_fault_free(self, env, machine, messenger):
-        from repro.evpath.channel import _FastSend  # noqa: F401
         from repro.evpath.messages import Message, MessageType
-        from repro.simkernel import Event, Process
+        from repro.simkernel import Event
 
         messenger.endpoint(machine.nodes[1], "d")
         ev = messenger.send(machine.nodes[0], "d",
@@ -314,9 +406,9 @@ class TestFastSendIdentity:
         env.run()
         assert ev.value.mtype is MessageType.ACK
 
-    def test_fallback_when_faults_armed(self, env, machine, messenger):
+    def test_fast_path_taken_when_faults_armed(self, env, machine, messenger):
         from repro.evpath.messages import Message, MessageType
-        from repro.simkernel import Process
+        from repro.simkernel import Event
 
         messenger.endpoint(machine.nodes[1], "d")
         machine.network.faults = object.__new__(type("S", (), {
@@ -325,7 +417,7 @@ class TestFastSendIdentity:
         }))
         ev = messenger.send(machine.nodes[0], "d",
                             Message(MessageType.ACK, "s"))
-        assert isinstance(ev, Process)  # generic path
+        assert type(ev) is Event  # one send path: no process fallback
         env.run()
         assert ev.value.mtype is MessageType.ACK
 

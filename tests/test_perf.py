@@ -7,13 +7,7 @@ import pytest
 
 from repro.perf.cache import KERNEL_CACHE, SnapshotKernelCache, array_digest
 from repro.perf.registry import REGISTRY, PerfRegistry
-from repro.perf.report import (
-    SCHEMA_VERSION,
-    compare_to_baseline,
-    load_kernel_report,
-    regressions,
-    write_kernel_report,
-)
+from repro.perf.report import SCHEMA_VERSION, load_kernel_report, write_kernel_report
 
 
 @pytest.fixture(autouse=True)
@@ -98,31 +92,17 @@ class TestKernelReport:
             path, {"k": 0.5}, counters={"c": 3}, meta={"note": "first"}
         )
         assert doc["schema"] == SCHEMA_VERSION
-        assert doc["baseline_comparison"] == {}
+        assert set(doc) == {"schema", "meta", "results", "counters"}
         loaded = load_kernel_report(path)
         assert loaded == doc
 
-    def test_rerun_compares_against_previous_file(self, tmp_path):
+    def test_rerun_replaces_previous_report(self, tmp_path):
+        # no cross-run verdict: a rerun overwrites, it does not compare
         path = tmp_path / "BENCH_kernels.json"
         write_kernel_report(path, {"k": 1.0})
         doc = write_kernel_report(path, {"k": 0.25, "new": 1.0})
-        entry = doc["baseline_comparison"]["k"]
-        assert entry["speedup"] == pytest.approx(4.0)
-        assert "new" not in doc["baseline_comparison"]
-
-    def test_compare_skips_nonpositive_and_missing(self):
-        comparison = compare_to_baseline(
-            {"a": 1.0, "b": 0.0, "c": 2.0}, {"a": 2.0, "b": 1.0}
-        )
-        assert set(comparison) == {"a"}
-        assert comparison["a"]["speedup"] == pytest.approx(2.0)
-
-    def test_regressions_filter(self):
-        comparison = compare_to_baseline({"fast": 1.0, "slow": 4.0},
-                                         {"fast": 2.0, "slow": 2.0})
-        slow = regressions(comparison)
-        assert set(slow) == {"slow"}
-        assert slow["slow"] == pytest.approx(0.5)
+        assert doc["results"] == {"k": 0.25, "new": 1.0}
+        assert load_kernel_report(path) == doc
 
     def test_load_missing_or_corrupt_returns_none(self, tmp_path):
         assert load_kernel_report(tmp_path / "absent.json") is None
