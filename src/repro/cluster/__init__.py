@@ -6,8 +6,9 @@ pieces of those machines that the paper's results actually depend on:
 
 * per-node cores and memory (:class:`Node`);
 * NIC injection/ejection bandwidth as the contention point, plus per-hop
-  latency over a (networkx) topology graph (:class:`Network`) — the standard
-  first-order model for RDMA transfers on torus machines;
+  latency with closed-form hop counts on a 3-D torus (:class:`Network`,
+  :class:`~repro.cluster.machine.Torus3D`) — the standard first-order
+  model for RDMA transfers on torus machines;
 * a batch scheduler that hands an application a fixed node partition for the
   whole run, with the Cray ``aprun`` launch-cost artifact the paper measures
   at 3–27 s (:class:`BatchScheduler`, :class:`AprunModel`).

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 from repro.cluster.network import Network
@@ -32,14 +30,42 @@ class Partition:
         return f"<Partition {self.name!r} nodes={len(self.nodes)}>"
 
 
-def torus_3d(shape: Sequence[int]) -> nx.Graph:
-    """Build a 3-D torus topology graph (the XT4 / RedSky interconnect shape)."""
+class Torus3D:
+    """A 3-D torus interconnect (the XT4 / RedSky shape) with closed-form routing.
+
+    Node id ``x*(b*c) + y*c + z`` sits at coordinate ``(x, y, z)`` of a torus
+    of shape ``(a, b, c)``.  Minimal routing takes the shorter way round each
+    ring, so the hop count is ``sum(min(|d|, s - |d|))`` over the three axes.
+    """
+
+    __slots__ = ("shape", "_size")
+
+    def __init__(self, shape: Sequence[int]):
+        self.shape = tuple(shape)
+        a, b, c = self.shape
+        self._size = a * b * c
+
+    def number_of_nodes(self) -> int:
+        return self._size
+
+    def hops(self, u: int, v: int) -> int:
+        """Shortest-path hop count between node ids ``u`` and ``v``."""
+        size = self._size
+        if not (0 <= u < size and 0 <= v < size):
+            raise ValueError(f"node ids ({u}, {v}) outside torus of {size} nodes")
+        a, b, c = self.shape
+        bc = b * c
+        dx = abs(u // bc - v // bc)
+        dy = abs(u // c % b - v // c % b)
+        dz = abs(u % c - v % c)
+        return min(dx, a - dx) + min(dy, b - dy) + min(dz, c - dz)
+
+
+def torus_3d(shape: Sequence[int]) -> Torus3D:
+    """Build a 3-D torus topology (the XT4 / RedSky interconnect shape)."""
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise ValueError(f"shape must be three positive dims, got {shape}")
-    graph = nx.grid_graph(dim=list(reversed(shape)), periodic=True)
-    # Relabel coordinate tuples to flat integer ids.
-    mapping = {coord: i for i, coord in enumerate(sorted(graph.nodes))}
-    return nx.relabel_nodes(graph, mapping)
+    return Torus3D(shape)
 
 
 class Machine:
@@ -57,7 +83,7 @@ class Machine:
         memory_per_node: float = 8 * 2**30,
         nic_bandwidth: float = 1.6 * 2**30,
         nic_streams: int = 1,
-        topology: Optional[nx.Graph] = None,
+        topology: Optional[Torus3D] = None,
         network_kwargs: Optional[dict] = None,
         name: str = "machine",
     ):

@@ -12,21 +12,27 @@ channel on *a*'s NIC and one receive channel on *b*'s NIC.  Channel slots are
 the contention points; the torus core is assumed over-provisioned relative to
 injection bandwidth (true of the XT4 SeaStar for the message sizes here).
 
-Hop counts come from shortest paths on a networkx topology graph and are
-cached; a 3-D torus of a few thousand nodes stays cheap because we only
-compute distances lazily per (src, dst) pair.
+Hop counts on a 3-D torus are closed-form (the shorter way round each of
+the three rings, see :class:`~repro.cluster.machine.Torus3D`) and memoized
+per unordered (src, dst) pair, since every transfer asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.simkernel import Environment
 from repro.simkernel.errors import FaultError
 from repro.cluster.node import Node
+
+if TYPE_CHECKING:
+    from repro.cluster.machine import Torus3D
+
+#: memo key for an unordered node pair: ``lo * _PAIR_KEY + hi``, unique for
+#: ids below 2**20 (a 101^3 torus).  An int, not a tuple, so a lookup
+#: allocates nothing the garbage collector tracks.
+_PAIR_KEY = 2**20
 
 
 class TransferError(FaultError):
@@ -58,14 +64,15 @@ class TransferStats:
 
 
 class Network:
-    """Point-to-point transfers over a topology graph.
+    """Point-to-point transfers over a 3-D torus or a flat network.
 
     Parameters
     ----------
     env:
         Simulation environment.
     topology:
-        networkx graph whose nodes are node ids.  ``None`` means a "flat"
+        :class:`~repro.cluster.machine.Torus3D` whose node ids are the
+        machine's; hop counts are closed-form.  ``None`` means a "flat"
         network (every pair is 1 hop).
     base_latency:
         Fixed wire latency per message, seconds.
@@ -78,7 +85,7 @@ class Network:
     def __init__(
         self,
         env: Environment,
-        topology: Optional[nx.Graph] = None,
+        topology: Optional[Torus3D] = None,
         base_latency: float = 5e-6,
         hop_latency: float = 1e-7,
         software_overhead: float = 10e-6,
@@ -89,7 +96,7 @@ class Network:
         self.hop_latency = hop_latency
         self.software_overhead = software_overhead
         self.stats = TransferStats()
-        self._hops_cache: Dict[Tuple[int, int], int] = {}
+        self._hops_cache: Dict[int, int] = {}
         #: optional :class:`repro.faults.NetworkFaultState`; when set, every
         #: transfer consults it for drops/partitions/degradations
         self.faults = None
@@ -102,11 +109,12 @@ class Network:
             return 0
         if self.topology is None:
             return 1
-        key = (src_id, dst_id) if src_id < dst_id else (dst_id, src_id)
+        key = (src_id * _PAIR_KEY + dst_id if src_id < dst_id
+               else dst_id * _PAIR_KEY + src_id)
         cached = self._hops_cache.get(key)
         if cached is None:
-            cached = nx.shortest_path_length(self.topology, key[0], key[1])
-            self._hops_cache[key] = cached
+            # Miss path only: Torus3D.hops rejects ids outside the torus.
+            cached = self._hops_cache[key] = self.topology.hops(src_id, dst_id)
         return cached
 
     def latency(self, src: Node, dst: Node) -> float:

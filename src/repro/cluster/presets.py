@@ -8,8 +8,10 @@ Xeon 5570 (8 cores/node), 12 GB/node, QDR InfiniBand in a 3-D toroidal mesh.
 
 The presets default to *scaled-down* node counts (enough for every experiment
 in the paper, which uses at most 1024 simulation + 24 staging nodes) because
-building a 9,572-node torus graph for every unit test is wasted work; pass
-``full_scale=True`` to get the real machine size.
+every node carries its own NIC, cores and memory pools, and a unit test has
+no use for 9,572 of them; pass ``full_scale=True`` to get the real machine
+size.  Routing costs nothing to build at either size: hop counts on the
+torus are closed-form.
 """
 
 from __future__ import annotations

@@ -1,31 +1,70 @@
 """Unit tests for the interconnect model."""
 
+import itertools
+
 import networkx as nx
 import pytest
 
 from repro.simkernel import Environment
-from repro.cluster import Machine, Network, Node
+from repro.cluster import Machine, Network, Node, franklin, redsky
 from repro.cluster.machine import torus_3d
+from repro.cluster.network import _PAIR_KEY
+
+
+def _graph_oracle(shape):
+    """The torus as a networkx graph, numbered the way Torus3D numbers it:
+    periodic grid, coordinate tuples relabelled in sorted order."""
+    graph = nx.grid_graph(dim=list(reversed(shape)), periodic=True)
+    mapping = {coord: i for i, coord in enumerate(sorted(graph.nodes))}
+    return nx.relabel_nodes(graph, mapping)
 
 
 class TestTopology:
     def test_torus_shape(self):
-        g = torus_3d((2, 2, 2))
-        assert g.number_of_nodes() == 8
-        # In a 2-wide torus, wraparound and direct edges coincide; each node
-        # still has degree 3.
-        assert all(d == 3 for _, d in g.degree())
+        t = torus_3d((2, 2, 2))
+        assert t.number_of_nodes() == 8
+        # In a 2-wide torus, wraparound and direct links coincide; each node
+        # still has 3 neighbours.
+        for u in range(8):
+            assert sum(t.hops(u, v) == 1 for v in range(8)) == 3
 
     def test_torus_larger_degree(self):
-        g = torus_3d((4, 4, 4))
-        assert g.number_of_nodes() == 64
-        assert all(d == 6 for _, d in g.degree())
+        t = torus_3d((4, 4, 4))
+        assert t.number_of_nodes() == 64
+        for u in range(64):
+            assert sum(t.hops(u, v) == 1 for v in range(64)) == 6
 
     def test_torus_validation(self):
         with pytest.raises(ValueError):
             torus_3d((0, 2, 2))
         with pytest.raises(ValueError):
             torus_3d((2, 2))
+
+
+class TestClosedFormMatchesGraph:
+    """Differential check: closed-form hops equal BFS on the old graph."""
+
+    @pytest.mark.parametrize("shape", [
+        (2, 2, 2), (3, 4, 5), (5, 3, 2), (1, 4, 3), (4, 1, 1), (2, 7, 3),
+        (6, 6, 6),
+    ])
+    def test_all_pairs(self, shape):
+        t = torus_3d(shape)
+        graph = _graph_oracle(shape)
+        assert t.number_of_nodes() == graph.number_of_nodes()
+        dist = dict(nx.all_pairs_shortest_path_length(graph))
+        for u, v in itertools.product(range(t.number_of_nodes()), repeat=2):
+            assert t.hops(u, v) == dist[u][v], (shape, u, v)
+
+    @pytest.mark.parametrize("side", [9, 11, 13])
+    def test_preset_shapes_from_sources(self, side):
+        shape = (side, side, side)
+        t = torus_3d(shape)
+        graph = _graph_oracle(shape)
+        n = t.number_of_nodes()
+        for src in (0, 1, side + 2, n // 2, n - 1):
+            dist = nx.single_source_shortest_path_length(graph, src)
+            assert all(t.hops(src, v) == d for v, d in dist.items())
 
 
 class TestHops:
@@ -35,17 +74,38 @@ class TestHops:
         assert net.hops(3, 3) == 0
 
     def test_torus_shortest_path(self, env):
-        g = torus_3d((4, 4, 4))
-        net = Network(env, topology=g)
+        t = torus_3d((4, 4, 4))
+        net = Network(env, topology=t)
         assert net.hops(0, 0) == 0
-        # Adjacent nodes are one hop.
-        neighbor = next(iter(g.neighbors(0)))
-        assert net.hops(0, neighbor) == 1
+        # Adjacent nodes (+1 on each axis: ids 16, 4, 1) are one hop.
+        for neighbor in (16, 4, 1):
+            assert net.hops(0, neighbor) == 1
 
     def test_hops_cached_and_symmetric(self, env):
         net = Network(env, topology=torus_3d((3, 3, 3)))
         assert net.hops(1, 20) == net.hops(20, 1)
-        assert (1, 20) in net._hops_cache
+        assert net._hops_cache == {1 * _PAIR_KEY + 20: net.hops(1, 20)}
+
+    def test_out_of_range_ids_rejected(self, env):
+        t = torus_3d((3, 3, 3))
+        net = Network(env, topology=t)
+        for u, v in ((0, 27), (27, 0), (-1, 4), (4, -1), (0, _PAIR_KEY + 1)):
+            with pytest.raises(ValueError):
+                t.hops(u, v)
+            with pytest.raises(ValueError):
+                net.hops(u, v)
+        assert net._hops_cache == {}
+
+
+class TestFullScalePresets:
+    @pytest.mark.parametrize("preset, side", [(franklin, 22), (redsky, 15)])
+    def test_builds_and_routes_corner_to_corner(self, env, preset, side):
+        machine = preset(env, full_scale=True)
+        topology = machine.network.topology
+        assert topology.shape == (side, side, side)
+        assert topology.number_of_nodes() >= len(machine.nodes)
+        opposite = (side // 2) * (side * side + side + 1)
+        assert machine.network.hops(0, opposite) == 3 * (side // 2)
 
 
 class TestTransfer:
