@@ -43,6 +43,10 @@ class Node:
     node memory rather than waiting for it.
     """
 
+    #: simulated time of the current crash, None while up; a class-level
+    #: default because a machine builds thousands of nodes and few crash
+    failed_at = None
+
     def __init__(
         self,
         env: Environment,
@@ -72,10 +76,12 @@ class Node:
     def fail(self) -> None:
         """Mark the node crashed (fault injection)."""
         self.failed = True
+        self.failed_at = self.env.now
 
     def restore(self) -> None:
         """Bring the node back after a crash or slow-down."""
         self.failed = False
+        self.failed_at = None
         self.slow_factor = 1.0
 
     # -- memory -----------------------------------------------------------------

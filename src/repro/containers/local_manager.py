@@ -21,7 +21,7 @@ from repro.containers.protocol import ProtocolTracer
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
-from repro.faults.detect import FailureDetector, HeartbeatMonitor, HeartbeatSender
+from repro.faults.detect import FailureDetector, HeartbeatMonitor
 from repro.monitoring.metrics import Telemetry
 from repro.smartpointer.costs import ComputeModel
 
@@ -70,7 +70,6 @@ class LocalManager:
         #: replica failure detection (None until enable_fault_detection)
         self.detector: Optional[FailureDetector] = None
         self._hb_monitor: Optional[HeartbeatMonitor] = None
-        self._hb_senders: dict = {}
         self._hb_interval = 1.0
         self._control_proc = env.process(self._control_loop(), name=f"cmgr:{container.name}")
         self._monitor_proc = env.process(self._monitor_loop(), name=f"cmon:{container.name}")
@@ -109,12 +108,13 @@ class LocalManager:
     ) -> None:
         """Start lease-based detection of this container's replicas.
 
-        Each replica heartbeats a dedicated monitor endpoint on the
-        manager's node (so control protocols cannot head-of-line block
-        liveness); a silent lease raises a REPLICA_SUSPECT to the global
-        manager, which runs the REPLACE protocol.  Scanning suspends while
-        the manager's own node is down — the outage must not convict every
-        replica — and resumes with fresh leases after a rehost.
+        Each replica holds a heartbeat lease at a dedicated monitor
+        endpoint on the manager's node (so control protocols cannot
+        head-of-line block liveness); the detector credits its beats
+        arithmetically and a silent lease raises a REPLICA_SUSPECT to the
+        global manager, which runs the REPLACE protocol.  Scanning suspends
+        while the manager's own node is down — the outage must not convict
+        every replica — and resumes with fresh leases after a rehost.
         """
         if self.detector is not None:
             return
@@ -135,24 +135,23 @@ class LocalManager:
         self.detector.start()
 
     def watch_replica(self, replica) -> None:
-        """Grant a lease and start the heartbeat stream for one replica."""
-        if self.detector is None or replica.name in self._hb_senders:
+        """Grant a heartbeat lease to one replica."""
+        if self.detector is None or replica.name in self.detector:
             return
-        sender = HeartbeatSender(
-            self.env, self.messenger, replica.name, replica.node,
-            self._hb_monitor.endpoint.name, self._hb_interval,
-        )
-        self._hb_senders[replica.name] = sender
-        self.detector.watch(replica.name)
-        sender.start()
+        self.detector.watch(replica.name, replica.node, self._hb_interval)
 
     def unwatch_replica(self, name: str) -> None:
+        if self.detector is not None:
+            self.detector.unwatch(name)
+
+    def _unwatch_departed(self) -> None:
+        """Drop the lease of every watched replica that left the container."""
         if self.detector is None:
             return
-        sender = self._hb_senders.pop(name, None)
-        if sender is not None:
-            sender.stop()
-        self.detector.unwatch(name)
+        live = {r.name for r in self.container.replicas}
+        for name in self.detector.members:
+            if name not in live:
+                self.detector.unwatch(name)
 
     def _on_replica_suspect(self, member: str) -> None:
         self.env.process(self._send_suspect(member), name=f"suspect:{member}")
@@ -306,6 +305,7 @@ class LocalManager:
         old_nodes: List[Node] = []
         if container.replicas:
             old_nodes = container.remove_replicas(container.units, allow_teardown=True)
+            self._unwatch_departed()
         # aprun relaunch at the combined size.
         t0 = self.env.now
         all_nodes = old_nodes + list(new_nodes)
@@ -354,6 +354,7 @@ class LocalManager:
     def _dec_retire(self, ctx) -> None:
         t0 = self.env.now
         ctx["freed"] = self.container.remove_replicas(ctx["count"])
+        self._unwatch_departed()
         ctx.charge("intra_container", self.env.now - t0, messages=ctx["count"])
 
     def _dec_merge_state(self, ctx):
@@ -526,6 +527,7 @@ class LocalManager:
                     )
             freed.append(replica.node)
         container.replicas = []
+        self._unwatch_departed()
         container.offline = True
         ctx["stranded"] = stranded
         ctx["freed"] = freed
@@ -587,9 +589,6 @@ class LocalManager:
                 proc.interrupt("stop")
         if self.detector is not None:
             self.detector.stop()
-        for sender in self._hb_senders.values():
-            sender.stop()
-        self._hb_senders.clear()
         if self._hb_monitor is not None:
             self._hb_monitor.stop()
             self._hb_monitor = None

@@ -248,6 +248,7 @@ class Pipeline:
         from repro.faults import ClusterFaultInjector, NetworkFaultState
 
         self.machine.network.faults = NetworkFaultState(self.env, plan)
+        self.arm_links(self.machine.network.faults)
         injector = ClusterFaultInjector(
             self.env, plan, self.machine.nodes, scheduler=self.scheduler
         )
@@ -255,6 +256,13 @@ class Pipeline:
         injector.start()
         self.fault_injector = injector
         return injector
+
+    def arm_links(self, faults) -> None:
+        """Hand a :class:`~repro.faults.NetworkFaultState`'s windows to every
+        replica detector: beats inside them become real HEARTBEATs."""
+        for manager in self.managers.values():
+            if manager.detector is not None:
+                manager.detector.arm_links(faults)
 
     def _on_node_crash(self, node) -> None:
         for container in self.containers.values():

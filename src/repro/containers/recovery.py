@@ -94,7 +94,7 @@ class RecoveryManager:
         """A metric report arrived: beat the manager-level lease."""
         if self.manager_detector is None:
             return
-        if container not in self.manager_detector.members:
+        if container not in self.manager_detector:
             self.manager_detector.watch(container)
         self.manager_detector.beat(container)
 

@@ -13,11 +13,13 @@ ClusterFaultInjector
 NetworkFaultState
     Per-transfer evaluation of the plan's link windows, hung on
     ``Network.faults``.
-FailureDetector / HeartbeatSender / HeartbeatMonitor
-    Lease-based detection over the EVPath control plane: replicas beat to
-    their LocalManager, LocalManagers' METRIC_REPORTs over the monitoring
-    overlay double as their beats to the GlobalManager.  False positives
-    are accounted, not hidden.
+FailureDetector / HeartbeatMonitor
+    Lease-based detection over the EVPath control plane: replicas hold
+    leases at their LocalManager, whose detector credits their beats
+    arithmetically and sends real HEARTBEATs only while a link-fault
+    window covers the replica-to-monitor pair; LocalManagers'
+    METRIC_REPORTs over the monitoring overlay double as their beats to
+    the GlobalManager.  False positives are accounted, not hidden.
 
 Recovery itself — the REPLACE protocol respawning lost replicas from the
 spare pool — lives with the other container protocols in
@@ -26,7 +28,7 @@ spare pool — lives with the other container protocols in
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, WINDOWED_KINDS
 from repro.faults.netstate import NetworkFaultState
-from repro.faults.detect import FailureDetector, HeartbeatMonitor, HeartbeatSender
+from repro.faults.detect import FailureDetector, HeartbeatMonitor
 from repro.faults.injector import ClusterFaultInjector
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "HeartbeatMonitor",
-    "HeartbeatSender",
     "NetworkFaultState",
     "WINDOWED_KINDS",
 ]

@@ -11,7 +11,7 @@ a seeded RNG (derived from the plan seed, so runs replay identically).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class NetworkFaultState:
         self._partitions = plan.events_of(FaultKind.LINK_PARTITION)
         self._degradations = plan.events_of(FaultKind.LINK_DEGRADE)
         self._drops = plan.events_of(FaultKind.MESSAGE_DROP)
+        self._windows = self._partitions + self._degradations + self._drops
         #: transfers refused by an active partition window
         self.partitioned = 0
         #: messages lost to an active drop window
@@ -50,6 +51,22 @@ class NetworkFaultState:
         for event in windows:
             if event.time <= now < event.end and self._matches(event, src_id, dst_id):
                 yield event
+
+    # -- queries for the lease detector ---------------------------------------------
+
+    def covers(self, src: Node, dst: Node) -> bool:
+        """Whether a partition, drop or degrade window is open on the pair now."""
+        return any(True for _ in self._active(self._windows, src.node_id, dst.node_id))
+
+    def spans(self) -> List[Tuple[float, float]]:
+        """Every window's ``[start, end)``, merged into disjoint sorted spans."""
+        spans: List[Tuple[float, float]] = []
+        for event in sorted(self._windows, key=lambda e: e.time):
+            if spans and event.time <= spans[-1][1]:
+                spans[-1] = (spans[-1][0], max(spans[-1][1], event.end))
+            else:
+                spans.append((event.time, event.end))
+        return spans
 
     # -- hooks called by Network -------------------------------------------------
 

@@ -215,7 +215,9 @@ class Fleet:
         tenant (quarantine in the owning scheduler, kill resident replicas)."""
         from repro.faults import ClusterFaultInjector, NetworkFaultState
 
-        self.machine.network.faults = NetworkFaultState(self.env, plan)
+        faults = self.machine.network.faults = NetworkFaultState(self.env, plan)
+        for tenant in self.tenants.values():
+            tenant.pipe.arm_links(faults)
         injector = ClusterFaultInjector(self.env, plan, self.machine.nodes)
         injector.on_crash(self._on_node_crash)
         injector.start()

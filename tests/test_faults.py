@@ -12,9 +12,11 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     HeartbeatMonitor,
-    HeartbeatSender,
     NetworkFaultState,
 )
+from repro.faults._reference import HeartbeatSender
+from repro.evpath.messages import MessageType
+from repro.perf.registry import REGISTRY
 
 
 class TestFaultPlan:
@@ -267,19 +269,224 @@ class TestFailureDetector:
         assert suspects == ["r0"]
 
     def test_heartbeats_end_to_end(self, env, machine, messenger):
+        """The manager's path: a grid lease at a HeartbeatMonitor's detector
+        is credited without a single HEARTBEAT message, and a crash silences
+        it into a suspicion."""
         mon_node, rep_node = machine.nodes[0], machine.nodes[1]
         suspects = []
         det = FailureDetector(env, "lm", lease_timeout=3.0,
                               on_suspect=suspects.append)
         HeartbeatMonitor(env, messenger, "lm-hb", mon_node, det)
-        sender = HeartbeatSender(env, messenger, "r0", rep_node, "lm-hb",
-                                 interval=1.0)
-        det.watch("r0")
-        sender.start()
+        before = REGISTRY.counter("faults.lease_beats_credited")
+        det.watch("r0", rep_node, interval=1.0)
         det.start()
         env.run(until=10.0)
         assert suspects == []
         assert det.beats > 5
+        assert REGISTRY.counter("faults.lease_beats_credited") - before == det.beats
+        assert messenger.messages_sent == 0
         rep_node.fail()
         env.run(until=20.0)
         assert suspects == ["r0"]
+
+
+def _lease_rig(env, machine, messenger, lease=5.0, check=1.25):
+    """A replica detector wired the way LocalManager wires one: suspicion
+    pauses while the monitor's node is down."""
+    suspects = []
+    det = FailureDetector(
+        env, "lm", lease_timeout=lease, check_interval=check,
+        on_suspect=lambda m: suspects.append((m, env.now)),
+        suspend_when=lambda: det.monitor.endpoint.node.failed,
+    )
+    monitor = HeartbeatMonitor(env, messenger, "lm-hb", machine.nodes[0], det)
+    return det, monitor, suspects
+
+
+def _at(env, t, fn):
+    def proc():
+        yield env.timeout(t - env.now)
+        fn()
+
+    return env.process(proc())
+
+
+class TestLeaseGrid:
+    def test_node_failed_at_set_and_cleared(self, env, machine):
+        node = machine.nodes[3]
+        assert node.failed_at is None
+        _at(env, 2.5, node.fail)
+        env.run(until=4.0)
+        assert node.failed and node.failed_at == 2.5
+        node.restore()
+        assert not node.failed and node.failed_at is None
+
+    def test_crash_on_grid_point_at_scan_instant_not_credited(self, env, machine, messenger):
+        """Crash at 5.0 is a grid point *and* a scan instant: the beat due
+        then is dead, so the last credited beat is 4.0 and suspicion lands
+        on the first scan more than the 5 s lease later (10.0), not 11.25."""
+        node = machine.nodes[1]
+        _at(env, 5.0, node.fail)
+        det, _, suspects = _lease_rig(env, machine, messenger)
+        det.watch("r0", node, interval=1.0)
+        det.start()
+        env.run(until=30.0)
+        assert suspects == [("r0", 10.0)]
+        assert det.beats == 4  # 1.0 .. 4.0
+
+    def test_crash_between_grid_points(self, env, machine, messenger):
+        node = machine.nodes[1]
+        _at(env, 5.5, node.fail)
+        det, _, suspects = _lease_rig(env, machine, messenger)
+        det.watch("r0", node, interval=1.0)
+        det.start()
+        env.run(until=30.0)
+        assert suspects == [("r0", 11.25)]
+        assert det.beats == 5  # 1.0 .. 5.0
+
+    def test_dead_monitor_window_then_rehost(self, env, machine, messenger):
+        """Beats due while the monitor's node is down are never credited;
+        after the rehost the grid resumes at the new host."""
+        node, spare = machine.nodes[1], machine.nodes[2]
+        det, mon, suspects = _lease_rig(env, machine, messenger)
+        _at(env, 3.0, machine.nodes[0].fail)
+        _at(env, 8.0, lambda: mon.rehost(spare))
+        det.watch("r0", node, interval=1.0)
+        det.start()
+        env.run(until=20.5)
+        assert suspects == []
+        assert det._outages == [(3.0, 8.0)]
+        # 1.0, 2.0 before the crash; 3.0-7.0 died with the monitor; the
+        # resume scan at 8.75 credits 8.0; scans through 20.0 credit 9-19.
+        assert det.beats == 2 + 1 + 11
+        assert det.false_positives == 0
+
+    def test_unwatch_credits_up_to_now(self, env, machine, messenger):
+        det, _, _ = _lease_rig(env, machine, messenger)
+        det.watch("r0", machine.nodes[1], interval=1.0)
+        det.start()
+        before = REGISTRY.counter("faults.lease_beats_credited")
+        _at(env, 4.0, lambda: det.unwatch("r0"))
+        env.run(until=10.0)
+        # the scan at 3.75 credited 1-3; unwatch at 4.0 credits 4.0 itself
+        assert det.beats == 4
+        assert REGISTRY.counter("faults.lease_beats_credited") - before == 4
+        assert "r0" not in det and det.members == []
+
+    def test_grid_watch_needs_positive_interval(self, env, machine):
+        det = FailureDetector(env, "lm", lease_timeout=5.0)
+        with pytest.raises(ValueError, match="interval"):
+            det.watch("r0", machine.nodes[1], interval=0.0)
+
+
+def _detect(grid, interval, lease, watch_at, crash_at, outage):
+    """Run one replica under the lease grid (``grid``) or the reference
+    sender + monitor; returns suspicions and false positives."""
+    env = Environment()
+    machine = Machine(env, num_nodes=16, cores_per_node=4)
+    messenger = Messenger(env, machine.network)
+    member = machine.nodes[1]
+    # Fault processes first: at a shared instant the crash precedes the beat.
+    if crash_at is not None:
+        _at(env, crash_at, member.fail)
+    det, mon, suspects = _lease_rig(env, machine, messenger, lease=lease,
+                                    check=lease / 4.0)
+    if outage is not None:
+        down, up = outage
+        _at(env, down, machine.nodes[0].fail)
+        _at(env, up, lambda: mon.rehost(machine.nodes[2]))
+
+    def watch():
+        if grid:
+            det.watch("r0", member, interval)
+        else:
+            det.watch("r0")
+            HeartbeatSender(env, messenger, "r0", member, "lm-hb", interval).start()
+
+    _at(env, watch_at, watch)
+    det.start()
+    env.run(until=60.0)
+    return suspects, det.false_positives
+
+
+_sixteenths = st.integers(0, 16 * 30).map(lambda n: n / 16.0)
+
+
+class TestLeaseGridDifferential:
+    """The lease grid against the per-replica HeartbeatSender it replaced,
+    on an otherwise idle machine.  Times are drawn on a 1/16 s grid, so no
+    scan lands within a beat's microsecond transit of a lease boundary.
+
+    Suspicion times match exactly, monitor outages included: the
+    reference's retry ladder can land a beat sent into the dead monitor at
+    the rehosted one up to 0.35 s after the rehost, which the grid never
+    credits, but the resume scan re-grants every lease and the lease is a
+    whole number of scans, so that late beat cannot move a suspicion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        timing=st.sampled_from([(1.0, 5.0), (0.5, 2.0), (0.25, 3.0), (2.0, 8.0), (1.5, 6.0)]),
+        watch_at=st.integers(0, 80).map(lambda n: n / 16.0),
+        crash_at=st.none() | _sixteenths,
+        outage=st.none() | st.tuples(_sixteenths, st.integers(8, 160).map(lambda n: n / 16.0)),
+    )
+    def test_matches_reference_sender(self, timing, watch_at, crash_at, outage):
+        interval, lease = timing
+        if outage is not None:
+            outage = (outage[0], outage[0] + outage[1])
+        ref = _detect(False, interval, lease, watch_at, crash_at, outage)
+        new = _detect(True, interval, lease, watch_at, crash_at, outage)
+        assert new == ref  # (member, suspicion time) list and false positives
+
+
+def _record_sends(env, messenger):
+    """Wrap ``messenger.send`` to log ``(time, sender, mtype)`` per send."""
+    log = []
+    send = messenger.send
+
+    def logged(src, to, message):
+        log.append((env.now, message.sender, message.mtype))
+        return send(src, to, message)
+
+    messenger.send = logged
+    return log
+
+
+class TestLeaseLinkWindows:
+    def test_short_partition_sends_real_beats_only_inside_window(self, env, machine, messenger):
+        member = machine.nodes[1]
+        plan = FaultPlan()
+        plan.link_partition(10.0, (member.node_id,), duration=2.0)
+        faults = machine.network.faults = NetworkFaultState(env, plan)
+        log = _record_sends(env, messenger)
+        det, _, suspects = _lease_rig(env, machine, messenger)
+        det.watch("r0", member, interval=1.0)
+        det.arm_links(faults)
+        det.start()
+        env.run(until=30.0)
+        beats = [t for t, _, mtype in log if mtype is MessageType.HEARTBEAT]
+        assert beats == [10.0, 11.0]
+        assert faults.partitioned > 0
+        assert suspects == [] and det.false_positives == 0
+        # the two lost beats were never credited: 28 grid beats before 30.0
+        assert det.beats == 29 - 2
+
+    def test_window_decided_when_beat_is_due(self, env, machine, messenger):
+        """Windows armed after the watch still materialise its beats; a
+        window on an unrelated pair leaves the grid arithmetic."""
+        member = machine.nodes[1]
+        plan = FaultPlan()
+        plan.link_partition(5.0, (machine.nodes[7].node_id,), duration=3.0)
+        det, _, _ = _lease_rig(env, machine, messenger)
+        det.watch("r0", member, interval=1.0)
+        log = _record_sends(env, messenger)
+
+        def arm():
+            faults = machine.network.faults = NetworkFaultState(env, plan)
+            det.arm_links(faults)
+
+        _at(env, 2.0, arm)
+        det.start()
+        env.run(until=20.0)
+        assert log == []
+        assert det.beats == 19

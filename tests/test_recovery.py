@@ -226,3 +226,89 @@ class TestReplayIdentity:
                 ],
             })
         assert results[0] == results[1]
+
+
+class TestLeaseLinkWindows:
+    """Replica leases under link-fault windows, end to end."""
+
+    def test_partition_longer_than_lease_is_suspected_refused_and_healed(self):
+        env = Environment()
+        pipe = build(env, spare=2)
+        bonds = pipe.containers["bonds"]
+        victim = bonds.replicas[1]  # replicas[0]'s node co-hosts the manager
+        plan = FaultPlan(seed=1)
+        plan.link_partition(30.0, (victim.node.node_id,), duration=12.0)
+        pipe.arm_faults(plan)
+
+        pipe.run(settle=200)
+
+        detector = pipe.managers["bonds"].detector
+        assert pipe.recovery.refused == 1  # node healthy: no REPLACE
+        assert detector.false_positives == 1  # cleared once the partition healed
+        assert detector.suspected == set()
+        assert victim in bonds.replicas
+        assert not [r for r in pipe.recovery.replacements if r["type"] == "replace"]
+
+    def test_fabric_wide_drop_window_materialises_every_pair(self):
+        from repro.evpath.messages import MessageType
+
+        env = Environment()
+        pipe = build(env, spare=2)
+        plan = FaultPlan(seed=1)
+        plan.message_drop(30.0, (), probability=0.3, duration=3.0)
+        pipe.arm_faults(plan)
+        log = []
+        send = pipe.messenger.send
+
+        def logged(src, to, message):
+            log.append((env.now, message.sender, message.mtype))
+            return send(src, to, message)
+
+        pipe.messenger.send = logged
+        pipe.run(settle=200)
+
+        beats = [(t, who) for t, who, mtype in log if mtype is MessageType.HEARTBEAT]
+        watched = {m for lm in pipe.managers.values() for m in lm.detector.members}
+        assert {who for _, who in beats} == watched
+        assert all(30.0 <= t < 33.0 for t, _ in beats)
+        assert pipe.machine.network.faults.dropped > 0
+
+
+class TestRetiredLeases:
+    def test_retire_paths_drop_the_lease(self, monkeypatch):
+        """DECREASE and OFFLINE retire replicas; each must leave its
+        manager's detector, and no grid beat may be credited to it after
+        its retire time."""
+        from repro.containers.replica import Replica
+        from repro.faults import FailureDetector
+        from repro.overload.scenario import overload_burst_plan
+        from repro.spec import load_preset
+
+        retired_at = {}
+        credited = []
+        retire, credit = Replica.retire, FailureDetector._credit
+
+        def record_retire(self, hard=False):
+            retired_at.setdefault(self.name, self.env.now)
+            return retire(self, hard)
+
+        def record_credit(self, member, lease, inclusive=False):
+            beats = self.beats
+            credit(self, member, lease, inclusive)
+            if self.beats > beats:
+                credited.append((member, self._last_beat[member]))
+
+        monkeypatch.setattr(Replica, "retire", record_retire)
+        monkeypatch.setattr(FailureDetector, "_credit", record_credit)
+        env = Environment()
+        pipe = build_spec(env, load_preset("overload").override(
+            workload=dict(steps=24), builder=dict(seed=1)))
+        pipe.arm_faults(overload_burst_plan(1, pipe))
+        pipe.run(settle=600, deadline=2.0 * 24 * pipe.driver.workload.output_interval)
+
+        assert retired_at, "the overload run retired no replica"
+        for name, manager in pipe.managers.items():
+            live = sorted(r.name for r in manager.container.replicas)
+            assert manager.detector.members == live, name
+        late = [(m, t) for m, t in credited if m in retired_at and t > retired_at[m]]
+        assert late == []

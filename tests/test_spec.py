@@ -192,6 +192,9 @@ def _trace(pipe):
 class TestBuild:
     # The schedules these two presets produced when they were still built
     # from builder keywords, pinned so the historical runs stay fixed.
+    # fig7's pins moved once since, when replica heartbeats became credited
+    # lease beats: the increase's control messages no longer queue behind
+    # heartbeats for a NIC slot, so it lands at s3d's heartbeat-free time.
     def test_fig7_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(5))
         pipe = build(env, load_preset("fig7").override(workload=dict(steps=3)))
@@ -199,10 +202,10 @@ class TestBuild:
         assert _trace(pipe) == (
             {"pool": set(range(4, 19)), "free": [18], "failed": set(),
              "held": set(range(4, 18))},
-            [(60.03024481540642, "increase bonds +1")],
+            [(60.030201968371586, "increase bonds +1")],
             [],
         )
-        assert env.events_processed == 13584
+        assert env.events_processed == 1393
 
     def test_s3d_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(2))
