@@ -4,7 +4,7 @@ The paper factors the cost of ``aprun`` out of its microbenchmarks because it
 is "an artifact of the particular OS batch-style scheduling", but reports
 observed launch times of **3 to 27 seconds**.  We model that artifact
 explicitly and keep it separable (``include_aprun`` flags throughout), so the
-benches can report results both ways, exactly as the paper does.
+experiments can report results both ways, exactly as the paper does.
 
 A second aprun limitation the paper leans on: processes launched by separate
 ``aprun`` invocations cannot be coalesced onto the same node.  The scheduler

@@ -4,7 +4,7 @@
 the simulated machine, the staging partition and its scheduler, the DataTap
 links, the LAMMPS driver, one container per SmartPointer stage, the local
 managers, and the global manager.  The resulting :class:`Pipeline` exposes
-``run()`` plus the telemetry the Figure 7-10 benches print.
+``run()`` plus the telemetry the Figure 7-10 runners report.
 
 The default stage allocations per workload reproduce the paper's three
 configurations (see DESIGN.md's experiment index).  Every knob lives in the
@@ -162,7 +162,7 @@ class Pipeline:
             deadline = 4.0 * wl.total_steps * wl.output_interval
         # Wall-clock of the whole DES run lands in the shared perf registry
         # (the same one the analytics kernels report to), so end-to-end
-        # experiment timings show up in BENCH_kernels.json alongside them.
+        # experiment timings show up in its snapshots alongside them.
         with PERF.timer("pipeline.run"):
             self.env.run(until=self.env.any_of(
                 [self.driver.finished, self.env.timeout(deadline)]
@@ -182,11 +182,8 @@ class Pipeline:
                 self.analytics.stop()
         # Attribute wall-clock to engine overhead: events processed,
         # tombstones skipped, heap high-water mark (delta-published, so a
-        # later drain/publish never double-counts).  getattr-guarded so the
-        # frozen ReferenceEnvironment can still drive a pipeline in benches.
-        publish = getattr(self.env, "publish_perf", None)
-        if publish is not None:
-            publish(PERF)
+        # later drain/publish never double-counts).
+        self.env.publish_perf(PERF)
         return finished
 
     def node_census(self) -> dict:
@@ -215,8 +212,8 @@ class Pipeline:
         return {"pool": pool, "free": free, "failed": failed, "held": held}
 
     def perf_snapshot(self) -> dict:
-        """Timers/counters accumulated during this process's runs — the
-        machine-readable view the kernel bench serializes."""
+        """Timers/counters accumulated during this process's runs, as a
+        plain dict."""
         return PERF.snapshot()
 
     # -- convenience metrics ------------------------------------------------------------

@@ -21,8 +21,8 @@ Two planners are provided:
   topology hops) to its upstream stage's nodes, with the first stage pulled
   toward the simulation partition's I/O nodes.
 
-The ablation bench (`bench_placement.py`) quantifies the reduction in
-mean per-chunk transfer latency.
+``tests/test_ablations.py::TestPlacement`` quantifies the reduction in
+hop-weighted data movement and checks per-chunk latency never gets worse.
 """
 
 from __future__ import annotations

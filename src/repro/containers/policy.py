@@ -8,8 +8,8 @@ nothing else can prevent queue overflow from blocking the application — by
 taking the non-essential bottleneck (and its dependents) offline.
 
 Policies are pure decision functions over a metrics snapshot, so they are
-unit-testable without a running pipeline, and swappable (the ablation bench
-compares :class:`LatencyPolicy` with :class:`QueueDerivativePolicy`).
+unit-testable without a running pipeline, and swappable (the ablation tests
+compare :class:`LatencyPolicy` with :class:`QueueDerivativePolicy`).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class QueueDerivativePolicy(ManagementPolicy):
 
     Reacts as soon as a container's queue exhibits sustained growth, even
     before latency crosses the SLA — faster to converge, but can overreact
-    to transients (which the ablation bench quantifies).
+    to transients.
     """
 
     def __init__(self, growth_threshold: float = 0.005, overflow_occupancy: float = 0.5):

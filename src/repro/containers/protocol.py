@@ -11,7 +11,7 @@ upstream DataTap writers to pause.
 
 :class:`ProtocolTracer` records every round with its wall-clock cost and
 category (``manager`` vs ``intra_container`` vs ``writer_pause`` vs
-``launch``), so the Figure 4/5 benches can print the same breakdown.
+``launch``), so the Figure 4/5 runners can report the same breakdown.
 """
 
 from __future__ import annotations

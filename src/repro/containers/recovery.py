@@ -25,8 +25,7 @@ failure *suspicion* into repaired capacity:
   capacity is not.
 
 MTTR (suspicion to recovery-complete) lands in the shared perf registry as
-a simulated-time duration, next to the protocol counters, so the chaos
-bench reuses the PR 1 report machinery unchanged.
+a simulated-time duration, next to the protocol counters.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ runs produces one :class:`ProtocolTrace` — an ordered list of
 timeout), its simulated duration, the detail labels it emitted, and the
 cost categories it charged.  The trace is the machine-readable twin of the
 human-oriented :class:`~repro.containers.protocol.ProtocolCost` rounds
-list: benches aggregate it into round-count/latency breakdowns, and every
+list: the figure runners aggregate it into round-count/latency breakdowns, and every
 finished execution is mirrored into :data:`repro.perf.REGISTRY` (counts
 plus simulated-seconds durations, the same convention as the
 ``faults.mttr_detected`` metric) so protocol activity appears in
-``BENCH_kernels.json``-style snapshots without extra plumbing.
+registry snapshots without extra plumbing.
 """
 
 from __future__ import annotations

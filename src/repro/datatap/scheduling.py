@@ -6,7 +6,7 @@ interconnect contention that would otherwise slow the application itself.
 
 :class:`PullScheduler` bounds the number of concurrent pulls into a staging
 area and can defer pulls while the application is in an output phase
-(priority to simulation traffic).  The ablation bench compares scheduled vs
+(priority to simulation traffic).  The ablation tests compare scheduled vs
 unscheduled pulls.
 """
 

@@ -10,8 +10,9 @@ seeded send pattern through both and comparing every ``schedule()`` call
 pins the callback chain to these exact semantics — fault windows, retries,
 rehosted endpoints and swallowed fire-and-forget failures included.
 
-Tests and ``benchmarks/bench_engine.py`` (the pre-fast-path side of its
-``messenger_send`` comparison) drive it; nothing in production calls it.
+Tests drive it, among them ``tests/test_speed_gates.py`` (the
+pre-fast-path side of its ``messenger_send`` gate); nothing in production
+calls it.
 Do not modify this file when optimizing the send path — it is the baseline.
 """
 

@@ -3,7 +3,7 @@
 The container control protocol (Section III-D, Figure 3) consists of rounds
 of small typed messages.  Every message records its type, sender, a payload,
 and a monotonically increasing sequence number per sender so tests can assert
-ordering and the benches can count protocol rounds.
+ordering and the experiments can count protocol rounds.
 
 Control messages also carry *declared* payloads: :data:`SCHEMAS` maps each
 protocol message type to a :class:`MessageSchema` naming its required and

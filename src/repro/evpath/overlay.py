@@ -15,7 +15,7 @@ modes:
   captured, and (iii) how they are processed and where such processing is
   done".
 
-Edge traffic is counted per vertex so benches can quantify the perturbation
+Edge traffic is counted per vertex so tests can quantify the perturbation
 difference between direct reporting and overlay aggregation.
 """
 

@@ -2,8 +2,8 @@
 
 Each returns a plain dict of the regenerated rows/series plus the
 management events, ready for JSON output or terminal rendering.  The
-pytest-benchmark harness under ``benchmarks/`` asserts the qualitative
-shapes; these runners are the user-facing path to the same experiments.
+tests assert the qualitative shapes on these same dicts
+(``tests/test_paper_figures.py``, ``tests/test_extension_acceptance.py``).
 """
 
 from __future__ import annotations
@@ -671,7 +671,7 @@ def run_fleet(seed: int = 1, tenants: int = 6, steps: int = 6, **_) -> dict:
         "unaccounted": unaccounted,
         "overloaded_browned_out": browned_out,
         "others_met_sla": others_met_sla,
-        "events_processed": int(getattr(env, "events_processed", 0)),
+        "events_processed": env.events_processed,
         "arbiter": {
             "actions": actions,
             "trace": [[float(t), a, n, int(c)] for t, a, n, c in arbiter.trace],

@@ -12,7 +12,7 @@ only shared mutable resource is the spare pool, owned by the
 :func:`build_mixed_fleet` is the canonical construction: a deterministic
 fig7/overload/S3D preset cycle with tenant ``t00`` as the deliberately
 overloaded, lowest-priority tenant — the configuration the acceptance
-bench measures (t00 browns out; nobody else misses their SLA).
+tests check (t00 browns out; nobody else misses their SLA).
 """
 
 from __future__ import annotations
@@ -187,9 +187,7 @@ class Fleet:
             }
             self.env.run(until=self.env.now + settle)
             self.stop()
-        publish = getattr(self.env, "publish_perf", None)
-        if publish is not None:
-            publish(PERF)
+        self.env.publish_perf(PERF)
         return finished
 
     def stop(self) -> None:

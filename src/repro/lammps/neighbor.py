@@ -12,7 +12,7 @@ cell buckets at construction, and pair generation broadcasts over the half
 stencil of cell offsets with ragged cross-products in index arithmetic — no
 per-cell Python loop.  The seed per-cell implementation is kept as
 :meth:`CellList._reference_pairs` for the equivalence tests and the
-before/after numbers in ``BENCH_kernels.json``.
+speedup floor in ``tests/test_speed_gates.py``.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class CellList:
 
     def _reference_pairs(self) -> np.ndarray:
         """Seed per-occupied-cell implementation (kept for the equivalence
-        tests and the before/after numbers in ``BENCH_kernels.json``)."""
+        tests and the speedup floor in ``tests/test_speed_gates.py``)."""
         n = len(self.positions)
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)

@@ -4,7 +4,7 @@ Implements the paper's lightweight monitoring layer (Section III-E): latency
 is measured "from the time the input data from a timestep enters the
 component until it exits"; the bottleneck is "the pipeline's container with
 the longest average latency"; and all series are recorded so the Figure 7-10
-benches can print them.
+runners can report them.
 """
 
 from repro.monitoring.metrics import LatencyWindow, Telemetry, TimeSeries

@@ -3,9 +3,9 @@
 The hot kernels are instrumented with ``REGISTRY.timer("kernel.name")``
 context blocks and ``REGISTRY.count("event.name")`` counters; the registry
 accumulates per-kernel call counts and wall-clock totals cheaply enough to
-stay on in production (one ``perf_counter`` pair per call).  Benches and
-tests ``reset()`` the registry, run a scenario, and read ``snapshot()`` —
-a plain-dict view that serializes straight into ``BENCH_kernels.json``.
+stay on in production (one ``perf_counter`` pair per call).  The benchmark
+suite and tests ``reset()`` the registry, run a scenario, and read
+``snapshot()`` — a plain-dict view that serializes straight to JSON.
 
 Timer names are dotted paths (``celllist.pairs``, ``md.rebuild``) so
 reports group naturally by subsystem.

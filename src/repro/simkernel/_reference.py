@@ -11,9 +11,9 @@ historical semantics — including the contract that a cancelled event is
 nothing, and the event fires into an empty callback list exactly as every
 abandoned timer did before cancellation existed.
 
-``benchmarks/bench_engine.py`` uses this class as the measured "pre-PR
-engine" side of its speedup comparison, so both numbers in
-``BENCH_engine.json`` come from the same interpreter on the same machine.
+``tests/test_speed_gates.py`` uses this class as the measured reference
+side of its engine speedup gate, so both timings of each ratio come from
+the same interpreter on the same machine.
 
 Do not modify this file when optimizing the engine — it is the baseline.
 """

@@ -13,7 +13,7 @@ one seed is one reproducible interleaving.
 Engine fast path
 ----------------
 Everything in :mod:`repro` executes through this loop, so it is written
-for raw events/sec (see ``benchmarks/bench_engine.py``):
+for raw events/sec (gated by ``tests/test_speed_gates.py``):
 
 * :meth:`Environment.run` inlines the pop/dispatch cycle — localized
   ``heappop``, direct tuple indexing, direct ``__slots__`` reads instead

@@ -4,8 +4,8 @@ The SmartPointer Bonds action reads atom positions and emits (a) the atom
 data it ingested and (b) an adjacency list of bonded pairs.  Table I
 characterizes it as O(n^2) — the original toolkit's brute-force scan — with
 Serial, round-robin, and parallel compute models.  Both the faithful O(n^2)
-kernel and the cell-list O(n) kernel are provided; the benchmarks fit both
-scaling exponents.
+kernel and the cell-list O(n) kernel are provided; the Table I complexity
+gate fits the faithful kernel's scaling exponent.
 
 Adjacency is held in CSR form (``indptr``/``indices`` arrays, neighbours
 ascending within each row): one ``lexsort`` over the doubled pair array
@@ -77,7 +77,7 @@ def adjacency_list(pairs: np.ndarray, natoms: int) -> List[np.ndarray]:
 
 def _reference_adjacency_list(pairs: np.ndarray, natoms: int) -> List[np.ndarray]:
     """Seed O(m) Python append-loop implementation (kept for the
-    equivalence tests and the before/after bench numbers)."""
+    equivalence tests)."""
     if natoms < 0:
         raise ValueError("natoms must be non-negative")
     neighbors: List[List[int]] = [[] for _ in range(natoms)]

@@ -16,7 +16,7 @@ Table I characterizes SmartPointer's CNA as O(n^3): the toolkit's
 implementation intersects neighbour sets via dense adjacency operations.
 The kernel here is the faithful per-pair set intersection; its cost grows
 with n * k^2 (k = coordination), which at fixed density is linear in n —
-the benchmark reports both the fitted exponent and the dense-matrix variant
+the Table I complexity gate fits the exponent of the dense-matrix variant
 used to exhibit the cubic behaviour.
 
 Neighbour sets come from the shared CSR adjacency (sorted rows, memoized
@@ -157,7 +157,7 @@ def cna_dense(positions_adjacency: np.ndarray) -> np.ndarray:
     ``positions_adjacency`` is the boolean adjacency matrix.  This is the
     O(n^3) formulation Table I refers to; it returns the matrix of
     common-neighbour counts for every pair.  Exposed for the complexity
-    benchmark.
+    gate.
     """
     a = np.asarray(positions_adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

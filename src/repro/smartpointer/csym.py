@@ -127,7 +127,7 @@ def _reference_central_symmetry(
     cutoff: Optional[float] = None,
 ) -> np.ndarray:
     """Seed per-atom kernel (kept for the equivalence tests and the
-    before/after numbers in ``BENCH_kernels.json``).
+    speedup floor in ``tests/test_speed_gates.py``).
 
     Identical to the seed apart from sorting each atom's neighbour
     candidates by index, which pins the greedy tie-breaking to the same

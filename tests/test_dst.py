@@ -2,9 +2,6 @@
 end-to-end acceptance case — a deliberately planted bug is caught,
 reported with its seed, and shrunk to a minimal fault plan."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from repro.controlplane.trace import ProtocolTrace, RoundTrace
@@ -385,26 +382,3 @@ class TestPredictiveActionsBounded:
             and "skipped rungs" in v.detail
             for v in report.violations
         )
-
-
-# -- bench integration -------------------------------------------------------------
-
-
-class TestBenchChaosSurfacesSwallowedFaults:
-    def test_emit_report_carries_the_counter(self, tmp_path, monkeypatch):
-        bench_path = (
-            Path(__file__).resolve().parent.parent / "benchmarks" / "bench_chaos.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_chaos", bench_path)
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        monkeypatch.setattr(bench, "REPORT_PATH", tmp_path / "BENCH_faults.json")
-        metrics = {
-            "crash_time": 60.0, "detect_delay": 2.0, "mttr_detected": 10.0,
-            "mttr_full": 12.0, "timesteps_lost": 0, "duplicates": 0,
-            "availability": 0.98, "final_bonds_latency": 8.0,
-            "recovery_rounds": 7, "redelivered": 3, "swallowed_faults": 2,
-        }
-        doc = bench.emit_report(metrics)
-        assert doc["counters"]["chaos.swallowed_faults"] == 2
-        assert (tmp_path / "BENCH_faults.json").exists()

@@ -1,5 +1,6 @@
 """Tests for the fig10 runner and remaining manager operation paths."""
 
+import numpy as np
 import pytest
 
 from repro import Environment
@@ -29,6 +30,30 @@ class TestFig10Runner:
         assert before and after
         assert before[-1] > before[0]
         assert max(after) < before[-1] * 0.25
+        # the full published shape: a real rise before the sharp drop
+        assert len(before) >= 3
+        assert before[-1] > before[0] * 1.2
+
+    def test_paper_config_sharp_drop(self, result):
+        paper = result["paper_config_1024"]
+        e2e = paper["end_to_end"]
+        offline_at = next(t for t, label in paper["events"] if "offline bonds" in label)
+        before = [v for t, v in e2e if t <= offline_at]
+        after = [v for t, v in e2e if t > offline_at + 30]
+        assert after, "pipeline must keep exiting (to disk) after the prune"
+        # post-prune latency is a tiny fraction of pre-prune (or of the
+        # in-flight latency when nothing exited pre-prune)
+        reference = max(before) if before else offline_at - 15.0
+        assert max(after) < reference * 0.25
+
+    def test_paper_config_exit_rate_recovers_after_prune(self, result):
+        """After the prune the pipeline keeps pace with the application
+        again: one exit per output interval."""
+        paper = result["paper_config_1024"]
+        offline_at = next(t for t, label in paper["events"] if "offline bonds" in label)
+        gaps = np.diff([t for t, _ in paper["end_to_end"] if t > offline_at + 30])
+        assert len(gaps) > 5
+        assert np.median(gaps) == pytest.approx(15.0, rel=0.1)
 
     def test_renders_without_error(self, result):
         text = render(result)

@@ -71,6 +71,9 @@ class TestTable2Workloads:
     def test_interpolation_is_linear(self):
         a128 = atoms_for_nodes(128)
         assert a128 == pytest.approx(atoms_for_nodes(256) / 2, rel=0.01)
+        # weak scaling: atoms per node constant across the sweep
+        ratios = [atoms_for_nodes(n) / n for n in (128, 256, 512, 1024, 2048)]
+        assert max(ratios) - min(ratios) < 1.0
 
     def test_workload_properties(self):
         wl = WeakScalingWorkload(sim_nodes=512, staging_nodes=24, spare_staging_nodes=4)

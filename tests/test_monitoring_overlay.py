@@ -106,6 +106,9 @@ class TestPipelineOverlayMonitoring:
     def test_direct_mode_has_no_overlay(self):
         pipe = self._run("direct")
         assert pipe.monitoring_overlay is None
+        # the same management outcome as through the overlay
+        assert pipe.containers["bonds"].units >= 5
+        assert pipe.driver.blocked_time == 0.0
 
     def test_unknown_monitoring_rejected(self):
         spec = PipelineSpec("overlay", builder=dict(monitoring="telepathy"))

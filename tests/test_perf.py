@@ -1,4 +1,4 @@
-"""Tests for the perf-instrumentation layer: registry, report, cache."""
+"""Tests for the perf-instrumentation layer: registry and cache."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.perf.cache import KERNEL_CACHE, SnapshotKernelCache, array_digest
 from repro.perf.registry import REGISTRY, PerfRegistry
-from repro.perf.report import SCHEMA_VERSION, load_kernel_report, write_kernel_report
 
 
 @pytest.fixture(autouse=True)
@@ -83,32 +82,6 @@ class TestPerfRegistry:
             pass
         reg.count("b")
         assert reg.snapshot() == {"timers": {}, "counters": {}}
-
-
-class TestKernelReport:
-    def test_write_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        doc = write_kernel_report(
-            path, {"k": 0.5}, counters={"c": 3}, meta={"note": "first"}
-        )
-        assert doc["schema"] == SCHEMA_VERSION
-        assert set(doc) == {"schema", "meta", "results", "counters"}
-        loaded = load_kernel_report(path)
-        assert loaded == doc
-
-    def test_rerun_replaces_previous_report(self, tmp_path):
-        # no cross-run verdict: a rerun overwrites, it does not compare
-        path = tmp_path / "BENCH_kernels.json"
-        write_kernel_report(path, {"k": 1.0})
-        doc = write_kernel_report(path, {"k": 0.25, "new": 1.0})
-        assert doc["results"] == {"k": 0.25, "new": 1.0}
-        assert load_kernel_report(path) == doc
-
-    def test_load_missing_or_corrupt_returns_none(self, tmp_path):
-        assert load_kernel_report(tmp_path / "absent.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert load_kernel_report(bad) is None
 
 
 class TestArrayDigest:

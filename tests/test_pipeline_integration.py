@@ -94,6 +94,20 @@ class TestFigure8Scenario:
         assert series.values[-1] > series.values[0]
         assert series.values[-1] < series.values[0] * 1.5
 
+    def test_near_ideal_latency(self, pipe):
+        """Per-step latency ends within 10% of the service time, the
+        achievable minimum."""
+        series = pipe.telemetry.get("bonds", "latency_by_step")
+        service = pipe.containers["bonds"].spec.cost.serial_time(pipe.driver.workload.natoms)
+        assert series.values[-1] < service * 1.10
+
+    def test_buffer_occupancy_stays_low(self, pipe):
+        """Below the offline threshold throughout (contrast with Figure 9)."""
+        assert max(pipe.telemetry.get("bonds", "buffer_occupancy").values) < 0.35
+
+    def test_no_container_offline(self, pipe):
+        assert not any(c.offline for c in pipe.containers.values())
+
 
 class TestFigure9And10Scenario:
     """1024 sim + 24 staging (4 spare): spares, then offline cascade."""
@@ -133,6 +147,13 @@ class TestFigure9And10Scenario:
         """The whole point: the offline decision prevented the pipeline from
         blocking the simulation."""
         assert pipe.driver.blocked_time == 0.0
+
+    def test_occupancy_rises_until_offline(self, pipe):
+        occ = pipe.telemetry.get("bonds", "buffer_occupancy")
+        offline_at = next(t for t, label in pipe.telemetry.events if "offline bonds" in label)
+        before = [v for t, v in zip(occ.times, occ.values) if t <= offline_at]
+        assert before[-1] > before[0]
+        assert before[-1] >= 0.3  # the pressure was real
 
     def test_fig10_sharp_end_to_end_drop(self, pipe):
         times, values = pipe.telemetry.get("pipeline", "end_to_end").times, \

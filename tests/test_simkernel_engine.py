@@ -16,9 +16,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simkernel import Environment, FaultError, Interrupt, shuffle
+from repro.cluster import Machine
+from repro.simkernel import Environment, FaultError, Interrupt, Resource, Store, shuffle
 from repro.simkernel._reference import ReferenceEnvironment
 from repro.simkernel.events import NORMAL
+from repro.spec import PipelineSpec, WorkloadSpec, build
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +340,75 @@ class TestRunUntilDefuse:
         with pytest.raises(FaultError, match="boom"):
             env.run(until=ev)
         assert ev.defused
+
+
+# ---------------------------------------------------------------------------
+# substrate workloads: the runs the benchmark suite times, checked for their
+# results here
+# ---------------------------------------------------------------------------
+
+class TestSubstrateWorkloads:
+    def test_parallel_tickers_end_at_their_last_tick(self):
+        env = Environment()
+
+        def ticker(env):
+            for _ in range(2000):
+                yield env.timeout(1)
+
+        for _ in range(5):
+            env.process(ticker(env))
+        env.run()
+        assert env.now == 2000.0
+
+    def test_bounded_store_drains(self):
+        env = Environment()
+        store = Store(env, capacity=16)
+
+        def producer(env):
+            for i in range(3000):
+                yield store.put(i)
+
+        def consumer(env):
+            for _ in range(3000):
+                yield store.get()
+
+        env.process(producer(env))
+        env.process(consumer(env))
+        env.run()
+        assert store.size == 0
+
+    def test_contended_resource_is_released(self):
+        env = Environment()
+        res = Resource(env, capacity=4)
+
+        def user(env):
+            for _ in range(50):
+                req = res.request()
+                yield req
+                yield env.timeout(0.01)
+                res.release(req)
+
+        for _ in range(20):
+            env.process(user(env))
+        env.run()
+        assert res.count == 0
+
+    def test_every_network_transfer_counted(self):
+        env = Environment()
+        machine = Machine(env, num_nodes=8)
+
+        def sender(env, src, dst):
+            for _ in range(200):
+                yield machine.network.transfer(src, dst, 1e6)
+
+        for i in range(4):
+            env.process(sender(env, machine.nodes[i], machine.nodes[i + 4]))
+        env.run()
+        assert machine.network.stats.messages == 800
+
+    def test_fig7_run_completes_every_step(self):
+        env = Environment()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=20)
+        pipe = build(env, PipelineSpec("fig7", workload=wl, builder=dict(seed=1)))
+        pipe.run(settle=120)
+        assert pipe.containers["csym"].completions == 20
