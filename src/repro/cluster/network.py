@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.simkernel import Environment
+from repro.simkernel import Environment, Event
 from repro.simkernel.errors import FaultError
+from repro.simkernel.events import NORMAL, URGENT
 from repro.cluster.node import Node
 
 if TYPE_CHECKING:
@@ -134,43 +135,10 @@ class Network:
 
     # -- transfers ------------------------------------------------------------------
 
-    def transfer(self, src: Node, dst: Node, nbytes: float):
-        """Start a transfer; returns a process event that fires on completion."""
-        return self.env.process(
-            self._transfer(src, dst, nbytes),
-            name=("xfer {}->{}", src.node_id, dst.node_id),
-        )
-
-    def _transfer(self, src: Node, dst: Node, nbytes: float):
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        self._check_endpoints(src, dst)
-        if self.faults is not None:
-            self.faults.transit_check(src, dst, nbytes)
-        if src is dst:
-            # Intra-node move: software overhead only.
-            yield self.env.timeout(self.software_overhead)
-            return nbytes
-
-        start = self.env.now
-        send_req = src.nic.send_channel.request()
-        recv_req = dst.nic.recv_channel.request()
-        yield send_req & recv_req
-        waited = self.env.now - start
-        try:
-            duration = self.ideal_transfer_time(src, dst, nbytes)
-            if self.faults is not None:
-                duration *= self.faults.delay_factor(src, dst)
-            yield self.env.timeout(duration)
-        finally:
-            src.nic.send_channel.release(send_req)
-            dst.nic.recv_channel.release(recv_req)
-        # A crash during serialization loses the message at the receiver.
-        self._check_endpoints(src, dst)
-        src.nic.bytes_sent += nbytes
-        dst.nic.bytes_received += nbytes
-        self.stats.record(src.node_id, dst.node_id, nbytes, duration, waited)
-        return nbytes
+    def transfer(self, src: Node, dst: Node, nbytes: float) -> Event:
+        """Start a transfer; returns an event that fires with ``nbytes`` on
+        completion, or fails with the error that lost it."""
+        return _Transfer(self, src, dst, nbytes).result
 
     @staticmethod
     def _check_endpoints(src: Node, dst: Node) -> None:
@@ -179,18 +147,159 @@ class Network:
         if dst.failed:
             raise TransferError(f"destination node {dst.node_id} is down")
 
-    def rdma_get(self, reader: Node, target: Node, nbytes: float):
+    def rdma_get(self, reader: Node, target: Node, nbytes: float) -> Event:
         """Reader-initiated pull (RDMA GET), as used by DataTap/DataStager.
 
         Costs one extra control-message latency for the request, then the
         data flows target → reader.
         """
-        return self.env.process(
-            self._rdma_get(reader, target, nbytes),
-            name=("rdma {}->{}", target.node_id, reader.node_id),
-        )
+        return _RdmaGet(self, reader, target, nbytes).result
 
-    def _rdma_get(self, reader: Node, target: Node, nbytes: float):
-        yield self.env.timeout(self.latency(reader, target))  # GET request
-        result = yield self.transfer(target, reader, nbytes)
-        return result
+
+def _step(env: Environment, fn, priority: int) -> None:
+    """Schedule a bare event that runs ``fn`` when popped: the callback-chain
+    stand-in for a process's ``Initialize`` or a fired ``Condition``."""
+    ev = Event(env)
+    ev._value = None
+    ev.callbacks.append(fn)
+    env.schedule(ev, priority)
+
+
+class _Transfer:
+    """The transfer walker: one transfer moved through the network as callbacks.
+
+    It walks the *identical* event sequence a process per transfer did
+    (:mod:`repro.cluster._reference` keeps that process as the differential
+    oracle), with bare events and plain callbacks:
+
+    ==  ==========================  =====================================
+    #   process path                callback chain
+    ==  ==========================  =====================================
+    2   Initialize(xfer proc)       step event -> _launch
+    3   send-channel Request        same (real Request)
+    4   recv-channel Request        same (real Request)
+    5   AllOf condition fires       step event -> _serialize
+    6   serialization Timeout       same (real Timeout) -> _wire_done
+    7   xfer process completes      ``result`` succeeds (_completed)
+    F   xfer process fails          ``result`` fails (_failed)
+    ==  ==========================  =====================================
+
+    Every row schedules at the same time and priority, in the same global
+    ``schedule()`` order, so under any tie-breaker every downstream schedule
+    is byte-identical.  An intra-node transfer walks 2, an overhead
+    ``Timeout``, then 7.  Row F comes from row 2 (negative size, dead
+    endpoint, partition, drop) or row 6 (an endpoint crashed mid-wire); an
+    unwatched :class:`FaultError` lands in ``env.swallowed_faults`` as before.
+    Subclasses put rows in front (override :meth:`_begin`) and replace rows
+    7 and F (:meth:`_completed`, :meth:`_failed`), as
+    :class:`~repro.evpath.channel._FastSend` does: one object per message.
+    """
+
+    __slots__ = (
+        "network", "src", "dst", "nbytes", "result",
+        "_granted", "_send_req", "_recv_req", "_start", "_duration",
+    )
+
+    def __init__(self, network: Network, src: Node, dst: Node, nbytes: float):
+        self.network = network
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        #: fires with ``nbytes`` on completion, or fails with the error
+        self.result = Event(network.env)
+        _step(network.env, self._begin, URGENT)
+
+    def _launch(self, _event) -> None:
+        # [2] the transfer process body up to its first yield.
+        src, dst, nbytes = self.src, self.dst, self.nbytes
+        network = self.network
+        try:
+            if nbytes < 0:
+                raise ValueError(f"negative transfer size {nbytes}")
+            network._check_endpoints(src, dst)
+            if network.faults is not None:
+                network.faults.transit_check(src, dst, nbytes)
+        except (ValueError, FaultError) as error:
+            self._failed(error)
+            return
+        env = network.env
+        if src is dst:
+            # Intra-node move: software overhead only.
+            env.timeout(network.software_overhead).callbacks.append(self._completed)
+            return
+        self._start = env.now
+        self._granted = 0
+        send_req = self._send_req = src.nic.send_channel.request()
+        recv_req = self._recv_req = dst.nic.recv_channel.request()
+        send_req.callbacks.append(self._on_grant)
+        recv_req.callbacks.append(self._on_grant)
+
+    #: the first row; a subclass may walk rows of its own before [2]
+    _begin = _launch
+
+    def _on_grant(self, _event) -> None:
+        # [3]/[4] pop; when both channels are held, [5] fires the condition.
+        self._granted += 1
+        if self._granted == 2:
+            _step(self.network.env, self._serialize, NORMAL)
+
+    def _serialize(self, _event) -> None:
+        # [5] pop: start the wire-time clock.
+        network = self.network
+        env = network.env
+        self._start = env.now - self._start  # now holds the waited time
+        duration = network.ideal_transfer_time(self.src, self.dst, self.nbytes)
+        if network.faults is not None:
+            duration *= network.faults.delay_factor(self.src, self.dst)
+        self._duration = duration
+        env.timeout(duration).callbacks.append(self._wire_done)
+
+    def _wire_done(self, _event) -> None:
+        # [6] pop: release channels (may grant queued requests, exactly as
+        # the process path's finally block), account, complete.
+        src, dst, nbytes = self.src, self.dst, self.nbytes
+        network = self.network
+        src.nic.send_channel.release(self._send_req)
+        dst.nic.recv_channel.release(self._recv_req)
+        try:
+            # A crash during serialization loses the message at the receiver.
+            network._check_endpoints(src, dst)
+        except FaultError as error:
+            self._failed(error)
+            return
+        src.nic.bytes_sent += nbytes
+        dst.nic.bytes_received += nbytes
+        network.stats.record(src.node_id, dst.node_id, nbytes, self._duration, self._start)
+        self._completed(None)
+
+    def _completed(self, _event) -> None:
+        # [7] the transfer process returning ``nbytes``.
+        self.result.succeed(self.nbytes)
+
+    def _failed(self, error: Exception) -> None:
+        # [F] the transfer process raising ``error``.
+        self.result.fail(error)
+
+
+class _RdmaGet:
+    """An RDMA GET as callbacks, in the nested processes' event order: a
+    step event (the GET process's ``Initialize``), the request-latency
+    ``Timeout``, a transfer target → reader, and its outcome forwarded."""
+
+    __slots__ = ("network", "reader", "target", "nbytes", "result")
+
+    def __init__(self, network: Network, reader: Node, target: Node, nbytes: float):
+        self.network = network
+        self.reader = reader
+        self.target = target
+        self.nbytes = nbytes
+        self.result = Event(network.env)
+        _step(network.env, self._request, URGENT)
+
+    def _request(self, _event) -> None:
+        latency = self.network.latency(self.reader, self.target)
+        self.network.env.timeout(latency).callbacks.append(self._get)
+
+    def _get(self, _event) -> None:
+        xfer = self.network.transfer(self.target, self.reader, self.nbytes)
+        xfer.callbacks.append(self.result.trigger)

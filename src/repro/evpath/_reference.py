@@ -3,8 +3,9 @@
 :func:`send` is the generator :class:`~repro.evpath.channel.Messenger` ran
 as one :class:`~repro.simkernel.Process` per message before
 :class:`~repro.evpath.channel._FastSend` became the only send path: account
-the send, start a :meth:`~repro.cluster.network.Network.transfer` process,
-retry a :class:`FaultError` along the messenger's :class:`RetryPolicy`
+the send, start a transfer process (:func:`repro.cluster._reference.transfer`,
+the process the live ``Network.transfer`` ran before it became a callback
+chain), retry a :class:`FaultError` along the messenger's :class:`RetryPolicy`
 ladder, then deliver into the destination mailbox.  Running the same
 seeded send pattern through both and comparing every ``schedule()`` call
 pins the callback chain to these exact semantics — fault windows, retries,
@@ -18,6 +19,7 @@ Do not modify this file when optimizing the send path — it is the baseline.
 
 from __future__ import annotations
 
+from repro.cluster import _reference as cluster_reference
 from repro.simkernel.errors import FaultError
 from repro.evpath.messages import validate_message
 from repro.perf.registry import REGISTRY
@@ -35,7 +37,9 @@ def send(self, src_node, dest, message):
         try:
             # dest.node is read per attempt: a rehosted endpoint's new
             # placement takes effect on the retry.
-            yield self.network.transfer(src_node, dest.node, message.size_bytes)
+            yield cluster_reference.transfer(
+                self.network, src_node, dest.node, message.size_bytes
+            )
             break
         except FaultError:
             delay = next(delays, None)

@@ -8,7 +8,7 @@ from typing import Dict, Optional
 from repro.simkernel import Environment, Event
 from repro.simkernel.errors import FaultError, SimulationError
 from repro.simkernel.events import NORMAL, URGENT
-from repro.cluster.network import Network
+from repro.cluster.network import Network, _step, _Transfer
 from repro.cluster.node import Node
 from repro.evpath.endpoint import Endpoint
 from repro.evpath.messages import Message, validate_message
@@ -70,23 +70,16 @@ class RetryPolicy:
             delay *= self.backoff
 
 
-class _FastSend:
-    """The send path: one message walked through the network as callbacks.
-
-    A process-per-message send costs two generators, two ``Initialize``
-    events, a ``Condition`` and several names per message.  This class walks
-    the *identical* event sequence — fault windows, retries and rehosted
-    endpoints included — with bare events and plain callbacks:
+class _FastSend(_Transfer):
+    """The send path: a :class:`~repro.cluster.network._Transfer` (rows 2-6)
+    with the send's own rows around it, so one object walks a message
+    through the *identical* event sequence of the process send that
+    :mod:`repro.evpath._reference` keeps as the differential oracle:
 
     ==  ==========================  =====================================
     #   process path                callback chain
     ==  ==========================  =====================================
     1   Initialize(send proc)       step event -> _begin
-    2   Initialize(xfer proc)       step event -> _transfer_start
-    3   send-channel Request        same (real Request)
-    4   recv-channel Request        same (real Request)
-    5   AllOf condition fires       step event -> _serialize
-    6   serialization Timeout       same (real Timeout)
     7   xfer process completes      step event -> _deliver
     8   mailbox StorePut            same (real StorePut)
     9   send process completes      ``result`` succeeds
@@ -95,50 +88,23 @@ class _FastSend:
     X   retries exhausted           ``result`` fails
     ==  ==========================  =====================================
 
-    Each row schedules at the same priority/time and in the same global
-    ``schedule()`` call order, so under any tie-breaker the heap — and
-    therefore every downstream schedule — is byte-identical to the process
-    path, which :mod:`repro.evpath._reference` keeps as the differential
-    oracle.  NIC contention is real: rows 3/4 are ordinary
-    :class:`Resource` requests that queue exactly as before.  An intra-node
-    send (``src is dst``) walks the shorter 1-2-overhead-7-8-9 chain.
-
-    Row F is reached from row 2 (a dead endpoint node, a partition, a
-    dropped message: ``Network._check_endpoints`` then
-    ``faults.transit_check``, the calls the transfer process makes) or
-    from row 6 (an endpoint node crashed mid-serialization).  A
-    :class:`FaultError` is retried along the messenger's
+    A :class:`FaultError` at row F is retried along the messenger's
     :class:`RetryPolicy` ladder, keyed ``src:dest:messages_sent`` as of row
-    1, and ``dest.node`` is re-read before each attempt so a rehosted
-    endpoint's new placement applies; once the ladder is spent ``result``
-    fails, so an unwatched send is counted in ``env.swallowed_faults``.
+    1, re-reading ``dest.node`` so a rehosted endpoint's new placement
+    applies; a spent ladder fails ``result``, so an unwatched send is
+    counted in ``env.swallowed_faults``.
     """
 
-    __slots__ = (
-        "messenger", "src", "dest", "message", "result",
-        "_dst", "_granted", "_send_req", "_recv_req", "_start", "_duration",
-        "_seq", "_delays",
-    )
+    __slots__ = ("messenger", "dest", "message", "_seq", "_delays")
 
     def __init__(self, messenger: "Messenger", src_node: Node, dest: Endpoint, message: Message):
         self.messenger = messenger
-        self.src = src_node
         self.dest = dest
         self.message = message
-        #: fires with the message after mailbox delivery, or fails with the
-        #: transfer's last error once retries are exhausted
-        self.result = Event(messenger.env)
         self._delays = None
-        self._step(self._begin, URGENT)
-
-    def _step(self, fn, priority: int) -> None:
-        """Schedule a bare event that runs ``fn`` when popped."""
-        env = self.messenger.env
-        ev = Event(env)
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(fn)
-        env.schedule(ev, priority)
+        # ``result`` fires with the message after mailbox delivery, or fails
+        # with the transfer's last error once retries are exhausted.
+        _Transfer.__init__(self, messenger.network, src_node, None, message.size_bytes)
 
     def _begin(self, _event) -> None:
         # [1] what the send process did first: control-plane accounting,
@@ -147,78 +113,14 @@ class _FastSend:
         messenger.messages_sent += 1
         messenger.bytes_sent += self.message.size_bytes
         self._seq = messenger.messages_sent
-        self._dst = self.dest.node
-        self._step(self._transfer_start, URGENT)
+        self.dst = self.dest.node
+        _step(self.messenger.env, self._launch, URGENT)
 
-    def _transfer_start(self, _event) -> None:
-        # [2] the transfer process body up to its first yield.
-        src, dst = self.src, self._dst
-        network = self.messenger.network
-        faults = network.faults
-        if faults is not None or src.failed or dst.failed:
-            try:
-                network._check_endpoints(src, dst)
-                if faults is not None:
-                    faults.transit_check(src, dst, self.message.size_bytes)
-            except FaultError as error:
-                self._fail(error)
-                return
-        env = network.env
-        if src is dst:
-            # Intra-node move: software overhead only, then deliver.
-            t = env.timeout(network.software_overhead)
-            t.callbacks.append(self._local_done)
-            return
-        self._start = env.now
-        self._granted = 0
-        send_req = self._send_req = src.nic.send_channel.request()
-        recv_req = self._recv_req = dst.nic.recv_channel.request()
-        send_req.callbacks.append(self._on_grant)
-        recv_req.callbacks.append(self._on_grant)
+    def _completed(self, _event) -> None:
+        # [7] the transfer process completed: the send process resumes.
+        _step(self.messenger.env, self._deliver, NORMAL)
 
-    def _on_grant(self, _event) -> None:
-        # [3]/[4] pop; when both channels are held, [5] fires the condition.
-        self._granted += 1
-        if self._granted == 2:
-            self._step(self._serialize, NORMAL)
-
-    def _serialize(self, _event) -> None:
-        # [5] pop: start the wire-time clock.
-        network = self.messenger.network
-        env = network.env
-        self._start = env.now - self._start  # now holds the waited time
-        duration = network.ideal_transfer_time(self.src, self._dst, self.message.size_bytes)
-        if network.faults is not None:
-            duration *= network.faults.delay_factor(self.src, self._dst)
-        self._duration = duration
-        t = env.timeout(duration)
-        t.callbacks.append(self._transfer_done)
-
-    def _transfer_done(self, _event) -> None:
-        # [6] pop: release channels (may grant queued requests, exactly as
-        # the process path's finally block), account, complete the transfer.
-        src, dst = self.src, self._dst
-        network = self.messenger.network
-        src.nic.send_channel.release(self._send_req)
-        dst.nic.recv_channel.release(self._recv_req)
-        if src.failed or dst.failed:
-            # A crash during serialization loses the message at the receiver.
-            try:
-                network._check_endpoints(src, dst)
-            except FaultError as error:
-                self._fail(error)
-                return
-        nbytes = self.message.size_bytes
-        src.nic.bytes_sent += nbytes
-        dst.nic.bytes_received += nbytes
-        network.stats.record(src.node_id, dst.node_id, nbytes, self._duration, self._start)
-        self._step(self._deliver, NORMAL)
-
-    def _local_done(self, _event) -> None:
-        # Intra-node [overhead] pop -> the transfer process's completion.
-        self._step(self._deliver, NORMAL)
-
-    def _fail(self, error: FaultError) -> None:
+    def _failed(self, error: Exception) -> None:
         # [F] the transfer process failing: a failed event the send process
         # would have caught (hence defused), popped at NORMAL.
         ev = Event(self.messenger.env)
@@ -234,10 +136,11 @@ class _FastSend:
         if self._delays is None:
             key = f"{self.src.node_id}:{self.dest.name}:{self._seq}"
             self._delays = iter(messenger.retry.delays(key))
-        delay = next(self._delays, None)
+        error = event._value
+        delay = next(self._delays, None) if isinstance(error, FaultError) else None
         if delay is None:
-            # [X] retries exhausted: surface the FaultError.
-            self.result.fail(event._value)
+            # [X] retries exhausted (or not a fault): surface the error.
+            self.result.fail(error)
             return
         messenger.retries += 1
         REGISTRY.count("evpath.retries")
@@ -248,8 +151,8 @@ class _FastSend:
     def _retry(self, _event) -> None:
         # [R] pop: dest.node is read per attempt, so a rehosted endpoint's
         # new placement takes effect on the retry.
-        self._dst = self.dest.node
-        self._step(self._transfer_start, URGENT)
+        self.dst = self.dest.node
+        _step(self.messenger.env, self._launch, URGENT)
 
     def _deliver(self, _event) -> None:
         # [7] pop: the send process resumed and called dest.deliver().

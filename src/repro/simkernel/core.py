@@ -20,10 +20,12 @@ for raw events/sec (gated by ``tests/test_speed_gates.py``):
   of the ``peek()``/``failed``/``processed`` property round-trips, and no
   per-step ``try/except`` — with a dedicated tight loop for the common
   run-to-exhaustion case;
-* :meth:`schedule` is monomorphic for the default :class:`InsertionOrder`
-  tie-breaker: the tie key is the sequence number itself, no virtual
-  :meth:`TieBreaker.key` call (a non-default tie-breaker still goes
-  through the virtual call, so DST schedule exploration is unchanged);
+* :meth:`schedule` is monomorphic for the two stock tie-breakers: with
+  :class:`InsertionOrder` the tie key is the sequence number itself, and
+  :class:`SeededShuffle`'s splitmix64 rank is computed inline and packed
+  with the sequence number into one int that orders exactly like its
+  ``(rank, eid)`` key — no virtual :meth:`TieBreaker.key` call either way
+  (any other tie-breaker still goes through the virtual call);
 * abandoned events — request-timeout losers, the stale targets of
   interrupted processes — are *tombstoned* by :meth:`cancel` and skipped
   at pop instead of processed as dead no-ops; when tombstones dominate a
@@ -101,6 +103,10 @@ class SeededShuffle(TieBreaker):
     identical for an identical seed, and ``eid`` still breaks rank
     collisions reproducibly.  Cross-slot ordering (time, then URGENT
     before NORMAL) is untouched: only legal reorderings are explored.
+
+    :meth:`Environment.schedule` computes the same order inline, as the
+    int ``rank << 64 | eid``; :meth:`key` stays the oracle it is tested
+    against.
     """
 
     def __init__(self, seed: int):
@@ -174,10 +180,11 @@ class Environment:
     @tie_breaker.setter
     def tie_breaker(self, tb: TieBreaker) -> None:
         self._tie_breaker = tb
-        # Monomorphic fast path: with the stock InsertionOrder the tie key
-        # IS the sequence number — no virtual key() call per schedule.  A
-        # subclass (or any other tie-breaker) keeps the virtual dispatch.
+        # Monomorphic fast paths for the stock InsertionOrder and
+        # SeededShuffle: no virtual key() call per schedule.  A subclass (or
+        # any other tie-breaker) keeps the virtual dispatch.
         self._fast_tiebreak = type(tb) is InsertionOrder
+        self._shuffle_base = tb._base if type(tb) is SeededShuffle else None
 
     # -- factories ------------------------------------------------------------
 
@@ -206,16 +213,20 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         eid = self._eid = self._eid + 1
+        if self._fast_tiebreak:
+            key = eid
+        elif self._shuffle_base is not None:
+            # SeededShuffle.key inlined: splitmix64(base ^ eid) is the rank,
+            # and ``rank << 64 | eid`` orders exactly like the ``(rank, eid)``
+            # tuple while eid < 2**64 — an int compares and allocates less.
+            x = ((self._shuffle_base ^ eid) + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            key = (x ^ (x >> 31)) << 64 | eid
+        else:
+            key = self._tie_breaker.key(eid)
         queue = self._queue
-        heappush(
-            queue,
-            (
-                self._now + delay,
-                priority,
-                eid if self._fast_tiebreak else self._tie_breaker.key(eid),
-                event,
-            ),
-        )
+        heappush(queue, (self._now + delay, priority, key, event))
         if len(queue) > self.heap_peak:
             self.heap_peak = len(queue)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.simkernel.errors import Interrupt, SimulationError
-from repro.simkernel.events import Event, URGENT
+from repro.simkernel.events import Event, Initialize, URGENT
 
 
 class Process(Event):
@@ -30,7 +30,7 @@ class Process(Event):
     def __init__(self, env, generator: Generator, name=None):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        Event.__init__(self, env)
         self._generator = generator
         #: None (derive from the generator), a str, or a lazy
         #: ``(format_string, *args)`` tuple rendered on first read.
@@ -40,9 +40,6 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: The one bound method used for every event subscription.
         self._resume_cb = self._resume
-
-        from repro.simkernel.events import Initialize
-
         Initialize(env, self)
 
     @property

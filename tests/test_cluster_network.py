@@ -4,8 +4,9 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.simkernel import Environment
+from repro.simkernel import Environment, FaultError
 from repro.cluster import Machine, Network, Node, franklin, redsky
 from repro.cluster.machine import torus_3d
 from repro.cluster.network import _PAIR_KEY
@@ -196,3 +197,211 @@ class TestTransfer:
 
 def bad(env, m):
     yield m.network.transfer(m.nodes[0], m.nodes[1], -5)
+
+
+class TestTransferWalkerIdentity:
+    """``Network.transfer`` and ``Network.rdma_get`` (the ``_Transfer``
+    callback chain) must schedule the *identical* event sequence the
+    process-per-transfer generators in :mod:`repro.cluster._reference` do:
+    same ``schedule()`` calls, same outcomes, same accounting."""
+
+    @staticmethod
+    def _run(oracle, scenario, tie_seed=None):
+        """Run ``scenario(env, machine)`` under a ``schedule()`` spy, with
+        the live walker or, with ``oracle``, the reference processes."""
+        from unittest import mock
+
+        from repro.cluster import _reference
+        from repro.simkernel import shuffle
+        from repro.simkernel.events import NORMAL
+
+        env = Environment() if tie_seed is None else Environment(tie_breaker=shuffle(tie_seed))
+        machine = Machine(env, num_nodes=6, cores_per_node=2, nic_streams=1)
+        log = []
+        orig = env.schedule
+
+        def kind(event):
+            name = type(event).__name__
+            return name if name in ("Request", "Timeout") else "ev"
+
+        def spy(event, priority=NORMAL, delay=0.0):
+            log.append((round(env.now, 12), priority, round(delay, 12), kind(event)))
+            return orig(event, priority, delay)
+
+        env.schedule = spy
+        patches = (
+            [mock.patch.object(Network, "transfer", _reference.transfer),
+             mock.patch.object(Network, "rdma_get", _reference.rdma_get)]
+            if oracle else []
+        )
+        for patch in patches:
+            patch.start()
+        try:
+            outcome = scenario(env, machine)
+            try:
+                env.run()
+                raised = None
+            except Exception as error:  # an unwatched non-fault failure
+                raised = (type(error).__name__, str(error))
+        finally:
+            for patch in patches:
+                patch.stop()
+        stats = machine.network.stats
+        faults = machine.network.faults
+        return dict(
+            log=log, outcome=outcome, raised=raised, now=env.now,
+            swallowed=env.swallowed_faults,
+            dropped=getattr(faults, "dropped", None),
+            partitioned=getattr(faults, "partitioned", None),
+            stats=(stats.messages, stats.bytes, stats.busy_time, stats.wait_time,
+                   dict(stats.per_pair)),
+            nics=[(n.nic.bytes_sent, n.nic.bytes_received) for n in machine.nodes],
+        )
+
+    @staticmethod
+    def _mover(env, machine, done, at, op, a, b, size, label, watched=True):
+        """After ``at`` seconds start ``op`` ("xfer" a -> b, or "rdma":
+        reader a pulls from target b); record how it ended if ``watched``."""
+        net = machine.network
+        yield env.timeout(at)
+        start = net.transfer if op == "xfer" else net.rdma_get
+        event = start(machine.nodes[a], machine.nodes[b], size)
+        if not watched:
+            return
+        try:
+            got = yield event
+            done.append((env.now, label, "ok", got))
+        except (FaultError, ValueError) as error:
+            done.append((env.now, label, type(error).__name__, str(error)))
+
+    def _contended(self, env, machine):
+        """Capacity-1 NICs force queueing at senders and receivers; RDMA
+        GETs contend with pushes; intra-node moves skip the NICs."""
+        done = []
+        moves = [
+            (0.0, "xfer", 0, 1, 1e8), (0.0, "xfer", 0, 2, 1e8),
+            (0.0, "xfer", 3, 1, 5e7), (0.0, "xfer", 0, 0, 1e9),
+            (0.01, "rdma", 1, 0, 1e8), (0.0, "rdma", 4, 4, 10),
+            (0.05, "xfer", 2, 1, 2e7), (0.05, "rdma", 2, 3, 3e7),
+            (0.0, "xfer", 5, 4, 0),
+        ]
+        for i, (at, op, a, b, size) in enumerate(moves):
+            env.process(self._mover(env, machine, done, at, op, a, b, size, i))
+        return done
+
+    def _faulty(self, env, machine):
+        """Partition, drop and degrade windows; an endpoint crashed before
+        and one during serialization; negative sizes; fire-and-forget
+        transfers and GETs lost to a dead node."""
+        from repro.faults import NetworkFaultState
+        from repro.faults.plan import FaultPlan
+
+        n = machine.nodes
+        plan = FaultPlan(seed=11)
+        plan.link_partition(0.0, (1,), duration=0.5)
+        plan.message_drop(1.0, (2,), probability=0.5, duration=2.0)
+        plan.link_degrade(0.0, (3,), factor=3.0, duration=10.0)
+        machine.network.faults = NetworkFaultState(env, plan)
+        done = []
+
+        def go(at, op, a, b, size, label, watched=True):
+            env.process(self._mover(env, machine, done, at, op, a, b, size, label, watched))
+
+        go(0.1, "xfer", 0, 1, 1e6, "partitioned")
+        go(0.1, "rdma", 1, 0, 1e6, "partitioned-get")
+        go(0.6, "xfer", 0, 1, 1e6, "healed")
+        for i in range(12):
+            go(1.0 + 0.1 * i, "xfer", 0, 2, 1e6, f"drop{i}")
+            go(1.0 + 0.1 * i, "xfer", 2, 2, 1e6, f"drop-local{i}")
+            go(1.05 + 0.1 * i, "rdma", 0, 2, 1e6, f"drop-get{i}")
+        go(0.2, "xfer", 0, 3, 1e8, "degraded")
+        go(0.2, "xfer", 0, 1, -5, "negative")
+        go(0.2, "rdma", 0, 4, -5, "negative-get")
+
+        def chaos(env):
+            yield env.timeout(2.5)
+            n[5].fail()  # before the transfers to and GETs from node 5
+            yield env.timeout(1.1)
+            n[4].fail()  # mid-serialization of the big transfer to node 4
+
+        env.process(chaos(env))
+        go(3.0, "xfer", 0, 5, 1e6, "dead-dst")
+        go(3.0, "rdma", 0, 5, 1e6, "dead-target")
+        go(3.5, "xfer", 0, 4, int(1.6 * 2**30), "crashed-mid-wire")
+        go(3.0, "xfer", 1, 5, 1e3, "forgotten", watched=False)
+        go(3.0, "rdma", 1, 5, 1e3, "forgotten-get", watched=False)
+        return done
+
+    def test_contended_matches_process_path(self):
+        fast = self._run(False, self._contended)
+        slow = self._run(True, self._contended)
+        assert fast == slow
+        assert fast["stats"][3] > 0  # the NICs really queued
+
+    def test_faults_match_process_path(self):
+        fast = self._run(False, self._faulty)
+        slow = self._run(True, self._faulty)
+        assert fast == slow
+        # the scenario really reaches every branch it is meant to pin
+        outcome = {label: (now, *rest) for now, label, *rest in fast["outcome"]}
+        assert fast["partitioned"] == 2 and fast["dropped"] > 0
+        assert outcome["partitioned"][1] == "TransferError"
+        assert outcome["healed"][1] == "ok"
+        assert outcome["negative"][1:] == ("ValueError", "negative transfer size -5")
+        assert outcome["negative-get"][1:] == ("ValueError", "negative transfer size -5")
+        assert outcome["dead-dst"][1:] == ("TransferError", "destination node 5 is down")
+        assert outcome["dead-target"][1:] == ("TransferError", "source node 5 is down")
+        assert outcome["crashed-mid-wire"][1:] == (
+            "TransferError", "destination node 4 is down")
+        assert any(outcome[f"drop-local{i}"][1] == "TransferError" for i in range(12))
+        assert fast["swallowed"] == 2  # the two fire-and-forget losses
+
+    def test_unwatched_negative_size_raises_identically(self):
+        def scenario(env, machine):
+            env.process(self._mover(env, machine, [], 0.0, "xfer", 0, 0, 1e3, 0))
+            machine.network.transfer(machine.nodes[0], machine.nodes[1], -1)
+            return None
+
+        fast = self._run(False, scenario)
+        assert fast == self._run(True, scenario)
+        assert fast["raised"] == ("ValueError", "negative transfer size -1")
+
+    @given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_seeded_mix_matches_process_path(self, seed, shuffled):
+        import random
+
+        from repro.faults import NetworkFaultState
+        from repro.faults.plan import FaultPlan
+
+        def scenario(env, machine):
+            rng = random.Random(seed)
+            plan = FaultPlan(seed=seed)
+            plan.link_partition(rng.uniform(0, 2), (rng.randrange(6),),
+                                duration=rng.uniform(0.01, 0.5))
+            plan.message_drop(rng.uniform(0, 2), (rng.randrange(6),),
+                              probability=rng.random(), duration=rng.uniform(0.1, 1.0))
+            plan.link_degrade(rng.uniform(0, 2), (rng.randrange(6),),
+                              factor=rng.uniform(1.0, 4.0), duration=rng.uniform(0.1, 1.0))
+            machine.network.faults = NetworkFaultState(env, plan)
+            victim, crash_at = rng.randrange(6), rng.uniform(0, 3)
+
+            def chaos(env):
+                yield env.timeout(crash_at)
+                machine.nodes[victim].fail()
+
+            env.process(chaos(env))
+            done = []
+            for i in range(20):
+                watched = rng.random() < 0.8
+                size = rng.choice((0, 1e3, 1e6, 1e8, 3e8) + ((-1,) if watched else ()))
+                env.process(self._mover(
+                    env, machine, done, round(rng.uniform(0, 3), 3),
+                    rng.choice(("xfer", "rdma")), rng.randrange(6), rng.randrange(6),
+                    size, i, watched,
+                ))
+            return done
+
+        tie_seed = seed if shuffled else None
+        fast = self._run(False, scenario, tie_seed)
+        assert fast == self._run(True, scenario, tie_seed)

@@ -318,8 +318,9 @@ class TestFastSendIdentity:
         """Every fault the send path handles: a partition healed between
         retries, a drop window (intra-node sends included), link
         degradation, a node crashed before a send, another crashed
-        mid-serialization whose endpoint is rehosted between retries, and a
-        fire-and-forget send that exhausts its retries."""
+        mid-serialization whose endpoint is rehosted between retries, a
+        fire-and-forget send that exhausts its retries, and a negative
+        size, which fails without a retry."""
         from repro.faults import NetworkFaultState
         from repro.faults.plan import FaultPlan
         from repro.evpath.messages import Message, MessageType
@@ -347,7 +348,7 @@ class TestFastSendIdentity:
             try:
                 got = yield send(src, to, msg)
                 done.append((env.now, payload, "ok", got.payload))
-            except FaultError as error:
+            except (FaultError, ValueError) as error:
                 done.append((env.now, payload, "failed", str(error)))
 
         def chaos(env):
@@ -366,6 +367,7 @@ class TestFastSendIdentity:
             env.process(sender(env, 1.0 + 0.1 * i, n[2], "lossy_local", f"l{i}"))
         env.process(sender(env, 3.0, n[0], "mover", "big", size=int(1.6 * 2**30)))
         env.process(sender(env, 3.0, n[0], "dead", "waited"))
+        env.process(sender(env, 0.2, n[0], "lossy", "negative", size=-5))
 
         def fire_and_forget(env):
             yield env.timeout(3.0)
@@ -392,6 +394,7 @@ class TestFastSendIdentity:
         assert fast["retries"] > 0 and fast["swallowed"] == 1
         assert outcome["big"][1] == "ok"  # delivered on its rehosted node
         assert outcome["waited"][1:] == ("failed", "destination node 5 is down")
+        assert outcome["negative"] == (0.2, "failed", "negative transfer size -5")
         # an intra-node send in the drop window was dropped and retried
         assert any(outcome[f"l{i}"][0] >= 1.0 + 0.1 * i + 0.05 for i in range(12))
 

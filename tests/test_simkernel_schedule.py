@@ -133,6 +133,30 @@ class TestSeededShuffle:
     def test_repr_names_seed(self):
         assert "42" in repr(SeededShuffle(42))
 
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        eids=st.lists(st.integers(1, 2**64 - 1), min_size=2, max_size=40, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inline_int_key_orders_like_tuple_key(self, seed, eids):
+        """``schedule`` pushes ``rank << 64 | eid`` for a stock shuffle; it
+        must carry the oracle's ``(rank, eid)`` and sort identically."""
+        from repro.simkernel import Event
+
+        tie_breaker = SeededShuffle(seed)
+        env = Environment(tie_breaker=tie_breaker)
+
+        def pushed_key(eid):
+            env._queue.clear()
+            env._eid = eid - 1
+            env.schedule(Event(env))
+            return env._queue[0][2]
+
+        keys = {eid: pushed_key(eid) for eid in eids}
+        for eid, key in keys.items():
+            assert (key >> 64, key & (2**64 - 1)) == tie_breaker.key(eid)
+        assert sorted(eids, key=keys.get) == sorted(eids, key=tie_breaker.key)
+
 
 class TestSwallowedFaults:
     def test_unwaited_fault_failure_counts_not_raises(self):

@@ -2,7 +2,8 @@
 same interpreter, so the ratios do not depend on the host.
 
 * the event engine against :class:`repro.simkernel._reference.ReferenceEnvironment`
-  (with the process-per-message send of :mod:`repro.evpath._reference`);
+  (with the process-per-message send of :mod:`repro.evpath._reference` and
+  the process-per-transfer data plane of :mod:`repro.cluster._reference`);
 * the vectorized analysis kernels against their seed ``_reference_*``
   implementations, plus the MD integrator's neighbour-list rebuild counts;
 * Table I's complexity column, fitted from kernel timings.
@@ -17,7 +18,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.cluster import Machine
+from repro.cluster import Machine, Network
+from repro.cluster import _reference as reference_transfer
 from repro.evpath import Messenger
 from repro.evpath import _reference as reference_send
 from repro.evpath import channel
@@ -44,6 +46,7 @@ N_TICK = 200_000
 N_DRAIN = 200_000
 N_CHURN = 20_000
 N_SEND = 8_000
+N_XFER = 8_000
 #: optimized/reference pairs per workload; the gate reads their median ratio
 PAIRS = 11
 #: acceptance floor: timeout_drain must beat the reference engine by this much
@@ -56,6 +59,8 @@ BASELINE_SPEEDUP = {
     "timeout_drain": 3273.7739276169527,
     "timeout_churn": 1.3949739023859233,
     "messenger_send": 1.5660380149959576,
+    # median of 8 full-size gate runs (Python 3.11, 2-core x86-64 host)
+    "network_transfer": 1.64235,
 }
 
 
@@ -125,10 +130,36 @@ def messenger_send(env_cls):
     return seconds
 
 
+def network_transfer(env_cls):
+    """Data-plane pushes and RDMA GETs over a real machine/NIC model."""
+    t0 = time.perf_counter()
+    env = env_cls()
+    machine = Machine(env, num_nodes=8, cores_per_node=2)
+    network, nodes = machine.network, machine.nodes
+
+    def mover(env, i):
+        peer = nodes[i + 4]
+        for k in range(N_XFER // 4):
+            if k % 2:
+                yield network.rdma_get(nodes[i], peer, 65536)
+            else:
+                yield network.transfer(nodes[i], peer, 65536)
+
+    for i in range(4):
+        env.process(mover(env, i))
+    env.run()
+    seconds = time.perf_counter() - t0
+    assert network.stats.messages == N_XFER
+    return seconds
+
+
 def _reference(workload):
-    """The workload on the reference engine, its sends taking the
-    process-per-message path, so the whole pre-fast-path stack is measured."""
-    with mock.patch.object(channel.Messenger, "send", reference_send.send_process):
+    """The workload on the reference engine, its sends, transfers and RDMA
+    GETs taking the process path, so the whole pre-fast-path stack is
+    measured."""
+    with mock.patch.object(channel.Messenger, "send", reference_send.send_process), \
+            mock.patch.object(Network, "transfer", reference_transfer.transfer), \
+            mock.patch.object(Network, "rdma_get", reference_transfer.rdma_get):
         return workload(ReferenceEnvironment)
 
 
@@ -147,7 +178,8 @@ def median_speedup(workload):
     return statistics.median(ratios)
 
 
-@pytest.mark.parametrize("workload", [raw_ticker, timeout_drain, timeout_churn, messenger_send],
+@pytest.mark.parametrize("workload", [raw_ticker, timeout_drain, timeout_churn, messenger_send,
+                                      network_transfer],
                          ids=lambda w: w.__name__)
 def test_engine_speedup_holds(workload):
     speedup = median_speedup(workload)
