@@ -74,15 +74,21 @@ class Node:
     # -- fault hooks ------------------------------------------------------------
 
     def fail(self) -> None:
-        """Mark the node crashed (fault injection)."""
+        """Mark the node crashed (fault injection), then tell the run's
+        health listeners (``env.health_listeners``)."""
         self.failed = True
         self.failed_at = self.env.now
+        for listener in self.env.health_listeners:
+            listener(self)
 
     def restore(self) -> None:
-        """Bring the node back after a crash or slow-down."""
+        """Bring the node back after a crash or slow-down, then tell the
+        run's health listeners."""
         self.failed = False
         self.failed_at = None
         self.slow_factor = 1.0
+        for listener in self.env.health_listeners:
+            listener(self)
 
     # -- memory -----------------------------------------------------------------
 

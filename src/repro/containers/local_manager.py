@@ -550,7 +550,6 @@ class LocalManager:
                 "latency_mean": container.latency.mean(),
                 "latency_est": container.latency_estimate(),
                 "latency_last": container.latency.last(),
-                "latency_trend": container.latency.trend(),
                 "queued": container.total_queued,
                 "queue_samples": list(container.queue_samples[-8:]),
                 "buffer_occupancy": container.upstream_buffer_occupancy(),

@@ -9,9 +9,9 @@ existing overlay for free).
 
 A replica's lease is a *grid*: it beats at ``t0 + k * interval`` from the
 instant it is watched.  The detector credits those beats arithmetically
-on every scan (and on :meth:`FailureDetector.unwatch`) instead of
-simulating one HEARTBEAT message per interval.  Three cut-offs decide
-which grid beats count:
+(at a scan, on :meth:`FailureDetector.unwatch`, and when
+:attr:`FailureDetector.beats` is read) instead of simulating one HEARTBEAT
+message per interval.  Three cut-offs decide which grid beats count:
 
 * **Member crash.** A beat due at or after the member node's crash
   (:attr:`~repro.cluster.node.Node.failed_at`) is never credited — a dead
@@ -30,8 +30,11 @@ Outside link-fault windows a liveness beat is modelled as a small eager
 message: it holds no NIC stream slot, so it never delays a data-plane
 transfer.
 
-A member whose lease goes silent past ``lease_timeout`` is *suspected* and
-the detector's ``on_suspect`` callback fires — recovery decides what to do.
+A member whose lease goes silent past ``lease_timeout`` is *suspected* at
+the next scan instant, and the detector's ``on_suspect`` callback fires —
+recovery decides what to do.  Scans are quiescent: the detector wakes only
+at an instant where one can fall due, so a healthy grid lease costs no
+event at all.
 Suspicion is not conviction: a later beat from a suspected member clears it
 and increments :attr:`FailureDetector.false_positives` (a partition longer
 than the lease makes this reachable, which is why the accounting exists).
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simkernel import Environment, Interrupt
+from repro.simkernel import Environment, Event, Interrupt
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
@@ -67,25 +70,38 @@ class _Lease:
         return self.t0 + k * self.interval
 
 
+#: scan instants per lease timeout: the scan grid's step is
+#: ``lease_timeout / SCANS_PER_LEASE``
+SCANS_PER_LEASE = 4
+
+
 class FailureDetector:
     """Tracks leases for a set of members and suspects the silent ones.
+
+    Suspicion is decided on a scan grid: instants ``s_{n+1} = s_n + step``
+    chained from :meth:`start`, ``step = lease_timeout / SCANS_PER_LEASE``.
+    The detector wakes only at an instant where a scan can change something
+    (see :meth:`_due`); every other instant is skipped, its credits taken
+    lazily, so suspicions, re-grants and credited beats are exactly those
+    of a scan at every instant (:mod:`repro.faults._reference` keeps that
+    scanning detector as the oracle).
 
     Parameters
     ----------
     env:
         Simulation environment.
     name:
-        Label for processes and reporting.
+        Label for reporting.
     lease_timeout:
         Seconds of silence after which a member is suspected.
-    check_interval:
-        Lease-scan period; defaults to a quarter of the timeout.
     on_suspect:
         Callback ``fn(member)`` invoked when a member is first suspected.
     suspend_when:
         Optional predicate; while it returns True (e.g. the detector's own
         host node is down) scanning pauses and, on resume, every lease is
-        re-granted so the outage itself does not convict every member.
+        re-granted so the outage itself does not convict every member.  It
+        is re-read at each wake and whenever a node fails or is restored,
+        so it must change only with node health.
     """
 
     def __init__(
@@ -93,7 +109,6 @@ class FailureDetector:
         env: Environment,
         name: str,
         lease_timeout: float,
-        check_interval: Optional[float] = None,
         on_suspect: Optional[Callable[[str], None]] = None,
         suspend_when: Optional[Callable[[], bool]] = None,
     ):
@@ -102,7 +117,7 @@ class FailureDetector:
         self.env = env
         self.name = name
         self.lease_timeout = float(lease_timeout)
-        self.check_interval = float(check_interval or lease_timeout / 4.0)
+        self.check_interval = self.lease_timeout / SCANS_PER_LEASE
         self.on_suspect = on_suspect
         self.suspend_when = suspend_when
         self._last_beat: Dict[str, float] = {}
@@ -110,16 +125,23 @@ class FailureDetector:
         self.suspected = set()
         #: members suspected and later heard from again
         self.false_positives = 0
-        #: total beats accepted, credited grid beats included
-        self.beats = 0
+        #: scans run (wakes of the scan timer)
+        self.scans = 0
+        self._beats = 0
         #: the endpoint real heartbeats go to (set by :class:`HeartbeatMonitor`)
         self.monitor: Optional[HeartbeatMonitor] = None
         #: ``[start, end)`` spans during which the monitor's node was down
         self._outages: List[Tuple[float, float]] = []
         self._links = None
         self._window_end: Optional[float] = None
-        self._proc = None
         self._was_suspended = False
+        #: the scan grid: its first point (the start instant), the latest
+        #: instant passed (scanned or skipped; None while stopped), and the
+        #: armed wake's event and instant
+        self._origin = 0.0
+        self._at: Optional[float] = None
+        self._timer: Optional[Event] = None
+        self._wake: Optional[float] = None
 
     # -- membership --------------------------------------------------------------
 
@@ -130,14 +152,18 @@ class FailureDetector:
         With ``node`` and ``interval`` the member beats on a grid from now
         on; without them its lease is kept alive only by :meth:`beat`.
         """
+        if node is not None:
+            if interval is None or interval <= 0:
+                raise ValueError(f"heartbeat interval must be positive, got {interval}")
+            old = self._grid.get(member)
+            if old is not None:
+                self._catch_up({member: old})  # what the skipped scans credited
         self._last_beat[member] = self.env.now
-        if node is None:
-            return
-        if interval is None or interval <= 0:
-            raise ValueError(f"heartbeat interval must be positive, got {interval}")
-        lease = self._grid[member] = _Lease(node, float(interval), self.env.now)
-        if self._window_end is not None:
-            self._start_sender(member, lease, self._window_end)
+        if node is not None:
+            lease = self._grid[member] = _Lease(node, float(interval), self.env.now)
+            if self._window_end is not None:
+                self._start_sender(member, lease, self._window_end)
+        self._arm_for(member)
 
     def unwatch(self, member: str) -> None:
         """Stop tracking ``member`` (e.g. it was retired deliberately).
@@ -146,9 +172,10 @@ class FailureDetector:
         """
         lease = self._grid.pop(member, None)
         if lease is not None:
-            self._credit(member, lease, inclusive=True)
+            self._credit(member, lease, self.env.now, inclusive=True)
         self._last_beat.pop(member, None)
         self.suspected.discard(member)
+        self._rearm()
 
     def __contains__(self, member: str) -> bool:
         return member in self._last_beat
@@ -160,16 +187,27 @@ class FailureDetector:
     def monitor_outage(self, start: float, end: float) -> None:
         """Grid beats due in ``[start, end)`` reached a dead monitor."""
         self._outages.append((start, end))
+        self._rearm()
 
     # -- beats -------------------------------------------------------------------
+
+    @property
+    def beats(self) -> int:
+        """Total beats accepted, credited grid beats included: read as a
+        scan at every grid instant up to now would have credited them."""
+        self._catch_up(self._grid)
+        return self._beats
 
     def beat(self, member: str) -> None:
         """Record a received heartbeat; clears (and counts) a wrongful suspicion."""
         if member not in self._last_beat:
             return  # not ours to track (already unwatched)
+        cleared = member in self.suspected
         self._heard(member, self.env.now)
-        self.beats += 1
+        self._beats += 1
         REGISTRY.count("faults.heartbeats_received")
+        if cleared:
+            self._arm_for(member)  # its lease runs again
 
     def _heard(self, member: str, at: float) -> None:
         if member in self.suspected:
@@ -179,19 +217,19 @@ class FailureDetector:
         if at > self._last_beat[member]:
             self._last_beat[member] = at
 
-    def _credit(self, member: str, lease: _Lease, inclusive: bool = False) -> None:
-        """Credit ``member``'s grid beats due before now (or at now, if
+    def _credit(self, member: str, lease: _Lease, upto: float,
+                inclusive: bool = False) -> None:
+        """Credit ``member``'s grid beats due before ``upto`` (or at it, if
         ``inclusive``) that survive the crash, outage and link cut-offs.
 
         A scan leaves the beat due at its own instant uncredited: like a
         real beat it is still in flight, and inside a link-fault window the
         sender may not have decided it yet.
         """
-        now = self.env.now
         t0, step, lo = lease.t0, lease.interval, lease.next_k
-        hi = math.floor((now - t0) / step)
+        hi = math.floor((upto - t0) / step)
         last = t0 + hi * step
-        if last > now or (last == now and not inclusive):
+        if last > upto or (last == upto and not inclusive):
             hi -= 1
             last = t0 + hi * step
         if hi < lo:
@@ -217,8 +255,25 @@ class FailureDetector:
                     last = due
         if count:
             self._heard(member, last)
-            self.beats += count
+            self._beats += count
             REGISTRY.count("faults.lease_beats_credited", count)
+
+    def _catch_up(self, leases: Dict[str, _Lease]) -> None:
+        """Credit ``leases`` as the scans skipped up to now would have: up to
+        the last grid instant at or before now that precedes the armed wake.
+
+        Nothing is due while the detector is suspended: those scans credit
+        nothing, and the resume scan is always a wake.
+        """
+        if self._at is None or self._was_suspended:
+            return
+        s, step, now, wake = self._at, self.check_interval, self.env.now, self._wake
+        nxt = s + step
+        while nxt <= now and (wake is None or nxt < wake):
+            s, nxt = nxt, nxt + step
+        if s > self._origin:
+            for member, lease in leases.items():
+                self._credit(member, lease, s)
 
     # -- link-fault windows --------------------------------------------------------
 
@@ -227,7 +282,8 @@ class FailureDetector:
 
         ``faults`` is the :class:`~repro.faults.netstate.NetworkFaultState`
         of the armed plan; one process per merged window span opens a
-        per-member sender for the span's length.
+        per-member sender for the span's length (and wakes the scan grid
+        for it).
         """
         self._links = faults
         for start, end in faults.spans():
@@ -241,6 +297,7 @@ class FailureDetector:
         self._window_end = end
         for member, lease in list(self._grid.items()):
             self._start_sender(member, lease, end)
+        self._rearm()
         yield self.env.timeout(end - self.env.now)
         self._window_end = None
 
@@ -275,44 +332,156 @@ class FailureDetector:
     # -- scanning ----------------------------------------------------------------
 
     def start(self) -> None:
-        if self._proc is None:
-            self._proc = self.env.process(
-                self._check_loop(), name=f"detector {self.name}"
-            )
+        if self._at is None:
+            self._origin = self._at = self.env.now
+            self.env.health_listeners.append(self._on_health)
+            self._rearm()
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        if self._at is not None:
+            self._catch_up(self._grid)
+            self.env.health_listeners.remove(self._on_health)
+            self._set_wake(None)
+            self._at = None
         self._grid.clear()  # ends any link-window sender at its next beat
 
-    def _check_loop(self):
-        while True:
-            try:
-                yield self.env.timeout(self.check_interval)
-            except Interrupt:
-                return
-            if self.suspend_when is not None and self.suspend_when():
-                self._was_suspended = True
-                continue
+    def _on_health(self, _node: Node) -> None:
+        # A node failed or came back: only re-arm.  Suspicion itself waits
+        # for the scan instant, as if every instant were scanned.
+        self._rearm()
+
+    def _scan(self, _event) -> None:
+        self.scans += 1
+        suspended = self.suspend_when is not None and self.suspend_when()
+        if suspended:
+            self._catch_up(self._grid)  # no instant skipped so far was suspended
+        now = self._at = self._wake
+        self._timer = self._wake = None
+        if suspended:
+            self._was_suspended = True
+        else:
             for member, lease in self._grid.items():
-                self._credit(member, lease)
-            now = self.env.now
+                self._credit(member, lease, now)
             if self._was_suspended:
                 # Back from an outage of our own: re-grant every lease so the
                 # outage window does not read as everyone else's death.
                 self._was_suspended = False
                 for member in self._last_beat:
                     self._last_beat[member] = now
-                continue
-            for member in self.members:
-                if member in self.suspected:
-                    continue
-                if now - self._last_beat[member] > self.lease_timeout:
-                    self.suspected.add(member)
-                    REGISTRY.count("faults.suspects")
-                    if self.on_suspect is not None:
-                        self.on_suspect(member)
+            else:
+                for member in self.members:
+                    if member in self.suspected:
+                        continue
+                    if now - self._last_beat[member] > self.lease_timeout:
+                        self.suspected.add(member)
+                        REGISTRY.count("faults.suspects")
+                        if self.on_suspect is not None:
+                            self.on_suspect(member)
+        self._rearm()
+
+    # -- the wake ------------------------------------------------------------------
+
+    def _advance(self) -> None:
+        """Pass the grid instants strictly before now: none is due (or the
+        timer would be armed at it), so each is skipped."""
+        s, step, now = self._at, self.check_interval, self.env.now
+        nxt = s + step
+        while nxt < now:
+            s, nxt = nxt, nxt + step
+        self._at = s
+
+    def _rearm(self) -> None:
+        """Arm the timer at :meth:`_due`'s instant (no timer if none is)."""
+        if self._at is None:
+            return
+        self._advance()
+        wake = self._due()
+        if wake != self._wake:
+            self._set_wake(wake)
+
+    def _arm_for(self, member: str) -> None:
+        """Arm earlier if ``member`` can fall due before the armed wake."""
+        if self._at is None:
+            return
+        self._advance()
+        wake = self._member_due(member, self._at + self.check_interval)
+        if wake is not None and (self._wake is None or wake < self._wake):
+            self._set_wake(wake)
+
+    def _set_wake(self, at: Optional[float]) -> None:
+        """Move the timer to instant ``at`` (None: no timer)."""
+        if self._timer is not None:
+            self._timer.callbacks.clear()
+            self.env.cancel(self._timer)
+        self._timer, self._wake = None, at
+        if at is not None:
+            timer = self._timer = Event(self.env)
+            timer._value = None
+            timer.callbacks.append(self._scan)
+            self.env.schedule_at(timer, at)
+
+    def _due(self) -> Optional[float]:
+        """The first grid instant after the last one passed at which a scan
+        can suspect, re-grant or clear a suspicion; None if none can until
+        a re-arm trigger (watch, unwatch, an outage, a link window opening,
+        a node failing or coming back).
+
+        Every instant while the detector is (or was) suspended, a link
+        window is open or the monitor's node is down; else the earliest
+        instant over the members (:meth:`_member_due`).
+        """
+        first = self._at + self.check_interval
+        if (
+            self._was_suspended
+            or self._window_end is not None
+            or (self.suspend_when is not None and self.suspend_when())
+            or (self.monitor is not None and self.monitor.endpoint.node.failed)
+        ):
+            return first
+        wake = None
+        for member in self._last_beat:
+            due = self._member_due(member, first)
+            if due == first:
+                return first
+            if due is not None and (wake is None or due < wake):
+                wake = due
+        return wake
+
+    def _member_due(self, member: str, first: float) -> Optional[float]:
+        """The first instant from ``first`` at which a scan can act on
+        ``member``, or None.
+
+        A beat-only member can only be suspected, at the first instant more
+        than ``lease_timeout`` after its last beat (a suspected one waits
+        for :meth:`beat`).  A grid lease needs every instant while its node
+        is down (each scan then passes beats the crash lost, which a lazy
+        credit after a restore would count), it holds uncredited real
+        beats, it is suspected (a credit clears that), an outage may still
+        hide one of its beats, or it is stale: its next beat falls more than
+        ``lease_timeout`` after the last one heard, or its interval leaves
+        less than one grid step of slack under the timeout.  Otherwise its
+        next beat is always heard in time and no scan can suspect it.
+        """
+        last, timeout = self._last_beat[member], self.lease_timeout
+        lease = self._grid.get(member)
+        if lease is None:
+            if member in self.suspected:
+                return None
+            s = first
+            while s - last <= timeout:
+                s += self.check_interval
+            return s
+        due = lease.due(lease.next_k)
+        if (
+            lease.node.failed
+            or lease.sent
+            or member in self.suspected
+            or due - last > timeout
+            or lease.interval + self.check_interval > timeout
+            or any(end > due for _, end in self._outages)
+        ):
+            return first
+        return None
 
 
 class HeartbeatMonitor:

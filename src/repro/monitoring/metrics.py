@@ -35,19 +35,6 @@ class LatencyWindow:
     def last(self) -> Optional[float]:
         return self._window[-1][1] if self._window else None
 
-    def trend(self) -> float:
-        """Least-squares slope of latency vs time over the window (s/s).
-
-        0.0 when fewer than three observations are available.
-        """
-        if len(self._window) < 3:
-            return 0.0
-        times = np.array([t for t, _ in self._window])
-        lats = np.array([lat for _, lat in self._window])
-        if np.ptp(times) <= 0:
-            return 0.0
-        return float(np.polyfit(times, lats, 1)[0])
-
     def __len__(self) -> int:
         return len(self._window)
 

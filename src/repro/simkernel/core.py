@@ -163,6 +163,9 @@ class Environment:
         self._pub_processed = 0
         self._pub_skipped = 0
         self._pub_compactions = 0
+        #: callbacks ``fn(node)`` run after a node of this run fails or is
+        #: restored (see :meth:`repro.cluster.node.Node.fail`)
+        self.health_listeners: list = []
 
     # -- clock ----------------------------------------------------------------
 
@@ -227,6 +230,27 @@ class Environment:
             key = self._tie_breaker.key(eid)
         queue = self._queue
         heappush(queue, (self._now + delay, priority, key, event))
+        if len(queue) > self.heap_peak:
+            self.heap_peak = len(queue)
+
+    def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
+        """Place ``event`` on the heap at the absolute time ``at``.
+
+        ``now + (at - now)`` is not ``at`` in general, so a caller that keeps
+        its own float grid of instants schedules on it exactly with this
+        rather than with a delay.  Ties order as in :meth:`schedule`.
+        """
+        if at < self._now:
+            raise ValueError(f"time {at} is in the past (now={self._now})")
+        eid = self._eid = self._eid + 1
+        if self._fast_tiebreak:
+            key = eid
+        elif self._shuffle_base is not None:
+            key = self._tie_breaker.key(eid)[0] << 64 | eid
+        else:
+            key = self._tie_breaker.key(eid)
+        queue = self._queue
+        heappush(queue, (at, priority, key, event))
         if len(queue) > self.heap_peak:
             self.heap_peak = len(queue)
 

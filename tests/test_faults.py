@@ -1,7 +1,7 @@
 """Tests for the repro.faults subsystem: plans, injection, detection."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simkernel import Environment
 from repro.cluster import Machine, TransferError
@@ -14,7 +14,7 @@ from repro.faults import (
     HeartbeatMonitor,
     NetworkFaultState,
 )
-from repro.faults._reference import HeartbeatSender
+from repro.faults._reference import FailureDetector as ScanningDetector, HeartbeatSender
 from repro.evpath.messages import MessageType
 from repro.perf.registry import REGISTRY
 
@@ -290,12 +290,12 @@ class TestFailureDetector:
         assert suspects == ["r0"]
 
 
-def _lease_rig(env, machine, messenger, lease=5.0, check=1.25):
+def _lease_rig(env, machine, messenger, lease=5.0, detector=FailureDetector):
     """A replica detector wired the way LocalManager wires one: suspicion
     pauses while the monitor's node is down."""
     suspects = []
-    det = FailureDetector(
-        env, "lm", lease_timeout=lease, check_interval=check,
+    det = detector(
+        env, "lm", lease_timeout=lease,
         on_suspect=lambda m: suspects.append((m, env.now)),
         suspend_when=lambda: det.monitor.endpoint.node.failed,
     )
@@ -379,64 +379,142 @@ class TestLeaseGrid:
             det.watch("r0", machine.nodes[1], interval=0.0)
 
 
-def _detect(grid, interval, lease, watch_at, crash_at, outage):
-    """Run one replica under the lease grid (``grid``) or the reference
-    sender + monitor; returns suspicions and false positives."""
+def _detect(arm, timing, replicas, managers, outage, window, samples):
+    """Run one drawn schedule on one detector arm; returns the ``(member,
+    time)`` suspicions in ``on_suspect`` order, false positives and the
+    beats read at each sampled instant.
+
+    ``arm`` is ``"quiescent"`` (the production detector), ``"scanning"``
+    (the reference detector with the same grid leases) or ``"sender"`` (the
+    reference detector fed by one :class:`HeartbeatSender` per replica).
+    """
+    interval, lease = timing
     env = Environment()
     machine = Machine(env, num_nodes=16, cores_per_node=4)
     messenger = Messenger(env, machine.network)
-    member = machine.nodes[1]
+    nodes = machine.nodes
     # Fault processes first: at a shared instant the crash precedes the beat.
-    if crash_at is not None:
-        _at(env, crash_at, member.fail)
+    for i, (_, crash_at, back_after) in enumerate(replicas):
+        if crash_at is not None:
+            _at(env, crash_at, nodes[1 + i].fail)
+            if back_after is not None:
+                _at(env, crash_at + back_after, nodes[1 + i].restore)
+    detector = FailureDetector if arm == "quiescent" else ScanningDetector
     det, mon, suspects = _lease_rig(env, machine, messenger, lease=lease,
-                                    check=lease / 4.0)
+                                    detector=detector)
     if outage is not None:
         down, up = outage
-        _at(env, down, machine.nodes[0].fail)
-        _at(env, up, lambda: mon.rehost(machine.nodes[2]))
+        _at(env, down, nodes[0].fail)
+        _at(env, up, lambda: mon.rehost(nodes[4]))
+    if window is not None:
+        start, length, target = window
+        plan = FaultPlan()
+        plan.link_partition(start, (nodes[1 + target % len(replicas)].node_id,),
+                            duration=length)
+        faults = machine.network.faults = NetworkFaultState(env, plan)
+        if arm != "sender":
+            det.arm_links(faults)
 
-    def watch():
-        if grid:
-            det.watch("r0", member, interval)
+    def watch(name, node):
+        if arm == "sender":
+            det.watch(name)
+            HeartbeatSender(env, messenger, name, node, "lm-hb", interval).start()
         else:
-            det.watch("r0")
-            HeartbeatSender(env, messenger, "r0", member, "lm-hb", interval).start()
+            det.watch(name, node, interval)
 
-    _at(env, watch_at, watch)
+    for i, (watch_at, _, _) in enumerate(replicas):
+        _at(env, watch_at, lambda i=i: watch(f"r{i}", nodes[1 + i]))
+    # Beat-only members: a manager's lease lives on its metric reports.
+    for j, (watch_at, beats) in enumerate(managers):
+        name = f"m{j}"
+        _at(env, watch_at, lambda name=name: det.watch(name))
+        for t in beats:
+            _at(env, watch_at + t, lambda name=name: det.beat(name))
     det.start()
+    read = []
+    for t in samples:
+        env.run(until=t)
+        read.append(det.beats)
     env.run(until=60.0)
-    return suspects, det.false_positives
+    return suspects, det.false_positives, read
 
 
 _sixteenths = st.integers(0, 16 * 30).map(lambda n: n / 16.0)
 
+_schedules = dict(
+    timing=st.sampled_from([(1.0, 5.0), (0.5, 2.0), (0.25, 3.0), (2.0, 8.0), (1.5, 6.0),
+                            (2.0, 5.0)]),
+    replicas=st.lists(
+        st.tuples(st.integers(0, 80).map(lambda n: n / 16.0), st.none() | _sixteenths,
+                  st.none() | st.integers(1, 160).map(lambda n: n / 16.0)),
+        min_size=1, max_size=3),
+    managers=st.lists(
+        st.tuples(st.integers(0, 80).map(lambda n: n / 16.0),
+                  st.lists(_sixteenths, max_size=8).map(sorted)),
+        max_size=2),
+    outage=st.none() | st.tuples(_sixteenths, st.integers(8, 160).map(lambda n: n / 16.0)),
+    window=st.none() | st.tuples(_sixteenths, st.integers(8, 160).map(lambda n: n / 16.0),
+                                 st.integers(0, 2)),
+    samples=st.lists(st.integers(1, 16 * 59).map(lambda n: n / 16.0 + 1 / 64),
+                     max_size=4, unique=True).map(sorted),
+)
+
 
 class TestLeaseGridDifferential:
-    """The lease grid against the per-replica HeartbeatSender it replaced,
-    on an otherwise idle machine.  Times are drawn on a 1/16 s grid, so no
-    scan lands within a beat's microsecond transit of a lease boundary.
+    """The quiescent detector against the scanning one it replaced and the
+    per-replica HeartbeatSender before that, on an otherwise idle machine:
+    replicas with crashes (some restored), beat-only manager members, a
+    monitor outage (host suspension) followed by a rehost, and a partition
+    window.  Times
+    are drawn on a 1/16 s grid, so no scan lands within a beat's
+    microsecond transit of a lease boundary; beats are read a 1/64 s off
+    that grid, between scan instants.
 
-    Suspicion times match exactly, monitor outages included: the
-    reference's retry ladder can land a beat sent into the dead monitor at
-    the rehosted one up to 0.35 s after the rehost, which the grid never
-    credits, but the resume scan re-grants every lease and the lease is a
-    whole number of scans, so that late beat cannot move a suspicion."""
+    Against the scanning detector everything matches exactly: suspicion
+    instants, ``on_suspect`` order, false positives and every beat count
+    read.  Against the sender the suspicions and false positives do,
+    monitor outages included: the reference's retry ladder can land a beat
+    sent into the dead monitor at the rehosted one up to 0.35 s after the
+    rehost, which the grid never credits, but the resume scan re-grants
+    every lease and the lease is a whole number of scans, so that late beat
+    cannot move a suspicion.  That needs a scan inside the outage: an
+    outage shorter than one scan step may hold none, so nothing re-grants,
+    and the late beat then moves the sender's suspicion one scan later
+    (e.g. a replica crash at 7.1875 after an outage over [6.3125, 7.0625)
+    at a 5 s lease: 12.5 at the sender, 11.25 on the grid).  A restored
+    node differs too: the grid credits the beats due between the last scan
+    of the crash and the restore, which a sender never sent.  The sender is
+    compared only on outages of at least one scan step and without
+    restores."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        timing=st.sampled_from([(1.0, 5.0), (0.5, 2.0), (0.25, 3.0), (2.0, 8.0), (1.5, 6.0)]),
-        watch_at=st.integers(0, 80).map(lambda n: n / 16.0),
-        crash_at=st.none() | _sixteenths,
-        outage=st.none() | st.tuples(_sixteenths, st.integers(8, 160).map(lambda n: n / 16.0)),
-    )
-    def test_matches_reference_sender(self, timing, watch_at, crash_at, outage):
-        interval, lease = timing
+    @staticmethod
+    def check(timing, replicas, managers, outage, window, samples):
         if outage is not None:
             outage = (outage[0], outage[0] + outage[1])
-        ref = _detect(False, interval, lease, watch_at, crash_at, outage)
-        new = _detect(True, interval, lease, watch_at, crash_at, outage)
-        assert new == ref  # (member, suspicion time) list and false positives
+        args = (timing, replicas, managers, outage, window, samples)
+        new = _detect("quiescent", *args)
+        assert new == _detect("scanning", *args)
+        restored = any(crash is not None and back is not None
+                       for _, crash, back in replicas)
+        if not restored and (outage is None or outage[1] - outage[0] >= timing[1] / 4):
+            assert new[:2] == _detect("sender", *args)[:2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_schedules)
+    # skipped instants before a suspension are still credited (read 1 beat)
+    @example(timing=(1.0, 5.0), replicas=[(0.0, None, None)], managers=[],
+             outage=(1.3125, 1.25), window=None, samples=[2.515625])
+    # a restore leaves the lease stale: suspected at 10.0 though its node is up
+    @example(timing=(2.0, 5.0), replicas=[(0.0, 4.5, 4.5)], managers=[],
+             outage=None, window=None, samples=[9.015625])
+    def test_matches_reference_sender(self, **schedule):
+        self.check(**schedule)
+
+    @pytest.mark.slow
+    @settings(max_examples=500, deadline=None)
+    @given(**_schedules)
+    def test_matches_reference_sender_wide(self, **schedule):
+        self.check(**schedule)
 
 
 def _record_sends(env, messenger):
@@ -490,3 +568,116 @@ class TestLeaseLinkWindows:
         env.run(until=20.0)
         assert log == []
         assert det.beats == 19
+
+
+class TestQuiescentScans:
+    """The detector wakes only where a scan can change something."""
+
+    def test_healthy_lease_never_wakes(self, env, machine, messenger):
+        det, _, suspects = _lease_rig(env, machine, messenger)
+        det.watch("r0", machine.nodes[1], interval=1.0)
+        det.start()
+        before = REGISTRY.counter("faults.lease_beats_credited")
+        env.run(until=100.0)
+        assert det.scans == 0 and suspects == []
+        # read as the scan at 100.0 would have credited them: 1.0 .. 99.0
+        assert det.beats == 99
+        assert REGISTRY.counter("faults.lease_beats_credited") - before == 99
+
+    def test_crash_wakes_until_restored(self, env, machine, messenger):
+        node = machine.nodes[1]
+        _at(env, 5.5, node.fail)
+        det, _, suspects = _lease_rig(env, machine, messenger)
+        det.watch("r0", node, interval=1.0)
+        det.start()
+        env.run(until=20.0)
+        assert suspects == [("r0", 11.25)]
+        assert det.scans == 12  # 6.25 .. 20.0, each passing the lost beats
+        node.restore()  # the next scan credits 20.0 and clears the suspicion
+        env.run(until=40.0)
+        assert det.false_positives == 1 and det.suspected == set()
+        assert det.scans == 13 and det.beats == 5 + 20  # 1-5, then 20-39
+
+    def test_beat_only_member_wakes_once_per_lease(self, env):
+        suspects = []
+        det = FailureDetector(env, "gm", lease_timeout=5.0,
+                              on_suspect=suspects.append)
+        det.watch("m0")
+
+        def reporter():
+            while env.now < 50.0:
+                yield env.timeout(1.0)
+                det.beat("m0")
+
+        env.process(reporter())
+        det.start()
+        env.run(until=100.0)
+        # a wake at the first instant a lease past the last beat seen:
+        # 6.25, 11.25, ..., 51.25, then 56.25 (past the final report, 50.0)
+        # suspects; the scanning detector would have woken 80 times
+        assert det.scans == 11
+        assert suspects == ["m0"]
+
+    def test_outage_hiding_a_beat_wakes(self):
+        """Beats 3-7 died with the monitor, so the scan at 7.5 finds the
+        lease silent since 2.0.  The outage is recorded after the monitor
+        is re-pinned, so only the outage itself says a scan is due."""
+        found = []
+        for detector in (FailureDetector, ScanningDetector):
+            env = Environment()
+            machine = Machine(env, num_nodes=8, cores_per_node=1)
+            messenger = Messenger(env, machine.network)
+            suspects = []
+            det = detector(env, "lm", lease_timeout=5.0,
+                           on_suspect=lambda m: suspects.append((m, env.now)))
+            mon = HeartbeatMonitor(env, messenger, "lm-hb", machine.nodes[0], det)
+
+            def repin():
+                mon.endpoint.node = machine.nodes[4]
+                det.monitor_outage(2.125, 7.25)
+
+            _at(env, 2.125, machine.nodes[0].fail)
+            _at(env, 7.25, repin)
+            det.watch("r0", machine.nodes[1], interval=1.0)
+            det.start()
+            env.run(until=20.0)
+            found.append((suspects, det.false_positives, det.beats))
+        assert found[0] == found[1] == ([("r0", 7.5)], 1, 2 + 12)
+
+    def test_stop_credits_the_skipped_scans(self):
+        counts = []
+        for detector in (FailureDetector, ScanningDetector):
+            before = REGISTRY.counter("faults.lease_beats_credited")
+            env = Environment()
+            machine = Machine(env, num_nodes=4, cores_per_node=1)
+            det, _, _ = _lease_rig(env, machine, Messenger(env, machine.network),
+                                   detector=detector)
+            det.watch("r0", machine.nodes[1], interval=1.0)
+            det.start()
+            env.run(until=20.5)
+            det.stop()
+            counts.append(REGISTRY.counter("faults.lease_beats_credited") - before)
+        assert counts == [19, 19]
+
+    def test_node_health_notifies_the_run(self, env, machine):
+        seen = []
+        env.health_listeners.append(lambda node: seen.append((node.node_id, node.failed)))
+        machine.nodes[3].fail()
+        machine.nodes[3].restore()
+        assert seen == [(3, True), (3, False)]
+        assert Environment().health_listeners == []
+
+    @staticmethod
+    def _fig7_scans():
+        from repro.spec import build, load_preset
+
+        pipe = build(Environment(), load_preset("fig7"))
+        pipe.run(settle=60)
+        return ([lm.detector.scans for lm in pipe.managers.values()],
+                pipe.recovery.manager_detector.scans)
+
+    def test_fault_free_fig7_local_detectors_never_wake(self):
+        local, managers = self._fig7_scans()
+        assert local == [0] * len(local) and local
+        assert managers > 0  # manager leases ride metric reports: beat-only
+        assert self._fig7_scans() == (local, managers)

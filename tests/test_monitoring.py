@@ -20,19 +20,6 @@ class TestLatencyWindow:
         w = LatencyWindow()
         assert w.mean() is None
         assert w.last() is None
-        assert w.trend() == 0.0
-
-    def test_trend_detects_growth(self):
-        w = LatencyWindow(maxlen=8)
-        for t in range(8):
-            w.observe(float(t), 10.0 + 5.0 * t)
-        assert w.trend() == pytest.approx(5.0)
-
-    def test_trend_flat(self):
-        w = LatencyWindow(maxlen=8)
-        for t in range(8):
-            w.observe(float(t), 10.0)
-        assert w.trend() == pytest.approx(0.0, abs=1e-9)
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):

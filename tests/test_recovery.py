@@ -292,10 +292,10 @@ class TestRetiredLeases:
             retired_at.setdefault(self.name, self.env.now)
             return retire(self, hard)
 
-        def record_credit(self, member, lease, inclusive=False):
-            beats = self.beats
-            credit(self, member, lease, inclusive)
-            if self.beats > beats:
+        def record_credit(self, member, lease, upto, inclusive=False):
+            beats = self._beats  # the property would credit (and recurse)
+            credit(self, member, lease, upto, inclusive)
+            if self._beats > beats:
                 credited.append((member, self._last_beat[member]))
 
         monkeypatch.setattr(Replica, "retire", record_retire)

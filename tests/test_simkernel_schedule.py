@@ -183,3 +183,45 @@ class TestSwallowedFaults:
         with pytest.raises(RuntimeError, match="a real bug"):
             env.run()
         assert env.swallowed_faults == 0
+
+
+class TestScheduleAt:
+    NOW, AT = 0.004236644311168547, 22.01150146186728
+
+    def test_lands_on_the_absolute_time(self):
+        """``now + (at - now)`` overshoots ``at`` here; schedule_at does not."""
+        from repro.simkernel import Event
+
+        assert self.NOW + (self.AT - self.NOW) != self.AT
+        env = Environment()
+        env.run(until=self.NOW)
+        fired = []
+        ev = Event(env)
+        ev._value = None
+        ev.callbacks.append(lambda _e: fired.append(env.now))
+        env.schedule_at(ev, self.AT)
+        env.run()
+        assert fired == [self.AT]
+
+    @pytest.mark.parametrize("tie_breaker", [None, SeededShuffle(9)])
+    def test_tie_key_matches_schedule(self, tie_breaker):
+        from repro.simkernel import Event
+
+        keys = []
+        for push in ("schedule", "schedule_at"):
+            env = Environment(tie_breaker=tie_breaker)
+            env._eid = 41
+            if push == "schedule":
+                env.schedule(Event(env), URGENT, 2.0)
+            else:
+                env.schedule_at(Event(env), 2.0, URGENT)
+            keys.append(env._queue[0][:3])
+        assert keys[0] == keys[1]
+
+    def test_past_time_rejected(self):
+        from repro.simkernel import Event
+
+        env = Environment()
+        env.run(until=1.0)
+        with pytest.raises(ValueError, match="past"):
+            env.schedule_at(Event(env), 0.5)

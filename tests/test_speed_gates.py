@@ -4,6 +4,8 @@ same interpreter, so the ratios do not depend on the host.
 * the event engine against :class:`repro.simkernel._reference.ReferenceEnvironment`
   (with the process-per-message send of :mod:`repro.evpath._reference` and
   the process-per-transfer data plane of :mod:`repro.cluster._reference`);
+* the quiescent failure detector against the scanning one in
+  :mod:`repro.faults._reference`;
 * the vectorized analysis kernels against their seed ``_reference_*``
   implementations, plus the MD integrator's neighbour-list rebuild counts;
 * Table I's complexity column, fitted from kernel timings.
@@ -24,6 +26,8 @@ from repro.evpath import Messenger
 from repro.evpath import _reference as reference_send
 from repro.evpath import channel
 from repro.evpath.messages import Message, MessageType
+from repro.faults import FailureDetector
+from repro.faults._reference import FailureDetector as ScanningDetector
 from repro.lammps import MDSystem, VelocityVerlet, hex_lattice
 from repro.lammps.crack import BOND_CUTOFF
 from repro.lammps.neighbor import CellList
@@ -47,6 +51,9 @@ N_DRAIN = 200_000
 N_CHURN = 20_000
 N_SEND = 8_000
 N_XFER = 8_000
+#: grid members a detector watches, and the idle horizon it runs (s)
+N_LEASES = 500
+IDLE_HORIZON = 1000.0
 #: optimized/reference pairs per workload; the gate reads their median ratio
 PAIRS = 11
 #: acceptance floor: timeout_drain must beat the reference engine by this much
@@ -61,6 +68,8 @@ BASELINE_SPEEDUP = {
     "messenger_send": 1.5660380149959576,
     # median of 8 full-size gate runs (Python 3.11, 2-core x86-64 host)
     "network_transfer": 1.64235,
+    # scanning/quiescent detector, median of 8 full-size gate runs (same host)
+    "detector_idle": 279.09,
 }
 
 
@@ -153,6 +162,24 @@ def network_transfer(env_cls):
     return seconds
 
 
+def detector_idle(detector_cls):
+    """A detector watching healthy grid leases over a long idle horizon,
+    then read: the scanning detector scans every lease each quarter lease,
+    the quiescent one never wakes and credits on the read."""
+    env = Environment()
+    machine = Machine(env, num_nodes=8, cores_per_node=2)
+    t0 = time.perf_counter()
+    det = detector_cls(env, "idle", lease_timeout=5.0)
+    for i in range(N_LEASES):
+        det.watch(f"r{i}", machine.nodes[i % 8], interval=1.0)
+    det.start()
+    env.run(until=IDLE_HORIZON)
+    beats = det.beats
+    seconds = time.perf_counter() - t0
+    assert beats == N_LEASES * (int(IDLE_HORIZON) - 1) and not det.suspected
+    return seconds
+
+
 def _reference(workload):
     """The workload on the reference engine, its sends, transfers and RDMA
     GETs taking the process path, so the whole pre-fast-path stack is
@@ -163,17 +190,17 @@ def _reference(workload):
         return workload(ReferenceEnvironment)
 
 
-def median_speedup(workload):
-    """Median over PAIRS of reference/optimized wall time, the two engines
+def median_speedup(optimized, reference):
+    """Median over PAIRS of reference/optimized wall time, the two sides
     run back to back within each pair and in alternating order."""
     ratios = []
     for i in range(PAIRS):
         if i % 2:
-            ref = _reference(workload)
-            opt = workload(Environment)
+            ref = reference()
+            opt = optimized()
         else:
-            opt = workload(Environment)
-            ref = _reference(workload)
+            opt = optimized()
+            ref = reference()
         ratios.append(ref / opt)
     return statistics.median(ratios)
 
@@ -182,10 +209,20 @@ def median_speedup(workload):
                                       network_transfer],
                          ids=lambda w: w.__name__)
 def test_engine_speedup_holds(workload):
-    speedup = median_speedup(workload)
+    speedup = median_speedup(lambda: workload(Environment), lambda: _reference(workload))
     name = workload.__name__
     if workload is timeout_drain:
         assert speedup >= DRAIN_SPEEDUP_FLOOR, f"{speedup:.1f}x < {DRAIN_SPEEDUP_FLOOR}x"
+    _assert_holds(name, speedup)
+
+
+def test_detector_idle_speedup_holds():
+    speedup = median_speedup(lambda: detector_idle(FailureDetector),
+                             lambda: detector_idle(ScanningDetector))
+    _assert_holds("detector_idle", speedup)
+
+
+def _assert_holds(name, speedup):
     assert speedup >= GATE_FRACTION * BASELINE_SPEEDUP[name], (
         f"{name}: {speedup:.2f}x is below {GATE_FRACTION:.0%} of the recorded "
         f"{BASELINE_SPEEDUP[name]:.2f}x"
