@@ -20,7 +20,6 @@ from repro.cluster import redsky
 from repro.evpath import Messenger
 from repro.spec import PipelineSpec, WorkloadSpec, build
 from repro.transactions import FailureInjector
-import repro.transactions.coordinator as coordinator_module
 
 
 def demo_commit_and_scale() -> None:
@@ -57,9 +56,7 @@ def demo_failure_handling() -> None:
         tm = TransactionManager(env, messenger, machine.nodes[-1],
                                 injector=injector, vote_timeout=1.0)
         group = tm.build_group("g", machine.nodes[:8], fanout=2)
-        probe = next(coordinator_module._TXN_IDS)
-        coordinator_module._TXN_IDS = iter(range(probe + 1, probe + 50))
-        injector.inject("g-p3", probe + 1, behaviour)
+        injector.inject("g-p3", 1, behaviour)  # a coordinator's first txn is id 1
         outcomes = []
 
         def txn(env):

@@ -14,7 +14,6 @@ application.
 
 from repro.containers.replica import Replica
 from repro.containers.container import Container
-from repro.containers.protocol import ProtocolCost, ProtocolTracer
 from repro.containers.local_manager import LocalManager
 from repro.containers.global_manager import GlobalManager
 from repro.containers.policy import LatencyPolicy, ManagementPolicy, QueueDerivativePolicy
@@ -29,8 +28,6 @@ __all__ = [
     "ManagementPolicy",
     "Pipeline",
     "PipelineBuilder",
-    "ProtocolCost",
-    "ProtocolTracer",
     "QueueDerivativePolicy",
     "RecoveryManager",
     "Replica",

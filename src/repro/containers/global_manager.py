@@ -28,7 +28,6 @@ from repro.containers.policy import (
     Offline,
     Steal,
 )
-from repro.containers.protocol import ProtocolTracer
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
@@ -47,7 +46,6 @@ class GlobalManager:
         scheduler: BatchScheduler,
         sla_interval: float,
         policy: Optional[ManagementPolicy] = None,
-        tracer: Optional[ProtocolTracer] = None,
         telemetry: Optional[Telemetry] = None,
         control_interval: float = 30.0,
         overflow_horizon: float = 120.0,
@@ -61,7 +59,6 @@ class GlobalManager:
         self.scheduler = scheduler
         self.sla_interval = sla_interval
         self.policy = policy or LatencyPolicy()
-        self.tracer = tracer or ProtocolTracer()
         self.engine = engine or ControlPlaneEngine(env)
         self.telemetry = telemetry or Telemetry()
         self.control_interval = control_interval

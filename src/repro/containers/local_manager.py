@@ -17,7 +17,6 @@ from repro.simkernel.errors import FaultError, SimulationError
 from repro.cluster.node import Node
 from repro.cluster.scheduler import BatchScheduler
 from repro.containers.container import Container
-from repro.containers.protocol import ProtocolTracer
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
@@ -41,7 +40,6 @@ class LocalManager:
         node: Node,
         global_manager_endpoint: str = "global-mgr",
         scheduler: Optional[BatchScheduler] = None,
-        tracer: Optional[ProtocolTracer] = None,
         telemetry: Optional[Telemetry] = None,
         monitor_interval: float = 15.0,
         sla_interval: Optional[float] = None,
@@ -53,7 +51,6 @@ class LocalManager:
         self.node = node
         self.global_name = global_manager_endpoint
         self.scheduler = scheduler
-        self.tracer = tracer or ProtocolTracer()
         self.engine = engine or ControlPlaneEngine(env)
         self.telemetry = telemetry
         self.monitor_interval = monitor_interval
@@ -208,28 +205,21 @@ class LocalManager:
     # -- shared protocol tail ----------------------------------------------------------
 
     def _reply(self, msg: Message, mtype: MessageType, payload: dict,
-               record=None, charge_seconds: Optional[float] = None):
+               ctx=None, charge_seconds: Optional[float] = None):
         """Send the correlated completion reply to the global manager.
 
         The shared tail of every control protocol: build the reply, send it
-        over the control plane, charge the manager-to-manager round, and
-        stamp the record finished.  ``record`` is either the legacy
-        :class:`ProtocolCost` or an engine :class:`Context` (whose charge
-        mirrors into the structured round trace as well).  ``charge_seconds``
-        overrides the charged duration (offline charges the reply at zero
-        cost because the freed nodes are already surrendered when it is
-        sent).
+        over the control plane and, given the protocol's ``ctx``, charge the
+        manager-to-manager round.  ``charge_seconds`` overrides the charged
+        duration (offline charges the reply at zero cost because the freed
+        nodes are already surrendered when it is sent).
         """
         reply = msg.reply(mtype, sender=self.endpoint.name, payload=payload)
         t0 = self.env.now
         yield self.messenger.send(self.node, self.global_name, reply)
-        if record is not None:
+        if ctx is not None:
             elapsed = (self.env.now - t0) if charge_seconds is None else charge_seconds
-            record.charge("manager", elapsed, messages=1)
-            # A Context wraps the legacy cost record; stamp whichever exists.
-            cost = getattr(record, "record", record)
-            if cost is not None:
-                cost.finished_at = self.env.now
+            ctx.charge("manager", elapsed, messages=1)
 
     def _mark(self, text: str) -> None:
         if self.telemetry is not None:
@@ -240,19 +230,18 @@ class LocalManager:
     def _do_increase(self, msg: Message):
         nodes: List[Node] = msg.payload["nodes"]
         container = self.container
-        record = self.tracer.begin("increase", container.name, len(nodes), self.env.now)
         yield self.engine.execute(
-            protocols.INCREASE, subject=container.name, record=record,
+            protocols.INCREASE, subject=container.name, amount=len(nodes),
             data={"lm": self, "msg": msg, "nodes": nodes},
         )
         self._mark(f"increase {container.name} +{len(nodes)}")
 
-    def _spawn_replicas(self, nodes: List[Node], record):
+    def _spawn_replicas(self, nodes: List[Node], ctx):
         """Round-robin / tree growth: spawn and wire new replicas in place."""
         container = self.container
         donors = [r for r in container.replicas if not r.passive]
         for node in nodes:
-            record.round(f"local->replica@{node.node_id}: spawn")
+            ctx.round(f"local->replica@{node.node_id}: spawn")
             # Peers the newcomer must exchange endpoint metadata with:
             # the manager, every existing replica, and every upstream writer.
             peers = [self.node] + [r.node for r in container.replicas]
@@ -269,8 +258,8 @@ class LocalManager:
                     # A dead peer cannot answer the metadata exchange; it is
                     # itself awaiting recovery, so skip it rather than wedge
                     # the whole spawn.
-                    record.round(f"peer@{peer.node_id}: unreachable, skipped")
-            record.charge("intra_container", self.env.now - t0, messages=2 * len(peers))
+                    ctx.round(f"peer@{peer.node_id}: unreachable, skipped")
+            ctx.charge("intra_container", self.env.now - t0, messages=2 * len(peers))
             # Stateful components bootstrap the newcomer from a state
             # snapshot held by an existing replica (future-work support).
             state = container.spec.state_bytes(container.natoms_hint)
@@ -279,14 +268,14 @@ class LocalManager:
                 t0 = self.env.now
                 try:
                     yield self.messenger.network.transfer(donors[0].node, node, state)
-                    record.charge("state_migration", self.env.now - t0, messages=1)
-                    record.round(f"state snapshot -> replica@{node.node_id}")
+                    ctx.charge("state_migration", self.env.now - t0, messages=1)
+                    ctx.round(f"state snapshot -> replica@{node.node_id}")
                 except FaultError:
-                    record.round(f"state snapshot -> replica@{node.node_id}: lost donor")
-            record.round(f"replica@{node.node_id}->local: ready")
+                    ctx.round(f"state snapshot -> replica@{node.node_id}: lost donor")
+            ctx.round(f"replica@{node.node_id}->local: ready")
             self.watch_replica(replica)
 
-    def _relaunch_parallel(self, new_nodes: List[Node], record):
+    def _relaunch_parallel(self, new_nodes: List[Node], ctx):
         """MPI resize: tear down all ranks, aprun a bigger job."""
         container = self.container
         if self.scheduler is None:
@@ -296,7 +285,7 @@ class LocalManager:
             t0 = self.env.now
             yield container.input_link.pause_writers()
             yield container.input_link.drain_readers()
-            record.charge("writer_pause", self.env.now - t0)
+            ctx.charge("writer_pause", self.env.now - t0)
         # Carry unprocessed input across the teardown: the relaunched ranks
         # must see every timestep the old ones had queued.
         stranded = []
@@ -310,8 +299,8 @@ class LocalManager:
         t0 = self.env.now
         all_nodes = old_nodes + list(new_nodes)
         yield self.env.timeout(self.scheduler.aprun.sample(self.scheduler.rng))
-        record.charge("launch", self.env.now - t0)
-        yield self.env.process(self._spawn_replicas(all_nodes, record))
+        ctx.charge("launch", self.env.now - t0)
+        yield self.env.process(self._spawn_replicas(all_nodes, ctx))
         actives = [r for r in container.replicas if not r.passive]
         for i, chunk in enumerate(stranded):
             yield actives[i % len(actives)].queue.put(chunk)
@@ -323,10 +312,9 @@ class LocalManager:
     def _do_decrease(self, msg: Message):
         count: int = msg.payload["count"]
         container = self.container
-        record = self.tracer.begin("decrease", container.name, count, self.env.now)
         data = {"lm": self, "msg": msg, "count": count}
         yield self.engine.execute(
-            protocols.DECREASE, subject=container.name, record=record, data=data,
+            protocols.DECREASE, subject=container.name, amount=count, data=data,
         )
         self._mark(f"decrease {container.name} -{data['count']}")
 
@@ -385,9 +373,8 @@ class LocalManager:
         metadata and redelivered chunks have somewhere to go.
         """
         container = self.container
-        record = self.tracer.begin("replace", container.name, 1, self.env.now)
         yield self.engine.execute(
-            protocols.REPLACE, subject=container.name, record=record,
+            protocols.REPLACE, subject=container.name, amount=1,
             data={"lm": self, "msg": msg, "node": msg.payload["node"]},
         )
         self._mark(f"replace {container.name}/{msg.payload['replica']}")
@@ -489,9 +476,8 @@ class LocalManager:
         knows which actions remain to be applied.
         """
         container = self.container
-        record = self.tracer.begin("offline", container.name, container.units, self.env.now)
         yield self.engine.execute(
-            protocols.OFFLINE, subject=container.name, record=record,
+            protocols.OFFLINE, subject=container.name, amount=container.units,
             data={"lm": self, "msg": msg},
         )
         self._mark(f"offline {container.name}")

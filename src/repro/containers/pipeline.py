@@ -27,7 +27,6 @@ from repro.containers.container import Container
 from repro.containers.global_manager import GlobalManager
 from repro.containers.local_manager import LocalManager
 from repro.containers.policy import LatencyPolicy, ManagementPolicy
-from repro.containers.protocol import ProtocolTracer
 from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
 from repro.datatap.link import DataTapLink
 from repro.datatap.scheduling import PullScheduler
@@ -100,10 +99,8 @@ class Pipeline:
         self.scheduler: Optional[BatchScheduler] = None
         self.fs: Optional[ParallelFileSystem] = None
         self.telemetry = Telemetry()
-        self.tracer = ProtocolTracer()
-        #: one control-plane engine shared by every manager in the pipeline,
-        #: with its own trace store (isolated from the module default so
-        #: concurrent pipelines don't interleave traces)
+        #: one control-plane engine shared by every manager in the pipeline;
+        #: its trace is the run's only record of protocol executions
         self.control_trace = ControlPlaneTrace()
         self.control_plane = ControlPlaneEngine(env, trace=self.control_trace)
         self.driver: Optional[LammpsDriver] = None
@@ -210,11 +207,6 @@ class Pipeline:
                 if node.node_id not in failed:
                     held.add(node.node_id)
         return {"pool": pool, "free": free, "failed": failed, "held": held}
-
-    def perf_snapshot(self) -> dict:
-        """Timers/counters accumulated during this process's runs, as a
-        plain dict."""
-        return PERF.snapshot()
 
     # -- convenience metrics ------------------------------------------------------------
 
@@ -331,7 +323,6 @@ class Pipeline:
             container,
             node=self.global_manager.node,
             scheduler=self.scheduler,
-            tracer=self.tracer,
             telemetry=self.telemetry,
             monitor_interval=monitor_interval,
             sla_interval=self.global_manager.sla_interval,
@@ -479,7 +470,6 @@ class PipelineBuilder:
             scheduler,
             sla_interval=sla_interval,
             policy=self.policy,
-            tracer=pipe.tracer,
             telemetry=pipe.telemetry,
             control_interval=k["control_interval"],
             overflow_horizon=k["overflow_horizon"],
@@ -628,7 +618,6 @@ class PipelineBuilder:
                 container,
                 node=job.nodes[0],
                 scheduler=scheduler,
-                tracer=pipe.tracer,
                 telemetry=pipe.telemetry,
                 monitor_interval=k["monitor_interval"],
                 sla_interval=sla_interval,

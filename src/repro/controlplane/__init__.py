@@ -16,16 +16,10 @@ from repro.controlplane.engine import (
     Round,
     RoundTimeout,
 )
-from repro.controlplane.trace import (
-    CONTROL_TRACE,
-    ControlPlaneTrace,
-    ProtocolTrace,
-    RoundTrace,
-)
+from repro.controlplane.trace import ControlPlaneTrace, ProtocolTrace, RoundTrace
 from repro.controlplane import protocols
 
 __all__ = [
-    "CONTROL_TRACE",
     "Context",
     "ControlPlaneEngine",
     "ControlPlaneTrace",

@@ -14,11 +14,9 @@ handler, unwinds completed rounds' compensations in reverse order on a
 
 Handlers are either plain callables (instantaneous bookkeeping) or
 generators (simulated work: sends, waits, transfers).  They receive the
-:class:`Context`, which carries the protocol's mutable state dict, the
-legacy :class:`~repro.containers.protocol.ProtocolCost` record (when the
-caller traces one), and ``round``/``charge`` helpers that feed both the
-legacy record and the structured trace — keeping the Figure 4/5 breakdown
-output byte-identical while every execution gains an audit trail.
+:class:`Context`, which carries the protocol's mutable state dict and
+``round``/``charge`` helpers that record labels and costs on the current
+round of the structured trace — the record the Figure 3-5 runners read.
 
 Abort semantics: a handler raises :class:`ProtocolAbort` (optionally with
 a ``result`` for the caller); the engine runs the ``compensate`` action of
@@ -38,7 +36,7 @@ from types import GeneratorType
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.simkernel import Environment, Interrupt
-from repro.controlplane.trace import CONTROL_TRACE, ControlPlaneTrace, ProtocolTrace
+from repro.controlplane.trace import ControlPlaneTrace, ProtocolTrace
 
 
 class ProtocolAbort(Exception):
@@ -119,15 +117,13 @@ class Context:
 
     Dict-style access reads/writes the caller-supplied ``data`` mapping
     (shared by reference, so callers observe handler updates).  ``round``
-    and ``charge`` mirror into both the legacy per-operation
-    :class:`ProtocolCost` record (when present) and the structured trace.
+    and ``charge`` record onto the round currently running.
     """
 
-    def __init__(self, env: Environment, spec: ProtocolSpec, record,
+    def __init__(self, env: Environment, spec: ProtocolSpec,
                  trace: ProtocolTrace, data: Optional[Dict[str, Any]]):
         self.env = env
         self.spec = spec
-        self.record = record
         self.trace = trace
         self.data = data if data is not None else {}
         self.result: Any = None
@@ -153,19 +149,17 @@ class Context:
 
     def round(self, label: str) -> None:
         """Emit a detail label (a Figure 3 round string)."""
-        if self.record is not None:
-            self.record.round(label)
         if self._round is not None:
             self._round.labels.append(label)
 
     def charge(self, category: str, seconds: float, messages: int = 0) -> None:
-        """Charge simulated cost to a category (and the current round)."""
-        if self.record is not None:
-            self.record.charge(category, seconds, messages=messages)
+        """Charge simulated cost and messages to a category of the round."""
         if self._round is not None:
             rt = self._round
             rt.charged[category] = rt.charged.get(category, 0.0) + seconds
-            rt.messages += messages
+            if messages:
+                counts = rt.message_counts
+                counts[category] = counts.get(category, 0) + messages
 
 
 class ControlPlaneEngine:
@@ -174,17 +168,19 @@ class ControlPlaneEngine:
     def __init__(self, env: Environment,
                  trace: Optional[ControlPlaneTrace] = None):
         self.env = env
-        self.trace = trace if trace is not None else CONTROL_TRACE
+        self.trace = trace if trace is not None else ControlPlaneTrace()
 
-    def execute(self, spec: ProtocolSpec, subject: str = "", record=None,
-                data: Optional[Dict[str, Any]] = None):
+    def execute(self, spec: ProtocolSpec, subject: str = "",
+                data: Optional[Dict[str, Any]] = None, amount: int = 0):
         """Process: run ``spec``; value is the protocol result.
 
-        ``record`` is an optional legacy :class:`ProtocolCost` the rounds
-        also feed (container protocols); ``data`` seeds the context state.
+        ``data`` seeds the context state; ``amount`` is the operation's size
+        recorded on its trace (replicas added, removed, replaced or taken
+        offline by a container protocol).
         """
-        ctx = Context(self.env, spec, record,
-                      self.trace.begin(spec.name, subject, self.env.now), data)
+        trace = self.trace.begin(spec.name, subject, self.env.now)
+        trace.amount = amount
+        ctx = Context(self.env, spec, trace, data)
         return self.env.process(self._run(spec, ctx), name=f"cp:{spec.name}")
 
     # -- execution ---------------------------------------------------------------------

@@ -50,7 +50,7 @@ INCREASE = ProtocolSpec(
         Round("complete", enter_label="local->global: resize complete",
               handler=lambda ctx: ctx["lm"]._reply(
                   ctx["msg"], MessageType.RESIZE_COMPLETE,
-                  {"units": ctx["lm"].container.units}, record=ctx)),
+                  {"units": ctx["lm"].container.units}, ctx=ctx)),
     ),
 )
 
@@ -82,7 +82,7 @@ DECREASE = ProtocolSpec(
               handler=lambda ctx: ctx["lm"]._reply(
                   ctx["msg"], MessageType.RESIZE_COMPLETE,
                   {"nodes": ctx["freed"], "units": ctx["lm"].container.units},
-                  record=ctx)),
+                  ctx=ctx)),
     ),
 )
 
@@ -109,7 +109,7 @@ OFFLINE = ProtocolSpec(
               handler=lambda ctx: ctx["lm"]._reply(
                   ctx["msg"], MessageType.OFFLINE_COMPLETE,
                   {"nodes": ctx["freed"], "unpulled": len(ctx["stranded"])},
-                  record=ctx, charge_seconds=0.0)),
+                  ctx=ctx, charge_seconds=0.0)),
     ),
 )
 
@@ -147,7 +147,7 @@ REPLACE = ProtocolSpec(
                   ctx["msg"], MessageType.REPLACE_COMPLETE,
                   {"units": ctx["lm"].container.units,
                    "redelivered": ctx["redelivered"]},
-                  record=ctx)),
+                  ctx=ctx)),
     ),
 )
 

@@ -4,13 +4,13 @@ Every protocol the :class:`~repro.controlplane.engine.ControlPlaneEngine`
 runs produces one :class:`ProtocolTrace` — an ordered list of
 :class:`RoundTrace` records carrying the round's status (ok / skipped /
 timeout), its simulated duration, the detail labels it emitted, and the
-cost categories it charged.  The trace is the machine-readable twin of the
-human-oriented :class:`~repro.containers.protocol.ProtocolCost` rounds
-list: the figure runners aggregate it into round-count/latency breakdowns, and every
-finished execution is mirrored into :data:`repro.perf.REGISTRY` (counts
-plus simulated-seconds durations, the same convention as the
-``faults.mttr_detected`` metric) so protocol activity appears in
-registry snapshots without extra plumbing.
+cost categories and messages it charged.  The trace is the only record of
+a protocol run: the Figure 3 round table reads it directly, and the
+Figure 4/5 cost breakdowns (:attr:`ProtocolTrace.breakdown`) are derived
+from its round charges.  Every finished execution is mirrored into
+:data:`repro.perf.REGISTRY` (counts plus simulated-seconds durations, the
+same convention as the ``faults.mttr_detected`` metric) so protocol
+activity appears in registry snapshots without extra plumbing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.perf.registry import REGISTRY, PerfRegistry
+from repro.perf.registry import REGISTRY
+
+
+def _sum_by_category(per_round) -> dict:
+    total: dict = {}
+    for values in per_round:
+        for category, value in values.items():
+            total[category] = total.get(category, 0) + value
+    return total
 
 
 @dataclass
@@ -34,12 +42,17 @@ class RoundTrace:
     labels: List[str] = field(default_factory=list)
     #: simulated seconds charged per cost category during this round
     charged: Dict[str, float] = field(default_factory=dict)
-    #: messages charged during this round
-    messages: int = 0
+    #: messages charged per cost category (only categories that carried any)
+    message_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def seconds(self) -> float:
         return self.finished_at - self.started_at
+
+    @property
+    def messages(self) -> int:
+        """Messages charged during this round, over every category."""
+        return sum(self.message_counts.values())
 
     def as_dict(self) -> dict:
         return {
@@ -59,6 +72,8 @@ class ProtocolTrace:
     protocol: str
     subject: str
     started_at: float
+    #: size of the operation (replicas added/removed/replaced/taken offline)
+    amount: int = 0
     finished_at: float = 0.0
     #: running | committed | aborted | failed
     status: str = "running"
@@ -79,6 +94,25 @@ class ProtocolTrace:
     @property
     def messages(self) -> int:
         return sum(r.messages for r in self.rounds)
+
+    @property
+    def labels(self) -> List[str]:
+        """Every detail label the rounds emitted, in order (Figure 3)."""
+        return [label for r in self.rounds for label in r.labels]
+
+    @property
+    def breakdown(self) -> Dict[str, float]:
+        """Simulated seconds per cost category (Figures 4 and 5).
+
+        Rounds are summed in execution order, so each category adds up in
+        the order its charges were made.
+        """
+        return _sum_by_category(r.charged for r in self.rounds)
+
+    @property
+    def message_counts(self) -> Dict[str, int]:
+        """Messages per cost category, over every round."""
+        return _sum_by_category(r.message_counts for r in self.rounds)
 
     def begin_round(self, name: str, now: float) -> RoundTrace:
         rt = RoundTrace(name=name, started_at=now)
@@ -156,14 +190,11 @@ class ProtocolTrace:
 class ControlPlaneTrace:
     """Accumulates :class:`ProtocolTrace` records and mirrors them to perf.
 
-    One instance per pipeline (or per transaction manager); the module
-    default :data:`CONTROL_TRACE` serves engines constructed without one.
+    One instance per engine: a pipeline's managers share its engine, and an
+    engine built without a trace gets a fresh one.
     """
 
-    def __init__(self, registry: Optional[PerfRegistry] = None,
-                 prefix: str = "controlplane"):
-        self.registry = REGISTRY if registry is None else registry
-        self.prefix = prefix
+    def __init__(self):
         self.records: List[ProtocolTrace] = []
 
     def begin(self, protocol: str, subject: str, now: float) -> ProtocolTrace:
@@ -176,8 +207,8 @@ class ControlPlaneTrace:
             return  # already finished (double abort/failure path)
         trace.finished_at = now
         trace.status = status
-        key = f"{self.prefix}.{trace.protocol}"
-        reg = self.registry
+        key = f"controlplane.{trace.protocol}"
+        reg = REGISTRY
         reg.count(f"{key}.runs")
         reg.count(f"{key}.rounds", trace.round_count)
         # Simulated protocol latency, sharing the duration schema wall-clock
@@ -190,10 +221,3 @@ class ControlPlaneTrace:
 
     def of(self, protocol: str) -> List[ProtocolTrace]:
         return [t for t in self.records if t.protocol == protocol]
-
-    def last(self) -> Optional[ProtocolTrace]:
-        return self.records[-1] if self.records else None
-
-
-#: Default trace sink for engines constructed without an explicit one.
-CONTROL_TRACE = ControlPlaneTrace()

@@ -148,7 +148,7 @@ def run_fig4(sizes=(1, 2, 4, 8, 16), seed: int = 0, **_) -> dict:
 
         env.process(do(env))
         pipe.run(settle=120)
-        record = pipe.tracer.of("increase")[0]
+        record = pipe.control_trace.of("increase")[0]
         series.append({
             "replicas_added": size,
             "total_seconds": record.total,
@@ -179,7 +179,7 @@ def run_fig5(sizes=(1, 2, 4, 8), seed: int = 0, **_) -> dict:
 
         env.process(do(env))
         pipe.run(settle=120)
-        record = pipe.tracer.of("decrease")[0]
+        record = pipe.control_trace.of("decrease")[0]
         series.append({
             "replicas_removed": size,
             "total_seconds": record.total,

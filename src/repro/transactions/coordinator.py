@@ -13,9 +13,6 @@ from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
 from repro.transactions.participants import TxnGroup
 
-_TXN_IDS = itertools.count(1)
-
-
 @dataclass
 class TxnOutcome:
     """Result of one transaction."""
@@ -69,13 +66,15 @@ class D2TCoordinator:
         self.endpoint = messenger.endpoint(node, name)
         self.engine = engine if engine is not None else ControlPlaneEngine(env)
         self.outcomes: List[TxnOutcome] = []
+        #: transaction ids, numbered from 1 per coordinator
+        self._txn_ids = itertools.count(1)
 
     def run(self, groups: List[TxnGroup]):
         """Process: one transaction across ``groups``; value is TxnOutcome."""
         return self.env.process(self._run(groups), name="txn")
 
     def _run(self, groups: List[TxnGroup]):
-        txn_id = next(_TXN_IDS)
+        txn_id = next(self._txn_ids)
         outcome = yield self.engine.execute(
             protocols.D2T_COMMIT,
             subject=f"txn-{txn_id}",

@@ -84,12 +84,12 @@ class TestWriterPauseConsistency:
         assert pipe.containers["bonds"].units == 6
         assert pipe.containers["bonds"].completions == 30
         assert sum(r.breakdown.get("writer_pause", 0)
-                   for r in pipe.tracer.of("decrease")) > 0
+                   for r in pipe.control_trace.of("decrease")) > 0
 
     def test_pause_cost_is_small_vs_pipeline_time(self):
         """Well under one output interval per decrease: the transient of
         Figure 7, not a structural cost."""
-        record = _decreases(20, 4, 1).tracer.of("decrease")[0]
+        record = _decreases(20, 4, 1).control_trace.of("decrease")[0]
         assert record.breakdown["writer_pause"] < 15.0
 
 
@@ -117,7 +117,7 @@ class TestAprunArtifact:
 
             env.process(do(env))
             pipe.run(settle=120)
-            records[model] = pipe.tracer.of("increase")[0]
+            records[model] = pipe.control_trace.of("increase")[0]
         mpi = records["parallel"]
         assert mpi.total > records["rr"].total * 5
         assert mpi.breakdown.get("launch", 0) >= 3.0
@@ -282,5 +282,5 @@ class TestS3D:
 
         env.process(ctl(env))
         pipe.run(settle=200)
-        record = next(r for r in pipe.tracer.of("increase") if r.container == "track")
+        record = next(r for r in pipe.control_trace.of("increase") if r.subject == "track")
         assert record.breakdown.get("state_migration", 0.0) > 0

@@ -10,7 +10,7 @@ import pytest
 from repro.simkernel import Environment, SimulationError, Store
 from repro.cluster import BatchScheduler, Machine
 from repro.containers import Container, LocalManager
-from repro.containers.protocol import ProtocolTracer
+from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
 from repro.data import DataChunk
 from repro.datatap import DataTapLink, DataTapWriter
 from repro.adios import ParallelFileSystem
@@ -192,11 +192,12 @@ class TestLocalManagerProtocols:
     def _managed(self, env, units=2, base=2.0):
         rig = Rig(env, units=units, base=base)
         gm_ep = rig.messenger.endpoint(rig.machine.nodes[8], "global-mgr")
-        tracer = ProtocolTracer()
+        tracer = ControlPlaneTrace()
         manager = LocalManager(
             env, rig.messenger, rig.container,
             node=rig.container.replicas[0].node,
-            scheduler=rig.scheduler, tracer=tracer, monitor_interval=1000,
+            scheduler=rig.scheduler, monitor_interval=1000,
+            engine=ControlPlaneEngine(env, trace=tracer),
         )
         return rig, gm_ep, manager, tracer
 
@@ -221,7 +222,7 @@ class TestLocalManagerProtocols:
         assert rig.container.units == 4
         record = tracer.of("increase")[0]
         assert record.breakdown["intra_container"] > 0
-        assert record.messages["intra_container"] > 0
+        assert record.message_counts["intra_container"] > 0
 
     def test_increase_cost_grows_with_size(self, env):
         """Figure 4's shape: intra-container metadata exchange dominates and

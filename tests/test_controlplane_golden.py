@@ -29,17 +29,17 @@ def build(env, steps=4, spare=3, **kwargs):
                                         builder=dict(seed=0, **kwargs)))
 
 
-def assert_matches_golden(record, golden):
+def assert_matches_golden(trace, golden):
     """Round-for-round identity with the pre-refactor trace."""
-    assert record.operation == golden["operation"]
-    assert record.container == golden["container"]
-    assert record.amount == golden["amount"]
-    assert list(record.rounds) == golden["rounds"]
-    assert dict(record.messages) == golden["messages"]
-    assert sorted(record.breakdown) == golden["breakdown_keys"]
+    assert trace.protocol == golden["operation"]
+    assert trace.subject == golden["container"]
+    assert trace.amount == golden["amount"]
+    assert trace.labels == golden["rounds"]
+    assert trace.message_counts == golden["messages"]
+    assert sorted(trace.breakdown) == golden["breakdown_keys"]
     # Simulated protocol time: identical costs are charged, so the total
     # must match closely (small tolerance for event-ordering jitter).
-    assert record.total == pytest.approx(golden["total"], rel=0.25)
+    assert trace.total == pytest.approx(golden["total"], rel=0.25)
 
 
 class TestContainerProtocolGoldens:
@@ -54,7 +54,7 @@ class TestContainerProtocolGoldens:
 
         env.process(do(env))
         pipe.run(settle=60)
-        assert_matches_golden(pipe.tracer.of("increase")[0], GOLDEN[key])
+        assert_matches_golden(pipe.control_trace.of("increase")[0], GOLDEN[key])
 
     def test_decrease(self):
         env = Environment()
@@ -66,7 +66,7 @@ class TestContainerProtocolGoldens:
 
         env.process(do(env))
         pipe.run(settle=120)
-        assert_matches_golden(pipe.tracer.of("decrease")[0], GOLDEN["decrease_2"])
+        assert_matches_golden(pipe.control_trace.of("decrease")[0], GOLDEN["decrease_2"])
 
     def test_offline(self):
         env = Environment()
@@ -78,11 +78,11 @@ class TestContainerProtocolGoldens:
 
         env.process(do(env))
         pipe.run(settle=120)
-        assert_matches_golden(pipe.tracer.of("offline")[0], GOLDEN["offline_csym"])
+        assert_matches_golden(pipe.control_trace.of("offline")[0], GOLDEN["offline_csym"])
 
     def test_replace(self):
         pipe = _run_replace_scenario()
-        assert_matches_golden(pipe.tracer.of("replace")[0], GOLDEN["replace_bonds"])
+        assert_matches_golden(pipe.control_trace.of("replace")[0], GOLDEN["replace_bonds"])
 
 
 def _run_replace_scenario():

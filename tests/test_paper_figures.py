@@ -15,9 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.transactions.coordinator as coord_mod
 from repro.cluster import redsky
-from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
 from repro.evpath import Messenger
 from repro.experiments import figures
 from repro.simkernel import Environment
@@ -102,8 +100,8 @@ class TestFig3:
         assert trace["status"] == "committed"
         executed = [r["name"] for r in trace["rounds"] if r["status"] != "skipped"]
         assert executed == ["request", "spawn", "complete"]
-        # The engine trace accounts for every message and the whole simulated
-        # duration of the legacy per-operation record of the same +2 increase.
+        # The trace accounts for every message and the whole simulated
+        # duration of the golden record of the same +2 increase.
         golden = GOLDEN["increase_2"]
         assert trace["messages"] == sum(golden["messages"].values())
         assert trace["total_seconds"] == pytest.approx(golden["total"], rel=0.25)
@@ -111,10 +109,11 @@ class TestFig3:
         assert [r["name"] for r in gm_trace["rounds"]] == ["allocate", "validate", "request"]
 
     def test_rounds_scale_with_replicas(self):
-        small = _increase(1).tracer.of("increase")[0]
-        big = _increase(3).tracer.of("increase")[0]
-        assert len(big.rounds) > len(small.rounds)
-        assert big.messages["intra_container"] > small.messages["intra_container"]
+        small = _increase(1).control_trace.of("increase")[0]
+        big = _increase(3).control_trace.of("increase")[0]
+        assert len(big.labels) > len(small.labels)
+        assert (big.message_counts["intra_container"]
+                > small.message_counts["intra_container"])
 
 
 class TestFig4:
@@ -134,7 +133,7 @@ class TestFig4:
         """aprun (3-27 s) completely dwarfs the protocol for a PARALLEL
         component, whose relaunch is charged separately."""
         record = _increase(4, model="parallel", staging=13 + 8, spare=0,
-                           seed=7, settle=120).tracer.of("increase")[0]
+                           seed=7, settle=120).control_trace.of("increase")[0]
         launch = record.breakdown.get("launch", 0.0)
         assert 3.0 <= launch <= 27.0
         assert launch > 10 * record.breakdown.get("intra_container", 0.0)
@@ -171,13 +170,11 @@ class TestFig5:
         assert pipe.containers["bonds"].units == 6
 
 
-def _redsky_tm(writers, traced=False, **kwargs):
+def _redsky_tm(writers, **kwargs):
     """A transaction manager on a RedSky machine with room for
     ``writers`` plus a few readers and the coordinator."""
     env = Environment()
     machine = redsky(env, num_nodes=writers + 5)
-    if traced:
-        kwargs["engine"] = ControlPlaneEngine(env, trace=ControlPlaneTrace())
     tm = TransactionManager(env, Messenger(env, machine.network), machine.nodes[-1],
                             **kwargs)
     return env, machine, tm
@@ -199,7 +196,7 @@ class TestFig6:
         assert times[-1] > times[0]
 
     def test_engine_phase_breakdown(self):
-        env, machine, tm = _redsky_tm(256, traced=True)
+        env, machine, tm = _redsky_tm(256)
         wg = tm.build_group("writers", machine.nodes[:256], fanout=8)
         rg = tm.build_group("readers", machine.nodes[256:260], fanout=8)
         outcomes = []
@@ -225,9 +222,7 @@ class TestFig6:
         injector = FailureInjector()
         env, machine, tm = _redsky_tm(writers, injector=injector, vote_timeout=1.0)
         wg = tm.build_group("w", machine.nodes[:writers], fanout=8)
-        probe = next(coord_mod._TXN_IDS)
-        coord_mod._TXN_IDS = iter(range(probe + 1, probe + 100))
-        injector.inject("w-p0", probe + 1, "crash")
+        injector.inject("w-p0", 1, "crash")  # the coordinator's first txn
         outcomes = []
 
         def proc(env):

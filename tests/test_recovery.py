@@ -104,11 +104,11 @@ class TestReplace:
 
         pipe.run(settle=200)
 
-        replaces = pipe.tracer.of("replace")
+        replaces = pipe.control_trace.of("replace")
         assert len(replaces) == 1
         record = replaces[0]
         assert record.breakdown.get("state_migration", 0.0) > 0.0
-        assert any("state snapshot" in r for r in record.rounds)
+        assert any("state snapshot" in label for label in record.labels)
         assert frags.units == 3
 
     def test_degrades_to_offline_when_no_capacity(self):

@@ -61,13 +61,13 @@ class TestStatefulResize:
         pipe.run(settle=300)
         # Find the fragments increase (the launch itself is also an increase
         # but has no donors yet, so no state moves there).
-        records = [r for r in pipe.tracer.of("increase")
-                   if r.container == "fragments"]
+        records = [r for r in pipe.control_trace.of("increase")
+                   if r.subject == "fragments"]
         assert len(records) == 2
         launch_record, grow_record = records
         assert "state_migration" not in launch_record.breakdown
         assert grow_record.breakdown["state_migration"] > 0
-        assert grow_record.messages["state_migration"] == 1
+        assert grow_record.message_counts["state_migration"] == 1
 
     def test_decrease_merges_state_into_survivors(self):
         env = Environment()
@@ -79,10 +79,10 @@ class TestStatefulResize:
 
         env.process(ctl(env))
         pipe.run(settle=300)
-        record = [r for r in pipe.tracer.of("decrease")
-                  if r.container == "fragments"][0]
+        record = [r for r in pipe.control_trace.of("decrease")
+                  if r.subject == "fragments"][0]
         assert record.breakdown["state_migration"] > 0
-        assert record.messages["state_migration"] == 2
+        assert record.message_counts["state_migration"] == 2
         assert pipe.containers["fragments"].units == 1
 
     def test_stateless_resize_has_no_migration(self):
@@ -100,7 +100,9 @@ class TestStatefulResize:
 
         env.process(ctl(env))
         pipe.run(settle=300)
-        for record in pipe.tracer.records:
+        for record in pipe.control_trace.records:
+            if record.protocol not in ("increase", "decrease", "replace", "offline"):
+                continue
             assert "state_migration" not in record.breakdown
 
     def test_state_migration_cost_scales_with_state(self):
@@ -127,8 +129,8 @@ class TestStatefulResize:
 
             env.process(ctl(env))
             pipe.run(settle=300)
-            record = [r for r in pipe.tracer.of("increase")
-                      if r.container == "fragments"][-1]
+            record = [r for r in pipe.control_trace.of("increase")
+                      if r.subject == "fragments"][-1]
             return record.breakdown.get("state_migration", 0.0)
 
         assert run(4.0) > run(0.5)

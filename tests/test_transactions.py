@@ -80,13 +80,10 @@ class TestCommitPath:
         injector = FailureInjector()
         machine, messenger, tm = rig(env, injector=injector)
         group = tm.build_group("g", machine.nodes[:8], fanout=2)
-        # Learn the txn id deterministically by injecting for the next id.
-        import repro.transactions.coordinator as coord_mod
-
-        next_id = next(coord_mod._TXN_IDS)
-        coord_mod._TXN_IDS = iter([next_id + 1, next_id + 2, next_id + 3])
-        injector.inject("g-p5", next_id + 1, "abort")
+        # A coordinator numbers its transactions from 1.
+        injector.inject("g-p5", 1, "abort")
         out = run_one(env, tm, [group])
+        assert out.txn_id == 1
         assert not out.committed
         assert ("g-p5", out.txn_id) in injector.triggered
         # Every reachable participant learned the abort decision.
@@ -98,11 +95,7 @@ class TestFailures:
         injector = FailureInjector()
         machine, messenger, tm = rig(env, injector=injector, vote_timeout=vote_timeout)
         group = tm.build_group("g", machine.nodes[:4], fanout=2)
-        import repro.transactions.coordinator as coord_mod
-
-        probe = next(coord_mod._TXN_IDS)
-        coord_mod._TXN_IDS = iter(range(probe + 1, probe + 10))
-        injector.inject(victim, probe + 1, behaviour)
+        injector.inject(victim, 1, behaviour)  # the coordinator's first txn
         return tm, group
 
     def test_root_crash_presumed_abort(self, env):
@@ -126,6 +119,28 @@ class TestFailures:
     def test_injector_validation(self):
         with pytest.raises(ValueError):
             FailureInjector().inject("x", 1, "explode")
+
+
+class TestRunScopedState:
+    """Nothing a transaction manager records outlives it."""
+
+    def test_each_manager_numbers_transactions_from_one(self):
+        for _ in range(2):
+            env = Environment()
+            machine, messenger, tm = rig(env)
+            out = run_one(env, tm, [tm.build_group("g", machine.nodes[:4])])
+            assert out.committed
+            assert out.txn_id == 1
+
+    def test_new_manager_starts_with_an_empty_trace(self):
+        from repro.experiments import figures
+
+        figures.run_fig6(ratios=((64, 2),), repeats=2)
+        env = Environment()
+        machine, messenger, tm = rig(env)
+        assert tm.engine.trace.records == []
+        run_one(env, tm, [tm.build_group("g", machine.nodes[:4])])
+        assert [t.subject for t in tm.engine.trace.records] == ["txn-1"]
 
 
 class TestScalability:
