@@ -78,7 +78,6 @@ def demo_transactional_trade() -> None:
     pipe = build(env, PipelineSpec("trade", workload=workload, builder=dict(
         seed=0, control_interval=10_000)))
     tm = TransactionManager(env, pipe.messenger, pipe.machine.nodes[0])
-    pipe.global_manager.transaction_manager = tm
 
     def total_nodes():
         held = sum(c.units for c in pipe.containers.values())
@@ -91,7 +90,7 @@ def demo_transactional_trade() -> None:
 
     def ctl(env):
         yield env.timeout(1)
-        yield pipe.global_manager.steal("helper", "bonds", 1)
+        yield tm.run_trade(pipe.global_manager, "helper", "bonds", 1)
         # The failed trade compensated; retry succeeds using the spare node.
         yield pipe.global_manager.increase("bonds", 1)
 

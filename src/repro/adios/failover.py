@@ -22,8 +22,8 @@ Every produced timestep ends delivered, shed, or spilled, and every
 spilled timestep eventually settles as replayed (delivered) or superseded
 (delivered live first) — the fate ledger enforces the transitions.
 
-All of this is strictly opt-in: without a FailoverManager the ledger
-diverts nothing and legacy pipelines are byte-identical.
+All of this is strictly opt-in: a pipeline without a failover block
+carries a :class:`NoFailover`, and its ledger diverts nothing.
 """
 
 from __future__ import annotations
@@ -93,6 +93,15 @@ class FailoverPolicy:
             raise ValueError("collapse_ticks must be >= 1")
 
 
+class NoFailover:
+    """Failover off: sheds stay sheds, nothing spills, nothing replays."""
+
+    handovers = ()
+
+    def request_catchup(self) -> None:
+        pass
+
+
 class FailoverManager:
     """Owns the spill store, the spill ledger, and the failover protocols.
 
@@ -155,33 +164,23 @@ class FailoverManager:
         self._collapse_ticks: Dict[str, int] = {}
         self._stopped = False
         pipe.degradation.subscribers.append(self._on_transition)
-        if pipe.recovery is not None:
-            pipe.recovery.on_replace_complete = self._on_replace_complete
+        pipe.recovery.on_replace_complete = self._on_replace_complete
         pipe.failover = self
         self._proc = env.process(self._sweep(), name="failover-sweep")
 
     # -- stage/link mapping --------------------------------------------------------
 
     def _store_node(self):
-        gm = self.pipe.global_manager
-        if gm is not None:
-            return gm.node
-        return self.pipe.machine.nodes[0]
+        return self.pipe.global_manager.node
 
     def _link_for_stage(self, stage: str):
         container = self.pipe.containers.get(stage)
         if container is not None:
             return container.input_link
-        driver = self.pipe.driver
-        if driver is not None and driver.writers:
-            return driver.writers[0].link
-        return None
+        return self.pipe.driver.writers[0].link
 
     def _switch_for_stage(self, stage: str) -> Optional[EngineSwitch]:
-        link = self._link_for_stage(stage)
-        if link is None:
-            return None
-        return self.switches.get(link.name)
+        return self.switches.get(self._link_for_stage(stage).name)
 
     def _consumer_of(self, link):
         for container in self.pipe.containers.values():
@@ -341,10 +340,12 @@ class FailoverManager:
                 provenance=("replay",),
                 created_at=record.time,
                 integrity=record.digest,
+                chunk_id=next(self.env.chunk_ids),
             )
             yield engine.put(chunk, {"record": record})
         yield engine.put(
-            DataChunk(timestep=-1, nbytes=0.0, created_at=self.env.now),
+            DataChunk(timestep=-1, nbytes=0.0, created_at=self.env.now,
+                      chunk_id=next(self.env.chunk_ids)),
             {"eos": True},
         )
         yield consumer
@@ -363,8 +364,7 @@ class FailoverManager:
         # Re-prime flow control: a resize-to-current re-drains any pushes
         # deferred while the link was degraded.
         for link in self.pipe.links.values():
-            if link.credits is not None:
-                link.credits.resize(link.credits.window)
+            link.credits.resize(link.credits.window)
         for switch in self.switches.values():
             if switch.state != LIVE:
                 switch.watermark = ctx["watermark"]
@@ -412,8 +412,6 @@ class FailoverManager:
         gone (ladder fully unwound, driver stride back to 1), or the run
         is over and only the backlog remains."""
         driver = self.pipe.driver
-        if driver is None:
-            return True
         if driver.finished.triggered:
             return True
         return (
@@ -439,8 +437,6 @@ class FailoverManager:
     def _check_collapse(self):
         for lname, link in sorted(self.pipe.links.items()):
             credits = link.credits
-            if credits is None:
-                continue
             consumer = self._consumer_of(link)
             if consumer is not None and consumer.gather_count > 1:
                 # Fragment links: spilling one writer's fragment would

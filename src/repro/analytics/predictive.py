@@ -5,7 +5,7 @@
 
 * a sampling process that, every ``sample_interval`` simulated seconds,
   folds the GM snapshot, the driver's staging-buffer occupancy, the
-  derived risk metrics and a few perf-registry counters into the
+  derived risk metrics and the run's shed and escalation counts into the
   :class:`~repro.analytics.series.SeriesStore`;
 * one EWMA + one rolling-trend forecaster per metric, updated as the
   samples land; and
@@ -32,11 +32,9 @@ from repro.perf.registry import REGISTRY
 from repro.analytics.series import SeriesStore
 from repro.analytics.derived import ContainerRiskModel
 from repro.analytics.forecast import EWMAForecaster, TrendForecaster
+from repro.overload.brownout import ESCALATIONS
 
-__all__ = ["PredictiveConfig", "PredictiveManager"]
-
-#: perf-registry counters mirrored into the series store each sample
-SAMPLED_COUNTERS = ("overload.shed", "overload.escalations")
+__all__ = ["NoForecast", "PredictiveConfig", "PredictiveManager"]
 
 
 @dataclass(frozen=True)
@@ -116,15 +114,13 @@ class PredictiveManager:
         self.store = SeriesStore(default_capacity=self.config.capacity)
         self._ewma: Dict[str, EWMAForecaster] = {}
         self._trend: Dict[str, TrendForecaster] = {}
-        self._risk: Optional[ContainerRiskModel] = None
+        self._risk = ContainerRiskModel(
+            pipe.global_manager.sla_interval, trend_window=self.config.trend_window
+        )
         self.signals = 0
         self.samples = 0
-        # The perf registry is process-global; snapshot its counts at
-        # construction so the mirrored series are run-local deltas and
-        # replays are bit-identical regardless of prior runs.
-        self._counter_baseline = {
-            name: float(REGISTRY.counter(name)) for name in SAMPLED_COUNTERS
-        }
+        #: brownout escalations on this run's ladder
+        self.escalations = 0
         self._stopped = False
         self._proc = env.process(self._run(), name="analytics")
 
@@ -143,6 +139,8 @@ class PredictiveManager:
         pipe.fates.shed_subscribers.append(self._on_shed)
 
     def _on_degradation(self, step, trace) -> None:
+        if step.kind == "brownout" and step.action in ESCALATIONS:
+            self.escalations += 1
         self.store.append("overload.degradation_level", step.time,
                           float(trace.overall_level))
         self.store.append("overload.time_in_degraded", step.time,
@@ -170,13 +168,6 @@ class PredictiveManager:
         """Fold one observation of the whole pipeline into the store."""
         now = self.env.now
         gm = self.pipe.global_manager
-        driver = self.pipe.driver
-        if gm is None:
-            return
-        if self._risk is None:
-            self._risk = ContainerRiskModel(
-                gm.sla_interval, trend_window=self.config.trend_window
-            )
         for name, state in gm.snapshot().items():
             if state.offline or not state.active or state.units <= 0:
                 continue
@@ -190,12 +181,12 @@ class PredictiveManager:
             self.observe(f"{name}.queue_risk", now, derived.queue_risk)
             self.observe(f"{name}.headroom_trend", now, derived.headroom_trend)
             self.observe(f"{name}.stride_demand", now, derived.stride_demand)
-        if driver is not None and driver.writers:
-            occ = max(w.buffer.occupancy for w in driver.writers)
-            self.observe("sim.buffer_occupancy", now, occ)
-        self.store.sample_counters(
-            REGISTRY, SAMPLED_COUNTERS, now, baseline=self._counter_baseline
-        )
+        occ = max(w.buffer.occupancy for w in self.pipe.driver.writers)
+        self.observe("sim.buffer_occupancy", now, occ)
+        self.store.append("counter.overload.shed", now,
+                          float(len(self.pipe.fates.shed_records)))
+        self.store.append("counter.overload.escalations", now,
+                          float(self.escalations))
         self.samples += 1
 
     def observe(self, metric: str, time: float, value: float) -> None:
@@ -247,14 +238,11 @@ class PredictiveManager:
         after ``max_age`` (default two sample intervals): a forecaster
         frozen on its last pre-outage sample is evidence of nothing.
         """
-        gm = self.pipe.global_manager
-        if gm is None:
-            return None
         if max_age is None:
             max_age = 2.0 * self.config.sample_interval
         now = self.env.now
         worst: Optional[Tuple[str, float]] = None
-        for name, manager in gm.locals.items():
+        for name, manager in self.pipe.global_manager.locals.items():
             container = manager.container
             if container.offline or not getattr(container, "active", True):
                 continue
@@ -308,3 +296,27 @@ class PredictiveManager:
             "signals": self.signals,
             "series": self.store.names(),
         }
+
+
+class NoForecast:
+    """A reactive pipeline's forecaster: its config and zero shed pressure
+    reduce every forecast-guided branch of the overload controllers to
+    the reactive one."""
+
+    config = PredictiveConfig(
+        escalation_check_factor=1.0, offline_backoff_cap=1.0, max_proactive_level=0,
+    )
+
+    def __init__(self):
+        self.store = SeriesStore()
+
+    def stop(self) -> None:
+        pass
+
+    def forecast(self, *args) -> None:
+        return None
+
+    sla_risk = forecast
+
+    def shed_pressure(self, *args) -> int:
+        return 0

@@ -7,13 +7,12 @@ no resizing — so the sampling process and the ladder-transition
 subscribers can record without perturbing the event schedule.
 
 :class:`SeriesStore` is the per-pipeline registry mapping metric names
-to series, with a bridge (:meth:`SeriesStore.sample_counters`) that
-snapshots named counters out of the :mod:`repro.perf` registry.
+to series.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["MetricSeries", "SeriesStore"]
 
@@ -122,29 +121,6 @@ class SeriesStore:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def sample_counters(
-        self,
-        registry,
-        names: Iterable[str],
-        time: float,
-        baseline: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """Append the current value of each named perf counter.
-
-        Missing counters sample as 0 so a series exists from the first
-        tick even when the event that bumps the counter hasn't happened
-        yet — forecasters want a gapless series.  ``baseline`` maps
-        counter name to the count to subtract: the registry is
-        process-global, so run-local series must deduct whatever earlier
-        runs in the same process accumulated (replay identity depends on
-        it).
-        """
-        for name in names:
-            value = float(registry.counter(name))
-            if baseline is not None:
-                value -= baseline.get(name, 0.0)
-            self.append(f"counter.{name}", time, value)
 
     def as_dict(self) -> dict:
         return {name: self._series[name].as_dict() for name in self.names()}

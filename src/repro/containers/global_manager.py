@@ -3,9 +3,10 @@
 Maintains the dependency configuration, receives metric reports from the
 local managers, runs the management policy on a control period, and executes
 the resulting actions as message protocols against the local managers.
-Resource trades can optionally be wrapped in D2T control transactions (the
-resilient path evaluated in Figure 6), guaranteeing that a node removed from
-a donor is either delivered to the recipient or returned.
+A resource trade can instead run as a D2T control transaction
+(:meth:`repro.transactions.TransactionManager.run_trade`, the resilient
+path evaluated in Figure 6), which guarantees that a node removed from a
+donor is either delivered to the recipient or returned.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.simkernel.resources import Resource
 from repro.cluster.node import Node
 from repro.cluster.scheduler import BatchScheduler
 from repro.containers.local_manager import LocalManager
+from repro.containers.recovery import NoRecovery
 from repro.containers.policy import (
     ContainerState,
     Increase,
@@ -49,7 +51,6 @@ class GlobalManager:
         telemetry: Optional[Telemetry] = None,
         control_interval: float = 30.0,
         overflow_horizon: float = 120.0,
-        transaction_manager=None,
         engine: Optional[ControlPlaneEngine] = None,
         fates: Optional[FateLedger] = None,
     ):
@@ -63,7 +64,6 @@ class GlobalManager:
         self.telemetry = telemetry or Telemetry()
         self.control_interval = control_interval
         self.overflow_horizon = overflow_horizon
-        self.transaction_manager = transaction_manager
 
         self.endpoint = messenger.endpoint(node, "global-mgr")
         self.locals: Dict[str, LocalManager] = {}
@@ -76,8 +76,8 @@ class GlobalManager:
         #: serializes policy actions against crash-recovery protocols so a
         #: REPLACE never interleaves with a resize of the same container
         self.control_lock = Resource(env, capacity=1)
-        #: attached RecoveryManager, if fault tolerance is enabled
-        self.recovery = None
+        #: the RecoveryManager under fault tolerance, else a NoRecovery
+        self.recovery = NoRecovery()
         #: the pipeline's fate ledger (a private one when standalone)
         self.fates = fates if fates is not None else FateLedger()
         #: fleet identity: multi-tenant runs shard one GM per tenant and
@@ -121,10 +121,9 @@ class GlobalManager:
     def ingest_report(self, report: dict) -> None:
         """Record one metric report (from a direct message or an overlay)."""
         name = report["container"]
-        if self.recovery is not None:
-            # Manager liveness rides the existing monitoring path: every
-            # report doubles as that local manager's heartbeat.
-            self.recovery.note_report(name)
+        # Manager liveness rides the existing monitoring path: every report
+        # doubles as that local manager's heartbeat.
+        self.recovery.note_report(name)
         self._reports[name] = report
         occ = self._occupancy_hist.setdefault(name, [])
         occ.append((report["time"], report["buffer_occupancy"]))
@@ -329,19 +328,15 @@ class GlobalManager:
     def steal(self, donor: str, recipient: str, count: int):
         """Process: move ``count`` nodes donor -> recipient.
 
-        With a transaction manager attached, the trade runs under a D2T
-        control transaction; on any participant failure the transaction
-        aborts and the freed nodes return to the spare pool rather than
-        being lost (the consistency guarantee of Section III-A item 5).
+        If the freed nodes die mid-trade the ``gm_steal`` protocol aborts
+        and they return to the spare pool rather than being lost (the
+        consistency guarantee of Section III-A item 5);
+        :meth:`repro.transactions.TransactionManager.run_trade` runs the
+        same trade as a D2T control transaction.
         """
         return self.env.process(self._steal(donor, recipient, count), name="gm-steal")
 
     def _steal(self, donor: str, recipient: str, count: int):
-        if self.transaction_manager is not None:
-            outcome = yield self.transaction_manager.run_trade(
-                self, donor, recipient, count
-            )
-            return outcome
         result = yield self.engine.execute(
             protocols.GM_STEAL, subject=f"{donor}->{recipient}",
             data={"gm": self, "donor": donor, "recipient": recipient,
@@ -546,13 +541,12 @@ class GlobalManager:
             self.node, self.endpoint, manager.endpoint.name, request
         )
         if container.input_link is not None:
-            if container.input_link.credits is not None:
-                # Reinstall the credit window *before* the writers resume:
-                # the stale window described a downstream that no longer
-                # exists, and resuming first would let the first
-                # post-recovery dispatch go out creditless (or be deferred
-                # against credits still held by pruned chunks).
-                container.input_link.credits.reset()
+            # Reinstall the credit window *before* the writers resume: the
+            # stale window described a downstream that no longer exists,
+            # and resuming first would let the first post-recovery dispatch
+            # go out creditless (or be deferred against credits still held
+            # by pruned chunks).
+            container.input_link.credits.reset()
             yield container.input_link.resume_writers()
         # Fresh latency state: the stale pre-offline window must not trip
         # an immediate re-escalation.
@@ -588,8 +582,7 @@ class GlobalManager:
 
     def stop(self) -> None:
         self._stopped = True
-        if self.recovery is not None:
-            self.recovery.stop()
+        self.recovery.stop()
         for proc in (self._recv_proc, self._control_proc):
             if proc.is_alive:
                 proc.interrupt("stop")

@@ -52,7 +52,7 @@ class LocalManager:
         self.global_name = global_manager_endpoint
         self.scheduler = scheduler
         self.engine = engine or ControlPlaneEngine(env)
-        self.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.monitor_interval = monitor_interval
         #: the SLA this manager sizes against; when set, metric reports
         #: carry the locally computed shortfall/headroom so the global
@@ -222,8 +222,7 @@ class LocalManager:
             ctx.charge("manager", elapsed, messages=1)
 
     def _mark(self, text: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.mark(self.env.now, text)
+        self.telemetry.mark(self.env.now, text)
 
     # -- increase -------------------------------------------------------------------------
 
@@ -545,15 +544,14 @@ class LocalManager:
             if self.sla_interval is not None:
                 report["shortfall"] = self.shortfall(self.sla_interval)
                 report["headroom"] = self.headroom(self.sla_interval)
-            if self.telemetry is not None:
-                t = self.env.now
-                if report["latency_mean"] is not None:
-                    self.telemetry.record(container.name, "latency_mean", t, report["latency_mean"])
-                self.telemetry.record(container.name, "queued", t, report["queued"])
-                self.telemetry.record(
-                    container.name, "buffer_occupancy", t, report["buffer_occupancy"]
-                )
-                self.telemetry.record(container.name, "units", t, container.units)
+            t = self.env.now
+            if report["latency_mean"] is not None:
+                self.telemetry.record(container.name, "latency_mean", t, report["latency_mean"])
+            self.telemetry.record(container.name, "queued", t, report["queued"])
+            self.telemetry.record(
+                container.name, "buffer_occupancy", t, report["buffer_occupancy"]
+            )
+            self.telemetry.record(container.name, "units", t, container.units)
             message = Message(
                 MessageType.METRIC_REPORT, sender=self.endpoint.name, payload=report
             )

@@ -27,12 +27,17 @@ from repro.containers.container import Container
 from repro.containers.global_manager import GlobalManager
 from repro.containers.local_manager import LocalManager
 from repro.containers.policy import LatencyPolicy, ManagementPolicy
+from repro.containers.recovery import NoRecovery
 from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
+from repro.datatap.buffer import StagingBuffer
 from repro.datatap.link import DataTapLink
-from repro.datatap.scheduling import PullScheduler
+from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 from repro.datatap.writer import DataTapWriter
+from repro.adios.failover import NoFailover
 from repro.adios.filesystem import ParallelFileSystem
-from repro.evpath.channel import Messenger
+from repro.analytics.predictive import NoForecast
+from repro.evpath.channel import Messenger, RetryPolicy
+from repro.evpath.overlay import NoOverlay
 from repro.fate import FateLedger
 from repro.lammps.driver import LammpsDriver
 from repro.lammps.workload import WeakScalingWorkload
@@ -113,8 +118,10 @@ class Pipeline:
         self.managers: Dict[str, LocalManager] = {}
         self.global_manager: Optional[GlobalManager] = None
         self.links: Dict[str, DataTapLink] = {}
-        self.monitoring_overlay = None
-        self.recovery = None
+        #: every optional block below is a no-op stand-in until the
+        #: builder attaches the real one, so callers never branch on it
+        self.monitoring_overlay = NoOverlay()
+        self.recovery = NoRecovery()
         self.fault_injector = None
         self.branch_fired = False
         self.end_to_end: List[tuple] = []  # (exit_time, timestep, latency)
@@ -126,22 +133,22 @@ class Pipeline:
         #: replayed — written only through this ledger
         self.fates = FateLedger()
         from repro.overload import DegradationTrace, ShedLedger
+        from repro.overload.backpressure import NoBackpressure
+        from repro.overload.brownout import NoBrownout
 
         #: read view over the ledger's shed records
         self.shed_ledger = ShedLedger(self.fates)
         #: structured record of every degradation/restoration transition
         self.degradation = DegradationTrace()
-        #: overload controllers, attached by the builder when enabled
-        self.backpressure = None
-        self.brownout = None
-        #: predictive manager (repro.analytics), attached by the builder
-        #: when the spec's overload block says ``mode: predictive``
-        self.analytics = None
-        #: degrade-to-disk failover (repro.adios.failover) and the read
-        #: view over the ledger's spill records, attached by the builder
-        #: when the spec's failover block is set; None keeps every legacy
-        #: path byte-identical
-        self.failover = None
+        #: overload controllers
+        self.backpressure = NoBackpressure()
+        self.brownout = NoBrownout()
+        #: the forecaster (repro.analytics): a PredictiveManager when the
+        #: spec's overload block says ``mode: predictive``
+        self.analytics = NoForecast()
+        #: degrade-to-disk failover (repro.adios.failover), and the read
+        #: view over the ledger's spill records (None without failover)
+        self.failover = NoFailover()
         self.spill_ledger = None
 
     def run(self, settle: float = 60.0, deadline: Optional[float] = None) -> bool:
@@ -167,21 +174,21 @@ class Pipeline:
             finished = self.driver.finished.triggered
             if finished:
                 self.env.run(until=self.env.now + settle)
-            if self.global_manager is not None:
-                self.global_manager.stop()
-            if self.monitoring_overlay is not None:
-                self.monitoring_overlay.stop()
-            if self.backpressure is not None:
-                self.backpressure.stop()
-            if self.brownout is not None:
-                self.brownout.stop()
-            if self.analytics is not None:
-                self.analytics.stop()
+            self.stop()
         # Attribute wall-clock to engine overhead: events processed,
         # tombstones skipped, heap high-water mark (delta-published, so a
         # later drain/publish never double-counts).
         self.env.publish_perf(PERF)
         return finished
+
+    def stop(self) -> None:
+        """Stop the managers and every controller.  The order is fixed:
+        the stop interrupts' event ids feed the seeded DST tie-break."""
+        self.global_manager.stop()
+        self.monitoring_overlay.stop()
+        self.backpressure.stop()
+        self.brownout.stop()
+        self.analytics.stop()
 
     def node_census(self) -> dict:
         """Where every staging node currently is, by node id.
@@ -332,10 +339,9 @@ class Pipeline:
         self.global_manager.register(manager, depends_on=upstream)
         self.telemetry.mark(self.env.now, f"interactive launch {name}")
         result = yield self.global_manager.increase(name, units)
-        if self.failover is not None:
-            # A cold-start consumer catches up on the spilled history
-            # before it sees live data (full-history replay).
-            self.failover.request_catchup()
+        # A cold-start consumer catches up on the spilled history before it
+        # sees live data (full-history replay).
+        self.failover.request_catchup()
         return container
 
     # -- completion hooks -------------------------------------------------------------------
@@ -439,14 +445,13 @@ class PipelineBuilder:
         staging = machine.partition(f"{prefix}staging", wl.staging_nodes)
 
         # seeded scatter on the messenger's retry backoff; no failover
-        # block (or zero jitter) keeps the historical fixed ladder
-        if spec.failover is not None and spec.failover.retry_jitter:
-            from repro.evpath.channel import RetryPolicy
-
-            retry = RetryPolicy(jitter=spec.failover.retry_jitter, seed=k["seed"])
-            messenger = Messenger(env, machine.network, retry=retry)
-        else:
-            messenger = Messenger(env, machine.network)
+        # block (or zero jitter) keeps the fixed ladder
+        failover = spec.failover
+        retry = RetryPolicy(
+            jitter=failover.retry_jitter if failover is not None else 0.0,
+            seed=k["seed"],
+        )
+        messenger = Messenger(env, machine.network, retry=retry)
         pipe.messenger = messenger
         fs = ParallelFileSystem(env)
         pipe.fs = fs
@@ -489,17 +494,12 @@ class PipelineBuilder:
 
         # LAMMPS writers feed the stage whose upstream is None.
         first_stage = next(s for s in self.stages if s.upstream is None)
-        from repro.datatap.buffer import StagingBuffer
-
         sim_writers = [
             DataTapWriter(
                 env, messenger, sim_part[i % len(sim_part)],
-                buffer=(
-                    StagingBuffer(env, sim_part[i % len(sim_part)],
-                                  capacity_bytes=k["sim_buffer_bytes"],
-                                  name=f"lammps-w{i}.buf")
-                    if k["sim_buffer_bytes"] is not None else None
-                ),
+                buffer=StagingBuffer(env, sim_part[i % len(sim_part)],
+                                     capacity_bytes=k["sim_buffer_bytes"],
+                                     name=f"lammps-w{i}.buf"),
                 name=f"lammps-w{i}",
                 retain_until_processed=k["fault_tolerance"],
             )
@@ -508,10 +508,11 @@ class PipelineBuilder:
         for writer in sim_writers:
             links[first_stage.component].add_writer(writer)
 
+        unscheduled = NoPullScheduler(env)
         pull_sched = (
             PullScheduler(env, max_concurrent_pulls=4, defer_during_output=True)
             if k["use_pull_scheduler"]
-            else None
+            else unscheduled
         )
         driver = LammpsDriver(
             env, sim_writers, wl, crack_step=k["crack_step"],
@@ -591,7 +592,7 @@ class PipelineBuilder:
                 # DataStager scheduling gates the pulls that cross from the
                 # simulation into the staging area (the first stage); pulls
                 # between staging nodes stay unscheduled.
-                pull_scheduler=pull_sched if stage.upstream is None else None,
+                pull_scheduler=pull_sched if stage.upstream is None else unscheduled,
                 sink_fs=fs,
                 active=not stage.standby,
                 natoms_hint=wl.natoms,
@@ -656,26 +657,22 @@ class PipelineBuilder:
         pipe.degradation.subscribers.append(_publish_transition)
         pipe.fates.shed_subscribers.append(_publish_shed)
 
-        predictor = None
+        # Every block below left off keeps the pipeline's no-op stand-in.
         if spec.overload is not None and spec.overload.mode == "predictive":
             from repro.analytics import PredictiveConfig, PredictiveManager
 
-            predictor = PredictiveManager(
+            pipe.analytics = PredictiveManager(
                 env, pipe,
                 config=PredictiveConfig(**spec.overload.predictive_kwargs()),
             )
-            predictor.attach(pipe)
-            pipe.analytics = predictor
+            pipe.analytics.attach(pipe)
 
         if k["backpressure"]:
-            from repro.overload import BackpressureController, LinkCredits
+            from repro.overload import BackpressureController
 
-            for link in links.values():
-                link.credits = LinkCredits(env, link)
             bp_kwargs = k["backpressure"] if isinstance(k["backpressure"], Mapping) else {}
             pipe.backpressure = BackpressureController(
-                env, pipe, degradation=pipe.degradation, predictor=predictor,
-                **bp_kwargs
+                env, pipe, pipe.analytics, **bp_kwargs
             )
         if k["brownout"]:
             from repro.overload import BrownoutConfig, BrownoutController, NullPolicy
@@ -685,8 +682,8 @@ class PipelineBuilder:
             gm.policy = NullPolicy()
             bo_kwargs = k["brownout"] if isinstance(k["brownout"], Mapping) else {}
             pipe.brownout = BrownoutController(
-                env, gm, config=BrownoutConfig(**bo_kwargs),
-                degradation=pipe.degradation, predictor=predictor,
+                env, gm, pipe.analytics, config=BrownoutConfig(**bo_kwargs),
+                degradation=pipe.degradation,
             )
 
         # Monitoring transport: direct manager-to-manager messages (default)
@@ -726,22 +723,24 @@ class PipelineBuilder:
                     lease_timeout=k["lease_timeout"],
                     heartbeat_interval=k["heartbeat_interval"],
                 )
-            pipe.recovery = RecoveryManager(
+            # attaches itself as the global manager's recovery
+            RecoveryManager(
                 env, messenger, gm,
                 manager_lease_timeout=(
                     k["manager_lease_timeout"] or 4.0 * k["monitor_interval"]
                 ),
             )
+        pipe.recovery = gm.recovery
 
         # Degrade-to-disk failover: divert sheds into the spill store,
         # replay them once the consumer side is healthy again.  Attached
         # last so it sees the recovery manager and the credit-equipped
         # links; fault plans arm after build, so injected crashes hit a
         # fully wired failover path.
-        if spec.failover is not None:
+        if failover is not None:
             from repro.adios.failover import FailoverManager, FailoverPolicy
 
-            fo_kwargs = spec.failover.failover_kwargs()
+            fo_kwargs = failover.failover_kwargs()
             if spec.transport == "sst":
                 fo_kwargs["live_transport"] = "sst"
             FailoverManager(env, pipe, policy=FailoverPolicy(**fo_kwargs))

@@ -44,6 +44,18 @@ if TYPE_CHECKING:
     from repro.containers.global_manager import GlobalManager
 
 
+class NoRecovery:
+    """Fault tolerance off: reports beat no lease and nothing is replaced."""
+
+    replacements = ()
+
+    def note_report(self, container: str) -> None:
+        pass
+
+    def stop(self) -> None:
+        pass
+
+
 class RecoveryManager:
     """Consumes failure suspicions and drives the recovery protocols."""
 
@@ -52,7 +64,7 @@ class RecoveryManager:
         env: Environment,
         messenger: Messenger,
         global_manager: "GlobalManager",
-        manager_lease_timeout: Optional[float] = None,
+        manager_lease_timeout: float,
         request_timeout: float = 60.0,
     ):
         self.env = env
@@ -62,8 +74,8 @@ class RecoveryManager:
         #: completed recovery actions, in order
         self.replacements: List[dict] = []
         #: failover hook: called with the container name after a REPLACE
-        #: commits (the replay-after-recovery trigger); None = no-op
-        self.on_replace_complete = None
+        #: commits (the replay-after-recovery trigger)
+        self.on_replace_complete = lambda name: None
         #: containers degraded to offline because recovery was impossible
         self.degraded: List[str] = []
         #: protocol rounds spent on recovery (replace, steal, degrade)
@@ -71,18 +83,16 @@ class RecoveryManager:
         #: suspicions refused because the replica turned out alive
         self.refused = 0
 
-        self.manager_detector: Optional[FailureDetector] = None
-        if manager_lease_timeout is not None:
-            self.manager_detector = FailureDetector(
-                env,
-                "gm-managers",
-                manager_lease_timeout,
-                on_suspect=self._on_manager_suspect,
-                suspend_when=lambda: self.gm.node.failed,
-            )
-            for name in self.gm.locals:
-                self.manager_detector.watch(name)
-            self.manager_detector.start()
+        self.manager_detector = FailureDetector(
+            env,
+            "gm-managers",
+            manager_lease_timeout,
+            on_suspect=self._on_manager_suspect,
+            suspend_when=lambda: self.gm.node.failed,
+        )
+        for name in self.gm.locals:
+            self.manager_detector.watch(name)
+        self.manager_detector.start()
 
         self.gm.recovery = self
         self._proc = env.process(self._run(), name="gm-recovery")
@@ -91,8 +101,6 @@ class RecoveryManager:
 
     def note_report(self, container: str) -> None:
         """A metric report arrived: beat the manager-level lease."""
-        if self.manager_detector is None:
-            return
         if container not in self.manager_detector:
             self.manager_detector.watch(container)
         self.manager_detector.beat(container)
@@ -235,8 +243,7 @@ class RecoveryManager:
         gm.telemetry.mark(self.env.now, f"replace {name} via {method}")
         # Failover hook: a completed replacement means the consumer is back,
         # so spilled history (if any) can be replayed to it.
-        if self.on_replace_complete is not None:
-            self.on_replace_complete(name)
+        self.on_replace_complete(name)
 
     def _rr_degrade(self, ctx):
         """Abort hook: no repair possible — Figure 9 disk fallback."""
@@ -313,8 +320,7 @@ class RecoveryManager:
             gm.control_lock.release(request)
 
     def stop(self) -> None:
-        if self.manager_detector is not None:
-            self.manager_detector.stop()
+        self.manager_detector.stop()
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("stop")
         self._proc = None

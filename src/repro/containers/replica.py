@@ -130,6 +130,7 @@ class Replica:
             payload=fragments[0].payload,
             provenance=fragments[0].provenance,
             created_at=min(f.created_at for f in fragments),
+            chunk_id=next(self.env.chunk_ids),
         )
         merged.entered_stage_at = min(f.entered_stage_at for f in fragments)
         for fragment in fragments:
@@ -150,6 +151,7 @@ class Replica:
         self.chunks_processed += 1
         out = chunk.derive(
             self.container.name,
+            next(self.env.chunk_ids),
             nbytes=chunk.nbytes * self.container.spec.output_ratio,
             natoms=chunk.natoms,
         )

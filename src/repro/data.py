@@ -10,11 +10,8 @@ data will be labeled with its data processing provenance").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
-
-_CHUNK_IDS = itertools.count()
 
 
 @dataclass
@@ -57,11 +54,13 @@ class DataChunk:
     #: processed so retaining writers can release custody.  Deliberately not
     #: copied by :meth:`derive` — custody does not follow derived outputs.
     sources: list = field(default_factory=list)
-    chunk_id: int = field(default_factory=lambda: next(_CHUNK_IDS))
+    #: Identity in its run, drawn from the environment's ``chunk_ids``.
+    chunk_id: int = field(kw_only=True)
 
     def derive(
         self,
         producer: str,
+        chunk_id: int,
         nbytes: Optional[float] = None,
         natoms: Optional[int] = None,
         payload: Any = None,
@@ -77,6 +76,7 @@ class DataChunk:
             payload=payload,
             provenance=self.provenance + (producer,),
             created_at=self.created_at,
+            chunk_id=chunk_id,
         )
 
     def __repr__(self) -> str:

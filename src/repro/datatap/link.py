@@ -25,6 +25,22 @@ from repro.datatap.reader import DataTapReader
 from repro.datatap.writer import DataTapWriter, METADATA_BYTES
 
 
+class NoCredits:
+    """The credit window of a link without flow control (the stand-in for
+    :class:`~repro.overload.credits.LinkCredits`): every dispatch takes a
+    credit at once, so nothing is ever deferred."""
+
+    window = min_window = backlog = 0
+
+    def try_acquire(self, writer_name: str, chunk_id: int) -> bool:
+        return True
+
+    def _ignore(self, *args) -> None:
+        pass
+
+    release = resize = reset = forget_writer = _ignore
+
+
 class DataTapLink:
     """Round-robin distribution from N writers to M readers."""
 
@@ -39,10 +55,10 @@ class DataTapLink:
         #: chunk_ids that have completed a pull on this link — the dedup set
         #: making redelivery after a reader crash idempotent
         self.delivered = set()
-        #: optional :class:`~repro.overload.credits.LinkCredits` window
-        #: gating metadata dispatch; None (the default) disables flow
-        #: control and keeps the dispatch path byte-identical
-        self.credits = None
+        #: the credit window gating metadata dispatch: a
+        #: :class:`~repro.overload.credits.LinkCredits` under backpressure,
+        #: else :class:`NoCredits` (no flow control)
+        self.credits = NoCredits()
         #: monitoring
         self.redispatched = 0
         self.dup_dropped = 0
@@ -118,8 +134,7 @@ class DataTapLink:
         self.writers.remove(writer)
         del self._writers_by_name[writer.name]
         writer.link = None
-        if self.credits is not None:
-            self.credits.forget_writer(writer.name)
+        self.credits.forget_writer(writer.name)
 
     # -- routing ---------------------------------------------------------------------
 

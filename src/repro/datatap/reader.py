@@ -9,6 +9,7 @@ from repro.simkernel.errors import FaultError, SimulationError
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
+from repro.datatap.scheduling import NoPullScheduler
 from repro.perf.registry import REGISTRY
 
 _DUP_DROPPED = REGISTRY.handle("datatap.dup_dropped")
@@ -45,7 +46,8 @@ class DataTapReader:
         self.node = node
         self.name = name
         self.out_queue = out_queue
-        self.scheduler = scheduler
+        #: pull admission: a PullScheduler, or NoPullScheduler (unscheduled)
+        self.scheduler = scheduler or NoPullScheduler(env)
         self.link: Optional["DataTapLink"] = None
         self.endpoint = messenger.endpoint(node, name)
         self._proc = env.process(self._run(), name=f"dtreader:{name}")
@@ -107,15 +109,13 @@ class DataTapReader:
             yield self.env.timeout(0)
             return
         res_event = self.out_queue.reserve()
-        token = None
         try:
             yield res_event
-            if self.scheduler is not None:
-                token = yield self.scheduler.admit()
+            token = yield self.scheduler.admit()
             try:
                 done = yield from self._pull_with_retry(writer, info)
             finally:
-                if self.scheduler is not None and token is not None:
+                if token is not None:
                     self.scheduler.release(token)
             if not done:
                 # Unrecoverable transfer faults (writer node dead): give up.
@@ -151,7 +151,7 @@ class DataTapReader:
 
     def _release_credit(self, chunk_id: int) -> None:
         """Return the chunk's flow-control credit at a terminal pull outcome."""
-        if self.link is not None and self.link.credits is not None:
+        if self.link is not None:
             self.link.credits.release(chunk_id)
 
     def _pull_with_retry(self, writer, info):

@@ -12,7 +12,7 @@ unscheduled pulls.
 
 from __future__ import annotations
 
-from repro.simkernel import Environment, Resource
+from repro.simkernel import Environment, Event, Resource
 from repro.simkernel.errors import SimulationError
 from repro.perf.registry import REGISTRY
 
@@ -100,3 +100,22 @@ class PullScheduler:
 
     def release(self, token) -> None:
         self._tokens.release(token)
+
+
+class NoPullScheduler:
+    """Unscheduled pulls: :meth:`admit` hands back an already processed
+    event, so a reader's ``yield`` resumes at once and schedules nothing.
+    Its token is None, which the reader never releases."""
+
+    def __init__(self, env: Environment):
+        admitted = self._admitted = Event(env)
+        admitted._value = None
+        admitted.callbacks = None  # processed
+
+    def admit(self) -> Event:
+        return self._admitted
+
+    def output_phase_begin(self) -> None:
+        pass
+
+    output_phase_end = output_phase_begin

@@ -126,15 +126,15 @@ class DataTapWriter:
         return chunk
 
     def _dispatch_metadata(self, chunk: DataChunk) -> None:
-        """Push metadata, subject to the link's credit window (if any).
+        """Push metadata, subject to the link's credit window.
 
-        Without credits this is the historical fire-and-forget push; with
-        credits a dispatch beyond the window is deferred (the chunk stays
-        in the buffer) until a downstream completion returns a credit.
+        A dispatch beyond the window is deferred (the chunk stays in the
+        buffer) until a downstream completion returns a credit; without
+        flow control every dispatch is the fire-and-forget push.
         """
-        credits = self.link.credits if self.link is not None else None
-        if credits is not None and not credits.try_acquire(self.name, chunk.chunk_id):
-            credits.defer(self, chunk)
+        link = self.link
+        if link is not None and not link.credits.try_acquire(self.name, chunk.chunk_id):
+            link.credits.defer(self, chunk)
             return
         self.spawn_metadata_push(chunk)
 

@@ -143,18 +143,15 @@ class NoGapNoDupAfterHandover(Invariant):
     were delivered in strictly increasing sequence order, the watermark is
     the batch maximum, and no sequence number is claimed by two handovers.
 
-    No-op without a failover manager.
+    Vacuous without failover: a NoFailover records no handovers.
     """
 
     name = "no_gap_no_dup_after_handover"
 
     def check(self, pipe, final: bool) -> List[str]:
-        failover = getattr(pipe, "failover", None)
-        if failover is None:
-            return []
         problems: List[str] = []
         claimed: Dict[int, float] = {}
-        for hand in failover.handovers:
+        for hand in pipe.failover.handovers:
             head = f"handover@{hand['time']}"
             expected = set(hand["expected"])
             replayed = set(hand["replayed"])
@@ -240,10 +237,9 @@ class D2TPresumedAbort(Invariant):
         return problems
 
     def check(self, pipe, final: bool) -> List[str]:
-        tm = getattr(pipe.global_manager, "transaction_manager", None)
-        if tm is None or getattr(tm, "coordinator", None) is None:
-            return []
-        return self.audit_outcomes(tm.coordinator.outcomes)
+        # A pipeline's own trades run the gm_steal protocol, not D2T: D2T
+        # runs are audited by passing their outcomes to audit_outcomes.
+        return []
 
 
 @register
@@ -301,8 +297,7 @@ class MonotonePerf(Invariant):
 class PredictiveActionsBounded(Invariant):
     """Forecast-driven actions stay evidenced and rung-by-rung.
 
-    On predictive pipelines (``pipe.analytics`` attached) three properties
-    must hold on every schedule:
+    Three properties must hold on every schedule:
 
     * every proactive transition in the degradation trace is preceded by
       recorded forecaster evidence — a ``signal.*`` sample in the series
@@ -315,16 +310,15 @@ class PredictiveActionsBounded(Invariant):
       once, and every proactive brownout action is one of the configured
       non-shedding ``proactive_kinds``.
 
-    No-op on reactive pipelines: without the forecaster stack there is
-    nothing proactive to audit.
+    A reactive pipeline's :class:`~repro.analytics.predictive.NoForecast`
+    takes no proactive action, so there only the rung-by-rung property
+    has anything to check.
     """
 
     name = "predictive_actions_bounded"
 
     def check(self, pipe, final: bool) -> List[str]:
-        analytics = getattr(pipe, "analytics", None)
-        if analytics is None:
-            return []
+        analytics = pipe.analytics
         problems: List[str] = []
         store = analytics.store
         signal_times = [
@@ -356,17 +350,15 @@ class PredictiveActionsBounded(Invariant):
                     f"t={step.time} outside proactive_kinds "
                     f"{analytics.config.proactive_kinds}"
                 )
-        brownout = getattr(pipe, "brownout", None)
-        if brownout is not None and brownout.predictor is not None:
-            cap = brownout.predictor.config.max_proactive_level
-            count = sum(
-                1 for entry in brownout._stack if entry[-1] == "proactive"
+        cap = analytics.config.max_proactive_level
+        count = sum(
+            1 for entry in pipe.brownout._stack if entry[-1] == "proactive"
+        )
+        if count > cap:
+            problems.append(
+                f"{count} proactive rungs on the brownout stack "
+                f"exceeds max_proactive_level {cap}"
             )
-            if count > cap:
-                problems.append(
-                    f"{count} proactive rungs on the brownout stack "
-                    f"exceeds max_proactive_level {cap}"
-                )
         return problems
 
 

@@ -40,6 +40,13 @@ class _OverlayVertex:
         self.flusher = None
 
 
+class NoOverlay:
+    """Direct monitoring: managers report straight to the global manager."""
+
+    def stop(self) -> None:
+        pass
+
+
 class OverlayTree:
     """A k-ary aggregation tree rooted at ``root_node``.
 

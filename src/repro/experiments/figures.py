@@ -426,7 +426,7 @@ def run_predictive(seed: int = 1, steps: int = 24, **_) -> dict:
             "final_stride": pipe.driver.output_stride,
             "degradation_steps": trace.as_dicts(),
         }
-        if pipe.analytics is not None:
+        if predictive:
             out["analytics"] = pipe.analytics.as_dict()
         return out
 
@@ -486,7 +486,7 @@ def run_failover(seed: int = 1, steps: int = 24, **_) -> dict:
         finished = pipe.run(settle=600, deadline=horizon)
         run_end = env.now
         spill = pipe.spill_ledger
-        if spill is not None:
+        if failover:
             # Catch-up: hold the run open (bounded) until the replay
             # protocol settles every spilled segment.
             drain_deadline = env.now + 20.0 * wl.output_interval
@@ -506,7 +506,7 @@ def run_failover(seed: int = 1, steps: int = 24, **_) -> dict:
             "fully_restored": trace.fully_restored,
             "final_stride": pipe.driver.output_stride,
         }
-        if spill is not None:
+        if failover:
             replay_lat = [
                 lat for (_, step, lat), (_, sink, _s) in
                 zip(pipe.end_to_end, pipe.exit_log) if sink == "replay"

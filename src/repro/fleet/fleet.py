@@ -195,15 +195,7 @@ class Fleet:
             return
         self._stopped = True
         for tenant in self.tenants.values():
-            pipe = tenant.pipe
-            if pipe.global_manager is not None:
-                pipe.global_manager.stop()
-            if pipe.monitoring_overlay is not None:
-                pipe.monitoring_overlay.stop()
-            if pipe.backpressure is not None:
-                pipe.backpressure.stop()
-            if pipe.brownout is not None:
-                pipe.brownout.stop()
+            tenant.pipe.stop()
         self.arbiter.stop()
 
     # -- faults ------------------------------------------------------------------------

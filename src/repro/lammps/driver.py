@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 from repro.simkernel import Environment, Event
 from repro.data import DataChunk
 from repro.datatap.writer import DataTapWriter
-from repro.datatap.scheduling import PullScheduler
+from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 from repro.lammps.workload import WeakScalingWorkload
 
 
@@ -43,7 +43,7 @@ class LammpsDriver:
         self.writers = writers
         self.workload = workload
         self.crack_step = crack_step
-        self.pull_scheduler = pull_scheduler
+        self.pull_scheduler = pull_scheduler or NoPullScheduler(env)
         self.write_phase_duration = write_phase_duration
 
         #: fires when all steps have been emitted
@@ -104,8 +104,7 @@ class LammpsDriver:
                     self.on_shed(step)
                 continue
             cracked = self.crack_step is not None and step >= self.crack_step
-            if self.pull_scheduler is not None:
-                self.pull_scheduler.output_phase_begin()
+            self.pull_scheduler.output_phase_begin()
             write_start = self.env.now
             self._write_started = write_start
             writes = []
@@ -116,6 +115,7 @@ class LammpsDriver:
                     natoms=atoms_per_writer,
                     payload={"crack": cracked},
                     created_at=self.env.now,
+                    chunk_id=next(self.env.chunk_ids),
                 )
                 writes.append(writer.write(chunk))
             yield self.env.all_of(writes)
@@ -123,7 +123,6 @@ class LammpsDriver:
             self._write_started = None
             # Anything beyond the nominal local-buffering cost is blocking.
             self.blocked_time += max(0.0, elapsed - self.write_phase_duration)
-            if self.pull_scheduler is not None:
-                self.pull_scheduler.output_phase_end()
+            self.pull_scheduler.output_phase_end()
             self.emit_times.append(self.env.now)
         self.finished.succeed(self.env.now)

@@ -28,11 +28,16 @@ exists to pre-empt — and every stride transition lands in the shared
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.simkernel import Interrupt
 from repro.perf.registry import REGISTRY
-from repro.overload.brownout import DegradationTrace
+from repro.overload.credits import LinkCredits
+
+
+class NoBackpressure:
+    """Backpressure off: no credit windows, no output stride."""
+
+    def stop(self) -> None:
+        pass
 
 
 class BackpressureController:
@@ -42,14 +47,13 @@ class BackpressureController:
         self,
         env,
         pipe,
+        predictor,
         interval: float = 5.0,
         hi: float = 0.8,
         lo: float = 0.3,
         max_stride: int = 8,
         dwell_ticks: int = 2,
         min_window: int = 1,
-        degradation: Optional[DegradationTrace] = None,
-        predictor=None,
     ):
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
@@ -61,14 +65,15 @@ class BackpressureController:
         self.max_stride = max_stride
         self.dwell_ticks = dwell_ticks
         self.min_window = min_window
-        self.trace = (
-            degradation if degradation is not None
-            else getattr(pipe, "degradation", None) or DegradationTrace()
-        )
-        #: optional :class:`~repro.analytics.predictive.PredictiveManager`;
-        #: None (the default) keeps the controller purely reactive with a
-        #: byte-identical event schedule
+        self.trace = pipe.degradation
+        #: the pipeline's forecaster; a
+        #: :class:`~repro.analytics.predictive.NoForecast` keeps it reactive
         self.predictor = predictor
+        #: the links whose credit windows this controller sizes: every link
+        #: of the built pipeline (a stage launched later has no flow control)
+        self._credited = set(pipe.links.values())
+        for link in self._credited:
+            link.credits = LinkCredits(env, link)
         self._calm_ticks = 0
         self._stopped = False
         self._proc = env.process(self._run(), name="backpressure")
@@ -98,7 +103,7 @@ class BackpressureController:
         now = self.env.now
         for container in self.pipe.containers.values():
             link = container.input_link
-            if link is None or link.credits is None:
+            if link not in self._credited:
                 continue
             credits = link.credits
             credits.resize(self._window_for(link, container))
@@ -136,13 +141,12 @@ class BackpressureController:
             (w.buffer.occupancy for r in replicas for w in r.writers.values()),
             default=0.0,
         )
-        if self.predictor is not None:
-            # Tighten against the forecast consumer congestion, not just
-            # the observed one: credits shrink a horizon ahead of the
-            # buffer actually filling.
-            fc = self.predictor.forecast(f"{consumer.name}.buffer_occupancy")
-            if fc is not None and fc > occ:
-                occ = min(1.0, fc)
+        # Tighten against the forecast consumer congestion, not just the
+        # observed one: credits shrink a horizon ahead of the buffer
+        # actually filling.
+        fc = self.predictor.forecast(f"{consumer.name}.buffer_occupancy")
+        if fc is not None and fc > occ:
+            occ = min(1.0, fc)
         # One credit of slack per producer keeps a drained pipeline primed.
         slack = len(link.writers)
         return max(self.min_window, int((free + slack) * (1.0 - occ)))
@@ -151,23 +155,13 @@ class BackpressureController:
 
     def _adapt_stride(self) -> None:
         driver = self.pipe.driver
-        if driver is None or not driver.writers:
-            return
         occupancy = max(w.buffer.occupancy for w in driver.writers)
         self.pipe.telemetry.record(
             "overload", "sim_buffer_occupancy", self.env.now, occupancy
         )
-        first_link = driver.writers[0].link
-        backlog = (
-            first_link.credits.backlog
-            if first_link is not None and first_link.credits is not None
-            else 0
-        )
+        backlog = driver.writers[0].link.credits.backlog
         stride = driver.output_stride
-        forecast = (
-            self.predictor.forecast("sim.buffer_occupancy")
-            if self.predictor is not None else None
-        )
+        forecast = self.predictor.forecast("sim.buffer_occupancy")
         # Pre-emptive stride: act on the darker of observed and forecast
         # occupancy, so the stride doubles a horizon before the buffers
         # actually hit the high-water mark.  Armed only past the midpoint
@@ -206,10 +200,8 @@ class BackpressureController:
 
     def _downstream_decimating(self) -> bool:
         """True while the brownout undo stack holds stride/offline rungs."""
-        brownout = getattr(self.pipe, "brownout", None)
-        if brownout is None:
-            return False
-        return any(entry[0] in ("stride", "offline") for entry in brownout._stack)
+        return any(entry[0] in ("stride", "offline")
+                   for entry in self.pipe.brownout._stack)
 
     def _set_stride(self, driver, stride: int, action: str, occupancy: float,
                     proactive: bool = False) -> None:

@@ -164,20 +164,27 @@ class BrownoutConfig:
     max_stride: int = 8
 
 
+class NoBrownout:
+    """The brownout ladder off: nothing escalates, the undo stack stays empty."""
+
+    _stack = ()
+
+    def stop(self) -> None:
+        pass
+
+
 class BrownoutController:
     """Drives the escalate/recover protocols off the GM's metric snapshot."""
 
-    def __init__(self, env, global_manager, config: Optional[BrownoutConfig] = None,
-                 telemetry=None, degradation: Optional[DegradationTrace] = None,
-                 predictor=None):
+    def __init__(self, env, global_manager, predictor, config: BrownoutConfig,
+                 degradation: DegradationTrace):
         self.env = env
         self.gm = global_manager
-        self.config = config or BrownoutConfig()
-        self.telemetry = telemetry if telemetry is not None else global_manager.telemetry
-        self.trace = degradation if degradation is not None else DegradationTrace()
-        #: optional :class:`~repro.analytics.predictive.PredictiveManager`;
-        #: when None (the default) the controller is purely reactive and
-        #: its event schedule is byte-identical to the pre-analytics tree
+        self.config = config
+        self.telemetry = global_manager.telemetry
+        self.trace = degradation
+        #: the pipeline's forecaster; a
+        #: :class:`~repro.analytics.predictive.NoForecast` keeps it reactive
         self.predictor = predictor
         #: undo stack: one entry per escalation, unwound in reverse
         self._stack: List[tuple] = []
@@ -218,21 +225,19 @@ class BrownoutController:
                 continue
             self.telemetry.record("overload", "sla_ratio", self.env.now, ratio)
             exec_ratio, proactive = ratio, False
-            if ratio <= cfg.escalate_ratio and self.predictor is not None:
+            if ratio <= cfg.escalate_ratio:
                 risk = self._forecast_risk()
                 if risk is not None:
                     worst, exec_ratio, proactive = risk[0], risk[1], True
             if ratio > cfg.escalate_ratio or proactive:
                 self._ok_since = None
                 data = {"bc": self, "gm": self.gm, "worst": worst,
-                        "ratio": exec_ratio}
-                if self.predictor is not None:
-                    data["proactive"] = proactive
-                    if proactive:
-                        # The evidence lands in the series store *before*
-                        # the protocol runs; the predictive_actions_bounded
-                        # invariant audits this ordering.
-                        self.predictor.signal("sla_risk", exec_ratio, subject=worst)
+                        "ratio": exec_ratio, "proactive": proactive}
+                if proactive:
+                    # The evidence lands in the series store *before* the
+                    # protocol runs; the predictive_actions_bounded
+                    # invariant audits this ordering.
+                    self.predictor.signal("sla_risk", exec_ratio, subject=worst)
                 request = self.gm.control_lock.request()
                 yield request
                 try:
@@ -269,12 +274,10 @@ class BrownoutController:
         control loop tightens: the ladder still climbs one rung per
         check — never skipping — but checks come ``escalation_check_factor``
         times as often, so the shedding stride rungs give way to the
-        queueing ``offline`` rung sooner.  Reactive controllers
-        (``predictor is None``) always pace at ``check_interval``.
+        queueing ``offline`` rung sooner.  A reactive controller's factor
+        is 1.0: it always paces at ``check_interval``.
         """
         interval = self.config.check_interval
-        if self.predictor is None:
-            return interval
         factor = self.predictor.config.escalation_check_factor
         risk = self.predictor.sla_risk()
         if risk is not None and risk[1] > self.predictor.config.risk_threshold:
@@ -328,8 +331,6 @@ class BrownoutController:
         the recovery threshold.
         """
         dwell = self.config.dwell
-        if self.predictor is None:
-            return dwell
         if (self._stack and self._stack[-1][0] == "offline"
                 and self._offline_backoff > 1.0):
             return dwell * self._offline_backoff
@@ -438,10 +439,7 @@ class BrownoutController:
                     raise ProtocolAbort(f"stride refused by {action['name']}")
                 self._stack.append(("stride", action["name"], action["old"]))
             elif action["kind"] == "offline":
-                cap = (
-                    self.predictor.config.offline_backoff_cap
-                    if self.predictor is not None else 1.0
-                )
+                cap = self.predictor.config.offline_backoff_cap
                 if (self._last_undo_offline is not None
                         and self.env.now - self._last_undo_offline
                         <= 2.0 * self.config.dwell):
@@ -485,9 +483,7 @@ class BrownoutController:
     def _rec_observe(self, ctx) -> None:
         if not self._stack:
             raise ProtocolExit({"undone": None})
-        index = len(self._stack) - 1
-        if self.predictor is not None:
-            index = self._choose_unwind()
+        index = self._choose_unwind()
         ctx["entry_index"] = index
         ctx["entry"] = self._stack[index]
         ctx.round(f"observe: unwind {ctx['entry'][0]}")
@@ -495,7 +491,8 @@ class BrownoutController:
     def _choose_unwind(self) -> int:
         """Stack index recovery should undo next.
 
-        Reactive recovery is strict LIFO.  With a forecaster attached the
+        Reactive recovery is strict LIFO (a ``NoForecast`` reports zero
+        shed pressure everywhere).  With a forecaster attached the
         choice is demand-guided: among the *topmost* stride rung of each
         strided container, undo the one whose stage shed the most work
         inside the trailing forecast horizon — that stride is the one

@@ -23,8 +23,8 @@ whose reader died holding one), and throttling the recovery path would
 couple fault handling to flow control.  ``release`` is idempotent, so a
 bypassing chunk's completion is a no-op here.
 
-``link.credits is None`` (the default) disables the mechanism entirely;
-the dispatch path is then byte-identical to the uncontrolled one.
+A link without flow control carries a :class:`~repro.datatap.link.NoCredits`,
+which grants every dispatch at once.
 """
 
 from __future__ import annotations
@@ -147,3 +147,4 @@ class LinkCredits:
             f"<LinkCredits {self.link.name!r} window={self.window} "
             f"held={self.outstanding} deferred={self.backlog}>"
         )
+

@@ -38,6 +38,7 @@ implementation to it event-for-event.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
@@ -166,6 +167,8 @@ class Environment:
         #: callbacks ``fn(node)`` run after a node of this run fails or is
         #: restored (see :meth:`repro.cluster.node.Node.fail`)
         self.health_listeners: list = []
+        #: this run's data-chunk ids, shared by fleet tenants on one heap
+        self.chunk_ids = itertools.count()
 
     # -- clock ----------------------------------------------------------------
 

@@ -74,7 +74,8 @@ class TestPullScheduling:
 
     def test_unscheduled_still_correct(self):
         pipe = _fig7(15, use_pull_scheduler=False)
-        assert pipe.driver.pull_scheduler is None
+        # unscheduled: admission never waits and schedules no event
+        assert pipe.driver.pull_scheduler.admit().processed
         assert pipe.containers["helper"].completions == 15
 
 

@@ -158,7 +158,8 @@ class TestStreamAndMethods:
         method = PosixMethod(env, fs, machine.nodes[0], prefix="csym")
         group = Group("labels", [VarInfo("l", "uint8", ("n",))])
         stream = AdiosStream(env, group, method)
-        c = DataChunk(timestep=7, nbytes=500, provenance=("helper", "bonds", "csym"))
+        c = DataChunk(timestep=7, nbytes=500, provenance=("helper", "bonds", "csym"),
+                      chunk_id=next(env.chunk_ids))
 
         def proc(env):
             yield stream.write(c)
@@ -183,10 +184,10 @@ class TestStreamAndMethods:
         stream = AdiosStream(env, group, DataTapMethod(writer))
 
         def proc(env):
-            yield stream.write(DataChunk(timestep=0, nbytes=100))
+            yield stream.write(DataChunk(timestep=0, nbytes=100, chunk_id=0))
             previous = stream.set_method(PosixMethod(env, fs, machine.nodes[0]))
             assert previous.name == "DATATAP"
-            yield stream.write(DataChunk(timestep=1, nbytes=100))
+            yield stream.write(DataChunk(timestep=1, nbytes=100, chunk_id=1))
 
         env.process(proc(env))
         env.run(until=10)
@@ -199,7 +200,7 @@ class TestStreamAndMethods:
         stream = AdiosStream(env, group, NullMethod(env))
 
         def proc(env):
-            yield stream.write(DataChunk(timestep=0, nbytes=10))
+            yield stream.write(DataChunk(timestep=0, nbytes=10, chunk_id=0))
 
         env.process(proc(env))
         env.run()

@@ -11,6 +11,7 @@ from repro.simkernel import Environment
 from repro.analytics.forecast import EWMAForecaster, TrendForecaster
 from repro.analytics.series import MetricSeries, SeriesStore
 from repro.containers.presets import build_predictive_pipeline
+from repro.overload.brownout import ESCALATIONS
 from repro.overload.scenario import overload_burst_plan
 
 
@@ -61,20 +62,11 @@ class TestMetricSeries:
         for k in range(len(retained) + 1):
             assert series.window(k) == retained[len(retained) - k:]
 
-    def test_store_get_or_create_and_counter_baseline(self):
+    def test_store_get_or_create(self):
         store = SeriesStore(default_capacity=4)
         assert store.get("x") is None and "x" not in store
         store.append("x", 1.0, 2.0)
         assert "x" in store and store.get("x").last() == (1.0, 2.0)
-
-        class FakeRegistry:
-            def counter(self, name):
-                return {"a": 7, "b": 0}[name]
-
-        store.sample_counters(FakeRegistry(), ("a", "b"), 5.0,
-                              baseline={"a": 3.0})
-        assert store.get("counter.a").last() == (5.0, 4.0)
-        assert store.get("counter.b").last() == (5.0, 0.0)
 
 
 # -- forecasters ------------------------------------------------------------------
@@ -163,6 +155,25 @@ class TestReplayIdentity:
         _, pipe_a = _run_predictive()
         _, pipe_b = _run_predictive()
         assert _fingerprint(pipe_a) == _fingerprint(pipe_b)
+
+    def test_counter_series_count_this_run(self):
+        """The mirrored shed and escalation counts are read from the run's
+        own fate ledger and ladder: each sample equals what that run had
+        recorded by then, whatever ran earlier in the process."""
+        for _ in range(2):
+            _, pipe = _run_predictive()
+            store = pipe.analytics.store
+            sheds = store.get("counter.overload.shed").window()
+            escalations = store.get("counter.overload.escalations").window()
+            assert sheds[-1][1] > 0 and escalations[-1][1] > 0
+            for t, value in sheds:
+                assert value == sum(1 for r in pipe.fates.shed_records if r.time <= t)
+            for t, value in escalations:
+                assert value == sum(
+                    1 for s in pipe.degradation.steps
+                    if s.kind == "brownout" and s.action in ESCALATIONS
+                    and s.time <= t
+                )
 
 
 # -- mid-run visibility (the end-only publication regression) ---------------------

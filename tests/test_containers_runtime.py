@@ -68,7 +68,7 @@ class Rig:
         def gen(env):
             for ts in range(count):
                 chunk = DataChunk(timestep=ts, nbytes=nbytes, natoms=natoms,
-                                  created_at=env.now)
+                                  created_at=env.now, chunk_id=next(env.chunk_ids))
                 chunk.entered_stage_at = env.now
                 yield self.writer.write(chunk)
                 yield env.timeout(interval)
@@ -93,12 +93,12 @@ class TestContainerBasics:
 
     def test_service_time_uses_units_for_tree(self, env):
         rig = Rig(env, model=ComputeModel.TREE, units=4)
-        chunk = DataChunk(timestep=0, nbytes=1, natoms=1000)
+        chunk = DataChunk(timestep=0, nbytes=1, natoms=1000, chunk_id=0)
         assert rig.container.service_time(chunk) == pytest.approx(0.5)  # 2.0 / 4
 
     def test_rr_service_time_ignores_units(self, env):
         rig = Rig(env, units=4)
-        chunk = DataChunk(timestep=0, nbytes=1, natoms=1000)
+        chunk = DataChunk(timestep=0, nbytes=1, natoms=1000, chunk_id=0)
         assert rig.container.service_time(chunk) == pytest.approx(2.0)
 
     def test_tree_container_single_active_replica(self, env):
@@ -116,7 +116,8 @@ class TestContainerBasics:
         def gen(env):
             for ts in range(2):
                 for writer in (rig.writer, w2):
-                    c = DataChunk(timestep=ts, nbytes=5e5, natoms=500, created_at=env.now)
+                    c = DataChunk(timestep=ts, nbytes=5e5, natoms=500, created_at=env.now,
+                                  chunk_id=next(env.chunk_ids))
                     c.entered_stage_at = env.now
                     yield writer.write(c)
                 yield env.timeout(5)

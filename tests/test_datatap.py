@@ -1,5 +1,7 @@
 """Unit tests for the DataTap transport: buffers, writers, readers, links."""
 
+import itertools
+
 import pytest
 
 from repro.simkernel import Environment, SimulationError, Store
@@ -14,8 +16,12 @@ from repro.datatap import (
 )
 
 
+#: chunk ids for chunks made outside a pipeline run
+_ids = itertools.count()
+
+
 def chunk(ts=0, nbytes=1000, natoms=10):
-    return DataChunk(timestep=ts, nbytes=nbytes, natoms=natoms)
+    return DataChunk(timestep=ts, nbytes=nbytes, natoms=natoms, chunk_id=next(_ids))
 
 
 class TestStagingBuffer:

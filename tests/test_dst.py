@@ -331,7 +331,10 @@ class TestPredictiveActionsBounded:
 
     def test_reactive_pipeline_is_a_noop(self):
         pipe = DSTScenario(name="overload", preset="overload").build(None)
-        assert pipe.analytics is None
+        # the reactive pipeline samples nothing and forecasts nothing
+        pipe.env.run(until=60.0)
+        assert pipe.analytics.store.names() == []
+        assert pipe.analytics.sla_risk() is None
         checker = INVARIANTS["predictive_actions_bounded"]()
         assert checker.check(pipe, final=False) == []
 

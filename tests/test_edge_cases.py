@@ -1,6 +1,8 @@
 """Edge-case tests across the stack: teardown races, re-dispatch skips,
 resume-after-pull, scheduler accounting, protocol corner cases."""
 
+import itertools
+
 import pytest
 
 from repro.simkernel import Environment, SimulationError, Store
@@ -10,8 +12,12 @@ from repro.datatap import DataTapLink, DataTapReader, DataTapWriter, PullSchedul
 from repro.evpath import Messenger
 
 
+#: chunk ids for chunks made outside a pipeline run
+_ids = itertools.count()
+
+
 def chunk(ts=0, nbytes=1e6):
-    return DataChunk(timestep=ts, nbytes=nbytes, natoms=100)
+    return DataChunk(timestep=ts, nbytes=nbytes, natoms=100, chunk_id=next(_ids))
 
 
 def rig(env, machine, messenger, n_readers=2, queue_capacity=2):

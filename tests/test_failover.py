@@ -11,6 +11,7 @@ Covers the three seams the tentpole added:
   history and bit-matches an always-attached consumer.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -42,8 +43,12 @@ def stub_node(node_id=0):
     return SimpleNamespace(node_id=node_id)
 
 
+#: chunk ids for chunks made outside a pipeline run
+_ids = itertools.count()
+
+
 def chunk(ts, nbytes=1e6):
-    return DataChunk(timestep=ts, nbytes=nbytes, created_at=0.0)
+    return DataChunk(timestep=ts, nbytes=nbytes, created_at=0.0, chunk_id=next(_ids))
 
 
 # ---------------------------------------------------------------------------

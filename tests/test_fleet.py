@@ -297,6 +297,19 @@ class TestFleetRun:
         for summary in fleet.summaries():
             assert summary["delivered"] + summary["shed"] == 3, summary
 
+    def test_stop_ends_a_predictive_tenants_forecaster(self):
+        """Fleet.stop stops every tenant's controllers the way
+        Pipeline.run does, the forecaster included: after the run it
+        samples nothing more."""
+        env = Environment()
+        fleet = build_fleet(env, [TenantSpec("a", preset="predictive", steps=4),
+                                  TenantSpec("b", preset="fig7", steps=4)])
+        fleet.run(settle=30)
+        analytics = fleet.tenants["a"].pipe.analytics
+        samples = analytics.samples
+        env.run(until=env.now + 100)
+        assert analytics.samples == samples
+
     def test_dst_scenario_deterministic_replay(self):
         reports = []
         for _ in range(2):

@@ -121,7 +121,8 @@ class TestDependencyGraph:
         def ctl(env):
             while not pipe.fates.delivered(0):
                 yield env.timeout(1)
-            stale = DataChunk(timestep=0, nbytes=1e6, created_at=0.0)
+            stale = DataChunk(timestep=0, nbytes=1e6, created_at=0.0,
+                              chunk_id=next(env.chunk_ids))
             assert writer.buffer.try_insert(stale)
             before = {f.name for f in pipe.fs.files}
             yield pipe.global_manager.take_offline("csym")

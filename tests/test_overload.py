@@ -1,5 +1,7 @@
 """Overload robustness: credits, shed accounting, and the brownout ladder."""
 
+import itertools
+
 import pytest
 
 from repro.simkernel import Environment, Store
@@ -9,8 +11,12 @@ from repro.fate import REFUSED, SHED, SUPPRESSED, FateLedger
 from repro.overload import DegradationTrace, LinkCredits, ShedLedger
 
 
+#: chunk ids for chunks made outside a pipeline run
+_ids = itertools.count()
+
+
 def chunk(ts=0, nbytes=1000):
-    return DataChunk(timestep=ts, nbytes=nbytes, natoms=10)
+    return DataChunk(timestep=ts, nbytes=nbytes, natoms=10, chunk_id=next(_ids))
 
 
 class TestShedLedger:
@@ -276,14 +282,14 @@ class TestReactivateOrdering:
 
         ops = []
         for lname, link in pipe.links.items():
-            if link.credits is not None:
-                orig_reset = link.credits.reset
+            assert isinstance(link.credits, LinkCredits), lname
+            orig_reset = link.credits.reset
 
-                def reset(_orig=orig_reset, _l=lname):
-                    ops.append(("reset", _l, env.now))
-                    return _orig()
+            def reset(_orig=orig_reset, _l=lname):
+                ops.append(("reset", _l, env.now))
+                return _orig()
 
-                link.credits.reset = reset
+            link.credits.reset = reset
             orig_resume = link.resume_writers
 
             def resume(_orig=orig_resume, _l=lname):

@@ -1,6 +1,7 @@
 """Tests for repro.spec: the model round-trip, the validation pass, the
 bundled preset library, and the byte-identity of spec-built pipelines."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -252,13 +253,7 @@ class TestBuild:
 
 
 def _outcome(pipe):
-    # chunk ids come from a process-wide counter, so two builds in one
-    # process differ there; every other field of a shed record must match
-    return (
-        pipe.exit_log,
-        [(r.timestep, r.stage, r.reason, r.time) for r in pipe.fates.shed_records],
-        pipe.env.events_processed,
-    )
+    return (pipe.exit_log, pipe.fates.shed_records, pipe.env.events_processed)
 
 
 class TestPresets:
@@ -270,6 +265,16 @@ class TestPresets:
         by_name.run()
         by_spec.run()
         assert _outcome(by_name) == _outcome(by_spec)
+
+    def test_same_preset_twice_records_identical_chunk_ids(self):
+        """Chunk ids are run-scoped: a second run in the same process
+        sheds the same chunks under the same ids."""
+        runs = []
+        for _ in range(2):
+            pipe = build_preset(Environment(), "overload")
+            pipe.run(settle=100)
+            runs.append([(r.timestep, r.chunk_id) for r in pipe.fates.shed_records])
+        assert runs[0] and runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", ["overload", "predictive", "failover"])
     def test_benchmark_aliases_take_steps_and_seed(self, name):
@@ -314,5 +319,35 @@ def test_pipeline_builder_is_constructed_only_by_spec_build():
         if path != allowed
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if needle in line
+    ]
+    assert not offenders, offenders
+
+
+# -- disabled blocks are no-op objects --------------------------------------------------
+
+#: blocks a built pipeline always carries, as a no-op stand-in when disabled
+_ALWAYS_BUILT = ("credits", "predictor", "backpressure", "brownout", "analytics",
+                 "failover", "monitoring_overlay", "recovery", "global_manager")
+
+
+def test_disabled_blocks_need_no_none_guards():
+    """Consumers call a block unconditionally: no line of ``src/repro``
+    (outside the spec layer and the reference oracles) tests one against
+    None or fetches one with a ``getattr`` default, and the retired
+    ``transaction_manager`` hook, process-wide chunk counter and registry
+    baseline stay gone."""
+    blocks = "|".join(_ALWAYS_BUILT)
+    guard = re.compile(
+        rf"\.({blocks})\s+is\s+(not\s+)?None"
+        rf"|getattr\([^)]*[\"']({blocks})[\"'],\s*None\)"
+        r"|transaction_manager|_CHUNK_IDS|sample_counters"
+    )
+    src = _ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(_ROOT)}:{lineno}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        if path.parent.name != "spec" and path.name != "_reference.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if guard.search(line)
     ]
     assert not offenders, offenders

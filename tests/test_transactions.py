@@ -179,7 +179,6 @@ class TestTradeTransaction:
         pipe = build(env, PipelineSpec("trade", workload=wl, builder=dict(
             seed=0, control_interval=10_000)))
         tm = TransactionManager(env, pipe.messenger, pipe.machine.nodes[0])
-        pipe.global_manager.transaction_manager = tm
         return pipe, tm
 
     def _total_nodes(self, pipe):
@@ -193,7 +192,7 @@ class TestTradeTransaction:
 
         def proc(env):
             yield env.timeout(1)
-            yield pipe.global_manager.steal("helper", "bonds", 1)
+            yield tm.run_trade(pipe.global_manager, "helper", "bonds", 1)
 
         env.process(proc(env))
         env.run(until=50)
@@ -209,7 +208,7 @@ class TestTradeTransaction:
 
         def proc(env):
             yield env.timeout(1)
-            yield pipe.global_manager.steal("helper", "bonds", 1)
+            yield tm.run_trade(pipe.global_manager, "helper", "bonds", 1)
 
         env.process(proc(env))
         env.run(until=50)
@@ -225,7 +224,7 @@ class TestTradeTransaction:
 
         def proc(env):
             yield env.timeout(1)
-            yield pipe.global_manager.steal("helper", "bonds", 1)
+            yield tm.run_trade(pipe.global_manager, "helper", "bonds", 1)
 
         env.process(proc(env))
         env.run(until=50)
@@ -238,7 +237,7 @@ class TestTradeTransaction:
 
         def proc(env):
             yield env.timeout(1)
-            yield pipe.global_manager.steal("helper", "bonds", 10)
+            yield tm.run_trade(pipe.global_manager, "helper", "bonds", 10)
 
         env.process(proc(env))
         env.run(until=50)
