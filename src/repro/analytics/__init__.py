@@ -6,10 +6,6 @@ visible.  This package closes the loop ahead of the violation, in the
 style of LASSi's derived I/O metrics and low-level time-series I/O
 monitoring:
 
-* :mod:`repro.analytics.series` — fixed-capacity, sim-time-stamped ring
-  buffers (:class:`MetricSeries`) collected in a :class:`SeriesStore`,
-  cheap enough to append on the hot path and fed from the existing
-  :mod:`repro.perf` counter registry plus the GM's metric snapshot;
 * :mod:`repro.analytics.derived` — LASSi-style per-container risk/ops
   metrics (queue-occupancy risk, buffer-headroom trend, stride-amplified
   demand), computed incrementally as samples arrive;
@@ -17,26 +13,26 @@ monitoring:
   rolling linear trend), deterministic and replay-identical, exposing
   ``forecast(horizon)``;
 * :mod:`repro.analytics.predictive` — the :class:`PredictiveManager`
-  gluing it together: a sampling process that feeds the series store and
-  forecasters, and the signals the overload controllers
+  gluing it together: a sampling process that records every sample and
+  signal into the pipeline's one metric store, its
+  :class:`~repro.monitoring.metrics.Telemetry` (scope ``"analytics"``),
+  feeds the forecasters, and serves the signals the overload controllers
   (:class:`~repro.overload.brownout.BrownoutController`,
   :class:`~repro.overload.backpressure.BackpressureController`) consult
   to escalate, stride, and tighten credits *before* the SLA ratio
   crosses its threshold.
 
 Everything is opt-in: a pipeline built without ``mode: predictive`` in
-its spec's overload block never constructs any of this, and the reactive
-control paths are byte-identical to the pre-analytics tree.
+its spec's overload block carries a
+:class:`~repro.analytics.predictive.NoForecast`, which records nothing
+and reduces every forecast-guided branch to the reactive one.
 """
 
-from repro.analytics.series import MetricSeries, SeriesStore
 from repro.analytics.derived import ContainerRiskModel, DerivedSample
 from repro.analytics.forecast import EWMAForecaster, TrendForecaster
 from repro.analytics.predictive import PredictiveConfig, PredictiveManager
 
 __all__ = [
-    "MetricSeries",
-    "SeriesStore",
     "ContainerRiskModel",
     "DerivedSample",
     "EWMAForecaster",

@@ -18,9 +18,8 @@ callers can distinguish "no data yet" from "forecast says zero".
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
-
-from repro.analytics.series import MetricSeries
 
 __all__ = ["EWMAForecaster", "TrendForecaster"]
 
@@ -53,25 +52,25 @@ class EWMAForecaster:
 class TrendForecaster:
     """Rolling least-squares line over the last ``window`` samples."""
 
-    __slots__ = ("_ring",)
+    __slots__ = ("_pts",)
 
     def __init__(self, window: int = 8):
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
-        self._ring = MetricSeries("trend", window)
+        self._pts = deque(maxlen=window)
 
     @property
     def window(self) -> int:
-        return self._ring.capacity
+        return self._pts.maxlen
 
     def observe(self, time: float, value: float) -> None:
-        self._ring.append(time, value)
+        self._pts.append((time, value))
 
     def forecast(self, horizon: float = 0.0) -> Optional[float]:
-        n = len(self._ring)
+        pts = self._pts
+        n = len(pts)
         if n == 0:
             return None
-        pts = self._ring.window()
         if n == 1:
             return pts[0][1]
         t_mean = sum(t for t, _ in pts) / n

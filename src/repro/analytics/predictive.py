@@ -4,9 +4,9 @@
 ``overload: {mode: predictive}`` carries (``pipe.analytics``).  It owns
 
 * a sampling process that, every ``sample_interval`` simulated seconds,
-  folds the GM snapshot, the driver's staging-buffer occupancy, the
-  derived risk metrics and the run's shed and escalation counts into the
-  :class:`~repro.analytics.series.SeriesStore`;
+  records the GM snapshot, the driver's staging-buffer occupancy and the
+  derived risk metrics into the pipeline's telemetry, under the
+  :data:`SCOPE` scope (``("analytics", "bonds.sla_ratio")``, ...);
 * one EWMA + one rolling-trend forecaster per metric, updated as the
   samples land; and
 * the query surface the overload controllers consult:
@@ -18,7 +18,7 @@
 
 Everything here is driven by the simulation clock and the deterministic
 snapshot order of the GM's insertion-ordered manager dict, so two
-replays of the same seeded run produce bit-identical stores, forecasts
+replays of the same seeded run produce bit-identical series, forecasts
 and signals.
 """
 
@@ -29,12 +29,14 @@ from typing import Dict, Optional, Tuple
 
 from repro.simkernel import Interrupt
 from repro.perf.registry import REGISTRY
-from repro.analytics.series import SeriesStore
 from repro.analytics.derived import ContainerRiskModel
 from repro.analytics.forecast import EWMAForecaster, TrendForecaster
-from repro.overload.brownout import ESCALATIONS
 
-__all__ = ["NoForecast", "PredictiveConfig", "PredictiveManager"]
+__all__ = ["NoForecast", "PredictiveConfig", "PredictiveManager", "SCOPE"]
+
+#: the telemetry scope of the forecaster's samples and signals; a scope of
+#: its own because ``(stage, "buffer_occupancy")`` is a manager report series
+SCOPE = "analytics"
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,6 @@ class PredictiveConfig:
     sample_interval: float = 5.0
     #: how far ahead (seconds) the controllers ask the forecasters to look
     horizon: float = 30.0
-    #: ring-buffer capacity per metric series
-    capacity: int = 256
     #: EWMA smoothing factor
     ewma_alpha: float = 0.4
     #: rolling window (samples) for the linear-trend forecaster
@@ -91,7 +91,6 @@ class PredictiveConfig:
         return {
             "sample_interval": self.sample_interval,
             "horizon": self.horizon,
-            "capacity": self.capacity,
             "ewma_alpha": self.ewma_alpha,
             "trend_window": self.trend_window,
             "min_observations": self.min_observations,
@@ -111,16 +110,14 @@ class PredictiveManager:
         self.env = env
         self.pipe = pipe
         self.config = config or PredictiveConfig()
-        self.store = SeriesStore(default_capacity=self.config.capacity)
-        self._ewma: Dict[str, EWMAForecaster] = {}
-        self._trend: Dict[str, TrendForecaster] = {}
+        self.telemetry = pipe.telemetry
+        #: metric -> (level, trend) forecasters, created by its first sample
+        self._models: Dict[str, Tuple[EWMAForecaster, TrendForecaster]] = {}
         self._risk = ContainerRiskModel(
             pipe.global_manager.sla_interval, trend_window=self.config.trend_window
         )
         self.signals = 0
         self.samples = 0
-        #: brownout escalations on this run's ladder
-        self.escalations = 0
         self._stopped = False
         self._proc = env.process(self._run(), name="analytics")
 
@@ -128,28 +125,6 @@ class PredictiveManager:
         self._stopped = True
         if self._proc.is_alive:
             self._proc.interrupt("stop")
-
-    # -- transition subscribers (ladder deltas, shed deltas) ------------------------
-
-    def attach(self, pipe) -> None:
-        """Subscribe to ladder transitions and shed records so the store
-        sees `time_in_degraded` / shed deltas *as they happen*, not at
-        pipeline end."""
-        pipe.degradation.subscribers.append(self._on_degradation)
-        pipe.fates.shed_subscribers.append(self._on_shed)
-
-    def _on_degradation(self, step, trace) -> None:
-        if step.kind == "brownout" and step.action in ESCALATIONS:
-            self.escalations += 1
-        self.store.append("overload.degradation_level", step.time,
-                          float(trace.overall_level))
-        self.store.append("overload.time_in_degraded", step.time,
-                          trace.time_in_degraded(step.time))
-
-    def _on_shed(self, record, fates) -> None:
-        self.store.append("overload.shed_steps", record.time,
-                          float(len(fates.shed_steps())))
-        self.store.append(f"shed.{record.stage}", record.time, float(record.timestep))
 
     # -- the sampling loop ----------------------------------------------------------
 
@@ -165,7 +140,7 @@ class PredictiveManager:
             self.sample()
 
     def sample(self) -> None:
-        """Fold one observation of the whole pipeline into the store."""
+        """Record one observation of the whole pipeline."""
         now = self.env.now
         gm = self.pipe.global_manager
         for name, state in gm.snapshot().items():
@@ -183,23 +158,28 @@ class PredictiveManager:
             self.observe(f"{name}.stride_demand", now, derived.stride_demand)
         occ = max(w.buffer.occupancy for w in self.pipe.driver.writers)
         self.observe("sim.buffer_occupancy", now, occ)
-        self.store.append("counter.overload.shed", now,
-                          float(len(self.pipe.fates.shed_records)))
-        self.store.append("counter.overload.escalations", now,
-                          float(self.escalations))
         self.samples += 1
 
     def observe(self, metric: str, time: float, value: float) -> None:
         """Record one sample and update that metric's forecasters."""
-        self.store.append(metric, time, value)
-        ewma = self._ewma.get(metric)
-        if ewma is None:
-            ewma = self._ewma[metric] = EWMAForecaster(self.config.ewma_alpha)
-            self._trend[metric] = TrendForecaster(self.config.trend_window)
-        ewma.observe(time, value)
-        self._trend[metric].observe(time, value)
+        self.telemetry.record(SCOPE, metric, time, value)
+        models = self._models.get(metric)
+        if models is None:
+            models = self._models[metric] = (
+                EWMAForecaster(self.config.ewma_alpha),
+                TrendForecaster(self.config.trend_window),
+            )
+        for model in models:
+            model.observe(time, value)
 
     # -- the query surface ----------------------------------------------------------
+
+    def last(self, metric: str) -> Optional[Tuple[float, float]]:
+        """The newest ``(time, value)`` sample of ``metric``, or None."""
+        series = self.telemetry.get(SCOPE, metric)
+        if not series:
+            return None
+        return series.times[-1], series.values[-1]
 
     def forecast(self, metric: str, horizon: Optional[float] = None) -> Optional[float]:
         """Conservative forecast for ``metric`` at ``now + horizon``.
@@ -207,25 +187,17 @@ class PredictiveManager:
         Takes the max of the EWMA level and the trend extrapolation: for
         risk-like metrics a controller should act on whichever model
         paints the darker picture.  None until ``min_observations``
-        samples have landed.
+        samples have landed, and for series without forecasters
+        (``signal.*``).
         """
-        series = self.store.get(metric)
-        if series is None or series.count < self.config.min_observations:
-            return None
-        ewma = self._ewma.get(metric)
-        trend_model = self._trend.get(metric)
-        if ewma is None and trend_model is None:
-            # Series fed straight into the store (counter mirrors,
-            # subscriber deltas) carry no forecasters.
+        models = self._models.get(metric)
+        if (models is None
+                or len(self.telemetry.get(SCOPE, metric)) < self.config.min_observations):
             return None
         if horizon is None:
             horizon = self.config.horizon
-        level = None if ewma is None else ewma.forecast(horizon)
-        trend = None if trend_model is None else trend_model.forecast(horizon)
-        if level is None:
-            return trend
-        if trend is None:
-            return level
+        level = models[0].forecast(horizon)
+        trend = models[1].forecast(horizon)
         return level if level >= trend else trend
 
     def sla_risk(
@@ -246,8 +218,7 @@ class PredictiveManager:
             container = manager.container
             if container.offline or not getattr(container, "active", True):
                 continue
-            series = self.store.get(f"{name}.sla_ratio")
-            last = series.last() if series is not None else None
+            last = self.last(f"{name}.sla_ratio")
             if last is None or now - last[0] > max_age:
                 continue
             value = self.forecast(f"{name}.sla_ratio", horizon)
@@ -260,17 +231,15 @@ class PredictiveManager:
     def shed_pressure(self, stage: str, window: Optional[float] = None) -> int:
         """Sheds attributed to ``stage`` within the trailing ``window``.
 
-        Counts the ``shed.{stage}`` series (fed by the ledger subscriber
-        the moment each record lands), so a recovery decision can rank
-        ladder rungs by which stage is *currently* losing work.  The
+        Counts the fate ledger's shed records, so a recovery decision can
+        rank ladder rungs by which stage is *currently* losing work.  The
         window defaults to the forecast horizon.
         """
-        series = self.store.get(f"shed.{stage}")
-        if series is None:
-            return 0
         if window is None:
             window = self.config.horizon
-        return len(series.since(self.env.now - window))
+        since = self.env.now - window
+        return sum(1 for record in self.pipe.fates.shed_records
+                   if record.stage == stage and record.time >= since)
 
     def signal(self, kind: str, value: float, subject: str = "") -> float:
         """Record forecaster evidence ahead of a proactive action.
@@ -280,11 +249,11 @@ class PredictiveManager:
         one of these at or before its transition time.
         """
         now = self.env.now
-        self.store.append(f"signal.{kind}", now, float(value))
+        self.telemetry.record(SCOPE, f"signal.{kind}", now, float(value))
         self.signals += 1
         REGISTRY.count("analytics.signals")
         if subject:
-            self.pipe.telemetry.mark(
+            self.telemetry.mark(
                 now, f"predictive signal {kind}: {subject} -> {value:.3f}"
             )
         return now
@@ -294,7 +263,7 @@ class PredictiveManager:
             "config": self.config.as_dict(),
             "samples": self.samples,
             "signals": self.signals,
-            "series": self.store.names(),
+            "series": self.telemetry.metrics(SCOPE),
         }
 
 
@@ -306,9 +275,6 @@ class NoForecast:
     config = PredictiveConfig(
         escalation_check_factor=1.0, offline_backoff_cap=1.0, max_proactive_level=0,
     )
-
-    def __init__(self):
-        self.store = SeriesStore()
 
     def stop(self) -> None:
         pass

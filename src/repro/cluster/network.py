@@ -169,7 +169,7 @@ class _Transfer:
     """The transfer walker: one transfer moved through the network as callbacks.
 
     It walks the *identical* event sequence a process per transfer did
-    (:mod:`repro.cluster._reference` keeps that process as the differential
+    (:mod:`tests.oracles.cluster` keeps that process as the differential
     oracle), with bare events and plain callbacks:
 
     ==  ==========================  =====================================

@@ -305,6 +305,7 @@ class Pipeline:
         # Every consumer stage gets its own link so it sees the *full*
         # upstream stream; sharing a link would round-robin-split it.
         link = DataTapLink(self.env, self.messenger, name=f"->{name}")
+        self.backpressure.credit(link)
         up.attach_output_link(link)
         self.links[name] = link
         container = Container(
@@ -665,7 +666,6 @@ class PipelineBuilder:
                 env, pipe,
                 config=PredictiveConfig(**spec.overload.predictive_kwargs()),
             )
-            pipe.analytics.attach(pipe)
 
         if k["backpressure"]:
             from repro.overload import BackpressureController

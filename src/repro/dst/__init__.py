@@ -12,8 +12,8 @@ cluster-wide interleaving.  The pieces:
   historical schedule bit-for-bit.
 * **Invariant checkers** (:mod:`repro.dst.invariants`) — always-on
   oracles: node conservation, exactly-once timestep delivery,
-  control-plane trace well-formedness, D2T presumed-abort safety,
-  monotone perf accounting.
+  control-plane trace well-formedness, monotone perf accounting (D2T
+  presumed-abort safety is audited where D2T runs, in ``run_fig6``).
 * **Scenarios, exploration, shrinking** (:mod:`repro.dst.scenario`,
   :mod:`repro.dst.explorer`, :mod:`repro.dst.shrink`) — a scenario is
   preset x fault plan x seed; the explorer sweeps seeds to the first

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
+from repro.analytics.predictive import SCOPE
 from repro.perf.registry import REGISTRY
 
 
@@ -206,16 +207,15 @@ class ControlPlaneWellFormed(Invariant):
         return problems
 
 
-@register
-class D2TPresumedAbort(Invariant):
+class D2TPresumedAbort:
     """D2T safety: a transaction commits only on a full, unanimous yes.
 
     Presumed abort means any silence (a timed-out group) or any no vote
     must yield an abort decision; a recorded commit with a missing or
-    negative vote is a protocol violation.
+    negative vote is a protocol violation.  Not a registered invariant:
+    no pipeline runs D2T (a pipeline's own trades run ``gm_steal``), so
+    the audit runs where D2T does — ``run_fig6`` passes every outcome.
     """
-
-    name = "d2t_presumed_abort"
 
     @staticmethod
     def audit_outcomes(outcomes) -> List[str]:
@@ -235,11 +235,6 @@ class D2TPresumedAbort(Invariant):
             if out.decided_at < out.started_at or out.finished_at < out.decided_at:
                 problems.append(f"{head}: non-monotone phase timestamps")
         return problems
-
-    def check(self, pipe, final: bool) -> List[str]:
-        # A pipeline's own trades run the gm_steal protocol, not D2T: D2T
-        # runs are audited by passing their outcomes to audit_outcomes.
-        return []
 
 
 @register
@@ -300,9 +295,9 @@ class PredictiveActionsBounded(Invariant):
     Three properties must hold on every schedule:
 
     * every proactive transition in the degradation trace is preceded by
-      recorded forecaster evidence — a ``signal.*`` sample in the series
-      store at or before the transition time (the controllers emit the
-      signal *before* executing the protocol);
+      recorded forecaster evidence — a ``signal.*`` sample in the
+      telemetry's ``analytics`` scope at or before the transition time
+      (the controllers emit the signal *before* executing the protocol);
     * the ladder never skips rungs: consecutive transitions of one
       controller kind change its level by exactly one; and
     * forecast-built rungs stay bounded and harmless — at most
@@ -320,11 +315,11 @@ class PredictiveActionsBounded(Invariant):
     def check(self, pipe, final: bool) -> List[str]:
         analytics = pipe.analytics
         problems: List[str] = []
-        store = analytics.store
+        telemetry = pipe.telemetry
         signal_times = [
             ts
-            for name in store.names() if name.startswith("signal.")
-            for ts, _ in store.get(name).window()
+            for name in telemetry.metrics(SCOPE) if name.startswith("signal.")
+            for ts in telemetry.get(SCOPE, name).times
         ]
         trace = pipe.degradation
         levels: Dict[str, int] = {}
@@ -341,7 +336,7 @@ class PredictiveActionsBounded(Invariant):
             if not any(ts <= step.time for ts in signal_times):
                 problems.append(
                     f"proactive {step.kind}/{step.action} at t={step.time} "
-                    f"has no preceding forecaster signal in the store"
+                    f"has no preceding forecaster signal in telemetry"
                 )
             if (step.kind == "brownout"
                     and step.action not in analytics.config.proactive_kinds):

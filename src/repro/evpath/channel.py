@@ -74,7 +74,7 @@ class _FastSend(_Transfer):
     """The send path: a :class:`~repro.cluster.network._Transfer` (rows 2-6)
     with the send's own rows around it, so one object walks a message
     through the *identical* event sequence of the process send that
-    :mod:`repro.evpath._reference` keeps as the differential oracle:
+    :mod:`tests.oracles.evpath` keeps as the differential oracle:
 
     ==  ==========================  =====================================
     #   process path                callback chain

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.simkernel import Environment
 from repro.cluster import redsky
+from repro.dst.invariants import D2TPresumedAbort
 from repro.evpath import Messenger
 from repro.lammps.workload import TABLE_II, WeakScalingWorkload
 from repro.smartpointer.component import SMARTPOINTER_COMPONENTS
@@ -209,6 +210,9 @@ def run_fig6(ratios=((64, 2), (128, 4), (256, 4), (512, 4), (1024, 8), (2048, 8)
 
         env.process(proc(env))
         env.run(until=600)
+        problems = D2TPresumedAbort.audit_outcomes(outcomes)
+        if problems:
+            raise RuntimeError(f"fig6 {writers}:{readers}: {problems}")
         series.append({
             "writers": writers,
             "readers": readers,

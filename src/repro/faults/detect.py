@@ -83,7 +83,7 @@ class FailureDetector:
     The detector wakes only at an instant where a scan can change something
     (see :meth:`_due`); every other instant is skipped, its credits taken
     lazily, so suspicions, re-grants and credited beats are exactly those
-    of a scan at every instant (:mod:`repro.faults._reference` keeps that
+    of a scan at every instant (:mod:`tests.oracles.faults` keeps that
     scanning detector as the oracle).
 
     Parameters

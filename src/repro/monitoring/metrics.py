@@ -89,5 +89,8 @@ class Telemetry:
     def scopes(self) -> List[str]:
         return sorted({scope for scope, _ in self._series})
 
+    def metrics(self, scope: str) -> List[str]:
+        return sorted(metric for s, metric in self._series if s == scope)
+
     def get(self, scope: str, metric: str) -> Optional[TimeSeries]:
         return self._series.get((scope, metric))

@@ -36,6 +36,9 @@ from repro.overload.credits import LinkCredits
 class NoBackpressure:
     """Backpressure off: no credit windows, no output stride."""
 
+    def credit(self, link) -> None:
+        pass
+
     def stop(self) -> None:
         pass
 
@@ -70,13 +73,19 @@ class BackpressureController:
         #: :class:`~repro.analytics.predictive.NoForecast` keeps it reactive
         self.predictor = predictor
         #: the links whose credit windows this controller sizes: every link
-        #: of the built pipeline (a stage launched later has no flow control)
-        self._credited = set(pipe.links.values())
-        for link in self._credited:
-            link.credits = LinkCredits(env, link)
+        #: of the built pipeline and of each stage launched later
+        self._credited = set()
+        for link in pipe.links.values():
+            self.credit(link)
         self._calm_ticks = 0
         self._stopped = False
         self._proc = env.process(self._run(), name="backpressure")
+
+    def credit(self, link) -> None:
+        """Put ``link`` under flow control: a credit window, sized from
+        the next tick on."""
+        link.credits = LinkCredits(self.env, link)
+        self._credited.add(link)
 
     def stop(self) -> None:
         self._stopped = True

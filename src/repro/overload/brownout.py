@@ -81,8 +81,8 @@ class DegradationTrace:
         self._entered: Optional[float] = None
         #: callables invoked as ``fn(step, trace)`` after every recorded
         #: transition — this is how ``time_in_degraded`` and level deltas
-        #: reach live consumers (telemetry, the analytics series store)
-        #: mid-run instead of only at pipeline end
+        #: reach live consumers (telemetry, the failover manager) mid-run
+        #: instead of only at pipeline end
         self.subscribers: List = []
 
     def record(self, time: float, kind: str, action: str, level: int, **detail) -> None:
@@ -234,7 +234,7 @@ class BrownoutController:
                 data = {"bc": self, "gm": self.gm, "worst": worst,
                         "ratio": exec_ratio, "proactive": proactive}
                 if proactive:
-                    # The evidence lands in the series store *before* the
+                    # The evidence lands in telemetry *before* the
                     # protocol runs; the predictive_actions_bounded
                     # invariant audits this ordering.
                     self.predictor.signal("sla_risk", exec_ratio, subject=worst)
@@ -315,8 +315,7 @@ class BrownoutController:
         # against the recovery dwell), a container that stopped reporting
         # (offline, idle) must not be judged on its frozen last sample,
         # and startup ramps must not trip the ladder.
-        series = self.predictor.store.get(f"{risk[0]}.sla_ratio")
-        last = series.last() if series is not None else None
+        last = self.predictor.last(f"{risk[0]}.sla_ratio")
         if last is None or last[1] <= self.config.recover_ratio:
             return None
         if self.env.now - last[0] > 2.0 * pcfg.sample_interval:

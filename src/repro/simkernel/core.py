@@ -32,7 +32,7 @@ for raw events/sec (gated by ``tests/test_speed_gates.py``):
   large heap, :meth:`_compact` drops them wholesale without popping.
 
 The pre-optimization loop is kept verbatim in
-:mod:`repro.simkernel._reference`; a differential property test pins this
+:mod:`tests.oracles.simkernel`; a differential property test pins this
 implementation to it event-for-event.
 """
 

@@ -1,7 +1,7 @@
-"""Tests for repro.analytics: ring-buffer round trips at every capacity
-boundary, forecaster exactness on the series families they model, replay
-bit-identity of the whole forecaster stack, and mid-run visibility of
-ladder transitions in the series store."""
+"""Tests for repro.analytics: forecaster exactness on the series families
+they model, replay bit-identity of the whole forecaster stack, shed
+pressure read from the fate ledger, and mid-run visibility of ladder
+transitions in telemetry."""
 
 import math
 
@@ -9,64 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Environment
 from repro.analytics.forecast import EWMAForecaster, TrendForecaster
-from repro.analytics.series import MetricSeries, SeriesStore
+from repro.analytics.predictive import SCOPE
 from repro.containers.presets import build_predictive_pipeline
-from repro.overload.brownout import ESCALATIONS
 from repro.overload.scenario import overload_burst_plan
-
-
-# -- ring buffer ------------------------------------------------------------------
-
-
-class TestMetricSeries:
-    @given(
-        capacity=st.integers(min_value=1, max_value=16),
-        values=st.lists(
-            st.floats(allow_nan=False, allow_infinity=False, width=32),
-            max_size=40,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_append_wrap_query_round_trip(self, capacity, values):
-        """At every boundary — empty, partial, exactly full, wrapped once,
-        wrapped many times — the ring retains exactly the newest
-        min(n, capacity) samples, oldest first."""
-        series = MetricSeries("m", capacity)
-        samples = [(float(i), v) for i, v in enumerate(values)]
-        for t, v in samples:
-            series.append(t, v)
-
-        retained = samples[-capacity:]
-        assert series.count == len(samples)
-        assert len(series) == len(retained)
-        assert series.window() == retained
-        assert series.last() == (retained[-1] if retained else None)
-        assert series.times() == [t for t, _ in retained]
-        assert series.values() == [v for _, v in retained]
-
-    @given(
-        capacity=st.integers(min_value=1, max_value=8),
-        n=st.integers(min_value=0, max_value=24),
-        cut=st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_window_and_since_agree(self, capacity, n, cut):
-        series = MetricSeries("m", capacity)
-        for i in range(n):
-            series.append(float(i), float(i) * 2.0)
-        retained = series.window()
-        assert series.since(float(cut)) == [
-            (t, v) for t, v in retained if t >= cut
-        ]
-        # partial windows are suffixes of the full window
-        for k in range(len(retained) + 1):
-            assert series.window(k) == retained[len(retained) - k:]
-
-    def test_store_get_or_create(self):
-        store = SeriesStore(default_capacity=4)
-        assert store.get("x") is None and "x" not in store
-        store.append("x", 1.0, 2.0)
-        assert "x" in store and store.get("x").last() == (1.0, 2.0)
 
 
 # -- forecasters ------------------------------------------------------------------
@@ -135,13 +80,16 @@ def _run_predictive(steps=12, seed=3):
 
 def _fingerprint(pipe):
     analytics = pipe.analytics
+    names = pipe.telemetry.metrics(SCOPE)
     return {
         "samples": analytics.samples,
         "signals": analytics.signals,
-        "store": analytics.store.as_dict(),
-        "forecasts": {
-            name: analytics.forecast(name) for name in analytics.store.names()
+        "series": {
+            name: (pipe.telemetry.get(SCOPE, name).times,
+                   pipe.telemetry.get(SCOPE, name).values)
+            for name in names
         },
+        "forecasts": {name: analytics.forecast(name) for name in names},
         "trace": pipe.degradation.as_dicts(),
         "shed": pipe.shed_ledger.by_reason(),
     }
@@ -156,24 +104,38 @@ class TestReplayIdentity:
         _, pipe_b = _run_predictive()
         assert _fingerprint(pipe_a) == _fingerprint(pipe_b)
 
-    def test_counter_series_count_this_run(self):
-        """The mirrored shed and escalation counts are read from the run's
-        own fate ledger and ladder: each sample equals what that run had
-        recorded by then, whatever ran earlier in the process."""
-        for _ in range(2):
-            _, pipe = _run_predictive()
-            store = pipe.analytics.store
-            sheds = store.get("counter.overload.shed").window()
-            escalations = store.get("counter.overload.escalations").window()
-            assert sheds[-1][1] > 0 and escalations[-1][1] > 0
-            for t, value in sheds:
-                assert value == sum(1 for r in pipe.fates.shed_records if r.time <= t)
-            for t, value in escalations:
-                assert value == sum(
-                    1 for s in pipe.degradation.steps
-                    if s.kind == "brownout" and s.action in ESCALATIONS
-                    and s.time <= t
-                )
+
+class TestShedPressure:
+    def test_matches_ledger_at_every_recovery_pick(self):
+        """At every brownout recovery pick of a seeded overload burst,
+        each stage's shed pressure is the number of its shed records
+        inside the trailing horizon, as a ledger subscriber saw them."""
+        env = Environment()
+        pipe = build_predictive_pipeline(env, steps=12, seed=3)
+        plan = overload_burst_plan(3, pipe)
+        if plan.events:
+            pipe.arm_faults(plan)
+        seen = {}
+        pipe.fates.shed_subscribers.append(
+            lambda record, _: seen.setdefault(record.stage, []).append(record.time)
+        )
+        brownout, analytics = pipe.brownout, pipe.analytics
+        horizon = analytics.config.horizon
+        picks = []
+        choose = brownout._choose_unwind
+
+        def checked_choose():
+            since = env.now - horizon
+            for stage in pipe.containers:
+                expected = sum(1 for t in seen.get(stage, ()) if t >= since)
+                assert analytics.shed_pressure(stage) == expected, (env.now, stage)
+                picks.append(expected)
+            return choose()
+
+        brownout._choose_unwind = checked_choose
+        pipe.run(settle=600)
+        assert picks, "scenario never unwound a rung"
+        assert any(picks), "no recovery pick saw shed pressure"
 
 
 # -- mid-run visibility (the end-only publication regression) ---------------------
@@ -181,7 +143,7 @@ class TestReplayIdentity:
 
 class TestMidRunVisibility:
     def test_series_reflects_escalation_at_transition_time(self):
-        """A ladder transition must land in the series store the moment it
+        """A ladder transition must land in telemetry the moment it
         happens: the first poll *after* each trace step already sees a
         sample stamped at (or after) the step's transition time, and at
         least one poll strictly before pipeline end observed a nonzero
@@ -197,8 +159,10 @@ class TestMidRunVisibility:
         def probe():
             while True:
                 yield env.timeout(5.0)
-                series = pipe.analytics.store.get("overload.degradation_level")
-                polls.append((env.now, series.last() if series else None))
+                series = pipe.telemetry.get("overload", "degradation_level")
+                polls.append(
+                    (env.now, (series.times[-1], series.values[-1]) if series else None)
+                )
 
         env.process(probe(), name="probe")
         pipe.run(settle=600)

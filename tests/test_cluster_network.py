@@ -202,7 +202,7 @@ def bad(env, m):
 class TestTransferWalkerIdentity:
     """``Network.transfer`` and ``Network.rdma_get`` (the ``_Transfer``
     callback chain) must schedule the *identical* event sequence the
-    process-per-transfer generators in :mod:`repro.cluster._reference` do:
+    process-per-transfer generators in :mod:`tests.oracles.cluster` do:
     same ``schedule()`` calls, same outcomes, same accounting."""
 
     @staticmethod
@@ -211,7 +211,7 @@ class TestTransferWalkerIdentity:
         the live walker or, with ``oracle``, the reference processes."""
         from unittest import mock
 
-        from repro.cluster import _reference
+        from tests.oracles import cluster as _reference
         from repro.simkernel import shuffle
         from repro.simkernel.events import NORMAL
 

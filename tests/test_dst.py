@@ -4,6 +4,7 @@ reported with its seed, and shrunk to a minimal fault plan."""
 
 import pytest
 
+from repro.analytics.predictive import SCOPE
 from repro.controlplane.trace import ProtocolTrace, RoundTrace
 from repro.faults import FaultPlan
 from repro.transactions.coordinator import TxnOutcome
@@ -129,6 +130,22 @@ class TestD2TPresumedAbortAudit:
         assert outcome.committed and outcome.votes == [True, True]
         assert D2TPresumedAbort.audit_outcomes(tm.coordinator.outcomes) == []
 
+    def test_fig6_raises_on_an_audit_problem(self, monkeypatch):
+        """fig6 runs D2T, so it is where the audit runs: a problem aborts
+        the experiment instead of landing in its JSON."""
+        from repro.experiments.figures import run_fig6
+
+        seen = []
+
+        def audit(outcomes):
+            seen.extend(outcomes)
+            return ["planted"]
+
+        monkeypatch.setattr(D2TPresumedAbort, "audit_outcomes", staticmethod(audit))
+        with pytest.raises(RuntimeError, match="planted"):
+            run_fig6(ratios=((64, 2),), repeats=2)
+        assert len(seen) == 2 and all(o.committed for o in seen)
+
 
 # -- invariant registry & monitor --------------------------------------------------
 
@@ -139,9 +156,10 @@ class TestRegistry:
             "node_conservation",
             "exactly_one_fate",
             "controlplane_well_formed",
-            "d2t_presumed_abort",
             "monotone_perf",
         }
+        # no pipeline runs D2T: run_fig6 audits its outcomes instead
+        assert "d2t_presumed_abort" not in INVARIANTS
 
     def test_unknown_invariant_name_rejected(self):
         scenario = DSTScenario(name="x", plan=None, invariants=["nope"])
@@ -333,7 +351,7 @@ class TestPredictiveActionsBounded:
         pipe = DSTScenario(name="overload", preset="overload").build(None)
         # the reactive pipeline samples nothing and forecasts nothing
         pipe.env.run(until=60.0)
-        assert pipe.analytics.store.names() == []
+        assert pipe.telemetry.metrics(SCOPE) == []
         assert pipe.analytics.sla_risk() is None
         checker = INVARIANTS["predictive_actions_bounded"]()
         assert checker.check(pipe, final=False) == []

@@ -230,7 +230,7 @@ class TestOverlay:
 
 class TestFastSendIdentity:
     """The _FastSend chain must schedule the *identical* event sequence the
-    process-based send in :mod:`repro.evpath._reference` does — fault-free
+    process-based send in :mod:`tests.oracles.evpath` does — fault-free
     or fault-armed — which is the whole byte-identity contract of the one
     send path."""
 
@@ -242,7 +242,7 @@ class TestFastSendIdentity:
         from repro.simkernel import Environment
         from repro.simkernel.events import NORMAL
         from repro.cluster import Machine
-        from repro.evpath import _reference
+        from tests.oracles import evpath as _reference
 
         env = Environment()
         machine = Machine(env, num_nodes=6, cores_per_node=2)

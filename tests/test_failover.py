@@ -35,6 +35,7 @@ from repro.adios.spill import (
 )
 from repro.fate import REFUSED, SPILLED, FateLedger
 from repro.containers.presets import build_failover_pipeline
+from repro.overload import LinkCredits
 from repro.overload.scenario import overload_burst_plan
 from repro.smartpointer.component import VIZ_COMPONENT
 
@@ -401,7 +402,8 @@ class TestColdStartConsumer:
     def test_mid_run_viz_launch_triggers_catchup(self):
         """Interactive launch on a failover pipeline requests a catch-up:
         the spill backlog drains and nothing is lost, even though the
-        consumer set changed mid-run."""
+        consumer set changed mid-run; the launched stage's link is under
+        flow control like every built one."""
         env = Environment()
         pipe = build_failover_pipeline(env, steps=12, seed=1)
         plan = overload_burst_plan(1, pipe)
@@ -418,6 +420,8 @@ class TestColdStartConsumer:
         drain_spill(pipe)
         assert finished
         assert "viz" in pipe.containers
+        for lname, link in pipe.links.items():
+            assert isinstance(link.credits, LinkCredits), lname
         assert pipe.spill_ledger.pending() == []
         assert pipe.shed_ledger.steps() == set()
         delivered = {ts for _, ts, _ in pipe.end_to_end}

@@ -14,7 +14,7 @@ from repro.faults import (
     HeartbeatMonitor,
     NetworkFaultState,
 )
-from repro.faults._reference import FailureDetector as ScanningDetector, HeartbeatSender
+from tests.oracles.faults import FailureDetector as ScanningDetector, HeartbeatSender
 from repro.evpath.messages import MessageType
 from repro.perf.registry import REGISTRY
 

@@ -4,7 +4,7 @@ loop, tombstone semantics, and the run(until) defuse fix.
 The optimization contract is *byte-identical schedules*: the inlined run
 loop, monomorphic tie-break, tombstoning and the Messenger fast-send chain
 must be observationally indistinguishable from the pre-PR engine kept in
-``repro.simkernel._reference``.  The differential property test drives
+``tests.oracles.simkernel``.  The differential property test drives
 seeded random workloads (timeouts, interrupts, conditions, explicit
 cancels, fire-and-forget faults) through both engines and asserts the
 complete schedule-call logs, process logs, final clocks and
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Machine
 from repro.simkernel import Environment, FaultError, Interrupt, Resource, Store, shuffle
-from repro.simkernel._reference import ReferenceEnvironment
+from tests.oracles.simkernel import ReferenceEnvironment
 from repro.simkernel.events import NORMAL
 from repro.spec import PipelineSpec, WorkloadSpec, build
 

@@ -1,11 +1,11 @@
 """Wall-clock gates: speedups measured against frozen reference code in the
 same interpreter, so the ratios do not depend on the host.
 
-* the event engine against :class:`repro.simkernel._reference.ReferenceEnvironment`
-  (with the process-per-message send of :mod:`repro.evpath._reference` and
-  the process-per-transfer data plane of :mod:`repro.cluster._reference`);
+* the event engine against :class:`tests.oracles.simkernel.ReferenceEnvironment`
+  (with the process-per-message send of :mod:`tests.oracles.evpath` and
+  the process-per-transfer data plane of :mod:`tests.oracles.cluster`);
 * the quiescent failure detector against the scanning one in
-  :mod:`repro.faults._reference`;
+  :mod:`tests.oracles.faults`;
 * the vectorized analysis kernels against their seed ``_reference_*``
   implementations, plus the MD integrator's neighbour-list rebuild counts;
 * Table I's complexity column, fitted from kernel timings.
@@ -21,19 +21,19 @@ import numpy as np
 import pytest
 
 from repro.cluster import Machine, Network
-from repro.cluster import _reference as reference_transfer
+from tests.oracles import cluster as reference_transfer
 from repro.evpath import Messenger
-from repro.evpath import _reference as reference_send
+from tests.oracles import evpath as reference_send
 from repro.evpath import channel
 from repro.evpath.messages import Message, MessageType
 from repro.faults import FailureDetector
-from repro.faults._reference import FailureDetector as ScanningDetector
+from tests.oracles.faults import FailureDetector as ScanningDetector
 from repro.lammps import MDSystem, VelocityVerlet, hex_lattice
 from repro.lammps.crack import BOND_CUTOFF
 from repro.lammps.neighbor import CellList
 from repro.perf.cache import KERNEL_CACHE
 from repro.simkernel import Environment
-from repro.simkernel._reference import ReferenceEnvironment
+from tests.oracles.simkernel import ReferenceEnvironment
 from repro.smartpointer import (
     SMARTPOINTER_COMPONENTS, bonds_adjacency, central_symmetry, helper_merge,
 )
