@@ -191,11 +191,15 @@ class Messenger:
 
     # -- registry -------------------------------------------------------------
 
-    def endpoint(self, node: Node, name: str) -> Endpoint:
-        """Create and register an endpoint with a unique name."""
+    def endpoint(self, node: Node, name: str, cls: type = Endpoint) -> Endpoint:
+        """Create and register an endpoint with a unique name.
+
+        ``cls`` is an :class:`Endpoint` subclass for an owner that takes its
+        deliveries itself (a transaction participant).
+        """
         if name in self._endpoints:
             raise SimulationError(f"endpoint {name!r} already registered")
-        ep = Endpoint(self.env, node, name)
+        ep = cls(self.env, node, name)
         self._endpoints[name] = ep
         return ep
 

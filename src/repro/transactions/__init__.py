@@ -13,7 +13,8 @@ over a k-ary tree, which is what gives the protocol its scalability (Fig 6).
 
 Components:
 
-* :class:`TxnParticipant` / :class:`TxnGroup` — tree-structured members;
+* :class:`TxnParticipant` / :class:`TxnGroup` — tree-structured members,
+  each a callback walker driven by the messages delivered to it;
 * :class:`D2TCoordinator` — two-phase commit across group roots with
   presumed-abort timeouts;
 * :class:`TransactionManager` — high-level API, including the

@@ -2,23 +2,208 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, Interrupt
+from repro.simkernel import Environment, Event, Interrupt
 from repro.simkernel.errors import SimulationError
+from repro.simkernel.events import NORMAL, URGENT
+from repro.cluster.network import _step
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
+from repro.evpath.endpoint import Endpoint
 from repro.evpath.messages import Message, MessageType
+
 from repro.transactions.failures import FailureInjector
+
+_VOTE_REQUEST = MessageType.TXN_VOTE_REQUEST
+_COMMIT = MessageType.TXN_COMMIT
+_ABORT = MessageType.TXN_ABORT
+_VOTE = MessageType.TXN_VOTE
+_ACK = MessageType.TXN_ACK
+
+
+def _fire(env: Environment, value=None, fn=None, ok: bool = True) -> Event:
+    """Schedule a ``NORMAL`` event with ``value`` (an error unless ``ok``)
+    that runs ``fn``: the walker's stand-in for a mailbox put or get firing
+    or a process ending.  A failed event that ``fn`` does not defuse lands
+    in ``env.swallowed_faults``."""
+    ev = Event(env)
+    ev._ok = ok
+    ev._value = value
+    if fn is not None:
+        ev.callbacks.append(fn)
+    env.schedule(ev, NORMAL)
+    return ev
+
+
+class _Mailbox(Endpoint):
+    """A participant's endpoint.  :meth:`deliver` schedules the succeeded
+    put event a send waits on, then hands the message to the participant
+    instead of storing it, so no other endpoint's delivery changes."""
+
+    arrive: Callable[[Message], None]
+
+    def deliver(self, message: Message):
+        self.delivered += 1
+        put = _fire(self.env)
+        self.arrive(message)
+        return put
+
+
+class _Round:
+    """One message a participant handles: a vote request or a decision.
+
+    It relays the message to the children one send at a time, gathers one
+    reply per child (votes into ``ok``, or acks), and sends one aggregated
+    reply up.  ``replies`` holds the children's replies that arrived before
+    the round asked for them; ``waiting`` is set while the round is asking
+    and none has arrived.
+    """
+
+    __slots__ = ("p", "msg", "txn_id", "fault", "relayed", "want", "ok",
+                 "replies", "waiting")
+
+    def __init__(self, p: "TxnParticipant", msg: Message, txn_id: int,
+                 fault: Optional[str]):
+        self.p = p
+        self.msg = msg
+        self.txn_id = txn_id
+        self.fault = fault
+        self.relayed = 0
+        self.want = len(p.children)
+        self.ok = True
+        self.replies = deque()
+        self.waiting = False
+
+    def begin(self, _event) -> None:
+        # The handler process's Initialize: relay to the first child.
+        self._relay(None)
+
+    def _relay(self, event) -> None:
+        if event is not None and not event._ok:
+            return self._fail(event)
+        p = self.p
+        if self.relayed < len(p.children):
+            child = p.children[self.relayed]
+            self.relayed += 1
+            p.messenger.send(
+                p.node,
+                child.endpoint.name,
+                Message(self.msg.mtype, sender=p.name, payload={"txn_id": self.txn_id}),
+            ).callbacks.append(self._relay)
+        elif self.msg.mtype is _VOTE_REQUEST:
+            p.env.timeout(p.vote_compute_seconds).callbacks.append(self._vote)
+        else:
+            if self.msg.mtype is _COMMIT:
+                p.committed.append(self.txn_id)
+                if p.on_commit is not None:
+                    p.on_commit(self.txn_id)
+            else:
+                p.aborted.append(self.txn_id)
+                if p.on_abort is not None:
+                    p.on_abort(self.txn_id)
+            self._gather()
+
+    def _vote(self, _event) -> None:
+        self.ok = bool(self.p.vote_fn(self.txn_id)) and self.fault != "abort"
+        self._gather()
+
+    def _gather(self) -> None:
+        """Ask for the next child reply, or send the aggregate up."""
+        p = self.p
+        if not self.want:
+            if self.msg.mtype is _VOTE_REQUEST:
+                reply = Message(_VOTE, sender=p.endpoint.name,
+                                payload={"txn_id": self.txn_id, "vote": self.ok})
+            else:
+                reply = Message(_ACK, sender=p.endpoint.name,
+                                payload={"txn_id": self.txn_id})
+            p.messenger.send(p.node, self.msg.sender, reply).callbacks.append(self._sent)
+        elif self.replies:
+            _fire(p.env, self.replies.popleft(), self._got)
+        else:
+            self.waiting = True
+            if p._busy is self and p._requests:
+                # An open gather does not hold up another transaction.
+                p._busy = None
+                p._ask()
+
+    def offer(self, reply: Message) -> None:
+        """A child's reply arrived for this round."""
+        if self.waiting:
+            self.waiting = False
+            _fire(self.p.env, reply, self._got)
+        else:
+            self.replies.append(reply)
+
+    def _got(self, event) -> None:
+        if self.msg.mtype is _VOTE_REQUEST and not event._value.payload["vote"]:
+            self.ok = False
+        self.want -= 1
+        self._gather()
+
+    def _sent(self, event) -> None:
+        if not event._ok:
+            return self._fail(event)
+        p = self.p
+        if p._slots.get(self.txn_id) is self:
+            del p._slots[self.txn_id]
+        # The handler process completing.
+        if p._busy is self:
+            p._wake = _fire(p.env, fn=p._resume)
+        else:
+            _fire(p.env)
+
+    def _fail(self, event) -> None:
+        # A send spent its retries: the handler process fails with the
+        # error, and the participant with it if it was waiting on this round.
+        event._defused = True
+        p = self.p
+        if p._busy is self:
+            p._wake = _fire(p.env, event._value, p._die, ok=False)
+        else:
+            _fire(p.env, event._value, ok=False)
 
 
 class TxnParticipant:
-    """One process in a transaction group.
+    """One member of a transaction group, walked by its messages.
 
     Receives TXN_VOTE_REQUEST, relays it to its tree children, combines the
     children's aggregated votes with its own, and sends one aggregated
     TXN_VOTE to its parent.  Decisions (TXN_COMMIT / TXN_ABORT) flow down
     the same tree and acks aggregate back up.
+
+    There is no process per participant or per message: delivery to the
+    participant's endpoint runs a chain of callbacks, a :class:`_Round` per
+    handled message, that walks the exact ``schedule()`` sequence of the
+    process-per-message participant kept in :mod:`tests.oracles.transactions`
+    (a ``_run`` loop spawning one handler process per message):
+
+    ====================================  ===================================
+    process path                          callback chain
+    ====================================  ===================================
+    ``_run``'s ``Initialize``             ``URGENT`` step -> :meth:`_ask`
+    mailbox ``StorePut``                  same (a succeeded put event)
+    mailbox get fires with a message      ``NORMAL`` event carrying it
+    handler process ``Initialize``        ``URGENT`` step -> ``_Round.begin``
+    child sends, compute ``Timeout``,     same (real sends and ``Timeout``)
+    reply up
+    handler process completes             ``NORMAL`` event -> :meth:`_resume`
+    handler fails, then ``_run``          two failed ``NORMAL`` events; the
+                                          second is a swallowed fault
+    ``stop()``'s interrupt, ``_run``      ``URGENT`` step -> :meth:`_halt`,
+    returns (or fails, if it waited on    then a ``NORMAL`` event (failed
+    a handler)                            with the ``Interrupt``)
+    ====================================  ===================================
+
+    A message the walker is not waiting for is buffered in arrival order:
+    requests in ``_requests``, child replies in their transaction's round
+    (``_slots``, keyed by ``txn_id``).  The one departure from the process
+    path: a round whose gather is open does not block the next request.
+    A child that never answers (a ``"crash"`` or ``"crash_after_vote"``
+    fault) leaves that gather open forever, and the process path then never
+    served another transaction; the walker serves it.
     """
 
     def __init__(
@@ -43,11 +228,24 @@ class TxnParticipant:
         self.injector = injector
         self.vote_compute_seconds = vote_compute_seconds
         self.children: List["TxnParticipant"] = []
-        self.endpoint = messenger.endpoint(node, name)
-        self._proc = env.process(self._run(), name=f"txn:{name}")
+        self.endpoint = messenger.endpoint(node, name, cls=_Mailbox)
+        self.endpoint.arrive = self._arrive
         #: commit/abort decisions this participant applied
         self.committed: List[int] = []
         self.aborted: List[int] = []
+        #: requests not yet served, in arrival order
+        self._requests = deque()
+        #: the open round of each transaction, by txn_id
+        self._slots = {}
+        #: waiting for the next request (the process path's pending get)
+        self._armed = False
+        #: the round the next request waits for, if any
+        self._busy: Optional[_Round] = None
+        #: the scheduled event that resumes the request loop, if any
+        self._wake: Optional[Event] = None
+        #: False once stopped or dead
+        self._live = True
+        _step(env, self._ask, URGENT)
 
     # -- tree wiring -------------------------------------------------------------------
 
@@ -56,84 +254,80 @@ class TxnParticipant:
 
     # -- protocol ----------------------------------------------------------------------
 
-    def _run(self):
-        while True:
-            try:
-                msg = yield self.endpoint.recv(
-                    where=lambda m: m.mtype
-                    in (MessageType.TXN_VOTE_REQUEST, MessageType.TXN_COMMIT,
-                        MessageType.TXN_ABORT)
-                )
-            except Interrupt:
-                return
-            txn_id = msg.payload["txn_id"]
-            fault = self.injector.check(self.name, txn_id) if self.injector else None
-            if msg.mtype is MessageType.TXN_VOTE_REQUEST:
-                if fault == "crash":
-                    continue  # never answer; coordinator times out
-                yield self.env.process(self._handle_vote_request(msg, txn_id, fault))
+    def _arrive(self, msg: Message) -> None:
+        mtype = msg.mtype
+        if mtype is _VOTE or mtype is _ACK:
+            round_ = self._slots.get(msg.payload["txn_id"])
+            if round_ is not None:
+                round_.offer(msg)
+        elif mtype is _VOTE_REQUEST or mtype is _COMMIT or mtype is _ABORT:
+            busy = self._busy
+            if self._armed or (busy is not None and busy.waiting):
+                self._armed = False
+                self._busy = None
+                self._wake = _fire(self.env, msg, self._serve)
             else:
-                if fault == "crash_after_vote":
-                    continue  # decision lost on this subtree's root
-                yield self.env.process(self._handle_decision(msg, txn_id))
+                self._requests.append(msg)
 
-    def _handle_vote_request(self, msg: Message, txn_id: int, fault: Optional[str]):
-        # Relay down the tree first, then gather aggregated child votes.
-        for child in self.children:
-            yield self.messenger.send(
-                self.node,
-                child.endpoint.name,
-                Message(MessageType.TXN_VOTE_REQUEST, sender=self.name,
-                        payload={"txn_id": txn_id}),
-            )
-        yield self.env.timeout(self.vote_compute_seconds)
-        my_vote = bool(self.vote_fn(txn_id)) and fault != "abort"
-        votes = [my_vote]
-        for _ in self.children:
-            reply = yield self.endpoint.recv(
-                MessageType.TXN_VOTE,
-                where=lambda m: m.payload["txn_id"] == txn_id,
-            )
-            votes.append(reply.payload["vote"])
-        aggregated = all(votes)
-        yield self.messenger.send(
-            self.node,
-            msg.sender,
-            Message(MessageType.TXN_VOTE, sender=self.endpoint.name,
-                    payload={"txn_id": txn_id, "vote": aggregated}),
-        )
-
-    def _handle_decision(self, msg: Message, txn_id: int):
-        for child in self.children:
-            yield self.messenger.send(
-                self.node,
-                child.endpoint.name,
-                Message(msg.mtype, sender=self.name, payload={"txn_id": txn_id}),
-            )
-        if msg.mtype is MessageType.TXN_COMMIT:
-            self.committed.append(txn_id)
-            if self.on_commit is not None:
-                self.on_commit(txn_id)
+    def _ask(self, _event=None) -> None:
+        """Serve the oldest buffered request, or wait for the next one."""
+        if self._requests:
+            self._wake = _fire(self.env, self._requests.popleft(), self._serve)
         else:
-            self.aborted.append(txn_id)
-            if self.on_abort is not None:
-                self.on_abort(txn_id)
-        # Gather child acks, then ack upward.
-        for _ in self.children:
-            yield self.endpoint.recv(
-                MessageType.TXN_ACK,
-                where=lambda m: m.payload["txn_id"] == txn_id,
-            )
-        yield self.messenger.send(
-            self.node,
-            msg.sender,
-            Message(MessageType.TXN_ACK, sender=self.endpoint.name,
-                    payload={"txn_id": txn_id}),
-        )
+            self._armed = True
+
+    def _resume(self, _event) -> None:
+        # The round this loop waited for completed.
+        self._busy = self._wake = None
+        self._ask()
+
+    def _serve(self, event) -> None:
+        self._wake = None
+        if not self._live:
+            return  # consumed by a stopped loop's pending receive
+        msg = event._value
+        txn_id = msg.payload["txn_id"]
+        fault = self.injector.check(self.name, txn_id) if self.injector else None
+        if msg.mtype is _VOTE_REQUEST:
+            if fault == "crash":
+                return self._ask()  # never answer; coordinator times out
+        elif fault == "crash_after_vote":
+            return self._ask()  # decision lost on this subtree's root
+        round_ = self._slots[txn_id] = self._busy = _Round(self, msg, txn_id, fault)
+        _step(self.env, round_.begin, URGENT)
+
+    def _die(self, event) -> None:
+        # The request loop fails with its round's error: nothing waits on it.
+        event._defused = True
+        self._live = False
+        self._busy = self._wake = None
+        _fire(self.env, event._value, ok=False)
 
     def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("stop")
+        """Stop serving requests, as an interrupt at the current instant.
+
+        Rounds under way still finish.  Stopped while the request loop
+        waits on a round, the ``Interrupt`` escapes the run, as it did from
+        the process-per-message participant.
+        """
+        if self._live:
+            self._live = False
+            _step(self.env, self._halt, URGENT)
+
+    def _halt(self, _event) -> None:
+        # The interrupt: what the request loop was waiting on is abandoned
+        # (a pending receive stays armed and swallows one request).  Waiting
+        # for a receive, the loop ends; waiting on a round, the interrupt
+        # escapes it and the run raises it.
+        wake, busy = self._wake, self._busy
+        if wake is not None:
+            wake.callbacks.clear()
+            self.env.cancel(wake)
+        self._busy = self._wake = None
+        if busy is None:
+            _fire(self.env)
+        else:
+            _fire(self.env, Interrupt("stop"), ok=False)
 
 
 class TxnGroup:

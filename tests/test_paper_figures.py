@@ -233,6 +233,15 @@ class TestFig6:
         assert not outcomes[0].committed
         assert outcomes[0].vote_phase == pytest.approx(1.0, rel=0.1)
 
+    @pytest.mark.slow
+    def test_scales_to_franklin_size(self):
+        """Past the default ratios to Franklin's size (8,225 of its 9,572
+        nodes): 4x the writers still commits, and the tree keeps the commit
+        time's growth under 2x."""
+        small, big = figures.run_fig6(ratios=((2048, 8), (8192, 32)), repeats=1)["series"]
+        assert small["committed"] and big["committed"]
+        assert small["mean_seconds"] < big["mean_seconds"] < 2 * small["mean_seconds"]
+
 
 class TestFig7:
     @pytest.fixture(scope="class")

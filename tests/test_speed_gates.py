@@ -2,8 +2,9 @@
 same interpreter, so the ratios do not depend on the host.
 
 * the event engine against :class:`tests.oracles.simkernel.ReferenceEnvironment`
-  (with the process-per-message send of :mod:`tests.oracles.evpath` and
-  the process-per-transfer data plane of :mod:`tests.oracles.cluster`);
+  (with the process-per-message send of :mod:`tests.oracles.evpath`, the
+  process-per-transfer data plane of :mod:`tests.oracles.cluster` and the
+  process-per-message D2T participant of :mod:`tests.oracles.transactions`);
 * the quiescent failure detector against the scanning one in
   :mod:`tests.oracles.faults`;
 * the vectorized analysis kernels against their seed ``_reference_*``
@@ -20,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.cluster import Machine, Network
+from repro.cluster import Machine, Network, redsky
 from tests.oracles import cluster as reference_transfer
 from repro.evpath import Messenger
 from tests.oracles import evpath as reference_send
@@ -34,6 +35,8 @@ from repro.lammps.neighbor import CellList
 from repro.perf.cache import KERNEL_CACHE
 from repro.simkernel import Environment
 from tests.oracles.simkernel import ReferenceEnvironment
+from tests.oracles import transactions as reference_participant
+from repro.transactions import TransactionManager, d2t
 from repro.smartpointer import (
     SMARTPOINTER_COMPONENTS, bonds_adjacency, central_symmetry, helper_merge,
 )
@@ -51,6 +54,8 @@ N_DRAIN = 200_000
 N_CHURN = 20_000
 N_SEND = 8_000
 N_XFER = 8_000
+#: the D2T commit's writer and reader groups (a Fig 6 ratio)
+N_WRITERS, N_READERS = 512, 4
 #: grid members a detector watches, and the idle horizon it runs (s)
 N_LEASES = 500
 IDLE_HORIZON = 1000.0
@@ -70,6 +75,8 @@ BASELINE_SPEEDUP = {
     "network_transfer": 1.64235,
     # scanning/quiescent detector, median of 8 full-size gate runs (same host)
     "detector_idle": 279.09,
+    # median of 8 full-size gate runs (same host)
+    "d2t_commit": 1.98907,
 }
 
 
@@ -162,6 +169,24 @@ def network_transfer(env_cls):
     return seconds
 
 
+def d2t_commit(env_cls):
+    """One D2T commit across a writer/reader group pair on RedSky; the
+    group build and the transaction are timed, the machine build is not."""
+    env = env_cls()
+    machine = redsky(env, num_nodes=N_WRITERS + N_READERS + 1)
+    messenger = Messenger(env, machine.network)
+    t0 = time.perf_counter()
+    tm = TransactionManager(env, messenger, machine.nodes[-1])
+    writers = tm.build_group("writers", machine.nodes[:N_WRITERS], fanout=8)
+    readers = tm.build_group("readers", machine.nodes[N_WRITERS:-1])
+    tm.run([writers, readers])
+    env.run()
+    seconds = time.perf_counter() - t0
+    (outcome,) = tm.coordinator.outcomes
+    assert outcome.committed and outcome.acks_complete
+    return seconds
+
+
 def detector_idle(detector_cls):
     """A detector watching healthy grid leases over a long idle horizon,
     then read: the scanning detector scans every lease each quarter lease,
@@ -181,12 +206,13 @@ def detector_idle(detector_cls):
 
 
 def _reference(workload):
-    """The workload on the reference engine, its sends, transfers and RDMA
-    GETs taking the process path, so the whole pre-fast-path stack is
-    measured."""
+    """The workload on the reference engine, its sends, transfers, RDMA
+    GETs and D2T participants taking the process path, so the whole
+    pre-fast-path stack is measured."""
     with mock.patch.object(channel.Messenger, "send", reference_send.send_process), \
             mock.patch.object(Network, "transfer", reference_transfer.transfer), \
-            mock.patch.object(Network, "rdma_get", reference_transfer.rdma_get):
+            mock.patch.object(Network, "rdma_get", reference_transfer.rdma_get), \
+            mock.patch.object(d2t, "TxnParticipant", reference_participant.TxnParticipant):
         return workload(ReferenceEnvironment)
 
 
@@ -206,7 +232,7 @@ def median_speedup(optimized, reference):
 
 
 @pytest.mark.parametrize("workload", [raw_ticker, timeout_drain, timeout_churn, messenger_send,
-                                      network_transfer],
+                                      network_transfer, d2t_commit],
                          ids=lambda w: w.__name__)
 def test_engine_speedup_holds(workload):
     speedup = median_speedup(lambda: workload(Environment), lambda: _reference(workload))

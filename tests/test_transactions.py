@@ -1,11 +1,19 @@
 """Tests for D2T transactions: commit, abort, crashes, scalability, trades."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
 
-from repro.simkernel import Environment
-from repro.cluster import Machine
+from repro.simkernel import Environment, shuffle
+from repro.simkernel.events import NORMAL
+from repro.cluster import Machine, redsky
 from repro.evpath import Messenger
-from repro.transactions import FailureInjector, TransactionManager, TxnGroup, TxnParticipant
+from repro.faults import NetworkFaultState
+from repro.faults.plan import FaultPlan
+from repro.transactions import (
+    FailureInjector, TransactionManager, TxnGroup, TxnParticipant, d2t,
+)
 
 
 def rig(env, n_nodes=24, injector=None, **kwargs):
@@ -119,6 +127,247 @@ class TestFailures:
     def test_injector_validation(self):
         with pytest.raises(ValueError):
             FailureInjector().inject("x", 1, "explode")
+
+
+class TestOpenGatherDoesNotWedge:
+    """A child that never answers leaves its ancestors' gathers for that
+    transaction open forever; the next transactions must still commit.
+    (The process-per-message participant served one message at a time, so
+    ``w-p0`` waited on transaction 1 for good and every later transaction
+    aborted with ``timed_out_groups == ['w']``.)"""
+
+    @pytest.mark.parametrize("behaviour", ["crash", "crash_after_vote"])
+    def test_later_transactions_commit(self, behaviour):
+        env = Environment()
+        machine = redsky(env, num_nodes=40)
+        injector = FailureInjector()
+        tm = TransactionManager(env, Messenger(env, machine.network), machine.nodes[-1],
+                                injector=injector)
+        w = tm.build_group("w", machine.nodes[:20], fanout=4)
+        r = tm.build_group("r", machine.nodes[20:24], fanout=4)
+        injector.inject("w-p3", 1, behaviour)
+        outcomes = []
+
+        def proc(env):
+            for _ in range(3):
+                outcomes.append((yield tm.run([w, r])))
+
+        env.process(proc(env))
+        env.run(until=60)
+        first, *later = outcomes
+        assert len(outcomes) == 3
+        if behaviour == "crash":
+            assert not first.committed and first.timed_out_groups == ["w"]
+        else:
+            assert first.committed and not first.acks_complete
+        assert [(o.txn_id, o.committed, o.acks_complete) for o in later] == [
+            (2, True, True), (3, True, True)]
+        assert all(p.committed[-2:] == [2, 3] for p in w.participants + r.participants)
+
+
+class TestWalkerIdentity:
+    """The participant walker must schedule the *identical* event sequence
+    the process-per-message participant of :mod:`tests.oracles.transactions`
+    does: same ``schedule()`` calls, same outcomes, same decisions applied,
+    same deliveries, sends and swallowed faults.
+
+    Every scenario keeps at most one transaction in flight at a participant.
+    With two (a gather left open by a silent child while the next
+    transaction arrives, :class:`TestOpenGatherDoesNotWedge`), the walker
+    serves the second transaction and the oracle does not, so that case is
+    not part of this differential."""
+
+    @staticmethod
+    def _run(oracle, scenario, tie_seed=None):
+        """Run ``scenario(env, machine, messenger)`` under a ``schedule()``
+        spy, with the live participant or, with ``oracle``, the reference
+        one; the scenario returns the manager, its groups and a dict of
+        extra readings, each read after the run."""
+        from tests.oracles import transactions as _reference
+
+        env = Environment() if tie_seed is None else Environment(tie_breaker=shuffle(tie_seed))
+        machine = Machine(env, num_nodes=24)
+        log = []
+        orig = env.schedule
+
+        def kind(event):
+            name = type(event).__name__
+            return name if name in ("Request", "Timeout") else "ev"
+
+        def spy(event, priority=NORMAL, delay=0.0):
+            log.append((round(env.now, 12), priority, round(delay, 12), kind(event)))
+            return orig(event, priority, delay)
+
+        env.schedule = spy
+        patch = mock.patch.object(d2t, "TxnParticipant", _reference.TxnParticipant)
+        if oracle:
+            patch.start()
+        try:
+            messenger = Messenger(env, machine.network)
+            tm, groups, extra = scenario(env, machine, messenger)
+            raised = []
+            while True:  # record what escapes the run, then carry on
+                try:
+                    env.run(until=60)
+                    break
+                except Exception as error:
+                    raised.append((type(error).__name__, str(error)))
+        finally:
+            if oracle:
+                patch.stop()
+        members = [p for g in groups for p in g.participants]
+        return dict(
+            log=log, raised=raised, now=env.now, processed=env.events_processed,
+            tombstones=env.tombstones_skipped,
+            swallowed=env.swallowed_faults, sent=messenger.messages_sent,
+            retries=messenger.retries,
+            outcomes=[dataclasses.asdict(o) for o in tm.coordinator.outcomes],
+            decisions=[(p.name, p.committed, p.aborted) for p in members],
+            delivered=[(p.name, p.endpoint.delivered) for p in members],
+            triggered=sorted(tm.injector.triggered) if tm.injector else None,
+            **{key: value() for key, value in extra.items()},
+        )
+
+    @staticmethod
+    def _rig(env, machine, messenger, faults=(), plan=None, w_vote=None, txns=1,
+             gap=0.0, vote_timeout=1.0):
+        """Groups w (16 at fanout 4) and r (4), ``txns`` sequential
+        transactions ``gap`` seconds apart, and ``faults`` as
+        (participant, txn_id, behaviour)."""
+        injector = FailureInjector(plan) if faults or plan else None
+        tm = TransactionManager(env, messenger, machine.nodes[-1], injector=injector,
+                                vote_timeout=vote_timeout, ack_timeout=vote_timeout)
+        w = tm.build_group("w", machine.nodes[:16], fanout=4, vote_fn=w_vote)
+        r = tm.build_group("r", machine.nodes[16:20], fanout=4)
+        for fault in faults:
+            injector.inject(*fault)
+
+        def proc(env):
+            for i in range(txns):
+                if i:
+                    yield env.timeout(gap)
+                yield tm.run([w, r])
+
+        env.process(proc(env))
+        return tm, [w, r]
+
+    def _faults(self, *faults, **kwargs):
+        def scenario(env, machine, messenger):
+            tm, groups = self._rig(env, machine, messenger, faults, **kwargs)
+            return tm, groups, {}
+        return scenario
+
+    def _stop_idle(self, env, machine, messenger):
+        """Stopped between transactions: each member's pending receive
+        stays armed and swallows the next request, so the second
+        transaction times out on both groups."""
+        tm, groups = self._rig(env, machine, messenger, txns=2, gap=1.0)
+
+        def stopper(env):
+            yield env.timeout(0.5)
+            for group in groups:
+                group.stop()
+
+        env.process(stopper(env))
+        return tm, groups, {}
+
+    def _stop_on_arrival(self, env, machine, messenger):
+        """Stopped inside the delivery of transaction 2's vote request to
+        w's root, before the receive that fires with it pops: the interrupt
+        tombstones that receive, so the request is lost."""
+        tm, groups = self._rig(env, machine, messenger, txns=2, gap=1.0)
+        root = groups[0].root.endpoint
+        deliver = root.deliver
+
+        def deliver_then_stop(message):
+            put = deliver(message)
+            if message.payload["txn_id"] == 2:
+                for group in groups:
+                    group.stop()
+            return put
+
+        root.deliver = deliver_then_stop
+        return tm, groups, {}
+
+    def _stop_gathering(self, env, machine, messenger):
+        """Stopped while the vote gathers are open: a member waiting on its
+        round raises the ``Interrupt`` out of the run; the open rounds still
+        vote, so the transaction commits, but no stopped member serves the
+        decision."""
+        tm, groups = self._rig(env, machine, messenger)
+        busy = []  # (member, its gather is open), read off the walker only
+
+        def stopper(env):
+            yield env.timeout(2e-4)
+            busy.extend((p.name, p._busy.waiting) for g in groups for p in g.participants
+                        if getattr(p, "_busy", None) is not None)
+            for group in groups:
+                group.stop()
+
+        env.process(stopper(env))
+        return tm, groups, {"busy": lambda: busy}
+
+    def _partitioned(self, env, machine, messenger):
+        """w-p1's node is cut off while w-p0 relays to it: the send spends
+        its retries, w-p0 dies (one swallowed fault) and later requests
+        queue at it unserved."""
+        plan = FaultPlan(seed=5)
+        plan.link_partition(0.0, (machine.nodes[1].node_id,), duration=3.0)
+        machine.network.faults = NetworkFaultState(env, plan)
+        tm, groups = self._rig(env, machine, messenger, plan=plan, txns=2)
+        return tm, groups, {"partitioned": lambda: machine.network.faults.partitioned}
+
+    SCENARIOS = {
+        "commit": lambda self: self._faults(txns=3),
+        "vote_fn_abort": lambda self: self._faults(w_vote=lambda txn: txn != 2, txns=3),
+        "abort_vote": lambda self: self._faults(("w-p6", 1, "abort"), ("r-p0", 2, "abort"),
+                                                txns=2),
+        "root_crash": lambda self: self._faults(("w-p0", 1, "crash"), txns=2),
+        "leaf_crash": lambda self: self._faults(("w-p13", 1, "crash")),
+        "crash_after_vote": lambda self: self._faults(("w-p2", 1, "crash_after_vote")),
+        "stop_idle": lambda self: self._stop_idle,
+        "stop_on_arrival": lambda self: self._stop_on_arrival,
+        "stop_gathering": lambda self: self._stop_gathering,
+        "partitioned": lambda self: self._partitioned,
+    }
+
+    @pytest.mark.parametrize("tie_seed", [None, 7], ids=["insertion", "shuffle7"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_process_path(self, name, tie_seed):
+        scenario = self.SCENARIOS[name](self)
+        fast = self._run(False, scenario, tie_seed)
+        slow = self._run(True, scenario, tie_seed)
+        busy = fast.pop("busy", None)
+        slow.pop("busy", None)
+        assert fast == slow
+        # the scenario really reaches the branch it is meant to pin
+        outcomes = [(o["committed"], o["timed_out_groups"], o["acks_complete"])
+                    for o in fast["outcomes"]]
+        expected = {
+            "commit": [(True, [], True)] * 3,
+            "vote_fn_abort": [(True, [], True), (False, [], True), (True, [], True)],
+            "abort_vote": [(False, [], True)] * 2,
+            "root_crash": [(False, ["w"], True), (True, [], True)],
+            "leaf_crash": [(False, ["w"], True)],
+            "crash_after_vote": [(True, [], False)],
+            "stop_idle": [(True, [], True), (False, ["w", "r"], True)],
+            "stop_on_arrival": [(True, [], True), (False, ["w", "r"], True)],
+            "stop_gathering": [(True, [], False)],
+            "partitioned": [(False, ["w"], True)] * 2,
+        }[name]
+        assert outcomes == expected
+        if name == "stop_gathering":
+            assert any(waiting for _, waiting in busy)
+            assert not any(c for _, c, _ in fast["decisions"])
+            assert fast["raised"] == [("Interrupt", "stop")] * len(busy)
+        else:
+            assert fast["raised"] == []
+        if name == "stop_on_arrival":
+            # one tombstone more than stopping while idle: the lost receive
+            assert fast["tombstones"] == self._run(False, self._stop_idle)["tombstones"] + 1
+        if name == "partitioned":
+            assert fast["swallowed"] == 1 and fast["retries"] == 3
+            assert fast["partitioned"] == 4
 
 
 class TestRunScopedState:
