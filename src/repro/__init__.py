@@ -35,7 +35,7 @@ from repro.data import DataChunk
 from repro.cluster import BatchScheduler, Machine, franklin, redsky
 from repro.evpath import Message, MessageType, Messenger, OverlayTree
 from repro.datatap import DataTapLink, DataTapReader, DataTapWriter, PullScheduler
-from repro.adios import AdiosStream, Group, ParallelFileSystem, VarInfo, read_bp, write_bp
+from repro.adios import Group, ParallelFileSystem, VarInfo, read_bp, write_bp
 from repro.lammps import (
     CrackExperiment,
     LammpsDriver,
@@ -64,7 +64,6 @@ from repro.transactions import TransactionManager
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdiosStream",
     "BatchScheduler",
     "Container",
     "CrackExperiment",

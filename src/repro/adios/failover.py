@@ -14,9 +14,17 @@ drop timesteps permanently (the brownout ladder reproduces that).  The
 * **Replay path** — when the consumer side is healthy again (the ladder
   unwinds, a REPLACE recovery completes, a cold-start consumer attaches,
   or simply the run ends), the ``replay_catchup`` protocol reads pending
-  segments back in sequence order, streams them over an SST engine with
+  segments back in sequence order, streams them over an SST stream with
   reader-side flow control, and hands over to the live stream at the
   snapshot watermark with no gap, no duplicate, and credits re-primed.
+
+Each DataTap link carries a :class:`FailoverSwitch`, the per-link state
+machine (live → spilling → replaying → live) the DST handover oracle
+audits.  The live data path itself never changes: the paper's
+switch-to-disk on an offline prune is :meth:`Container.emit
+<repro.containers.container.Container.emit>` choosing
+:meth:`ParallelFileSystem.write_chunk
+<repro.adios.filesystem.ParallelFileSystem.write_chunk>`.
 
 Every produced timestep ends delivered, shed, or spilled, and every
 spilled timestep eventually settles as replayed (delivered) or superseded
@@ -36,18 +44,15 @@ from repro.controlplane.engine import ProtocolAbort, ProtocolExit
 from repro.controlplane.protocols import REPLAY_CATCHUP, SPILL_ENGAGE
 from repro.data import DataChunk
 from repro.perf.registry import REGISTRY
-from repro.adios.engine import (
-    LIVE,
-    REPLAYING,
-    SPILLING,
-    DataTapEngine,
-    EngineSwitch,
-    FileEngine,
-    SstEngine,
-    SstStream,
-)
 from repro.adios.spill import SpillLedger, SpillStore
+from repro.adios.sst import SstStream
 from repro.fate import REPLAY_SINK, SHED_REASONS
+
+#: failover states of a link's transport
+LIVE = "live"
+SPILLING = "spilling"
+REPLAYING = "replaying"
+FAILOVER_STATES = (LIVE, SPILLING, REPLAYING)
 
 
 @dataclass
@@ -68,17 +73,8 @@ class FailoverPolicy:
     collapse_ticks: int = 3
     #: max segments replayed per catch-up round (None = all pending)
     replay_batch: Optional[int] = None
-    #: the engine each link runs while healthy — ``datatap`` (the staged
-    #: transport) or ``sst`` (publish/subscribe with reader-side windows);
-    #: selected by the spec's ``transport:`` field
-    live_transport: str = "datatap"
 
     def __post_init__(self):
-        if self.live_transport not in ("datatap", "sst"):
-            raise ValueError(
-                f"live_transport must be 'datatap' or 'sst', "
-                f"got {self.live_transport!r}"
-            )
         for reason in self.spill_reasons:
             if reason not in SHED_REASONS:
                 raise ValueError(
@@ -91,6 +87,30 @@ class FailoverPolicy:
             raise ValueError("subscriber_window must be >= 1")
         if self.collapse_ticks < 1:
             raise ValueError("collapse_ticks must be >= 1")
+
+
+class FailoverSwitch:
+    """One link's failover state machine: live → spilling → replaying → live.
+
+    Transitions are recorded with timestamps so the DST handover oracle can
+    audit that every spill epoch was closed by a handover.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.state = LIVE
+        #: (time, from_state, to_state) transitions, in order
+        self.transitions: List[Tuple[float, str, str]] = []
+
+    def set_state(self, state: str, time: float) -> None:
+        if state not in FAILOVER_STATES:
+            raise ValueError(f"unknown failover state {state!r}")
+        if state != self.state:
+            self.transitions.append((time, self.state, state))
+            self.state = state
+
+    def __repr__(self) -> str:
+        return f"<FailoverSwitch {self.name!r} state={self.state}>"
 
 
 class NoFailover:
@@ -127,34 +147,10 @@ class FailoverManager:
         fates.spill_nbytes = float(pipe.driver.workload.bytes_per_step)
         fates.spill_subscribers.append(self._on_spill)
         self.ledger = pipe.spill_ledger = SpillLedger(fates)
-        #: one engine switch per DataTap link, starting on the live transport
-        self.switches: Dict[str, EngineSwitch] = {}
-        for lname, link in pipe.links.items():
-            switch = EngineSwitch(lname, current="datatap")
-            if link.writers:
-                switch.add_engine(DataTapEngine(link.writers[0]), "datatap")
-            switch.add_engine(
-                FileEngine(env, self.store, self._store_node(), stage=lname,
-                           ledger=fates),
-                "file",
-            )
-            if self.policy.live_transport == "sst":
-                stream = SstStream(
-                    env, name=f"sst:{lname}", network=pipe.machine.network
-                )
-                consumer = self._consumer_of(link)
-                node = self._store_node()
-                if consumer is not None:
-                    live = [r for r in consumer.replicas if not r.crashed]
-                    if live:
-                        node = live[0].node
-                stream.subscribe(
-                    lname, node=node, window=self.policy.subscriber_window
-                )
-                src = link.writers[0].node if link.writers else None
-                switch.add_engine(SstEngine(stream, src_node=src), "sst")
-                switch.switch_to("sst")
-            self.switches[lname] = switch
+        #: one failover switch per DataTap link
+        self.switches: Dict[str, FailoverSwitch] = {
+            lname: FailoverSwitch(lname) for lname in pipe.links
+        }
         #: completed handovers (the no-gap/no-dup oracle's raw data)
         self.handovers: List[dict] = []
         #: spill_engage flushes: (time, link, chunks diverted)
@@ -179,7 +175,7 @@ class FailoverManager:
             return container.input_link
         return self.pipe.driver.writers[0].link
 
-    def _switch_for_stage(self, stage: str) -> Optional[EngineSwitch]:
+    def _switch_for_stage(self, stage: str) -> Optional[FailoverSwitch]:
         return self.switches.get(self._link_for_stage(stage).name)
 
     def _consumer_of(self, link):
@@ -203,15 +199,14 @@ class FailoverManager:
 
     def _on_spill(self, record, fates) -> None:
         """Ledger subscriber: make every spill durable.  A diverted shed
-        also flips its stage's link to the file engine; a spill_engage
-        flush leaves that to the protocol's mark round."""
+        also marks its stage's link spilling; a spill_engage flush leaves
+        that to the protocol's mark round."""
         self.store.write_segment(self._store_node(), record)
         if record.reason not in self.policy.spill_reasons:
             return
         switch = self._switch_for_stage(record.stage)
         if switch is not None and switch.state == LIVE:
             switch.set_state(SPILLING, record.time)
-            switch.switch_to("file")
             self.pipe.telemetry.mark(record.time, f"failover: {switch.name} spilling")
         REGISTRY.count("failover.intercepted")
 
@@ -251,7 +246,6 @@ class FailoverManager:
         switch = self.switches.get(ctx["lname"])
         if switch is not None:
             switch.set_state(SPILLING, self.env.now)
-            switch.switch_to("file")
         self.spill_epochs.append((self.env.now, ctx["lname"], ctx["flushed"]))
         self.pipe.telemetry.mark(
             self.env.now, f"failover: spill engaged on {ctx['lname']}"
@@ -264,7 +258,6 @@ class FailoverManager:
         switch = self.switches.get(ctx["lname"])
         if switch is not None and switch.state == SPILLING:
             switch.set_state(LIVE, self.env.now)
-            switch.switch_to(self.policy.live_transport)
 
     def _se_abort(self, ctx):
         ctx.result = 0
@@ -297,11 +290,10 @@ class FailoverManager:
         for switch in self.switches.values():
             if switch.state == SPILLING:
                 switch.set_state(REPLAYING, self.env.now)
-                switch.switch_to("sst")
 
     def _rc_stream(self, ctx):
         """Read pending segments in seq order and stream them to the sink
-        over an SST engine — reader-side window, strict ordering."""
+        over an SST stream — reader-side window, strict ordering."""
         reader_node = self._store_node()
         sink_name, sink_node = self._sink()
         stream = SstStream(
@@ -310,10 +302,6 @@ class FailoverManager:
         subscriber = stream.subscribe(
             sink_name, node=sink_node, window=self.policy.subscriber_window
         )
-        engine = SstEngine(stream, src_node=reader_node)
-        for switch in self.switches.values():
-            if "sst" not in switch.engines:
-                switch.add_engine(engine, "sst")
         order: List[int] = []
 
         def consume():
@@ -342,11 +330,11 @@ class FailoverManager:
                 integrity=record.digest,
                 chunk_id=next(self.env.chunk_ids),
             )
-            yield engine.put(chunk, {"record": record})
-        yield engine.put(
+            yield stream.publish(chunk, {"record": record}, src_node=reader_node)
+        yield stream.publish(
             DataChunk(timestep=-1, nbytes=0.0, created_at=self.env.now,
                       chunk_id=next(self.env.chunk_ids)),
-            {"eos": True},
+            {"eos": True}, src_node=reader_node,
         )
         yield consumer
         subscriber.detach()
@@ -367,8 +355,6 @@ class FailoverManager:
             link.credits.resize(link.credits.window)
         for switch in self.switches.values():
             if switch.state != LIVE:
-                switch.watermark = ctx["watermark"]
-                switch.switch_to(self.policy.live_transport)
                 switch.set_state(LIVE, self.env.now)
         self.handovers.append({
             "time": self.env.now,

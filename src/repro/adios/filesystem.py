@@ -7,6 +7,8 @@ writes raw data to storage instead of staging it.
 
 The file system records everything written — name, size, and attributes — so
 tests can assert that offline output carries the right provenance labels.
+:meth:`ParallelFileSystem.write_chunk` is the one disk path for pipeline
+chunks (the paper's ADIOS POSIX method).
 """
 
 from __future__ import annotations
@@ -77,6 +79,22 @@ class ParallelFileSystem:
         self.files.append(record)
         self.bytes_written += nbytes
         return record
+
+    def write_chunk(self, node: Node, prefix: str, chunk, **flags):
+        """Process: write one timestep's chunk as ``<prefix>.tsNNNNNN.bp``.
+
+        The paper's POSIX method: the record's attributes carry the chunk's
+        provenance and timestep (then ``flags``), so a post-processor knows
+        which actions remain to be applied.
+        """
+        attributes = {
+            "provenance": list(chunk.provenance),
+            "timestep": chunk.timestep,
+            **flags,
+        }
+        return self.write(
+            node, f"{prefix}.ts{chunk.timestep:06d}.bp", chunk.nbytes, attributes
+        )
 
     def read(self, node: Node, name: str):
         """Process: read the most recent file named ``name`` back to ``node``.

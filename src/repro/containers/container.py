@@ -286,16 +286,9 @@ class Container:
             if self.sink_fs is None:
                 yield self.env.timeout(0)
                 return
-            attrs = {
-                "provenance": list(chunk.provenance),
-                "timestep": chunk.timestep,
-                "incomplete_pipeline": self.output_link is not None,
-            }
-            yield self.sink_fs.write(
-                replica.node,
-                f"{self.name}.ts{chunk.timestep:06d}.bp",
-                chunk.nbytes,
-                attrs,
+            yield self.sink_fs.write_chunk(
+                replica.node, self.name, chunk,
+                incomplete_pipeline=self.output_link is not None,
             )
         return gen()
 

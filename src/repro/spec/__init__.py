@@ -4,7 +4,7 @@ The paper configures its I/O containers statically — topology, placement,
 QoS policy fixed before launch.  This package is that idea made
 first-class: a :class:`PipelineSpec` describes a pipeline declaratively
 (stages, compute models, workload sizing, SLA targets, buffer sizing,
-fault plan, overload policy, transport, tenant/quota block), round-trips
+fault plan, overload policy, failover block, tenant/quota block), round-trips
 YAML <-> Python losslessly, is validated with pointed errors before
 anything is built, and compiles to a wired
 :class:`~repro.containers.pipeline.Pipeline` through one entry point,
@@ -20,7 +20,6 @@ dimension of the DST sweep.
 from repro.spec.model import (
     BUILDER_DEFAULTS,
     OVERLOAD_MODES,
-    TRANSPORTS,
     FailoverPolicyBlock,
     FaultEventSpec,
     FaultSpec,
@@ -48,7 +47,6 @@ from repro.spec.build import (
 __all__ = [
     "BUILDER_DEFAULTS",
     "OVERLOAD_MODES",
-    "TRANSPORTS",
     "FailoverPolicyBlock",
     "FaultEventSpec",
     "FaultSpec",

@@ -6,7 +6,7 @@ configuration files play, made round-trippable (YAML <-> Python, loss
 free) and validated before anything is built.  The spec captures the
 *portable* half of a pipeline: topology (stages with fan-out), compute
 models, workload sizing, SLA targets, buffer sizing, fault plan,
-overload policy, transport method, and the tenant/quota block the fleet
+overload policy, failover block, and the tenant/quota block the fleet
 overlays.  Runtime-only objects (a shared ``Machine``, a tenant name, a
 management policy instance) stay out of the spec and are supplied at
 build time — see :func:`repro.spec.build.build`; a concrete ``FaultPlan``
@@ -79,13 +79,6 @@ BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "backpressure": False,
     "brownout": False,
 })
-
-#: transport methods a spec may name (see :mod:`repro.adios.methods`).
-#: ``datatap`` is the staged online path; ``sst`` selects the streaming
-#: publish/subscribe engine (requires a ``failover:`` block, which owns
-#: the engine switches).
-TRANSPORTS: Tuple[str, ...] = ("datatap", "sst")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -427,7 +420,6 @@ class PipelineSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     stages: Optional[Tuple[StageSpec, ...]] = None
     builder: Mapping[str, Any] = field(default_factory=dict)
-    transport: str = "datatap"
     #: end-to-end SLA target as a multiple of the output interval (used by
     #: fleet accounting and reporting; None = unspecified)
     sla: Optional[float] = None
@@ -467,7 +459,7 @@ class PipelineSpec:
         ``workload``/``builder`` merge into the nested blocks;
         ``drop_builder`` removes keys (so an overlay can *unset* e.g. the
         overload controllers); other keyword arguments replace top-level
-        fields (``name``, ``stages``, ``transport``, ``sla``, ``faults``,
+        fields (``name``, ``stages``, ``sla``, ``faults``,
         ``tenant``).
         """
         spec = self
@@ -508,7 +500,6 @@ class PipelineSpec:
                 else [s.as_dict() for s in self.stages]
             ),
             "builder": _thawed(self.builder),
-            "transport": self.transport,
             "sla": self.sla,
             "faults": None if self.faults is None else self.faults.as_dict(),
             "tenant": None if self.tenant is None else self.tenant.as_dict(),

@@ -16,8 +16,7 @@ field, and bound involved.  The pass covers:
   the :class:`~repro.faults.plan.FaultPlan` rules; staging-pool-relative
   target indices in range);
 * the tenant/quota block (floor within the tenant's own staging pool —
-  the machine capacity it actually has — and floor <= ceiling);
-* the transport method name.
+  the machine capacity it actually has — and floor <= ceiling).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import List
 from repro.spec.model import (
     BUILDER_DEFAULTS,
     OVERLOAD_MODES,
-    TRANSPORTS,
     FaultSpec,
     PipelineSpec,
     SpecError,
@@ -57,15 +55,6 @@ def validate(spec: PipelineSpec) -> PipelineSpec:
     _validate_builder(spec)
     if spec.stages is not None:
         _validate_stages(spec)
-    if spec.transport not in TRANSPORTS:
-        raise SpecError(
-            f"unknown transport {spec.transport!r}; known: {list(TRANSPORTS)}"
-        )
-    if spec.transport == "sst" and spec.failover is None:
-        raise SpecError(
-            "transport: sst is provided by the failover engine layer; "
-            "add a failover block (failover: {}) to enable it"
-        )
     if spec.sla is not None and spec.sla <= 0:
         raise SpecError(f"sla must be a positive multiple of the output interval, got {spec.sla}")
     if spec.faults is not None:

@@ -1,4 +1,4 @@
-"""Unit tests for the ADIOS layer: variables, groups, BP files, methods."""
+"""Unit tests for the ADIOS layer: variables, groups, BP files, the disk path."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,14 @@ import pytest
 from repro.simkernel import Environment
 from repro.data import DataChunk
 from repro.adios import (
-    AdiosStream,
     Group,
     ParallelFileSystem,
-    PosixMethod,
     VarInfo,
     read_bp,
     write_bp,
 )
 from repro.adios.group import lammps_atoms_group
-from repro.adios.methods import DataTapMethod, NullMethod
 from repro.adios.variable import AttributeSet
-from repro.datatap import DataTapLink, DataTapReader, DataTapWriter
-from repro.simkernel import Store
 
 
 class TestVarInfo:
@@ -152,56 +147,26 @@ class TestParallelFileSystem:
             ParallelFileSystem(env, per_stream_bandwidth=0)
 
 
-class TestStreamAndMethods:
-    def test_posix_method_attaches_provenance(self, env, machine):
+class TestWriteChunk:
+    """The paper's POSIX method: one timestep to disk, provenance attached."""
+
+    def test_write_chunk_attaches_provenance(self, env, machine):
         fs = ParallelFileSystem(env)
-        method = PosixMethod(env, fs, machine.nodes[0], prefix="csym")
-        group = Group("labels", [VarInfo("l", "uint8", ("n",))])
-        stream = AdiosStream(env, group, method)
         c = DataChunk(timestep=7, nbytes=500, provenance=("helper", "bonds", "csym"),
                       chunk_id=next(env.chunk_ids))
 
         def proc(env):
-            yield stream.write(c)
+            yield fs.write_chunk(machine.nodes[0], "csym", c, incomplete_pipeline=True)
 
         env.process(proc(env))
         env.run()
         record = fs.files[0]
         assert record.name == "csym.ts000007.bp"
-        assert record.attributes["provenance"] == ["helper", "bonds", "csym"]
-        assert record.attributes["timestep"] == 7
+        assert record.nbytes == 500
+        assert record.attributes == {
+            "provenance": ["helper", "bonds", "csym"],
+            "timestep": 7,
+            "incomplete_pipeline": True,
+        }
+        assert list(record.attributes) == ["provenance", "timestep", "incomplete_pipeline"]
 
-    def test_method_switch_midstream(self, env, machine, messenger):
-        """The offline path: swap DATATAP for POSIX at runtime."""
-        fs = ParallelFileSystem(env)
-        link = DataTapLink(env, messenger, "l")
-        writer = DataTapWriter(env, messenger, machine.nodes[0], name="w")
-        link.add_writer(writer)
-        q = Store(env, capacity=4)
-        link.add_reader(DataTapReader(env, messenger, machine.nodes[1], "r", q))
-
-        group = Group("g", [VarInfo("x", "float64", ("n",))])
-        stream = AdiosStream(env, group, DataTapMethod(writer))
-
-        def proc(env):
-            yield stream.write(DataChunk(timestep=0, nbytes=100, chunk_id=0))
-            previous = stream.set_method(PosixMethod(env, fs, machine.nodes[0]))
-            assert previous.name == "DATATAP"
-            yield stream.write(DataChunk(timestep=1, nbytes=100, chunk_id=1))
-
-        env.process(proc(env))
-        env.run(until=10)
-        assert stream.method_switches == 1
-        assert len(fs.files) == 1
-        assert q.size == 1
-
-    def test_null_method_discards(self, env):
-        group = Group("g", [VarInfo("x", "float64")])
-        stream = AdiosStream(env, group, NullMethod(env))
-
-        def proc(env):
-            yield stream.write(DataChunk(timestep=0, nbytes=10, chunk_id=0))
-
-        env.process(proc(env))
-        env.run()
-        assert stream.chunks_out == 1

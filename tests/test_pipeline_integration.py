@@ -143,6 +143,18 @@ class TestFigure9And10Scenario:
         assert all(f.attributes["provenance"] == ["helper"] for f in helper_files)
         assert all(f.attributes["incomplete_pipeline"] for f in helper_files)
 
+    def test_helper_switches_to_disk_mid_run(self, pipe):
+        """The paper's method switch: Helper streams through DataTap until
+        the cascade prunes its consumers, then writes every later timestep
+        to ``helper.tsNNNNNN.bp``."""
+        helper_files = [f for f in pipe.fs.files if f.name.startswith("helper.ts")]
+        on_disk = [f.attributes["timestep"] for f in helper_files]
+        first = on_disk[0]
+        assert 0 < first and on_disk == list(range(first, 60))
+        assert [f.name for f in helper_files] == [
+            f"helper.ts{ts:06d}.bp" for ts in on_disk
+        ]
+
     def test_application_never_blocked(self, pipe):
         """The whole point: the offline decision prevented the pipeline from
         blocking the simulation."""

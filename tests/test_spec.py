@@ -229,11 +229,11 @@ class TestBuild:
         pipe = build(env, spec)
         assert pipe.spec == spec
 
-    def test_non_datatap_transport_rejected(self):
-        # a spec that validates must build, so validation is the gate
-        for transport in ("posix", "null"):
-            with pytest.raises(SpecError, match="unknown transport"):
-                _spec(transport=transport).validate()
+    def test_transport_field_rejected(self):
+        # the data path is not a spec knob: DataTap online, the file
+        # system once a stage's consumers are pruned
+        with pytest.raises(SpecError, match=r"unknown pipeline field\(s\) \['transport'\]"):
+            PipelineSpec.from_yaml("name: x\ntransport: sst\n")
 
     def test_override_overlay(self):
         base = load_preset("overload")
