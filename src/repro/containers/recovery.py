@@ -196,7 +196,7 @@ class RecoveryManager:
 
     def _rr_return_node(self, ctx) -> None:
         """Compensation: an acquired-but-unused node rejoins the pool."""
-        self.gm.scheduler._free.append(ctx["node"])
+        self.gm.scheduler.restock([ctx["node"]])
 
     def _rr_request(self, ctx):
         """Run the REPLACE round against the local manager."""

@@ -387,7 +387,7 @@ class NoCrossTenantNodeLeak(Invariant):
                 owner[node.node_id] = name
                 pool_ids.add(node.node_id)
             stray = sorted(
-                {n.node_id for n in sched._free} - pool_ids
+                {n.node_id for n in sched.peek_free()} - pool_ids
             )
             if stray:
                 problems.append(

@@ -144,8 +144,7 @@ class TransactionManager:
         """The freed nodes must not be lost — back to the spare pool."""
         gm = ctx["gm"]
         freed = ctx["freed"]
-        for node in freed:
-            gm.scheduler._free.append(node)
+        gm.scheduler.restock(freed)
         self.trades_compensated += 1
         gm.actions_taken.append(
             f"trade {ctx['donor']}->{ctx['recipient']} compensated "

@@ -5,6 +5,7 @@ import pytest
 
 from repro.simkernel import Environment, SimulationError
 from repro.cluster import AprunModel, BatchScheduler, Machine, franklin, redsky
+from repro.perf import REGISTRY
 
 
 class TestPartitioning:
@@ -116,6 +117,20 @@ class TestBatchScheduler:
         job = sched.allocate(2)
         with pytest.raises(SimulationError):
             sched.release_nodes(job, 3)
+
+    def test_restock_returns_quarantines_and_skips(self, env):
+        sched = self._scheduler(env)
+        job = sched.allocate(4)
+        back, dead, also_back, _ = job.nodes
+        dead.fail()
+        before = REGISTRY.counter("cluster.scheduler.nodes_released")
+        sched.restock([back, dead, also_back, back])
+        assert sched.peek_free()[-2:] == [back, also_back]
+        assert dead in sched.failed_nodes and dead not in sched.peek_free()
+        assert REGISTRY.counter("cluster.scheduler.nodes_released") - before == 2
+        sched.restock([back])  # already free: no duplicate, no count
+        assert sched.peek_free().count(back) == 1
+        assert REGISTRY.counter("cluster.scheduler.nodes_released") - before == 2
 
     def test_allocation_count_positive(self, env):
         sched = self._scheduler(env)
