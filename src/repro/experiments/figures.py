@@ -536,13 +536,7 @@ def run_failover(seed: int = 1, steps: int = 24, **_) -> dict:
     replica = one(failover=True)
 
     def canon(run: dict) -> tuple:
-        # chunk ids ride a process-global counter, so they differ between
-        # in-process reruns; everything schedule-meaningful must not.
-        ledger = [
-            {k: v for k, v in rec.items() if k != "chunk_id"}
-            for rec in run["spill_ledger"]
-        ]
-        return ledger, run["handovers"], run["engine_transitions"]
+        return run["spill_ledger"], run["handovers"], run["engine_transitions"]
 
     replay_identical = canon(fo) == canon(replica)
     result = {
