@@ -57,7 +57,6 @@ from repro.containers import (
     LatencyPolicy,
     LocalManager,
     Pipeline,
-    StageConfig,
 )
 from repro.transactions import TransactionManager
 
@@ -88,7 +87,6 @@ __all__ = [
     "PullScheduler",
     "SMARTPOINTER_COMPONENTS",
     "SMARTPOINTER_COSTS",
-    "StageConfig",
     "TransactionManager",
     "VarInfo",
     "VelocityVerlet",

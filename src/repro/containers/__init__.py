@@ -18,7 +18,7 @@ from repro.containers.local_manager import LocalManager
 from repro.containers.global_manager import GlobalManager
 from repro.containers.policy import LatencyPolicy, ManagementPolicy, QueueDerivativePolicy
 from repro.containers.recovery import RecoveryManager
-from repro.containers.pipeline import Pipeline, PipelineBuilder, StageConfig
+from repro.containers.pipeline import Pipeline, PipelineBuilder
 
 __all__ = [
     "Container",
@@ -31,5 +31,4 @@ __all__ = [
     "QueueDerivativePolicy",
     "RecoveryManager",
     "Replica",
-    "StageConfig",
 ]

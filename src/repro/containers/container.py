@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 from repro.cluster.node import Node
 from repro.data import DataChunk
 from repro.datatap.link import DataTapLink
-from repro.datatap.scheduling import PullScheduler
+from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 from repro.evpath.channel import Messenger
 from repro.fate import FateLedger
 from repro.adios.filesystem import ParallelFileSystem
@@ -35,21 +35,19 @@ class Container:
         spec: ComponentSpec,
         model: ComputeModel,
         input_link: Optional[DataTapLink],
-        output_link: Optional[DataTapLink] = None,
+        *,
+        pull_scheduler: PullScheduler | NoPullScheduler,
+        fates: FateLedger,
         name: Optional[str] = None,
-        output_links: Optional[List[DataTapLink]] = None,
+        output_links: Sequence[DataTapLink] = (),
         queue_capacity: int = 8,
-        queue_overflow: str = "block",
         gather_count: int = 1,
-        pull_scheduler: Optional[PullScheduler] = None,
         sink_fs: Optional[ParallelFileSystem] = None,
         active: bool = True,
         natoms_hint: int = 0,
-        essential: Optional[bool] = None,
         writer_buffer_bytes: Optional[float] = None,
         sla_factor: float = 1.0,
         retain_output: bool = False,
-        fates: Optional[FateLedger] = None,
     ):
         if model not in spec.compute_models:
             raise SimulationError(
@@ -63,23 +61,17 @@ class Container:
         self.model = model
         self.name = name or spec.name
         self.input_link = input_link
-        if output_links is not None and output_link is not None:
-            raise SimulationError("pass output_link or output_links, not both")
         #: every downstream consumer stage reads through its own link, so
         #: multiple consumers (e.g. CSym plus an interactively launched viz)
         #: each see the full output stream rather than splitting it.
-        self.output_links: List[DataTapLink] = (
-            list(output_links) if output_links is not None
-            else ([output_link] if output_link is not None else [])
-        )
+        self.output_links: List[DataTapLink] = list(output_links)
         self.queue_capacity = queue_capacity
-        self.queue_overflow = queue_overflow
         self.gather_count = gather_count
         self.pull_scheduler = pull_scheduler
         self.sink_fs = sink_fs
         self.active = active
         self.natoms_hint = natoms_hint
-        self.essential = spec.essential if essential is None else essential
+        self.essential = spec.essential
         #: cap on each replica writer's staging buffer (None = node default)
         self.writer_buffer_bytes = writer_buffer_bytes
         #: fault-tolerance: this stage's writers keep custody of chunks
@@ -115,8 +107,8 @@ class Container:
         #: (the paper's "add hashes of the data to the output")
         self.hashing = False
         self.skipped = 0
-        #: the pipeline's fate ledger (a private one when standalone)
-        self.fates = fates if fates is not None else FateLedger()
+        #: the pipeline's fate ledger
+        self.fates = fates
         self.latency = LatencyWindow(maxlen=8)
         self.completions = 0
         #: samples of (time, total queued chunks) for overflow prediction
@@ -183,6 +175,7 @@ class Container:
                 self.env, self.messenger, replica.node,
                 buffer=self._make_buffer(replica.node, link.name),
                 name=f"{replica.name}.w.{link.name}",
+                retain_until_processed=self.retain_output,
             )
             replica.writers[link.name] = writer
             link.add_writer(writer)

@@ -102,8 +102,11 @@ class GlobalManager:
             self.dependencies.add_edge(depends_on, name)
 
     def dependents_of(self, name: str) -> List[str]:
-        """All containers downstream of ``name`` (must go offline with it)."""
-        return list(nx.descendants(self.dependencies, name))
+        """All containers downstream of ``name`` (must go offline with it),
+        in registration order: the offline cascade flushes in this order,
+        so it must not follow set iteration (the interpreter's hash seed)."""
+        below = nx.descendants(self.dependencies, name)
+        return [c for c in self.locals if c in below]
 
     def upstream_of(self, name: str) -> List[str]:
         return list(self.dependencies.predecessors(name))

@@ -14,9 +14,8 @@ built through :func:`repro.spec.build.build`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
@@ -47,35 +46,14 @@ from repro.smartpointer.component import SMARTPOINTER_COMPONENTS, ComponentSpec
 from repro.smartpointer.costs import ComputeModel
 
 if TYPE_CHECKING:
-    from repro.spec.model import PipelineSpec
+    from repro.cluster.node import Node
+    from repro.spec.model import PipelineSpec, StageSpec
 
 
-@dataclass
-class StageConfig:
-    """Configuration of one pipeline stage (container)."""
-
-    component: str
-    units: int
-    model: ComputeModel
-    queue_capacity: int = 1
-    standby: bool = False
-    #: name of the stage this one reads from; None = reads the simulation
-    upstream: Optional[str] = None
-    #: SLA class: 1.0 = deadline (finish by the next timestep, e.g.
-    #: checkpointing); < 1.0 = low latency (e.g. crack discovery)
-    sla_factor: float = 1.0
-    #: explicit component spec (e.g. the S3D set); None = look up the
-    #: SmartPointer registry by component name
-    component_spec: Optional[ComponentSpec] = None
-
-    def spec(self) -> ComponentSpec:
-        if self.component_spec is not None:
-            return self.component_spec
-        return SMARTPOINTER_COMPONENTS[self.component]
-
-
-def default_stages(workload: WeakScalingWorkload) -> List[StageConfig]:
+def default_stages(workload: WeakScalingWorkload) -> List[StageSpec]:
     """The paper's allocations for the three Figure 7-9 configurations."""
+    from repro.spec.model import StageSpec  # repro.spec imports this module
+
     helper_needed = SMARTPOINTER_COMPONENTS["helper"].cost.units_to_sustain(
         workload.natoms, workload.output_interval, ComputeModel.TREE
     )
@@ -86,19 +64,21 @@ def default_stages(workload: WeakScalingWorkload) -> List[StageConfig]:
     else:
         units = {"helper": max(6, helper_needed), "bonds": 7, "csym": 4, "cna": 3}
     return [
-        StageConfig("helper", units["helper"], ComputeModel.TREE, upstream=None),
-        StageConfig("bonds", units["bonds"], ComputeModel.ROUND_ROBIN, upstream="helper"),
-        StageConfig("csym", units["csym"], ComputeModel.ROUND_ROBIN, upstream="bonds"),
-        StageConfig("cna", units["cna"], ComputeModel.ROUND_ROBIN, upstream="bonds",
-                    standby=True),
+        StageSpec("helper", units["helper"], model=ComputeModel.TREE.value),
+        StageSpec("bonds", units["bonds"], upstream="helper"),
+        StageSpec("csym", units["csym"], upstream="bonds"),
+        StageSpec("cna", units["cna"], upstream="bonds", standby=True),
     ]
 
 
 class Pipeline:
     """A fully wired experiment; see :class:`PipelineBuilder`."""
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, settings: Dict[str, Any]):
         self.env = env
+        #: the spec's builder block over its defaults; every stage, built
+        #: or launched mid-run, takes its knobs from here
+        self.settings = settings
         self.machine: Optional[Machine] = None
         self.messenger: Optional[Messenger] = None
         self.scheduler: Optional[BatchScheduler] = None
@@ -118,6 +98,9 @@ class Pipeline:
         self.managers: Dict[str, LocalManager] = {}
         self.global_manager: Optional[GlobalManager] = None
         self.links: Dict[str, DataTapLink] = {}
+        #: unscheduled pull admission, shared by every reader past the
+        #: first stage (and by the driver when DataStager scheduling is off)
+        self.unscheduled = NoPullScheduler(env)
         #: every optional block below is a no-op stand-in until the
         #: builder attaches the real one, so callers never branch on it
         self.monitoring_overlay = NoOverlay()
@@ -266,18 +249,72 @@ class Pipeline:
                 if replica.node is node and not replica.crashed:
                     replica.crash()
 
-    # -- interactive (mid-run) launches ---------------------------------------------------
+    # -- stages -------------------------------------------------------------------------
 
-    def launch_stage(
-        self,
-        spec,
-        units: int,
-        upstream: str,
-        name: Optional[str] = None,
-        model=None,
-        queue_capacity: int = 1,
-        monitor_interval: float = 15.0,
-    ):
+    def add_stage(self, stage: StageSpec, component: ComponentSpec,
+                  nodes: Sequence[Node],
+                  output_links: Sequence[DataTapLink] = ()) -> Container:
+        """Construct one stage: its container on ``nodes``, its local
+        manager, and its registration with the global manager.
+
+        The one stage constructor: :class:`PipelineBuilder` calls it for
+        every stage of the spec and :meth:`launch_stage` for a stage
+        launched mid-run, so both take the same settings.  ``nodes`` become
+        replicas (standby reservations for a standby stage) and host the
+        manager; a launched stage starts with none, its manager riding on
+        the global manager's node, and grows through the increase protocol.
+        """
+        k = self.settings
+        gm = self.global_manager
+        fed_by_sim = stage.upstream is None
+        container = Container(
+            self.env,
+            self.messenger,
+            component,
+            stage.compute_model(),
+            self.links[stage.name],
+            # the *stage* name, not component.name: several stages may run the
+            # same component, and managers/recovery key on this
+            name=stage.name,
+            output_links=output_links,
+            queue_capacity=stage.queue_capacity,
+            gather_count=k["num_sim_writers"] if fed_by_sim else 1,
+            # DataStager scheduling gates the pulls that cross from the
+            # simulation into the staging area (the first stage); pulls
+            # between staging nodes stay unscheduled.
+            pull_scheduler=self.driver.pull_scheduler if fed_by_sim else self.unscheduled,
+            sink_fs=self.fs,
+            active=not stage.standby,
+            natoms_hint=self.driver.workload.natoms,
+            writer_buffer_bytes=k["stage_buffer_bytes"],
+            sla_factor=stage.sla_factor,
+            retain_output=k["fault_tolerance"],
+            fates=self.fates,
+        )
+        container.on_complete = self.make_on_complete(stage.name)
+        self.containers[stage.name] = container
+        if stage.standby:
+            container.standby_nodes = list(nodes)
+        else:
+            for node in nodes:
+                container.add_replica(node)
+        manager = LocalManager(
+            self.env,
+            self.messenger,
+            container,
+            node=nodes[0] if nodes else gm.node,
+            scheduler=self.scheduler,
+            telemetry=self.telemetry,
+            monitor_interval=k["monitor_interval"],
+            sla_interval=gm.sla_interval,
+            engine=self.control_plane,
+        )
+        self.managers[stage.name] = manager
+        gm.register(manager, depends_on=stage.upstream)
+        return container
+
+    def launch_stage(self, spec: ComponentSpec, units: int, upstream: str,
+                     name: Optional[str] = None):
         """Process: launch a new analytics/visualization container mid-run.
 
         The paper's interactive scenario ("a user can also launch a
@@ -288,17 +325,15 @@ class Pipeline:
         citizen: it reports metrics and can donate nodes (be stolen from)
         like any other non-essential container.
         """
+        name = name or spec.name
         return self.env.process(
-            self._launch_stage(spec, units, upstream, name, model,
-                               queue_capacity, monitor_interval),
-            name=f"launch:{name or spec.name}",
+            self._launch_stage(spec, units, upstream, name), name=f"launch:{name}"
         )
 
-    def _launch_stage(self, spec, units, upstream, name, model,
-                      queue_capacity, monitor_interval):
-        from repro.smartpointer.costs import ComputeModel
+    def _launch_stage(self, component: ComponentSpec, units: int, upstream: str,
+                      name: str):
+        from repro.spec.model import StageSpec  # repro.spec imports this module
 
-        name = name or spec.name
         if name in self.containers:
             raise SimulationError(f"stage {name!r} already exists")
         up = self.containers[upstream]
@@ -308,38 +343,17 @@ class Pipeline:
         self.backpressure.credit(link)
         up.attach_output_link(link)
         self.links[name] = link
-        container = Container(
-            self.env,
-            self.messenger,
-            spec,
-            model or spec.default_model(),
-            input_link=link,
-            output_link=None,
-            name=name,
-            queue_capacity=queue_capacity,
-            sink_fs=self.fs,
-            natoms_hint=self.driver.workload.natoms if self.driver else 0,
-            fates=self.fates,
-        )
-        self.containers[name] = container
-        container.on_complete = self.make_on_complete(name)
-        # The manager rides on the global manager's node until the first
-        # replica exists; replicas spawn through the standard protocol.
-        manager = LocalManager(
-            self.env,
-            self.messenger,
-            container,
-            node=self.global_manager.node,
-            scheduler=self.scheduler,
-            telemetry=self.telemetry,
-            monitor_interval=monitor_interval,
-            sla_interval=self.global_manager.sla_interval,
-            engine=self.control_plane,
-        )
-        self.managers[name] = manager
-        self.global_manager.register(manager, depends_on=upstream)
+        stage = StageSpec(name, units, component=component.name,
+                          model=component.default_model().value, upstream=upstream)
+        container = self.add_stage(stage, component, nodes=())
         self.telemetry.mark(self.env.now, f"interactive launch {name}")
-        result = yield self.global_manager.increase(name, units)
+        yield self.global_manager.increase(name, units)
+        k = self.settings
+        if k["fault_tolerance"]:
+            self.managers[name].enable_fault_detection(
+                lease_timeout=k["lease_timeout"],
+                heartbeat_interval=k["heartbeat_interval"],
+            )
         # A cold-start consumer catches up on the spilled history before it
         # sees live data (full-history replay).
         self.failover.request_catchup()
@@ -415,7 +429,7 @@ class PipelineBuilder:
         self.workload = spec.workload.to_workload()
         #: the builder block over its defaults
         self.knobs = knobs = spec.settings()
-        self.stages = spec.stage_configs() or default_stages(self.workload)
+        self.stages = spec.stages or default_stages(self.workload)
         self.policy = policy or LatencyPolicy(
             overflow_occupancy=knobs["overflow_occupancy"]
         )
@@ -430,7 +444,7 @@ class PipelineBuilder:
         spec = self.spec
         k = self.knobs
         sla_interval = k["sla_interval"] or wl.output_interval
-        pipe = Pipeline(env)
+        pipe = Pipeline(env, k)
 
         # Machine and partitions.  The simulation partition only needs the
         # writer nodes to exist as endpoints; we size the machine at
@@ -489,8 +503,7 @@ class PipelineBuilder:
         # Links: one per stage boundary, keyed by the consumer stage name.
         links: Dict[str, DataTapLink] = {}
         for stage in self.stages:
-            key = stage.component
-            links[key] = DataTapLink(env, messenger, name=f"->{key}")
+            links[stage.name] = DataTapLink(env, messenger, name=f"->{stage.name}")
         pipe.links = links
 
         # LAMMPS writers feed the stage whose upstream is None.
@@ -507,30 +520,25 @@ class PipelineBuilder:
             for i in range(k["num_sim_writers"])
         ]
         for writer in sim_writers:
-            links[first_stage.component].add_writer(writer)
+            links[first_stage.name].add_writer(writer)
 
-        unscheduled = NoPullScheduler(env)
         pull_sched = (
             PullScheduler(env, max_concurrent_pulls=4, defer_during_output=True)
             if k["use_pull_scheduler"]
-            else unscheduled
+            else pipe.unscheduled
         )
         driver = LammpsDriver(
-            env, sim_writers, wl, crack_step=k["crack_step"],
-            pull_scheduler=pull_sched,
+            env, sim_writers, wl, pull_sched, crack_step=k["crack_step"],
         )
         pipe.driver = driver
         pipe.fates.expected = wl.total_steps
 
-        # Patch driver writes so chunks get their stage-entry timestamp.
-        self._instrument_driver(driver)
-
-        # Containers bottom-up: output links must exist before replicas are
-        # spawned, so create containers in stage order, then allocate nodes.
+        # Stages in spec order, on links that all exist already (a replica
+        # wires its reader and writers into them as it spawns).
         downstream_of: Dict[str, List[str]] = {}
         for stage in self.stages:
             if stage.upstream is not None:
-                downstream_of.setdefault(stage.upstream, []).append(stage.component)
+                downstream_of.setdefault(stage.upstream, []).append(stage.name)
 
         # Topology-aware placement (the paper's future-work extension):
         # precompute a stage -> node assignment minimizing hop-weighted data
@@ -542,28 +550,27 @@ class PipelineBuilder:
                 pipeline_placement_problem,
             )
 
-            ratios = {s.component: s.spec().output_ratio for s in self.stages}
+            ratios = {s.name: s.resolve_component().output_ratio for s in self.stages}
             edges = []
             for stage in self.stages:
                 upstream = stage.upstream or "sim"
                 volume = wl.bytes_per_step
                 if stage.upstream is not None:
                     volume *= ratios.get(stage.upstream, 1.0)
-                edges.append((upstream, stage.component, volume))
+                edges.append((upstream, stage.name, volume))
             problem = pipeline_placement_problem(
                 machine,
-                {s.component: s.units for s in self.stages},
+                {s.name: s.units for s in self.stages},
                 edges,
                 staging_nodes=scheduler.peek_free(),
                 sim_io_nodes=list(sim_part.nodes),
             )
             planned = TopologyAwarePlacement().plan(machine, problem).assignment
 
+        standby_names = {s.name for s in self.stages if s.standby}
         for stage in self.stages:
-            name = stage.component
-            component = stage.spec()
+            name = stage.name
             consumers = downstream_of.get(name, [])
-            standby_names = {s.component for s in self.stages if s.standby}
             # Each active consumer gets its own link (every consumer sees the
             # full stream).  Standby consumers (CNA) do not get a link up
             # front: the paper's branch *swaps* the reader set — on
@@ -578,60 +585,11 @@ class PipelineBuilder:
                 output_links = [links[consumers[0]]]
             else:
                 output_links = []
-            container = Container(
-                env,
-                messenger,
-                component,
-                stage.model,
-                # the *stage* name, not component.name: several stages may run the
-                # same component, and managers/recovery key on this
-                name=name,
-                input_link=links[name],
-                output_links=output_links,
-                queue_capacity=stage.queue_capacity,
-                gather_count=k["num_sim_writers"] if stage.upstream is None else 1,
-                # DataStager scheduling gates the pulls that cross from the
-                # simulation into the staging area (the first stage); pulls
-                # between staging nodes stay unscheduled.
-                pull_scheduler=pull_sched if stage.upstream is None else unscheduled,
-                sink_fs=fs,
-                active=not stage.standby,
-                natoms_hint=wl.natoms,
-                writer_buffer_bytes=k["stage_buffer_bytes"],
-                sla_factor=stage.sla_factor,
-                retain_output=k["fault_tolerance"],
-                fates=pipe.fates,
-            )
-            pipe.containers[name] = container
-
             if planned is not None:
                 job = scheduler.allocate_specific(planned[name], name=name)
             else:
                 job = scheduler.allocate(stage.units, name=name)
-            if stage.standby:
-                container.standby_nodes = list(job.nodes)
-            else:
-                for node in job.nodes:
-                    container.add_replica(node)
-
-            manager = LocalManager(
-                env,
-                messenger,
-                container,
-                node=job.nodes[0],
-                scheduler=scheduler,
-                telemetry=pipe.telemetry,
-                monitor_interval=k["monitor_interval"],
-                sla_interval=sla_interval,
-                engine=pipe.control_plane,
-            )
-            pipe.managers[name] = manager
-            gm.register(manager, depends_on=stage.upstream)
-
-        # Completion hooks: per-container latency telemetry, pipeline-exit
-        # end-to-end latency, and the CSym crack branch.
-        for name, container in pipe.containers.items():
-            container.on_complete = pipe.make_on_complete(name)
+            pipe.add_stage(stage, stage.resolve_component(), job.nodes, output_links)
 
         # Shed accounting is always wired (recording is pure bookkeeping —
         # a run that never sheds is unchanged); the controllers that *cause*
@@ -745,16 +703,3 @@ class PipelineBuilder:
             )
 
         return pipe
-
-    # -- hooks ------------------------------------------------------------------------------
-
-    def _instrument_driver(self, driver: LammpsDriver) -> None:
-        for writer in driver.writers:
-            original = writer.write
-
-            def stamped(chunk, _orig=original, _env=self.env):
-                chunk.entered_stage_at = _env.now
-                return _orig(chunk)
-
-            writer.write = stamped
-

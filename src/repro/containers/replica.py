@@ -60,12 +60,7 @@ class Replica:
         if passive:
             return
 
-        self.queue = Store(
-            env,
-            capacity=container.queue_capacity,
-            name=f"{self.name}.q",
-            overflow=container.queue_overflow,
-        )
+        self.queue = Store(env, capacity=container.queue_capacity, name=f"{self.name}.q")
         if container.input_link is not None:
             self.reader = DataTapReader(
                 env, messenger, node, self.name, self.queue,

@@ -15,7 +15,7 @@ This reproduces the transport the paper layers under ADIOS (Section III-C):
 """
 
 from repro.datatap.buffer import BufferFull, StagingBuffer
-from repro.datatap.scheduling import PullScheduler
+from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 from repro.datatap.writer import DataTapWriter
 from repro.datatap.reader import DataTapReader
 from repro.datatap.link import DataTapLink
@@ -25,6 +25,7 @@ __all__ = [
     "DataTapLink",
     "DataTapReader",
     "DataTapWriter",
+    "NoPullScheduler",
     "PullScheduler",
     "StagingBuffer",
 ]

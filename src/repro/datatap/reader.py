@@ -9,13 +9,13 @@ from repro.simkernel.errors import FaultError, SimulationError
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
-from repro.datatap.scheduling import NoPullScheduler
 from repro.perf.registry import REGISTRY
 
 _DUP_DROPPED = REGISTRY.handle("datatap.dup_dropped")
 
 if TYPE_CHECKING:
     from repro.datatap.link import DataTapLink
+    from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 
 #: Wire size of the pull-completion notification back to the writer.
 PULL_DONE_BYTES = 128
@@ -39,7 +39,7 @@ class DataTapReader:
         node: Node,
         name: str,
         out_queue: Store,
-        scheduler=None,
+        scheduler: PullScheduler | NoPullScheduler,
     ):
         self.env = env
         self.messenger = messenger
@@ -47,7 +47,7 @@ class DataTapReader:
         self.name = name
         self.out_queue = out_queue
         #: pull admission: a PullScheduler, or NoPullScheduler (unscheduled)
-        self.scheduler = scheduler or NoPullScheduler(env)
+        self.scheduler = scheduler
         self.link: Optional["DataTapLink"] = None
         self.endpoint = messenger.endpoint(node, name)
         self._proc = env.process(self._run(), name=f"dtreader:{name}")

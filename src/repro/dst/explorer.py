@@ -22,6 +22,8 @@ class Exploration:
     scenario: str
     seeds_run: List[int]
     failure: Optional[DSTReport]
+    #: :meth:`DSTReport.digest` of each run, in ``seeds_run`` order
+    digests: List[str]
 
     @property
     def ok(self) -> bool:
@@ -39,10 +41,12 @@ class Exploration:
 def explore(scenario: DSTScenario, seeds: Iterable[int]) -> Exploration:
     """Run ``scenario`` under each seed, stopping at the first violation."""
     seeds_run: List[int] = []
+    digests: List[str] = []
     for seed in seeds:
         seed = int(seed)
         seeds_run.append(seed)
         report = scenario.run(seed)
+        digests.append(report.digest())
         if not report.ok:
-            return Exploration(scenario.name, seeds_run, report)
-    return Exploration(scenario.name, seeds_run, None)
+            return Exploration(scenario.name, seeds_run, report, digests)
+    return Exploration(scenario.name, seeds_run, None, digests)

@@ -9,6 +9,8 @@ exact run (same preset, same plan, same seed, same interleaving).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
@@ -138,10 +140,20 @@ class DSTReport:
     plan_events: List[dict]
     event_log: List[list]
     repro: str
+    #: the run's engine totals, kept out of :meth:`as_dict`; they feed
+    #: :meth:`digest` alongside the event log
+    events_processed: int
+    final_time: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def digest(self) -> str:
+        """sha256 of the events processed, the final clock and the event
+        log: equal digests mean the same schedule, to the event."""
+        text = json.dumps([self.events_processed, self.final_time, self.event_log])
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def as_dict(self) -> dict:
         return {
@@ -219,6 +231,8 @@ class DSTScenario:
             plan_events=plan.as_dicts() if plan is not None else [],
             event_log=self._event_log(pipe),
             repro=self._repro(seed),
+            events_processed=pipe.env.events_processed,
+            final_time=pipe.env.now,
         )
 
     def _repro(self, seed: Optional[int]) -> str:

@@ -603,8 +603,8 @@ def run_dst(seed: int = 1, seeds: int = 8, scenario: str = "smoke",
     exploration = explore(sc, range(seed, seed + max(1, seeds)))
     failing = None if exploration.failure is None else exploration.failure.seed
     rows = [
-        {"seed": s, "ok": s != failing, "scenario": sc.name}
-        for s in exploration.seeds_run
+        {"seed": s, "ok": s != failing, "scenario": sc.name, "digest": digest}
+        for s, digest in zip(exploration.seeds_run, exploration.digests)
     ]
     result = {
         "experiment": "dst",

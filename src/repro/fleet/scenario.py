@@ -118,6 +118,8 @@ class FleetDSTScenario:
             plan_events=plan.as_dicts() if plan is not None else [],
             event_log=self._event_log(fleet),
             repro=repro_command(seed, "fleet"),
+            events_processed=fleet.env.events_processed,
+            final_time=fleet.env.now,
         )
 
     def _drain(self, fleet: Fleet) -> None:

@@ -33,8 +33,8 @@ class LammpsDriver:
         env: Environment,
         writers: List[DataTapWriter],
         workload: WeakScalingWorkload,
+        pull_scheduler: PullScheduler | NoPullScheduler,
         crack_step: Optional[int] = None,
-        pull_scheduler: Optional[PullScheduler] = None,
         write_phase_duration: float = 0.5,
     ):
         if not writers:
@@ -43,7 +43,7 @@ class LammpsDriver:
         self.writers = writers
         self.workload = workload
         self.crack_step = crack_step
-        self.pull_scheduler = pull_scheduler or NoPullScheduler(env)
+        self.pull_scheduler = pull_scheduler
         self.write_phase_duration = write_phase_duration
 
         #: fires when all steps have been emitted
@@ -115,6 +115,7 @@ class LammpsDriver:
                     natoms=atoms_per_writer,
                     payload={"crack": cracked},
                     created_at=self.env.now,
+                    entered_stage_at=self.env.now,
                     chunk_id=next(self.env.chunk_ids),
                 )
                 writes.append(writer.write(chunk))

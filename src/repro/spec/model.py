@@ -158,28 +158,6 @@ class StageSpec:
                 f"known: {[m.value for m in ComputeModel]}"
             ) from None
 
-    def to_config(self):
-        """The equivalent :class:`~repro.containers.pipeline.StageConfig`."""
-        from repro.containers.pipeline import StageConfig
-
-        component = self.component_name()
-        # SmartPointer stages whose stage name *is* the component name use
-        # the registry lookup path (byte-identical to the historical
-        # StageConfig construction); anything else pins the spec explicitly.
-        explicit = None
-        if self.library != "smartpointer" or component != self.name:
-            explicit = self.resolve_component()
-        return StageConfig(
-            self.name,
-            self.units,
-            self.compute_model(),
-            queue_capacity=self.queue_capacity,
-            standby=self.standby,
-            upstream=self.upstream,
-            sla_factor=self.sla_factor,
-            component_spec=explicit,
-        )
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -481,12 +459,6 @@ class PipelineSpec:
         """Every builder knob: :data:`BUILDER_DEFAULTS` under this spec's
         builder block (a fresh dict; nested mappings stay read-only)."""
         return {**BUILDER_DEFAULTS, **self.builder}
-
-    def stage_configs(self):
-        """StageConfig list for the builder (None = builder defaults)."""
-        if self.stages is None:
-            return None
-        return [s.to_config() for s in self.stages]
 
     # -- serialization ---------------------------------------------------------------
 

@@ -12,9 +12,10 @@ from repro.cluster import BatchScheduler, Machine
 from repro.containers import Container, LocalManager
 from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
 from repro.data import DataChunk
-from repro.datatap import DataTapLink, DataTapWriter
+from repro.datatap import DataTapLink, DataTapWriter, NoPullScheduler
 from repro.adios import ParallelFileSystem
 from repro.evpath import Message, MessageType, Messenger
+from repro.fate import FateLedger
 from repro.smartpointer.component import SMARTPOINTER_COMPONENTS, ComponentSpec
 from repro.smartpointer.costs import ComputeModel, CostModel
 
@@ -52,7 +53,8 @@ class Rig:
             small_spec(base=base),
             model,
             input_link=self.link,
-            output_link=None,
+            pull_scheduler=NoPullScheduler(env),
+            fates=FateLedger(),
             queue_capacity=queue_capacity,
             gather_count=gather_count,
             sink_fs=self.fs,
@@ -133,21 +135,24 @@ class TestContainerBasics:
         messenger = Messenger(env, machine.network)
         with pytest.raises(SimulationError):
             Container(env, messenger, small_spec(), ComputeModel.ROUND_ROBIN,
-                      None, None, gather_count=2)
+                      None, pull_scheduler=NoPullScheduler(env), fates=FateLedger(),
+                      gather_count=2)
 
     def test_unsupported_model_rejected(self, env):
         machine = Machine(env, num_nodes=2)
         messenger = Messenger(env, machine.network)
         helper = SMARTPOINTER_COMPONENTS["helper"]
         with pytest.raises(SimulationError):
-            Container(env, messenger, helper, ComputeModel.ROUND_ROBIN, None, None)
+            Container(env, messenger, helper, ComputeModel.ROUND_ROBIN, None,
+                      pull_scheduler=NoPullScheduler(env), fates=FateLedger())
 
     def test_offline_downstream_detection(self, env):
         machine = Machine(env, num_nodes=2)
         messenger = Messenger(env, machine.network)
         link = DataTapLink(env, messenger, "out")
         c = Container(env, messenger, small_spec(), ComputeModel.ROUND_ROBIN,
-                      None, output_link=link)
+                      None, pull_scheduler=NoPullScheduler(env), fates=FateLedger(),
+                      output_links=[link])
         assert c.offline_downstream()  # no readers yet
 
 

@@ -11,6 +11,7 @@ from repro.datatap import (
     DataTapLink,
     DataTapReader,
     DataTapWriter,
+    NoPullScheduler,
     PullScheduler,
     StagingBuffer,
 )
@@ -152,7 +153,8 @@ def build_link(env, machine, messenger, n_readers=2, queue_capacity=4):
     queues, readers = [], []
     for i in range(n_readers):
         q = Store(env, capacity=queue_capacity, name=f"q{i}")
-        r = DataTapReader(env, messenger, machine.nodes[4 + i], f"r{i}", q)
+        r = DataTapReader(env, messenger, machine.nodes[4 + i], f"r{i}", q,
+                          NoPullScheduler(env))
         link.add_reader(r)
         queues.append(q)
         readers.append(r)

@@ -184,6 +184,18 @@ class TestGreenRuns:
         assert report.plan_signature is not None
         assert f"--seed {seed}" in report.repro
 
+    def test_dst_rows_carry_a_repeatable_schedule_digest(self):
+        """Each ``dst --json`` row carries the seed's schedule digest: equal
+        across two runs of one seed, different across seeds."""
+        from repro.experiments.figures import run_dst
+
+        first = run_dst(seed=5, seeds=2)
+        again = run_dst(seed=5, seeds=2)
+        digests = [row["digest"] for row in first["rows"]]
+        assert digests == [row["digest"] for row in again["rows"]]
+        assert len(set(digests)) == 2
+        assert digests[0] == DSTScenario(name="smoke").run(5).digest()
+
     @pytest.mark.slow
     def test_seed_sweep_is_clean(self):
         exploration = explore(DSTScenario(name="smoke"), range(12))

@@ -8,7 +8,13 @@ import pytest
 from repro.simkernel import Environment, SimulationError, Store
 from repro.cluster import Machine
 from repro.data import DataChunk
-from repro.datatap import DataTapLink, DataTapReader, DataTapWriter, PullScheduler
+from repro.datatap import (
+    DataTapLink,
+    DataTapReader,
+    DataTapWriter,
+    NoPullScheduler,
+    PullScheduler,
+)
 from repro.evpath import Messenger
 
 
@@ -27,7 +33,8 @@ def rig(env, machine, messenger, n_readers=2, queue_capacity=2):
     readers, queues = [], []
     for i in range(n_readers):
         q = Store(env, capacity=queue_capacity, name=f"eq{i}")
-        r = DataTapReader(env, messenger, machine.nodes[4 + i], f"er{i}", q)
+        r = DataTapReader(env, messenger, machine.nodes[4 + i], f"er{i}", q,
+                          NoPullScheduler(env))
         link.add_reader(r)
         readers.append(r)
         queues.append(q)

@@ -1,5 +1,7 @@
 """Tests for global-manager operations and error paths."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import Environment
@@ -80,6 +82,23 @@ class TestDependencyGraph:
         assert gm.dependents_of("csym") == []
         assert gm.upstream_of("bonds") == ["helper"]
         gm.stop()
+
+    def test_dependents_in_registration_order(self):
+        """The offline cascade flushes in ``dependents_of`` order, so it is
+        registration order, never set iteration order (the hash seed)."""
+        env = Environment()
+        pipe = build(env)
+        gm = pipe.global_manager
+        assert gm.dependents_of("helper") == ["bonds", "csym", "cna"]
+        # Registration reads only the manager's container name.
+        for name, upstream in [("viz9", "csym"), ("viz1", "bonds"),
+                               ("viz5", "viz9"), ("viz0", "helper")]:
+            gm.register(SimpleNamespace(container=SimpleNamespace(name=name)),
+                        depends_on=upstream)
+        assert gm.dependents_of("helper") == [
+            "bonds", "csym", "cna", "viz9", "viz1", "viz5", "viz0"]
+        assert gm.dependents_of("bonds") == ["csym", "cna", "viz9", "viz1", "viz5"]
+        assert gm.dependents_of("csym") == ["viz9", "viz5"]
 
     def test_duplicate_registration_rejected(self):
         env = Environment()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Environment
+from repro.faults import FaultPlan
 from repro.simkernel.errors import SimulationError
 from repro.smartpointer.component import VIZ_COMPONENT
 from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
@@ -91,6 +92,43 @@ class TestLaunchStage:
         env.process(ctl(env))
         pipe.run(settle=120)
         assert any("interactive launch viz" in l for _, l in pipe.telemetry.events)
+
+
+class TestLaunchedStageSettings:
+    def test_launched_replica_crash_is_replaced(self):
+        """A stage launched on a fault-tolerant pipeline gets the settings of
+        a built one: its replicas hold leases, so a crash is detected and
+        REPLACEd from the spare pool, and the upstream keeps custody of what
+        it sent, so the chunk in service is redelivered."""
+        env = Environment()
+        # 4 spares: viz takes 2, recovery has 2 left.
+        pipe = build(env, staging=17, fault_tolerance=True, control_interval=10_000)
+        victims = []
+
+        def ctl(env):
+            yield env.timeout(50)
+            viz = yield pipe.launch_stage(VIZ_COMPONENT, units=2, upstream="bonds",
+                                          name="viz")
+            victim = viz.replicas[-1]
+            while victim.current_chunk is None:
+                yield env.timeout(0.25)
+            victims.append(victim)
+            plan = FaultPlan(seed=1)
+            plan.node_crash(env.now, victim.node.node_id)
+            pipe.arm_faults(plan)
+
+        env.process(ctl(env))
+        assert pipe.run(settle=200)
+        replaced = [r for r in pipe.recovery.replacements
+                    if r["type"] == "replace" and r["container"] == "viz"]
+        assert len(replaced) == 1
+        assert replaced[0]["method"] == "spare"
+        assert replaced[0]["redelivered"] == 1
+        viz = pipe.containers["viz"]
+        assert victims[0] not in viz.replicas
+        assert viz.units == 2
+        delivered = sorted(ts for _, sink, ts in pipe.exit_log if sink == "viz")
+        assert delivered == list(range(pipe.driver.workload.total_steps))
 
 
 class TestStealingFromViz:

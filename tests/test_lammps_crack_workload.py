@@ -6,7 +6,7 @@ import pytest
 from repro.simkernel import Environment, Store
 from repro.evpath import Messenger
 from repro.cluster import Machine
-from repro.datatap import DataTapLink, DataTapReader, DataTapWriter
+from repro.datatap import DataTapLink, DataTapReader, DataTapWriter, NoPullScheduler
 from repro.lammps import (
     CrackExperiment,
     LammpsDriver,
@@ -101,11 +101,13 @@ class TestLammpsDriver:
         for w in writers:
             link.add_writer(w)
         queue = Store(env, capacity=64)
-        link.add_reader(DataTapReader(env, messenger, machine.nodes[4], "r0", queue))
+        link.add_reader(DataTapReader(env, messenger, machine.nodes[4], "r0", queue,
+                                      NoPullScheduler(env)))
         wl = WeakScalingWorkload(
             sim_nodes=256, staging_nodes=4, output_interval=15.0, total_steps=total_steps
         )
-        driver = LammpsDriver(env, writers, wl, crack_step=crack_step)
+        driver = LammpsDriver(env, writers, wl, NoPullScheduler(env),
+                              crack_step=crack_step)
         return driver, queue, wl
 
     def test_emits_on_cadence(self, env):
@@ -124,6 +126,16 @@ class TestLammpsDriver:
         total_step0 = sum(c.nbytes for c in chunks if c.timestep == 0)
         assert total_step0 == pytest.approx(wl.bytes_per_step)
 
+    def test_chunks_enter_the_stage_when_created(self, env):
+        """The driver stamps each chunk's stage entry at its creation: the
+        first stage's latency counts from the simulation's write."""
+        driver, queue, wl = self._setup(env, total_steps=3)
+        env.run(until=driver.finished)
+        env.run(until=env.now + 30)
+        assert {c.timestep for c in queue.items} == {0, 1, 2}
+        for chunk in queue.items:
+            assert chunk.entered_stage_at == chunk.created_at
+
     def test_crack_marker_from_step(self, env):
         driver, queue, wl = self._setup(env, total_steps=4, crack_step=2)
         env.run(until=driver.finished)
@@ -134,4 +146,4 @@ class TestLammpsDriver:
     def test_requires_writers(self, env):
         wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=4)
         with pytest.raises(ValueError):
-            LammpsDriver(env, [], wl)
+            LammpsDriver(env, [], wl, NoPullScheduler(env))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.simkernel import Environment, Store
 from repro.data import DataChunk
-from repro.datatap import DataTapLink, DataTapReader, DataTapWriter
+from repro.datatap import DataTapLink, DataTapReader, DataTapWriter, NoPullScheduler
 from repro.fate import REFUSED, SHED, SUPPRESSED, FateLedger
 from repro.overload import DegradationTrace, LinkCredits, ShedLedger
 
@@ -162,7 +162,8 @@ class TestCreditsOnRealLink:
         writer = DataTapWriter(env, messenger, machine.nodes[0], name="w0")
         link.add_writer(writer)
         queue = Store(env, capacity=8, name="q0")
-        reader = DataTapReader(env, messenger, machine.nodes[4], "r0", queue)
+        reader = DataTapReader(env, messenger, machine.nodes[4], "r0", queue,
+                               NoPullScheduler(env))
         link.add_reader(reader)
         link.credits = LinkCredits(env, link, window=1)
         got = []

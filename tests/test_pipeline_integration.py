@@ -80,7 +80,7 @@ class TestFigure8Scenario:
         assert mgr.shortfall(15.0) > 0  # genuinely under-provisioned
         assert not pipe.containers["bonds"].offline
 
-    def test_no_queue_overflow_and_no_blocking(self, pipe):
+    def test_queues_never_overflow_and_no_blocking(self, pipe):
         assert pipe.driver.blocked_time == 0.0
         for container in pipe.containers.values():
             for replica in container.replicas:
@@ -252,5 +252,5 @@ class TestDefaultStages:
     def test_cna_is_standby(self):
         wl = WeakScalingWorkload(sim_nodes=256, staging_nodes=13)
         stages = default_stages(wl)
-        cna = next(s for s in stages if s.component == "cna")
+        cna = next(s for s in stages if s.name == "cna")
         assert cna.standby

@@ -30,12 +30,16 @@ def build(env, csym_sla=1.0, spare=4, steps=20):
 class TestSlaFactor:
     def test_validation(self, env, messenger):
         from repro.containers import Container
+        from repro.datatap import NoPullScheduler
+        from repro.fate import FateLedger
         from repro.smartpointer.component import SMARTPOINTER_COMPONENTS
         from repro.smartpointer.costs import ComputeModel
 
         with pytest.raises(ValueError):
             Container(env, messenger, SMARTPOINTER_COMPONENTS["csym"],
-                      ComputeModel.ROUND_ROBIN, None, sla_factor=0)
+                      ComputeModel.ROUND_ROBIN, None,
+                      pull_scheduler=NoPullScheduler(env), fates=FateLedger(),
+                      sla_factor=0)
 
     def test_deadline_class_left_alone(self):
         """csym latency (30 s) exceeds the interval but its throughput
