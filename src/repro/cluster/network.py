@@ -168,9 +168,10 @@ def _step(env: Environment, fn, priority: int) -> None:
 class _Transfer:
     """The transfer walker: one transfer moved through the network as callbacks.
 
-    It walks the *identical* event sequence a process per transfer did
-    (:mod:`tests.oracles.cluster` keeps that process as the differential
-    oracle), with bare events and plain callbacks:
+    A transfer that queues for a NIC channel walks the *identical* event
+    sequence a process per transfer did (:mod:`tests.oracles.cluster` keeps
+    that process as the differential oracle), with bare events and plain
+    callbacks:
 
     ==  ==========================  =====================================
     #   process path                callback chain
@@ -186,8 +187,14 @@ class _Transfer:
 
     Every row schedules at the same time and priority, in the same global
     ``schedule()`` order, so under any tie-breaker every downstream schedule
-    is byte-identical.  An intra-node transfer walks 2, an overhead
-    ``Timeout``, then 7.  Row F comes from row 2 (negative size, dead
+    is byte-identical.  A transfer that finds both channels free walks 2,
+    6, 7: for a FIFO resource a free slot means an empty queue, so rows 3-5
+    would grant at the launch instant and carry no information.  It holds
+    each slot with itself as the token and is outcome-identical (same
+    completion time, accounting and errors), not schedule-identical: its
+    row 6 sits earlier among the events scheduled at that instant, and
+    every later event id is three lower.  An intra-node transfer walks 2,
+    an overhead ``Timeout``, then 7.  Row F comes from row 2 (negative size, dead
     endpoint, partition, drop) or row 6 (an endpoint crashed mid-wire); an
     unwatched :class:`FaultError` lands in ``env.swallowed_faults`` as before.
     Subclasses put rows in front (override :meth:`_begin`) and replace rows
@@ -228,9 +235,21 @@ class _Transfer:
             env.timeout(network.software_overhead).callbacks.append(self._completed)
             return
         self._start = env.now
+        send_channel = src.nic.send_channel
+        recv_channel = dst.nic.recv_channel
+        if (len(send_channel.users) < send_channel.capacity
+                and len(recv_channel.users) < recv_channel.capacity):
+            # Both channels have a free slot, so (FIFO) both queues are
+            # empty: hold each slot with this walker as its token, with no
+            # Request and no event, and start the wire time now.
+            send_channel.users.append(self)
+            recv_channel.users.append(self)
+            self._send_req = self._recv_req = self
+            self._serialize(None)
+            return
         self._granted = 0
-        send_req = self._send_req = src.nic.send_channel.request()
-        recv_req = self._recv_req = dst.nic.recv_channel.request()
+        send_req = self._send_req = send_channel.request()
+        recv_req = self._recv_req = recv_channel.request()
         send_req.callbacks.append(self._on_grant)
         recv_req.callbacks.append(self._on_grant)
 
@@ -244,7 +263,8 @@ class _Transfer:
             _step(self.network.env, self._serialize, NORMAL)
 
     def _serialize(self, _event) -> None:
-        # [5] pop: start the wire-time clock.
+        # [5] pop, or inline from [2] when both channels were free: start
+        # the wire-time clock.
         network = self.network
         env = network.env
         self._start = env.now - self._start  # now holds the waited time

@@ -73,8 +73,10 @@ class RetryPolicy:
 class _FastSend(_Transfer):
     """The send path: a :class:`~repro.cluster.network._Transfer` (rows 2-6)
     with the send's own rows around it, so one object walks a message
-    through the *identical* event sequence of the process send that
-    :mod:`tests.oracles.evpath` keeps as the differential oracle:
+    through the event sequence of the process send that
+    :mod:`tests.oracles.evpath` keeps as the differential oracle (identical
+    when the transfer queues for a NIC channel; without rows 3-5 when both
+    channels are free):
 
     ==  ==========================  =====================================
     #   process path                callback chain

@@ -11,6 +11,10 @@ from repro.cluster import Machine, Network, Node, franklin, redsky
 from repro.cluster.machine import torus_3d
 from repro.cluster.network import _PAIR_KEY
 
+from tests.transfer_differential import (
+    assert_outcome_identical, free_slot_spy, hold_every_slot, tally_nic_requests,
+)
+
 
 def _graph_oracle(shape):
     """The torus as a networkx graph, numbered the way Torus3D numbers it:
@@ -201,23 +205,33 @@ def bad(env, m):
 
 class TestTransferWalkerIdentity:
     """``Network.transfer`` and ``Network.rdma_get`` (the ``_Transfer``
-    callback chain) must schedule the *identical* event sequence the
-    process-per-transfer generators in :mod:`tests.oracles.cluster` do:
-    same ``schedule()`` calls, same outcomes, same accounting."""
+    callback chain) against the process-per-transfer generators in
+    :mod:`tests.oracles.cluster`.
+
+    A transfer that has to queue for a NIC channel walks the *identical*
+    event sequence: same ``schedule()`` calls, same outcomes, same
+    accounting (pinned with every slot pre-held, so every transfer
+    queues).  A transfer that finds both channels free skips the two
+    channel Requests and the grant step: it is outcome-identical, not
+    schedule-identical (pinned by :func:`assert_outcome_identical`)."""
 
     @staticmethod
-    def _run(oracle, scenario, tie_seed=None):
+    def _run(oracle, scenario, tie_seed=None, hold_until=None):
         """Run ``scenario(env, machine)`` under a ``schedule()`` spy, with
-        the live walker or, with ``oracle``, the reference processes."""
+        the live walker or, with ``oracle``, the reference processes;
+        ``hold_until`` pre-holds every NIC slot until then."""
         from unittest import mock
 
         from tests.oracles import cluster as _reference
-        from repro.simkernel import shuffle
+        from repro.simkernel import Resource, shuffle
         from repro.simkernel.events import NORMAL
 
         env = Environment() if tie_seed is None else Environment(tie_breaker=shuffle(tie_seed))
         machine = Machine(env, num_nodes=6, cores_per_node=2, nic_streams=1)
+        if hold_until is not None:
+            hold_every_slot(env, machine, hold_until)
         log = []
+        grants = []
         orig = env.schedule
 
         def kind(event):
@@ -229,11 +243,10 @@ class TestTransferWalkerIdentity:
             return orig(event, priority, delay)
 
         env.schedule = spy
-        patches = (
-            [mock.patch.object(Network, "transfer", _reference.transfer),
-             mock.patch.object(Network, "rdma_get", _reference.rdma_get)]
-            if oracle else []
-        )
+        patches = [mock.patch.object(Resource, "_do_request", free_slot_spy(grants))]
+        if oracle:
+            patches += [mock.patch.object(Network, "transfer", _reference.transfer),
+                        mock.patch.object(Network, "rdma_get", _reference.rdma_get)]
         for patch in patches:
             patch.start()
         try:
@@ -248,6 +261,7 @@ class TestTransferWalkerIdentity:
                 patch.stop()
         stats = machine.network.stats
         faults = machine.network.faults
+        requests, uncontended = tally_nic_requests(grants)
         return dict(
             log=log, outcome=outcome, raised=raised, now=env.now,
             swallowed=env.swallowed_faults,
@@ -256,6 +270,7 @@ class TestTransferWalkerIdentity:
             stats=(stats.messages, stats.bytes, stats.busy_time, stats.wait_time,
                    dict(stats.per_pair)),
             nics=[(n.nic.bytes_sent, n.nic.bytes_received) for n in machine.nodes],
+            requests=requests, uncontended=uncontended,
         )
 
     @staticmethod
@@ -335,13 +350,19 @@ class TestTransferWalkerIdentity:
     def test_contended_matches_process_path(self):
         fast = self._run(False, self._contended)
         slow = self._run(True, self._contended)
-        assert fast == slow
+        assert_outcome_identical(fast, slow)
         assert fast["stats"][3] > 0  # the NICs really queued
+
+    def test_held_slots_contended_path_is_schedule_identical(self):
+        fast = self._run(False, self._contended, hold_until=1.0)
+        slow = self._run(True, self._contended, hold_until=1.0)
+        assert fast == slow
+        assert slow["uncontended"] == 0 and slow["requests"] > 0  # all queued
 
     def test_faults_match_process_path(self):
         fast = self._run(False, self._faulty)
         slow = self._run(True, self._faulty)
-        assert fast == slow
+        assert_outcome_identical(fast, slow)
         # the scenario really reaches every branch it is meant to pin
         outcome = {label: (now, *rest) for now, label, *rest in fast["outcome"]}
         assert fast["partitioned"] == 2 and fast["dropped"] > 0
@@ -366,9 +387,9 @@ class TestTransferWalkerIdentity:
         assert fast == self._run(True, scenario)
         assert fast["raised"] == ("ValueError", "negative transfer size -1")
 
-    @given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_seeded_mix_matches_process_path(self, seed, shuffled):
+    def _seeded_mix(self, seed):
+        """Twenty random transfers and GETs, watched or not, with one node
+        crash and a random partition, drop and degrade window."""
         import random
 
         from repro.faults import NetworkFaultState
@@ -402,6 +423,24 @@ class TestTransferWalkerIdentity:
                 ))
             return done
 
+        return scenario
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_seeded_mix_matches_process_path(self, seed):
+        fast = self._run(False, self._seeded_mix(seed))
+        slow = self._run(True, self._seeded_mix(seed))
+        if slow["uncontended"]:
+            assert_outcome_identical(fast, slow)
+        else:  # no transfer found both channels free: nothing was skipped
+            assert fast == slow
+
+    @given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_held_slots_seeded_mix_is_schedule_identical(self, seed, shuffled):
+        # every transfer launches before 4.0, so every one queues, and the
+        # schedules match under any tie-breaker
         tie_seed = seed if shuffled else None
-        fast = self._run(False, scenario, tie_seed)
-        assert fast == self._run(True, scenario, tie_seed)
+        fast = self._run(False, self._seeded_mix(seed), tie_seed, hold_until=4.0)
+        assert fast == self._run(True, self._seeded_mix(seed), tie_seed, hold_until=4.0)
+        assert fast["uncontended"] == 0

@@ -7,6 +7,10 @@ from repro.simkernel import SimulationError
 from repro.evpath import Message, MessageType, Messenger, OverlayTree, StoneGraph
 from repro.evpath.channel import Channel
 
+from tests.transfer_differential import (
+    assert_outcome_identical, free_slot_spy, hold_every_slot, tally_nic_requests,
+)
+
 
 class TestMessages:
     def test_sequence_numbers_increase(self):
@@ -229,17 +233,22 @@ class TestOverlay:
 
 
 class TestFastSendIdentity:
-    """The _FastSend chain must schedule the *identical* event sequence the
-    process-based send in :mod:`tests.oracles.evpath` does — fault-free
-    or fault-armed — which is the whole byte-identity contract of the one
-    send path."""
+    """The _FastSend chain against the process-based send in
+    :mod:`tests.oracles.evpath`, fault-free or fault-armed.  A send whose
+    transfer queues for a NIC channel walks the *identical* event sequence
+    (pinned with every slot pre-held); one whose transfer finds both
+    channels free is outcome-identical and schedules three fewer events
+    (:func:`~tests.transfer_differential.assert_outcome_identical`)."""
 
     @staticmethod
-    def _run(oracle, scenario, retry=None):
+    def _run(oracle, scenario, retry=None, hold_until=None):
         """Run ``scenario(env, machine, messenger, send)`` under a
         ``schedule()`` spy, sending through ``Messenger.send`` or, with
-        ``oracle``, through the reference process-per-message send."""
-        from repro.simkernel import Environment
+        ``oracle``, through the reference process-per-message send;
+        ``hold_until`` pre-holds every NIC slot until then."""
+        from unittest import mock
+
+        from repro.simkernel import Environment, Resource
         from repro.simkernel.events import NORMAL
         from repro.cluster import Machine
         from tests.oracles import evpath as _reference
@@ -247,8 +256,11 @@ class TestFastSendIdentity:
         env = Environment()
         machine = Machine(env, num_nodes=6, cores_per_node=2)
         messenger = Messenger(env, machine.network, retry=retry)
+        if hold_until is not None:
+            hold_every_slot(env, machine, hold_until)
 
         log = []
+        grants = []
         orig = env.schedule
 
         def kind(event):
@@ -268,10 +280,12 @@ class TestFastSendIdentity:
                 return _reference.send_process(messenger, src, to, msg)
             return messenger.send(src, to, msg)
 
-        outcome = scenario(env, machine, messenger, send)
-        env.run()
+        with mock.patch.object(Resource, "_do_request", free_slot_spy(grants)):
+            outcome = scenario(env, machine, messenger, send)
+            env.run()
         stats = machine.network.stats
         faults = machine.network.faults
+        requests, uncontended = tally_nic_requests(grants)
         return dict(
             log=log, outcome=outcome, now=env.now,
             sent=messenger.messages_sent, bytes_sent=messenger.bytes_sent,
@@ -280,6 +294,8 @@ class TestFastSendIdentity:
             partitioned=getattr(faults, "partitioned", None),
             stats=(stats.messages, stats.bytes, stats.busy_time, stats.wait_time,
                    dict(stats.per_pair)),
+            nics=[(n.nic.bytes_sent, n.nic.bytes_received) for n in machine.nodes],
+            requests=requests, uncontended=uncontended,
         )
 
     @staticmethod
@@ -379,7 +395,14 @@ class TestFastSendIdentity:
     def test_fast_chain_matches_process_path(self):
         fast = self._run(False, self._contended)
         slow = self._run(True, self._contended)
+        assert_outcome_identical(fast, slow)
+        assert fast["stats"][3] > 0  # some sends really queued
+
+    def test_held_slots_chain_is_schedule_identical(self):
+        fast = self._run(False, self._contended, hold_until=1.0)
+        slow = self._run(True, self._contended, hold_until=1.0)
         assert fast == slow
+        assert slow["uncontended"] == 0 and slow["requests"] > 0  # all queued
 
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
     def test_fault_armed_chain_matches_process_path(self, jitter):
@@ -387,7 +410,7 @@ class TestFastSendIdentity:
 
         fast = self._run(False, self._faulty, RetryPolicy(jitter=jitter, seed=7))
         slow = self._run(True, self._faulty, RetryPolicy(jitter=jitter, seed=7))
-        assert fast == slow
+        assert_outcome_identical(fast, slow)
         # the scenario really reaches every branch it is meant to pin
         outcome = {payload: (now, *rest) for now, payload, *rest in fast["outcome"]}
         assert fast["partitioned"] > 0 and fast["dropped"] > 0

@@ -199,6 +199,9 @@ class TestBuild:
     # Its event count moved again (1393 -> 1046) when the failure detectors
     # stopped scanning every lease_timeout/4: a healthy lease needs no scan,
     # so only the global manager's detector still wakes; the trace is unchanged.
+    # Both counts moved once more (fig7 1046 -> 887, s3d 737 -> 611) when a
+    # transfer that finds both NIC channels free stopped scheduling the two
+    # channel requests and the grant step; the traces are unchanged.
     def test_fig7_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(5))
         pipe = build(env, load_preset("fig7").override(workload=dict(steps=3)))
@@ -209,7 +212,7 @@ class TestBuild:
             [(60.030201968371586, "increase bonds +1")],
             [],
         )
-        assert env.events_processed == 1046
+        assert env.events_processed == 887
 
     def test_s3d_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(2))
@@ -221,7 +224,7 @@ class TestBuild:
             [(60.030201968371586, "increase front +1")],
             [],
         )
-        assert env.events_processed == 737
+        assert env.events_processed == 611
 
     def test_build_attaches_spec(self):
         env = Environment()
