@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.simkernel.errors import SimulationError
 
@@ -129,6 +129,11 @@ class MessageSchema:
     optional: Tuple[str, ...] = ()
     allow_extra: bool = False
     freeform: bool = False
+    #: every declared field, built once: :meth:`validate` runs on every send
+    known: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "known", frozenset(self.required + self.optional))
 
     def validate(self, message: "Message") -> None:
         if self.freeform:
@@ -146,7 +151,7 @@ class MessageSchema:
                 f"{missing} (got {sorted(payload)})"
             )
         if not self.allow_extra:
-            known = set(self.required) | set(self.optional)
+            known = self.known
             extra = [f for f in payload if f not in known]
             if extra:
                 raise MessageSchemaError(

@@ -61,3 +61,20 @@ def test_schema_fields_are_frozen_named_tuples(mtype):
     schema = SCHEMAS[mtype]
     assert schema.mtype is mtype
     assert isinstance(schema.required, tuple)
+
+
+@pytest.mark.parametrize("payload, text", [
+    ({"nodes": [3]},
+     "resize_complete payload missing required fields ['units'] (got ['nodes'])"),
+    ({"units": 1, "bogus": 2, "nodes": [3], "also": 0},
+     "resize_complete payload has undeclared fields ['bogus', 'also'] "
+     "(declared: ['nodes', 'units'])"),
+    ([1],
+     "resize_complete payload must be a mapping with fields ['units'], got list"),
+])
+def test_schema_error_texts(payload, text):
+    from repro.evpath.messages import Message, MessageSchemaError, validate_message
+
+    with pytest.raises(MessageSchemaError) as err:
+        validate_message(Message(MessageType.RESIZE_COMPLETE, "lm", payload=payload))
+    assert str(err.value) == text
