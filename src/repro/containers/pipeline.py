@@ -311,6 +311,7 @@ class Pipeline:
         )
         self.managers[stage.name] = manager
         gm.register(manager, depends_on=stage.upstream)
+        self.monitoring_overlay.join(manager)
         return container
 
     def launch_stage(self, spec: ComponentSpec, units: int, upstream: str,
@@ -567,8 +568,32 @@ class PipelineBuilder:
             )
             planned = TopologyAwarePlacement().plan(machine, problem).assignment
 
+        jobs = [
+            scheduler.allocate_specific(planned[stage.name], name=stage.name)
+            if planned is not None
+            else scheduler.allocate(stage.units, name=stage.name)
+            for stage in self.stages
+        ]
+
+        # Monitoring transport: direct manager-to-manager messages (default)
+        # or a windowed aggregation overlay (Section III-E) whose root sits
+        # on the global manager's node.  The tree is laid out over the
+        # built stages' manager nodes; add_stage joins every manager to it,
+        # a stage launched mid-run included.
+        if k["monitoring"] == "overlay":
+            from repro.evpath.overlay import OverlayTree
+
+            pipe.monitoring_overlay = OverlayTree(
+                env,
+                messenger,
+                gm_node,
+                [job.nodes[0] for job in jobs],
+                on_report=lambda msg: gm.ingest_report(msg.payload),
+                flush_interval=k["monitor_interval"],
+            )
+
         standby_names = {s.name for s in self.stages if s.standby}
-        for stage in self.stages:
+        for stage, job in zip(self.stages, jobs):
             name = stage.name
             consumers = downstream_of.get(name, [])
             # Each active consumer gets its own link (every consumer sees the
@@ -585,10 +610,6 @@ class PipelineBuilder:
                 output_links = [links[consumers[0]]]
             else:
                 output_links = []
-            if planned is not None:
-                job = scheduler.allocate_specific(planned[name], name=name)
-            else:
-                job = scheduler.allocate(stage.units, name=name)
             pipe.add_stage(stage, stage.resolve_component(), job.nodes, output_links)
 
         # Shed accounting is always wired (recording is pure bookkeeping —
@@ -643,32 +664,6 @@ class PipelineBuilder:
                 env, gm, pipe.analytics, config=BrownoutConfig(**bo_kwargs),
                 degradation=pipe.degradation,
             )
-
-        # Monitoring transport: direct manager-to-manager messages (default)
-        # or a windowed aggregation overlay (Section III-E) whose root sits
-        # on the global manager's node.
-        if k["monitoring"] == "overlay":
-            from repro.evpath.overlay import OverlayTree
-
-            leaf_nodes = []
-            seen_ids = set()
-            for manager in pipe.managers.values():
-                if manager.node.node_id not in seen_ids:
-                    seen_ids.add(manager.node.node_id)
-                    leaf_nodes.append(manager.node)
-            overlay = OverlayTree(
-                env,
-                messenger,
-                gm_node,
-                leaf_nodes,
-                on_report=lambda msg: gm.ingest_report(msg.payload),
-                flush_interval=k["monitor_interval"],
-            )
-            pipe.monitoring_overlay = overlay
-            for manager in pipe.managers.values():
-                manager.send_report = (
-                    lambda message, _node=manager.node: overlay.submit(_node, message)
-                )
 
         # Fault tolerance: replica heartbeat leases into each local manager,
         # manager liveness tracked off the metric-report stream, and the

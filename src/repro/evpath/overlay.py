@@ -21,6 +21,7 @@ difference between direct reporting and overlay aggregation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.simkernel import Environment, Interrupt
@@ -42,6 +43,9 @@ class _OverlayVertex:
 
 class NoOverlay:
     """Direct monitoring: managers report straight to the global manager."""
+
+    def join(self, reporter) -> None:
+        """Nothing to join: ``reporter`` keeps reporting directly."""
 
     def stop(self) -> None:
         pass
@@ -144,6 +148,21 @@ class OverlayTree:
             return 1 + max(walk(child) for child in vertex.children)
 
         return walk(self.root)
+
+    def join(self, reporter) -> None:
+        """Route ``reporter``'s metric reports through the tree.
+
+        ``reporter`` has a ``node`` and a ``send_report`` hook (a container's
+        local manager).  A node that is not a leaf yet becomes one, hung
+        straight off the root: a stage launched into a built tree needs no
+        new interior vertex and so no new flusher.
+        """
+        node = reporter.node
+        if node.node_id not in self._leaves:
+            vertex = self._leaves[node.node_id] = _OverlayVertex(node, self.root)
+            self.root.children.append(vertex)
+            self._vertices.append(vertex)
+        reporter.send_report = partial(self.submit, node)
 
     def submit(self, leaf_node: Node, record: Any):
         """Submit a metric record at a leaf; returns the delivery process."""

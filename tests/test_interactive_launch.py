@@ -93,6 +93,38 @@ class TestLaunchStage:
         pipe.run(settle=120)
         assert any("interactive launch viz" in l for _, l in pipe.telemetry.events)
 
+    def test_launched_stage_reports_through_overlay(self):
+        """On ``monitoring: overlay`` a launched stage joins the overlay like
+        a built one: its manager's reports travel the tree to the global
+        manager instead of going direct."""
+        env = Environment()
+        pipe = build(env, staging=17, monitoring="overlay")
+        overlay = pipe.monitoring_overlay
+        via_tree = []
+        ingest = overlay.on_report
+        overlay.on_report = lambda msg: (via_tree.append(msg.payload["container"]),
+                                         ingest(msg))
+        direct = []
+        send = pipe.messenger.send
+
+        def spy_send(src, to, message):
+            if message.mtype.value == "metric_report":
+                direct.append(message.payload["container"])
+            return send(src, to, message)
+
+        pipe.messenger.send = spy_send
+
+        def ctl(env):
+            yield env.timeout(50)
+            yield pipe.launch_stage(VIZ_COMPONENT, units=1, upstream="bonds",
+                                    name="viz")
+
+        env.process(ctl(env))
+        pipe.run(settle=120)
+        assert pipe.managers["viz"].send_report is not None
+        assert "viz" in via_tree and "bonds" in via_tree
+        assert direct == []  # no manager, built or launched, reported direct
+
 
 class TestLaunchedStageSettings:
     def test_launched_replica_crash_is_replaced(self):
