@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.simkernel import Environment, Event
+from repro.simkernel import Environment, Event, schedule_step
 from repro.simkernel.errors import FaultError
 from repro.simkernel.events import NORMAL, URGENT
 from repro.cluster.node import Node
@@ -156,22 +156,13 @@ class Network:
         return _RdmaGet(self, reader, target, nbytes).result
 
 
-def _step(env: Environment, fn, priority: int) -> None:
-    """Schedule a bare event that runs ``fn`` when popped: the callback-chain
-    stand-in for a process's ``Initialize`` or a fired ``Condition``."""
-    ev = Event(env)
-    ev._value = None
-    ev.callbacks.append(fn)
-    env.schedule(ev, priority)
-
-
 class _Transfer:
     """The transfer walker: one transfer moved through the network as callbacks.
 
     A transfer that queues for a NIC channel walks the *identical* event
     sequence a process per transfer did (:mod:`tests.oracles.cluster` keeps
-    that process as the differential oracle), with bare events and plain
-    callbacks:
+    that process as the differential oracle), with plain callbacks and
+    step events (:func:`~repro.simkernel.schedule_step`):
 
     ==  ==========================  =====================================
     #   process path                callback chain
@@ -214,7 +205,7 @@ class _Transfer:
         self.nbytes = nbytes
         #: fires with ``nbytes`` on completion, or fails with the error
         self.result = Event(network.env)
-        _step(network.env, self._begin, URGENT)
+        schedule_step(network.env, self._begin, URGENT)
 
     def _launch(self, _event) -> None:
         # [2] the transfer process body up to its first yield.
@@ -260,7 +251,7 @@ class _Transfer:
         # [3]/[4] pop; when both channels are held, [5] fires the condition.
         self._granted += 1
         if self._granted == 2:
-            _step(self.network.env, self._serialize, NORMAL)
+            schedule_step(self.network.env, self._serialize, NORMAL)
 
     def _serialize(self, _event) -> None:
         # [5] pop, or inline from [2] when both channels were free: start
@@ -314,7 +305,7 @@ class _RdmaGet:
         self.target = target
         self.nbytes = nbytes
         self.result = Event(network.env)
-        _step(network.env, self._request, URGENT)
+        schedule_step(network.env, self._request, URGENT)
 
     def _request(self, _event) -> None:
         latency = self.network.latency(self.reader, self.target)
@@ -322,4 +313,13 @@ class _RdmaGet:
 
     def _get(self, _event) -> None:
         xfer = self.network.transfer(self.target, self.reader, self.nbytes)
-        xfer.callbacks.append(self.result.trigger)
+        xfer.callbacks.append(self._forward)
+
+    def _forward(self, event) -> None:
+        # The rdma process returning the transfer's value, or raising its
+        # error (which it caught, hence defused).
+        if event._ok:
+            self.result.succeed(event._value)
+        else:
+            event.defuse()
+            self.result.fail(event._value)

@@ -12,7 +12,7 @@ unscheduled pulls.
 
 from __future__ import annotations
 
-from repro.simkernel import Environment, Event, Resource
+from repro.simkernel import Environment, Event, Resource, bare_event
 from repro.simkernel.errors import SimulationError
 from repro.perf.registry import REGISTRY
 
@@ -108,8 +108,7 @@ class NoPullScheduler:
     Its token is None, which the reader never releases."""
 
     def __init__(self, env: Environment):
-        admitted = self._admitted = Event(env)
-        admitted._value = None
+        admitted = self._admitted = bare_event(env)
         admitted.callbacks = None  # processed
 
     def admit(self) -> Event:

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.simkernel import Environment, Event
+from repro.simkernel import Environment, Event, schedule_step
 from repro.simkernel.errors import FaultError, SimulationError
 from repro.simkernel.events import NORMAL, URGENT
-from repro.cluster.network import Network, _step, _Transfer
+from repro.cluster.network import Network, _Transfer
 from repro.cluster.node import Node
 from repro.evpath.endpoint import Endpoint
 from repro.evpath.messages import Message, validate_message
@@ -116,21 +116,19 @@ class _FastSend(_Transfer):
         messenger.bytes_sent += self.message.size_bytes
         self._seq = messenger.messages_sent
         self.dst = self.dest.node
-        _step(self.messenger.env, self._launch, URGENT)
+        schedule_step(self.messenger.env, self._launch, URGENT)
 
     def _completed(self, _event) -> None:
         # [7] the transfer process completed: the send process resumes.
-        _step(self.messenger.env, self._deliver, NORMAL)
+        schedule_step(self.messenger.env, self._deliver, NORMAL)
 
     def _failed(self, error: Exception) -> None:
         # [F] the transfer process failing: a failed event the send process
         # would have caught (hence defused), popped at NORMAL.
         ev = Event(self.messenger.env)
-        ev._ok = False
-        ev._value = error
-        ev._defused = True
         ev.callbacks.append(self._on_failure)
-        self.messenger.env.schedule(ev, NORMAL)
+        ev.fail(error)
+        ev.defuse()
 
     def _on_failure(self, event) -> None:
         # [F] pop: the send process's ``except FaultError`` clause.
@@ -154,7 +152,7 @@ class _FastSend(_Transfer):
         # [R] pop: dest.node is read per attempt, so a rehosted endpoint's
         # new placement takes effect on the retry.
         self.dst = self.dest.node
-        _step(self.messenger.env, self._launch, URGENT)
+        schedule_step(self.messenger.env, self._launch, URGENT)
 
     def _deliver(self, _event) -> None:
         # [7] pop: the send process resumed and called dest.deliver().

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simkernel import Environment, Event, Interrupt
+from repro.simkernel import Environment, Event, Interrupt, bare_event
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
@@ -415,9 +415,7 @@ class FailureDetector:
             self.env.cancel(self._timer)
         self._timer, self._wake = None, at
         if at is not None:
-            timer = self._timer = Event(self.env)
-            timer._value = None
-            timer.callbacks.append(self._scan)
+            timer = self._timer = bare_event(self.env, self._scan)
             self.env.schedule_at(timer, at)
 
     def _due(self) -> Optional[float]:

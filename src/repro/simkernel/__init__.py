@@ -18,13 +18,25 @@ Process
     Drives a Python generator; each ``yield``ed event suspends the process
     until the event fires.  Processes can be interrupted.
 Resource / Store
-    Shared-resource primitives: counted resources with FIFO/priority queues
-    and bounded item stores (used to model staging-area queues that can
-    overflow, which drives Figures 9 and 10 of the paper).
+    Shared-resource primitives: counted resources with a FIFO wait queue
+    and bounded item stores whose puts block while full (used to model
+    staging-area queues, whose backlog drives Figures 9 and 10 of the
+    paper).
+bare_event / schedule_step
+    The one way to build a walker step: a callback chain that stands in
+    for a process schedules a bare event that runs a callback, instead of
+    writing an :class:`Event`'s private fields itself.
 """
 
-from repro.simkernel.errors import FaultError, Interrupt, SimulationError, StopProcess
-from repro.simkernel.events import AllOf, AnyOf, Condition, Event, Timeout
+from repro.simkernel.errors import FaultError, Interrupt, SimulationError
+from repro.simkernel.events import (
+    AllOf,
+    AnyOf,
+    Event,
+    Timeout,
+    bare_event,
+    schedule_step,
+)
 from repro.simkernel.core import (
     Environment,
     InsertionOrder,
@@ -33,30 +45,26 @@ from repro.simkernel.core import (
     shuffle,
 )
 from repro.simkernel.process import Process
-from repro.simkernel.resources import PriorityResource, Preempted, Resource
-from repro.simkernel.store import FilterStore, QueueOverflow, Store, StoreReserve
+from repro.simkernel.resources import Resource
+from repro.simkernel.store import FilterStore, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Condition",
     "Environment",
     "Event",
     "FaultError",
     "FilterStore",
     "InsertionOrder",
     "Interrupt",
-    "Preempted",
-    "PriorityResource",
     "Process",
-    "QueueOverflow",
     "Resource",
     "SeededShuffle",
     "SimulationError",
-    "StopProcess",
     "Store",
-    "StoreReserve",
     "TieBreaker",
     "Timeout",
+    "bare_event",
+    "schedule_step",
     "shuffle",
 ]

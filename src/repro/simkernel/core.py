@@ -55,10 +55,6 @@ _PENDING = Event.PENDING
 _COMPACT_MIN_TOMBSTONES = 512
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class TieBreaker:
     """Orders events that share a ``(time, priority)`` heap slot.
 
@@ -147,7 +143,7 @@ class Environment:
         self._eid = 0
         self.tie_breaker = tie_breaker if tie_breaker is not None else InsertionOrder()
         self.active_process: Optional[Process] = None
-        #: fire-and-forget actions lost to injected faults (see :meth:`step`)
+        #: fire-and-forget actions lost to injected faults (see :meth:`run`)
         self.swallowed_faults = 0
         #: cancelled entries still sitting on the heap
         self._tombstones = 0
@@ -281,7 +277,7 @@ class Environment:
         if event._value is _PENDING:
             return False
         if not event._ok and not event._defused:
-            # An unobserved failure must still surface in step() — see the
+            # An unobserved failure must still surface in run() — see the
             # unhandled-failure contract there.
             return False
         event._cancelled = True
@@ -328,43 +324,6 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else _INF
 
-    def step(self) -> None:
-        """Process the next event, advancing the clock to its timestamp.
-
-        Tombstoned (cancelled) entries are skipped — the clock advances
-        over them but no callbacks run.
-        """
-        queue = self._queue
-        while True:
-            if not queue:
-                raise EmptySchedule("no scheduled events")
-            entry = heappop(queue)
-            event = entry[3]
-            self._now = entry[0]
-            callbacks = event.callbacks
-            event.callbacks = None
-            if event._cancelled:
-                event._cancelled = False
-                self._tombstones -= 1
-                self.tombstones_skipped += 1
-                continue
-            break
-
-        for callback in callbacks:
-            callback(event)
-        self.events_processed += 1
-
-        if not event._ok and not event._defused:
-            if isinstance(event._value, FaultError):
-                # A fire-and-forget action lost to an injected fault (e.g. a
-                # completion notification racing a node crash) is routine in
-                # a faulty cluster: count it, don't crash the simulation.
-                self.swallowed_faults += 1
-                return
-            # A failed event nobody waited on: surface the error instead of
-            # silently losing it.
-            raise event._value
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an :class:`Event`, or exhaustion).
 
@@ -372,6 +331,13 @@ class Environment:
         * number — run until the clock reaches that time.
         * :class:`Event` — run until that event is processed; returns its
           value (or raises its exception).
+
+        A processed failed event nobody defused surfaces: its exception is
+        raised out of the run, unless it is a :class:`FaultError`.  That is
+        a fire-and-forget action lost to an injected fault (say, a
+        completion notification racing a node crash), routine in a faulty
+        cluster, so it is counted in ``swallowed_faults`` instead.  Popping
+        a tombstoned (cancelled) entry advances the clock but runs nothing.
         """
         if until is None:
             stop: Optional[Event] = None

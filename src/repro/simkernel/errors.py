@@ -15,20 +15,8 @@ class FaultError(SimulationError):
     than bugs in the simulation.  The environment treats an unobserved
     process failing with a :class:`FaultError` as a lost fire-and-forget
     action (counted, not raised), whereas any other unobserved failure still
-    crashes the run — see :meth:`Environment.step`.
+    crashes the run — see :meth:`Environment.run`.
     """
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to terminate it with a value.
-
-    ``return value`` inside the generator is the idiomatic way to finish; this
-    exception exists for callers that need to stop a process from a callback.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
 
 
 class Interrupt(Exception):

@@ -89,11 +89,6 @@ class Event:
     def defused(self) -> bool:
         return self._defused
 
-    @property
-    def cancelled(self) -> bool:
-        """True while the event sits tombstoned on the heap."""
-        return self._cancelled
-
     # -- triggering ----------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":
@@ -116,17 +111,6 @@ class Event:
         self.env.schedule(self, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Usable directly as a callback: ``other.callbacks.append(mine.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
-
     # -- composition ---------------------------------------------------------
 
     def __and__(self, other: "Event") -> "Condition":
@@ -140,6 +124,34 @@ class Event:
             "processed" if self.processed else "triggered" if self.triggered else "pending"
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+def bare_event(env, callback: Optional[Callable[[Event], None]] = None) -> Event:
+    """An event that already holds the value ``None`` but is not scheduled.
+
+    The caller places it on the heap (``env.schedule``, ``env.schedule_at``)
+    to run ``callback`` then, or marks it processed.  :func:`schedule_step`
+    is this plus ``env.schedule``.
+    """
+    ev = Event(env)
+    ev._value = None
+    if callback is not None:
+        ev.callbacks.append(callback)
+    return ev
+
+
+def schedule_step(env, fn: Callable[[Event], None], priority: int) -> None:
+    """Schedule a bare event that runs ``fn`` at ``priority`` now.
+
+    This is how a callback walker takes one step: the stand-in for a
+    process's ``Initialize`` or a fired ``Condition`` on the process path it
+    replaces.  It is :func:`bare_event` plus ``env.schedule``, written out
+    because every transfer and send takes it.
+    """
+    ev = Event(env)
+    ev._value = None
+    ev.callbacks.append(fn)
+    env.schedule(ev, priority)
 
 
 class Timeout(Event):

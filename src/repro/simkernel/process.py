@@ -61,11 +61,6 @@ class Process(Event):
         """True while the process has not terminated."""
         return self._value is Event.PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is waiting on, if any."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

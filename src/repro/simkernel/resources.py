@@ -1,46 +1,27 @@
-"""Counted resources with FIFO and priority queueing.
+"""Counted resources with FIFO queueing.
 
 A :class:`Resource` models a pool of identical capacity units (e.g. the cores
 of a staging node, or the injection channel of a NIC).  Processes ``yield
 resource.request()`` to acquire a unit and call ``release`` (or use the
-request as a context manager) to give it back.
-
-:class:`PriorityResource` orders waiting requests by a numeric priority
-(lower = more important) and optionally preempts lower-priority holders,
-which the container runtime uses to favour critical analytics over
-best-effort visualization.
+request as a context manager) to give it back.  Waiting requests are granted
+in arrival order.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List, Optional
+from typing import List
 
-from repro.simkernel.errors import Interrupt
 from repro.simkernel.events import Event
-
-
-class Preempted:
-    """Cause object delivered with the :class:`Interrupt` on preemption."""
-
-    def __init__(self, by: Any, usage_since: float):
-        self.by = by
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:
-        return f"<Preempted by={self.by!r} since={self.usage_since}>"
 
 
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`."""
 
-    __slots__ = ("resource", "proc", "usage_since")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.proc = resource.env.active_process
-        self.usage_since: Optional[float] = None
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -52,19 +33,6 @@ class Request(Event):
     def cancel(self) -> None:
         """Release the granted unit, or withdraw a still-queued request."""
         self.resource.release(self)
-
-
-class PriorityRequest(Request):
-    """A request carrying a priority and preemption flag."""
-
-    __slots__ = ("priority", "preempt", "key")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0, preempt: bool = False):
-        self.priority = priority
-        self.preempt = preempt
-        # Tie-break by submission time then insertion order for determinism.
-        self.key = (priority, resource.env.now, next(resource._ticket))
-        super().__init__(resource)
 
 
 class Resource:
@@ -106,64 +74,9 @@ class Resource:
             self.queue.append(request)
 
     def _grant(self, request: Request) -> None:
-        request.usage_since = self.env.now
         self.users.append(request)
         request.succeed(request)
 
     def _trigger_queue(self) -> None:
         while self.queue and len(self.users) < self._capacity:
             self._grant(self.queue.pop(0))
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by priority.
-
-    With ``preemptive=True``, a request with ``preempt=True`` and a strictly
-    better (lower) priority than the worst current user interrupts that user
-    with a :class:`Preempted` cause and takes its unit.
-    """
-
-    def __init__(self, env, capacity: int = 1, preemptive: bool = False):
-        super().__init__(env, capacity)
-        self.preemptive = preemptive
-        self._ticket = iter(range(1 << 62))
-        self._heap: List[tuple] = []
-
-    def request(self, priority: int = 0, preempt: bool = False) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority, preempt)
-
-    def _do_request(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if len(self.users) < self._capacity:
-            self._grant(request)
-            return
-        if self.preemptive and request.preempt:
-            victim = max(
-                self.users,
-                key=lambda u: getattr(u, "key", (0, 0, 0)),
-            )
-            victim_prio = getattr(victim, "priority", 0)
-            if request.priority < victim_prio:
-                self.users.remove(victim)
-                if victim.proc is not None and victim.proc.is_alive:
-                    victim.proc.interrupt(Preempted(request.proc, victim.usage_since))
-                self._grant(request)
-                return
-        heapq.heappush(self._heap, (request.key, request))
-        self.queue.append(request)
-
-    def _trigger_queue(self) -> None:
-        while self._heap and len(self.users) < self._capacity:
-            _, request = heapq.heappop(self._heap)
-            if request in self.queue and not request.triggered:
-                self.queue.remove(request)
-                self._grant(request)
-
-    def release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-            self._trigger_queue()
-        elif request in self.queue and not request.triggered:
-            self.queue.remove(request)
-            # Lazy deletion from the heap: _trigger_queue skips withdrawn
-            # entries because they are no longer in ``self.queue``.

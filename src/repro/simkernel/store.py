@@ -3,12 +3,9 @@
 Staging-area queues are the load-bearing data structure of the paper's
 evaluation: Figures 8–10 are about whether the queue in front of the
 bottleneck container overflows before the run completes.  :class:`Store`
-therefore tracks high-water marks and exposes an optional *overflow policy*:
-
-* ``"block"`` (default) — a ``put`` on a full store waits (models blocking
-  the upstream writer, which ultimately blocks the simulation);
-* ``"raise"`` — a ``put`` on a full store fails with :class:`QueueOverflow`
-  (models dropped timesteps / hard failure).
+therefore tracks its high-water mark.  A ``put`` on a full store waits, in
+FIFO order with the other blocked puts: it models blocking the upstream
+writer, which ultimately blocks the simulation.
 """
 
 from __future__ import annotations
@@ -17,15 +14,6 @@ from typing import Any, Callable, List
 
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import Event
-
-
-class QueueOverflow(SimulationError):
-    """A bounded store received a put while full under the 'raise' policy."""
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(f"store {store.name!r} overflowed (capacity={store.capacity})")
-        self.store = store
-        self.item = item
 
 
 class StorePut(Event):
@@ -84,34 +72,21 @@ class Store:
     capacity:
         Maximum items held; ``float('inf')`` for unbounded.
     name:
-        Label used in monitoring and overflow errors.
-    overflow:
-        ``"block"`` or ``"raise"`` — behaviour of ``put`` on a full store.
+        Label used in monitoring.
     """
 
-    def __init__(
-        self,
-        env,
-        capacity: float = float("inf"),
-        name: str = "store",
-        overflow: str = "block",
-    ):
+    def __init__(self, env, capacity: float = float("inf"), name: str = "store"):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if overflow not in ("block", "raise"):
-            raise ValueError(f"unknown overflow policy {overflow!r}")
         self.env = env
         self.capacity = capacity
         self.name = name
-        self.overflow = overflow
         self.items: List[Any] = []
         self._reserved = 0
         self._put_queue: List[StorePut] = []
         self._get_queue: List[StoreGet] = []
         #: Highest number of items ever held (monitoring hook).
         self.high_water: int = 0
-        #: Number of puts rejected by the 'raise' policy.
-        self.overflow_count: int = 0
 
     # -- public API ------------------------------------------------------------
 
@@ -171,10 +146,6 @@ class Store:
         if not event.triggered and event in self._get_queue:
             self._get_queue.remove(event)
 
-    def peek_items(self) -> List[Any]:
-        """A copy of the currently stored items (monitoring hook)."""
-        return list(self.items)
-
     # -- internals ---------------------------------------------------------------
 
     def _try_put(self, event) -> bool:
@@ -187,11 +158,6 @@ class Store:
                 self.high_water = max(self.high_water, len(self.items) + self._reserved)
                 event.succeed()
             return True
-        if self.overflow == "raise":
-            self.overflow_count += 1
-            item = event.item if isinstance(event, StorePut) else None
-            event.fail(QueueOverflow(self, item))
-            return True  # the event resolved (with failure); drop from queue
         return False
 
     def _try_get(self, event: StoreGet) -> bool:
@@ -212,19 +178,15 @@ class Store:
         progress = True
         while progress:
             progress = False
-            idx = 0
-            while idx < len(self._put_queue):
-                event = self._put_queue[idx]
-                if event.triggered:
-                    self._put_queue.pop(idx)
-                    progress = True
-                elif self._try_put(event):
-                    self._put_queue.pop(idx)
+            put_queue = self._put_queue
+            while put_queue:
+                # Only the head may go: blocked puts keep their FIFO order.
+                event = put_queue[0]
+                if event.triggered or self._try_put(event):
+                    put_queue.pop(0)
                     progress = True
                 else:
-                    idx += 1
-                    if self.overflow == "block":
-                        break  # preserve FIFO ordering of blocked puts
+                    break
             idx = 0
             while idx < len(self._get_queue):
                 event = self._get_queue[idx]

@@ -5,10 +5,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, Event, Interrupt
+from repro.simkernel import Environment, Event, Interrupt, schedule_step
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import NORMAL, URGENT
-from repro.cluster.network import _step
+from repro.simkernel.events import URGENT
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.endpoint import Endpoint
@@ -23,17 +22,13 @@ _VOTE = MessageType.TXN_VOTE
 _ACK = MessageType.TXN_ACK
 
 
-def _fire(env: Environment, value=None, fn=None, ok: bool = True) -> Event:
-    """Schedule a ``NORMAL`` event with ``value`` (an error unless ``ok``)
-    that runs ``fn``: the walker's stand-in for a mailbox put or get firing
-    or a process ending.  A failed event that ``fn`` does not defuse lands
-    in ``env.swallowed_faults``."""
+def _on(env: Environment, fn) -> Event:
+    """A new event that runs ``fn`` when processed.  The walker fires it
+    with ``succeed``/``fail`` (a ``NORMAL`` event now) as its stand-in for
+    a mailbox put or get firing or a process ending; a failed event that
+    ``fn`` does not defuse lands in ``env.swallowed_faults``."""
     ev = Event(env)
-    ev._ok = ok
-    ev._value = value
-    if fn is not None:
-        ev.callbacks.append(fn)
-    env.schedule(ev, NORMAL)
+    ev.callbacks.append(fn)
     return ev
 
 
@@ -46,7 +41,7 @@ class _Mailbox(Endpoint):
 
     def deliver(self, message: Message):
         self.delivered += 1
-        put = _fire(self.env)
+        put = Event(self.env).succeed()
         self.arrive(message)
         return put
 
@@ -121,7 +116,7 @@ class _Round:
                                 payload={"txn_id": self.txn_id})
             p.messenger.send(p.node, self.msg.sender, reply).callbacks.append(self._sent)
         elif self.replies:
-            _fire(p.env, self.replies.popleft(), self._got)
+            _on(p.env, self._got).succeed(self.replies.popleft())
         else:
             self.waiting = True
             if p._busy is self and p._requests:
@@ -133,7 +128,7 @@ class _Round:
         """A child's reply arrived for this round."""
         if self.waiting:
             self.waiting = False
-            _fire(self.p.env, reply, self._got)
+            _on(self.p.env, self._got).succeed(reply)
         else:
             self.replies.append(reply)
 
@@ -151,19 +146,19 @@ class _Round:
             del p._slots[self.txn_id]
         # The handler process completing.
         if p._busy is self:
-            p._wake = _fire(p.env, fn=p._resume)
+            p._wake = _on(p.env, p._resume).succeed()
         else:
-            _fire(p.env)
+            Event(p.env).succeed()
 
     def _fail(self, event) -> None:
         # A send spent its retries: the handler process fails with the
         # error, and the participant with it if it was waiting on this round.
-        event._defused = True
+        event.defuse()
         p = self.p
         if p._busy is self:
-            p._wake = _fire(p.env, event._value, p._die, ok=False)
+            p._wake = _on(p.env, p._die).fail(event._value)
         else:
-            _fire(p.env, event._value, ok=False)
+            Event(p.env).fail(event._value)
 
 
 class TxnParticipant:
@@ -245,7 +240,7 @@ class TxnParticipant:
         self._wake: Optional[Event] = None
         #: False once stopped or dead
         self._live = True
-        _step(env, self._ask, URGENT)
+        schedule_step(env, self._ask, URGENT)
 
     # -- tree wiring -------------------------------------------------------------------
 
@@ -265,14 +260,14 @@ class TxnParticipant:
             if self._armed or (busy is not None and busy.waiting):
                 self._armed = False
                 self._busy = None
-                self._wake = _fire(self.env, msg, self._serve)
+                self._wake = _on(self.env, self._serve).succeed(msg)
             else:
                 self._requests.append(msg)
 
     def _ask(self, _event=None) -> None:
         """Serve the oldest buffered request, or wait for the next one."""
         if self._requests:
-            self._wake = _fire(self.env, self._requests.popleft(), self._serve)
+            self._wake = _on(self.env, self._serve).succeed(self._requests.popleft())
         else:
             self._armed = True
 
@@ -294,14 +289,14 @@ class TxnParticipant:
         elif fault == "crash_after_vote":
             return self._ask()  # decision lost on this subtree's root
         round_ = self._slots[txn_id] = self._busy = _Round(self, msg, txn_id, fault)
-        _step(self.env, round_.begin, URGENT)
+        schedule_step(self.env, round_.begin, URGENT)
 
     def _die(self, event) -> None:
         # The request loop fails with its round's error: nothing waits on it.
-        event._defused = True
+        event.defuse()
         self._live = False
         self._busy = self._wake = None
-        _fire(self.env, event._value, ok=False)
+        Event(self.env).fail(event._value)
 
     def stop(self) -> None:
         """Stop serving requests, as an interrupt at the current instant.
@@ -312,7 +307,7 @@ class TxnParticipant:
         """
         if self._live:
             self._live = False
-            _step(self.env, self._halt, URGENT)
+            schedule_step(self.env, self._halt, URGENT)
 
     def _halt(self, _event) -> None:
         # The interrupt: what the request loop was waiting on is abandoned
@@ -325,9 +320,9 @@ class TxnParticipant:
             self.env.cancel(wake)
         self._busy = self._wake = None
         if busy is None:
-            _fire(self.env)
+            Event(self.env).succeed()
         else:
-            _fire(self.env, Interrupt("stop"), ok=False)
+            Event(self.env).fail(Interrupt("stop"))
 
 
 class TxnGroup:

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and PriorityResource."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.simkernel import Environment, Interrupt, Preempted, PriorityResource, Resource
+from repro.simkernel import Resource
 
 
 class TestResource:
@@ -102,88 +102,3 @@ class TestResource:
         env.run()
         assert res.count == 0
 
-
-class TestPriorityResource:
-    def test_priority_ordering(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, label, priority, delay):
-            yield env.timeout(delay)
-            req = res.request(priority=priority)
-            yield req
-            order.append(label)
-            yield env.timeout(10)
-            res.release(req)
-
-        env.process(user(env, "holder", 0, 0))
-        env.process(user(env, "low", 5, 1))
-        env.process(user(env, "high", 1, 2))
-        env.run()
-        # After the holder releases at t=10, "high" (priority 1) goes first.
-        assert order == ["holder", "high", "low"]
-
-    def test_preemption_interrupts_victim(self, env):
-        res = PriorityResource(env, capacity=1, preemptive=True)
-        events = []
-
-        def victim(env):
-            req = res.request(priority=5)
-            yield req
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                assert isinstance(i.cause, Preempted)
-                events.append(("preempted", env.now))
-
-        def preemptor(env):
-            yield env.timeout(3)
-            req = res.request(priority=0, preempt=True)
-            yield req
-            events.append(("acquired", env.now))
-            res.release(req)
-
-        env.process(victim(env))
-        env.process(preemptor(env))
-        env.run()
-        assert events == [("preempted", 3.0), ("acquired", 3.0)]
-
-    def test_no_preemption_of_equal_priority(self, env):
-        res = PriorityResource(env, capacity=1, preemptive=True)
-        acquired = []
-
-        def victim(env):
-            req = res.request(priority=1)
-            yield req
-            yield env.timeout(10)
-            res.release(req)
-
-        def contender(env):
-            yield env.timeout(1)
-            req = res.request(priority=1, preempt=True)
-            yield req
-            acquired.append(env.now)
-            res.release(req)
-
-        env.process(victim(env))
-        env.process(contender(env))
-        env.run()
-        assert acquired == [10.0]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, label, delay):
-            yield env.timeout(delay)
-            req = res.request(priority=2)
-            yield req
-            order.append(label)
-            yield env.timeout(5)
-            res.release(req)
-
-        env.process(user(env, "first", 0))
-        env.process(user(env, "second", 1))
-        env.process(user(env, "third", 2))
-        env.run()
-        assert order == ["first", "second", "third"]

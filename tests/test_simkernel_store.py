@@ -1,16 +1,14 @@
-"""Unit tests for Store, FilterStore, reservations, and overflow policies."""
+"""Unit tests for Store, FilterStore, blocking puts and reservations."""
 
 import pytest
 
-from repro.simkernel import Environment, FilterStore, QueueOverflow, Store
+from repro.simkernel import Environment, FilterStore, Store
 
 
 class TestStoreBasics:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
             Store(env, capacity=0)
-        with pytest.raises(ValueError):
-            Store(env, overflow="bogus")
 
     def test_put_get_order(self, env):
         store = Store(env)
@@ -77,22 +75,6 @@ class TestStoreBasics:
         env.process(producer(env))
         env.run()
         assert store.high_water == 5
-
-    def test_overflow_raise_policy(self, env):
-        store = Store(env, capacity=1, overflow="raise")
-        errors = []
-
-        def producer(env):
-            yield store.put("a")
-            try:
-                yield store.put("b")
-            except QueueOverflow as e:
-                errors.append(e.item)
-
-        env.process(producer(env))
-        env.run()
-        assert errors == ["b"]
-        assert store.overflow_count == 1
 
 
 class TestReservations:
