@@ -24,7 +24,7 @@ O(window) per sample with no allocation beyond the returned tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analytics.forecast import TrendForecaster
 
@@ -90,11 +90,6 @@ class ContainerRiskModel:
             headroom_trend=headroom_trend,
             stride_demand=stride_demand,
         )
-
-    def headroom_forecast(self, name: str, horizon: float) -> Optional[float]:
-        """Forecast headroom for ``name`` at ``now + horizon`` (None if unseen)."""
-        trend = self._headroom.get(name)
-        return None if trend is None else trend.forecast(horizon)
 
     @staticmethod
     def _slope(trend: TrendForecaster) -> float:

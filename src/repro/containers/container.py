@@ -133,12 +133,6 @@ class Container:
         units = max(1, self.units)
         return self.spec.cost.service_time(natoms, units, self.model)
 
-    def sustainable_interval(self) -> float:
-        """Smallest inter-arrival interval this container can sustain."""
-        natoms = self.natoms_hint
-        units = max(1, self.units)
-        return 1.0 / self.spec.cost.throughput(natoms, units, self.model)
-
     # -- replica lifecycle ----------------------------------------------------------
 
     def add_replica(self, node: Node):
@@ -303,12 +297,6 @@ class Container:
                 r.reader.endpoint.pending for r in self.replicas if r.reader is not None
             )
         return queued
-
-    def upstream_backlog_bytes(self) -> float:
-        """Bytes parked in upstream writer buffers destined for this stage."""
-        if self.input_link is None:
-            return 0.0
-        return sum(w.buffer.used_bytes for w in self.input_link.writers)
 
     def upstream_buffer_occupancy(self) -> float:
         """Max occupancy fraction across upstream writer buffers."""

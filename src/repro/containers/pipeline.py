@@ -200,10 +200,6 @@ class Pipeline:
 
     # -- convenience metrics ------------------------------------------------------------
 
-    def latency_series(self, container: str):
-        series = self.telemetry.get(container, "step_latency")
-        return ([], []) if series is None else (series.times, series.values)
-
     def record_exit(self, chunk, sink: str = "pipeline") -> None:
         latency = self.env.now - chunk.created_at
         PERF.count("pipeline.exits")

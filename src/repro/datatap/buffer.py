@@ -66,10 +66,6 @@ class StagingBuffer:
         return self._used
 
     @property
-    def free_bytes(self) -> float:
-        return self.capacity_bytes - self._used
-
-    @property
     def occupancy(self) -> float:
         """Fraction of capacity in use, in [0, 1]."""
         return self._used / self.capacity_bytes

@@ -179,10 +179,6 @@ class DataTapReader:
 
     # -- teardown ---------------------------------------------------------------------
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     def drain(self):
         """Process: fires once no pull is in flight.
 

@@ -95,17 +95,6 @@ class DataTapWriter:
         """Chunks buffered locally but whose metadata has not been pushed."""
         return len(self._pending_meta)
 
-    def in_custody(self) -> List[int]:
-        """Chunk ids this writer still holds responsibility for.
-
-        In retention mode a chunk stays in custody from write until the
-        downstream consumer acks it processed; otherwise until it is
-        pulled.  The :mod:`repro.dst` exactly-once oracle uses this to
-        assert that a timestep is never simultaneously delivered and
-        still owed redelivery.
-        """
-        return sorted(self.buffer._chunks)
-
     # -- data plane -----------------------------------------------------------------
 
     def write(self, chunk: DataChunk):

@@ -33,10 +33,6 @@ class Snapshot:
     kinetic_energy: float
 
     @property
-    def total_energy(self) -> float:
-        return self.potential_energy + self.kinetic_energy
-
-    @property
     def natoms(self) -> int:
         return len(self.positions)
 
