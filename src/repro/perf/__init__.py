@@ -11,17 +11,7 @@ the benchmark suite:
   Bonds adjacency) share one computation per timestep.
 """
 
-from repro.perf.registry import (
-    REGISTRY,
-    KernelStats,
-    PerfRegistry,
-    count,
-    counter,
-    reset,
-    snapshot,
-    timed,
-    timer,
-)
+from repro.perf.registry import REGISTRY, KernelStats, PerfRegistry
 from repro.perf.cache import KERNEL_CACHE, SnapshotKernelCache
 
 __all__ = [
@@ -30,10 +20,4 @@ __all__ = [
     "PerfRegistry",
     "REGISTRY",
     "SnapshotKernelCache",
-    "count",
-    "counter",
-    "reset",
-    "snapshot",
-    "timed",
-    "timer",
 ]

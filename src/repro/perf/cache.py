@@ -42,7 +42,6 @@ class SnapshotKernelCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self.enabled = True
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -53,8 +52,6 @@ class SnapshotKernelCache:
 
     def get_or_compute(self, key: Hashable, compute):
         """Return the cached value for ``key``, computing it on a miss."""
-        if not self.enabled:
-            return compute()
         if key in self._entries:
             self._entries.move_to_end(key)
             REGISTRY.count("kernelcache.hit")
@@ -101,4 +98,10 @@ class SnapshotKernelCache:
 
 
 #: Default cache shared by the analytics kernels.
+#:
+#: One cache for the whole process is safe to share between runs: entries
+#: are keyed by the content digest of their inputs plus the kernel
+#: parameters, and a hit returns (read-only) what a miss would compute.
+#: So the cache changes wall time, never a result; only the
+#: ``kernelcache.hit``/``miss`` counters depend on what ran before.
 KERNEL_CACHE = SnapshotKernelCache()

@@ -13,12 +13,11 @@ reports group naturally by subsystem.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -61,23 +60,20 @@ class CounterHandle:
     stay valid across bench scenarios.
     """
 
-    __slots__ = ("name", "value", "_registry")
+    __slots__ = ("name", "value")
 
-    def __init__(self, registry: "PerfRegistry", name: str):
-        self._registry = registry
+    def __init__(self, name: str):
         self.name = name
         self.value = 0
 
     def add(self, amount: int = 1) -> None:
-        if self._registry.enabled:
-            self.value += amount
+        self.value += amount
 
 
 @dataclass
 class PerfRegistry:
     """Process-wide accumulator for kernel timers and event counters."""
 
-    enabled: bool = True
     _timers: Dict[str, KernelStats] = field(default_factory=dict)
     _counters: Dict[str, int] = field(default_factory=dict)
     _handles: Dict[str, CounterHandle] = field(default_factory=dict)
@@ -86,10 +82,7 @@ class PerfRegistry:
 
     @contextmanager
     def timer(self, name: str):
-        """Time a block of code under ``name`` (no-op when disabled)."""
-        if not self.enabled:
-            yield
-            return
+        """Time a block of code under ``name``."""
         start = time.perf_counter()
         try:
             yield
@@ -100,21 +93,6 @@ class PerfRegistry:
                 stats = self._timers[name] = KernelStats(name)
             stats.record(elapsed)
 
-    def timed(self, name: Optional[str] = None) -> Callable:
-        """Decorator form of :meth:`timer`; defaults to the function name."""
-
-        def decorate(fn: Callable) -> Callable:
-            label = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.timer(label):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     def record_duration(self, name: str, seconds: float) -> None:
         """Record an externally measured duration under ``name``.
 
@@ -122,8 +100,6 @@ class PerfRegistry:
         *simulated*-time intervals such as fault MTTR, which share the
         report schema with wall-clock timers.
         """
-        if not self.enabled:
-            return
         stats = self._timers.get(name)
         if stats is None:
             stats = self._timers[name] = KernelStats(name)
@@ -135,14 +111,10 @@ class PerfRegistry:
     # -- counters ---------------------------------------------------------------
 
     def count(self, name: str, amount: int = 1) -> None:
-        if not self.enabled:
-            return
         self._counters[name] = self._counters.get(name, 0) + amount
 
     def count_max(self, name: str, value: int) -> None:
         """Fold a high-water mark into ``name`` (keeps the maximum seen)."""
-        if not self.enabled:
-            return
         if value > self._counters.get(name, 0):
             self._counters[name] = value
 
@@ -150,7 +122,7 @@ class PerfRegistry:
         """A reusable :class:`CounterHandle` for ``name`` (cached per name)."""
         h = self._handles.get(name)
         if h is None:
-            h = self._handles[name] = CounterHandle(self, name)
+            h = self._handles[name] = CounterHandle(name)
         return h
 
     def counter(self, name: str) -> int:
@@ -180,11 +152,3 @@ class PerfRegistry:
 
 #: The default registry every instrumented kernel reports to.
 REGISTRY = PerfRegistry()
-
-# Module-level conveniences bound to the default registry.
-timer = REGISTRY.timer
-timed = REGISTRY.timed
-count = REGISTRY.count
-counter = REGISTRY.counter
-snapshot = REGISTRY.snapshot
-reset = REGISTRY.reset
