@@ -38,14 +38,13 @@ from repro.adios.spill import (
     SpillRecord,
     SpillStore,
 )
-from repro.adios.failover import FailoverManager, FailoverPolicy, FailoverSwitch
+from repro.adios.failover import FailoverManager, FailoverSwitch
 
 __all__ = [
     "BpSeries",
     "BpStep",
     "AttributeSet",
     "FailoverManager",
-    "FailoverPolicy",
     "FailoverSwitch",
     "Group",
     "ParallelFileSystem",

@@ -5,7 +5,7 @@ drop timesteps permanently (the brownout ladder reproduces that).  The
 :class:`FailoverManager` converts those losses into latency:
 
 * **Spill path** — the pipeline's :class:`~repro.fate.FateLedger`
-  diverts every would-be shed whose reason the policy covers to a spill;
+  diverts every would-be shed to a spill;
   a ledger subscriber writes each spilled timestep to a durable
   :class:`~repro.adios.spill.SpillStore` as a sequenced,
   content-digested segment.  A sweeper additionally watches for
@@ -36,7 +36,6 @@ carries a :class:`NoFailover`, and its ledger diverts nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.simkernel import Environment
@@ -55,38 +54,18 @@ REPLAYING = "replaying"
 FAILOVER_STATES = (LIVE, SPILLING, REPLAYING)
 
 
-@dataclass
-class FailoverPolicy:
-    """Tuning for the spill/replay layer (the spec ``failover:`` block)."""
-
-    #: shed reasons the fate ledger diverts to the spill path
-    spill_reasons: Tuple[str, ...] = SHED_REASONS
-    #: sweeper period: collapse detection and catch-up eligibility checks
-    sweep_interval: float = 10.0
-    #: spill store sizing (a dedicated file system, not the sink FS)
-    store_stripes: int = 4
-    store_bandwidth: float = 500 * 2**20
-    store_metadata_latency: float = 2e-3
-    #: per-subscriber in-flight window on the replay SST stream
-    subscriber_window: int = 4
-    #: consecutive collapsed sweeps before spill_engage fires on a link
-    collapse_ticks: int = 3
-    #: max segments replayed per catch-up round (None = all pending)
-    replay_batch: Optional[int] = None
-
-    def __post_init__(self):
-        for reason in self.spill_reasons:
-            if reason not in SHED_REASONS:
-                raise ValueError(
-                    f"spill reason {reason!r} is not interceptable; "
-                    f"legal: {SHED_REASONS}"
-                )
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
-        if self.subscriber_window < 1:
-            raise ValueError("subscriber_window must be >= 1")
-        if self.collapse_ticks < 1:
-            raise ValueError("collapse_ticks must be >= 1")
+# The layer's tuning: one value for every pipeline that runs failover.
+#: seconds between sweeps (collapse detection, catch-up eligibility): two
+#: backpressure resizes, so a collapsed window a sweep sees has outlived
+#: at least one resize
+SWEEP_INTERVAL = 10.0
+#: consecutive collapsed sweeps before spill_engage fires on a link: 30 s
+#: at the minimum window with a backlog is a stall, not a burst
+COLLAPSE_TICKS = 3
+#: per-subscriber in-flight window on the replay SST stream: overlaps the
+#: read of one segment with the transfer of the next few, without letting
+#: a catch-up flood the sink
+SUBSCRIBER_WINDOW = 4
 
 
 class FailoverSwitch:
@@ -131,18 +110,13 @@ class FailoverManager:
     manager (catch-up after REPLACE commits).
     """
 
-    def __init__(self, env: Environment, pipe, policy: Optional[FailoverPolicy] = None):
+    def __init__(self, env: Environment, pipe):
         self.env = env
         self.pipe = pipe
-        self.policy = policy or FailoverPolicy()
-        self.store = SpillStore(
-            env,
-            stripes=self.policy.store_stripes,
-            per_stream_bandwidth=self.policy.store_bandwidth,
-            metadata_latency=self.policy.store_metadata_latency,
-        )
+        self.store = SpillStore(env)
         fates = pipe.fates
-        fates.spill_reasons = self.policy.spill_reasons
+        # every shed reason diverts to the spill path
+        fates.spill_reasons = SHED_REASONS
         # first-order sizing of a diverted shed: one full output step
         fates.spill_nbytes = float(pipe.driver.workload.bytes_per_step)
         fates.spill_subscribers.append(self._on_spill)
@@ -202,7 +176,7 @@ class FailoverManager:
         also marks its stage's link spilling; a spill_engage flush leaves
         that to the protocol's mark round."""
         self.store.write_segment(self._store_node(), record)
-        if record.reason not in self.policy.spill_reasons:
+        if record.reason not in SHED_REASONS:
             return
         switch = self._switch_for_stage(record.stage)
         if switch is not None and switch.state == LIVE:
@@ -280,8 +254,6 @@ class FailoverManager:
         if self._replaying:
             raise ProtocolExit("replay already in flight")
         pending = self.ledger.pending()
-        if self.policy.replay_batch is not None:
-            pending = pending[: self.policy.replay_batch]
         if not pending:
             raise ProtocolExit(0)
         self._replaying = True
@@ -300,7 +272,7 @@ class FailoverManager:
             self.env, name="replay", network=self.pipe.machine.network
         )
         subscriber = stream.subscribe(
-            sink_name, node=sink_node, window=self.policy.subscriber_window
+            sink_name, node=sink_node, window=SUBSCRIBER_WINDOW
         )
         order: List[int] = []
 
@@ -407,7 +379,7 @@ class FailoverManager:
 
     def _sweep(self):
         while not self._stopped:
-            yield self.env.timeout(self.policy.sweep_interval)
+            yield self.env.timeout(SWEEP_INTERVAL)
             if self._stopped:
                 return
             yield from self._check_collapse()
@@ -422,22 +394,18 @@ class FailoverManager:
 
     def _check_collapse(self):
         for lname, link in sorted(self.pipe.links.items()):
-            credits = link.credits
             consumer = self._consumer_of(link)
             if consumer is not None and consumer.gather_count > 1:
                 # Fragment links: spilling one writer's fragment would
                 # strand the gather of the others.  The driver-side stride
                 # stride diversion covers this link's overload instead.
                 continue
-            collapsed = (
-                credits.window <= credits.min_window and credits.backlog > 0
-            )
-            if not collapsed:
+            if not link.credits.collapsed:
                 self._collapse_ticks[lname] = 0
                 continue
             ticks = self._collapse_ticks.get(lname, 0) + 1
             self._collapse_ticks[lname] = ticks
-            if ticks >= self.policy.collapse_ticks:
+            if ticks >= COLLAPSE_TICKS:
                 self._collapse_ticks[lname] = 0
                 yield self.engage_spill(lname)
 

@@ -101,20 +101,10 @@ class SpillStore:
     missing data.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        stripes: int = 4,
-        per_stream_bandwidth: float = 500 * 2**20,
-        metadata_latency: float = 2e-3,
-    ):
+    def __init__(self, env: Environment):
         self.env = env
-        self.fs = ParallelFileSystem(
-            env,
-            stripes=stripes,
-            per_stream_bandwidth=per_stream_bandwidth,
-            metadata_latency=metadata_latency,
-        )
+        #: a dedicated file system (not the sink's), sized like it
+        self.fs = ParallelFileSystem(env)
         self.segments: List[Segment] = []
         self._durable: Dict[int, Event] = {}
         #: monitoring

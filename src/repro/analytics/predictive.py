@@ -41,7 +41,13 @@ SCOPE = "analytics"
 
 @dataclass(frozen=True)
 class PredictiveConfig:
-    """Tuning of the sampling/forecasting loop and the proactive policy."""
+    """Tuning of the sampling/forecasting loop and the proactive policy.
+
+    Two instances exist: :attr:`PredictiveManager.config` (these
+    defaults, reported in the predictive experiment's JSON through
+    :meth:`as_dict`) and :attr:`NoForecast.config`, whose factors reduce
+    every forecast-guided branch of the controllers to the reactive one.
+    """
 
     #: seconds between metric samples
     sample_interval: float = 5.0
@@ -70,23 +76,6 @@ class PredictiveConfig:
     #: backoff (1.0 disables the backoff entirely)
     offline_backoff_cap: float = 2.0
 
-    def __post_init__(self):
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.min_observations < 1:
-            raise ValueError("min_observations must be >= 1")
-        if not 0.0 < self.recovery_dwell_factor <= 1.0:
-            raise ValueError("recovery_dwell_factor must be in (0, 1]")
-        if not 0.0 < self.escalation_check_factor <= 1.0:
-            raise ValueError("escalation_check_factor must be in (0, 1]")
-        if self.offline_backoff_cap < 1.0:
-            raise ValueError("offline_backoff_cap must be >= 1.0")
-        unknown = set(self.proactive_kinds) - {"increase", "steal", "stride", "offline"}
-        if unknown:
-            raise ValueError(f"unknown proactive kinds: {sorted(unknown)}")
-
     def as_dict(self) -> dict:
         return {
             "sample_interval": self.sample_interval,
@@ -106,10 +95,12 @@ class PredictiveConfig:
 class PredictiveManager:
     """Samples pipeline metrics and serves forecasts to the controllers."""
 
-    def __init__(self, env, pipe, config: Optional[PredictiveConfig] = None):
+    #: the forecaster's tuning, one value for every predictive pipeline
+    config = PredictiveConfig()
+
+    def __init__(self, env, pipe):
         self.env = env
         self.pipe = pipe
-        self.config = config or PredictiveConfig()
         self.telemetry = pipe.telemetry
         #: metric -> (level, trend) forecasters, created by its first sample
         self._models: Dict[str, Tuple[EWMAForecaster, TrendForecaster]] = {}

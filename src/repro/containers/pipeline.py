@@ -14,7 +14,7 @@ built through :func:`repro.spec.build.build`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.simkernel import Environment
@@ -635,30 +635,22 @@ class PipelineBuilder:
 
         # Every block below left off keeps the pipeline's no-op stand-in.
         if spec.overload is not None and spec.overload.mode == "predictive":
-            from repro.analytics import PredictiveConfig, PredictiveManager
+            from repro.analytics import PredictiveManager
 
-            pipe.analytics = PredictiveManager(
-                env, pipe,
-                config=PredictiveConfig(**spec.overload.predictive_kwargs()),
-            )
+            pipe.analytics = PredictiveManager(env, pipe)
 
         if k["backpressure"]:
             from repro.overload import BackpressureController
 
-            bp_kwargs = k["backpressure"] if isinstance(k["backpressure"], Mapping) else {}
-            pipe.backpressure = BackpressureController(
-                env, pipe, pipe.analytics, **bp_kwargs
-            )
+            pipe.backpressure = BackpressureController(env, pipe, pipe.analytics)
         if k["brownout"]:
-            from repro.overload import BrownoutConfig, BrownoutController, NullPolicy
+            from repro.overload import BrownoutController, NullPolicy
 
             # The ladder owns remediation; the legacy policy loop would
             # fight it (and its offline decisions are permanent).
             gm.policy = NullPolicy()
-            bo_kwargs = k["brownout"] if isinstance(k["brownout"], Mapping) else {}
             pipe.brownout = BrownoutController(
-                env, gm, pipe.analytics, config=BrownoutConfig(**bo_kwargs),
-                degradation=pipe.degradation,
+                env, gm, pipe.analytics, degradation=pipe.degradation,
             )
 
         # Fault tolerance: replica heartbeat leases into each local manager,
@@ -687,10 +679,8 @@ class PipelineBuilder:
         # links; fault plans arm after build, so injected crashes hit a
         # fully wired failover path.
         if failover is not None:
-            from repro.adios.failover import FailoverManager, FailoverPolicy
+            from repro.adios.failover import FailoverManager
 
-            FailoverManager(
-                env, pipe, policy=FailoverPolicy(**failover.failover_kwargs())
-            )
+            FailoverManager(env, pipe)
 
         return pipe

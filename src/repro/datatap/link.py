@@ -30,7 +30,8 @@ class NoCredits:
     :class:`~repro.overload.credits.LinkCredits`): every dispatch takes a
     credit at once, so nothing is ever deferred."""
 
-    window = min_window = backlog = 0
+    window = backlog = 0
+    collapsed = False
 
     def try_acquire(self, writer_name: str, chunk_id: int) -> bool:
         return True

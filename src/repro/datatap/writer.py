@@ -20,6 +20,11 @@ if TYPE_CHECKING:
 #: Wire size of a metadata push: variable descriptors, offsets, RDMA keys.
 METADATA_BYTES = 1024
 
+#: Seconds a pause waits after the last in-flight metadata push for
+#: outstanding RDMA state on the NIC to settle before downstream teardown
+#: is safe (the cost Figure 5 measures).
+PAUSE_FLUSH_DELAY = 0.05
+
 
 class DataTapWriter:
     """The producer half of a DataTap link.
@@ -45,7 +50,6 @@ class DataTapWriter:
         node: Node,
         buffer: Optional[StagingBuffer] = None,
         name: str = "writer",
-        pause_flush_delay: float = 0.05,
         retain_until_processed: bool = False,
     ):
         self.env = env
@@ -57,7 +61,6 @@ class DataTapWriter:
             buffer if buffer is not None else StagingBuffer(env, node, name=f"{name}.buf")
         )
         self.link: Optional["DataTapLink"] = None
-        self.pause_flush_delay = pause_flush_delay
         #: fault-tolerance mode: keep custody of a chunk past its pull, until
         #: the consumer acks it *processed*, so a reader crash can be healed
         #: by redelivering from the buffer (see :meth:`redeliver_unacked`)
@@ -306,9 +309,7 @@ class DataTapWriter:
         if self._inflight_meta > 0:
             self._drained = Event(self.env)
             yield self._drained
-        # Flush/fence delay: outstanding RDMA state on the NIC must settle
-        # before downstream teardown is safe (the cost Figure 5 measures).
-        yield self.env.timeout(self.pause_flush_delay)
+        yield self.env.timeout(PAUSE_FLUSH_DELAY)
         return True
 
     def resume(self):

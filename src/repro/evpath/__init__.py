@@ -1,4 +1,4 @@
-"""EVPath-like event messaging: stones, channels, monitoring overlays.
+"""EVPath-like event messaging: channels and monitoring overlays.
 
 The real system uses Georgia Tech's EVPath library for two things:
 
@@ -11,8 +11,6 @@ The real system uses Georgia Tech's EVPath library for two things:
 This package reproduces that functionality on top of the simulated network:
 
 * :class:`Endpoint` — a mailbox pinned to a cluster node;
-* :class:`Stone` — an EVPath "stone": a processing vertex with a handler
-  action and output links, composable into dataflow graphs;
 * :class:`Channel` — typed point-to-point delivery between endpoints with a
   control-message cost model;
 * :class:`OverlayTree` — a k-ary aggregation tree over a set of leaf nodes,
@@ -22,7 +20,6 @@ This package reproduces that functionality on top of the simulated network:
 from repro.evpath.messages import Message, MessageType
 from repro.evpath.endpoint import Endpoint
 from repro.evpath.channel import Channel, Messenger, RequestTimeout, RetryPolicy
-from repro.evpath.stone import Stone, StoneGraph
 from repro.evpath.overlay import OverlayTree
 
 __all__ = [
@@ -34,6 +31,4 @@ __all__ = [
     "OverlayTree",
     "RequestTimeout",
     "RetryPolicy",
-    "Stone",
-    "StoneGraph",
 ]

@@ -14,13 +14,14 @@ manager leaves open under sustained overload:
   explicit :class:`ShedRecord` in the pipeline's
   :class:`~repro.fate.FateLedger`, which refuses a second fate.
 
-All of it is off by default; an unconfigured pipeline is byte-identical
-to one built before this package existed.
+All of it is off by default; the builder's ``backpressure`` and
+``brownout`` switches turn the controllers on, each with fixed tuning
+(the module constants of :mod:`repro.overload.backpressure`,
+:mod:`repro.overload.brownout` and :mod:`repro.overload.credits`).
 """
 
 from repro.overload.backpressure import BackpressureController
 from repro.overload.brownout import (
-    BrownoutConfig,
     BrownoutController,
     DegradationStep,
     DegradationTrace,
@@ -31,7 +32,6 @@ from repro.overload.shed import SHED_REASONS, ShedLedger, ShedRecord
 
 __all__ = [
     "BackpressureController",
-    "BrownoutConfig",
     "BrownoutController",
     "DegradationStep",
     "DegradationTrace",

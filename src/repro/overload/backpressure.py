@@ -30,7 +30,25 @@ from __future__ import annotations
 
 from repro.simkernel import Interrupt
 from repro.perf.registry import REGISTRY
-from repro.overload.credits import LinkCredits
+from repro.overload.credits import MIN_WINDOW, LinkCredits
+
+# The controller's tuning: one value for every pipeline that runs it.
+#: seconds between window resizes and stride decisions: a third of the
+#: bundled presets' 15 s output interval, so a filling buffer is seen
+#: within the step that fills it
+INTERVAL = 5.0
+#: simulation staging-buffer occupancy at or above which the output stride
+#: doubles: a fifth of the buffer left as margin for the writes in flight
+HI_WATER = 0.8
+#: occupancy at or below which (with no deferred dispatch) a tick counts
+#: as calm; the gap to HI_WATER is the stride's hysteresis band
+LO_WATER = 0.3
+#: cap on the simulation's output stride: it still emits one step in
+#: eight
+MAX_OUTPUT_STRIDE = 8
+#: consecutive calm ticks before the stride halves (without a forecast
+#: confirming the calm)
+DWELL_TICKS = 2
 
 
 class NoBackpressure:
@@ -46,28 +64,9 @@ class NoBackpressure:
 class BackpressureController:
     """Periodic credit-window sizing and driver-stride adaptation."""
 
-    def __init__(
-        self,
-        env,
-        pipe,
-        predictor,
-        interval: float = 5.0,
-        hi: float = 0.8,
-        lo: float = 0.3,
-        max_stride: int = 8,
-        dwell_ticks: int = 2,
-        min_window: int = 1,
-    ):
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo} hi={hi}")
+    def __init__(self, env, pipe, predictor):
         self.env = env
         self.pipe = pipe
-        self.interval = interval
-        self.hi = hi
-        self.lo = lo
-        self.max_stride = max_stride
-        self.dwell_ticks = dwell_ticks
-        self.min_window = min_window
         self.trace = pipe.degradation
         #: the pipeline's forecaster; a
         #: :class:`~repro.analytics.predictive.NoForecast` keeps it reactive
@@ -97,7 +96,7 @@ class BackpressureController:
     def _run(self):
         while True:
             try:
-                yield self.env.timeout(self.interval)
+                yield self.env.timeout(INTERVAL)
             except Interrupt:
                 return
             if self._stopped:
@@ -135,13 +134,13 @@ class BackpressureController:
         not keep admitting it, which is the hop-by-hop propagation.
         """
         if consumer.offline or not consumer.active:
-            return self.min_window
+            return MIN_WINDOW
         replicas = [
             r for r in consumer.replicas
             if not r.passive and not r.retired and r.queue is not None
         ]
         if not replicas:
-            return self.min_window
+            return MIN_WINDOW
         free = sum(
             max(0, r.queue.capacity - r.queue.size - r.queue.reserved)
             for r in replicas
@@ -158,7 +157,7 @@ class BackpressureController:
             occ = min(1.0, fc)
         # One credit of slack per producer keeps a drained pipeline primed.
         slack = len(link.writers)
-        return max(self.min_window, int((free + slack) * (1.0 - occ)))
+        return max(MIN_WINDOW, int((free + slack) * (1.0 - occ)))
 
     # -- driver output stride ------------------------------------------------------
 
@@ -178,18 +177,18 @@ class BackpressureController:
         # it, and its sawtooth extrapolates steeply but must not trip the
         # stride.
         effective = occupancy
-        armed = occupancy > 0.5 * (self.lo + self.hi)
+        armed = occupancy > 0.5 * (LO_WATER + HI_WATER)
         if forecast is not None and forecast > occupancy and armed:
             effective = min(1.0, forecast)
-        if effective >= self.hi:
+        if effective >= HI_WATER:
             self._calm_ticks = 0
-            if stride < self.max_stride:
-                proactive = occupancy < self.hi
+            if stride < MAX_OUTPUT_STRIDE:
+                proactive = occupancy < HI_WATER
                 if proactive:
                     self.predictor.signal("buffer_occupancy", effective)
                 self._set_stride(driver, stride * 2, "stride_up", occupancy,
                                  proactive=proactive)
-        elif occupancy <= self.lo and backlog == 0:
+        elif occupancy <= LO_WATER and backlog == 0:
             self._calm_ticks += 1
             # A forecast that agrees the buffers stay drained collapses
             # the calm dwell to one tick: stride unwinds sooner, shedding
@@ -197,8 +196,8 @@ class BackpressureController:
             # still holds stride/offline rungs, though — steps released
             # into a decimating pipeline are shed downstream anyway, at
             # the cost of having been transported first.
-            need = self.dwell_ticks
-            if (forecast is not None and forecast <= self.lo
+            need = DWELL_TICKS
+            if (forecast is not None and forecast <= LO_WATER
                     and not self._downstream_decimating()):
                 need = 1
             if self._calm_ticks >= need and stride > 1:

@@ -9,8 +9,8 @@ offline — but the offline decision is manual and permanent.  The
 protocols (``brownout_escalate`` / ``brownout_recover`` in
 :mod:`repro.controlplane.protocols`) and adds the half the paper leaves
 open: *de-escalation with hysteresis*.  Every escalation pushes an undo
-entry; once the observed latency holds below ``recover_ratio`` x SLA for a
-configurable dwell, the ladder unwinds one rung per dwell — restoring
+entry; once the observed latency holds below :data:`RECOVER_RATIO` x SLA for
+a :data:`DWELL`, the ladder unwinds one rung per dwell — restoring
 strides and re-activating pruned containers via
 :meth:`~repro.containers.global_manager.GlobalManager.activate` — until the
 pipeline is fully restored.
@@ -33,6 +33,23 @@ from repro.perf.registry import REGISTRY
 
 #: escalating actions, in ladder order (rung 1..4)
 ESCALATIONS = ("increase", "steal", "stride", "offline")
+
+# The ladder's tuning: one value for every pipeline that runs it.
+#: seconds between SLA checks: two of the 5 s metric reports the bundled
+#: brownout presets send, so one late report cannot trip a rung alone
+CHECK_INTERVAL = 10.0
+#: escalate while max(latency / (sla_interval * sla_factor)) exceeds this:
+#: the SLA itself
+ESCALATE_RATIO = 1.0
+#: recovery requires the ratio to hold at or below this; the gap to
+#: ESCALATE_RATIO is the hysteresis that keeps a rung from flapping
+RECOVER_RATIO = 0.7
+#: seconds the ratio must hold at or below RECOVER_RATIO per unwound rung:
+#: three checks of confirmed calm
+DWELL = 30.0
+#: cap on the sampling stride the ladder imposes on a stage: three
+#: doublings, then the offline rung
+MAX_STAGE_STRIDE = 8
 
 
 class NullPolicy(ManagementPolicy):
@@ -148,22 +165,6 @@ class DegradationTrace:
         )
 
 
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Tuning of the ladder's escalation/recovery dynamics."""
-
-    #: how often the controller samples SLA ratios
-    check_interval: float = 10.0
-    #: escalate while max(latency / (sla_interval * sla_factor)) exceeds this
-    escalate_ratio: float = 1.0
-    #: recovery requires the ratio to hold at or below this (the hysteresis gap)
-    recover_ratio: float = 0.7
-    #: seconds the ratio must hold below ``recover_ratio`` per unwound rung
-    dwell: float = 30.0
-    #: cap on the sampling stride the ladder will impose
-    max_stride: int = 8
-
-
 class NoBrownout:
     """The brownout ladder off: nothing escalates, the undo stack stays empty."""
 
@@ -176,11 +177,10 @@ class NoBrownout:
 class BrownoutController:
     """Drives the escalate/recover protocols off the GM's metric snapshot."""
 
-    def __init__(self, env, global_manager, predictor, config: BrownoutConfig,
+    def __init__(self, env, global_manager, predictor,
                  degradation: DegradationTrace):
         self.env = env
         self.gm = global_manager
-        self.config = config
         self.telemetry = global_manager.telemetry
         self.trace = degradation
         #: the pipeline's forecaster; a
@@ -212,7 +212,6 @@ class BrownoutController:
     def _run(self):
         from repro.controlplane import protocols
 
-        cfg = self.config
         while True:
             try:
                 yield self.env.timeout(self._check_interval())
@@ -225,11 +224,11 @@ class BrownoutController:
                 continue
             self.telemetry.record("overload", "sla_ratio", self.env.now, ratio)
             exec_ratio, proactive = ratio, False
-            if ratio <= cfg.escalate_ratio:
+            if ratio <= ESCALATE_RATIO:
                 risk = self._forecast_risk()
                 if risk is not None:
                     worst, exec_ratio, proactive = risk[0], risk[1], True
-            if ratio > cfg.escalate_ratio or proactive:
+            if ratio > ESCALATE_RATIO or proactive:
                 self._ok_since = None
                 data = {"bc": self, "gm": self.gm, "worst": worst,
                         "ratio": exec_ratio, "proactive": proactive}
@@ -246,7 +245,7 @@ class BrownoutController:
                     )
                 finally:
                     self.gm.control_lock.release(request)
-            elif ratio <= cfg.recover_ratio and self._stack:
+            elif ratio <= RECOVER_RATIO and self._stack:
                 if self._ok_since is None:
                     self._ok_since = self.env.now
                 elif self.env.now - self._ok_since >= self._recovery_dwell():
@@ -262,7 +261,7 @@ class BrownoutController:
                         self.gm.control_lock.release(request)
                     # One rung per dwell: the next unwind needs a fresh hold.
                     self._ok_since = self.env.now
-            elif ratio > cfg.recover_ratio:
+            elif ratio > RECOVER_RATIO:
                 # Inside the hysteresis band: neither escalate nor count
                 # toward recovery dwell.
                 self._ok_since = None
@@ -275,9 +274,9 @@ class BrownoutController:
         check — never skipping — but checks come ``escalation_check_factor``
         times as often, so the shedding stride rungs give way to the
         queueing ``offline`` rung sooner.  A reactive controller's factor
-        is 1.0: it always paces at ``check_interval``.
+        is 1.0: it always paces at :data:`CHECK_INTERVAL`.
         """
-        interval = self.config.check_interval
+        interval = CHECK_INTERVAL
         factor = self.predictor.config.escalation_check_factor
         risk = self.predictor.sla_risk()
         if risk is not None and risk[1] > self.predictor.config.risk_threshold:
@@ -285,7 +284,7 @@ class BrownoutController:
         # Mid-recovery with the forecast confirming calm, checks tighten
         # too: the shortened dwell is otherwise quantized back up to the
         # reactive check cadence.
-        if self._stack and (risk is None or risk[1] <= self.config.recover_ratio):
+        if self._stack and (risk is None or risk[1] <= RECOVER_RATIO):
             return interval * factor
         return interval
 
@@ -316,7 +315,7 @@ class BrownoutController:
         # (offline, idle) must not be judged on its frozen last sample,
         # and startup ramps must not trip the ladder.
         last = self.predictor.last(f"{risk[0]}.sla_ratio")
-        if last is None or last[1] <= self.config.recover_ratio:
+        if last is None or last[1] <= RECOVER_RATIO:
             return None
         if self.env.now - last[0] > 2.0 * pcfg.sample_interval:
             return None
@@ -329,12 +328,12 @@ class BrownoutController:
         dwell — recovery accelerates when level and trend both sit below
         the recovery threshold.
         """
-        dwell = self.config.dwell
+        dwell = DWELL
         if (self._stack and self._stack[-1][0] == "offline"
                 and self._offline_backoff > 1.0):
             return dwell * self._offline_backoff
         risk = self.predictor.sla_risk()
-        if risk is not None and risk[1] <= self.config.recover_ratio:
+        if risk is not None and risk[1] <= RECOVER_RATIO:
             dwell *= self.predictor.config.recovery_dwell_factor
         return dwell
 
@@ -401,7 +400,7 @@ class BrownoutController:
         )
         for state in candidates:
             stride = gm.locals[state.name].container.stride
-            if stride < self.config.max_stride:
+            if stride < MAX_STAGE_STRIDE:
                 return {"kind": "stride", "name": state.name,
                         "old": stride, "new": stride * 2}
         # Rung 4: offline the worst non-essential stage (and dependents).
@@ -441,7 +440,7 @@ class BrownoutController:
                 cap = self.predictor.config.offline_backoff_cap
                 if (self._last_undo_offline is not None
                         and self.env.now - self._last_undo_offline
-                        <= 2.0 * self.config.dwell):
+                        <= 2.0 * DWELL):
                     self._offline_backoff = min(self._offline_backoff * 2.0, cap)
                 else:
                     self._offline_backoff = 1.0

@@ -40,16 +40,19 @@ if TYPE_CHECKING:
     from repro.data import DataChunk
 
 
+#: the smallest credit window: one chunk in flight keeps a congested link
+#: moving, where a window of 0 would defer every dispatch until a resize
+#: grew it
+MIN_WINDOW = 1
+
+
 class LinkCredits:
     """Per-link credit window over undelivered metadata pushes."""
 
-    def __init__(self, env, link: "DataTapLink", window: int = 8, min_window: int = 1):
-        if min_window < 1:
-            raise ValueError("min_window must be >= 1")
+    def __init__(self, env, link: "DataTapLink", window: int = 8):
         self.env = env
         self.link = link
-        self.min_window = int(min_window)
-        self.window = max(self.min_window, int(window))
+        self.window = max(MIN_WINDOW, int(window))
         #: chunk_id -> writer name currently holding a credit
         self._held: Dict[int, str] = {}
         #: (writer, chunk) dispatches waiting for a credit, in arrival order
@@ -68,6 +71,11 @@ class LinkCredits:
     @property
     def backlog(self) -> int:
         return len(self._deferred)
+
+    @property
+    def collapsed(self) -> bool:
+        """Squeezed to :data:`MIN_WINDOW` with dispatches still waiting."""
+        return self.window <= MIN_WINDOW and self.backlog > 0
 
     @property
     def pressure(self) -> float:
@@ -100,8 +108,8 @@ class LinkCredits:
         self._pump()
 
     def resize(self, window: int) -> None:
-        """Set the window (floored at ``min_window``); growth drains deferrals."""
-        window = max(self.min_window, int(window))
+        """Set the window (floored at :data:`MIN_WINDOW`); growth drains deferrals."""
+        window = max(MIN_WINDOW, int(window))
         if window != self.window:
             self.resizes += 1
             self.window = window

@@ -47,8 +47,7 @@ def _yaml():
 #: place those names and defaults are declared.  The pipeline builder, the
 #: validation pass and the fleet's machine sizing all read it (through
 #: :meth:`PipelineSpec.settings`), and a spec's builder block lists only the
-#: knobs it changes.  Every value is a plain scalar (or, for the overload
-#: controllers, a plain mapping of scalars), so the block serializes
+#: knobs it changes.  Every value is a plain scalar, so the block serializes
 #: losslessly.
 BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "seed": 0,
@@ -74,8 +73,8 @@ BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "lease_timeout": 5.0,
     #: None = four monitor intervals
     "manager_lease_timeout": None,
-    #: overload controllers: False = off, True = defaults, or a mapping of
-    #: controller config overrides
+    #: overload controllers (on/off; their tuning is fixed in
+    #: repro.overload.backpressure and repro.overload.brownout)
     "backpressure": False,
     "brownout": False,
 })
@@ -280,39 +279,15 @@ class OverloadPolicyBlock:
     ``reactive`` (the default, and the paper's GM) escalates on observed
     SLA violations only; ``predictive`` attaches a
     :class:`~repro.analytics.predictive.PredictiveManager` so the
-    brownout and backpressure controllers act on forecasts.  The tuning
-    fields are optional overrides of
-    :class:`~repro.analytics.predictive.PredictiveConfig` defaults;
-    ``None`` means "use the default", and they are only meaningful under
-    ``mode: predictive``.
+    brownout and backpressure controllers act on forecasts.  The
+    forecaster's tuning is fixed (see
+    :class:`~repro.analytics.predictive.PredictiveConfig`).
     """
 
     mode: str = "reactive"
-    sample_interval: Optional[float] = None
-    horizon: Optional[float] = None
-    risk_threshold: Optional[float] = None
-    max_proactive_level: Optional[int] = None
-    recovery_dwell_factor: Optional[float] = None
-
-    def predictive_kwargs(self) -> dict:
-        """The set tuning fields, as PredictiveConfig keyword overrides."""
-        out = {}
-        for key in ("sample_interval", "horizon", "risk_threshold",
-                    "max_proactive_level", "recovery_dwell_factor"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sample_interval": self.sample_interval,
-            "horizon": self.horizon,
-            "risk_threshold": self.risk_threshold,
-            "max_proactive_level": self.max_proactive_level,
-            "recovery_dwell_factor": self.recovery_dwell_factor,
-        }
+        return {"mode": self.mode}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OverloadPolicyBlock":
@@ -323,59 +298,18 @@ class OverloadPolicyBlock:
 class FailoverPolicyBlock:
     """Degrade-to-disk failover: spill instead of shed, replay to catch up.
 
-    Attaches a :class:`~repro.adios.failover.FailoverManager` to the
-    built pipeline.  Every field except ``retry_jitter`` is an optional
-    override of a :class:`~repro.adios.failover.FailoverPolicy` default
-    (``None`` = use the default).  ``spill_reasons`` restricts which shed
-    reasons divert to the spill store; ``retry_jitter`` additionally
-    enables seeded scatter on the messenger's retry backoff (see
-    :class:`~repro.evpath.channel.RetryPolicy`), keyed on the pipeline
-    seed so retry schedules decorrelate across nodes but stay
+    Attaches a :class:`~repro.adios.failover.FailoverManager` (fixed
+    tuning, see :mod:`repro.adios.failover`) to the built pipeline.
+    ``retry_jitter`` enables seeded scatter on the messenger's retry
+    backoff (see :class:`~repro.evpath.channel.RetryPolicy`), keyed on the
+    pipeline seed so retry schedules decorrelate across nodes but stay
     deterministic per seed.
     """
 
-    spill_reasons: Optional[Tuple[str, ...]] = None
-    sweep_interval: Optional[float] = None
-    subscriber_window: Optional[int] = None
-    collapse_ticks: Optional[int] = None
-    replay_batch: Optional[int] = None
-    store_stripes: Optional[int] = None
-    store_bandwidth: Optional[float] = None
-    store_metadata_latency: Optional[float] = None
     retry_jitter: float = 0.0
 
-    def __post_init__(self):
-        if self.spill_reasons is not None:
-            object.__setattr__(
-                self, "spill_reasons", tuple(self.spill_reasons)
-            )
-
-    def failover_kwargs(self) -> dict:
-        """The set tuning fields, as FailoverPolicy keyword overrides."""
-        out = {}
-        for key in ("spill_reasons", "sweep_interval", "subscriber_window",
-                    "collapse_ticks", "replay_batch", "store_stripes",
-                    "store_bandwidth", "store_metadata_latency"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
     def as_dict(self) -> dict:
-        return {
-            "spill_reasons": (
-                None if self.spill_reasons is None
-                else list(self.spill_reasons)
-            ),
-            "sweep_interval": self.sweep_interval,
-            "subscriber_window": self.subscriber_window,
-            "collapse_ticks": self.collapse_ticks,
-            "replay_batch": self.replay_batch,
-            "store_stripes": self.store_stripes,
-            "store_bandwidth": self.store_bandwidth,
-            "store_metadata_latency": self.store_metadata_latency,
-            "retry_jitter": self.retry_jitter,
-        }
+        return {"retry_jitter": self.retry_jitter}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FailoverPolicyBlock":

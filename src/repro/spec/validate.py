@@ -10,18 +10,20 @@ field, and bound involved.  The pass covers:
   must branch off a live stage);
 * component/model resolution (unknown library, unknown component, a
   compute model the component does not support);
-* builder overrides (whitelisted keys only, buffer sizes of at least one
-  timestep so the pipeline can always make forward progress);
+* builder overrides (whitelisted keys only, bool overload switches,
+  buffer sizes of at least one timestep so the pipeline can always make
+  forward progress);
 * fault blocks (kind vocabulary and per-kind argument validation, reusing
   the :class:`~repro.faults.plan.FaultPlan` rules; staging-pool-relative
   target indices in range);
 * the tenant/quota block (floor within the tenant's own staging pool —
-  the machine capacity it actually has — and floor <= ceiling).
+  the machine capacity it actually has — and floor <= ceiling);
+* the overload and failover blocks (mode vocabulary, retry-jitter range,
+  and the builder controllers each needs).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import List
 
 from repro.spec.model import (
@@ -200,10 +202,10 @@ def _validate_builder(spec: PipelineSpec) -> None:
         )
     for key in ("backpressure", "brownout"):
         value = b.get(key)
-        if value is not None and not isinstance(value, (bool, Mapping)):
+        if value is not None and not isinstance(value, bool):
             raise SpecError(
-                f"builder.{key} must be a bool or a config dict, "
-                f"got {type(value).__name__}"
+                f"builder.{key} must be a bool (the controller's tuning is "
+                f"fixed), got {type(value).__name__}"
             )
 
     # Buffer floors: a buffer smaller than one timestep's chunk can never
@@ -270,19 +272,6 @@ def _validate_overload(spec: PipelineSpec) -> None:
         raise SpecError(
             f"overload.mode must be one of {list(OVERLOAD_MODES)}, got {ov.mode!r}"
         )
-    for key in ("sample_interval", "horizon", "risk_threshold"):
-        value = getattr(ov, key)
-        if value is not None and value <= 0:
-            raise SpecError(f"overload.{key} must be positive, got {value}")
-    if ov.max_proactive_level is not None and ov.max_proactive_level < 0:
-        raise SpecError(
-            f"overload.max_proactive_level must be >= 0, got {ov.max_proactive_level}"
-        )
-    if ov.recovery_dwell_factor is not None and not 0.0 < ov.recovery_dwell_factor <= 1.0:
-        raise SpecError(
-            f"overload.recovery_dwell_factor must be in (0, 1], "
-            f"got {ov.recovery_dwell_factor}"
-        )
     if ov.mode == "predictive":
         b = spec.builder
         if not b.get("backpressure") and not b.get("brownout"):
@@ -293,25 +282,7 @@ def _validate_overload(spec: PipelineSpec) -> None:
 
 
 def _validate_failover(spec: PipelineSpec) -> None:
-    from repro.fate import SPILL_REASONS
-
     fo = spec.failover
-    if fo.spill_reasons is not None:
-        bad = sorted(set(fo.spill_reasons) - set(SPILL_REASONS))
-        if bad:
-            raise SpecError(
-                f"failover.spill_reasons {bad} are not interceptable shed "
-                f"reasons; legal: {sorted(SPILL_REASONS)}"
-            )
-    for key in ("sweep_interval", "store_bandwidth", "store_metadata_latency"):
-        value = getattr(fo, key)
-        if value is not None and value <= 0:
-            raise SpecError(f"failover.{key} must be positive, got {value}")
-    for key in ("subscriber_window", "collapse_ticks", "replay_batch",
-                "store_stripes"):
-        value = getattr(fo, key)
-        if value is not None and value < 1:
-            raise SpecError(f"failover.{key} must be >= 1, got {value}")
     if not 0.0 <= fo.retry_jitter <= 1.0:
         raise SpecError(
             f"failover.retry_jitter is a relative scatter and must be in "

@@ -15,6 +15,7 @@ from repro.datatap import (
     PullScheduler,
     StagingBuffer,
 )
+from repro.datatap.writer import PAUSE_FLUSH_DELAY
 
 
 #: chunk ids for chunks made outside a pipeline run
@@ -250,7 +251,7 @@ class TestWriterReader:
         env.process(scenario(env))
         env.run(until=30)
         # flush delay is charged even when metadata already drained
-        assert done[0] >= writer.pause_flush_delay
+        assert done[0] >= PAUSE_FLUSH_DELAY
 
     def test_write_without_link_raises(self, env, machine, messenger):
         writer = DataTapWriter(env, messenger, machine.nodes[0], name="orphan")

@@ -1,10 +1,10 @@
-"""Unit tests for the EVPath layer: messages, endpoints, channels, stones,
+"""Unit tests for the EVPath layer: messages, endpoints, channels,
 overlays."""
 
 import pytest
 
 from repro.simkernel import SimulationError
-from repro.evpath import Message, MessageType, Messenger, OverlayTree, StoneGraph
+from repro.evpath import Message, MessageType, Messenger, OverlayTree
 from repro.evpath.channel import Channel
 
 from tests.transfer_differential import (
@@ -126,73 +126,6 @@ class TestChannel:
         env.process(sender(env))
         env.run()
         assert got == ["hi"]
-
-
-class TestStones:
-    def test_filter_transform_handler_chain(self, env, machine, messenger):
-        graph = StoneGraph(env, messenger)
-        out = []
-        f = graph.create_stone(machine.nodes[0], "filter", lambda e: e % 2 == 0)
-        t = graph.create_stone(machine.nodes[1], "transform", lambda e: e * 10)
-        h = graph.create_stone(machine.nodes[2], "handler", out.append)
-        f.link(t)
-        t.link(h)
-
-        def feed(env):
-            for value in range(4):
-                yield graph.submit(f, value)
-
-        env.process(feed(env))
-        env.run()
-        assert out == [0, 20]
-        assert f.events_in == 4
-
-    def test_router_selects_output(self, env, machine, messenger):
-        graph = StoneGraph(env, messenger)
-        left, right = [], []
-        r = graph.create_stone(machine.nodes[0], "router", lambda e: 0 if e < 10 else 1)
-        r.link(graph.create_stone(machine.nodes[1], "handler", left.append))
-        r.link(graph.create_stone(machine.nodes[2], "handler", right.append))
-
-        def feed(env):
-            yield graph.submit(r, 5)
-            yield graph.submit(r, 50)
-
-        env.process(feed(env))
-        env.run()
-        assert left == [5]
-        assert right == [50]
-
-    def test_router_out_of_range_fails(self, env, machine, messenger):
-        graph = StoneGraph(env, messenger)
-        r = graph.create_stone(machine.nodes[0], "router", lambda e: 7)
-        r.link(graph.create_stone(machine.nodes[1], "handler", lambda e: None))
-
-        def feed(env):
-            yield graph.submit(r, 1)
-
-        env.process(feed(env))
-        with pytest.raises(SimulationError):
-            env.run()
-
-    def test_bad_kind_rejected(self, env, machine, messenger):
-        graph = StoneGraph(env, messenger)
-        with pytest.raises(ValueError):
-            graph.create_stone(machine.nodes[0], "mystery", lambda e: e)
-
-    def test_cross_node_edge_costs_time(self, env, machine, messenger):
-        graph = StoneGraph(env, messenger)
-        out = []
-        a = graph.create_stone(machine.nodes[0], "transform", lambda e: e)
-        b = graph.create_stone(machine.nodes[1], "handler", lambda e: out.append(env.now))
-        a.link(b)
-
-        def feed(env):
-            yield graph.submit(a, 1)
-
-        env.process(feed(env))
-        env.run()
-        assert out[0] > 0.0
 
 
 class TestOverlay:

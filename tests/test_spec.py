@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from repro.simkernel import Environment, shuffle
 from repro.containers import presets
 from repro.spec import (
+    FailoverPolicyBlock,
     FaultEventSpec,
     FaultSpec,
+    OverloadPolicyBlock,
     PipelineSpec,
     SpecError,
     StageSpec,
@@ -50,14 +52,17 @@ class TestRoundTrip:
                            ("bonds", 3, "rr", "helper"),
                            ("cna", 2, "serial", "bonds")),
             builder={"seed": 7, "fault_tolerance": True,
-                     "backpressure": {"credit_refresh": 2.0},
+                     "backpressure": True,
                      "control_interval": 30.0},
             sla=4.0,
             faults=FaultSpec(recipe="smoke", seed=3, events=(
                 FaultEventSpec(kind="node_crash", time=30.0, targets=(1,)),
             )),
             tenant=TenantSpecBlock(priority=2, reserved=6, burst=14),
+            overload=OverloadPolicyBlock(mode="predictive"),
+            failover=FailoverPolicyBlock(retry_jitter=0.1),
         )
+        assert spec.validate() is spec
         again = PipelineSpec.from_yaml(spec.to_yaml())
         assert again == spec
         assert again.to_yaml() == spec.to_yaml()
@@ -141,6 +146,23 @@ class TestValidation:
     def test_unknown_builder_key_rejected(self):
         with pytest.raises(SpecError, match="unknown builder key"):
             _spec(builder={"warp_factor": 9}).validate()
+
+    @pytest.mark.parametrize("key", ["backpressure", "brownout"])
+    def test_controller_config_mapping_rejected(self, key):
+        # the controllers' tuning is fixed; a mapping here used to pass
+        # validation and then fail the build with a TypeError
+        with pytest.raises(SpecError, match=f"builder.{key} must be a bool"):
+            _spec(builder={key: {"credit_refresh": 2.0}}).validate()
+
+    @pytest.mark.parametrize("block,key", [
+        ("failover", "collapse_ticks"),
+        ("failover", "spill_reasons"),
+        ("overload", "horizon"),
+    ])
+    def test_removed_tuning_key_rejected(self, block, key):
+        # the tuning is fixed: a spec naming a removed key fails at parse
+        with pytest.raises(SpecError, match=f"unknown {block} field"):
+            PipelineSpec.from_dict({"name": "x", block: {key: 3}})
 
     def test_buffer_below_one_step_rejected(self):
         with pytest.raises(SpecError, match="below one timestep per writer"):

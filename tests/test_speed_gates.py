@@ -222,7 +222,14 @@ def _reference(workload):
 
 def median_speedup(optimized, reference):
     """Median over PAIRS of reference/optimized wall time, the two sides
-    run back to back within each pair and in alternating order."""
+    run back to back within each pair and in alternating order.
+
+    One discarded pair runs first, so the median holds no warm-up: run
+    first in a session, detector_idle used to read 200-271x against
+    265-295x when run last (2-core host).
+    """
+    optimized()
+    reference()
     ratios = []
     for i in range(PAIRS):
         if i % 2:
