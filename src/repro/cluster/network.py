@@ -228,16 +228,17 @@ class _Transfer:
         self._start = env.now
         send_channel = src.nic.send_channel
         recv_channel = dst.nic.recv_channel
-        if (len(send_channel.users) < send_channel.capacity
-                and len(recv_channel.users) < recv_channel.capacity):
-            # Both channels have a free slot, so (FIFO) both queues are
-            # empty: hold each slot with this walker as its token, with no
-            # Request and no event, and start the wire time now.
-            send_channel.users.append(self)
-            recv_channel.users.append(self)
-            self._send_req = self._recv_req = self
-            self._serialize(None)
-            return
+        if send_channel.try_hold(self):
+            if recv_channel.try_hold(self):
+                # Both channels had a free slot: hold each with this walker
+                # as its token, with no Request and no event, and start the
+                # wire time now.
+                self._send_req = self._recv_req = self
+                self._serialize(None)
+                return
+            # Give the send slot back: its queue was empty, so this grants
+            # nothing, and the Requests below queue as the process did.
+            send_channel.release(self)
         self._granted = 0
         send_req = self._send_req = send_channel.request()
         recv_req = self._recv_req = recv_channel.request()

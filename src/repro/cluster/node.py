@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.simkernel import Environment, Resource
+from repro.simkernel import Environment, Event, Resource
 from repro.simkernel.errors import SimulationError
 
 
@@ -122,16 +122,30 @@ class Node:
             )
         self._memory_used = max(0.0, self._memory_used - nbytes)
 
-    def compute(self, seconds: float, cores: int = 1):
-        """A process that occupies ``cores`` cores for ``seconds``.
+    def compute(self, seconds: float, cores: int = 1) -> Event:
+        """Occupy ``cores`` cores for ``seconds``; the event fires when done.
 
-        Yields from inside a generator: ``yield env.process(node.compute(t))``.
+        Yields from inside a generator: ``yield node.compute(t)``.  A
+        one-core compute that finds a core free (and nobody queued) holds
+        it at once and only schedules its ``Timeout``, whose expiry frees
+        the core and fires the event; otherwise a process queues for the
+        cores first.
         """
         if cores > self.num_cores:
             raise SimulationError(
                 f"node {self.node_id}: requested {cores} cores, has {self.num_cores}"
             )
-        return self.env.process(self._compute(seconds, cores), name=("compute@{}", self.node_id))
+        env = self.env
+        done = Event(env)
+        if cores == 1 and self.cores.try_hold(done):
+            env.timeout(seconds * self.slow_factor, done).callbacks.append(self._computed)
+            return done
+        return env.process(self._compute(seconds, cores), name=("compute@{}", self.node_id))
+
+    def _computed(self, timeout) -> None:
+        done = timeout.value
+        self.cores.release(done)
+        done.succeed()
 
     def _compute(self, seconds: float, cores: int):
         requests = [self.cores.request() for _ in range(cores)]

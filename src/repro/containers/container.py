@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional, Sequence
 
-from repro.simkernel import Environment
+from repro.simkernel import Environment, Event
 from repro.simkernel.errors import SimulationError
 from repro.cluster.node import Node
 from repro.data import DataChunk
@@ -234,50 +234,40 @@ class Container:
 
     # -- data plane --------------------------------------------------------------------
 
-    def emit(self, chunk: DataChunk, replica):
-        """Forward a processed chunk downstream.
+    def emit(self, chunk: DataChunk, replica) -> Event:
+        """Forward a processed chunk downstream; returns the event to wait on.
 
         Every output link with live readers receives the chunk (each
-        consumer stage sees the full stream); if no consumer is reachable,
-        the chunk goes to disk with provenance instead.
+        consumer stage sees the full stream), and the event fires once every
+        write is buffered; if no consumer is reachable, the chunk goes to
+        disk with provenance instead.
         """
         chunk.entered_stage_at = self.env.now
         targets = [link for link in self.output_links if link.readers]
-        if targets:
-            return self._emit_links(chunk, replica, targets)
-        return self._emit_disk(chunk, replica)
+        if not targets:
+            if self.sink_fs is None:
+                return self.env.timeout(0)
+            return self.sink_fs.write_chunk(
+                replica.node, self.name, chunk,
+                incomplete_pipeline=self.output_link is not None,
+            )
+        writes = []
+        for i, link in enumerate(targets):
+            # Fan-out: every link past the first gets its own copy (same
+            # chunk_id — custody and dedup are per-link).  Readers mutate
+            # per-consumer state on the chunk (``sources``,
+            # ``entered_stage_at``); sharing one object across links lets
+            # one consumer's pull clobber another's custody trail, which
+            # ends in a wrong-writer ack and a redelivery duplicate.
+            out = chunk if i == 0 else dataclasses.replace(chunk, sources=[])
+            writes.append(replica.writers[link.name].write(out))
+        return self.env.all_of(writes)
 
     def offline_downstream(self) -> bool:
         """True when no downstream link has readers (pruned pipeline)."""
         return bool(self.output_links) and not any(
             link.readers for link in self.output_links
         )
-
-    def _emit_links(self, chunk: DataChunk, replica, targets):
-        def gen():
-            writes = []
-            for i, link in enumerate(targets):
-                # Fan-out: every link past the first gets its own copy (same
-                # chunk_id — custody and dedup are per-link).  Readers mutate
-                # per-consumer state on the chunk (``sources``,
-                # ``entered_stage_at``); sharing one object across links lets
-                # one consumer's pull clobber another's custody trail, which
-                # ends in a wrong-writer ack and a redelivery duplicate.
-                out = chunk if i == 0 else dataclasses.replace(chunk, sources=[])
-                writes.append(replica.writers[link.name].write(out))
-            yield self.env.all_of(writes)
-        return gen()
-
-    def _emit_disk(self, chunk: DataChunk, replica):
-        def gen():
-            if self.sink_fs is None:
-                yield self.env.timeout(0)
-                return
-            yield self.sink_fs.write_chunk(
-                replica.node, self.name, chunk,
-                incomplete_pipeline=self.output_link is not None,
-            )
-        return gen()
 
     def record_completion(self, in_chunk: DataChunk, out_chunk: DataChunk,
                           latency: float, replica) -> None:

@@ -158,7 +158,7 @@ class Replica:
             out.integrity = f"xxh64:{out.chunk_id:016x}"
         latency = self.env.now - chunk.entered_stage_at
         targets = [l for l in self.container.output_links if l.readers]
-        yield self.env.process(self.container.emit(out, self))
+        yield self.container.emit(out, self)
         self.container.record_completion(chunk, out, latency, self)
         self._handoff(chunk, out, targets)
 

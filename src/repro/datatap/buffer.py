@@ -97,16 +97,12 @@ class StagingBuffer:
         REGISTRY.record_duration("datatap.buffer_occupancy", self.occupancy)
         return True
 
-    def insert(self, chunk: DataChunk):
-        """Blocking insert: returns a process event that fires once stored."""
-        return self.env.process(self._insert(chunk), name=("buf-insert:{}", self.name))
-
-    def _insert(self, chunk: DataChunk):
-        while not self.try_insert(chunk):
-            waiter = Event(self.env)
-            self._space_waiters.append(waiter)
-            yield waiter
-        return chunk
+    def space_waiter(self) -> Event:
+        """An event that fires at the next release: a writer whose chunk
+        did not fit waits on it, then tries to insert again."""
+        waiter = Event(self.env)
+        self._space_waiters.append(waiter)
+        return waiter
 
     def get(self, chunk_id: int) -> DataChunk:
         """Look up a buffered chunk (it stays buffered until released)."""

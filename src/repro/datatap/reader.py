@@ -52,7 +52,6 @@ class DataTapReader:
         self.endpoint = messenger.endpoint(node, name)
         self._proc = env.process(self._run(), name=f"dtreader:{name}")
         self._inflight = 0
-        self._pull_proc = None
         self._current_meta: Optional[Message] = None
         self._drained: Optional[Event] = None
         #: metadata whose pulls were cancelled by teardown (chunks remain in
@@ -73,14 +72,12 @@ class DataTapReader:
                 return
             self._inflight += 1
             self._current_meta = meta
-            self._pull_proc = self.env.process(self._pull(meta), name=("pull:{}", self.name))
             try:
-                yield self._pull_proc
+                yield from self._pull(meta)
             except Interrupt:
-                # Teardown raced the pull: cancel it.  The chunk stays in the
-                # writer's buffer; stop() hands the metadata back to the link.
-                if self._pull_proc.is_alive:
-                    self._pull_proc.interrupt("teardown")
+                # Teardown raced the pull, which cancelled itself.  The chunk
+                # stays in the writer's buffer; stop() hands the metadata
+                # back to the link.
                 return
             finally:
                 self._current_meta = None
@@ -126,9 +123,10 @@ class DataTapReader:
         except Interrupt:
             # Teardown cancel: the metadata is handed back for re-dispatch,
             # so the chunk KEEPS its credit — the eventual pull releases it.
+            # Re-raised to end the reader loop.
             self.out_queue.cancel_reservation(res_event)
             self.cancelled_meta.append(meta)
-            return
+            raise
         if not writer.needs_delivery(info["chunk_id"]) or (
             self.link is not None and info["chunk_id"] in self.link.delivered
         ):

@@ -12,7 +12,7 @@ unscheduled pulls.
 
 from __future__ import annotations
 
-from repro.simkernel import Environment, Event, Resource, bare_event
+from repro.simkernel import Environment, Event, Resource, processed_event
 from repro.simkernel.errors import SimulationError
 from repro.perf.registry import REGISTRY
 
@@ -73,7 +73,7 @@ class PullScheduler:
     # -- admission ------------------------------------------------------------------
 
     def admit(self):
-        """Process: wait for a pull slot; returns the token request.
+        """Wait for a pull slot; the event's value is the token to release.
 
         Usage::
 
@@ -82,7 +82,16 @@ class PullScheduler:
                 yield network.rdma_get(...)
             finally:
                 scheduler.release(token)
+
+        With no output phase to wait out and a free slot, the token is taken
+        now and the returned event has already fired, so the puller resumes
+        at once; otherwise a process waits for the phase and the slot.
         """
+        if not (self.defer_during_output and self._phase_clear is not None):
+            token = object()
+            if self._tokens.try_hold(token):
+                self._account(0.0)
+                return processed_event(self.env, token)
         return self.env.process(self._admit(), name="pull-admit")
 
     def _admit(self):
@@ -91,12 +100,14 @@ class PullScheduler:
             yield self._phase_clear
         request = self._tokens.request()
         yield request
+        self._account(self.env.now - start)
+        return request
+
+    def _account(self, wait: float) -> None:
         self.pulls_admitted += 1
-        wait = self.env.now - start
         self.total_wait += wait
         REGISTRY.count("datatap.pulls_admitted")
         REGISTRY.record_duration("datatap.pull_admit_wait", wait)
-        return request
 
     def release(self, token) -> None:
         self._tokens.release(token)
@@ -108,8 +119,7 @@ class NoPullScheduler:
     Its token is None, which the reader never releases."""
 
     def __init__(self, env: Environment):
-        admitted = self._admitted = bare_event(env)
-        admitted.callbacks = None  # processed
+        self._admitted = processed_event(env)
 
     def admit(self) -> Event:
         return self._admitted

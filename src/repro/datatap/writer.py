@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.simkernel import Environment, Event
+from repro.simkernel import Environment, Event, schedule_step
 from repro.simkernel.errors import SimulationError
+from repro.simkernel.events import NORMAL
 from repro.cluster.node import Node
 from repro.data import DataChunk
 from repro.datatap.buffer import StagingBuffer
@@ -100,14 +101,29 @@ class DataTapWriter:
 
     # -- data plane -----------------------------------------------------------------
 
-    def write(self, chunk: DataChunk):
-        """Asynchronous write; the event fires once the chunk is buffered."""
-        return self.env.process(self._write(chunk), name=("dtwrite:{}", self.name))
+    def write(self, chunk: DataChunk) -> Event:
+        """Asynchronous write; the event fires once the chunk is buffered.
 
-    def _write(self, chunk: DataChunk):
+        A chunk that fits is inserted now, and one step later the sequence
+        number is assigned, the metadata dispatched and the event fired.  A
+        full buffer parks the chunk until a release makes room, then takes
+        that same step.
+        """
         if self.link is None:
             raise SimulationError(f"writer {self.name!r} is not attached to a link")
-        yield self.buffer.insert(chunk)
+        done = Event(self.env)
+        self._insert(chunk, done)
+        return done
+
+    def _insert(self, chunk: DataChunk, done: Event) -> None:
+        if self.buffer.try_insert(chunk):
+            schedule_step(self.env, lambda _: self._written(chunk, done), NORMAL)
+        else:
+            self.buffer.space_waiter().callbacks.append(
+                lambda _: self._insert(chunk, done)
+            )
+
+    def _written(self, chunk: DataChunk, done: Event) -> None:
         self.chunks_written += 1
         self._chunk_seq[chunk.chunk_id] = self._next_seq
         self._next_seq += 1
@@ -115,7 +131,7 @@ class DataTapWriter:
             self._pending_meta.append(chunk)
         else:
             self._dispatch_metadata(chunk)
-        return chunk
+        done.succeed(chunk)
 
     def _dispatch_metadata(self, chunk: DataChunk) -> None:
         """Push metadata, subject to the link's credit window.
@@ -131,34 +147,37 @@ class DataTapWriter:
         self.spawn_metadata_push(chunk)
 
     def spawn_metadata_push(self, chunk: DataChunk) -> None:
-        """Fire-and-forget metadata push; the writer does not wait."""
-        self.env.process(self._push_metadata(chunk), name=("meta:{}", self.name))
+        """Fire-and-forget metadata push; the writer does not wait.
 
-    def _push_metadata(self, chunk: DataChunk):
+        The send starts now.  Its completion ends the push's in-flight
+        count (waking a pause waiting for the drain); a send lost to a
+        fault stays unwatched, so it lands in ``env.swallowed_faults``,
+        and any other failure surfaces from the run.
+        """
         reader_name = self.link.next_reader_for(self)
         self._assigned[chunk.chunk_id] = reader_name
         self._inflight_meta += 1
-        try:
-            meta = Message(
-                MessageType.DATA_METADATA,
-                sender=self.name,
-                payload={
-                    "chunk_id": chunk.chunk_id,
-                    "seq": self._chunk_seq.get(chunk.chunk_id),
-                    "nbytes": chunk.nbytes,
-                    "natoms": chunk.natoms,
-                    "timestep": chunk.timestep,
-                    "writer": self.name,
-                    "writer_node": self.node.node_id,
-                },
-                size_bytes=METADATA_BYTES,
-            )
-            yield self.messenger.send(self.node, reader_name, meta)
-        finally:
-            self._inflight_meta -= 1
-            if self._inflight_meta == 0 and self._drained is not None:
-                self._drained.succeed()
-                self._drained = None
+        meta = Message(
+            MessageType.DATA_METADATA,
+            sender=self.name,
+            payload={
+                "chunk_id": chunk.chunk_id,
+                "seq": self._chunk_seq.get(chunk.chunk_id),
+                "nbytes": chunk.nbytes,
+                "natoms": chunk.natoms,
+                "timestep": chunk.timestep,
+                "writer": self.name,
+                "writer_node": self.node.node_id,
+            },
+            size_bytes=METADATA_BYTES,
+        )
+        self.messenger.send(self.node, reader_name, meta).callbacks.append(self._meta_sent)
+
+    def _meta_sent(self, _event) -> None:
+        self._inflight_meta -= 1
+        if self._inflight_meta == 0 and self._drained is not None:
+            self._drained.succeed()
+            self._drained = None
 
     def needs_delivery(self, chunk_id: int) -> bool:
         """True while the chunk awaits a (re)pull from this buffer.

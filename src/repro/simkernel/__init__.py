@@ -22,10 +22,11 @@ Resource / Store
     and bounded item stores whose puts block while full (used to model
     staging-area queues, whose backlog drives Figures 9 and 10 of the
     paper).
-bare_event / schedule_step
+bare_event / schedule_step / processed_event
     The one way to build a walker step: a callback chain that stands in
-    for a process schedules a bare event that runs a callback, instead of
-    writing an :class:`Event`'s private fields itself.
+    for a process schedules a bare event that runs a callback, or hands
+    back an already processed event, instead of writing an
+    :class:`Event`'s private fields itself.
 """
 
 from repro.simkernel.errors import FaultError, Interrupt, SimulationError
@@ -35,6 +36,7 @@ from repro.simkernel.events import (
     Event,
     Timeout,
     bare_event,
+    processed_event,
     schedule_step,
 )
 from repro.simkernel.core import (
@@ -65,6 +67,7 @@ __all__ = [
     "TieBreaker",
     "Timeout",
     "bare_event",
+    "processed_event",
     "schedule_step",
     "shuffle",
 ]

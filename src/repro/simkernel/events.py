@@ -154,6 +154,19 @@ def schedule_step(env, fn: Callable[[Event], None], priority: int) -> None:
     env.schedule(ev, priority)
 
 
+def processed_event(env, value: Any = None) -> Event:
+    """An event that has already fired with ``value``.
+
+    A process that yields it resumes at once with ``value``, and nothing is
+    scheduled: the stand-in for a wait that a walker resolved at call time
+    (an always-admitted pull, a pull token taken from a free slot).
+    """
+    ev = Event(env)
+    ev._value = value
+    ev.callbacks = None
+    return ev
+
+
 class Timeout(Event):
     """An event that fires after a simulated delay."""
 

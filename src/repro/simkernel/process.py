@@ -25,7 +25,7 @@ from repro.simkernel.events import Event, Initialize, URGENT
 class Process(Event):
     """A running process.  Also an event that fires when the process ends."""
 
-    __slots__ = ("_generator", "_target", "_name", "_resume_cb")
+    __slots__ = ("_generator", "_target", "_name", "_resume_cb", "__weakref__")
 
     def __init__(self, env, generator: Generator, name=None):
         if not hasattr(generator, "throw"):
@@ -38,7 +38,9 @@ class Process(Event):
         #: The event this process is currently waiting on (None when running
         #: or finished).
         self._target: Optional[Event] = None
-        #: The one bound method used for every event subscription.
+        #: The one bound method used for every event subscription; dropped
+        #: when the generator ends, so a finished process is no longer in a
+        #: reference cycle with itself and is freed without the collector.
         self._resume_cb = self._resume
         Initialize(env, self)
 
@@ -111,14 +113,14 @@ class Process(Event):
                     event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as stop:
-                self._target = None
+                self._target = self._resume_cb = None
                 env.active_process = None
                 self._ok = True
                 self._value = stop.value
                 env.schedule(self)
                 return
             except BaseException as error:
-                self._target = None
+                self._target = self._resume_cb = None
                 env.active_process = None
                 self._ok = False
                 self._value = error

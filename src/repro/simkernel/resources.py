@@ -58,6 +58,20 @@ class Resource:
     def request(self) -> Request:
         return Request(self)
 
+    def try_hold(self, token) -> bool:
+        """Take a free slot for ``token`` now, with no :class:`Request` and
+        no event; False (and nothing taken) if none is free or anyone is
+        queued.
+
+        A request made while a slot is free would be granted at once, so a
+        callback walker holds the slot itself instead and gives it back
+        with :meth:`release` (``token`` is any object unique to the holder).
+        """
+        if len(self.users) < self._capacity and not self.queue:
+            self.users.append(token)
+            return True
+        return False
+
     def release(self, request: Request) -> None:
         if request in self.users:
             self.users.remove(request)

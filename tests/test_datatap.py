@@ -26,6 +26,16 @@ def chunk(ts=0, nbytes=1000, natoms=10):
     return DataChunk(timestep=ts, nbytes=nbytes, natoms=natoms, chunk_id=next(_ids))
 
 
+def paused_writer(env, machine, messenger, capacity_bytes):
+    """A writer whose metadata stays parked by a pause, so a chunk leaves
+    its buffer only when the test releases it."""
+    buf = StagingBuffer(env, machine.nodes[0], capacity_bytes=capacity_bytes)
+    writer = DataTapWriter(env, messenger, machine.nodes[0], buffer=buf, name="w")
+    DataTapLink(env, messenger, "held").add_writer(writer)
+    writer.pause()
+    return writer, buf
+
+
 class TestStagingBuffer:
     def test_insert_reserves_node_memory(self, env, machine):
         node = machine.nodes[0]
@@ -53,15 +63,15 @@ class TestStagingBuffer:
         with pytest.raises(BufferFull):
             buf.try_insert(chunk(nbytes=2000))
 
-    def test_blocking_insert_waits_for_space(self, env, machine):
-        buf = StagingBuffer(env, machine.nodes[0], capacity_bytes=1000)
+    def test_blocking_insert_waits_for_space(self, env, machine, messenger):
+        writer, buf = paused_writer(env, machine, messenger, capacity_bytes=1000)
         first = chunk(nbytes=800)
         times = []
 
         def producer(env):
-            yield buf.insert(first)
+            yield writer.write(first)
             times.append(env.now)
-            yield buf.insert(chunk(nbytes=800))
+            yield writer.write(chunk(nbytes=800))
             times.append(env.now)
 
         def releaser(env):
@@ -94,11 +104,11 @@ class TestStagingBuffer:
             buf.try_insert(chunk(nbytes=1001))
         assert len(buf) == 0 and buf.used_bytes == 0
 
-    def test_space_waiter_wakeup_order_concurrent_producers(self, env, machine):
+    def test_space_waiter_wakeup_order_concurrent_producers(self, env, machine, messenger):
         # Three producers block on a full buffer; each release wakes all
         # waiters and they re-contend in arrival order, so space is granted
         # first-blocked-first-served, one producer per release.
-        buf = StagingBuffer(env, machine.nodes[0], capacity_bytes=1000)
+        writer, buf = paused_writer(env, machine, messenger, capacity_bytes=1000)
         first = chunk(nbytes=900)
         buf.try_insert(first)
         admitted = []
@@ -106,7 +116,7 @@ class TestStagingBuffer:
         def producer(env, tag, start):
             yield env.timeout(start)
             mine = chunk(nbytes=600)
-            yield buf.insert(mine)
+            yield writer.write(mine)
             admitted.append((env.now, tag))
             # hold the space until explicitly released below
             yield env.timeout(100)
@@ -396,3 +406,350 @@ class TestPullScheduler:
         assert sched._phase_clear is not None
         sched.output_phase_end()
         assert sched._phase_clear is None
+
+
+class TestChunkPathOutcomes:
+    """The per-chunk walkers (writes, metadata pushes, pull admission, the
+    reader loop, computes, emits) against the process generators kept in
+    :mod:`tests.oracles.datatap`.
+
+    The walkers skip the ``Initialize`` and completion events of the
+    processes they replace, so they are outcome-identical, not
+    schedule-identical: every chunk is written, pulled, released and
+    consumed at the same time and in the same order, and the same metadata
+    is cancelled, the same sends are lost and the same duplicates dropped."""
+
+    @staticmethod
+    def _run(oracle, scenario):
+        from unittest import mock
+
+        from repro.cluster import Machine
+        from repro.evpath import Messenger
+        from tests.oracles import datatap as reference
+
+        env = Environment()
+        machine = Machine(env, num_nodes=12, cores_per_node=1)
+        messenger = Messenger(env, machine.network)
+        pulled, released = [], []
+        fulfill, release = Store.fulfill, StagingBuffer.release
+
+        def spy_fulfill(store, reservation, item):
+            pulled.append((round(env.now, 12), store.name, item.chunk_id))
+            return fulfill(store, reservation, item)
+
+        def spy_release(buf, chunk_id):
+            released.append((round(env.now, 12), buf.name, chunk_id))
+            return release(buf, chunk_id)
+
+        patches = [mock.patch.object(Store, "fulfill", spy_fulfill),
+                   mock.patch.object(StagingBuffer, "release", spy_release)]
+        if oracle:
+            patches += [mock.patch.object(cls, name, fn)
+                        for cls, name, fn in reference.PATCHES]
+        for patch in patches:
+            patch.start()
+        try:
+            rig = _Rig(env, machine, messenger)
+            scenario(rig)
+            try:
+                env.run(until=60)
+                raised = None
+            except Exception as error:  # an unwatched non-fault failure
+                raised = (type(error).__name__, str(error))
+        finally:
+            for patch in patches:
+                patch.stop()
+        return dict(
+            pulled=sorted(pulled), released=sorted(released), raised=raised,
+            log=sorted(rig.log), consumed=rig.consumed,
+            cancelled={r.name: sorted(m.payload["chunk_id"] for m in r.cancelled_meta)
+                       for r in rig.readers},
+            swallowed=env.swallowed_faults,
+            dup_dropped=rig.link.dup_dropped,
+            admitted=[(s.pulls_admitted, round(s.total_wait, 12)) for s in rig.schedulers],
+            buffered=sorted(rig.writer.buffer._chunks),
+            events=env.events_processed,
+        )
+
+    @staticmethod
+    def _assert_same(scenario, skip=("events",)):
+        fast = TestChunkPathOutcomes._run(False, scenario)
+        slow = TestChunkPathOutcomes._run(True, scenario)
+        assert fast["events"] < slow["events"]  # the walkers really ran
+        assert ({k: v for k, v in fast.items() if k not in skip}
+                == {k: v for k, v in slow.items() if k not in skip})
+        return fast, slow
+
+    def test_full_buffer(self):
+        def scenario(rig):
+            rig.build(readers=1, queue_capacity=1, buffer_bytes=2.5e6, service=0.5)
+            rig.produce(8)
+
+        out, _ = self._assert_same(scenario)
+        # the producer really blocked: later writes returned after releases
+        assert max(t for t, tag, *_ in out["log"] if tag == "written") > 1.0
+
+    def test_pause_with_metadata_in_flight(self):
+        def scenario(rig):
+            rig.build(readers=2, service=0.1)
+            rig.produce(6, gap=0.02)
+
+            def control(env):
+                yield env.timeout(0.02)  # the second write's push is in flight
+                elapsed = yield rig.link.pause_writers()
+                rig.log.append((round(env.now, 12), "paused", round(elapsed, 12)))
+                yield env.timeout(0.5)
+                yield rig.link.resume_writers()
+                rig.log.append((round(env.now, 12), "resumed"))
+
+            rig.env.process(control(rig.env))
+
+        out, _ = self._assert_same(scenario)
+        assert any(tag == "paused" for _, tag, *_ in out["log"])
+
+    def test_stop_mid_pull(self):
+        def scenario(rig):
+            rig.build(readers=2, nbytes=2e8)
+            rig.produce(4)
+
+            def control(env):
+                yield env.timeout(0.05)  # both readers are mid-GET
+                yield rig.link.pause_writers()
+                rig.link.remove_reader(rig.readers[1])
+                yield rig.link.resume_writers()
+
+            rig.env.process(control(rig.env))
+
+        out, _ = self._assert_same(scenario)
+        assert out["raised"] is None and out["cancelled"]["r1"]
+        assert sorted(c for log in out["consumed"].values() for _, c in log) == [0, 1, 2, 3]
+
+    def test_stop_during_duplicate_drop(self):
+        from repro.simkernel import schedule_step
+        from repro.simkernel.events import URGENT
+
+        def scenario(rig):
+            rig.build(readers=1)
+            chunks = rig.produce(1)
+            reader = rig.readers[0]
+            drop = reader._drop_duplicate
+
+            def drop_then_stop():
+                drop()
+                # stop the reader before its zero-delay drop step pops
+                schedule_step(rig.env, lambda _: reader.stop(), URGENT)
+
+            reader._drop_duplicate = drop_then_stop
+
+            def duplicate(env):
+                yield env.timeout(1.0)  # long after the chunk was released
+                rig.writer.spawn_metadata_push(chunks[0])
+
+            rig.env.process(duplicate(rig.env))
+
+        fast, slow = self._assert_same(scenario, skip=("events", "raised"))
+        assert fast["dup_dropped"] == 1
+        # The child pull process the reader loop interrupted died of the
+        # Interrupt, unwatched, and the run raised it; the walker's pull is
+        # the loop's own frame, so the stop ends it quietly.
+        assert slow["raised"] == ("Interrupt", "teardown")
+        assert fast["raised"] is None
+
+    def test_reader_crash_with_retained_custody(self):
+        def scenario(rig):
+            rig.build(readers=2, nbytes=2e8, retain=True, service=0.2)
+            rig.produce(6, gap=0.01)
+            dead = rig.readers[0]
+
+            def recovery(env):
+                yield env.timeout(0.15)  # mid-GET
+                dead.node.fail()
+                dead.crash()
+                yield env.timeout(0.5)
+                rig.writer.redeliver_unacked(dead.name)
+                yield rig.link.pause_writers()
+                rig.link.remove_reader(dead)
+                yield rig.link.resume_writers()
+
+            rig.env.process(recovery(rig.env))
+
+        out, _ = self._assert_same(scenario)
+        assert out["dup_dropped"] > 0  # redelivery raced surviving copies
+        delivered = {c for log in out["consumed"].values() for _, c in log}
+        assert delivered == set(range(6))
+
+    def test_failed_metadata_send(self):
+        def scenario(rig):
+            rig.build(readers=2)
+            rig.readers[1].node.fail()  # every push to r1 is lost
+            rig.produce(4, gap=0.1)
+
+        out, _ = self._assert_same(scenario)
+        assert out["swallowed"] == 2
+        assert out["buffered"] == [1, 3]
+
+    def test_contended_pull_tokens_and_cores(self):
+        def scenario(rig):
+            sched = PullScheduler(rig.env, max_concurrent_pulls=1)
+            # three consumers share one single-core node
+            rig.build(readers=3, scheduler=sched, nbytes=5e7, service=0.05,
+                      compute_node=11)
+            rig.produce(9)
+
+        out, _ = self._assert_same(scenario)
+        assert out["admitted"][0][0] == 9 and out["admitted"][0][1] > 0
+
+    def test_defer_during_output(self):
+        def scenario(rig):
+            sched = PullScheduler(rig.env, max_concurrent_pulls=2,
+                                  defer_during_output=True)
+            rig.build(readers=2, scheduler=sched, service=0.05)
+
+            def app(env):
+                for step in range(4):
+                    sched.output_phase_begin()
+                    yield env.all_of([rig.writer.write(rig.chunk(step))
+                                      for _ in range(2)])
+                    yield env.timeout(0.2)
+                    sched.output_phase_end()
+                    yield env.timeout(0.3)
+
+            rig.env.process(app(rig.env))
+
+        out, _ = self._assert_same(scenario)
+        assert out["admitted"][0][0] == 8 and out["admitted"][0][1] > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_mix(self, seed):
+        import random
+
+        def scenario(rig):
+            rng = random.Random(seed)
+            sched = (PullScheduler(rig.env, max_concurrent_pulls=rng.randint(1, 3),
+                                   defer_during_output=rng.random() < 0.5)
+                     if rng.random() < 0.7 else None)
+            rig.build(readers=rng.randint(1, 3), queue_capacity=rng.randint(1, 3),
+                      buffer_bytes=rng.choice((None, 3.5e7)),
+                      nbytes=rng.choice((1e6, 1e7, 1e8)),
+                      retain=rng.random() < 0.5, scheduler=sched,
+                      service=rng.choice((0.0, 0.05, 0.3)),
+                      compute_node=rng.choice((None, 11)))
+            app_phases = sched is not None and sched.defer_during_output
+            rig.produce(rng.randint(4, 12), gap=rng.choice((0.0, 0.01, 0.1)),
+                        phases=sched if app_phases else None)
+            pause_at = rng.uniform(0.0, 1.0)
+
+            def control(env):
+                yield env.timeout(pause_at)
+                yield rig.link.pause_writers()
+                yield env.timeout(rng.uniform(0.0, 0.3))
+                yield rig.link.resume_writers()
+
+            rig.env.process(control(rig.env))
+
+        self._assert_same(scenario)
+
+
+class TestPipelineOutcomes:
+    """Whole presets through the walkers and through the process generators
+    of :mod:`tests.oracles.datatap`: the emit and hash paths of a replica's
+    service, retained custody (fig7), credits and shedding (overload)."""
+
+    @staticmethod
+    def _run(oracle, name, steps):
+        from unittest import mock
+
+        from repro.spec import build_preset
+        from tests.oracles import datatap as reference
+
+        patches = ([mock.patch.object(cls, attr, fn) for cls, attr, fn in reference.PATCHES]
+                   if oracle else [])
+        for patch in patches:
+            patch.start()
+        try:
+            env = Environment()
+            pipe = build_preset(env, name, workload=dict(steps=steps))
+            pipe.run(settle=60)
+        finally:
+            for patch in patches:
+                patch.stop()
+        return dict(
+            exits=pipe.exit_log, end_to_end=pipe.end_to_end,
+            shed=pipe.fates.shed_records, telemetry=pipe.telemetry.events,
+            census=pipe.node_census(), now=env.now,
+            swallowed=env.swallowed_faults,
+        ), env.events_processed
+
+    @pytest.mark.parametrize("name,steps", [("fig7", 6), ("overload", 12)])
+    def test_preset_matches_process_path(self, name, steps):
+        fast, fast_events = self._run(False, name, steps)
+        slow, slow_events = self._run(True, name, steps)
+        assert fast == slow
+        assert fast["exits"] and fast_events < slow_events
+
+
+class _Rig:
+    """One writer on node 0 feeding readers on nodes 2.., each drained by a
+    consumer; ``log`` notes when writes return.  A scenario calls
+    :meth:`build` first."""
+
+    def __init__(self, env, machine, messenger):
+        self.env = env
+        self.machine = machine
+        self.messenger = messenger
+        self.readers, self.schedulers, self.log = [], [], []
+        self.consumed = {}
+
+    def build(self, readers=2, queue_capacity=2, buffer_bytes=None, nbytes=1e6,
+              retain=False, scheduler=None, service=0.0, compute_node=None):
+        env, machine = self.env, self.machine
+        self.nbytes = nbytes
+        self.link = DataTapLink(env, self.messenger, "dl")
+        node = machine.nodes[0]
+        buf = StagingBuffer(env, node, capacity_bytes=buffer_bytes, name="w0.buf")
+        self.writer = DataTapWriter(env, self.messenger, node, buffer=buf, name="w0",
+                                    retain_until_processed=retain)
+        self.link.add_writer(self.writer)
+        sched = scheduler if scheduler is not None else NoPullScheduler(env)
+        if scheduler is not None:
+            self.schedulers.append(scheduler)
+        for i in range(readers):
+            queue = Store(env, capacity=queue_capacity, name=f"q{i}")
+            reader = DataTapReader(env, self.messenger, machine.nodes[2 + i], f"r{i}",
+                                   queue, sched)
+            self.link.add_reader(reader)
+            self.readers.append(reader)
+            self.consumed[reader.name] = []
+            where = reader.node if compute_node is None else machine.nodes[compute_node]
+            env.process(self._consume(reader, queue, where, service))
+
+    def chunk(self, step):
+        return DataChunk(timestep=step, nbytes=self.nbytes, natoms=1,
+                         chunk_id=next(self.env.chunk_ids))
+
+    def produce(self, count, gap=0.0, phases=None):
+        chunks = [self.chunk(step) for step in range(count)]
+
+        def producer(env):
+            for c in chunks:
+                if phases is not None:
+                    phases.output_phase_begin()
+                yield self.writer.write(c)
+                self.log.append((round(env.now, 12), "written", c.chunk_id))
+                if phases is not None:
+                    phases.output_phase_end()
+                if gap:
+                    yield env.timeout(gap)
+
+        self.env.process(producer(self.env))
+        return chunks
+
+    def _consume(self, reader, queue, node, service):
+        env = self.env
+        while True:
+            c = yield queue.get()
+            self.consumed[reader.name].append((round(env.now, 12), c.chunk_id))
+            if service:
+                yield node.compute(service)
+            if self.writer.retain_until_processed:
+                self.writer.on_processed(c.chunk_id)

@@ -119,6 +119,26 @@ class TestProcess:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
+    def test_finished_process_is_freed_without_the_collector(self):
+        """A process's bound resume callback refers back to the process; a
+        finished process drops it, so reference counting alone frees it."""
+        import gc
+        import weakref
+
+        def proc(env):
+            yield env.timeout(1)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            env = Environment()
+            ref = weakref.ref(env.process(proc(env)))
+            env.run()
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestInterrupt:
     def test_interrupt_delivers_cause(self, env):

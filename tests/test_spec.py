@@ -224,6 +224,10 @@ class TestBuild:
     # Both counts moved once more (fig7 1046 -> 887, s3d 737 -> 611) when a
     # transfer that finds both NIC channels free stopped scheduling the two
     # channel requests and the grant step; the traces are unchanged.
+    # And again (fig7 887 -> 733, s3d 611 -> 505) when the per-chunk DataTap
+    # path stopped starting processes: writes, metadata pushes, free pull
+    # tokens, free-core computes and emits no longer schedule an Initialize
+    # and a completion event each; the traces are unchanged.
     def test_fig7_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(5))
         pipe = build(env, load_preset("fig7").override(workload=dict(steps=3)))
@@ -234,7 +238,7 @@ class TestBuild:
             [(60.030201968371586, "increase bonds +1")],
             [],
         )
-        assert env.events_processed == 887
+        assert env.events_processed == 733
 
     def test_s3d_spec_matches_legacy_builder_byte_for_byte(self):
         env = Environment(tie_breaker=shuffle(2))
@@ -246,7 +250,7 @@ class TestBuild:
             [(60.030201968371586, "increase front +1")],
             [],
         )
-        assert env.events_processed == 611
+        assert env.events_processed == 505
 
     def test_build_attaches_spec(self):
         env = Environment()
