@@ -28,8 +28,7 @@ def main() -> None:
     spec = PipelineSpec(
         "chaos",
         workload=WorkloadSpec(sim_nodes=256, staging_nodes=16, spare=3, steps=40),
-        builder=dict(seed=1, control_interval=30.0, fault_tolerance=True,
-                     lease_timeout=5.0, heartbeat_interval=1.0),
+        builder=dict(seed=1, control_interval=30.0, fault_tolerance=True),
     )
     pipe = build(env, spec)
     workload = pipe.driver.workload

@@ -105,7 +105,7 @@ class FailoverManager:
     """Owns the spill store, the spill ledger, and the failover protocols.
 
     Attached by the pipeline builder when the spec enables failover; wires
-    itself into the fate ledger (diverted reasons, spill subscriber), the
+    itself into the fate ledger (shed diversion, spill subscriber), the
     degradation trace (catch-up on recovery transitions), and the recovery
     manager (catch-up after REPLACE commits).
     """
@@ -115,8 +115,8 @@ class FailoverManager:
         self.pipe = pipe
         self.store = SpillStore(env)
         fates = pipe.fates
-        # every shed reason diverts to the spill path
-        fates.spill_reasons = SHED_REASONS
+        # every shed diverts to the spill path
+        fates.divert_sheds = True
         # first-order sizing of a diverted shed: one full output step
         fates.spill_nbytes = float(pipe.driver.workload.bytes_per_step)
         fates.spill_subscribers.append(self._on_spill)

@@ -1,7 +1,7 @@
 """A simulated parallel file system (Lustre-style).
 
-Writes consume one of ``stripes`` concurrent server streams, each with
-``per_stream_bandwidth``; metadata operations cost a fixed latency.  This is
+Writes consume one of :data:`STRIPES` concurrent server streams, each with
+:data:`STREAM_BANDWIDTH`; metadata operations cost :data:`METADATA_LATENCY`.  This is
 the first-order model of what the offline path pays when a pruned pipeline
 writes raw data to storage instead of staging it.
 
@@ -19,6 +19,13 @@ from typing import Any, Dict, List, Optional
 from repro.simkernel import Environment, Resource
 from repro.cluster.node import Node
 
+#: concurrent server streams (a write or read holds one)
+STRIPES = 4
+#: bytes per second one stream moves
+STREAM_BANDWIDTH = 500 * 2**20
+#: seconds of metadata work before every write or read
+METADATA_LATENCY = 2e-3
+
 
 @dataclass
 class FileRecord:
@@ -32,21 +39,9 @@ class FileRecord:
 class ParallelFileSystem:
     """Shared storage with striped bandwidth and metadata latency."""
 
-    def __init__(
-        self,
-        env: Environment,
-        stripes: int = 4,
-        per_stream_bandwidth: float = 500 * 2**20,
-        metadata_latency: float = 2e-3,
-    ):
-        if stripes < 1:
-            raise ValueError("stripes must be >= 1")
-        if per_stream_bandwidth <= 0:
-            raise ValueError("per_stream_bandwidth must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.per_stream_bandwidth = per_stream_bandwidth
-        self.metadata_latency = metadata_latency
-        self._streams = Resource(env, capacity=stripes)
+        self._streams = Resource(env, capacity=STRIPES)
         self.files: List[FileRecord] = []
         #: monitoring
         self.bytes_written = 0.0
@@ -62,11 +57,11 @@ class ParallelFileSystem:
     def _write(self, node: Node, name: str, nbytes: float, attributes):
         if nbytes < 0:
             raise ValueError(f"negative write size {nbytes}")
-        yield self.env.timeout(self.metadata_latency)
+        yield self.env.timeout(METADATA_LATENCY)
         stream = self._streams.request()
         yield stream
         try:
-            yield self.env.timeout(nbytes / self.per_stream_bandwidth)
+            yield self.env.timeout(nbytes / STREAM_BANDWIDTH)
         finally:
             self._streams.release(stream)
         record = FileRecord(
@@ -110,11 +105,11 @@ class ParallelFileSystem:
         if not matches:
             raise FileNotFoundError(f"no file named {name!r} on this file system")
         record = matches[-1]
-        yield self.env.timeout(self.metadata_latency)
+        yield self.env.timeout(METADATA_LATENCY)
         stream = self._streams.request()
         yield stream
         try:
-            yield self.env.timeout(record.nbytes / self.per_stream_bandwidth)
+            yield self.env.timeout(record.nbytes / STREAM_BANDWIDTH)
         finally:
             self._streams.release(stream)
         self.bytes_read += record.nbytes

@@ -122,40 +122,33 @@ class Node:
             )
         self._memory_used = max(0.0, self._memory_used - nbytes)
 
-    def compute(self, seconds: float, cores: int = 1) -> Event:
-        """Occupy ``cores`` cores for ``seconds``; the event fires when done.
+    def compute(self, seconds: float) -> Event:
+        """Occupy one core for ``seconds``; the event fires when done.
 
         Yields from inside a generator: ``yield node.compute(t)``.  A
-        one-core compute that finds a core free (and nobody queued) holds
-        it at once and only schedules its ``Timeout``, whose expiry frees
-        the core and fires the event; otherwise a process queues for the
-        cores first.
+        compute that finds a core free (and nobody queued) holds it at once
+        and only schedules its ``Timeout``, whose expiry frees the core and
+        fires the event; otherwise a process queues for the core first.
         """
-        if cores > self.num_cores:
-            raise SimulationError(
-                f"node {self.node_id}: requested {cores} cores, has {self.num_cores}"
-            )
         env = self.env
         done = Event(env)
-        if cores == 1 and self.cores.try_hold(done):
+        if self.cores.try_hold(done):
             env.timeout(seconds * self.slow_factor, done).callbacks.append(self._computed)
             return done
-        return env.process(self._compute(seconds, cores), name=("compute@{}", self.node_id))
+        return env.process(self._compute(seconds), name=("compute@{}", self.node_id))
 
     def _computed(self, timeout) -> None:
         done = timeout.value
         self.cores.release(done)
         done.succeed()
 
-    def _compute(self, seconds: float, cores: int):
-        requests = [self.cores.request() for _ in range(cores)]
-        for req in requests:
-            yield req
+    def _compute(self, seconds: float):
+        request = self.cores.request()
+        yield request
         try:
             yield self.env.timeout(seconds * self.slow_factor)
         finally:
-            for req in requests:
-                self.cores.release(req)
+            self.cores.release(request)
 
     def __repr__(self) -> str:
         return f"<Node {self.node_id} cores={self.num_cores}>"

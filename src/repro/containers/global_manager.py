@@ -20,7 +20,7 @@ from repro.simkernel.errors import SimulationError
 from repro.simkernel.resources import Resource
 from repro.cluster.node import Node
 from repro.cluster.scheduler import BatchScheduler
-from repro.containers.local_manager import LocalManager
+from repro.containers.local_manager import GLOBAL_MANAGER_ENDPOINT, LocalManager
 from repro.containers.recovery import NoRecovery
 from repro.containers.policy import (
     ContainerState,
@@ -36,6 +36,11 @@ from repro.evpath.messages import Message, MessageType
 from repro.fate import SHED, FateLedger
 from repro.monitoring.metrics import LatencyWindow, Telemetry
 
+#: seconds ahead the policy projects buffer occupancy when it decides an
+#: overflow (the ``horizon`` of :meth:`ManagementPolicy.decide`): ten
+#: 15 s output intervals
+OVERFLOW_HORIZON = 150.0
+
 
 class GlobalManager:
     """Hierarchy root: one per pipeline."""
@@ -50,7 +55,6 @@ class GlobalManager:
         policy: Optional[ManagementPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         control_interval: float = 30.0,
-        overflow_horizon: float = 120.0,
         engine: Optional[ControlPlaneEngine] = None,
         fates: Optional[FateLedger] = None,
     ):
@@ -63,9 +67,8 @@ class GlobalManager:
         self.engine = engine or ControlPlaneEngine(env)
         self.telemetry = telemetry or Telemetry()
         self.control_interval = control_interval
-        self.overflow_horizon = overflow_horizon
 
-        self.endpoint = messenger.endpoint(node, "global-mgr")
+        self.endpoint = messenger.endpoint(node, GLOBAL_MANAGER_ENDPOINT)
         self.locals: Dict[str, LocalManager] = {}
         #: upstream -> downstream dependency edges (the "configuration file")
         self.dependencies = nx.DiGraph()
@@ -176,7 +179,7 @@ class GlobalManager:
                 spare_nodes=self.spare_capacity(),
                 sla_interval=self.sla_interval,
                 now=self.env.now,
-                horizon=self.overflow_horizon,
+                horizon=OVERFLOW_HORIZON,
             )
             if not actions:
                 continue

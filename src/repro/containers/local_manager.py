@@ -23,11 +23,19 @@ from repro.evpath.messages import Message, MessageType
 from repro.fate import SHED
 from repro.faults.detect import FailureDetector, HeartbeatMonitor
 from repro.monitoring.metrics import Telemetry
-from repro.smartpointer.costs import ComputeModel
 
 #: EVPath connection-establishment cost charged per (new replica, peer)
 #: pair during the intra-container metadata exchange of an increase.
 CONNECTION_SETUP_SECONDS = 5e-3
+
+#: the global manager's endpoint name, where reports and suspicions go
+GLOBAL_MANAGER_ENDPOINT = "global-mgr"
+
+#: replica liveness under fault tolerance: a replica beats every
+#: HEARTBEAT_INTERVAL seconds and is suspected after LEASE_TIMEOUT seconds
+#: of silence (five missed beats)
+HEARTBEAT_INTERVAL = 1.0
+LEASE_TIMEOUT = 5.0
 
 
 class LocalManager:
@@ -39,7 +47,6 @@ class LocalManager:
         messenger: Messenger,
         container: Container,
         node: Node,
-        global_manager_endpoint: str = "global-mgr",
         scheduler: Optional[BatchScheduler] = None,
         telemetry: Optional[Telemetry] = None,
         monitor_interval: float = 15.0,
@@ -50,7 +57,6 @@ class LocalManager:
         self.messenger = messenger
         self.container = container
         self.node = node
-        self.global_name = global_manager_endpoint
         self.scheduler = scheduler
         self.engine = engine or ControlPlaneEngine(env)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -68,7 +74,6 @@ class LocalManager:
         #: replica failure detection (None until enable_fault_detection)
         self.detector: Optional[FailureDetector] = None
         self._hb_monitor: Optional[HeartbeatMonitor] = None
-        self._hb_interval = 1.0
         self._control_proc = env.process(self._control_loop(), name=f"cmgr:{container.name}")
         self._monitor_proc = env.process(self._monitor_loop(), name=f"cmon:{container.name}")
 
@@ -101,9 +106,7 @@ class LocalManager:
 
     # -- failure detection --------------------------------------------------------------
 
-    def enable_fault_detection(
-        self, lease_timeout: float = 5.0, heartbeat_interval: float = 1.0
-    ) -> None:
+    def enable_fault_detection(self) -> None:
         """Start lease-based detection of this container's replicas.
 
         Each replica holds a heartbeat lease at a dedicated monitor
@@ -116,11 +119,10 @@ class LocalManager:
         """
         if self.detector is not None:
             return
-        self._hb_interval = heartbeat_interval
         self.detector = FailureDetector(
             self.env,
             f"{self.container.name}-fd",
-            lease_timeout,
+            LEASE_TIMEOUT,
             on_suspect=self._on_replica_suspect,
             suspend_when=lambda: self.node.failed,
         )
@@ -136,7 +138,7 @@ class LocalManager:
         """Grant a heartbeat lease to one replica."""
         if self.detector is None or replica.name in self.detector:
             return
-        self.detector.watch(replica.name, replica.node, self._hb_interval)
+        self.detector.watch(replica.name, replica.node, HEARTBEAT_INTERVAL)
 
     def unwatch_replica(self, name: str) -> None:
         if self.detector is not None:
@@ -165,7 +167,7 @@ class LocalManager:
             },
         )
         try:
-            yield self.messenger.send(self.node, self.global_name, message)
+            yield self.messenger.send(self.node, GLOBAL_MANAGER_ENDPOINT, message)
         except FaultError:
             pass  # unreachable global manager; the next scan may retry
 
@@ -217,7 +219,7 @@ class LocalManager:
         """
         reply = msg.reply(mtype, sender=self.endpoint.name, payload=payload)
         t0 = self.env.now
-        yield self.messenger.send(self.node, self.global_name, reply)
+        yield self.messenger.send(self.node, GLOBAL_MANAGER_ENDPOINT, reply)
         if ctx is not None:
             elapsed = (self.env.now - t0) if charge_seconds is None else charge_seconds
             ctx.charge("manager", elapsed, messages=1)
@@ -558,7 +560,7 @@ class LocalManager:
                 if self.send_report is not None:
                     yield self.send_report(message)
                 else:
-                    yield self.messenger.send(self.node, self.global_name, message)
+                    yield self.messenger.send(self.node, GLOBAL_MANAGER_ENDPOINT, message)
             except FaultError:
                 # Reporting is best-effort under faults: a lost report shows
                 # up as manager silence at the global detector, which is the

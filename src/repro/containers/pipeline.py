@@ -38,7 +38,7 @@ from repro.analytics.predictive import NoForecast
 from repro.evpath.channel import Messenger, RetryPolicy
 from repro.evpath.overlay import NoOverlay
 from repro.fate import FateLedger
-from repro.lammps.driver import LammpsDriver
+from repro.lammps.driver import NUM_SIM_WRITERS, LammpsDriver
 from repro.lammps.workload import WeakScalingWorkload
 from repro.monitoring.metrics import Telemetry
 from repro.perf.registry import REGISTRY as PERF
@@ -274,7 +274,7 @@ class Pipeline:
             name=stage.name,
             output_links=output_links,
             queue_capacity=stage.queue_capacity,
-            gather_count=k["num_sim_writers"] if fed_by_sim else 1,
+            gather_count=NUM_SIM_WRITERS if fed_by_sim else 1,
             # DataStager scheduling gates the pulls that cross from the
             # simulation into the staging area (the first stage); pulls
             # between staging nodes stay unscheduled.
@@ -345,12 +345,8 @@ class Pipeline:
         container = self.add_stage(stage, component, nodes=())
         self.telemetry.mark(self.env.now, f"interactive launch {name}")
         yield self.global_manager.increase(name, units)
-        k = self.settings
-        if k["fault_tolerance"]:
-            self.managers[name].enable_fault_detection(
-                lease_timeout=k["lease_timeout"],
-                heartbeat_interval=k["heartbeat_interval"],
-            )
+        if self.settings["fault_tolerance"]:
+            self.managers[name].enable_fault_detection()
         # A cold-start consumer catches up on the spilled history before it
         # sees live data (full-history replay).
         self.failover.request_catchup()
@@ -440,7 +436,6 @@ class PipelineBuilder:
         wl = self.workload
         spec = self.spec
         k = self.knobs
-        sla_interval = k["sla_interval"] or wl.output_interval
         pipe = Pipeline(env, k)
 
         # Machine and partitions.  The simulation partition only needs the
@@ -448,12 +443,12 @@ class PipelineBuilder:
         # writers + staging to keep the topology graph small, while the
         # workload object carries the logical simulation node count.
         machine = self.machine or franklin(
-            env, num_nodes=k["num_sim_writers"] + wl.staging_nodes + 2
+            env, num_nodes=NUM_SIM_WRITERS + wl.staging_nodes + 2
         )
         pipe.machine = machine
         pipe.tenant = self.tenant
         prefix = f"{self.tenant}:" if self.tenant else ""
-        sim_part = machine.partition(f"{prefix}sim", k["num_sim_writers"])
+        sim_part = machine.partition(f"{prefix}sim", NUM_SIM_WRITERS)
         staging = machine.partition(f"{prefix}staging", wl.staging_nodes)
 
         # seeded scatter on the messenger's retry backoff; no failover
@@ -485,11 +480,10 @@ class PipelineBuilder:
             messenger,
             gm_node,
             scheduler,
-            sla_interval=sla_interval,
+            sla_interval=wl.output_interval,
             policy=self.policy,
             telemetry=pipe.telemetry,
             control_interval=k["control_interval"],
-            overflow_horizon=k["overflow_horizon"],
             engine=pipe.control_plane,
             fates=pipe.fates,
         )
@@ -514,7 +508,7 @@ class PipelineBuilder:
                 name=f"lammps-w{i}",
                 retain_until_processed=k["fault_tolerance"],
             )
-            for i in range(k["num_sim_writers"])
+            for i in range(NUM_SIM_WRITERS)
         ]
         for writer in sim_writers:
             links[first_stage.name].add_writer(writer)
@@ -660,16 +654,12 @@ class PipelineBuilder:
             from repro.containers.recovery import RecoveryManager
 
             for manager in pipe.managers.values():
-                manager.enable_fault_detection(
-                    lease_timeout=k["lease_timeout"],
-                    heartbeat_interval=k["heartbeat_interval"],
-                )
-            # attaches itself as the global manager's recovery
+                manager.enable_fault_detection()
+            # attaches itself as the global manager's recovery; a manager's
+            # lease spans four of its report intervals
             RecoveryManager(
                 env, messenger, gm,
-                manager_lease_timeout=(
-                    k["manager_lease_timeout"] or 4.0 * k["monitor_interval"]
-                ),
+                manager_lease_timeout=4.0 * k["monitor_interval"],
             )
         pipe.recovery = gm.recovery
 

@@ -43,6 +43,10 @@ from repro.perf.registry import REGISTRY
 if TYPE_CHECKING:
     from repro.containers.global_manager import GlobalManager
 
+#: seconds the REPLACE round waits for the local manager's reply before it
+#: counts the manager unreachable
+REPLACE_TIMEOUT = 60.0
+
 
 class NoRecovery:
     """Fault tolerance off: reports beat no lease and nothing is replaced."""
@@ -65,12 +69,10 @@ class RecoveryManager:
         messenger: Messenger,
         global_manager: "GlobalManager",
         manager_lease_timeout: float,
-        request_timeout: float = 60.0,
     ):
         self.env = env
         self.messenger = messenger
         self.gm = global_manager
-        self.request_timeout = request_timeout
         #: completed recovery actions, in order
         self.replacements: List[dict] = []
         #: failover hook: called with the container name after a REPLACE
@@ -210,7 +212,7 @@ class RecoveryManager:
         try:
             reply = yield self.messenger.request(
                 gm.node, gm.endpoint, ctx["manager"].endpoint.name, replace,
-                timeout=self.request_timeout,
+                timeout=REPLACE_TIMEOUT,
             )
         except (RequestTimeout, FaultError):
             # The local manager is unreachable (its node probably died

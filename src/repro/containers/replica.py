@@ -137,7 +137,7 @@ class Replica:
         self.current_chunk = chunk
         service = self.container.service_time(chunk)
         try:
-            yield self.node.compute(service, cores=1)
+            yield self.node.compute(service)
         except Interrupt:
             # Hard retire mid-service: the caller strands ``current_chunk``.
             return
@@ -154,7 +154,7 @@ class Replica:
         if self.container.hashing:
             # Soft-error detection: hash the output before it leaves the
             # node.  ~2 GiB/s per core is a realistic CRC/xxhash rate.
-            yield self.node.compute(out.nbytes / (2 * 2**30), cores=1)
+            yield self.node.compute(out.nbytes / (2 * 2**30))
             out.integrity = f"xxh64:{out.chunk_id:016x}"
         latency = self.env.now - chunk.entered_stage_at
         targets = [l for l in self.container.output_links if l.readers]

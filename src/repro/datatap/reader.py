@@ -106,9 +106,12 @@ class DataTapReader:
             yield self.env.timeout(0)
             return
         res_event = self.out_queue.reserve()
+        admission = None
         try:
             yield res_event
-            token = yield self.scheduler.admit()
+            admission = self.scheduler.admit()
+            token = yield admission
+            admission = None
             try:
                 done = yield from self._pull_with_retry(writer, info)
             finally:
@@ -123,7 +126,10 @@ class DataTapReader:
         except Interrupt:
             # Teardown cancel: the metadata is handed back for re-dispatch,
             # so the chunk KEEPS its credit — the eventual pull releases it.
+            # A pull slot still on its way goes back to the scheduler.
             # Re-raised to end the reader loop.
+            if admission is not None:
+                self.scheduler.withdraw(admission)
             self.out_queue.cancel_reservation(res_event)
             self.cancelled_meta.append(meta)
             raise

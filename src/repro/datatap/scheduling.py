@@ -12,7 +12,7 @@ unscheduled pulls.
 
 from __future__ import annotations
 
-from repro.simkernel import Environment, Event, Resource, processed_event
+from repro.simkernel import Environment, Event, Interrupt, Resource, processed_event
 from repro.simkernel.errors import SimulationError
 from repro.perf.registry import REGISTRY
 
@@ -96,12 +96,32 @@ class PullScheduler:
 
     def _admit(self):
         start = self.env.now
-        while self.defer_during_output and self._phase_clear is not None:
-            yield self._phase_clear
-        request = self._tokens.request()
-        yield request
+        request = None
+        try:
+            while self.defer_during_output and self._phase_clear is not None:
+                yield self._phase_clear
+            request = self._tokens.request()
+            yield request
+        except Interrupt:
+            # withdrawn: leave the queue, or give back a slot just granted
+            if request is not None:
+                request.cancel()
+            return None
         self._account(self.env.now - start)
         return request
+
+    def withdraw(self, admission) -> None:
+        """Cancel an :meth:`admit` whose puller stopped before it resumed
+        with the token.
+
+        Stopped while the admission was still queued, or after the slot was
+        granted but before the puller resumed, the puller would otherwise
+        leave the slot taken for good.
+        """
+        if admission.is_alive:
+            admission.interrupt("withdrawn")
+        else:
+            self.release(admission.value)
 
     def _account(self, wait: float) -> None:
         self.pulls_admitted += 1

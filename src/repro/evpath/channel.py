@@ -19,13 +19,21 @@ class RequestTimeout(FaultError):
     """A request saw no correlated reply within its timeout."""
 
 
+#: the retry ladder: a failed send is tried RETRY_ATTEMPTS times in all,
+#: sleeping RETRY_BASE_DELAY * RETRY_BACKOFF**i seconds between tries
+#: (0.05, 0.1, 0.2 s)
+RETRY_ATTEMPTS = 4
+RETRY_BASE_DELAY = 0.05
+RETRY_BACKOFF = 2.0
+
+
 @dataclass
 class RetryPolicy:
     """Retry-with-exponential-backoff for control-plane sends.
 
     A send that fails with a :class:`FaultError` (dead endpoint node, drop
-    or partition window) is retried up to ``attempts`` total tries, sleeping
-    ``base_delay * backoff**i`` between them.  Anything that still fails
+    or partition window) is retried on the fixed ladder above
+    (:data:`RETRY_ATTEMPTS` tries in all).  Anything that still fails
     propagates the last error to the sender.
 
     With ``jitter`` > 0 each sleep is scattered by a *deterministic*
@@ -37,9 +45,6 @@ class RetryPolicy:
     randomness is consumed, no key is hashed.
     """
 
-    attempts: int = 4
-    base_delay: float = 0.05
-    backoff: float = 2.0
     #: relative scatter applied to each delay; 0 = legacy fixed ladder
     jitter: float = 0.0
     #: DST seed the scatter derives from (threaded by the builder)
@@ -61,13 +66,13 @@ class RetryPolicy:
         return 1.0 + self.jitter * (2.0 * frac - 1.0)
 
     def delays(self, key=None):
-        delay = self.base_delay
-        for attempt in range(max(0, self.attempts - 1)):
+        delay = RETRY_BASE_DELAY
+        for attempt in range(RETRY_ATTEMPTS - 1):
             if self.jitter > 0.0 and key is not None:
                 yield delay * self._scatter(key, attempt)
             else:
                 yield delay
-            delay *= self.backoff
+            delay *= RETRY_BACKOFF
 
 
 class _FastSend(_Transfer):

@@ -29,6 +29,9 @@ from repro.simkernel.errors import FaultError, SimulationError
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 
+#: wire size of one report message on a tree edge (aggregated or not)
+REPORT_BYTES = 512
+
 
 class _OverlayVertex:
     __slots__ = ("node", "parent", "children", "buffer", "flusher")
@@ -62,8 +65,6 @@ class OverlayTree:
         (records travel individually but share one message per window).
     fanout:
         Maximum children per interior vertex.
-    report_bytes:
-        Wire size of one report message (aggregated or not).
     flush_interval:
         None for immediate propagation; a window length for batching.
     """
@@ -77,7 +78,6 @@ class OverlayTree:
         on_report: Callable[[Any], None],
         aggregate: Optional[Callable[[List[Any]], List[Any]]] = None,
         fanout: int = 4,
-        report_bytes: int = 512,
         flush_interval: Optional[float] = None,
     ):
         if fanout < 2:
@@ -91,7 +91,6 @@ class OverlayTree:
         self.on_report = on_report
         self.aggregate = aggregate or (lambda records: list(records))
         self.fanout = fanout
-        self.report_bytes = report_bytes
         self.flush_interval = flush_interval
         #: total tree-edge messages (perturbation accounting)
         self.messages = 0
@@ -180,7 +179,7 @@ class OverlayTree:
             self.messages += 1
             if dst is self.root or dst.node is self.root.node:
                 self.root_ingress += 1
-            return self.messenger.network.transfer(src.node, dst.node, self.report_bytes)
+            return self.messenger.network.transfer(src.node, dst.node, REPORT_BYTES)
         return self.env.timeout(0)
 
     def _propagate_immediate(self, vertex: _OverlayVertex, record: Any):

@@ -23,7 +23,7 @@ Rules the write sites used to repeat, now decided here:
   segment per timestep is what replay re-delivers;
 * several fragments of one (stage, reason) decision are one decision —
   each gets a record, none is a second fate;
-* a shed whose reason the failover layer diverts (``spill_reasons``)
+* while the failover layer diverts sheds (``divert_sheds``), a shed
   becomes a spill instead.
 
 Illegal transitions are refused where they happen and parked in
@@ -136,9 +136,9 @@ class FateLedger:
         self.suppressed = 0
         #: second spills folded into an existing record
         self.absorbed = 0
-        #: shed reasons diverted to the spill path, and the segment size a
+        #: whether sheds divert to the spill path, and the segment size a
         #: diverted timestep spills at; set by the failover layer
-        self.spill_reasons: Tuple[str, ...] = ()
+        self.divert_sheds = False
         self.spill_nbytes = 0.0
         #: ``fn(record, ledger)`` after every new shed / spill record, so
         #: live consumers see the deltas as they happen
@@ -193,7 +193,7 @@ class FateLedger:
             REGISTRY.count("overload.shed_suppressed")
             return SUPPRESSED
         decision = self._shed.get(timestep)
-        if decision is None and reason in self.spill_reasons:
+        if decision is None and self.divert_sheds:
             self.spill(timestep, stage, reason, time, self.spill_nbytes, chunk_id)
             return SPILLED
         if timestep in self._spills:

@@ -26,20 +26,19 @@ from repro.cluster.presets import franklin
 from repro.containers.pipeline import Pipeline
 from repro.fleet.arbiter import FleetArbiter
 from repro.fleet.quota import TenantQuota
+from repro.lammps.driver import NUM_SIM_WRITERS
 from repro.monitoring.metrics import Telemetry
 from repro.perf.registry import REGISTRY as PERF
 from repro.spec.build import build as build_spec, bundled_spec_names, load_preset
 from repro.spec.model import PipelineSpec, TenantSpecBlock
 
-#: (sim writers, staging nodes) each preset's *default* build carves from
-#: the shared machine — read off the bundled spec library, so the machine
-#: sizing can never drift from :mod:`repro.spec.bundled`.  Per-tenant
-#: workload overrides shrink the carved partitions, never the reservation.
-PRESET_FOOTPRINT: Dict[str, tuple] = {
-    name: (
-        int(load_preset(name).settings()["num_sim_writers"]),
-        load_preset(name).workload.staging_nodes,
-    )
+#: staging nodes each preset's *default* build carves from the shared
+#: machine (next to its NUM_SIM_WRITERS simulation nodes) — read off the
+#: bundled spec library, so the machine sizing can never drift from
+#: :mod:`repro.spec.bundled`.  Per-tenant workload overrides shrink the
+#: carved partitions, never the reservation.
+PRESET_FOOTPRINT: Dict[str, int] = {
+    name: load_preset(name).workload.staging_nodes
     for name in bundled_spec_names()
 }
 
@@ -264,8 +263,7 @@ def build_fleet(env: Environment, specs: List[TenantSpec], spares: int = 4,
     resolved = []  # (TenantSpec, PipelineSpec) in slate order
     for spec in specs:
         pspec = spec.to_spec()  # raises ValueError on an unknown preset
-        writers, staging = PRESET_FOOTPRINT[spec.preset]
-        total += writers + staging
+        total += NUM_SIM_WRITERS + PRESET_FOOTPRINT[spec.preset]
         resolved.append((spec, pspec))
     # Aggregate floor check: the floors a steal may never cross must fit in
     # the capacity the arbiter conserves (every tenant's own staging pool

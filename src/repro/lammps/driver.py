@@ -24,6 +24,14 @@ from repro.datatap.writer import DataTapWriter
 from repro.datatap.scheduling import NoPullScheduler, PullScheduler
 from repro.lammps.workload import WeakScalingWorkload
 
+#: I/O aggregator writers each output step is split across (one DataTap
+#: writer apiece); the first stage gathers this many partial writes per step
+NUM_SIM_WRITERS = 4
+
+#: nominal cost of an unblocked output write (local buffering): write time
+#: beyond it counts as application blocking
+WRITE_PHASE_DURATION = 0.5
+
 
 class LammpsDriver:
     """Emits weak-scaling output through DataTap writers on a cadence."""
@@ -35,7 +43,6 @@ class LammpsDriver:
         workload: WeakScalingWorkload,
         pull_scheduler: PullScheduler | NoPullScheduler,
         crack_step: Optional[int] = None,
-        write_phase_duration: float = 0.5,
     ):
         if not writers:
             raise ValueError("driver needs at least one writer")
@@ -44,7 +51,6 @@ class LammpsDriver:
         self.workload = workload
         self.crack_step = crack_step
         self.pull_scheduler = pull_scheduler
-        self.write_phase_duration = write_phase_duration
 
         #: fires when all steps have been emitted
         self.finished = Event(env)
@@ -74,7 +80,7 @@ class LammpsDriver:
         """True while an output write is stalled on full staging buffers."""
         return (
             self._write_started is not None
-            and self.env.now - self._write_started > self.write_phase_duration
+            and self.env.now - self._write_started > WRITE_PHASE_DURATION
         )
 
     @property
@@ -84,7 +90,7 @@ class LammpsDriver:
         total = self.blocked_time
         if self._write_started is not None:
             total += max(
-                0.0, self.env.now - self._write_started - self.write_phase_duration
+                0.0, self.env.now - self._write_started - WRITE_PHASE_DURATION
             )
         return total
 
@@ -123,7 +129,7 @@ class LammpsDriver:
             elapsed = self.env.now - write_start
             self._write_started = None
             # Anything beyond the nominal local-buffering cost is blocking.
-            self.blocked_time += max(0.0, elapsed - self.write_phase_duration)
+            self.blocked_time += max(0.0, elapsed - WRITE_PHASE_DURATION)
             self.pull_scheduler.output_phase_end()
             self.emit_times.append(self.env.now)
         self.finished.succeed(self.env.now)

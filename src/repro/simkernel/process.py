@@ -123,7 +123,10 @@ class Process(Event):
                 self._target = self._resume_cb = None
                 env.active_process = None
                 self._ok = False
-                self._value = error
+                # The traceback's first entry is this frame, which holds
+                # ``self``: drop it, keeping the generator's frames, so the
+                # failed process is not in a cycle through its own value.
+                self._value = error.with_traceback(error.__traceback__.tb_next)
                 env.schedule(self)
                 return
 

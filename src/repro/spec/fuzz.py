@@ -145,8 +145,6 @@ def generate_spec(seed: int, steps: Optional[int] = None) -> PipelineSpec:
     builder = {
         "seed": rng.randint(0, 2**16 - 1),
         "fault_tolerance": True,
-        "heartbeat_interval": 1.0,
-        "lease_timeout": 5.0,
         "control_interval": 30.0,
     }
     # Optional overload block: credit backpressure on every link.  Buffers

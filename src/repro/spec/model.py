@@ -44,23 +44,18 @@ def _yaml():
 
 
 #: Every knob of the spec's ``builder`` block, with its default — the one
-#: place those names and defaults are declared.  The pipeline builder, the
-#: validation pass and the fleet's machine sizing all read it (through
-#: :meth:`PipelineSpec.settings`), and a spec's builder block lists only the
-#: knobs it changes.  Every value is a plain scalar, so the block serializes
-#: losslessly.
+#: place those names and defaults are declared.  The pipeline builder reads
+#: it through :meth:`PipelineSpec.settings`, the validation pass rejects any
+#: other key, and a spec's builder block lists only the knobs it changes.
+#: Every value is a plain scalar, so the block serializes losslessly.
 BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "seed": 0,
-    "num_sim_writers": 4,
     "control_interval": 30.0,
     "monitor_interval": 15.0,
     #: timestep from which the simulation reports a crack (None = never)
     "crack_step": None,
     "use_pull_scheduler": True,
-    #: None = the workload's output interval
-    "sla_interval": None,
     "overflow_occupancy": 0.35,
-    "overflow_horizon": 150.0,
     "placement": "naive",
     "monitoring": "direct",
     #: caps on staging buffers (None = node-memory defaults); tightening
@@ -68,11 +63,8 @@ BUILDER_DEFAULTS: Mapping[str, Any] = MappingProxyType({
     "stage_buffer_bytes": None,
     "sim_buffer_bytes": None,
     #: chunk custody/redelivery, replica heartbeats and a RecoveryManager
+    #: (lease tuning fixed in repro.containers.local_manager)
     "fault_tolerance": False,
-    "heartbeat_interval": 1.0,
-    "lease_timeout": 5.0,
-    #: None = four monitor intervals
-    "manager_lease_timeout": None,
     #: overload controllers (on/off; their tuning is fixed in
     #: repro.overload.backpressure and repro.overload.brownout)
     "backpressure": False,

@@ -26,27 +26,18 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.lammps.driver import NUM_SIM_WRITERS
 from repro.spec.model import (
     BUILDER_DEFAULTS,
     OVERLOAD_MODES,
     FaultSpec,
     PipelineSpec,
     SpecError,
-    StageSpec,
     WorkloadSpec,
 )
 
 #: builder keys that must be positive numbers when present
-_POSITIVE_BUILDER_KEYS = (
-    "num_sim_writers",
-    "control_interval",
-    "monitor_interval",
-    "sla_interval",
-    "overflow_horizon",
-    "heartbeat_interval",
-    "lease_timeout",
-    "manager_lease_timeout",
-)
+_POSITIVE_BUILDER_KEYS = ("control_interval", "monitor_interval")
 
 
 def validate(spec: PipelineSpec) -> PipelineSpec:
@@ -148,12 +139,11 @@ def _validate_stages(spec: PipelineSpec) -> None:
             f"root stage {roots[0].name!r} cannot be standby: a standby "
             f"stage activates by joining its upstream's output link"
         )
-    writers = spec.settings()["num_sim_writers"]
-    if writers > 1 and roots[0].compute_model().value != "tree":
+    if roots[0].compute_model().value != "tree":
         raise SpecError(
-            f"root stage {roots[0].name!r} gathers {writers} partial writes "
-            f"per timestep (num_sim_writers) and must use the 'tree' compute "
-            f"model, not {roots[0].model!r}"
+            f"root stage {roots[0].name!r} gathers {NUM_SIM_WRITERS} partial "
+            f"writes per timestep (one per simulation writer) and must use "
+            f"the 'tree' compute model, not {roots[0].model!r}"
         )
 
     # Cycle check: walk each stage's upstream chain; a repeat inside one
@@ -212,8 +202,7 @@ def _validate_builder(spec: PipelineSpec) -> None:
     # admit a write, wedging the pipeline at step zero.  The sim-side
     # buffers are per writer (each carries 1/num_writers of a step).
     wl = spec.workload.to_workload()
-    writers = spec.settings()["num_sim_writers"]
-    sim_floor = wl.bytes_per_step / max(1, writers)
+    sim_floor = wl.bytes_per_step / NUM_SIM_WRITERS
     sim_buffer = b.get("sim_buffer_bytes")
     if sim_buffer is not None and sim_buffer < sim_floor:
         raise SpecError(

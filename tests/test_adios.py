@@ -12,6 +12,7 @@ from repro.adios import (
     read_bp,
     write_bp,
 )
+from repro.adios.filesystem import METADATA_LATENCY, STREAM_BANDWIDTH, STRIPES
 from repro.adios.group import lammps_atoms_group
 from repro.adios.variable import AttributeSet
 
@@ -128,23 +129,20 @@ class TestParallelFileSystem:
         assert fs.bytes_written == 1e6
 
     def test_striping_limits_concurrency(self, env, machine):
-        fs = ParallelFileSystem(env, stripes=1, per_stream_bandwidth=1e6)
+        fs = ParallelFileSystem(env)
         times = []
 
         def proc(env, name):
-            yield fs.write(machine.nodes[0], name, 1e6, {})
+            # one second on one stream
+            yield fs.write(machine.nodes[0], name, STREAM_BANDWIDTH, {})
             times.append(env.now)
 
-        env.process(proc(env, "a"))
-        env.process(proc(env, "b"))
+        for i in range(STRIPES + 1):
+            env.process(proc(env, f"f{i}"))
         env.run()
-        assert times[1] >= times[0] + 0.9  # serialized on the single stripe
-
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            ParallelFileSystem(env, stripes=0)
-        with pytest.raises(ValueError):
-            ParallelFileSystem(env, per_stream_bandwidth=0)
+        # one write per stripe runs at once; the extra one waits for a stripe
+        assert times[:STRIPES] == [pytest.approx(1.0 + METADATA_LATENCY)] * STRIPES
+        assert times[STRIPES] == pytest.approx(2.0 + METADATA_LATENCY)
 
 
 class TestWriteChunk:

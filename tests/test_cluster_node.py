@@ -71,25 +71,3 @@ class TestCompute:
         env.run()
         assert done == [(2.0, "a"), (2.0, "b"), (4.0, "c")]
 
-    def test_compute_multi_core(self, env):
-        node = Node(env, 0, cores=4)
-        done = []
-
-        def big(env):
-            yield node.compute(3, cores=4)
-            done.append(("big", env.now))
-
-        def small(env):
-            yield env.timeout(0.5)
-            yield node.compute(1, cores=1)
-            done.append(("small", env.now))
-
-        env.process(big(env))
-        env.process(small(env))
-        env.run()
-        assert done == [("big", 3.0), ("small", 4.0)]
-
-    def test_too_many_cores_rejected(self, env):
-        node = Node(env, 0, cores=2)
-        with pytest.raises(SimulationError):
-            node.compute(1, cores=3)

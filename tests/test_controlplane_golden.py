@@ -90,8 +90,7 @@ def _run_replace_scenario():
     from repro.faults import FaultPlan
 
     env = Environment()
-    pipe = build(env, steps=10, spare=2, fault_tolerance=True,
-                 lease_timeout=5.0, heartbeat_interval=1.0)
+    pipe = build(env, steps=10, spare=2, fault_tolerance=True)
     victim = pipe.containers["bonds"].replicas[1]
     plan = FaultPlan(seed=1)
     plan.node_crash(30.0, victim.node.node_id)

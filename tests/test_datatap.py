@@ -650,6 +650,65 @@ class TestChunkPathOutcomes:
         self._assert_same(scenario)
 
 
+class TestPullSlotWithdrawn:
+    """A reader stopped while its pull admission is pending hands the slot
+    back to the scheduler.  (The process reader of :mod:`tests.oracles.datatap`
+    leaks it, so these run the walker path alone.)"""
+
+    @staticmethod
+    def _rig():
+        from repro.cluster import Machine
+        from repro.evpath import Messenger
+
+        env = Environment()
+        machine = Machine(env, num_nodes=12, cores_per_node=1)
+        rig = _Rig(env, machine, Messenger(env, machine.network))
+        return rig, PullScheduler(env, max_concurrent_pulls=1)
+
+    def test_reader_removed_while_admission_queued(self):
+        rig, sched = self._rig()
+        rig.build(readers=2, scheduler=sched, nbytes=2e8)
+        rig.produce(4)
+        queued_at_removal = []
+
+        def control(env):
+            yield env.timeout(0.01)  # r0 holds the slot mid-GET, r1 queues
+            yield rig.link.pause_writers()
+            queued_at_removal.append(sched.queued)
+            rig.link.remove_reader(rig.readers[1])
+            yield rig.link.resume_writers()
+
+        rig.env.process(control(rig.env))
+        rig.env.run(until=30)
+        assert queued_at_removal == [1]
+        assert (sched.in_flight, sched.queued) == (0, 0)
+        assert rig.readers[0].chunks_pulled == 4
+        assert not rig.writer.buffer._chunks
+
+    def test_reader_stopped_between_grant_and_resume(self):
+        from repro.simkernel import schedule_step
+        from repro.simkernel.events import NORMAL
+
+        rig, sched = self._rig()
+        held = sched.admit().value  # the only slot, taken up front
+        rig.build(readers=1, scheduler=sched)
+        rig.produce(1)
+        reader = rig.readers[0]
+
+        def control(env):
+            yield env.timeout(1.0)  # the reader's admission queues behind it
+            assert sched.queued == 1
+            sched.release(held)  # grants the queued admission...
+            # ...and the reader stops once the admission has returned the
+            # slot but before the reader resumes with it
+            schedule_step(env, lambda _: reader.crash(), NORMAL)
+
+        rig.env.process(control(rig.env))
+        rig.env.run(until=30)
+        assert (sched.in_flight, sched.queued) == (0, 0)
+        assert reader.chunks_pulled == 0
+
+
 class TestPipelineOutcomes:
     """Whole presets through the walkers and through the process generators
     of :mod:`tests.oracles.datatap`: the emit and hash paths of a replica's

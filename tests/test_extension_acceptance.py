@@ -7,6 +7,7 @@ replays the same seed to check the run is reproduced exactly.
 
 import pytest
 
+from repro.containers.local_manager import LEASE_TIMEOUT
 from repro.experiments.figures import run_failover, run_fleet, run_overload, run_predictive
 from repro.faults import FaultPlan
 from repro.simkernel import Environment
@@ -26,7 +27,7 @@ class TestChaosRecovery:
     with spares: detected within the lease, replaced from the spare pool,
     redelivered, and the bottleneck settles back to its service floor."""
 
-    LEASE = 5.0
+    LEASE = LEASE_TIMEOUT
     CRASH_AT = 60.0
 
     def _run(self):
@@ -36,7 +37,7 @@ class TestChaosRecovery:
                           steps=STEPS)
         pipe = build(env, PipelineSpec("chaos", workload=wl, builder=dict(
             seed=1, control_interval=30.0,
-            fault_tolerance=True, lease_timeout=self.LEASE, heartbeat_interval=1.0,
+            fault_tolerance=True,
         )))
         # a Bonds replica that does not co-host the local manager
         victim = pipe.containers["bonds"].replicas[1]

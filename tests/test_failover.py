@@ -156,12 +156,15 @@ class TestSpillLedger:
 
     def test_covered_shed_diverted_to_spill(self):
         fates = FateLedger()
-        fates.spill_reasons = ("offline_prune",)
+        fates.divert_sheds = True
         assert fates.shed(4, "csym", "offline_prune", 1.0) == SPILLED
         assert fates.shed_records == [] and fates.spill_record(4).reason == "offline_prune"
-        # a shed the policy does not cover cannot give a spilled step a
-        # second fate
-        assert fates.shed(4, "csym", "container_stride", 2.0) == REFUSED
+        # a second shed of the spilled step is absorbed into its spill
+        assert fates.shed(4, "csym", "container_stride", 2.0) == SPILLED
+        assert fates.absorbed == 1 and fates.violations == []
+        # with diversion off, a shed cannot give a spilled step a second fate
+        fates.divert_sheds = False
+        assert fates.shed(4, "csym", "container_stride", 3.0) == REFUSED
         assert len(fates.violations) == 1
 
 

@@ -28,10 +28,10 @@ sinks = st.sampled_from(["csym", "cna"])
 
 
 class FateLedgerMachine(RuleBasedStateMachine):
-    @initialize(diverted=st.sets(st.sampled_from(SHED_REASONS)))
-    def setup(self, diverted):
+    @initialize(divert=st.booleans())
+    def setup(self, divert):
         self.ledger = FateLedger(expected=STEPS)
-        self.ledger.spill_reasons = tuple(sorted(diverted))
+        self.ledger.divert_sheds = divert
         self.sinks = {}        # step -> set of sinks
         self.shed_of = {}      # step -> (stage, reason)
         self.shed_log = []     # (step, stage, reason) per accepted record
@@ -98,7 +98,7 @@ class FateLedgerMachine(RuleBasedStateMachine):
             assert answer == SUPPRESSED
             return
         decision = self.shed_of.get(step)
-        if decision is None and reason in self.ledger.spill_reasons:
+        if decision is None and self.ledger.divert_sheds:
             self.model_spill(step)
             assert answer == SPILLED
         elif step in self.spills or decision not in (None, (stage, reason)):

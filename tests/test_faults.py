@@ -111,7 +111,7 @@ class TestInjector:
 
         def work():
             start = env.now
-            yield node.compute(1.0, cores=1)
+            yield node.compute(1.0)
             durations.append(env.now - start)
 
         env.process(work())
@@ -119,7 +119,7 @@ class TestInjector:
 
         def work_after():
             start = env.now
-            yield node.compute(1.0, cores=1)
+            yield node.compute(1.0)
             durations.append(env.now - start)
 
         env.process(work_after())

@@ -12,8 +12,6 @@ def build(env, spare=2, steps=10, staging=13, stages=None, **builder):
                       spare=spare, steps=steps)
     builder.setdefault("control_interval", 10_000)
     builder.setdefault("fault_tolerance", True)
-    builder.setdefault("lease_timeout", 5.0)
-    builder.setdefault("heartbeat_interval", 1.0)
     return build_spec(env, PipelineSpec("recovery", workload=wl, stages=stages,
                                         builder=dict(seed=0, **builder)))
 
@@ -129,8 +127,7 @@ class TestReplace:
 class TestManagerRecovery:
     def test_manager_rehosted_then_replica_replaced(self):
         env = Environment()
-        pipe = build(env, spare=2, monitor_interval=5.0,
-                     manager_lease_timeout=20.0)
+        pipe = build(env, spare=2, monitor_interval=5.0)
         bonds = pipe.containers["bonds"]
         manager = pipe.managers["bonds"]
         victim = bonds.replicas[0]  # co-hosts the local manager

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Environment, Interrupt, SimulationError
+from repro.simkernel import Environment, FaultError, Interrupt, SimulationError
 
 
 class TestEnvironment:
@@ -138,6 +138,44 @@ class TestProcess:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_failed_process_is_freed_without_the_collector(self):
+        """A process that ends with an exception holds it as its value; the
+        traceback must not lead back to the process, so an unwatched
+        failure is freed by reference counting too."""
+        import gc
+        import weakref
+
+        def proc(env):
+            yield env.timeout(1)
+            raise FaultError("lost")
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            env = Environment()
+            ref = weakref.ref(env.process(proc(env)))
+            env.run()  # an unwatched FaultError does not crash the run
+            assert env.swallowed_faults == 1
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_unwatched_failure_keeps_the_generator_frames(self):
+        import traceback
+
+        def failing_step(env):
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        env = Environment()
+        env.process(failing_step(env))
+        with pytest.raises(ValueError, match="boom") as err:
+            env.run()
+        frames = [f.name for f in traceback.extract_tb(err.value.__traceback__)]
+        assert frames[-1] == "failing_step"
+        assert "_resume" not in frames
 
 
 class TestInterrupt:

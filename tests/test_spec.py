@@ -158,11 +158,19 @@ class TestValidation:
         ("failover", "collapse_ticks"),
         ("failover", "spill_reasons"),
         ("overload", "horizon"),
+        ("builder", "num_sim_writers"),
+        ("builder", "sla_interval"),
+        ("builder", "overflow_horizon"),
+        ("builder", "heartbeat_interval"),
+        ("builder", "lease_timeout"),
+        ("builder", "manager_lease_timeout"),
     ])
     def test_removed_tuning_key_rejected(self, block, key):
-        # the tuning is fixed: a spec naming a removed key fails at parse
-        with pytest.raises(SpecError, match=f"unknown {block} field"):
-            PipelineSpec.from_dict({"name": "x", block: {key: 3}})
+        # the tuning is fixed: a spec naming a removed key fails with an
+        # error that names it (a typed block at parse, the builder block
+        # at validation)
+        with pytest.raises(SpecError, match=rf"unknown {block} (field|key).*'{key}'"):
+            PipelineSpec.from_dict({"name": "x", block: {key: 3}}).validate()
 
     def test_buffer_below_one_step_rejected(self):
         with pytest.raises(SpecError, match="below one timestep per writer"):
