@@ -10,20 +10,20 @@ pieces of those machines that the paper's results actually depend on:
   :class:`~repro.cluster.machine.Torus3D`) — the standard first-order
   model for RDMA transfers on torus machines;
 * a batch scheduler that hands an application a fixed node partition for the
-  whole run, with the Cray ``aprun`` launch-cost artifact the paper measures
-  at 3–27 s (:class:`BatchScheduler`, :class:`AprunModel`).
+  whole run and records one owner per node of it (:class:`BatchScheduler`),
+  with the Cray ``aprun`` launch-cost artifact the paper measures at 3–27 s
+  (:class:`AprunModel`).
 """
 
 from repro.cluster.node import Nic, Node
 from repro.cluster.network import Network, TransferError, TransferStats
 from repro.cluster.machine import Machine, Partition
-from repro.cluster.scheduler import AprunModel, BatchScheduler, Job
+from repro.cluster.scheduler import AprunModel, BatchScheduler
 from repro.cluster.presets import franklin, redsky
 
 __all__ = [
     "AprunModel",
     "BatchScheduler",
-    "Job",
     "Machine",
     "Network",
     "Nic",

@@ -2,21 +2,18 @@
 
 The paper factors the cost of ``aprun`` out of its microbenchmarks because it
 is "an artifact of the particular OS batch-style scheduling", but reports
-observed launch times of **3 to 27 seconds**.  We model that artifact
-explicitly and keep it separable (``include_aprun`` flags throughout), so the
-experiments can report results both ways, exactly as the paper does.
-
-A second aprun limitation the paper leans on: processes launched by separate
-``aprun`` invocations cannot be coalesced onto the same node.  The scheduler
-enforces that for MPI-model containers, which is why growing an MPI component
-requires full teardown + relaunch while round-robin replicas can simply be
-spawned.
+observed launch times of **3 to 27 seconds**.  We model that artifact as
+a separate cost (:class:`AprunModel`), charged only where the paper's system
+pays it: the relaunch of an MPI-model (PARALLEL) container, whose ranks were
+started by one ``aprun`` and cannot be coalesced with processes from another,
+so growing it means a full teardown and relaunch.  Round-robin replicas ride
+on an existing launch and are spawned in place, at no aprun cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,24 +43,26 @@ class AprunModel:
         return float(np.exp(rng.uniform(lo, hi)))
 
 
-@dataclass
-class Job:
-    """A launched executable occupying nodes until released."""
+#: owner of an idle node in the spare pool
+FREE = "free"
+#: owner of a crashed node, quarantined for the rest of the run
+FAILED = "failed"
 
-    job_id: int
-    name: str
-    nodes: List[Node]
-    launched_at: float
-    launch_cost: float
-    released: bool = False
+
+def container_owner(name: str) -> str:
+    """The owner of a node a container holds as a replica or standby node."""
+    return f"container:{name}"
 
 
 class BatchScheduler:
-    """Allocates nodes from a partition and models launch costs.
+    """Records the one owner of every node of a partition and hands out spares.
 
     This is *intra-allocation* scheduling: the user already holds the full
-    node set (as on Franklin); the scheduler tracks which staging nodes are
-    busy, hands out spares, and charges aprun time for MPI-style launches.
+    node set (as on Franklin).  A node's owner is :data:`FREE`,
+    :data:`FAILED`, the :func:`container_owner` of the container running a
+    replica (or keeping a standby reservation) on it, or the
+    :class:`~repro.controlplane.trace.ProtocolTrace` of the protocol run
+    holding it in flight.  Every handoff is a checked :meth:`move`.
     """
 
     def __init__(
@@ -78,12 +77,11 @@ class BatchScheduler:
         self.pool = pool
         self.aprun = aprun or AprunModel()
         self.rng = rng or np.random.default_rng(0)
-        self._free: List[Node] = list(pool.nodes)
-        self._jobs: Dict[int, Job] = {}
-        self._next_job_id = 0
-        #: nodes lost to injected crashes; never handed out again
-        self.failed_nodes: List[Node] = []
-        #: nodes on loan from the fleet arbiter (see :meth:`adopt`)
+        #: node -> owner, in move order: free nodes iterate in the order
+        #: they became free, so allocation takes the longest-idle first
+        self._owner: Dict[Node, Any] = {node: FREE for node in pool.nodes}
+        #: nodes on loan from the fleet arbiter (see :meth:`adopt`), free
+        #: or held
         self._borrowed: set = set()
         #: perf namespace; fleet tenants use ``fleet.<tenant>`` so holdings
         #: show up per tenant.  Occupancy is published as a monotone pair of
@@ -98,147 +96,106 @@ class BatchScheduler:
 
     @property
     def free_nodes(self) -> int:
-        return len(self._free)
+        return list(self._owner.values()).count(FREE)
 
     @property
     def busy_nodes(self) -> int:
-        return len(self.pool) - len(self._free)
+        return len(self._owner) - self.free_nodes
+
+    def owner(self, node: Node) -> Any:
+        """The node's current owner (None for a node outside the pool)."""
+        return self._owner.get(node)
+
+    def owners(self) -> List[Tuple[Node, Any]]:
+        """Every pool node with its owner, in move order."""
+        return list(self._owner.items())
+
+    def owned_by(self, owner: Any) -> List[Node]:
+        return [node for node, held in self._owner.items() if held == owner]
 
     def peek_free(self) -> List[Node]:
-        return list(self._free)
+        return self.owned_by(FREE)
+
+    # -- moves ----------------------------------------------------------------------
+
+    def move(self, nodes: Iterable[Node], to: Any, expect: Any) -> None:
+        """Hand ``nodes`` from owner ``expect`` to owner ``to``, or raise
+        :class:`SimulationError` (moving none) if one has another owner.
+
+        A crashed node's only owner is :data:`FAILED`: it stays there, and
+        a crashed node not yet quarantined is quarantined.  Nodes leaving
+        and entering the free pool count under ``nodes_allocated`` and
+        ``nodes_released``.
+        """
+        owner = self._owner
+        nodes = [node for node in nodes if owner.get(node) != FAILED]
+        for node in nodes:
+            if owner.get(node) != expect:
+                raise SimulationError(
+                    f"scheduler: node {node.node_id} is owned by "
+                    f"{owner.get(node)}, not {expect}"
+                )
+        claimed = returned = 0
+        for node in nodes:
+            held = owner.pop(node)
+            target = FAILED if node.failed else to
+            owner[node] = target
+            if target == FREE:
+                returned += 1
+            elif held == FREE:
+                claimed += 1
+        if claimed:
+            self._c_allocated.add(claimed)
+            PERF.count_max(f"{self.label}.busy_peak", self.busy_nodes)
+        if returned:
+            self._c_released.add(returned)
 
     def mark_failed(self, node: Node) -> None:
-        """Quarantine a crashed node: pull it from the free pool and any job.
+        """Quarantine a crashed node, whoever owns it.
 
-        Idempotent.  The node stays out of circulation until a (hypothetical)
-        repair returns it via the free list; recovery protocols treat the
-        capacity as permanently lost for the rest of the run.
+        Idempotent, and a no-op for a node outside the pool.  The node stays
+        out of circulation for the rest of the run; recovery protocols treat
+        the capacity as permanently lost.
         """
-        if node in self.failed_nodes:
-            return
-        self.failed_nodes.append(node)
-        if node in self._free:
-            self._free.remove(node)
-        for job in self._jobs.values():
-            if node in job.nodes:
-                job.nodes.remove(node)
+        held = self._owner.get(node)
+        if held is not None:
+            self.move([node], FAILED, held)
+
+    def restock(self, nodes: Iterable[Node], holder: Any) -> None:
+        """Return ``holder``'s nodes to the free pool: protocol aborts and
+        compensations, decrease, offline and retire.  Crashed nodes are
+        quarantined instead."""
+        self.move(nodes, FREE, holder)
 
     # -- allocation -------------------------------------------------------------------
 
-    def allocate(self, count: int, name: str = "job") -> Job:
-        """Immediately claim ``count`` free nodes (no launch cost).
-
-        Used for round-robin replica spawning, which on the real system rides
-        on an existing launch.
-        """
+    def allocate(self, count: int, owner: Any) -> List[Node]:
+        """Immediately hand the ``count`` longest-idle free nodes to ``owner``
+        (no launch cost: round-robin replicas ride on an existing launch)."""
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        if count > len(self._free):
+        free = self.peek_free()
+        if count > len(free):
             raise SimulationError(
-                f"scheduler: {count} nodes requested for {name!r}, "
-                f"{len(self._free)} free"
+                f"scheduler: {count} nodes requested for {owner}, "
+                f"{len(free)} free"
             )
-        nodes = [self._free.pop(0) for _ in range(count)]
-        job = Job(
-            job_id=self._next_job_id,
-            name=name,
-            nodes=nodes,
-            launched_at=self.env.now,
-            launch_cost=0.0,
-        )
-        self._next_job_id += 1
-        self._jobs[job.job_id] = job
-        self._c_allocated.add(count)
-        PERF.count_max(f"{self.label}.busy_peak", self.busy_nodes)
-        return job
+        return self.allocate_specific(free[:count], owner)
 
-    def allocate_specific(self, nodes: List[Node], name: str = "job") -> Job:
-        """Claim an explicit node set (used by topology-aware placement)."""
+    def allocate_specific(self, nodes: List[Node], owner: Any) -> List[Node]:
+        """Hand an explicit free node set to ``owner`` (topology-aware
+        placement)."""
         if not nodes:
             raise ValueError("allocate_specific needs at least one node")
-        for node in nodes:
-            if node not in self._free:
-                raise SimulationError(
-                    f"scheduler: node {node.node_id} not free for {name!r}"
-                )
-        for node in nodes:
-            self._free.remove(node)
-        job = Job(
-            job_id=self._next_job_id,
-            name=name,
-            nodes=list(nodes),
-            launched_at=self.env.now,
-            launch_cost=0.0,
-        )
-        self._next_job_id += 1
-        self._jobs[job.job_id] = job
-        self._c_allocated.add(len(nodes))
-        PERF.count_max(f"{self.label}.busy_peak", self.busy_nodes)
-        return job
-
-    def launch(self, count: int, name: str = "job"):
-        """Launch an MPI-style executable on ``count`` nodes via aprun.
-
-        Returns a process event whose value is the :class:`Job`.  The launch
-        cost is sampled from the aprun model and charged as simulated time.
-        """
-        return self.env.process(self._launch(count, name), name=f"aprun {name}")
-
-    def _launch(self, count: int, name: str):
-        cost = self.aprun.sample(self.rng)
-        yield self.env.timeout(cost)
-        job = self.allocate(count, name)
-        job.launch_cost = cost
-        return job
-
-    def release(self, job: Job) -> None:
-        """Return a job's nodes to the free pool."""
-        if job.released:
-            raise SimulationError(f"job {job.job_id} already released")
-        job.released = True
-        del self._jobs[job.job_id]
-        self._free.extend(job.nodes)
-        self._c_released.add(len(job.nodes))
-
-    def restock(self, nodes: Iterable[Node]) -> None:
-        """Return nodes to the free pool outside a job release: protocol
-        aborts and compensations, offline and retire replies.
-
-        A crashed or quarantined node goes to :meth:`mark_failed` instead,
-        and a node already free is skipped, so the free list never holds a
-        duplicate or a dead node.  Each node returned counts under
-        ``nodes_released``, as in :meth:`release`.
-        """
-        returned = 0
-        for node in nodes:
-            if node.failed or node in self.failed_nodes:
-                self.mark_failed(node)
-            elif node not in self._free:
-                self._free.append(node)
-                returned += 1
-        self._c_released.add(returned)
-
-    def release_nodes(self, job: Job, count: int) -> List[Node]:
-        """Shrink a job by returning ``count`` of its nodes to the pool.
-
-        Only valid for round-robin jobs; MPI jobs must be torn down whole
-        (the aprun coalescing limitation).
-        """
-        if count <= 0 or count > len(job.nodes):
-            raise SimulationError(
-                f"cannot release {count} nodes from job with {len(job.nodes)}"
-            )
-        released = [job.nodes.pop() for _ in range(count)]
-        self._free.extend(released)
-        self._c_released.add(count)
-        return released
+        self.move(nodes, owner, FREE)
+        return list(nodes)
 
     # -- fleet borrowing ---------------------------------------------------------------
 
     def adopt(self, nodes: List[Node]) -> None:
         """Absorb nodes loaned by the fleet arbiter into this pool.
 
-        The nodes join the partition's node list, the free list, and the
+        The nodes join the partition's node list as free nodes and the
         borrowed set, so ordinary ``allocate`` calls can claim them and
         the arbiter can later reclaim them with :meth:`expel`.
         """
@@ -249,18 +206,18 @@ class BatchScheduler:
                 )
         for node in nodes:
             self.pool.nodes.append(node)
-            self._free.append(node)
+            self._owner[node] = FREE
             self._borrowed.add(node)
 
     def expel(self, nodes: List[Node]) -> None:
         """Hand borrowed nodes back to the arbiter.  Nodes must be free."""
         for node in nodes:
-            if node not in self._free:
+            if self._owner.get(node) != FREE:
                 raise SimulationError(
                     f"scheduler: cannot expel busy node {node.node_id}"
                 )
         for node in nodes:
-            self._free.remove(node)
+            del self._owner[node]
             self.pool.nodes.remove(node)
             self._borrowed.discard(node)
 
@@ -269,7 +226,8 @@ class BatchScheduler:
 
     def free_borrowed(self) -> List[Node]:
         """Borrowed nodes currently idle — reclaimable by the arbiter."""
-        return [node for node in self._free if node in self._borrowed]
+        return [node for node, held in self._owner.items()
+                if held == FREE and node in self._borrowed]
 
     def occupancy(self) -> Dict[str, int]:
         """Point-in-time occupancy snapshot (for reports, not perf counters)."""
@@ -277,6 +235,6 @@ class BatchScheduler:
             "pool": len(self.pool),
             "free": self.free_nodes,
             "busy": self.busy_nodes,
-            "failed": len(self.failed_nodes),
+            "failed": len(self.owned_by(FAILED)),
             "borrowed": len(self._borrowed),
         }

@@ -19,7 +19,7 @@ from repro.simkernel import Environment, Interrupt
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.resources import Resource
 from repro.cluster.node import Node
-from repro.cluster.scheduler import BatchScheduler
+from repro.cluster.scheduler import FREE, BatchScheduler, container_owner
 from repro.containers.local_manager import GLOBAL_MANAGER_ENDPOINT, LocalManager
 from repro.containers.recovery import NoRecovery
 from repro.containers.policy import (
@@ -246,30 +246,37 @@ class GlobalManager:
 
     # -- operations ---------------------------------------------------------------------------
 
-    def increase(self, name: str, count: int, nodes: Optional[List[Node]] = None):
-        """Process: grow ``name`` by ``count`` nodes (from spares or given)."""
-        return self.env.process(self._increase(name, count, nodes), name=f"gm-incr:{name}")
+    def increase(self, name: str, count: int, nodes: Optional[List[Node]] = None,
+                 holder=FREE):
+        """Process: grow ``name`` by ``count`` nodes, from spares or the
+        given ``nodes``, which ``holder`` owns (the caller's protocol run
+        for a trade, else the free pool)."""
+        return self.env.process(self._increase(name, count, nodes, holder),
+                                name=f"gm-incr:{name}")
 
-    def _increase(self, name: str, count: int, nodes: Optional[List[Node]] = None):
+    def _increase(self, name: str, count: int, nodes: Optional[List[Node]],
+                  holder):
         manager = self._manager(name)
         result = yield self.engine.execute(
             protocols.GM_INCREASE, subject=name,
             data={"gm": self, "manager": manager, "name": name,
-                  "count": count, "nodes": nodes},
+                  "count": count, "nodes": nodes, "holder": holder},
         )
         return result
 
     def _gmi_allocate(self, ctx) -> None:
-        if ctx["nodes"] is None:
-            name, count = ctx["name"], ctx["count"]
-            if count > self.scheduler.free_nodes:
-                self._borrow(count)
-            if count > self.scheduler.free_nodes:
-                raise SimulationError(
-                    f"increase {name!r} by {count}: only {self.scheduler.free_nodes} spare"
-                )
-            job = self.scheduler.allocate(count, name=f"incr:{name}")
-            ctx["nodes"] = job.nodes
+        # The protocol run holds the nodes until the increase is answered.
+        if ctx["nodes"] is not None:
+            self.scheduler.move(ctx["nodes"], ctx.trace, ctx["holder"])
+            return
+        name, count = ctx["name"], ctx["count"]
+        if count > self.scheduler.free_nodes:
+            self._borrow(count)
+        if count > self.scheduler.free_nodes:
+            raise SimulationError(
+                f"increase {name!r} by {count}: only {self.scheduler.free_nodes} spare"
+            )
+        ctx["nodes"] = self.scheduler.allocate(count, ctx.trace)
 
     def _gmi_validate(self, ctx) -> None:
         # A target node died mid-protocol (e.g. between the donor's
@@ -281,8 +288,8 @@ class GlobalManager:
             raise ProtocolAbort(f"{len(dead)} target nodes dead")
 
     def _gmi_abort(self, ctx):
-        name, nodes = ctx["name"], ctx["nodes"] or []
-        self.scheduler.restock(nodes)
+        name, nodes = ctx["name"], ctx["nodes"]
+        self.scheduler.restock(nodes, ctx.trace)
         dead = [n for n in nodes if n.failed]
         alive = [n for n in nodes if not n.failed]
         # Loaned capacity goes back to the fleet arbiter, not this tenant's
@@ -305,19 +312,22 @@ class GlobalManager:
         reply = yield self.messenger.request(
             self.node, self.endpoint, ctx["manager"].endpoint.name, request
         )
+        self.scheduler.move(nodes, container_owner(name), ctx.trace)
         self.actions_taken.append(f"increase {name} +{len(nodes)}")
         ctx.result = reply.payload
 
-    def decrease(self, name: str, count: int):
-        """Process: shrink ``name`` by ``count`` nodes; value is the freed nodes."""
-        return self.env.process(self._decrease(name, count), name=f"gm-decr:{name}")
+    def decrease(self, name: str, count: int, to=FREE):
+        """Process: shrink ``name`` by ``count`` nodes and hand them to
+        ``to`` (the caller's protocol run for a trade, else the free pool);
+        value is the freed nodes."""
+        return self.env.process(self._decrease(name, count, to), name=f"gm-decr:{name}")
 
-    def _decrease(self, name: str, count: int):
+    def _decrease(self, name: str, count: int, to):
         manager = self._manager(name)
         request = Message(
             MessageType.DECREASE_REQUEST,
             sender="global-mgr",
-            payload={"count": count},
+            payload={"count": count, "to": to},
         )
         reply = yield self.messenger.request(
             self.node, self.endpoint, manager.endpoint.name, request
@@ -345,7 +355,7 @@ class GlobalManager:
         return result
 
     def _gms_decrease(self, ctx):
-        ctx["freed"] = yield self.decrease(ctx["donor"], ctx["count"])
+        ctx["freed"] = yield self.decrease(ctx["donor"], ctx["count"], to=ctx.trace)
 
     def _gms_validate(self, ctx) -> None:
         # The mid-protocol crash case: the trade aborts and the freed
@@ -355,7 +365,7 @@ class GlobalManager:
 
     def _gms_abort(self, ctx) -> None:
         freed = ctx["freed"]
-        self.scheduler.restock(freed)
+        self.scheduler.restock(freed, ctx.trace)
         self._return_borrowed([n for n in freed if not n.failed])
         alive = sum(1 for n in freed if not n.failed)
         self.actions_taken.append(
@@ -366,7 +376,8 @@ class GlobalManager:
 
     def _gms_increase(self, ctx):
         freed = ctx["freed"]
-        yield self.increase(ctx["recipient"], len(freed), nodes=freed)
+        yield self.increase(ctx["recipient"], len(freed), nodes=freed,
+                            holder=ctx.trace)
 
     def _gms_commit(self, ctx) -> None:
         freed = ctx["freed"]
@@ -395,10 +406,9 @@ class GlobalManager:
             request = Message(
                 MessageType.OFFLINE_REQUEST, sender="global-mgr", payload={}
             )
-            reply = yield self.messenger.request(
+            yield self.messenger.request(
                 self.node, self.endpoint, manager.endpoint.name, request
             )
-            self.scheduler.restock(reply.payload["nodes"])
             self.actions_taken.append(f"offline {cname}")
         # Flush: chunks buffered in the writers feeding each pruned stage
         # will never be pulled.  (This covers both the live upstream's
@@ -464,7 +474,7 @@ class GlobalManager:
         self.actions_taken.append(f"hashing {name} {'on' if enabled else 'off'}")
         return reply.mtype is MessageType.ACK
 
-    def activate(self, name: str, units: Optional[int] = None):
+    def activate(self, name: str, units: Optional[int] = None, holder=None):
         """Process: bring a standby container online (the dynamic branch),
         or re-activate an offline one (the brownout ladder's de-escalation).
 
@@ -472,26 +482,25 @@ class GlobalManager:
         from Bonds".  The standby container already holds nodes; activation
         spawns its replicas and wires them into the upstream link.  For an
         *offline* container ``units`` sizes the rebuild (capped by the
-        spare pool; defaults to 1).
+        spare pool; defaults to 1), and ``holder``, the caller's protocol
+        run, holds the spare nodes it takes until the increase is answered.
         """
-        return self.env.process(self._activate(name, units=units),
+        return self.env.process(self._activate(name, units, holder),
                                 name=f"gm-activate:{name}")
 
-    def _activate(self, name: str, nodes: Optional[List[Node]] = None,
-                  units: Optional[int] = None):
+    def _activate(self, name: str, units: Optional[int], holder):
         manager = self._manager(name)
         container = manager.container
         if container.offline:
-            result = yield from self._reactivate(manager, units)
+            result = yield from self._reactivate(manager, units, holder)
             return result
         if container.active:
             yield self.env.timeout(0)
             return container.units
         container.active = True
-        if nodes is None:
-            nodes = container.standby_nodes
         request = Message(
-            MessageType.INCREASE_REQUEST, sender="global-mgr", payload={"nodes": nodes}
+            MessageType.INCREASE_REQUEST, sender="global-mgr",
+            payload={"nodes": container.standby_nodes},
         )
         reply = yield self.messenger.request(
             self.node, self.endpoint, manager.endpoint.name, request
@@ -499,7 +508,7 @@ class GlobalManager:
         self.actions_taken.append(f"activate {name}")
         return reply.payload["units"]
 
-    def _reactivate(self, manager: LocalManager, units: Optional[int]):
+    def _reactivate(self, manager: LocalManager, units: Optional[int], holder):
         """Rebuild a pruned container from the spare pool.
 
         The reverse of the offline cascade: flush (as accounted sheds)
@@ -511,6 +520,8 @@ class GlobalManager:
         """
         container = manager.container
         name = container.name
+        if holder is None:
+            raise SimulationError(f"reactivating {name!r} needs the calling protocol run")
         container.offline = False
         if container.input_link is not None:
             yield from self._flush_input(container)
@@ -521,14 +532,15 @@ class GlobalManager:
         if count <= 0:
             container.offline = True
             return 0
-        job = self.scheduler.allocate(count, name=f"react:{name}")
+        nodes = self.scheduler.allocate(count, holder)
         request = Message(
             MessageType.INCREASE_REQUEST, sender="global-mgr",
-            payload={"nodes": job.nodes},
+            payload={"nodes": nodes},
         )
         reply = yield self.messenger.request(
             self.node, self.endpoint, manager.endpoint.name, request
         )
+        self.scheduler.move(nodes, container_owner(name), holder)
         if container.input_link is not None:
             # Reinstall the credit window *before* the writers resume: the
             # stale window described a downstream that no longer exists,
@@ -556,7 +568,6 @@ class GlobalManager:
         reply = yield self.messenger.request(
             self.node, self.endpoint, manager.endpoint.name, request
         )
-        self.scheduler.restock(reply.payload["nodes"])
         self.actions_taken.append(f"retire {name}")
         return reply.payload["nodes"]
 

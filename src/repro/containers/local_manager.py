@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.simkernel import Environment, Interrupt
-from repro.simkernel.errors import FaultError, SimulationError
+from repro.simkernel.errors import FaultError
 from repro.cluster.node import Node
-from repro.cluster.scheduler import BatchScheduler
+from repro.cluster.scheduler import BatchScheduler, container_owner
 from repro.containers.container import Container
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
@@ -47,7 +47,7 @@ class LocalManager:
         messenger: Messenger,
         container: Container,
         node: Node,
-        scheduler: Optional[BatchScheduler] = None,
+        scheduler: BatchScheduler,
         telemetry: Optional[Telemetry] = None,
         monitor_interval: float = 15.0,
         sla_interval: Optional[float] = None,
@@ -278,10 +278,13 @@ class LocalManager:
             self.watch_replica(replica)
 
     def _relaunch_parallel(self, new_nodes: List[Node], ctx):
-        """MPI resize: tear down all ranks, aprun a bigger job."""
+        """MPI resize: tear down all ranks, aprun a bigger job.
+
+        The torn-down ranks' nodes are held by this protocol run until the
+        relaunched job spawns on them again.
+        """
         container = self.container
-        if self.scheduler is None:
-            raise SimulationError("PARALLEL resize requires a scheduler (aprun)")
+        mine = container_owner(container.name)
         # Quiesce input, tear down existing ranks.
         if container.input_link is not None:
             t0 = self.env.now
@@ -296,6 +299,7 @@ class LocalManager:
         old_nodes: List[Node] = []
         if container.replicas:
             old_nodes = container.remove_replicas(container.units, allow_teardown=True)
+            self.scheduler.move(old_nodes, ctx.trace, mine)
             self._unwatch_departed()
         # aprun relaunch at the combined size.
         t0 = self.env.now
@@ -303,6 +307,7 @@ class LocalManager:
         yield self.env.timeout(self.scheduler.aprun.sample(self.scheduler.rng))
         ctx.charge("launch", self.env.now - t0)
         yield self.env.process(self._spawn_replicas(all_nodes, ctx))
+        self.scheduler.move(old_nodes, mine, ctx.trace)
         actives = [r for r in container.replicas if not r.passive]
         for i, chunk in enumerate(stranded):
             yield actives[i % len(actives)].queue.put(chunk)
@@ -342,8 +347,13 @@ class LocalManager:
         yield self.container.input_link.resume_writers()
 
     def _dec_retire(self, ctx) -> None:
+        """Retire replicas and hand their nodes to the owner the request
+        names, so a node never sits with a container it has left."""
         t0 = self.env.now
-        ctx["freed"] = self.container.remove_replicas(ctx["count"])
+        container = self.container
+        ctx["freed"] = container.remove_replicas(ctx["count"])
+        self.scheduler.move(ctx["freed"], ctx["msg"].payload["to"],
+                            container_owner(container.name))
         self._unwatch_departed()
         ctx.charge("intra_container", self.env.now - t0, messages=ctx["count"])
 
@@ -513,6 +523,7 @@ class LocalManager:
                     )
             freed.append(replica.node)
         container.replicas = []
+        self.scheduler.restock(freed, container_owner(container.name))
         self._unwatch_departed()
         container.offline = True
         ctx["stranded"] = stranded

@@ -21,7 +21,7 @@ from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 from repro.cluster.machine import Machine
 from repro.cluster.presets import franklin
-from repro.cluster.scheduler import BatchScheduler
+from repro.cluster.scheduler import BatchScheduler, container_owner
 from repro.containers.container import Container
 from repro.containers.global_manager import GlobalManager
 from repro.containers.local_manager import LocalManager
@@ -174,29 +174,35 @@ class Pipeline:
         self.analytics.stop()
 
     def node_census(self) -> dict:
-        """Where every staging node currently is, by node id.
+        """Where every staging node currently is, by node id: the raw data
+        of the :mod:`repro.dst` node-conservation oracle.
 
-        The :mod:`repro.dst` node-conservation oracle's raw data: the
-        scheduler's pool, its free list (as a list — duplicates are a bug
-        the oracle checks for), quarantined crash victims, and the nodes
-        held by containers (live replicas plus standby reservations).
-        Census by replica/standby membership, not scheduler jobs: several
-        recovery paths legitimately move nodes without updating job
-        bookkeeping.
+        ``owner`` is the scheduler's owner map in its order, each owner as
+        ``free``, ``failed``, ``container:<name>`` or, for a protocol run
+        holding the node in flight, ``protocol:<name>[<subject>]``; ``ended``
+        is the part of it held by protocol runs that have finished.
+        ``members`` maps each container owner to its live replica and
+        standby nodes, ``replicas`` each live replica's node to its
+        container owner, and ``crashed`` holds the pool nodes that are down.
         """
-        sched = self.scheduler
-        pool = {n.node_id for n in sched.pool.nodes}
-        free = [n.node_id for n in sched.peek_free()]
-        failed = {n.node_id for n in sched.failed_nodes if n.node_id in pool}
-        held = set()
-        for container in self.containers.values():
+        owners = self.scheduler.owners()
+        members, replicas = {}, {}
+        for name, container in self.containers.items():
+            mine = container_owner(name)
+            held = members[mine] = {n.node_id for n in container.standby_nodes}
             for replica in container.replicas:
-                if not replica.crashed and replica.node.node_id in pool:
+                if not replica.crashed:
                     held.add(replica.node.node_id)
-            for node in container.standby_nodes:
-                if node.node_id not in failed:
-                    held.add(node.node_id)
-        return {"pool": pool, "free": free, "failed": failed, "held": held}
+                    replicas[replica.node.node_id] = mine
+        return {
+            "pool": {n.node_id for n in self.scheduler.pool.nodes},
+            "owner": {n.node_id: str(held) for n, held in owners},
+            "ended": {n.node_id: str(held) for n, held in owners
+                      if not isinstance(held, str) and held.status != "running"},
+            "crashed": {n.node_id for n, _ in owners if n.failed},
+            "members": members,
+            "replicas": replicas,
+        }
 
     # -- convenience metrics ------------------------------------------------------------
 
@@ -558,10 +564,11 @@ class PipelineBuilder:
             )
             planned = TopologyAwarePlacement().plan(machine, problem).assignment
 
-        jobs = [
-            scheduler.allocate_specific(planned[stage.name], name=stage.name)
+        allocations = [
+            scheduler.allocate_specific(planned[stage.name],
+                                        container_owner(stage.name))
             if planned is not None
-            else scheduler.allocate(stage.units, name=stage.name)
+            else scheduler.allocate(stage.units, container_owner(stage.name))
             for stage in self.stages
         ]
 
@@ -577,13 +584,13 @@ class PipelineBuilder:
                 env,
                 messenger,
                 gm_node,
-                [job.nodes[0] for job in jobs],
+                [nodes[0] for nodes in allocations],
                 on_report=lambda msg: gm.ingest_report(msg.payload),
                 flush_interval=k["monitor_interval"],
             )
 
         standby_names = {s.name for s in self.stages if s.standby}
-        for stage, job in zip(self.stages, jobs):
+        for stage, nodes in zip(self.stages, allocations):
             name = stage.name
             consumers = downstream_of.get(name, [])
             # Each active consumer gets its own link (every consumer sees the
@@ -600,7 +607,7 @@ class PipelineBuilder:
                 output_links = [links[consumers[0]]]
             else:
                 output_links = []
-            pipe.add_stage(stage, stage.resolve_component(), job.nodes, output_links)
+            pipe.add_stage(stage, stage.resolve_component(), nodes, output_links)
 
         # Shed accounting is always wired (recording is pure bookkeeping —
         # a run that never sheds is unchanged); the controllers that *cause*

@@ -34,6 +34,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.simkernel import Environment, Interrupt
 from repro.simkernel.errors import FaultError
+from repro.cluster.scheduler import container_owner
 from repro.controlplane import ProtocolAbort, ProtocolExit, protocols
 from repro.evpath.channel import Messenger, RequestTimeout
 from repro.evpath.messages import Message, MessageType
@@ -179,14 +180,13 @@ class RecoveryManager:
         node = None
         method = None
         if gm.scheduler.free_nodes > 0:
-            job = gm.scheduler.allocate(1, name=f"replace:{name}")
-            node = job.nodes[0]
+            (node,) = gm.scheduler.allocate(1, ctx.trace)
             method = "spare"
         else:
             donor = self._pick_donor(name)
             if donor is not None:
                 self.rounds += 1
-                freed = yield gm.decrease(donor, 1)
+                freed = yield gm.decrease(donor, 1, to=ctx.trace)
                 freed = [n for n in freed if not n.failed]
                 if freed:
                     node = freed[0]
@@ -198,7 +198,7 @@ class RecoveryManager:
 
     def _rr_return_node(self, ctx) -> None:
         """Compensation: an acquired-but-unused node rejoins the pool."""
-        self.gm.scheduler.restock([ctx["node"]])
+        self.gm.scheduler.restock([ctx["node"]], ctx.trace)
 
     def _rr_request(self, ctx):
         """Run the REPLACE round against the local manager."""
@@ -219,6 +219,7 @@ class RecoveryManager:
             # too).  The acquire round's compensation gives the node back;
             # a manager rehost may later revive the container.
             raise ProtocolAbort("manager unreachable")
+        gm.scheduler.move([ctx["node"]], container_owner(ctx["name"]), ctx.trace)
         ctx["reply"] = reply
 
     def _rr_commit(self, ctx) -> None:

@@ -65,9 +65,14 @@ class RoundTrace:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class ProtocolTrace:
-    """One protocol execution: the engine's structured audit record."""
+    """One protocol execution: the engine's structured audit record.
+
+    Compared and hashed by identity: a running trace is also the owner of
+    the staging nodes its protocol holds in flight (see
+    :class:`~repro.cluster.scheduler.BatchScheduler`).
+    """
 
     protocol: str
     subject: str
@@ -81,6 +86,9 @@ class ProtocolTrace:
     rounds: List[RoundTrace] = field(default_factory=list)
     #: names of rounds whose compensation ran during an abort unwind
     compensated: List[str] = field(default_factory=list)
+
+    def __str__(self) -> str:
+        return f"protocol:{self.protocol}[{self.subject}]"
 
     @property
     def total(self) -> float:

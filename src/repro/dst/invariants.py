@@ -6,12 +6,12 @@ harness checks while :class:`~repro.dst.scenario.DSTScenario` sweeps
 seeds.  Checkers are registered in :data:`INVARIANTS` and instantiated
 per run by :class:`InvariantMonitor`, which sweeps them periodically in
 simulated time and once more after the run settles (``final=True``,
-where quiescent-only properties such as full node-pool coverage become
-checkable).
+where properties of a finished run, such as every timestep having a
+fate, become checkable).
 
 Checkers must be *sound on legal schedules*: a property that can be
-transiently violated mid-protocol (nodes in flight during a resize, a
-timestep between pull and ack) is only asserted at quiescence.
+transiently violated mid-protocol (a timestep between pull and ack) is
+only asserted once the run is over.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
 
 from repro.analytics.predictive import SCOPE
+from repro.cluster.scheduler import FAILED, FREE
 from repro.perf.registry import REGISTRY
 
 
@@ -58,47 +59,47 @@ def register(cls: Type[Invariant]) -> Type[Invariant]:
     return cls
 
 
-def _quiescent(pipe) -> bool:
-    """No control-plane protocol is mid-flight."""
-    return all(t.status != "running" for t in pipe.control_trace.records)
-
-
 @register
 class NodeConservation(Invariant):
-    """Spare pool + container allocations + quarantined = cluster size.
+    """Every staging node has one owner that answers for it, at every sweep.
 
-    During the run only schedule-independent facts are asserted (the free
-    list holds no duplicates and no crashed or container-held node); full
-    pool coverage is asserted at quiescence, when no protocol holds nodes
-    in flight.
+    The scheduler's owner map covers the pool exactly; a node that is not
+    free, failed or held by a protocol run is a live replica or standby
+    node of the container that owns it; a live replica's node is owned by
+    its container, or by a running protocol (a spawn in progress); no node
+    is held by a protocol run that has ended (a leak: its abort or handoff
+    never moved the node on); and no free node is crashed.
     """
 
     name = "node_conservation"
 
     def check(self, pipe, final: bool) -> List[str]:
         census = pipe.node_census()
-        pool, free = census["pool"], census["free"]
-        failed, held = census["failed"], census["held"]
+        owner, ended = census["owner"], census["ended"]
         problems: List[str] = []
-        dupes = sorted({n for n in free if free.count(n) > 1})
-        if dupes:
-            problems.append(f"free list holds duplicates: {dupes}")
-        free_set = set(free)
-        leaked_failed = sorted(free_set & failed)
-        if leaked_failed:
-            problems.append(f"crashed nodes back in the free pool: {leaked_failed}")
-        stray = sorted(free_set - pool)
+        stray = sorted(set(owner) ^ census["pool"])
         if stray:
-            problems.append(f"free list holds nodes outside the pool: {stray}")
-        if final and _quiescent(pipe):
-            double = sorted(free_set & held)
-            if double:
-                problems.append(f"nodes both free and container-held: {double}")
-            missing = sorted(pool - free_set - held - failed)
-            if missing:
+            problems.append(f"owner map and pool disagree on nodes: {stray}")
+        for node, held in owner.items():
+            if held in (FREE, FAILED) or held.startswith("protocol:"):
+                continue
+            if node not in census["members"].get(held, ()):
                 problems.append(
-                    f"nodes unaccounted for (not free, held, or failed): {missing}"
+                    f"node {node} unaccounted for: owned by {held}, which "
+                    f"runs no live replica and keeps no standby node on it"
                 )
+        for node, mine in census["replicas"].items():
+            held = owner.get(node)
+            spawning = held is not None and held.startswith("protocol:")
+            if held != mine and not (spawning and node not in ended):
+                problems.append(
+                    f"live replica of {mine} on node {node} owned by {held}"
+                )
+        for node, run in ended.items():
+            problems.append(f"node {node} leaked: still held by ended {run}")
+        dead = sorted(n for n in census["crashed"] if owner.get(n) == FREE)
+        if dead:
+            problems.append(f"crashed nodes back in the free pool: {dead}")
         return problems
 
 
@@ -360,8 +361,9 @@ class PredictiveActionsBounded(Invariant):
 @register
 class NoCrossTenantNodeLeak(Invariant):
     """Fleet-wide exclusivity: every staging node lives in exactly one
-    place — one tenant's pool or the arbiter's spare list — and each
-    tenant's free list stays inside its own pool.
+    place — one tenant's pool or the arbiter's spare list.  (A tenant's
+    free nodes stay inside its pool: ``node_conservation`` checks that
+    each owner map covers exactly its pool.)
 
     No-op on single-pipeline runs (``pipe.fleet is None``): always-on, but
     only a fleet has cross-tenant structure to leak across.
@@ -376,23 +378,13 @@ class NoCrossTenantNodeLeak(Invariant):
         problems: List[str] = []
         owner: Dict[int, str] = {}
         for name in sorted(fleet.tenants):
-            sched = fleet.tenants[name].pipe.scheduler
-            pool_ids = set()
-            for node in sched.pool.nodes:
+            for node in fleet.tenants[name].pipe.scheduler.pool.nodes:
                 if node.node_id in owner:
                     problems.append(
                         f"node {node.node_id} in two tenant pools: "
                         f"{owner[node.node_id]!r} and {name!r}"
                     )
                 owner[node.node_id] = name
-                pool_ids.add(node.node_id)
-            stray = sorted(
-                {n.node_id for n in sched.peek_free()} - pool_ids
-            )
-            if stray:
-                problems.append(
-                    f"tenant {name!r} free list holds nodes outside its pool: {stray}"
-                )
         for node in fleet.arbiter.spares:
             if node.node_id in owner:
                 problems.append(
@@ -446,7 +438,7 @@ class InvariantMonitor:
     Attach before (or just after) ``pipe.run()`` starts; the monitor
     re-checks every ``interval`` simulated seconds and deduplicates
     repeated reports of the same problem.  Call :meth:`finish` after the
-    run for the final (quiescence-aware) sweep and the violation list.
+    run for the final sweep and the violation list.
     """
 
     def __init__(self, pipe, invariants: Optional[List[str]] = None,

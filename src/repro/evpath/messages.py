@@ -170,7 +170,7 @@ def _schema(mtype: MessageType, *required: str, optional: Tuple[str, ...] = (),
 SCHEMAS: Dict[MessageType, MessageSchema] = {s.mtype: s for s in (
     # Global manager -> local manager (Figure 3 protocol requests)
     _schema(MessageType.INCREASE_REQUEST, "nodes"),
-    _schema(MessageType.DECREASE_REQUEST, "count"),
+    _schema(MessageType.DECREASE_REQUEST, "count", "to"),
     _schema(MessageType.OFFLINE_REQUEST),
     _schema(MessageType.SET_STRIDE, "stride"),
     _schema(MessageType.SET_HASHING, "enabled"),

@@ -215,23 +215,8 @@ class Fleet:
 
     def _on_node_crash(self, node) -> None:
         for tenant in self.tenants.values():
-            sched = tenant.pipe.scheduler
-            if node in sched.pool.nodes:
-                sched.mark_failed(node)
+            tenant.pipe.scheduler.mark_failed(node)  # a no-op outside its pool
             tenant.pipe._on_node_crash(node)
-
-    # -- census ------------------------------------------------------------------------
-
-    def node_census(self) -> dict:
-        """Fleet-wide node ownership, by node id — the raw data behind the
-        ``no_cross_tenant_node_leak`` oracle."""
-        return {
-            "spares": [n.node_id for n in self.arbiter.spares],
-            "tenants": {
-                name: tenant.pipe.node_census()
-                for name, tenant in sorted(self.tenants.items())
-            },
-        }
 
     def summaries(self) -> List[dict]:
         return [t.summary() for _, t in sorted(self.tenants.items())]

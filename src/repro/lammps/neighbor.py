@@ -10,9 +10,9 @@ uses the cell list to stay fast.
 :meth:`CellList.pairs` is fully vectorized: atoms are counting-sorted into
 cell buckets at construction, and pair generation broadcasts over the half
 stencil of cell offsets with ragged cross-products in index arithmetic — no
-per-cell Python loop.  The seed per-cell implementation is kept as
-:meth:`CellList._reference_pairs` for the equivalence tests and the
-speedup floor in ``tests/test_speed_gates.py``.
+per-cell Python loop.  The seed per-cell implementation is kept in
+``tests/oracles/kernels.py`` for the equivalence tests and the speedup
+floor in ``tests/test_speed_gates.py``.
 """
 
 from __future__ import annotations
@@ -212,54 +212,6 @@ class CellList:
         d = self.positions[i] - self.positions[j]
         within = np.einsum("ij,ij->i", d, d) <= self.cutoff * self.cutoff
         i, j = i[within], j[within]
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        return np.column_stack([lo, hi])
-
-    def _reference_pairs(self) -> np.ndarray:
-        """Seed per-occupied-cell implementation (kept for the equivalence
-        tests and the speedup floor in ``tests/test_speed_gates.py``)."""
-        n = len(self.positions)
-        if n < 2:
-            return np.empty((0, 2), dtype=np.int64)
-        offsets = self._stencil()
-        out_i, out_j = [], []
-        cutoff2 = self.cutoff * self.cutoff
-        coords_cache = np.stack(
-            np.unravel_index(np.arange(int(np.prod(self._shape))), self._shape), axis=-1
-        )
-        occupied = np.unique(self._cell_of)
-        for cell in occupied:
-            members = self._cell_members(cell)
-            cell_coord = coords_cache[cell]
-            neigh_coords = cell_coord + offsets
-            valid = np.all((neigh_coords >= 0) & (neigh_coords < self._shape), axis=1)
-            neigh_cells = neigh_coords[valid] @ self._strides
-            # Only visit neighbour cells with index >= this cell to avoid
-            # double counting; handle same-cell pairs via triangle below.
-            for other in neigh_cells:
-                if other < cell:
-                    continue
-                others = self._cell_members(other)
-                if len(others) == 0:
-                    continue
-                if other == cell:
-                    if len(members) < 2:
-                        continue
-                    a, b = np.triu_indices(len(members), k=1)
-                    ii, jj = members[a], members[b]
-                else:
-                    ii = np.repeat(members, len(others))
-                    jj = np.tile(others, len(members))
-                d = self.positions[ii] - self.positions[jj]
-                mask = np.einsum("ij,ij->i", d, d) <= cutoff2
-                if mask.any():
-                    out_i.append(ii[mask])
-                    out_j.append(jj[mask])
-        if not out_i:
-            return np.empty((0, 2), dtype=np.int64)
-        i = np.concatenate(out_i)
-        j = np.concatenate(out_j)
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         return np.column_stack([lo, hi])

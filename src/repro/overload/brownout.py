@@ -529,7 +529,8 @@ class BrownoutController:
                 # to send its output by the time data flows again.
                 for cname in order:
                     if units_by.get(cname, 0) > 0:
-                        yield gm.activate(cname, units=units_by[cname])
+                        yield gm.activate(cname, units=units_by[cname],
+                                          holder=ctx.trace)
                     else:
                         # a standby dependent swept up by the cascade: it
                         # had no replicas to rebuild — return it to standby

@@ -75,18 +75,6 @@ def adjacency_list(pairs: np.ndarray, natoms: int) -> List[np.ndarray]:
     return [indices[indptr[i] : indptr[i + 1]] for i in range(natoms)]
 
 
-def _reference_adjacency_list(pairs: np.ndarray, natoms: int) -> List[np.ndarray]:
-    """Seed O(m) Python append-loop implementation (kept for the
-    equivalence tests)."""
-    if natoms < 0:
-        raise ValueError("natoms must be non-negative")
-    neighbors: List[List[int]] = [[] for _ in range(natoms)]
-    for i, j in pairs:
-        neighbors[int(i)].append(int(j))
-        neighbors[int(j)].append(int(i))
-    return [np.array(sorted(lst), dtype=np.int64) for lst in neighbors]
-
-
 def coordination_numbers(pairs: np.ndarray, natoms: int) -> np.ndarray:
     """Number of bonds per atom, vectorized."""
     counts = np.zeros(natoms, dtype=np.int64)

@@ -22,8 +22,7 @@ used to exhibit the cubic behaviour.
 Neighbour sets come from the shared CSR adjacency (sorted rows, memoized
 per snapshot by the kernel cache), so common neighbours are sorted-array
 intersections instead of per-atom Python set builds; the seed set-based
-kernel is kept as :func:`_reference_pair_signatures` for the equivalence
-tests.
+kernel is kept in ``tests/oracles/kernels.py`` for the equivalence tests.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 
 from repro.perf.cache import KERNEL_CACHE
 from repro.perf.registry import REGISTRY as _perf
-from repro.smartpointer.bonds import _reference_adjacency_list
 
 CNA_FCC = 1
 CNA_HCP = 2
@@ -102,30 +100,6 @@ def pair_signatures(
         return signatures
 
 
-def _reference_pair_signatures(
-    pairs: np.ndarray, natoms: int
-) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
-    """Seed set-based implementation (kept for the equivalence tests)."""
-    neighbors = _reference_adjacency_list(pairs, natoms)
-    neighbor_sets = [set(int(x) for x in lst) for lst in neighbors]
-    adjacency = {i: neighbor_sets[i] for i in range(natoms)}
-    signatures: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        common = neighbor_sets[i] & neighbor_sets[j]
-        ncn = len(common)
-        if ncn == 0:
-            signatures[(i, j)] = (0, 0, 0)
-            continue
-        nb = 0
-        for a in common:
-            nb += len(adjacency[a] & common)
-        nb //= 2
-        lcb = _longest_chain(common, adjacency)
-        signatures[(i, j)] = (ncn, nb, lcb)
-    return signatures
-
-
 def _labels_from_signatures(
     signatures: Dict[Tuple[int, int], Tuple[int, int, int]], natoms: int
 ) -> np.ndarray:
@@ -144,11 +118,6 @@ def common_neighbor_analysis(pairs: np.ndarray, natoms: int) -> np.ndarray:
     """Per-atom structural label (CNA_FCC / CNA_HCP / CNA_TRIANGULAR / CNA_OTHER)."""
     with _perf.timer("cna.labels"):
         return _labels_from_signatures(pair_signatures(pairs, natoms), natoms)
-
-
-def _reference_common_neighbor_analysis(pairs: np.ndarray, natoms: int) -> np.ndarray:
-    """Seed labeling path (kept for the equivalence tests)."""
-    return _labels_from_signatures(_reference_pair_signatures(pairs, natoms), natoms)
 
 
 def cna_dense(positions_adjacency: np.ndarray) -> np.ndarray:

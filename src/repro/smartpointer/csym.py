@@ -17,7 +17,7 @@ CSR adjacency, atoms are grouped by neighbour count, nearest-neighbour
 selection is a row-wise sort per group, and the greedy opposite-pair
 matching runs as <= N/2 rounds of whole-group array ops instead of a
 per-atom Python loop with ``list.remove``.  The seed per-atom kernel is
-kept as :func:`_reference_central_symmetry`; both consume neighbours in
+kept in ``tests/oracles/kernels.py``; both consume neighbours in
 ascending-index order so their greedy tie-breaking — and therefore their
 output — matches exactly.
 """
@@ -119,54 +119,6 @@ def _greedy_pair_sums(vectors: np.ndarray) -> np.ndarray:
         alive[rows, first] = False
         alive[rows, best] = False
     return totals
-
-
-def _reference_central_symmetry(
-    positions: np.ndarray,
-    num_neighbors: int = 6,
-    cutoff: Optional[float] = None,
-) -> np.ndarray:
-    """Seed per-atom kernel (kept for the equivalence tests and the
-    speedup floor in ``tests/test_speed_gates.py``).
-
-    Identical to the seed apart from sorting each atom's neighbour
-    candidates by index, which pins the greedy tie-breaking to the same
-    order the batched kernel uses (the CSR rows are ascending).
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    n = len(positions)
-    if num_neighbors < 2 or num_neighbors % 2:
-        raise ValueError("num_neighbors must be an even integer >= 2")
-    if cutoff is None:
-        cutoff = 2.0
-    csp = np.zeros(n)
-    cells = CellList(positions, cutoff)
-    for i in range(n):
-        neigh = np.sort(cells.neighbors_of(i))
-        if len(neigh) < 2:
-            csp[i] = np.inf if len(neigh) == 0 else 4.0 * cutoff * cutoff
-            continue
-        vectors = positions[neigh] - positions[i]
-        dist2 = np.einsum("ij,ij->i", vectors, vectors)
-        take = min(num_neighbors, len(neigh))
-        nearest = np.argsort(dist2)[:take]
-        vectors = vectors[nearest]
-        # Greedy opposite-pair matching: repeatedly take the pair (a, b)
-        # minimizing |v_a + v_b|^2.  Exact for ideal lattices and standard
-        # practice for the CSP.
-        remaining = list(range(len(vectors)))
-        total = 0.0
-        while len(remaining) >= 2:
-            a = remaining[0]
-            sums = vectors[a] + vectors[remaining[1:]]
-            norms = np.einsum("ij,ij->i", sums, sums)
-            best = int(np.argmin(norms))
-            total += float(norms[best])
-            b = remaining[1 + best]
-            remaining.remove(a)
-            remaining.remove(b)
-        csp[i] = total
-    return csp
 
 
 def detect_break(

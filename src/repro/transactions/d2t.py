@@ -138,13 +138,14 @@ class TransactionManager:
         raise ProtocolAbort("increase failed", result=[])
 
     def _tr_decrease(self, ctx):
-        ctx["freed"] = yield ctx["gm"].decrease(ctx["donor"], ctx["count"])
+        ctx["freed"] = yield ctx["gm"].decrease(ctx["donor"], ctx["count"],
+                                                to=ctx.trace)
 
     def _tr_compensate(self, ctx) -> None:
         """The freed nodes must not be lost — back to the spare pool."""
         gm = ctx["gm"]
         freed = ctx["freed"]
-        gm.scheduler.restock(freed)
+        gm.scheduler.restock(freed, ctx.trace)
         self.trades_compensated += 1
         gm.actions_taken.append(
             f"trade {ctx['donor']}->{ctx['recipient']} compensated "
@@ -153,7 +154,8 @@ class TransactionManager:
 
     def _tr_increase(self, ctx):
         freed = ctx["freed"]
-        yield ctx["gm"].increase(ctx["recipient"], len(freed), nodes=freed)
+        yield ctx["gm"].increase(ctx["recipient"], len(freed), nodes=freed,
+                                 holder=ctx.trace)
 
     def _tr_commit(self, ctx) -> None:
         gm = ctx["gm"]

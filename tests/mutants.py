@@ -1,0 +1,25 @@
+"""Mutants: monkeypatches that each put one mended bug back.
+
+A mutant patches one built pipeline (or one class) and nothing else, so no
+production code carries a hook for it.  Tests apply a mutant and assert
+that the DST oracles still catch it, which keeps every mended bug caught.
+"""
+
+
+def skip_steal_restock(pipe):
+    """A ``gm_steal`` abort that drops the donor's freed nodes instead of
+    returning them to the spare pool (the consistency guarantee of the
+    paper's Section III-A item 5).  The nodes stay with the ended steal."""
+    gm = pipe.global_manager
+
+    def abort(ctx):
+        gm.actions_taken.append(
+            f"steal {ctx['donor']}->{ctx['recipient']} aborted; nodes dropped"
+        )
+        ctx.result = []
+
+    gm._gms_abort = abort
+
+
+#: name -> mutant, for sweeps that run every mutant
+MUTANTS = {"skip_steal_restock": skip_steal_restock}

@@ -14,7 +14,9 @@ walkers to these semantics.
 
 ``tests/test_datatap.py::TestChunkPathOutcomes`` drives it; nothing in
 production calls it.  Do not modify this file when optimizing the data
-path — it is the baseline.
+path — it is the baseline.  (It carries one mend the walkers also have: a
+reader stopped while its pull admission is pending withdraws it through
+:meth:`PullScheduler.withdraw`, so the slot is not leaked.)
 """
 
 from __future__ import annotations
@@ -109,10 +111,17 @@ def admit(self):
 
 def _admit(self):
     start = self.env.now
-    while self.defer_during_output and self._phase_clear is not None:
-        yield self._phase_clear
-    request = self._tokens.request()
-    yield request
+    request = None
+    try:
+        while self.defer_during_output and self._phase_clear is not None:
+            yield self._phase_clear
+        request = self._tokens.request()
+        yield request
+    except Interrupt:
+        # withdrawn: leave the queue, or give back a slot just granted
+        if request is not None:
+            request.cancel()
+        return None
     self.pulls_admitted += 1
     wait = self.env.now - start
     self.total_wait += wait
@@ -170,9 +179,12 @@ def _pull(self, meta):
         yield self.env.timeout(0)
         return
     res_event = self.out_queue.reserve()
+    admission = None
     try:
         yield res_event
-        token = yield self.scheduler.admit()
+        admission = self.scheduler.admit()
+        token = yield admission
+        admission = None
         try:
             done = yield from self._pull_with_retry(writer, info)
         finally:
@@ -187,6 +199,9 @@ def _pull(self, meta):
     except Interrupt:
         # Teardown cancel: the metadata is handed back for re-dispatch,
         # so the chunk KEEPS its credit — the eventual pull releases it.
+        # A pull slot still on its way goes back to the scheduler.
+        if admission is not None:
+            self.scheduler.withdraw(admission)
         self.out_queue.cancel_reservation(res_event)
         self.cancelled_meta.append(meta)
         return

@@ -5,6 +5,7 @@ import pytest
 
 from repro.simkernel import Environment, SimulationError
 from repro.cluster import AprunModel, BatchScheduler, Machine, franklin, redsky
+from repro.cluster.scheduler import FAILED, FREE, container_owner
 from repro.perf import REGISTRY
 
 
@@ -72,67 +73,52 @@ class TestBatchScheduler:
 
     def test_allocate_and_release(self, env):
         sched = self._scheduler(env)
-        job = sched.allocate(3, "bonds")
+        nodes = sched.allocate(3, container_owner("bonds"))
         assert sched.free_nodes == 5
-        assert len(job.nodes) == 3
-        sched.release(job)
+        assert len(nodes) == 3
+        assert all(sched.owner(n) == "container:bonds" for n in nodes)
+        sched.restock(nodes, container_owner("bonds"))
         assert sched.free_nodes == 8
+        # freed nodes rejoin at the tail, in the order they became free
+        assert sched.peek_free()[-3:] == nodes
 
     def test_allocate_too_many_raises(self, env):
         sched = self._scheduler(env, 2)
         with pytest.raises(SimulationError):
-            sched.allocate(3)
+            sched.allocate(3, container_owner("x"))
 
     def test_double_release_raises(self, env):
         sched = self._scheduler(env)
-        job = sched.allocate(1)
-        sched.release(job)
-        with pytest.raises(SimulationError):
-            sched.release(job)
+        nodes = sched.allocate(1, container_owner("x"))
+        sched.restock(nodes, container_owner("x"))
+        with pytest.raises(SimulationError, match="owned by free"):
+            sched.restock(nodes, container_owner("x"))
 
-    def test_launch_charges_aprun_time(self, env):
+    def test_move_checks_the_current_owner(self, env):
         sched = self._scheduler(env)
-        results = []
-
-        def proc(env):
-            job = yield sched.launch(2, "cna")
-            results.append((env.now, job.launch_cost))
-
-        env.process(proc(env))
-        env.run()
-        now, cost = results[0]
-        assert now == pytest.approx(cost)
-        assert 3.0 <= cost <= 27.0
-
-    def test_release_nodes_partial(self, env):
-        sched = self._scheduler(env)
-        job = sched.allocate(4)
-        freed = sched.release_nodes(job, 2)
-        assert len(freed) == 2
-        assert len(job.nodes) == 2
-        assert sched.free_nodes == 6
-
-    def test_release_nodes_validation(self, env):
-        sched = self._scheduler(env)
-        job = sched.allocate(2)
-        with pytest.raises(SimulationError):
-            sched.release_nodes(job, 3)
+        (node,) = sched.allocate(1, container_owner("a"))
+        with pytest.raises(SimulationError, match="container:a, not container:b"):
+            sched.move([node], FREE, container_owner("b"))
+        sched.mark_failed(node)  # from any owner
+        assert sched.owner(node) == FAILED
+        sched.move([node], FREE, container_owner("a"))  # a dead node stays put
+        assert sched.owner(node) == FAILED and sched.free_nodes == 7
 
     def test_restock_returns_quarantines_and_skips(self, env):
         sched = self._scheduler(env)
-        job = sched.allocate(4)
-        back, dead, also_back, _ = job.nodes
+        holder = container_owner("x")
+        back, dead, also_back, _ = sched.allocate(4, holder)
         dead.fail()
         before = REGISTRY.counter("cluster.scheduler.nodes_released")
-        sched.restock([back, dead, also_back, back])
+        sched.restock([back, dead, also_back], holder)
         assert sched.peek_free()[-2:] == [back, also_back]
-        assert dead in sched.failed_nodes and dead not in sched.peek_free()
+        assert sched.owner(dead) == FAILED and dead not in sched.peek_free()
         assert REGISTRY.counter("cluster.scheduler.nodes_released") - before == 2
-        sched.restock([back])  # already free: no duplicate, no count
-        assert sched.peek_free().count(back) == 1
+        sched.restock([dead], holder)  # quarantined: skipped, no count
+        assert sched.owner(dead) == FAILED
         assert REGISTRY.counter("cluster.scheduler.nodes_released") - before == 2
 
     def test_allocation_count_positive(self, env):
         sched = self._scheduler(env)
         with pytest.raises(ValueError):
-            sched.allocate(0)
+            sched.allocate(0, container_owner("x"))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.simkernel import Environment, SimulationError, Store
 from repro.cluster import BatchScheduler, Machine
+from repro.cluster.scheduler import FREE, container_owner
 from repro.containers import Container, LocalManager
 from repro.controlplane import ControlPlaneEngine, ControlPlaneTrace
 from repro.data import DataChunk
@@ -62,8 +63,8 @@ class Rig:
         )
         pool = self.machine.partition("staging", 8)
         self.scheduler = BatchScheduler(env, pool)
-        job = self.scheduler.allocate(units, "c")
-        for node in job.nodes:
+        nodes = self.scheduler.allocate(units, container_owner(self.container.name))
+        for node in nodes:
             self.container.add_replica(node)
 
     def feed(self, count, nbytes=1e6, natoms=1000, interval=1.0):
@@ -215,7 +216,7 @@ class TestLocalManagerProtocols:
 
     def test_increase_spawns_replicas(self, env):
         rig, gm_ep, manager, tracer = self._managed(env)
-        nodes = rig.scheduler.allocate(2, "extra").nodes
+        nodes = rig.scheduler.allocate(2, container_owner(rig.container.name))
 
         def gm(env):
             reply = yield self._request(
@@ -234,8 +235,8 @@ class TestLocalManagerProtocols:
         """Figure 4's shape: intra-container metadata exchange dominates and
         grows with the number of new replicas."""
         rig, gm_ep, manager, tracer = self._managed(env)
-        n2 = rig.scheduler.allocate(1, "a").nodes
-        n4 = rig.scheduler.allocate(4, "b").nodes
+        n2 = rig.scheduler.allocate(1, container_owner(rig.container.name))
+        n4 = rig.scheduler.allocate(4, container_owner(rig.container.name))
 
         def gm(env):
             yield self._request(env, rig, gm_ep, MessageType.INCREASE_REQUEST, {"nodes": n2})
@@ -255,7 +256,7 @@ class TestLocalManagerProtocols:
         def gm(env):
             yield env.timeout(1)
             reply = yield self._request(
-                env, rig, gm_ep, MessageType.DECREASE_REQUEST, {"count": 1}
+                env, rig, gm_ep, MessageType.DECREASE_REQUEST, {"count": 1, "to": FREE}
             )
             assert len(reply.payload["nodes"]) == 1
 

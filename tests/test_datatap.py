@@ -467,6 +467,7 @@ class TestChunkPathOutcomes:
             swallowed=env.swallowed_faults,
             dup_dropped=rig.link.dup_dropped,
             admitted=[(s.pulls_admitted, round(s.total_wait, 12)) for s in rig.schedulers],
+            slots=[(s.in_flight, s.queued) for s in rig.schedulers],
             buffered=sorted(rig.writer.buffer._chunks),
             events=env.events_processed,
         )
@@ -523,6 +524,30 @@ class TestChunkPathOutcomes:
         out, _ = self._assert_same(scenario)
         assert out["raised"] is None and out["cancelled"]["r1"]
         assert sorted(c for log in out["consumed"].values() for _, c in log) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("how", ["stop", "crash"])
+    def test_reader_gone_while_admission_queued(self, how):
+        def scenario(rig):
+            rig.build(readers=2, nbytes=2e8,
+                      scheduler=PullScheduler(rig.env, max_concurrent_pulls=1))
+            rig.produce(4)
+            gone = rig.readers[1]
+
+            def control(env):
+                yield env.timeout(0.01)  # r0 holds the slot mid-GET, r1 queues
+                if how == "crash":
+                    gone.crash()
+                    return
+                yield rig.link.pause_writers()
+                rig.link.remove_reader(gone)
+                yield rig.link.resume_writers()
+
+            rig.env.process(control(rig.env))
+
+        out, _ = self._assert_same(scenario)
+        assert out["slots"] == [(0, 0)]  # the queued admission was withdrawn
+        if how == "stop":
+            assert out["cancelled"]["r1"] and out["buffered"] == []
 
     def test_stop_during_duplicate_drop(self):
         from repro.simkernel import schedule_step
@@ -652,8 +677,8 @@ class TestChunkPathOutcomes:
 
 class TestPullSlotWithdrawn:
     """A reader stopped while its pull admission is pending hands the slot
-    back to the scheduler.  (The process reader of :mod:`tests.oracles.datatap`
-    leaks it, so these run the walker path alone.)"""
+    back to the scheduler.  (``TestChunkPathOutcomes`` also runs a queued
+    admission's withdrawal against the process reader.)"""
 
     @staticmethod
     def _rig():

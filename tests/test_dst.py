@@ -243,14 +243,16 @@ class TestLinksScenario:
 
 
 def _leak_on_crash(pipe):
-    """Test-only bug: crash handling leaks one healthy node from the pool."""
+    """Test-only bug: crash handling leaks one healthy node from the pool,
+    handing the newest free node to an owner that never answers for it."""
     sched = pipe.scheduler
     original = sched.mark_failed
 
     def leaky(node):
         original(node)
-        if sched._free:
-            sched._free.pop()
+        free = sched.peek_free()
+        if free:
+            sched.allocate_specific(free[-1:], "dropped")
 
     sched.mark_failed = leaky
 
@@ -264,6 +266,53 @@ def _crash_plus_noise(seed, pipe):
     plan.node_slowdown(20.0, bystander, factor=2.0, duration=10.0)
     plan.node_slowdown(70.0, bystander, factor=1.6, duration=8.0)
     return plan
+
+
+class TestMidRunLeak:
+    """A protocol that ends still holding nodes is reported at the first
+    sweep after it ends, naming the node and the protocol."""
+
+    def test_skipped_steal_restock_is_caught_at_the_next_sweep(self):
+        from repro import Environment
+        from repro.spec import PipelineSpec, WorkloadSpec, build
+        from tests.mutants import MUTANTS
+
+        env = Environment()
+        wl = WorkloadSpec(sim_nodes=256, staging_nodes=13, spare=0, steps=10)
+        pipe = build(env, PipelineSpec("leak", workload=wl, builder=dict(
+            seed=0, control_interval=10_000)))
+        MUTANTS["skip_steal_restock"](pipe)
+        monitor = InvariantMonitor(pipe, ["node_conservation"], interval=10.0)
+        gm = pipe.global_manager
+        decrease = gm.decrease
+        out = {}
+
+        def dying_decrease(name, count, to):
+            def proc():
+                freed = yield decrease(name, count, to)
+                freed[0].fail()  # one freed node dies mid-trade: abort
+                pipe.scheduler.mark_failed(freed[0])
+                out["survivor"] = freed[1]
+                return freed
+            return env.process(proc())
+
+        gm.decrease = dying_decrease
+
+        def ctl(env):
+            yield env.timeout(1)
+            yield gm.steal("bonds", "csym", 2)
+
+        env.process(ctl(env))
+        pipe.run(settle=120)
+        violations = monitor.finish()
+
+        (steal,) = pipe.control_trace.of("gm_steal")
+        assert steal.status == "aborted"
+        first_sweep = (steal.finished_at // 10 + 1) * 10
+        leak = f"node {out['survivor'].node_id} leaked: still held by " \
+               f"ended protocol:gm_steal[bonds->csym]"
+        assert [(v.time, v.detail) for v in violations] == [(first_sweep, leak)]
+        assert first_sweep < env.now  # caught mid-run, not at the final sweep
 
 
 class TestPlantedBugIsCaughtAndShrunk:

@@ -75,7 +75,7 @@ class TestEndpoints:
             yield messenger.send(machine.nodes[0], "dst", Message(MessageType.ACK, "s"))
             yield messenger.send(
                 machine.nodes[0], "dst",
-                Message(MessageType.DECREASE_REQUEST, "s", payload={"count": 1}),
+                Message(MessageType.DECREASE_REQUEST, "s", payload={"count": 1, "to": "free"}),
             )
 
         env.process(receiver(env))

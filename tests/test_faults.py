@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.simkernel import Environment
 from repro.cluster import Machine, TransferError
+from repro.cluster.scheduler import FAILED
 from repro.evpath import Messenger
 from repro.faults import (
     ClusterFaultInjector,
@@ -97,8 +98,7 @@ class TestInjector:
         injector.start()
         env.run(until=10.0)
         assert part[1].failed
-        assert part[1] in sched.failed_nodes
-        assert part[1] not in sched._free
+        assert sched.owner(part[1]) == FAILED
         assert seen == [part[1]]
 
     def test_slowdown_window_stretches_compute(self, env, machine):

@@ -9,6 +9,7 @@ import pytest
 from repro.simkernel import Environment, shuffle
 from repro.simkernel.errors import SimulationError
 from repro.cluster import BatchScheduler, Machine
+from repro.cluster.scheduler import container_owner
 from repro.fleet import (
     FleetArbiter,
     FleetDSTScenario,
@@ -166,7 +167,7 @@ class TestArbiterStealsAndReclaims:
             env, spares=0, priorities=(1, 2), pool=4, reserved=0,
         )
         sched_a = gms["a"].scheduler
-        sched_a.allocate(2, name="work")       # busy: not stealable
+        sched_a.allocate(2, container_owner("work"))  # busy: not stealable
         sched_a.mark_failed(sched_a.peek_free()[0])  # dead: not stealable
         granted = arb.request("b", 4)
         assert len(granted) == 1
@@ -232,14 +233,14 @@ class TestSchedulerAdoptExpel:
     def test_expel_busy_node_rejected(self, env, machine):
         pool = machine.partition("p", 4)
         sched = BatchScheduler(env, pool)
-        job = sched.allocate(4, name="work")
+        nodes = sched.allocate(4, container_owner("work"))
         with pytest.raises(SimulationError):
-            sched.expel([job.nodes[0]])
+            sched.expel([nodes[0]])
 
     def test_occupancy_counts_borrowed(self, env, machine):
         sched = BatchScheduler(env, machine.partition("p", 4))
         sched.adopt(list(machine.partition("q", 2).nodes))
-        sched.allocate(3, name="work")
+        sched.allocate(3, container_owner("work"))
         occ = sched.occupancy()
         assert occ == {"pool": 6, "free": 3, "busy": 3,
                        "failed": 0, "borrowed": 2}
@@ -278,10 +279,9 @@ class TestFleetBuild:
         assert "fleet:spares" in names
         assert {"t00:sim", "t00:staging", "t01:sim", "t01:staging"} <= names
         # no node is owned by two tenants at build time
-        census = fleet.node_census()
-        owned = census["spares"][:]
-        for report in census["tenants"].values():
-            owned.extend(report["pool"])
+        owned = [n.node_id for n in fleet.arbiter.spares]
+        for tenant in fleet.tenants.values():
+            owned.extend(n.node_id for n in tenant.pipe.scheduler.pool.nodes)
         assert len(owned) == len(set(owned))
 
 

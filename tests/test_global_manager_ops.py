@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import Environment
+from repro.cluster.scheduler import FREE, container_owner
 from repro.simkernel.errors import SimulationError
 from repro.spec import PipelineSpec, WorkloadSpec, build as build_spec
 
@@ -61,16 +62,16 @@ class TestIncreaseDecrease:
         env = Environment()
         pipe = build(env, spare=0)
         before = pipe.scheduler.free_nodes
+        out = {}
 
         def ctl(env):
             yield env.timeout(1)
-            freed = yield pipe.global_manager.decrease("csym", 1)
-            for node in freed:
-                pipe.scheduler._free.append(node)
+            out["freed"] = yield pipe.global_manager.decrease("csym", 1)
 
         env.process(ctl(env))
         pipe.run(settle=120)
         assert pipe.scheduler.free_nodes == before + 1
+        assert [pipe.scheduler.owner(n) for n in out["freed"]] == [FREE]
 
 
 class TestDependencyGraph:
@@ -232,7 +233,7 @@ class TestArbiterBackedGM:
         dead, alive = out["granted"]
         assert alive in arb.spares
         assert alive not in pipe.scheduler.pool.nodes
-        assert alive not in pipe.scheduler._free
+        assert pipe.scheduler.owner(alive) is None  # expelled
         assert dead in pipe.scheduler.pool.nodes  # quarantined, not returned
         assert arb.violations == []
 
@@ -259,11 +260,11 @@ class TestSchedulerSpecificAllocation:
         pool = machine.partition("p", 8)
         scheduler = BatchScheduler(env, pool)
         wanted = [pool[3], pool[5]]
-        job = scheduler.allocate_specific(wanted, "x")
-        assert job.nodes == wanted
+        nodes = scheduler.allocate_specific(wanted, container_owner("x"))
+        assert nodes == wanted
         assert scheduler.free_nodes == 6
         with pytest.raises(SimulationError):
-            scheduler.allocate_specific([pool[3]], "y")  # already taken
+            scheduler.allocate_specific([pool[3]], container_owner("y"))  # taken
 
     def test_allocate_specific_empty_rejected(self, env):
         from repro.cluster import BatchScheduler, Machine
@@ -271,4 +272,4 @@ class TestSchedulerSpecificAllocation:
         machine = Machine(env, num_nodes=4)
         scheduler = BatchScheduler(env, machine.partition("p", 4))
         with pytest.raises(ValueError):
-            scheduler.allocate_specific([], "x")
+            scheduler.allocate_specific([], container_owner("x"))

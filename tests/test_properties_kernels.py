@@ -11,22 +11,13 @@ from repro.lammps import fcc_lattice, hex_lattice, notch
 from repro.lammps.crack import BOND_CUTOFF
 from repro.lammps.lattice import R0
 from repro.lammps.neighbor import CellList, neighbor_pairs
-from repro.smartpointer.bonds import (
-    _reference_adjacency_list,
-    adjacency_csr,
-    adjacency_list,
-    bonds_adjacency,
-)
-from repro.smartpointer.cna import (
-    _reference_common_neighbor_analysis,
-    _reference_pair_signatures,
-    common_neighbor_analysis,
-    pair_signatures,
-)
+from repro.smartpointer.bonds import adjacency_csr, adjacency_list, bonds_adjacency
+from repro.smartpointer.cna import common_neighbor_analysis, pair_signatures
 from repro.smartpointer.costs import ComputeModel, CostModel
-from repro.smartpointer.csym import _reference_central_symmetry, central_symmetry
+from repro.smartpointer.csym import central_symmetry
 from repro.smartpointer.fragments import FragmentTracker, find_fragments
 from repro.smartpointer.helper import helper_merge, partition_atoms
+from tests.oracles import kernels as reference
 
 
 def _crack_notched_plate(seed=0, nx=16, ny=10, jitter=0.02):
@@ -154,7 +145,7 @@ def test_vectorized_pairs_match_reference(n, dim, cutoff, seed):
     positions = rng.random((n, dim)) * 4.0
     cells = CellList(positions, cutoff)
     assert {tuple(p) for p in cells.pairs()} == {
-        tuple(p) for p in cells._reference_pairs()
+        tuple(p) for p in reference.reference_pairs(cells)
     }
 
 
@@ -185,7 +176,7 @@ def test_csym_matches_reference_random_clouds(n, dim, num_neighbors, cutoff, see
     rng = np.random.default_rng(seed)
     positions = rng.random((n, dim)) * 3.0
     fast = central_symmetry(positions, num_neighbors, cutoff)
-    slow = _reference_central_symmetry(positions, num_neighbors, cutoff)
+    slow = reference.reference_central_symmetry(positions, num_neighbors, cutoff)
     assert np.allclose(fast, slow, rtol=0.0, atol=1e-9)
 
 
@@ -201,7 +192,7 @@ def test_csym_matches_reference_random_clouds(n, dim, num_neighbors, cutoff, see
 )
 def test_csym_matches_reference_lattices(positions, num_neighbors, cutoff):
     fast = central_symmetry(positions, num_neighbors, cutoff)
-    slow = _reference_central_symmetry(positions, num_neighbors, cutoff)
+    slow = reference.reference_central_symmetry(positions, num_neighbors, cutoff)
     assert np.allclose(fast, slow, rtol=0.0, atol=1e-9)
 
 
@@ -220,7 +211,7 @@ def test_adjacency_csr_matches_reference(n, m, seed):
     else:
         pairs = np.empty((0, 2), dtype=np.int64)
     fast = adjacency_list(pairs, n)
-    slow = _reference_adjacency_list(pairs, n)
+    slow = reference.reference_adjacency_list(pairs, n)
     assert len(fast) == len(slow) == n
     for a, b in zip(fast, slow):
         np.testing.assert_array_equal(a, b)
@@ -239,12 +230,12 @@ def test_adjacency_csr_matches_reference(n, m, seed):
 )
 def test_cna_matches_reference(positions, cutoff):
     pairs = bonds_adjacency(positions, cutoff, "celllist")
-    assert pair_signatures(pairs, len(positions)) == _reference_pair_signatures(
+    assert pair_signatures(pairs, len(positions)) == reference.reference_pair_signatures(
         pairs, len(positions)
     )
     np.testing.assert_array_equal(
         common_neighbor_analysis(pairs, len(positions)),
-        _reference_common_neighbor_analysis(pairs, len(positions)),
+        reference.reference_common_neighbor_analysis(pairs, len(positions)),
     )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Environment
+from repro.cluster.scheduler import FAILED
 from repro.faults import FaultPlan
 from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
 
@@ -166,8 +167,7 @@ class TestAbortPaths:
         env.process(ctl(env))
         pipe.run(settle=120)
         assert out["res"]["aborted"] is True
-        assert out["node"] in pipe.scheduler.failed_nodes
-        assert out["node"] not in pipe.scheduler._free
+        assert pipe.scheduler.owner(out["node"]) == FAILED
         assert pipe.containers["csym"].units == 3  # recipient untouched
         assert any("increase csym aborted" in a for a in gm.actions_taken)
 
@@ -178,9 +178,9 @@ class TestAbortPaths:
         out = {}
         orig_decrease = gm.decrease
 
-        def sabotaged(name, count):
+        def sabotaged(name, count, to):
             def proc():
-                freed = yield orig_decrease(name, count)
+                freed = yield orig_decrease(name, count, to)
                 for node in freed:
                     node.fail()  # donor's nodes die mid-trade
                 return freed
@@ -197,7 +197,7 @@ class TestAbortPaths:
         assert out["res"] == []
         assert pipe.containers["csym"].units == 3
         assert any("returned to spare pool" in a for a in gm.actions_taken)
-        assert len(pipe.scheduler.failed_nodes) == 1
+        assert len(pipe.scheduler.owned_by(FAILED)) == 1
 
 
 class TestReplayIdentity:

@@ -213,8 +213,15 @@ class TestValidation:
 
 
 def _trace(pipe):
+    owner = pipe.node_census()["owner"]
+    census = {
+        "pool": set(owner),
+        "free": [n for n, held in owner.items() if held == "free"],
+        "failed": {n for n, held in owner.items() if held == "failed"},
+        "held": {n for n, held in owner.items() if held.startswith("container:")},
+    }
     return (
-        pipe.node_census(),
+        census,
         pipe.telemetry.events,
         sorted((step, round(lat, 9)) for _, step, lat in pipe.end_to_end),
     )

@@ -7,8 +7,8 @@ same interpreter, so the ratios do not depend on the host.
   process-per-message D2T participant of :mod:`tests.oracles.transactions`);
 * the quiescent failure detector against the scanning one in
   :mod:`tests.oracles.faults`;
-* the vectorized analysis kernels against their seed ``_reference_*``
-  implementations, plus the MD integrator's neighbour-list rebuild counts;
+* the vectorized analysis kernels against their seed implementations in
+  :mod:`tests.oracles.kernels`, plus the MD integrator's neighbour-list rebuild counts;
 * Table I's complexity column, fitted from kernel timings.
 
 Slow-marked: run with ``PYTHONPATH=src python -m pytest -m slow tests/test_speed_gates.py``.
@@ -36,12 +36,12 @@ from repro.perf.cache import KERNEL_CACHE
 from repro.simkernel import Environment
 from tests.oracles.simkernel import ReferenceEnvironment
 from tests.oracles import transactions as reference_participant
+from tests.oracles import kernels
 from repro.transactions import TransactionManager, d2t
 from repro.smartpointer import (
     SMARTPOINTER_COMPONENTS, bonds_adjacency, central_symmetry, helper_merge,
 )
 from repro.smartpointer.cna import cna_dense
-from repro.smartpointer.csym import _reference_central_symmetry
 from repro.smartpointer.helper import partition_atoms
 
 pytestmark = pytest.mark.slow
@@ -292,18 +292,20 @@ def plate():
 
 def test_pairs_speedup_floor(plate):
     cells = CellList(plate, BOND_CUTOFF)
-    speedup = _best(cells._reference_pairs) / _best(cells.pairs)
+    speedup = _best(lambda: kernels.reference_pairs(cells)) / _best(cells.pairs)
     assert speedup >= SPEEDUP_FLOOR, f"pairs: {speedup:.1f}x < {SPEEDUP_FLOOR}x"
-    assert {tuple(p) for p in cells.pairs()} == {tuple(p) for p in cells._reference_pairs()}
+    assert ({tuple(p) for p in cells.pairs()}
+            == {tuple(p) for p in kernels.reference_pairs(cells)})
 
 
 def test_csym_speedup_floor(plate):
-    reference = _best(lambda: _reference_central_symmetry(plate, 6, CSYM_CUTOFF), repeats=1)
+    reference = _best(lambda: kernels.reference_central_symmetry(plate, 6, CSYM_CUTOFF),
+                      repeats=1)
     speedup = reference / _best(lambda: central_symmetry(plate, 6, CSYM_CUTOFF))
     assert speedup >= SPEEDUP_FLOOR, f"csym: {speedup:.1f}x < {SPEEDUP_FLOOR}x"
     KERNEL_CACHE.clear()
     assert np.allclose(central_symmetry(plate, 6, CSYM_CUTOFF),
-                       _reference_central_symmetry(plate, 6, CSYM_CUTOFF),
+                       kernels.reference_central_symmetry(plate, 6, CSYM_CUTOFF),
                        rtol=0.0, atol=1e-9)
 
 
