@@ -111,8 +111,6 @@ class Container:
         self.fates = fates
         self.latency = LatencyWindow(maxlen=8)
         self.completions = 0
-        #: samples of (time, total queued chunks) for overflow prediction
-        self.queue_samples: List = []
         #: called after each completed chunk: f(container, in_chunk, out_chunk)
         self.on_complete: Optional[Callable] = None
 
@@ -326,9 +324,9 @@ class Container:
                     consider(chunk.entered_stage_at)
         return oldest
 
-    def latency_estimate(self) -> Optional[float]:
-        """Best available latency figure: completed mean or live input age."""
-        mean = self.latency.mean()
+    def latency_estimate(self, mean: Optional[float]) -> Optional[float]:
+        """Best available latency figure: the completed ``mean`` (this
+        container's ``latency.mean()``) or the live input age."""
         oldest = self.oldest_input_entry()
         age = None if oldest is None else self.env.now - oldest
         if mean is None:
@@ -336,11 +334,6 @@ class Container:
         if age is None:
             return mean
         return max(mean, age)
-
-    def sample_queues(self) -> None:
-        self.queue_samples.append((self.env.now, float(self.total_queued)))
-        if len(self.queue_samples) > 64:
-            del self.queue_samples[0]
 
     def __repr__(self) -> str:
         state = "offline" if self.offline else ("active" if self.active else "standby")

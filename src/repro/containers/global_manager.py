@@ -155,9 +155,12 @@ class GlobalManager:
                 occupancy_samples=tuple(self._occupancy_hist.get(name, ())),
                 buffer_occupancy=report.get("buffer_occupancy", 0.0),
                 # Prefer the local manager's own sizing figures (it knows
-                # its component's cost model); fall back to asking directly.
-                shortfall=report.get("shortfall", manager.shortfall(self.sla_interval)),
-                headroom=report.get("headroom", manager.headroom(self.sla_interval)),
+                # its component's cost model); ask it directly only when
+                # no report carries them yet.
+                shortfall=(report["shortfall"] if "shortfall" in report
+                           else manager.shortfall(self.sla_interval)),
+                headroom=(report["headroom"] if "headroom" in report
+                          else manager.headroom(self.sla_interval)),
                 essential=container.essential,
                 offline=container.offline,
                 active=container.active,

@@ -10,7 +10,7 @@ Figures 4 and 5.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.simkernel import Environment, Interrupt
 from repro.simkernel.errors import FaultError
@@ -23,6 +23,7 @@ from repro.evpath.messages import Message, MessageType
 from repro.fate import SHED
 from repro.faults.detect import FailureDetector, HeartbeatMonitor
 from repro.monitoring.metrics import Telemetry
+from repro.smartpointer.costs import ComputeModel
 
 #: EVPath connection-establishment cost charged per (new replica, peer)
 #: pair during the intra-container metadata exchange of an increase.
@@ -66,6 +67,8 @@ class LocalManager:
         #: manager need not understand the component's cost model (the
         #: paper's division of knowledge between the two manager levels)
         self.sla_interval = sla_interval
+        #: units_to_sustain answers by (atoms, effective interval, model)
+        self._sustain: Dict[Tuple[int, float, ComputeModel], int] = {}
 
         self.endpoint = messenger.endpoint(node, f"{container.name}.cmgr")
         #: override to reroute metric reports (e.g. through a monitoring
@@ -84,11 +87,15 @@ class LocalManager:
 
         A low-latency container (``sla_factor < 1``) is sized against the
         tightened interval — it must finish well before the next timestep.
+        The cost model is a pure function of the key, so each answer is
+        memoized for the life of this manager.
         """
-        effective = interval * self.container.sla_factor
-        return self.container.spec.cost.units_to_sustain(
-            self.container.natoms_hint, effective, self.container.model
-        )
+        container = self.container
+        key = (container.natoms_hint, interval * container.sla_factor, container.model)
+        needed = self._sustain.get(key)
+        if needed is None:
+            needed = self._sustain[key] = container.spec.cost.units_to_sustain(*key)
+        return needed
 
     def headroom(self, interval: float) -> int:
         """Nodes this container could give up while still sustaining the rate."""
@@ -532,7 +539,18 @@ class LocalManager:
     # -- monitoring ----------------------------------------------------------------------------
 
     def _monitor_loop(self):
+        """Report this container's metrics every ``monitor_interval``.
+
+        A report carries only what the global manager reads (DESIGN.md
+        §4l): latency (mean and live estimate), queue depth, upstream
+        buffer occupancy and, when an SLA is set, the sizing verdict
+        (shortfall and headroom).  The same tick records four telemetry
+        series for the figures.
+        """
         container = self.container
+        name = container.name
+        series = None
+        latency_series = None
         while True:
             try:
                 yield self.env.timeout(self.monitor_interval)
@@ -540,30 +558,33 @@ class LocalManager:
                 return
             if container.offline:
                 continue
-            container.sample_queues()
+            t = self.env.now
+            units = container.units
+            latency_mean = container.latency.mean()
+            queued = container.total_queued
+            occupancy = container.upstream_buffer_occupancy()
             report = {
-                "container": container.name,
-                "time": self.env.now,
-                "latency_mean": container.latency.mean(),
-                "latency_est": container.latency_estimate(),
-                "latency_last": container.latency.last(),
-                "queued": container.total_queued,
-                "queue_samples": list(container.queue_samples[-8:]),
-                "buffer_occupancy": container.upstream_buffer_occupancy(),
-                "units": container.units,
-                "completions": container.completions,
+                "container": name,
+                "time": t,
+                "latency_mean": latency_mean,
+                "latency_est": container.latency_estimate(latency_mean),
+                "queued": queued,
+                "buffer_occupancy": occupancy,
             }
             if self.sla_interval is not None:
-                report["shortfall"] = self.shortfall(self.sla_interval)
-                report["headroom"] = self.headroom(self.sla_interval)
-            t = self.env.now
-            if report["latency_mean"] is not None:
-                self.telemetry.record(container.name, "latency_mean", t, report["latency_mean"])
-            self.telemetry.record(container.name, "queued", t, report["queued"])
-            self.telemetry.record(
-                container.name, "buffer_occupancy", t, report["buffer_occupancy"]
-            )
-            self.telemetry.record(container.name, "units", t, container.units)
+                needed = self.units_to_sustain(self.sla_interval)
+                report["shortfall"] = max(0, needed - units)
+                report["headroom"] = max(0, units - needed) if container.active else 0
+            if latency_mean is not None:
+                if latency_series is None:
+                    latency_series = self.telemetry.series(name, "latency_mean")
+                latency_series.record(t, latency_mean)
+            if series is None:
+                series = [self.telemetry.series(name, metric)
+                          for metric in ("queued", "buffer_occupancy", "units")]
+            series[0].record(t, queued)
+            series[1].record(t, occupancy)
+            series[2].record(t, units)
             message = Message(
                 MessageType.METRIC_REPORT, sender=self.endpoint.name, payload=report
             )

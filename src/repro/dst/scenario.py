@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.simkernel import Environment, shuffle
+from repro.simkernel import Environment, SimulationError, shuffle
 from repro.containers.pipeline import Pipeline
 from repro.faults.plan import FaultPlan
 from repro.dst.invariants import InvariantMonitor, Violation
@@ -216,9 +216,13 @@ class DSTScenario:
         if plan is not None and plan.events:
             pipe.arm_faults(plan)
         monitor = InvariantMonitor(pipe, self.invariants, interval=self.check_interval)
-        finished = pipe.run(settle=self.settle)
-        if finished:
-            self._drain(pipe)
+        try:
+            finished = pipe.run(settle=self.settle)
+            if finished:
+                self._drain(pipe)
+        except SimulationError as exc:
+            finished = False
+            monitor.violations.append(simulation_error(pipe.env, exc))
         monitor.note_finished(finished)
         violations = monitor.finish()
         return DSTReport(
@@ -275,6 +279,13 @@ class DSTScenario:
             ])
         log.sort(key=lambda row: row[0])
         return log
+
+
+def simulation_error(env: Environment, exc: SimulationError) -> Violation:
+    """A run that a kernel error ended (say, a checked node move that
+    found the wrong owner) is a finding like any oracle's: reported at the
+    instant it struck, so the sweep still writes its seed and repro."""
+    return Violation("simulation_error", env.now, str(exc))
 
 
 def repro_command(seed: Optional[int], scenario: str = "smoke") -> str:

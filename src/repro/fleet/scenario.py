@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, shuffle
+from repro.simkernel import Environment, SimulationError, shuffle
 from repro.faults.plan import FaultPlan
 from repro.dst.invariants import InvariantMonitor, Violation
-from repro.dst.scenario import DSTReport, default_smoke_plan, repro_command
+from repro.dst.scenario import (
+    DSTReport, default_smoke_plan, repro_command, simulation_error,
+)
 from repro.fleet.fleet import Fleet, build_mixed_fleet
 
 #: oracles that see the whole fleet through any tenant's monitor — their
@@ -89,10 +91,14 @@ class FleetDSTScenario:
                                    interval=self.check_interval)
             for name, tenant in sorted(fleet.tenants.items())
         }
-        finished = fleet.run(settle=self.settle)
-        if all(finished.values()):
-            self._drain(fleet)
         violations: List[Violation] = []
+        try:
+            finished = fleet.run(settle=self.settle)
+            if all(finished.values()):
+                self._drain(fleet)
+        except SimulationError as exc:
+            finished = dict.fromkeys(monitors, False)
+            violations.append(simulation_error(fleet.env, exc))
         seen = set()
         for name, monitor in sorted(monitors.items()):
             monitor.note_finished(finished[name])

@@ -28,12 +28,25 @@ class LatencyWindow:
         self.count += 1
 
     def mean(self) -> Optional[float]:
-        if not self._window:
-            return None
-        return float(np.mean([lat for _, lat in self._window]))
+        """Window mean, bit-identical to ``float(np.mean(latencies))``.
 
-    def last(self) -> Optional[float]:
-        return self._window[-1][1] if self._window else None
+        Summed in numpy's own order without building an array: below 8
+        values numpy adds left to right from ``0.0``; at 8 it adds the
+        pairs of pairs.  A longer window falls back to ``np.mean``.
+        """
+        window = self._window
+        n = len(window)
+        if n == 8:
+            (_, a), (_, b), (_, c), (_, d), (_, e), (_, f), (_, g), (_, h) = window
+            return (0.0 + (((a + b) + (c + d)) + ((e + f) + (g + h)))) / 8
+        if n > 8:
+            return float(np.mean([lat for _, lat in window]))
+        if not n:
+            return None
+        total = 0.0
+        for _, lat in window:
+            total += lat
+        return total / n
 
     def __len__(self) -> int:
         return len(self._window)

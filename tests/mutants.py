@@ -21,5 +21,19 @@ def skip_steal_restock(pipe):
     gm._gms_abort = abort
 
 
+def skip_retire_move(pipe):
+    """A decrease that retires replicas without handing their nodes to the
+    owner the request names: the scheduler still records them with the
+    container they left, so the next checked move of them fails."""
+    for lm in pipe.global_manager.locals.values():
+        def retire(ctx, lm=lm):
+            ctx["freed"] = lm.container.remove_replicas(ctx["count"])
+            lm._unwatch_departed()
+            ctx.charge("intra_container", 0.0, messages=ctx["count"])
+
+        lm._dec_retire = retire
+
+
 #: name -> mutant, for sweeps that run every mutant
-MUTANTS = {"skip_steal_restock": skip_steal_restock}
+MUTANTS = {"skip_steal_restock": skip_steal_restock,
+           "skip_retire_move": skip_retire_move}

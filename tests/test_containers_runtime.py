@@ -191,7 +191,7 @@ class TestRemoveReplicas:
         env.run(until=10)
         oldest = rig.container.oldest_input_entry()
         assert oldest is not None and oldest < 1.0
-        est = rig.container.latency_estimate()
+        est = rig.container.latency_estimate(rig.container.latency.mean())
         assert est == pytest.approx(env.now - oldest)
 
 

@@ -315,6 +315,70 @@ class TestMidRunLeak:
         assert first_sweep < env.now  # caught mid-run, not at the final sweep
 
 
+class TestSimulationErrorIsAViolation:
+    """A kernel error that ends a run (here a checked node move finding the
+    wrong owner) is reported like an oracle's finding, with its seed and
+    repro, instead of escaping the sweep."""
+
+    REPRO = ("PYTHONPATH=src python -m repro.experiments dst --seed 2 "
+             "--seeds 1 --scenario smoke_no_spares")
+    ERROR = "scheduler: node 7 is owned by container:helper, " \
+            "not protocol:gm_replace[csym]"
+
+    def test_failed_move_is_reported_not_raised(self):
+        from repro.dst.scenario import plan_for
+        from tests.mutants import MUTANTS
+
+        scenario = DSTScenario(name="smoke_no_spares", preset="smoke_no_spares",
+                               plan=plan_for("smoke_no_spares"),
+                               hook=MUTANTS["skip_retire_move"])
+        report = scenario.run(2)
+        assert not report.finished
+        first = report.violations[0]
+        assert (first.invariant, first.detail) == ("simulation_error", self.ERROR)
+        assert first.time == report.final_time
+        assert report.repro == self.REPRO
+
+    def test_cli_writes_the_repro_and_exits_nonzero(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.dst.presets import PRESETS
+        from repro.experiments.__main__ import main
+        from tests.mutants import MUTANTS
+
+        build = PRESETS["smoke_no_spares"]
+
+        def mutated(env):
+            pipe = build(env)
+            MUTANTS["skip_retire_move"](pipe)
+            return pipe
+
+        monkeypatch.setitem(PRESETS, "smoke_no_spares", mutated)
+        out = tmp_path / "dst.json"
+        code = main(["dst", "--scenario", "smoke_no_spares", "--seed", "2",
+                     "--seeds", "1", "--quiet", "--json", str(out)])
+        assert code == 1
+        failure = json.loads(out.read_text())["dst"]["failure"]
+        assert failure["seed"] == 2 and not failure["finished"]
+        assert failure["violations"][0]["invariant"] == "simulation_error"
+        assert failure["repro"] == self.REPRO
+
+    def test_fleet_run_reports_it_too(self):
+        from repro.fleet import FleetDSTScenario
+        from repro.simkernel import SimulationError
+
+        def planted(fleet):
+            def boom():
+                yield fleet.env.timeout(5.0)
+                raise SimulationError("planted")
+            fleet.env.process(boom())
+
+        report = FleetDSTScenario(tenants=2, hook=planted).run(0)
+        assert not report.finished
+        assert report.violations[0].as_dict() == {
+            "invariant": "simulation_error", "time": 5.0, "detail": "planted"}
+
+
 class TestPlantedBugIsCaughtAndShrunk:
     def test_explorer_reports_seed_and_violation(self):
         scenario = DSTScenario(name="leaky", plan=_crash_plus_noise,
