@@ -254,18 +254,11 @@ class GlobalManager:
         """Process: grow ``name`` by ``count`` nodes, from spares or the
         given ``nodes``, which ``holder`` owns (the caller's protocol run
         for a trade, else the free pool)."""
-        return self.env.process(self._increase(name, count, nodes, holder),
-                                name=f"gm-incr:{name}")
-
-    def _increase(self, name: str, count: int, nodes: Optional[List[Node]],
-                  holder):
-        manager = self._manager(name)
-        result = yield self.engine.execute(
+        return self.engine.execute(
             protocols.GM_INCREASE, subject=name,
-            data={"gm": self, "manager": manager, "name": name,
+            data={"gm": self, "manager": self._manager(name), "name": name,
                   "count": count, "nodes": nodes, "holder": holder},
         )
-        return result
 
     def _gmi_allocate(self, ctx) -> None:
         # The protocol run holds the nodes until the increase is answered.
@@ -347,15 +340,11 @@ class GlobalManager:
         :meth:`repro.transactions.TransactionManager.run_trade` runs the
         same trade as a D2T control transaction.
         """
-        return self.env.process(self._steal(donor, recipient, count), name="gm-steal")
-
-    def _steal(self, donor: str, recipient: str, count: int):
-        result = yield self.engine.execute(
+        return self.engine.execute(
             protocols.GM_STEAL, subject=f"{donor}->{recipient}",
             data={"gm": self, "donor": donor, "recipient": recipient,
                   "count": count, "freed": []},
         )
-        return result
 
     def _gms_decrease(self, ctx):
         ctx["freed"] = yield self.decrease(ctx["donor"], ctx["count"], to=ctx.trace)

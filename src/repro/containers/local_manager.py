@@ -197,20 +197,42 @@ class LocalManager:
     # -- control loop ------------------------------------------------------------------
 
     def _control_loop(self):
-        dispatch = {
-            MessageType.INCREASE_REQUEST: self._do_increase,
-            MessageType.DECREASE_REQUEST: self._do_decrease,
-            MessageType.OFFLINE_REQUEST: self._do_offline,
-            MessageType.REPLACE_REQUEST: self._do_replace,
-            MessageType.SET_STRIDE: self._do_set_stride,
-            MessageType.SET_HASHING: self._do_set_hashing,
+        """Run each control request as one protocol run, in arrival order.
+
+        The run's context is the request (``{"lm", "msg"}``); its round
+        bodies read their arguments from the message payload.
+        """
+        container = self.container
+        name = container.name
+        # request type -> (protocol, trace amount, telemetry mark): the
+        # amount is read when the request arrives, the mark from the run's
+        # context after it ends
+        requests = {
+            MessageType.INCREASE_REQUEST: (
+                protocols.INCREASE, lambda msg: len(msg.payload["nodes"]),
+                lambda data: f"increase {name} +{len(data['msg'].payload['nodes'])}"),
+            MessageType.DECREASE_REQUEST: (
+                protocols.DECREASE, lambda msg: msg.payload["count"],
+                lambda data: f"decrease {name} -{data['count']}"),
+            MessageType.OFFLINE_REQUEST: (
+                protocols.OFFLINE, lambda msg: container.units,
+                lambda data: f"offline {name}"),
+            MessageType.REPLACE_REQUEST: (
+                protocols.REPLACE, lambda msg: 1,
+                lambda data: f"replace {name}/{data['msg'].payload['replica']}"),
+            MessageType.SET_STRIDE: (protocols.SET_STRIDE, lambda msg: 0, None),
+            MessageType.SET_HASHING: (protocols.SET_HASHING, lambda msg: 0, None),
         }
         while True:
             try:
-                msg = yield self.endpoint.recv(where=lambda m: m.mtype in dispatch)
+                msg = yield self.endpoint.recv(where=lambda m: m.mtype in requests)
             except Interrupt:
                 return
-            yield self.env.process(dispatch[msg.mtype](msg))
+            spec, amount, mark = requests[msg.mtype]
+            data = {"lm": self, "msg": msg}
+            yield self.engine.execute(spec, subject=name, amount=amount(msg), data=data)
+            if mark is not None:
+                self._mark(mark(data))
 
     # -- shared protocol tail ----------------------------------------------------------
 
@@ -235,15 +257,6 @@ class LocalManager:
         self.telemetry.mark(self.env.now, text)
 
     # -- increase -------------------------------------------------------------------------
-
-    def _do_increase(self, msg: Message):
-        nodes: List[Node] = msg.payload["nodes"]
-        container = self.container
-        yield self.engine.execute(
-            protocols.INCREASE, subject=container.name, amount=len(nodes),
-            data={"lm": self, "msg": msg, "nodes": nodes},
-        )
-        self._mark(f"increase {container.name} +{len(nodes)}")
 
     def _spawn_replicas(self, nodes: List[Node], ctx):
         """Round-robin / tree growth: spawn and wire new replicas in place."""
@@ -313,7 +326,7 @@ class LocalManager:
         all_nodes = old_nodes + list(new_nodes)
         yield self.env.timeout(self.scheduler.aprun.sample(self.scheduler.rng))
         ctx.charge("launch", self.env.now - t0)
-        yield self.env.process(self._spawn_replicas(all_nodes, ctx))
+        yield from self._spawn_replicas(all_nodes, ctx)
         self.scheduler.move(old_nodes, mine, ctx.trace)
         actives = [r for r in container.replicas if not r.passive]
         for i, chunk in enumerate(stranded):
@@ -323,21 +336,13 @@ class LocalManager:
 
     # -- decrease --------------------------------------------------------------------------
 
-    def _do_decrease(self, msg: Message):
-        count: int = msg.payload["count"]
-        container = self.container
-        data = {"lm": self, "msg": msg, "count": count}
-        yield self.engine.execute(
-            protocols.DECREASE, subject=container.name, amount=count, data=data,
-        )
-        self._mark(f"decrease {container.name} -{data['count']}")
-
     def _dec_prepare(self, ctx) -> None:
         container = self.container
-        ctx["active"] = ctx["count"] > 0 and container.units > 0
+        count = ctx["count"] = ctx["msg"].payload["count"]
+        ctx["active"] = count > 0 and container.units > 0
         ctx["freed"] = []
         if ctx["active"]:
-            ctx["count"] = min(ctx["count"], container.units)
+            ctx["count"] = min(count, container.units)
 
     def _pause_writers(self, ctx, count_messages: bool = True):
         """Pause upstream writers so no metadata races a teardown — the
@@ -381,23 +386,6 @@ class LocalManager:
 
     # -- replace (crash recovery) ----------------------------------------------------------
 
-    def _do_replace(self, msg: Message):
-        """Replace a crashed replica with a fresh one on ``payload['node']``.
-
-        Ordering matters: the dead replica leaves ``container.replicas``
-        *before* the spawn (so the newcomer's peer exchange excludes the
-        dead node), its writers leave the downstream links (their buffered
-        output died with the node), and its reader detaches from the input
-        link *after* the spawn — the newcomer must exist so re-dispatched
-        metadata and redelivered chunks have somewhere to go.
-        """
-        container = self.container
-        yield self.engine.execute(
-            protocols.REPLACE, subject=container.name, amount=1,
-            data={"lm": self, "msg": msg, "node": msg.payload["node"]},
-        )
-        self._mark(f"replace {container.name}/{msg.payload['replica']}")
-
     def _rep_locate(self, ctx) -> None:
         dead = next(
             (r for r in self.container.replicas
@@ -439,67 +427,29 @@ class LocalManager:
 
     # -- data-flow controls ----------------------------------------------------------------
 
-    def _do_set_stride(self, msg: Message):
-        """Frequency reduction: process every k-th timestep only.
-
-        One of the control features of Section III-D ("lower the output
-        frequency of one to free up I/O bandwidth for others").  Refused for
-        essential containers — dropping timesteps of the aggregation stage
-        would lose data for everyone downstream.
-        """
-        yield self.engine.execute(
-            protocols.SET_STRIDE, subject=self.container.name,
-            data={"lm": self, "msg": msg, "stride": int(msg.payload["stride"])},
-        )
-
     def _stride_validate(self, ctx):
         container = self.container
-        stride = ctx["stride"]
+        stride = int(ctx["msg"].payload["stride"])
         if stride < 1 or (container.essential and stride > 1):
-            yield self.env.process(self._reply(
+            yield from self._reply(
                 ctx["msg"], MessageType.NACK, {"stride": container.stride}
-            ))
+            )
             raise ProtocolAbort(f"stride 1/{stride} refused", result=False)
 
     def _stride_apply(self, ctx):
-        stride = ctx["stride"]
+        stride = int(ctx["msg"].payload["stride"])
         self.container.stride = stride
         self._mark(f"stride {self.container.name} -> 1/{stride}")
-        yield self.env.process(self._reply(
-            ctx["msg"], MessageType.ACK, {"stride": stride}
-        ))
+        yield from self._reply(ctx["msg"], MessageType.ACK, {"stride": stride})
         ctx.result = True
 
-    def _do_set_hashing(self, msg: Message):
-        """Toggle soft-error-detection hashing on this container's output."""
-        yield self.engine.execute(
-            protocols.SET_HASHING, subject=self.container.name,
-            data={"lm": self, "msg": msg,
-                  "enabled": bool(msg.payload["enabled"])},
-        )
-
     def _hashing_apply(self, ctx):
-        self.container.hashing = ctx["enabled"]
-        yield self.env.process(self._reply(
-            ctx["msg"], MessageType.ACK, {"enabled": ctx["enabled"]}
-        ))
+        enabled = bool(ctx["msg"].payload["enabled"])
+        self.container.hashing = enabled
+        yield from self._reply(ctx["msg"], MessageType.ACK, {"enabled": enabled})
         ctx.result = True
 
     # -- offline ----------------------------------------------------------------------------
-
-    def _do_offline(self, msg: Message):
-        """Reduce this container to zero replicas.
-
-        Chunks already pulled into replica queues are written to disk with
-        their current provenance so the work is not lost and post-processing
-        knows which actions remain to be applied.
-        """
-        container = self.container
-        yield self.engine.execute(
-            protocols.OFFLINE, subject=container.name, amount=container.units,
-            data={"lm": self, "msg": msg},
-        )
-        self._mark(f"offline {container.name}")
 
     def _off_drain(self, ctx):
         container = self.container

@@ -44,9 +44,11 @@ INCREASE = ProtocolSpec(
     rounds=(
         Round("request", enter_label="global->local: increase request"),
         Round("relaunch", when=_parallel,
-              handler=lambda ctx: ctx["lm"]._relaunch_parallel(ctx["nodes"], ctx)),
+              handler=lambda ctx: ctx["lm"]._relaunch_parallel(
+                  ctx["msg"].payload["nodes"], ctx)),
         Round("spawn", when=lambda ctx: not _parallel(ctx),
-              handler=lambda ctx: ctx["lm"]._spawn_replicas(ctx["nodes"], ctx)),
+              handler=lambda ctx: ctx["lm"]._spawn_replicas(
+                  ctx["msg"].payload["nodes"], ctx)),
         Round("complete", enter_label="local->global: resize complete",
               handler=lambda ctx: ctx["lm"]._reply(
                   ctx["msg"], MessageType.RESIZE_COMPLETE,
@@ -88,7 +90,9 @@ DECREASE = ProtocolSpec(
 
 
 #: OFFLINE (Figure 9 path): drain every replica, strand unprocessed chunks
-#: to disk with provenance, and surrender all nodes.
+#: to disk with provenance, and surrender all nodes.  Chunks already pulled
+#: into replica queues are written with their current provenance, so the
+#: work is not lost and post-processing knows which actions remain.
 OFFLINE = ProtocolSpec(
     "offline",
     rounds=(
@@ -118,8 +122,14 @@ def _rep_found(ctx) -> bool:
     return ctx["dead"] is not None
 
 
-#: REPLACE (crash recovery): swap a dead replica for a fresh one, re-run
-#: state migration, and redeliver unacked chunks from upstream custody.
+#: REPLACE (crash recovery): swap a dead replica for a fresh one on the
+#: request's node, re-run state migration, and redeliver unacked chunks
+#: from upstream custody.  Ordering matters: the dead replica leaves the
+#: container *before* the spawn (so the newcomer's peer exchange excludes
+#: the dead node), its writers leave the downstream links (their buffered
+#: output died with the node), and its reader detaches from the input link
+#: *after* the spawn — the newcomer must exist so re-dispatched metadata
+#: and redelivered chunks have somewhere to go.
 REPLACE = ProtocolSpec(
     "replace",
     rounds=(
@@ -132,7 +142,8 @@ REPLACE = ProtocolSpec(
         Round("detach", when=_rep_found,
               handler=lambda ctx: ctx["lm"]._rep_detach(ctx)),
         Round("spawn", when=_rep_found,
-              handler=lambda ctx: ctx["lm"]._spawn_replicas([ctx["node"]], ctx)),
+              handler=lambda ctx: ctx["lm"]._spawn_replicas(
+                  [ctx["msg"].payload["node"]], ctx)),
         Round("redeliver",
               when=lambda ctx: (_rep_found(ctx) and _has_link(ctx)
                                 and ctx["dead"].reader is not None),
@@ -152,8 +163,11 @@ REPLACE = ProtocolSpec(
 )
 
 
-#: SET_STRIDE (Section III-D frequency reduction): refuse invalid strides
-#: and strides on essential containers (NACK aborts the protocol).
+#: SET_STRIDE (Section III-D frequency reduction, "lower the output
+#: frequency of one to free up I/O bandwidth for others"): process every
+#: k-th timestep only.  Invalid strides are refused, and so are strides on
+#: essential containers — dropping timesteps of the aggregation stage would
+#: lose data for everyone downstream (NACK aborts the protocol).
 SET_STRIDE = ProtocolSpec(
     "set_stride",
     rounds=(

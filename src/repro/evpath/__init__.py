@@ -11,19 +11,18 @@ The real system uses Georgia Tech's EVPath library for two things:
 This package reproduces that functionality on top of the simulated network:
 
 * :class:`Endpoint` — a mailbox pinned to a cluster node;
-* :class:`Channel` — typed point-to-point delivery between endpoints with a
-  control-message cost model;
+* :class:`Messenger` — typed point-to-point delivery and request/reply
+  between endpoints with a control-message cost model;
 * :class:`OverlayTree` — a k-ary aggregation tree over a set of leaf nodes,
   used by container monitoring.
 """
 
 from repro.evpath.messages import Message, MessageType
 from repro.evpath.endpoint import Endpoint
-from repro.evpath.channel import Channel, Messenger, RequestTimeout, RetryPolicy
+from repro.evpath.channel import Messenger, RequestTimeout, RetryPolicy
 from repro.evpath.overlay import OverlayTree
 
 __all__ = [
-    "Channel",
     "Endpoint",
     "Message",
     "MessageType",

@@ -274,21 +274,3 @@ class Messenger:
             )
         return reply_get.value
 
-
-class Channel:
-    """A fixed point-to-point pipe between two endpoints.
-
-    Thin convenience over :class:`Messenger` for component-to-component
-    links whose ends do not change (e.g. manager <-> replica).
-    """
-
-    def __init__(self, messenger: Messenger, src: Endpoint, dst: Endpoint):
-        self.messenger = messenger
-        self.src = src
-        self.dst = dst
-
-    def send(self, message: Message):
-        return self.messenger.send(self.src.node, self.dst.name, message)
-
-    def request(self, message: Message):
-        return self.messenger.request(self.src.node, self.src, self.dst.name, message)

@@ -71,11 +71,8 @@ class D2TCoordinator:
 
     def run(self, groups: List[TxnGroup]):
         """Process: one transaction across ``groups``; value is TxnOutcome."""
-        return self.env.process(self._run(groups), name="txn")
-
-    def _run(self, groups: List[TxnGroup]):
         txn_id = next(self._txn_ids)
-        outcome = yield self.engine.execute(
+        return self.engine.execute(
             protocols.D2T_COMMIT,
             subject=f"txn-{txn_id}",
             data={
@@ -87,7 +84,6 @@ class D2TCoordinator:
                 "pending": {g.root.endpoint.name: g.name for g in groups},
             },
         )
-        return outcome
 
     # D2T_COMMIT round bodies ----------------------------------------------------------
 

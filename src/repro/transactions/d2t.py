@@ -8,7 +8,7 @@ from repro.simkernel import Environment
 from repro.cluster.node import Node
 from repro.controlplane import ControlPlaneEngine, ProtocolAbort, protocols
 from repro.evpath.channel import Messenger
-from repro.transactions.coordinator import D2TCoordinator, TxnOutcome
+from repro.transactions.coordinator import D2TCoordinator
 from repro.transactions.failures import FailureInjector
 from repro.transactions.participants import TxnGroup, TxnParticipant
 
@@ -80,12 +80,7 @@ class TransactionManager:
         triggers compensation (freed nodes go to the spare pool) and is
         reported, not silently dropped.
         """
-        return self.env.process(
-            self._run_trade(global_manager, donor, recipient, count), name="trade"
-        )
-
-    def _run_trade(self, global_manager, donor: str, recipient: str, count: int):
-        result = yield self.engine.execute(
+        return self.engine.execute(
             protocols.TRADE,
             subject=f"{donor}->{recipient}",
             data={
@@ -97,7 +92,6 @@ class TransactionManager:
                 "freed": [],
             },
         )
-        return result if result is not None else []
 
     # TRADE round bodies ---------------------------------------------------------------
 

@@ -363,6 +363,22 @@ class TestSimulationErrorIsAViolation:
         assert failure["violations"][0]["invariant"] == "simulation_error"
         assert failure["repro"] == self.REPRO
 
+    def test_shrunk_plan_reproduces_the_same_failure(self):
+        """The node crash is what sends the REPLACE into the unmoved nodes;
+        without it the run fails differently (node_conservation sweeps
+        later on), so the shrinker must keep it."""
+        from repro.dst.scenario import plan_for
+        from tests.mutants import MUTANTS
+
+        scenario = DSTScenario(name="smoke_no_spares", preset="smoke_no_spares",
+                               plan=plan_for("smoke_no_spares"),
+                               hook=MUTANTS["skip_retire_move"])
+        plan = scenario.resolve_plan(2, scenario.build(2))
+        result = shrink(scenario, 2, plan)
+        assert [e.kind.value for e in result.plan.events] == ["node_crash"]
+        replay = scenario.run(2, plan_override=result.plan)
+        assert replay.violations[0].invariant == "simulation_error"
+
     def test_fleet_run_reports_it_too(self):
         from repro.fleet import FleetDSTScenario
         from repro.simkernel import SimulationError

@@ -5,7 +5,6 @@ import pytest
 
 from repro.simkernel import SimulationError
 from repro.evpath import Message, MessageType, Messenger, OverlayTree
-from repro.evpath.channel import Channel
 
 from tests.transfer_differential import (
     assert_outcome_identical, free_slot_spy, hold_every_slot, tally_nic_requests,
@@ -106,26 +105,6 @@ class TestEndpoints:
         env.process(client(env))
         env.run()
         assert results == ["pong"]
-
-
-class TestChannel:
-    def test_fixed_pipe(self, env, machine, messenger):
-        a = messenger.endpoint(machine.nodes[0], "a")
-        b = messenger.endpoint(machine.nodes[1], "b")
-        chan = Channel(messenger, a, b)
-        got = []
-
-        def receiver(env):
-            msg = yield b.recv()
-            got.append(msg.payload)
-
-        def sender(env):
-            yield chan.send(Message(MessageType.ACK, "a", payload="hi"))
-
-        env.process(receiver(env))
-        env.process(sender(env))
-        env.run()
-        assert got == ["hi"]
 
 
 class TestOverlay:

@@ -168,6 +168,47 @@ class TestDependencyGraph:
         assert pipe.scheduler.free_nodes == 3  # csym's allocation
 
 
+class TestProcessesPerOperation:
+    """A control operation is the GM operation, the messenger's request and
+    the protocol runs that do the work: no process only starts another
+    one, waits for it and returns its value."""
+
+    @staticmethod
+    def _started(monkeypatch, operation):
+        from repro.simkernel.process import Process
+        from repro.spec import load_preset
+
+        env = Environment()
+        pipe = build_spec(env, load_preset("fig7"))
+        env.run(until=1.0)  # the pipeline is up and idle
+        names = []
+        init = Process.__init__
+
+        def counting(self, env, generator, name=None):
+            names.append(name)
+            init(self, env, generator, name)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        proc = operation(pipe.global_manager)
+        env.run(until=proc)
+        return proc.value, names
+
+    def test_set_stride_starts_three(self, monkeypatch):
+        accepted, names = self._started(
+            monkeypatch, lambda gm: gm.set_stride("csym", 2))
+        assert accepted is True
+        # gm-stride, the request, cp:set_stride
+        assert len(names) == 3, names
+
+    def test_one_node_increase_starts_five(self, monkeypatch):
+        reply, names = self._started(
+            monkeypatch, lambda gm: gm.increase("bonds", 1))
+        assert reply["units"] == 5
+        # cp:gm_increase, the request, cp:increase, and the new replica's
+        # reader and worker
+        assert len(names) == 5, names
+
+
 class TestArbiterBackedGM:
     """The GM's fleet face: borrowing from (and returning loans to) a
     FleetArbiter when the tenant's own spare pool runs dry."""
