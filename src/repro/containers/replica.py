@@ -50,7 +50,8 @@ class Replica:
         self.writers: Dict[str, DataTapWriter] = {}
         self._worker = None
         self._gather: Dict[int, List[DataChunk]] = {}
-        self._service_proc = None
+        #: True while the worker runs a chunk's service (not waiting for one)
+        self._serving = False
         self.current_chunk: Optional[DataChunk] = None
         self.chunks_processed = 0
         self.busy_time = 0.0
@@ -82,7 +83,7 @@ class Replica:
 
     def _work(self):
         container = self.container
-        while True:
+        while not self.retired:
             try:
                 chunk = yield self.queue.get()
             except Interrupt:
@@ -105,14 +106,15 @@ class Replica:
                 )
                 self._ack_sources(chunk)
                 continue
-            self._service_proc = self.env.process(self._service(chunk))
+            self._serving = True
             try:
-                yield self._service_proc
-            except Interrupt as interrupt:
-                if getattr(interrupt, "cause", None) == "retire-hard":
-                    if self._service_proc.is_alive:
-                        self._service_proc.interrupt("retire-hard")
+                yield from self._service(chunk)
+            except Interrupt:
+                # Hard retire or crash mid-service (compute, hash or emit):
+                # the offline drain strands ``current_chunk``, and after a
+                # crash upstream custody redelivers it.
                 return
+            self._serving = False
 
     def _merge(self, fragments: List[DataChunk]) -> DataChunk:
         """Combine per-writer fragments of one timestep (the Helper gather)."""
@@ -135,12 +137,7 @@ class Replica:
     def _service(self, chunk: DataChunk):
         start = self.env.now
         self.current_chunk = chunk
-        service = self.container.service_time(chunk)
-        try:
-            yield self.node.compute(service)
-        except Interrupt:
-            # Hard retire mid-service: the caller strands ``current_chunk``.
-            return
+        yield self.node.compute(self.container.service_time(chunk))
         self.current_chunk = None
         self.busy_time += self.env.now - start
         self.chunks_processed += 1
@@ -235,10 +232,8 @@ class Replica:
         address, it just drops traffic until REPLACE cleans it off the
         link.
         """
-        self.retired = True
         self.crashed = True
-        if self._worker is not None and self._worker.is_alive:
-            self._worker.interrupt("retire-hard")
+        self.retire(hard=True)
         if self.reader is not None:
             self.reader.crash()
 
@@ -246,11 +241,13 @@ class Replica:
         """Stop the worker (reader teardown is the link's job).
 
         ``hard=True`` (the offline path) also aborts the chunk currently in
-        service; the caller is responsible for stranding ``current_chunk``
-        to disk.  A graceful retire lets in-flight service finish and emit.
+        service, wherever it waits (compute, hash or emit); the caller is
+        responsible for stranding ``current_chunk`` to disk.  A graceful
+        retire lets in-flight service finish, emit and hand off; the worker
+        ends after it, and is interrupted only while it waits for a chunk.
         """
         self.retired = True
-        if self._worker is not None and self._worker.is_alive:
+        if self._worker is not None and self._worker.is_alive and (hard or not self._serving):
             self._worker.interrupt("retire-hard" if hard else "retire")
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.simkernel import Environment, SimulationError, shuffle
+from repro.simkernel import Environment, shuffle
 from repro.containers.pipeline import Pipeline
 from repro.faults.plan import FaultPlan
 from repro.dst.invariants import InvariantMonitor, Violation
@@ -220,7 +220,7 @@ class DSTScenario:
             finished = pipe.run(settle=self.settle)
             if finished:
                 self._drain(pipe)
-        except SimulationError as exc:
+        except Exception as exc:  # noqa: BLE001 - a program error is a finding
             finished = False
             monitor.violations.append(simulation_error(pipe.env, exc))
         monitor.note_finished(finished)
@@ -281,11 +281,12 @@ class DSTScenario:
         return log
 
 
-def simulation_error(env: Environment, exc: SimulationError) -> Violation:
-    """A run that a kernel error ended (say, a checked node move that
-    found the wrong owner) is a finding like any oracle's: reported at the
-    instant it struck, so the sweep still writes its seed and repro."""
-    return Violation("simulation_error", env.now, str(exc))
+def simulation_error(env: Environment, exc: Exception) -> Violation:
+    """A run that a program error ended (say, a checked node move that
+    found the wrong owner, or an ``Interrupt`` nobody caught) is a finding
+    like any oracle's: reported at the instant it struck, with the error's
+    type, so the sweep still writes its seed and repro."""
+    return Violation("simulation_error", env.now, f"{type(exc).__name__}: {exc}")
 
 
 def repro_command(seed: Optional[int], scenario: str = "smoke") -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, SimulationError, shuffle
+from repro.simkernel import Environment, shuffle
 from repro.faults.plan import FaultPlan
 from repro.dst.invariants import InvariantMonitor, Violation
 from repro.dst.scenario import (
@@ -96,7 +96,7 @@ class FleetDSTScenario:
             finished = fleet.run(settle=self.settle)
             if all(finished.values()):
                 self._drain(fleet)
-        except SimulationError as exc:
+        except Exception as exc:  # noqa: BLE001 - a program error is a finding
             finished = dict.fromkeys(monitors, False)
             violations.append(simulation_error(fleet.env, exc))
         seen = set()

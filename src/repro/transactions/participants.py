@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, Event, Interrupt, schedule_step
+from repro.simkernel import Environment, Event, schedule_step
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.events import URGENT
 from repro.cluster.node import Node
@@ -188,8 +188,7 @@ class TxnParticipant:
     handler fails, then ``_run``          two failed ``NORMAL`` events; the
                                           second is a swallowed fault
     ``stop()``'s interrupt, ``_run``      ``URGENT`` step -> :meth:`_halt`,
-    returns (or fails, if it waited on    then a ``NORMAL`` event (failed
-    a handler)                            with the ``Interrupt``)
+    returns                               then a ``NORMAL`` event
     ====================================  ===================================
 
     A message the walker is not waiting for is buffered in arrival order:
@@ -301,9 +300,8 @@ class TxnParticipant:
     def stop(self) -> None:
         """Stop serving requests, as an interrupt at the current instant.
 
-        Rounds under way still finish.  Stopped while the request loop
-        waits on a round, the ``Interrupt`` escapes the run, as it did from
-        the process-per-message participant.
+        Rounds under way still finish.  The request loop ends quietly,
+        whether it waits on a receive or on a round.
         """
         if self._live:
             self._live = False
@@ -311,18 +309,14 @@ class TxnParticipant:
 
     def _halt(self, _event) -> None:
         # The interrupt: what the request loop was waiting on is abandoned
-        # (a pending receive stays armed and swallows one request).  Waiting
-        # for a receive, the loop ends; waiting on a round, the interrupt
-        # escapes it and the run raises it.
-        wake, busy = self._wake, self._busy
+        # (a pending receive stays armed and swallows one request), and the
+        # loop ends.
+        wake = self._wake
         if wake is not None:
             wake.callbacks.clear()
             self.env.cancel(wake)
         self._busy = self._wake = None
-        if busy is None:
-            Event(self.env).succeed()
-        else:
-            Event(self.env).fail(Interrupt("stop"))
+        Event(self.env).succeed()
 
 
 class TxnGroup:

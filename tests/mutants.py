@@ -34,6 +34,27 @@ def skip_retire_move(pipe):
         lm._dec_retire = retire
 
 
+def service_process(pipe):
+    """The replica worker that starts a service process per chunk and
+    forwards a hard retire's interrupt to it (:mod:`tests.oracles.replica`).
+    A crash after the compute, while the service hashes or emits,
+    interrupts a service process nobody waits on, and the ``Interrupt``
+    escapes the run.  Built replicas switch class, and their workers (not
+    started yet: a hook runs before the pipeline does) run the old
+    generator; replicas spawned later are built from the old class."""
+    from repro.containers import Replica
+    from tests.oracles.replica import PATCHES
+
+    old = type("ServiceProcessReplica", (Replica,), {attr: fn for _, attr, fn in PATCHES})
+    for container in pipe.containers.values():
+        container._replica_cls = old
+        for replica in container.replicas:
+            replica.__class__ = old
+            if replica._worker is not None:
+                replica._worker._generator = replica._work()
+
+
 #: name -> mutant, for sweeps that run every mutant
 MUTANTS = {"skip_steal_restock": skip_steal_restock,
-           "skip_retire_move": skip_retire_move}
+           "skip_retire_move": skip_retire_move,
+           "service_process": service_process}

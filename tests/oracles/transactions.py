@@ -16,7 +16,9 @@ Tests drive it: ``tests/test_transactions.py`` (the differential) and
 ``tests/test_speed_gates.py`` (the reference side of its ``d2t_commit``
 gate).  Nothing in production calls it.
 Do not modify this file when optimizing the participant — it is the
-baseline.
+baseline.  (It carries one mend the walker also has: ``stop()`` while the
+``_run`` loop waits on a handler ends the loop quietly, instead of raising
+the ``Interrupt`` out of the run.)
 """
 
 from __future__ import annotations
@@ -89,11 +91,15 @@ class TxnParticipant:
             if msg.mtype is MessageType.TXN_VOTE_REQUEST:
                 if fault == "crash":
                     continue  # never answer; coordinator times out
-                yield self.env.process(self._handle_vote_request(msg, txn_id, fault))
+                handler = self._handle_vote_request(msg, txn_id, fault)
             else:
                 if fault == "crash_after_vote":
                     continue  # decision lost on this subtree's root
-                yield self.env.process(self._handle_decision(msg, txn_id))
+                handler = self._handle_decision(msg, txn_id)
+            try:
+                yield self.env.process(handler)
+            except Interrupt:
+                return
 
     def _handle_vote_request(self, msg: Message, txn_id: int, fault: Optional[str]):
         # Relay down the tree first, then gather aggregated child votes.

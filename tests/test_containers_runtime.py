@@ -294,3 +294,122 @@ class TestLocalManagerProtocols:
         assert manager.shortfall(1.0) == 0
         assert manager.shortfall(0.5) == 2  # needs 4
         assert manager.headroom(2.0) == 1  # needs 1
+
+
+class TestInlineServiceOutcomes:
+    """A replica's worker runs each chunk's service inline; the per-chunk
+    service process it replaced is kept in :mod:`tests.oracles.replica`.
+    Both must give the same exits, end-to-end records, shed records,
+    telemetry events, node census and swallowed faults: on the fig7 and
+    overload presets, and on a graceful decrease, an offline and a crash
+    that each land while a chunk is in compute."""
+
+    @staticmethod
+    def _run(oracle, name, steps, act=None):
+        from unittest import mock
+
+        from repro.containers import Replica
+        from repro.spec import build_preset
+        from tests.oracles import replica as reference
+
+        retires = []
+        retire = Replica.retire
+
+        def spy_retire(replica, hard=False):
+            retires.append((replica.env.now, replica.name, hard,
+                            replica.current_chunk is not None))
+            return retire(replica, hard)
+
+        patches = [mock.patch.object(Replica, "retire", spy_retire)]
+        if oracle:
+            patches += [mock.patch.object(cls, attr, fn) for cls, attr, fn in reference.PATCHES]
+        for patch in patches:
+            patch.start()
+        try:
+            env = Environment()
+            pipe = build_preset(env, name, workload=dict(steps=steps))
+            if act is not None:
+                act(pipe)
+            finished = pipe.run(settle=120)
+        finally:
+            for patch in patches:
+                patch.stop()
+        return dict(
+            finished=finished, exits=pipe.exit_log, end_to_end=pipe.end_to_end,
+            shed=pipe.fates.shed_records, unfated=pipe.fates.unfated(),
+            telemetry=pipe.telemetry.events, census=pipe.node_census(), now=env.now,
+            swallowed=env.swallowed_faults, retires=retires,
+        ), env.events_processed
+
+    def _same(self, name, steps, act=None):
+        live, live_events = self._run(False, name, steps, act)
+        oracle, oracle_events = self._run(True, name, steps, act)
+        assert live == oracle
+        assert live["finished"] and not live["unfated"]
+        assert live_events < oracle_events
+        return live
+
+    @staticmethod
+    def _when_in_service(replica_of, operation):
+        """Run ``operation(pipe)`` at the first 10 ms tick after t=20 at
+        which ``replica_of(pipe)`` has a chunk in compute."""
+        def act(pipe):
+            env = pipe.env
+
+            def watch():
+                yield env.timeout(20.0)
+                replica = replica_of(pipe)
+                while replica.current_chunk is None:
+                    yield env.timeout(0.01)
+                yield operation(pipe)
+
+            env.process(watch())
+        return act
+
+    @pytest.mark.parametrize("name,steps", [("fig7", 6), ("overload", 12)])
+    def test_preset(self, name, steps):
+        self._same(name, steps)
+
+    def test_graceful_decrease_mid_service(self):
+        run = self._same("fig7", 6, self._when_in_service(
+            lambda pipe: pipe.containers["csym"].replicas[-1],
+            lambda pipe: pipe.global_manager.decrease("csym", 1)))
+        # the departing replica was retired with its chunk in compute
+        assert [(name, hard, busy) for _, name, hard, busy in run["retires"]] == [
+            ("csym-r2", False, True)]
+
+    def test_offline_mid_compute(self):
+        run = self._same("fig7", 6, self._when_in_service(
+            lambda pipe: pipe.containers["csym"].replicas[0],
+            lambda pipe: pipe.global_manager.take_offline("csym")))
+        assert ("csym-r0", True, True) in [r[1:] for r in run["retires"]]
+        assert any(r.reason == "offline_prune" for r in run["shed"])
+
+    def test_crash_mid_compute(self):
+        from repro.faults import FaultPlan
+
+        # crash csym-r1 halfway through its first service compute after t=20
+        starts = []
+
+        def probe(pipe):
+            node = pipe.containers["csym"].replicas[1].node
+            compute = node.compute
+
+            def spy(seconds):
+                if pipe.env.now > 20.0:
+                    starts.append((pipe.env.now, seconds))
+                return compute(seconds)
+
+            node.compute = spy
+
+        self._run(False, "fig7", 6, probe)
+        start, seconds = starts[0]
+
+        def crash(pipe):
+            plan = FaultPlan(seed=1)
+            victim = pipe.containers["csym"].replicas[1].node
+            plan.node_crash(start + seconds / 2, victim.node_id)
+            pipe.arm_faults(plan)
+
+        run = self._same("fig7", 6, crash)
+        assert [r[1:] for r in run["retires"]] == [("csym-r1", True, True)]

@@ -322,7 +322,7 @@ class TestSimulationErrorIsAViolation:
 
     REPRO = ("PYTHONPATH=src python -m repro.experiments dst --seed 2 "
              "--seeds 1 --scenario smoke_no_spares")
-    ERROR = "scheduler: node 7 is owned by container:helper, " \
+    ERROR = "SimulationError: scheduler: node 7 is owned by container:helper, " \
             "not protocol:gm_replace[csym]"
 
     def test_failed_move_is_reported_not_raised(self):
@@ -392,7 +392,46 @@ class TestSimulationErrorIsAViolation:
         report = FleetDSTScenario(tenants=2, hook=planted).run(0)
         assert not report.finished
         assert report.violations[0].as_dict() == {
-            "invariant": "simulation_error", "time": 5.0, "detail": "planted"}
+            "invariant": "simulation_error", "time": 5.0,
+            "detail": "SimulationError: planted"}
+
+
+class TestUncaughtInterruptIsAViolation:
+    """An exception that is not a ``SimulationError`` (here the service
+    process's ``Interrupt``, put back by the ``service_process`` mutant)
+    is reported like one, instead of aborting the sweep before it writes
+    the seed and the repro."""
+
+    @staticmethod
+    def _scenario(hook=None):
+        from tests.test_recovery import sink_write_window
+
+        node_id, (start, landed) = sink_write_window()
+
+        def crash_mid_write(seed, pipe):
+            plan = FaultPlan(seed=seed)
+            plan.node_crash((start + landed) / 2, node_id)
+            return plan
+
+        return DSTScenario(name="smoke", plan=crash_mid_write, hook=hook)
+
+    def test_service_process_mutant_is_reported_with_its_repro(self):
+        from tests.mutants import MUTANTS
+
+        assert self._scenario().run(None).ok  # the live worker recovers
+        scenario = self._scenario(MUTANTS["service_process"])
+        report = scenario.run(None)
+        assert not report.finished
+        first = report.violations[0]
+        assert (first.invariant, first.detail) == ("simulation_error",
+                                                   "Interrupt: retire-hard")
+        assert first.time == report.final_time
+        assert report.as_dict()["repro"] == \
+            "PYTHONPATH=src python -m repro.experiments dst --seeds 1"
+        failure = explore(scenario, range(4)).failure
+        assert failure.seed == 0
+        assert failure.violations[0].invariant == "simulation_error"
+        assert failure.repro == "PYTHONPATH=src python -m repro.experiments dst --seed 0 --seeds 1"
 
 
 class TestPlantedBugIsCaughtAndShrunk:

@@ -208,6 +208,36 @@ class TestProcessesPerOperation:
         # reader and worker
         assert len(names) == 5, names
 
+    def test_replicas_start_no_process_per_chunk(self, monkeypatch):
+        """A replica's worker runs each chunk's service inline: past t=1
+        the only processes a ``Replica`` generator starts are the workers
+        of replicas spawned in that window."""
+        from repro.containers import Replica
+        from repro.simkernel.process import Process
+        from repro.spec import load_preset
+
+        env = Environment()
+        pipe = build_spec(env, load_preset("fig7"))
+        env.run(until=1.0)
+        started, spawned = [], []
+        init, replica_init = Process.__init__, Replica.__init__
+
+        def counting(self, env, generator, name=None):
+            if getattr(generator, "__qualname__", "").startswith("Replica."):
+                started.append(generator.__qualname__)
+            init(self, env, generator, name)
+
+        def spawning(self, *args, **kwargs):
+            replica_init(self, *args, **kwargs)
+            if not self.passive:
+                spawned.append(self.name)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        monkeypatch.setattr(Replica, "__init__", spawning)
+        assert pipe.run(settle=60)
+        assert pipe.exit_log and spawned
+        assert started == ["Replica._work"] * len(spawned)
+
 
 class TestArbiterBackedGM:
     """The GM's fleet face: borrowing from (and returning loans to) a

@@ -1,11 +1,13 @@
 """Integration tests: failure detection, REPLACE recovery, degradation."""
 
+from collections import Counter
+
 import pytest
 
 from repro import Environment
 from repro.cluster.scheduler import FAILED
 from repro.faults import FaultPlan
-from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec
+from repro.spec import PipelineSpec, StageSpec, WorkloadSpec, build as build_spec, load_preset
 
 
 def build(env, spare=2, steps=10, staging=13, stages=None, **builder):
@@ -123,6 +125,56 @@ class TestReplace:
         assert pipe.containers["csym"].offline
         recs = [r for r in pipe.recovery.replacements if r["type"] == "degrade"]
         assert recs and recs[0]["reason"] == "no replacement node"
+
+
+def sink_write_window():
+    """Run the bundled fig7 spec and return csym-r1's node id and the
+    instants its first disk write starts and lands, found by wrapping the
+    sink's ``write_chunk``."""
+    env = Environment()
+    pipe = build_spec(env, load_preset("fig7"))
+    csym = pipe.containers["csym"]
+    victim = csym.replicas[1]
+    windows = []
+    write_chunk = csym.sink_fs.write_chunk
+
+    def spy(node, *args, **kwargs):
+        event = write_chunk(node, *args, **kwargs)
+        if node is victim.node:
+            start = env.now
+            event.callbacks.append(lambda _: windows.append((start, env.now)))
+        return event
+
+    csym.sink_fs.write_chunk = spy
+    pipe.run(settle=120)
+    return victim.node.node_id, windows[0]
+
+
+class TestCrashMidEmit:
+    def test_crash_during_sink_write_is_replaced_and_redelivered(self):
+        """A crash that lands after the service's compute, while the sink's
+        disk write is in flight, ends the replica's worker quietly: REPLACE
+        recovers it and custody redelivers the chunk that was being
+        written."""
+        node_id, (start, landed) = sink_write_window()
+        assert landed > start
+        env = Environment()
+        pipe = build_spec(env, load_preset("fig7"))
+        plan = FaultPlan(seed=1)
+        plan.node_crash((start + landed) / 2, node_id)
+        pipe.arm_faults(plan)
+
+        assert pipe.run(settle=120)
+
+        recs = [r for r in pipe.recovery.replacements if r["type"] == "replace"]
+        assert [(r["container"], r["method"], r["redelivered"]) for r in recs] == [
+            ("csym", "spare", 1)]
+        assert pipe.fates.unfated() == set()
+        delivered = Counter((sink, step) for _, sink, step in pipe.exit_log)
+        sinks = {sink for sink, _ in delivered}
+        steps = range(pipe.driver.workload.total_steps)
+        assert set(delivered) == {(sink, step) for sink in sinks for step in steps}
+        assert set(delivered.values()) == {1}
 
 
 class TestManagerRecovery:
