@@ -125,17 +125,33 @@ class SpillStore:
             self._durable[seq] = event
         return event
 
-    def write_segment(self, node, record: SpillRecord):
-        """Process: persist ``record`` as a segment; fires when durable."""
-        return self.env.process(
-            self._write_segment(node, record),
-            name=("spill-write:{}", record.seq),
-        )
+    def write_segment(self, node, record: SpillRecord) -> Event:
+        """Persist ``record`` as a segment; returns :meth:`durable` of its seq.
 
-    def _write_segment(self, node, record: SpillRecord):
+        The segment lands when the file system's write completes, whether
+        or not anyone waits; a failed write fails the durability event.
+        """
         self.writes_started += 1
         name = self.segment_name(record)
-        yield self.fs.write(
+        durable = self.durable(record.seq)
+
+        def land(write):
+            if not write._ok:
+                write.defuse()
+                durable.fail(write._value)
+                return
+            segment = Segment(
+                seq=record.seq,
+                name=name,
+                digest=record.digest,
+                nbytes=record.nbytes,
+                durable_at=self.env.now,
+            )
+            self.segments.append(segment)
+            if not durable.triggered:
+                durable.succeed(segment)
+
+        self.fs.write(
             node,
             name,
             record.nbytes,
@@ -147,38 +163,43 @@ class SpillStore:
                 "seq": record.seq,
                 "spilled_at": record.time,
             },
-        )
-        segment = Segment(
-            seq=record.seq,
-            name=name,
-            digest=record.digest,
-            nbytes=record.nbytes,
-            durable_at=self.env.now,
-        )
-        self.segments.append(segment)
-        event = self.durable(record.seq)
-        if not event.triggered:
-            event.succeed(segment)
-        return segment
+        ).callbacks.append(land)
+        return durable
 
-    def read_segment(self, node, record: SpillRecord):
-        """Process: read ``record``'s segment back (waits for durability)."""
-        return self.env.process(
-            self._read_segment(node, record),
-            name=("spill-read:{}", record.seq),
-        )
+    def read_segment(self, node, record: SpillRecord) -> Event:
+        """Read ``record``'s segment back once it is durable.
 
-    def _read_segment(self, node, record: SpillRecord):
-        event = self.durable(record.seq)
-        if not event.triggered:
-            yield event
-        file_record = yield self.fs.read(node, self.segment_name(record))
-        if file_record.attributes.get("digest") != record.digest:
-            raise ValueError(
-                f"digest mismatch reading spill seq {record.seq}: "
-                f"{file_record.attributes.get('digest')} != {record.digest}"
-            )
-        return file_record
+        The event fires with the :class:`~repro.adios.filesystem.FileRecord`
+        read, or fails with the durability or read error, or with
+        :class:`ValueError` when the digest on disk is not the record's.
+        """
+        result = Event(self.env)
+
+        def check(read):
+            if not read._ok:
+                # the failed step's error becomes the read's (caught, hence defused)
+                read.defuse()
+                result.fail(read._value)
+            elif read._value.attributes.get("digest") != record.digest:
+                result.fail(ValueError(
+                    f"digest mismatch reading spill seq {record.seq}: "
+                    f"{read._value.attributes.get('digest')} != {record.digest}"
+                ))
+            else:
+                result.succeed(read._value)
+
+        def start(durable):
+            if durable._ok:
+                self.fs.read(node, self.segment_name(record)).callbacks.append(check)
+            else:
+                check(durable)
+
+        durable = self.durable(record.seq)
+        if durable.triggered:
+            start(durable)
+        else:
+            durable.callbacks.append(start)
+        return result
 
     @property
     def durable_count(self) -> int:

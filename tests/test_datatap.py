@@ -753,14 +753,15 @@ class TestPipelineOutcomes:
         try:
             env = Environment()
             pipe = build_preset(env, name, workload=dict(steps=steps))
-            pipe.run(settle=60)
+            finished = pipe.run(settle=120)
         finally:
             for patch in patches:
                 patch.stop()
         return dict(
+            finished=finished, unfated=pipe.fates.unfated(),
             exits=pipe.exit_log, end_to_end=pipe.end_to_end,
             shed=pipe.fates.shed_records, telemetry=pipe.telemetry.events,
-            census=pipe.node_census(), now=env.now,
+            census=pipe.node_census(), files=pipe.fs.files, now=env.now,
             swallowed=env.swallowed_faults,
         ), env.events_processed
 
@@ -769,6 +770,8 @@ class TestPipelineOutcomes:
         fast, fast_events = self._run(False, name, steps)
         slow, slow_events = self._run(True, name, steps)
         assert fast == slow
+        # every timestep has its fate, on both paths
+        assert fast["finished"] and not fast["unfated"]
         assert fast["exits"] and fast_events < slow_events
 
 

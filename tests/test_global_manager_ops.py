@@ -238,6 +238,35 @@ class TestProcessesPerOperation:
         assert pipe.exit_log and spawned
         assert started == ["Replica._work"] * len(spawned)
 
+    def test_disk_operations_start_no_process(self, monkeypatch):
+        """Every disk write and read schedules one completion: a fig7 run
+        past t=1 (its sink writes) and a failover run (its spill writes and
+        replay reads) start no process from the file system or the spill
+        store."""
+        from repro.simkernel.process import Process
+        from repro.spec import build_preset, load_preset
+
+        started = []
+        init = Process.__init__
+
+        def counting(self, env, generator, name=None):
+            qualname = getattr(generator, "__qualname__", "")
+            if qualname.startswith(("ParallelFileSystem.", "SpillStore.")):
+                started.append(qualname)
+            init(self, env, generator, name)
+
+        env = Environment()
+        fig7 = build_spec(env, load_preset("fig7"))
+        env.run(until=1.0)
+        monkeypatch.setattr(Process, "__init__", counting)
+        assert fig7.run(settle=60)
+        env = Environment()
+        failover = build_preset(env, "failover")
+        assert failover.run(settle=120)
+        assert fig7.fs.files and failover.failover.store.segments
+        assert failover.failover.store.fs.bytes_read > 0
+        assert started == []
+
 
 class TestArbiterBackedGM:
     """The GM's fleet face: borrowing from (and returning loans to) a
