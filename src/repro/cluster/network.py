@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.simkernel import Environment, Event, schedule_step
+from repro.simkernel import Environment, Event
 from repro.simkernel.errors import FaultError
-from repro.simkernel.events import NORMAL, URGENT
 from repro.cluster.node import Node
 
 if TYPE_CHECKING:
@@ -159,37 +158,26 @@ class Network:
 class _Transfer:
     """The transfer walker: one transfer moved through the network as callbacks.
 
-    A transfer that queues for a NIC channel walks the *identical* event
-    sequence a process per transfer did (:mod:`tests.oracles.cluster` keeps
-    that process as the differential oracle), with plain callbacks and
-    step events (:func:`~repro.simkernel.schedule_step`):
+    Every event it schedules carries time: the two NIC channel
+    ``Request`` events when a channel has to be queued for, the wire-time
+    ``Timeout`` (``_wire_done``), the software-overhead ``Timeout`` of an
+    intra-node move, and ``result``, which succeeds with ``nbytes`` or
+    fails with the error that lost the transfer.  It is outcome-identical
+    to the process per transfer that :mod:`tests.oracles.cluster` keeps as
+    the differential oracle: same completion times, errors, accounting and
+    swallowed faults under insertion order.
 
-    ==  ==========================  =====================================
-    #   process path                callback chain
-    ==  ==========================  =====================================
-    2   Initialize(xfer proc)       step event -> _launch
-    3   send-channel Request        same (real Request)
-    4   recv-channel Request        same (real Request)
-    5   AllOf condition fires       step event -> _serialize
-    6   serialization Timeout       same (real Timeout) -> _wire_done
-    7   xfer process completes      ``result`` succeeds (_completed)
-    F   xfer process fails          ``result`` fails (_failed)
-    ==  ==========================  =====================================
-
-    Every row schedules at the same time and priority, in the same global
-    ``schedule()`` order, so under any tie-breaker every downstream schedule
-    is byte-identical.  A transfer that finds both channels free walks 2,
-    6, 7: for a FIFO resource a free slot means an empty queue, so rows 3-5
-    would grant at the launch instant and carry no information.  It holds
-    each slot with itself as the token and is outcome-identical (same
-    completion time, accounting and errors), not schedule-identical: its
-    row 6 sits earlier among the events scheduled at that instant, and
-    every later event id is three lower.  An intra-node transfer walks 2,
-    an overhead ``Timeout``, then 7.  Row F comes from row 2 (negative size, dead
-    endpoint, partition, drop) or row 6 (an endpoint crashed mid-wire); an
-    unwatched :class:`FaultError` lands in ``env.swallowed_faults`` as before.
-    Subclasses put rows in front (override :meth:`_begin`) and replace rows
-    7 and F (:meth:`_completed`, :meth:`_failed`), as
+    The constructor launches at once.  It makes the process's checks in
+    its order (negative size, dead endpoint, then the fault windows'
+    transit check), then takes both channels.  A channel with a free slot
+    has an empty FIFO queue, so the walker holds it with itself as the
+    token, and when both are free the wire time starts now; otherwise both
+    channels are requested and the wire time starts when the second is
+    granted.  ``_wire_done`` releases the channels (granting queued
+    requests), re-checks the endpoints (a crash mid-wire loses the
+    message) and records the stats.  An unwatched :class:`FaultError`
+    lands in ``env.swallowed_faults``.  Subclasses replace the outcome
+    (:meth:`_completed`, :meth:`_failed`), as
     :class:`~repro.evpath.channel._FastSend` does: one object per message.
     """
 
@@ -205,10 +193,9 @@ class _Transfer:
         self.nbytes = nbytes
         #: fires with ``nbytes`` on completion, or fails with the error
         self.result = Event(network.env)
-        schedule_step(network.env, self._begin, URGENT)
+        self._launch()
 
-    def _launch(self, _event) -> None:
-        # [2] the transfer process body up to its first yield.
+    def _launch(self) -> None:
         src, dst, nbytes = self.src, self.dst, self.nbytes
         network = self.network
         try:
@@ -234,7 +221,7 @@ class _Transfer:
                 # as its token, with no Request and no event, and start the
                 # wire time now.
                 self._send_req = self._recv_req = self
-                self._serialize(None)
+                self._serialize()
                 return
             # Give the send slot back: its queue was empty, so this grants
             # nothing, and the Requests below queue as the process did.
@@ -245,18 +232,13 @@ class _Transfer:
         send_req.callbacks.append(self._on_grant)
         recv_req.callbacks.append(self._on_grant)
 
-    #: the first row; a subclass may walk rows of its own before [2]
-    _begin = _launch
-
     def _on_grant(self, _event) -> None:
-        # [3]/[4] pop; when both channels are held, [5] fires the condition.
         self._granted += 1
         if self._granted == 2:
-            schedule_step(self.network.env, self._serialize, NORMAL)
+            self._serialize()
 
-    def _serialize(self, _event) -> None:
-        # [5] pop, or inline from [2] when both channels were free: start
-        # the wire-time clock.
+    def _serialize(self) -> None:
+        # Both channels are held: start the wire-time clock.
         network = self.network
         env = network.env
         self._start = env.now - self._start  # now holds the waited time
@@ -267,8 +249,8 @@ class _Transfer:
         env.timeout(duration).callbacks.append(self._wire_done)
 
     def _wire_done(self, _event) -> None:
-        # [6] pop: release channels (may grant queued requests, exactly as
-        # the process path's finally block), account, complete.
+        # Release the channels (may grant queued requests, exactly as the
+        # process path's finally block), account, complete.
         src, dst, nbytes = self.src, self.dst, self.nbytes
         network = self.network
         src.nic.send_channel.release(self._send_req)
@@ -285,18 +267,15 @@ class _Transfer:
         self._completed(None)
 
     def _completed(self, _event) -> None:
-        # [7] the transfer process returning ``nbytes``.
         self.result.succeed(self.nbytes)
 
     def _failed(self, error: Exception) -> None:
-        # [F] the transfer process raising ``error``.
         self.result.fail(error)
 
 
 class _RdmaGet:
-    """An RDMA GET as callbacks, in the nested processes' event order: a
-    step event (the GET process's ``Initialize``), the request-latency
-    ``Timeout``, a transfer target → reader, and its outcome forwarded."""
+    """An RDMA GET as callbacks: the request-latency ``Timeout``, a
+    transfer target → reader, and its outcome forwarded to ``result``."""
 
     __slots__ = ("network", "reader", "target", "nbytes", "result")
 
@@ -306,11 +285,8 @@ class _RdmaGet:
         self.target = target
         self.nbytes = nbytes
         self.result = Event(network.env)
-        schedule_step(network.env, self._request, URGENT)
-
-    def _request(self, _event) -> None:
-        latency = self.network.latency(self.reader, self.target)
-        self.network.env.timeout(latency).callbacks.append(self._get)
+        latency = network.latency(reader, target)
+        network.env.timeout(latency).callbacks.append(self._get)
 
     def _get(self, _event) -> None:
         xfer = self.network.transfer(self.target, self.reader, self.nbytes)

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.simkernel import Environment, Event, schedule_step
+from repro.simkernel import Environment
 from repro.simkernel.errors import FaultError, SimulationError
-from repro.simkernel.events import NORMAL, URGENT
 from repro.cluster.network import Network, _Transfer
 from repro.cluster.node import Node
 from repro.evpath.endpoint import Endpoint
@@ -76,30 +75,21 @@ class RetryPolicy:
 
 
 class _FastSend(_Transfer):
-    """The send path: a :class:`~repro.cluster.network._Transfer` (rows 2-6)
-    with the send's own rows around it, so one object walks a message
-    through the event sequence of the process send that
-    :mod:`tests.oracles.evpath` keeps as the differential oracle (identical
-    when the transfer queues for a NIC channel; without rows 3-5 when both
-    channels are free):
+    """The send path: a :class:`~repro.cluster.network._Transfer` whose
+    outcome is the send's.  One object walks a message from its accounting
+    to the destination mailbox, outcome-identical to the process send that
+    :mod:`tests.oracles.evpath` keeps as the differential oracle.  Besides
+    the transfer's own events it schedules only the mailbox put, a retry
+    backoff ``Timeout`` per retry, and ``result``, which succeeds with the
+    message once it is delivered.
 
-    ==  ==========================  =====================================
-    #   process path                callback chain
-    ==  ==========================  =====================================
-    1   Initialize(send proc)       step event -> _begin
-    7   xfer process completes      step event -> _deliver
-    8   mailbox StorePut            same (real StorePut)
-    9   send process completes      ``result`` succeeds
-    F   xfer process fails          defused failed event -> _on_failure
-    R   retry backoff Timeout       same (real Timeout) -> _retry -> row 2
-    X   retries exhausted           ``result`` fails
-    ==  ==========================  =====================================
-
-    A :class:`FaultError` at row F is retried along the messenger's
-    :class:`RetryPolicy` ladder, keyed ``src:dest:messages_sent`` as of row
-    1, re-reading ``dest.node`` so a rehosted endpoint's new placement
-    applies; a spent ladder fails ``result``, so an unwatched send is
-    counted in ``env.swallowed_faults``.
+    The constructor does the control-plane accounting and places the first
+    attempt on ``dest.node``.  A :class:`FaultError` from a transfer attempt
+    is retried along the messenger's :class:`RetryPolicy` ladder, keyed
+    ``src:dest:messages_sent`` as of the accounting, re-reading
+    ``dest.node`` so a rehosted endpoint's new placement applies; a spent
+    ladder, or an error that is not a fault, fails ``result``, so an
+    unwatched send is counted in ``env.swallowed_faults``.
     """
 
     __slots__ = ("messenger", "dest", "message", "_seq", "_delays")
@@ -109,63 +99,40 @@ class _FastSend(_Transfer):
         self.dest = dest
         self.message = message
         self._delays = None
+        messenger.messages_sent += 1
+        messenger.bytes_sent += message.size_bytes
+        self._seq = messenger.messages_sent
         # ``result`` fires with the message after mailbox delivery, or fails
         # with the transfer's last error once retries are exhausted.
-        _Transfer.__init__(self, messenger.network, src_node, None, message.size_bytes)
-
-    def _begin(self, _event) -> None:
-        # [1] what the send process did first: control-plane accounting,
-        # then the first attempt's destination placement.
-        messenger = self.messenger
-        messenger.messages_sent += 1
-        messenger.bytes_sent += self.message.size_bytes
-        self._seq = messenger.messages_sent
-        self.dst = self.dest.node
-        schedule_step(self.messenger.env, self._launch, URGENT)
+        _Transfer.__init__(self, messenger.network, src_node, dest.node, message.size_bytes)
 
     def _completed(self, _event) -> None:
-        # [7] the transfer process completed: the send process resumes.
-        schedule_step(self.messenger.env, self._deliver, NORMAL)
+        # The bytes arrived: put the message into the destination mailbox.
+        self.dest.deliver(self.message).callbacks.append(self._complete)
 
     def _failed(self, error: Exception) -> None:
-        # [F] the transfer process failing: a failed event the send process
-        # would have caught (hence defused), popped at NORMAL.
-        ev = Event(self.messenger.env)
-        ev.callbacks.append(self._on_failure)
-        ev.fail(error)
-        ev.defuse()
-
-    def _on_failure(self, event) -> None:
-        # [F] pop: the send process's ``except FaultError`` clause.
         messenger = self.messenger
         if self._delays is None:
             key = f"{self.src.node_id}:{self.dest.name}:{self._seq}"
             self._delays = iter(messenger.retry.delays(key))
-        error = event._value
         delay = next(self._delays, None) if isinstance(error, FaultError) else None
         if delay is None:
-            # [X] retries exhausted (or not a fault): surface the error.
+            # Retries exhausted (or not a fault): surface the error.
             self.result.fail(error)
             return
         messenger.retries += 1
         REGISTRY.count("evpath.retries")
-        # [R] back off, then re-place and retry the transfer.
-        t = messenger.env.timeout(delay)
-        t.callbacks.append(self._retry)
+        # Back off, then re-place and retry the transfer.
+        messenger.env.timeout(delay).callbacks.append(self._retry)
 
     def _retry(self, _event) -> None:
-        # [R] pop: dest.node is read per attempt, so a rehosted endpoint's
-        # new placement takes effect on the retry.
+        # dest.node is read per attempt, so a rehosted endpoint's new
+        # placement takes effect on the retry.
         self.dst = self.dest.node
-        schedule_step(self.messenger.env, self._launch, URGENT)
-
-    def _deliver(self, _event) -> None:
-        # [7] pop: the send process resumed and called dest.deliver().
-        put = self.dest.deliver(self.message)
-        put.callbacks.append(self._complete)
+        self._launch()
 
     def _complete(self, _event) -> None:
-        # [8] pop: the send process returned the message -> [9].
+        # The mailbox put fired: the send returns the message.
         self.result.succeed(self.message)
 
 

@@ -26,7 +26,8 @@ bare_event / schedule_step / processed_event
     The one way to build a walker step: a callback chain that stands in
     for a process schedules a bare event that runs a callback, or hands
     back an already processed event, instead of writing an
-    :class:`Event`'s private fields itself.
+    :class:`Event`'s private fields itself.  Transfers and sends take no
+    step; the D2T participants and the DataTap writer do.
 """
 
 from repro.simkernel.errors import FaultError, Interrupt, SimulationError

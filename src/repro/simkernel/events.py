@@ -130,8 +130,8 @@ def bare_event(env, callback: Optional[Callable[[Event], None]] = None) -> Event
     """An event that already holds the value ``None`` but is not scheduled.
 
     The caller places it on the heap (``env.schedule``, ``env.schedule_at``)
-    to run ``callback`` then, or marks it processed.  :func:`schedule_step`
-    is this plus ``env.schedule``.
+    to run ``callback`` then, or marks it processed; :func:`schedule_step`
+    places it now.
     """
     ev = Event(env)
     ev._value = None
@@ -143,15 +143,13 @@ def bare_event(env, callback: Optional[Callable[[Event], None]] = None) -> Event
 def schedule_step(env, fn: Callable[[Event], None], priority: int) -> None:
     """Schedule a bare event that runs ``fn`` at ``priority`` now.
 
-    This is how a callback walker takes one step: the stand-in for a
-    process's ``Initialize`` or a fired ``Condition`` on the process path it
-    replaces.  It is :func:`bare_event` plus ``env.schedule``, written out
-    because every transfer and send takes it.
+    This is how a callback walker takes a step that carries no time: the
+    stand-in for a process's ``Initialize`` or a fired ``Condition`` on the
+    process path it replaces, which places the walker among the events of
+    one instant.  The DataTap writer's ``NORMAL`` step takes it (its order
+    moves the experiment output), and so do the D2T participant rounds.
     """
-    ev = Event(env)
-    ev._value = None
-    ev.callbacks.append(fn)
-    env.schedule(ev, priority)
+    env.schedule(bare_event(env, fn), priority)
 
 
 def processed_event(env, value: Any = None) -> Event:

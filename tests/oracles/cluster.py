@@ -6,10 +6,11 @@
 GET) before :class:`~repro.cluster.network._Transfer` became the only
 transfer walker.  Each takes the :class:`Network` as ``self``, so it can be
 patched onto the class.  Running the same seeded transfer pattern through
-both and comparing every ``schedule()`` call pins the callback chain to
-these exact semantics: NIC contention, intra-node moves, a negative size,
-endpoint crashes, partition/drop/degrade windows and swallowed
-fire-and-forget failures.
+both and comparing every outcome (completion times, errors, accounting;
+the walker schedules fewer events) pins the callback chain to these
+semantics: NIC contention, intra-node moves, a negative size, endpoint
+crashes, partition/drop/degrade windows and swallowed fire-and-forget
+failures.
 
 Tests drive it: ``tests/test_cluster_network.py`` (the differential),
 ``tests/test_speed_gates.py`` (the reference side of its

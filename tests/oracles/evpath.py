@@ -7,8 +7,9 @@ the send, start a transfer process (:func:`tests.oracles.cluster.transfer`,
 the process the live ``Network.transfer`` ran before it became a callback
 chain), retry a :class:`FaultError` along the messenger's :class:`RetryPolicy`
 ladder, then deliver into the destination mailbox.  Running the same
-seeded send pattern through both and comparing every ``schedule()`` call
-pins the callback chain to these exact semantics — fault windows, retries,
+seeded send pattern through both and comparing every outcome (completion
+times, errors, accounting, deliveries; the chain schedules fewer events)
+pins the callback chain to these semantics — fault windows, retries,
 rehosted endpoints and swallowed fire-and-forget failures included.
 
 Tests drive it, among them ``tests/test_speed_gates.py`` (the

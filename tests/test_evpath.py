@@ -2,13 +2,12 @@
 overlays."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import SimulationError
 from repro.evpath import Message, MessageType, Messenger, OverlayTree
 
-from tests.transfer_differential import (
-    assert_outcome_identical, free_slot_spy, hold_every_slot, tally_nic_requests,
-)
+from tests.transfer_differential import hold_every_slot, scheduled_kinds
 
 
 class TestMessages:
@@ -146,22 +145,22 @@ class TestOverlay:
 
 class TestFastSendIdentity:
     """The _FastSend chain against the process-based send in
-    :mod:`tests.oracles.evpath`, fault-free or fault-armed.  A send whose
-    transfer queues for a NIC channel walks the *identical* event sequence
-    (pinned with every slot pre-held); one whose transfer finds both
-    channels free is outcome-identical and schedules three fewer events
-    (:func:`~tests.transfer_differential.assert_outcome_identical`)."""
+    :mod:`tests.oracles.evpath`, fault-free or fault-armed.  The chain
+    schedules only events that carry time, so its schedule is shorter, but
+    under insertion order every outcome is identical: completion and
+    delivery times, error texts, send and retry counts, swallowed faults,
+    drop and partition counts, ``TransferStats``, NIC byte counters,
+    messages delivered per endpoint and the final clock.  Sends whose
+    transfers find both channels free, and (with every slot pre-held)
+    sends whose transfers all queue, are both compared."""
 
     @staticmethod
     def _run(oracle, scenario, retry=None, hold_until=None):
-        """Run ``scenario(env, machine, messenger, send)`` under a
-        ``schedule()`` spy, sending through ``Messenger.send`` or, with
-        ``oracle``, through the reference process-per-message send;
-        ``hold_until`` pre-holds every NIC slot until then."""
-        from unittest import mock
-
-        from repro.simkernel import Environment, Resource
-        from repro.simkernel.events import NORMAL
+        """Run ``scenario(env, machine, messenger, send)``, sending through
+        ``Messenger.send`` or, with ``oracle``, through the reference
+        process-per-message send, and return every outcome; ``hold_until``
+        pre-holds every NIC slot until then."""
+        from repro.simkernel import Environment
         from repro.cluster import Machine
         from tests.oracles import evpath as _reference
 
@@ -171,35 +170,17 @@ class TestFastSendIdentity:
         if hold_until is not None:
             hold_every_slot(env, machine, hold_until)
 
-        log = []
-        grants = []
-        orig = env.schedule
-
-        def kind(event):
-            name = type(event).__name__
-            if name.endswith("Request") or name in ("Timeout", "StorePut", "FilterStoreGet"):
-                return name
-            return "ev"  # a process step or its callback-chain counterpart
-
-        def spy(event, priority=NORMAL, delay=0.0):
-            log.append((round(env.now, 12), priority, round(delay, 12), kind(event)))
-            return orig(event, priority, delay)
-
-        env.schedule = spy
-
         def send(src, to, msg):
             if oracle:
                 return _reference.send_process(messenger, src, to, msg)
             return messenger.send(src, to, msg)
 
-        with mock.patch.object(Resource, "_do_request", free_slot_spy(grants)):
-            outcome = scenario(env, machine, messenger, send)
-            env.run()
+        outcome = scenario(env, machine, messenger, send)
+        env.run()
         stats = machine.network.stats
         faults = machine.network.faults
-        requests, uncontended = tally_nic_requests(grants)
         return dict(
-            log=log, outcome=outcome, now=env.now,
+            outcome=outcome, now=env.now,
             sent=messenger.messages_sent, bytes_sent=messenger.bytes_sent,
             retries=messenger.retries, swallowed=env.swallowed_faults,
             dropped=getattr(faults, "dropped", None),
@@ -207,7 +188,7 @@ class TestFastSendIdentity:
             stats=(stats.messages, stats.bytes, stats.busy_time, stats.wait_time,
                    dict(stats.per_pair)),
             nics=[(n.nic.bytes_sent, n.nic.bytes_received) for n in machine.nodes],
-            requests=requests, uncontended=uncontended,
+            delivered={name: ep.delivered for name, ep in messenger._endpoints.items()},
         )
 
     @staticmethod
@@ -306,23 +287,21 @@ class TestFastSendIdentity:
 
     def test_fast_chain_matches_process_path(self):
         fast = self._run(False, self._contended)
-        slow = self._run(True, self._contended)
-        assert_outcome_identical(fast, slow)
+        assert fast == self._run(True, self._contended)
         assert fast["stats"][3] > 0  # some sends really queued
 
-    def test_held_slots_chain_is_schedule_identical(self):
+    def test_held_slots_chain_matches_process_path(self):
         fast = self._run(False, self._contended, hold_until=1.0)
-        slow = self._run(True, self._contended, hold_until=1.0)
-        assert fast == slow
-        assert slow["uncontended"] == 0 and slow["requests"] > 0  # all queued
+        assert fast == self._run(True, self._contended, hold_until=1.0)
+        # the cross-node sends waited out the hold
+        assert fast["stats"][3] >= 0.95 * fast["stats"][0]
 
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
     def test_fault_armed_chain_matches_process_path(self, jitter):
         from repro.evpath.channel import RetryPolicy
 
         fast = self._run(False, self._faulty, RetryPolicy(jitter=jitter, seed=7))
-        slow = self._run(True, self._faulty, RetryPolicy(jitter=jitter, seed=7))
-        assert_outcome_identical(fast, slow)
+        assert fast == self._run(True, self._faulty, RetryPolicy(jitter=jitter, seed=7))
         # the scenario really reaches every branch it is meant to pin
         outcome = {payload: (now, *rest) for now, payload, *rest in fast["outcome"]}
         assert fast["partitioned"] > 0 and fast["dropped"] > 0
@@ -358,6 +337,117 @@ class TestFastSendIdentity:
         assert type(ev) is Event  # one send path: no process fallback
         env.run()
         assert ev.value.mtype is MessageType.ACK
+
+    @staticmethod
+    def _seeded_mix(seed):
+        """Twenty random sends between endpoints on six nodes, watched or
+        not, with one node crash, a random partition and drop window, and
+        a jittered retry ladder."""
+        import random
+
+        from repro.faults import NetworkFaultState
+        from repro.faults.plan import FaultPlan
+        from repro.evpath.messages import Message, MessageType
+        from repro.simkernel.errors import FaultError
+
+        def scenario(env, machine, messenger, send):
+            rng = random.Random(seed)
+            plan = FaultPlan(seed=seed)
+            plan.link_partition(rng.uniform(0, 1), (rng.randrange(6),),
+                                duration=rng.uniform(0.01, 0.4))
+            plan.message_drop(rng.uniform(0, 1), (rng.randrange(6),),
+                              probability=rng.random(), duration=rng.uniform(0.1, 1.0))
+            machine.network.faults = NetworkFaultState(env, plan)
+            for i, node in enumerate(machine.nodes):
+                messenger.endpoint(node, f"ep{i}")
+            victim, crash_at = rng.randrange(6), rng.uniform(0, 2)
+
+            def chaos(env):
+                yield env.timeout(crash_at)
+                machine.nodes[victim].fail()
+
+            env.process(chaos(env))
+            done = []
+
+            def sender(env, at, src, to, label, size):
+                yield env.timeout(at)
+                msg = Message(MessageType.ACK, "src", payload=label)
+                msg.size_bytes = size
+                try:
+                    got = yield send(machine.nodes[src], to, msg)
+                    done.append((env.now, label, "ok", got.payload))
+                except FaultError as error:
+                    done.append((env.now, label, "failed", str(error)))
+
+            for i in range(20):
+                at = round(rng.uniform(0, 2), 3)
+                src, to = rng.randrange(6), f"ep{rng.randrange(6)}"
+                size = rng.choice((0, 1e3, 1e6, 1e8))
+                if rng.random() < 0.8:
+                    env.process(sender(env, at, src, to, i, size))
+                else:
+                    msg = Message(MessageType.ACK, "src", payload=i)
+                    msg.size_bytes = size
+                    env.process(_send_later(env, at, send, machine.nodes[src], to, msg))
+            return done
+
+        return scenario
+
+    @given(seed=st.integers(0, 2**32 - 1), held=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_seeded_mix_matches_process_path(self, seed, held):
+        from repro.evpath.channel import RetryPolicy
+
+        runs = [self._run(oracle, self._seeded_mix(seed), RetryPolicy(jitter=0.3, seed=seed),
+                          hold_until=2.5 if held else None)
+                for oracle in (False, True)]
+        assert runs[0] == runs[1]
+
+
+def _send_later(env, at, send, src, to, message):
+    """Fire and forget ``message`` after ``at`` seconds."""
+    yield env.timeout(at)
+    send(src, to, message)
+
+
+class TestSendSchedulesOnlyTimedEvents:
+    """A send schedules only events that carry time: its transfer's
+    ``Timeout``, the mailbox put, a backoff ``Timeout`` per retry and the
+    send's ``result``; no bare step event."""
+
+    @staticmethod
+    def _kinds(plan=None):
+        from repro.simkernel import Environment
+        from repro.cluster import Machine
+        from repro.faults import NetworkFaultState
+
+        env = Environment()
+        machine = Machine(env, num_nodes=4, cores_per_node=2)
+        messenger = Messenger(env, machine.network)
+        messenger.endpoint(machine.nodes[1], "dst")
+        if plan is not None:
+            machine.network.faults = NetworkFaultState(env, plan)
+        with scheduled_kinds(env) as kinds:
+            sent = messenger.send(machine.nodes[0], "dst", Message(MessageType.ACK, "src"))
+            env.run()
+        assert sent.ok
+        assert len(kinds) == env.events_processed  # the spy saw every event
+        return kinds, messenger
+
+    def test_send(self):
+        kinds, messenger = self._kinds()
+        assert kinds == ["Timeout", "StorePut", "result"]
+        assert messenger.retries == 0
+
+    def test_send_retried_past_a_partition(self):
+        from repro.faults.plan import FaultPlan
+
+        plan = FaultPlan(seed=1)
+        plan.link_partition(0.0, (1,), duration=0.1)
+        kinds, messenger = self._kinds(plan)
+        # two backoffs (0.05 s, then 0.1 s) outlast the partition
+        assert messenger.retries == 2
+        assert kinds == ["Timeout", "Timeout", "Timeout", "StorePut", "result"]
 
 
 class TestRetryJitter:

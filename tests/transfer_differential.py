@@ -1,15 +1,17 @@
-"""Shared pieces of the transfer-walker differentials.
+"""Shared pieces of the transfer-walker tests.
 
 ``tests/test_cluster_network.py`` (transfers and RDMA GETs) and
 ``tests/test_evpath.py`` (sends) run one scenario through the live
-callback chain and through the process generators in :mod:`tests.oracles`.
-A transfer that queues for a NIC channel must schedule the identical
-events; one that finds both channels free skips the two channel Requests
-and the grant step, so it must be outcome-identical and schedule exactly
-three fewer events.
+callback chain and through the process generators in :mod:`tests.oracles`,
+and compare every outcome: completion times, errors, accounting.  The live
+walkers schedule only events that carry time, so the two schedules differ;
+:func:`scheduled_kinds` names what the live side schedules.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 
 def hold_every_slot(env, machine, until):
@@ -29,38 +31,42 @@ def hold_every_slot(env, machine, until):
     env.process(holder(env))
 
 
-def free_slot_spy(grants):
-    """A ``Resource._do_request`` stand-in that notes in ``grants`` whether
-    each request found a free slot, then requests as before."""
-    from repro.simkernel import Resource
+@contextmanager
+def scheduled_kinds(env):
+    """Within the block, note every event ``env`` places on its heap and
+    every walker's ``result``; on exit, fill the yielded list with the kind
+    of each scheduled event, in order: ``"Request"``, ``"Timeout"``,
+    ``"StorePut"`` (a mailbox put), ``"result"``, or ``"step"`` for
+    anything else, such as a bare step event."""
+    from repro.cluster.network import _RdmaGet, _Transfer
 
-    request_slot = Resource._do_request
+    scheduled, results, kinds = [], [], []
+    schedule, schedule_at = env.schedule, env.schedule_at
 
-    def do_request(resource, request):
-        grants.append(len(resource.users) < resource.capacity)
-        request_slot(resource, request)
+    def spy(event, *args, **kwargs):
+        scheduled.append(event)
+        return schedule(event, *args, **kwargs)
 
-    return do_request
+    def spy_at(event, *args, **kwargs):
+        scheduled.append(event)
+        return schedule_at(event, *args, **kwargs)
 
+    def noting(init):
+        def note_result(self, *args):
+            init(self, *args)
+            results.append(self.result)
+        return note_result
 
-def tally_nic_requests(grants):
-    """``(requests, uncontended)``: transfer channel requests come in
-    (send, recv) pairs; a pair whose two requests both found a free slot is
-    a transfer that never queued."""
-    assert len(grants) % 2 == 0
-    pairs = list(zip(grants[::2], grants[1::2]))
-    return len(pairs), sum(send and recv for send, recv in pairs)
-
-
-def assert_outcome_identical(fast, slow):
-    """The outcome differential for a transfer that finds both NIC channels
-    free: the live walker takes both slots with no Request and no grant
-    step, so it schedules exactly three fewer events per such transfer
-    than the process path, and everything else it records is identical."""
-    assert slow["uncontended"] > 0  # the scenario reaches the free-slot branch
-    assert fast["uncontended"] == 0  # ...which never makes a Request
-    assert fast["requests"] == slow["requests"] - slow["uncontended"]
-    assert len(fast["log"]) == len(slow["log"]) - 3 * slow["uncontended"]
-    skip = ("log", "requests", "uncontended")
-    assert ({k: v for k, v in fast.items() if k not in skip}
-            == {k: v for k, v in slow.items() if k not in skip})
+    env.schedule, env.schedule_at = spy, spy_at
+    with mock.patch.object(_Transfer, "__init__", noting(_Transfer.__init__)), \
+            mock.patch.object(_RdmaGet, "__init__", noting(_RdmaGet.__init__)):
+        yield kinds
+    env.schedule, env.schedule_at = schedule, schedule_at
+    for event in scheduled:
+        name = type(event).__name__
+        if name in ("Request", "Timeout", "StorePut"):
+            kinds.append(name)
+        elif any(event is result for result in results):
+            kinds.append("result")
+        else:
+            kinds.append("step")
