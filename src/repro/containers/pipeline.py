@@ -505,17 +505,18 @@ class PipelineBuilder:
 
         # LAMMPS writers feed the stage whose upstream is None.
         first_stage = next(s for s in self.stages if s.upstream is None)
-        sim_writers = [
-            DataTapWriter(
-                env, messenger, sim_part[i % len(sim_part)],
-                buffer=StagingBuffer(env, sim_part[i % len(sim_part)],
-                                     capacity_bytes=k["sim_buffer_bytes"],
-                                     name=f"lammps-w{i}.buf"),
+        sim_buffer_bytes = k["sim_buffer_bytes"]
+        sim_writers = []
+        for i in range(NUM_SIM_WRITERS):
+            node = sim_part[i % len(sim_part)]
+            # Uncapped, a writer buffer takes half its node's free memory.
+            capacity = node.memory_free / 2 if sim_buffer_bytes is None else sim_buffer_bytes
+            sim_writers.append(DataTapWriter(
+                env, messenger, node,
+                buffer=StagingBuffer(env, node, capacity, name=f"lammps-w{i}.buf"),
                 name=f"lammps-w{i}",
                 retain_until_processed=k["fault_tolerance"],
-            )
-            for i in range(NUM_SIM_WRITERS)
-        ]
+            ))
         for writer in sim_writers:
             links[first_stage.name].add_writer(writer)
 

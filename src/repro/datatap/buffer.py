@@ -8,7 +8,7 @@ failure mode whose *prediction* triggers the offline decision in Figure 9.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.simkernel import Environment, Event
 from repro.simkernel.errors import SimulationError
@@ -32,22 +32,20 @@ class StagingBuffer:
     Parameters
     ----------
     capacity_bytes:
-        Maximum buffered payload.  Defaults to half the node's free memory at
-        construction, matching the sizing rule used by DataTap deployments.
+        Maximum buffered payload.  DataTap deployments size it at half the
+        node's free memory at construction (``node.memory_free / 2``).
     """
 
     def __init__(
         self,
         env: Environment,
         node: Node,
-        capacity_bytes: Optional[float] = None,
+        capacity_bytes: float,
         name: str = "buffer",
     ):
         self.env = env
         self.node = node
         self.name = name
-        if capacity_bytes is None:
-            capacity_bytes = node.memory_free / 2
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
         self.capacity_bytes = float(capacity_bytes)

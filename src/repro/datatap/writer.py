@@ -59,7 +59,8 @@ class DataTapWriter:
         self.name = name
         # Note: an empty StagingBuffer is falsy (len 0), so test identity.
         self.buffer = (
-            buffer if buffer is not None else StagingBuffer(env, node, name=f"{name}.buf")
+            buffer if buffer is not None
+            else StagingBuffer(env, node, node.memory_free / 2, name=f"{name}.buf")
         )
         self.link: Optional["DataTapLink"] = None
         #: fault-tolerance mode: keep custody of a chunk past its pull, until

@@ -81,7 +81,9 @@ class _FastSend(_Transfer):
     :mod:`tests.oracles.evpath` keeps as the differential oracle.  Besides
     the transfer's own events it schedules only the mailbox put, a retry
     backoff ``Timeout`` per retry, and ``result``, which succeeds with the
-    message once it is delivered.
+    message once it is delivered.  A transaction participant's mailbox
+    takes the message at the call and schedules no put, so ``result``
+    succeeds at once.
 
     The constructor does the control-plane accounting and places the first
     attempt on ``dest.node``.  A :class:`FaultError` from a transfer attempt
@@ -108,7 +110,13 @@ class _FastSend(_Transfer):
 
     def _completed(self, _event) -> None:
         # The bytes arrived: put the message into the destination mailbox.
-        self.dest.deliver(self.message).callbacks.append(self._complete)
+        # The send returns it when the put fires, or at once if the mailbox
+        # took it at the call (a transaction participant's).
+        put = self.dest.deliver(self.message)
+        if put.processed:
+            self.result.succeed(self.message)
+        else:
+            put.callbacks.append(self._complete)
 
     def _failed(self, error: Exception) -> None:
         messenger = self.messenger

@@ -146,8 +146,8 @@ def schedule_step(env, fn: Callable[[Event], None], priority: int) -> None:
     This is how a callback walker takes a step that carries no time: the
     stand-in for a process's ``Initialize`` or a fired ``Condition`` on the
     process path it replaces, which places the walker among the events of
-    one instant.  The DataTap writer's ``NORMAL`` step takes it (its order
-    moves the experiment output), and so do the D2T participant rounds.
+    one instant.  Its only production caller is the DataTap writer's
+    ``NORMAL`` step, whose order moves the experiment output.
     """
     env.schedule(bare_event(env, fn), priority)
 

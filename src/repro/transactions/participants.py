@@ -5,9 +5,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, Event, schedule_step
+from repro.simkernel import Environment, processed_event
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import URGENT
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.endpoint import Endpoint
@@ -22,28 +21,18 @@ _VOTE = MessageType.TXN_VOTE
 _ACK = MessageType.TXN_ACK
 
 
-def _on(env: Environment, fn) -> Event:
-    """A new event that runs ``fn`` when processed.  The walker fires it
-    with ``succeed``/``fail`` (a ``NORMAL`` event now) as its stand-in for
-    a mailbox put or get firing or a process ending; a failed event that
-    ``fn`` does not defuse lands in ``env.swallowed_faults``."""
-    ev = Event(env)
-    ev.callbacks.append(fn)
-    return ev
-
-
 class _Mailbox(Endpoint):
-    """A participant's endpoint.  :meth:`deliver` schedules the succeeded
-    put event a send waits on, then hands the message to the participant
-    instead of storing it, so no other endpoint's delivery changes."""
+    """A participant's endpoint.  :meth:`deliver` hands the message to the
+    participant instead of storing it, and returns an already processed
+    event, so nothing is scheduled for the put and no other endpoint's
+    delivery changes."""
 
     arrive: Callable[[Message], None]
 
     def deliver(self, message: Message):
         self.delivered += 1
-        put = Event(self.env).succeed()
         self.arrive(message)
-        return put
+        return processed_event(self.env)
 
 
 class _Round:
@@ -71,13 +60,9 @@ class _Round:
         self.replies = deque()
         self.waiting = False
 
-    def begin(self, _event) -> None:
-        # The handler process's Initialize: relay to the first child.
-        self._relay(None)
-
     def _relay(self, event) -> None:
         if event is not None and not event._ok:
-            return self._fail(event)
+            return  # a send spent its retries: see _sent
         p = self.p
         if self.relayed < len(p.children):
             child = p.children[self.relayed]
@@ -105,8 +90,11 @@ class _Round:
         self._gather()
 
     def _gather(self) -> None:
-        """Ask for the next child reply, or send the aggregate up."""
+        """Take the buffered child replies, then send the aggregate up or
+        wait for the next reply."""
         p = self.p
+        while self.want and self.replies:
+            self._got(self.replies.popleft())
         if not self.want:
             if self.msg.mtype is _VOTE_REQUEST:
                 reply = Message(_VOTE, sender=p.endpoint.name,
@@ -115,8 +103,6 @@ class _Round:
                 reply = Message(_ACK, sender=p.endpoint.name,
                                 payload={"txn_id": self.txn_id})
             p.messenger.send(p.node, self.msg.sender, reply).callbacks.append(self._sent)
-        elif self.replies:
-            _on(p.env, self._got).succeed(self.replies.popleft())
         else:
             self.waiting = True
             if p._busy is self and p._requests:
@@ -128,37 +114,31 @@ class _Round:
         """A child's reply arrived for this round."""
         if self.waiting:
             self.waiting = False
-            _on(self.p.env, self._got).succeed(reply)
+            self._got(reply)
+            self._gather()
         else:
             self.replies.append(reply)
 
-    def _got(self, event) -> None:
-        if self.msg.mtype is _VOTE_REQUEST and not event._value.payload["vote"]:
+    def _got(self, reply: Message) -> None:
+        if self.msg.mtype is _VOTE_REQUEST and not reply.payload["vote"]:
             self.ok = False
         self.want -= 1
-        self._gather()
 
     def _sent(self, event) -> None:
         if not event._ok:
-            return self._fail(event)
+            # A send spent its retries: the round ends, and so does the
+            # request loop if it waits on this round (it stays busy with
+            # it).  Nothing watches a round, so the failed send stays
+            # undefused: a swallowed fault, or raised out of the run if it
+            # is not a FaultError.
+            return
         p = self.p
         if p._slots.get(self.txn_id) is self:
             del p._slots[self.txn_id]
-        # The handler process completing.
         if p._busy is self:
-            p._wake = _on(p.env, p._resume).succeed()
-        else:
-            Event(p.env).succeed()
-
-    def _fail(self, event) -> None:
-        # A send spent its retries: the handler process fails with the
-        # error, and the participant with it if it was waiting on this round.
-        event.defuse()
-        p = self.p
-        if p._busy is self:
-            p._wake = _on(p.env, p._die).fail(event._value)
-        else:
-            Event(p.env).fail(event._value)
+            # The round the request loop waited for is done: serve the next.
+            p._busy = None
+            p._ask()
 
 
 class TxnParticipant:
@@ -171,33 +151,23 @@ class TxnParticipant:
 
     There is no process per participant or per message: delivery to the
     participant's endpoint runs a chain of callbacks, a :class:`_Round` per
-    handled message, that walks the exact ``schedule()`` sequence of the
-    process-per-message participant kept in :mod:`tests.oracles.transactions`
-    (a ``_run`` loop spawning one handler process per message):
-
-    ====================================  ===================================
-    process path                          callback chain
-    ====================================  ===================================
-    ``_run``'s ``Initialize``             ``URGENT`` step -> :meth:`_ask`
-    mailbox ``StorePut``                  same (a succeeded put event)
-    mailbox get fires with a message      ``NORMAL`` event carrying it
-    handler process ``Initialize``        ``URGENT`` step -> ``_Round.begin``
-    child sends, compute ``Timeout``,     same (real sends and ``Timeout``)
-    reply up
-    handler process completes             ``NORMAL`` event -> :meth:`_resume`
-    handler fails, then ``_run``          two failed ``NORMAL`` events; the
-                                          second is a swallowed fault
-    ``stop()``'s interrupt, ``_run``      ``URGENT`` step -> :meth:`_halt`,
-    returns                               then a ``NORMAL`` event
-    ====================================  ===================================
+    handled message, outcome-identical to the process-per-message
+    participant kept in :mod:`tests.oracles.transactions` (a ``_run`` loop
+    spawning one handler process per message).  It schedules only events
+    that carry time: its sends and the ``vote_compute_seconds``
+    ``Timeout``.  A delivered request is served in the delivery's
+    callback, a child's reply is gathered there, and a round's reply send
+    completing serves the next buffered request.
 
     A message the walker is not waiting for is buffered in arrival order:
     requests in ``_requests``, child replies in their transaction's round
-    (``_slots``, keyed by ``txn_id``).  The one departure from the process
-    path: a round whose gather is open does not block the next request.
-    A child that never answers (a ``"crash"`` or ``"crash_after_vote"``
-    fault) leaves that gather open forever, and the process path then never
-    served another transaction; the walker serves it.
+    (``_slots``, keyed by ``txn_id``).  Two departures from the process
+    path.  A round whose gather is open does not block the next request: a
+    child that never answers (a ``"crash"`` or ``"crash_after_vote"``
+    fault) leaves that gather open forever, and the process path then
+    never served another transaction; the walker serves it.  And a request
+    delivered before :meth:`stop` in the same instant is served, where the
+    process path's interrupt lost it in the receive that had not yet fired.
     """
 
     def __init__(
@@ -232,14 +202,9 @@ class TxnParticipant:
         #: the open round of each transaction, by txn_id
         self._slots = {}
         #: waiting for the next request (the process path's pending get)
-        self._armed = False
+        self._armed = True
         #: the round the next request waits for, if any
         self._busy: Optional[_Round] = None
-        #: the scheduled event that resumes the request loop, if any
-        self._wake: Optional[Event] = None
-        #: False once stopped or dead
-        self._live = True
-        schedule_step(env, self._ask, URGENT)
 
     # -- tree wiring -------------------------------------------------------------------
 
@@ -259,27 +224,18 @@ class TxnParticipant:
             if self._armed or (busy is not None and busy.waiting):
                 self._armed = False
                 self._busy = None
-                self._wake = _on(self.env, self._serve).succeed(msg)
+                self._serve(msg)
             else:
                 self._requests.append(msg)
 
-    def _ask(self, _event=None) -> None:
+    def _ask(self) -> None:
         """Serve the oldest buffered request, or wait for the next one."""
         if self._requests:
-            self._wake = _on(self.env, self._serve).succeed(self._requests.popleft())
+            self._serve(self._requests.popleft())
         else:
             self._armed = True
 
-    def _resume(self, _event) -> None:
-        # The round this loop waited for completed.
-        self._busy = self._wake = None
-        self._ask()
-
-    def _serve(self, event) -> None:
-        self._wake = None
-        if not self._live:
-            return  # consumed by a stopped loop's pending receive
-        msg = event._value
+    def _serve(self, msg: Message) -> None:
         txn_id = msg.payload["txn_id"]
         fault = self.injector.check(self.name, txn_id) if self.injector else None
         if msg.mtype is _VOTE_REQUEST:
@@ -288,35 +244,16 @@ class TxnParticipant:
         elif fault == "crash_after_vote":
             return self._ask()  # decision lost on this subtree's root
         round_ = self._slots[txn_id] = self._busy = _Round(self, msg, txn_id, fault)
-        schedule_step(self.env, round_.begin, URGENT)
-
-    def _die(self, event) -> None:
-        # The request loop fails with its round's error: nothing waits on it.
-        event.defuse()
-        self._live = False
-        self._busy = self._wake = None
-        Event(self.env).fail(event._value)
+        round_._relay(None)
 
     def stop(self) -> None:
-        """Stop serving requests, as an interrupt at the current instant.
+        """Stop serving requests, at the call.
 
-        Rounds under way still finish.  The request loop ends quietly,
-        whether it waits on a receive or on a round.
+        Rounds under way still finish; every request from now on is
+        buffered and never served.
         """
-        if self._live:
-            self._live = False
-            schedule_step(self.env, self._halt, URGENT)
-
-    def _halt(self, _event) -> None:
-        # The interrupt: what the request loop was waiting on is abandoned
-        # (a pending receive stays armed and swallows one request), and the
-        # loop ends.
-        wake = self._wake
-        if wake is not None:
-            wake.callbacks.clear()
-            self.env.cancel(wake)
-        self._busy = self._wake = None
-        Event(self.env).succeed()
+        self._armed = False
+        self._busy = None
 
 
 class TxnGroup:

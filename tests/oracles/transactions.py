@@ -8,9 +8,11 @@ process per message and gathers child votes and acks with filtered
 ``endpoint.recv`` calls (a linear scan of the mailbox ``FilterStore``).
 Patched in for :class:`repro.transactions.TxnParticipant` (for example over
 ``repro.transactions.d2t.TxnParticipant``, which ``build_group`` builds), it
-pins the walker to these exact ``schedule()`` calls: commit, abort votes,
-crashes, ``crash_after_vote``, ``stop()`` and sends that exhaust their
-retries.
+pins the walker to these semantics by running the same scenarios through
+both and comparing every outcome (transaction outcomes, decisions applied,
+deliveries, sends, retries, raised errors and swallowed faults; the walker
+schedules about half the events): commit, abort votes, crashes,
+``crash_after_vote``, ``stop()`` and sends that exhaust their retries.
 
 Tests drive it: ``tests/test_transactions.py`` (the differential) and
 ``tests/test_speed_gates.py`` (the reference side of its ``d2t_commit``

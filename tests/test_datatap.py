@@ -793,6 +793,8 @@ class _Rig:
         self.nbytes = nbytes
         self.link = DataTapLink(env, self.messenger, "dl")
         node = machine.nodes[0]
+        if buffer_bytes is None:
+            buffer_bytes = node.memory_free / 2
         buf = StagingBuffer(env, node, capacity_bytes=buffer_bytes, name="w0.buf")
         self.writer = DataTapWriter(env, self.messenger, node, buffer=buf, name="w0",
                                     retain_until_processed=retain)

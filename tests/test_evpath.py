@@ -412,11 +412,12 @@ def _send_later(env, at, send, src, to, message):
 
 class TestSendSchedulesOnlyTimedEvents:
     """A send schedules only events that carry time: its transfer's
-    ``Timeout``, the mailbox put, a backoff ``Timeout`` per retry and the
-    send's ``result``; no bare step event."""
+    ``Timeout``, the mailbox put (none for a transaction participant's
+    mailbox), a backoff ``Timeout`` per retry and the send's ``result``; no
+    bare step event."""
 
     @staticmethod
-    def _kinds(plan=None):
+    def _kinds(plan=None, cls=None):
         from repro.simkernel import Environment
         from repro.cluster import Machine
         from repro.faults import NetworkFaultState
@@ -424,7 +425,10 @@ class TestSendSchedulesOnlyTimedEvents:
         env = Environment()
         machine = Machine(env, num_nodes=4, cores_per_node=2)
         messenger = Messenger(env, machine.network)
-        messenger.endpoint(machine.nodes[1], "dst")
+        if cls is None:
+            messenger.endpoint(machine.nodes[1], "dst")
+        else:
+            messenger.endpoint(machine.nodes[1], "dst", cls=cls).arrive = lambda message: None
         if plan is not None:
             machine.network.faults = NetworkFaultState(env, plan)
         with scheduled_kinds(env) as kinds:
@@ -438,6 +442,12 @@ class TestSendSchedulesOnlyTimedEvents:
         kinds, messenger = self._kinds()
         assert kinds == ["Timeout", "StorePut", "result"]
         assert messenger.retries == 0
+
+    def test_send_to_a_participant(self):
+        from repro.transactions.participants import _Mailbox
+
+        kinds, _ = self._kinds(cls=_Mailbox)
+        assert kinds == ["Timeout", "result"]
 
     def test_send_retried_past_a_partition(self):
         from repro.faults.plan import FaultPlan

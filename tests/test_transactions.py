@@ -4,9 +4,9 @@ import dataclasses
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Environment, shuffle
-from repro.simkernel.events import NORMAL
 from repro.cluster import Machine, redsky
 from repro.evpath import Messenger
 from repro.faults import NetworkFaultState
@@ -14,6 +14,7 @@ from repro.faults.plan import FaultPlan
 from repro.transactions import (
     FailureInjector, TransactionManager, TxnGroup, TxnParticipant, d2t,
 )
+from repro.dst.invariants import D2TPresumedAbort
 
 
 def rig(env, n_nodes=24, injector=None, **kwargs):
@@ -164,41 +165,101 @@ class TestOpenGatherDoesNotWedge:
             (2, True, True), (3, True, True)]
         assert all(p.committed[-2:] == [2, 3] for p in w.participants + r.participants)
 
+    def test_request_buffered_before_the_gather_opens(self):
+        """Transaction 2's request reaches ``w-p0`` while it still relays
+        transaction 1 (its send to ``w-p2`` waits out a partition past the
+        30 ms vote deadline), so it is buffered; the gather that then stays
+        open (``w-p1`` crashed in transaction 1) must hand it on."""
+        env = Environment()
+        machine = Machine(env, num_nodes=24)
+        plan = FaultPlan(seed=0)
+        plan.link_partition(0.0, (machine.nodes[2].node_id,), duration=0.04)
+        machine.network.faults = NetworkFaultState(env, plan)
+        injector = FailureInjector()
+        tm = TransactionManager(env, Messenger(env, machine.network), machine.nodes[-1],
+                                injector=injector, vote_timeout=0.03, ack_timeout=0.03)
+        w = tm.build_group("w", machine.nodes[:5], fanout=4)
+        r = tm.build_group("r", machine.nodes[5:7], fanout=4)
+        injector.inject("w-p1", 1, "crash")
+        outcomes = []
+
+        def proc(env):
+            for _ in range(2):
+                outcomes.append((yield tm.run([w, r])))
+
+        env.process(proc(env))
+        env.run(until=60)
+        first, second = outcomes
+        assert not first.committed and first.timed_out_groups == ["w"]
+        # the relay to w-p2 got through on its first retry, after the
+        # second transaction started
+        assert tm.messenger.retries == 1 and second.started_at < 0.05
+        assert second.committed and second.acks_complete
+
+
+@st.composite
+def d2t_mix(draw, confined):
+    """A seeded D2T mix: groups w and r of drawn sizes and fanouts, one to
+    three transactions a drawn gap apart, ``abort``/``crash``/
+    ``crash_after_vote`` faults at drawn members and transactions, and one
+    partition window over one member's node or the coordinator's, opening
+    a drawn instant after a drawn transaction starts.
+
+    ``confined`` keeps every transaction but the last free of gathers left
+    open below a root: a ``crash`` or ``crash_after_vote`` below a root, and
+    the partition (which can kill a member mid-round), go to the last
+    transaction.  An open gather with a later transaction arriving is an
+    intended departure of the walker from the oracle
+    (:class:`TestOpenGatherDoesNotWedge`)."""
+    sizes = (draw(st.integers(1, 14)), draw(st.integers(1, 6)))
+    fanouts = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    txns = draw(st.integers(1, 3))
+    members = [f"{g}-p{i}" for g, n in zip("wr", sizes) for i in range(n)]
+    faults = {}
+    for _ in range(draw(st.integers(0, 3))):
+        member = draw(st.sampled_from(members))
+        behaviour = draw(st.sampled_from(["abort", "crash", "crash_after_vote"]))
+        txn = draw(st.integers(1, txns))
+        if confined and behaviour != "abort" and not member.endswith("-p0"):
+            txn = txns
+        faults[member, txn] = behaviour
+    partition = (
+        draw(st.sampled_from([*range(sum(sizes)), -1])),  # a member's node, or -1
+        txns if confined else draw(st.integers(1, txns)),
+        draw(st.floats(0.0, 1e-3)),
+        draw(st.floats(0.01, 1.5)),
+    )
+    return dict(sizes=sizes, fanouts=fanouts, txns=txns,
+                gap=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                faults=faults, partition=partition)
+
 
 class TestWalkerIdentity:
-    """The participant walker must schedule the *identical* event sequence
-    the process-per-message participant of :mod:`tests.oracles.transactions`
-    does: same ``schedule()`` calls, same outcomes, same decisions applied,
-    same deliveries, sends and swallowed faults.
+    """The participant walker must reach the outcomes of the
+    process-per-message participant of :mod:`tests.oracles.transactions`:
+    same transaction outcomes, decisions applied, deliveries, sends,
+    retries, swallowed faults, raised errors and final clock.  It is not
+    schedule-identical: it schedules only its sends and its vote
+    ``Timeout``, so it processes about half the events.
 
     Every scenario keeps at most one transaction in flight at a participant.
     With two (a gather left open by a silent child while the next
     transaction arrives, :class:`TestOpenGatherDoesNotWedge`), the walker
     serves the second transaction and the oracle does not, so that case is
-    not part of this differential."""
+    not part of this differential.  Nor is a request delivered before
+    ``stop()`` in the same instant: the walker serves it, the oracle loses
+    it (``stop_on_arrival`` pins that difference)."""
 
     @staticmethod
     def _run(oracle, scenario, tie_seed=None):
-        """Run ``scenario(env, machine, messenger)`` under a ``schedule()``
-        spy, with the live participant or, with ``oracle``, the reference
-        one; the scenario returns the manager, its groups and a dict of
-        extra readings, each read after the run."""
+        """Run ``scenario(env, machine, messenger)`` with the live
+        participant or, with ``oracle``, the reference one; the scenario
+        returns the manager, its groups and a dict of extra readings, each
+        read after the run."""
         from tests.oracles import transactions as _reference
 
         env = Environment() if tie_seed is None else Environment(tie_breaker=shuffle(tie_seed))
         machine = Machine(env, num_nodes=24)
-        log = []
-        orig = env.schedule
-
-        def kind(event):
-            name = type(event).__name__
-            return name if name in ("Request", "Timeout") else "ev"
-
-        def spy(event, priority=NORMAL, delay=0.0):
-            log.append((round(env.now, 12), priority, round(delay, 12), kind(event)))
-            return orig(event, priority, delay)
-
-        env.schedule = spy
         patch = mock.patch.object(d2t, "TxnParticipant", _reference.TxnParticipant)
         if oracle:
             patch.start()
@@ -217,8 +278,7 @@ class TestWalkerIdentity:
                 patch.stop()
         members = [p for g in groups for p in g.participants]
         return dict(
-            log=log, raised=raised, now=env.now, processed=env.events_processed,
-            tombstones=env.tombstones_skipped,
+            raised=raised, now=env.now, processed=env.events_processed,
             swallowed=env.swallowed_faults, sent=messenger.messages_sent,
             retries=messenger.retries,
             outcomes=[dataclasses.asdict(o) for o in tm.coordinator.outcomes],
@@ -258,9 +318,8 @@ class TestWalkerIdentity:
         return scenario
 
     def _stop_idle(self, env, machine, messenger):
-        """Stopped between transactions: each member's pending receive
-        stays armed and swallows the next request, so the second
-        transaction times out on both groups."""
+        """Stopped between transactions: no member serves the second
+        transaction's requests, so it times out on both groups."""
         tm, groups = self._rig(env, machine, messenger, txns=2, gap=1.0)
 
         def stopper(env):
@@ -273,8 +332,11 @@ class TestWalkerIdentity:
 
     def _stop_on_arrival(self, env, machine, messenger):
         """Stopped inside the delivery of transaction 2's vote request to
-        w's root, before the receive that fires with it pops: the interrupt
-        tombstones that receive, so the request is lost."""
+        w's root.  The walker has served the request by then, so the root
+        relays it to its four stopped children, which never serve it; the
+        oracle's interrupt tombstones the receive that had
+        not yet fired, so the request is lost at the root.  Both time out
+        on both groups."""
         tm, groups = self._rig(env, machine, messenger, txns=2, gap=1.0)
         root = groups[0].root.endpoint
         deliver = root.deliver
@@ -338,6 +400,16 @@ class TestWalkerIdentity:
         slow = self._run(True, scenario, tie_seed)
         busy = fast.pop("busy", None)
         slow.pop("busy", None)
+        # the walker takes no step: about half the oracle's events
+        assert fast.pop("processed") < 0.6 * slow.pop("processed")
+        if name == "stop_on_arrival":
+            # w's root served transaction 2's request before the stop
+            # landed: one relay more to each of its four children
+            served = {f"w-p{i}" for i in range(1, 5)}
+            assert fast["sent"] == slow["sent"] + len(served)
+            assert fast["delivered"] == [(member, count + (member in served))
+                                         for member, count in slow["delivered"]]
+            slow["sent"], slow["delivered"] = fast["sent"], fast["delivered"]
         assert fast == slow
         # the scenario really reaches the branch it is meant to pin
         outcomes = [(o["committed"], o["timed_out_groups"], o["acks_complete"])
@@ -359,12 +431,126 @@ class TestWalkerIdentity:
             assert any(waiting for _, waiting in busy)
             assert not any(c for _, c, _ in fast["decisions"])
         assert fast["raised"] == []
-        if name == "stop_on_arrival":
-            # one tombstone more than stopping while idle: the lost receive
-            assert fast["tombstones"] == self._run(False, self._stop_idle)["tombstones"] + 1
         if name == "partitioned":
             assert fast["swallowed"] == 1 and fast["retries"] == 3
             assert fast["partitioned"] == 4
+
+    @staticmethod
+    def _mixed(mix):
+        """The scenario of one :func:`d2t_mix` draw."""
+        def scenario(env, machine, messenger):
+            (nw, nr), (fw, fr) = mix["sizes"], mix["fanouts"]
+            injector = FailureInjector()
+            tm = TransactionManager(env, messenger, machine.nodes[-1], injector=injector,
+                                    vote_timeout=1.0, ack_timeout=1.0)
+            w = tm.build_group("w", machine.nodes[:nw], fanout=fw)
+            r = tm.build_group("r", machine.nodes[nw:nw + nr], fanout=fr)
+            for (member, txn), behaviour in mix["faults"].items():
+                injector.inject(member, txn, behaviour)
+            target, after, start, duration = mix["partition"]
+
+            def proc(env):
+                for txn in range(1, mix["txns"] + 1):
+                    if txn > 1:
+                        yield env.timeout(mix["gap"])
+                    if txn == after:
+                        plan = FaultPlan(seed=0)
+                        plan.link_partition(env.now + start, (machine.nodes[target].node_id,),
+                                            duration=duration)
+                        machine.network.faults = NetworkFaultState(env, plan)
+                    yield tm.run([w, r])
+
+            env.process(proc(env))
+            return tm, [w, r], {"partitioned": lambda: machine.network.faults.partitioned}
+        return scenario
+
+    @given(mix=d2t_mix(confined=True))
+    @settings(max_examples=40, deadline=None)
+    def test_seeded_mix_matches_process_path(self, mix):
+        fast = self._run(False, self._mixed(mix))
+        slow = self._run(True, self._mixed(mix))
+        assert fast.pop("processed") < slow.pop("processed")
+        # Two roots that send their votes in the same instant contend for
+        # the coordinator's NIC, and same-instant order decides which takes
+        # it first.  The walker serves a delivery in its callback, one
+        # event before the process path resumes, so the two votes can land
+        # in the other order (4 draws in 1,500).  The later one lands
+        # at the same instant either way, so the decision and every time
+        # stay equal.
+        for run in (fast, slow):
+            for outcome in run["outcomes"]:
+                outcome["votes"].sort()
+        assert fast == slow
+
+    @given(mix=d2t_mix(confined=False), tie_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_seeded_mix_passes_presumed_abort_audit(self, mix, tie_seed):
+        from repro.transactions.coordinator import TxnOutcome
+
+        run = self._run(False, self._mixed(mix), tie_seed)
+        # a send to a root that spends its retries fails the transaction
+        # (and the driving process) with no outcome
+        outcomes = [TxnOutcome(**o) for o in run["outcomes"]]
+        assert len(outcomes) <= mix["txns"]
+        assert D2TPresumedAbort.audit_outcomes(outcomes) == []
+        assert run["raised"] == []
+
+
+class TestParticipantSchedulesOnlyTimedEvents:
+    """A participant schedules only events that carry time: its sends,
+    whose ``result`` runs the round's send hooks (``_relay`` down the tree,
+    ``_sent`` up it), and the vote ``Timeout`` that runs ``_vote``.  No
+    step, no event per served request or gathered reply, and no mailbox
+    put."""
+
+    def test_one_commit(self):
+        from repro.transactions.participants import _Mailbox, _Round
+
+        env = Environment()
+        scheduled, puts = [], []
+        schedule, schedule_at, deliver = env.schedule, env.schedule_at, _Mailbox.deliver
+
+        # Hold each scheduled event's callback list: the engine runs that
+        # list, so after the run it names every callback the event ran.
+        def spy(event, *args, **kwargs):
+            scheduled.append((event, event.callbacks))
+            return schedule(event, *args, **kwargs)
+
+        def spy_at(event, *args, **kwargs):
+            scheduled.append((event, event.callbacks))
+            return schedule_at(event, *args, **kwargs)
+
+        def noting_deliver(self, message):
+            puts.append(deliver(self, message))
+            return puts[-1]
+
+        env.schedule, env.schedule_at = spy, spy_at
+        machine, messenger, tm = rig(env)
+        w = tm.build_group("w", machine.nodes[:16], fanout=4)
+        r = tm.build_group("r", machine.nodes[16:20], fanout=4)
+        members = w.participants + r.participants
+        with mock.patch.object(_Mailbox, "deliver", noting_deliver):
+            out = run_one(env, tm, [w, r])
+        assert out.committed and out.acks_complete
+        assert len(scheduled) == env.events_processed + env.tombstones_skipped
+        hooks = []
+        for event, callbacks in scheduled:
+            first = getattr(callbacks[0], "__self__", None) if callbacks else None
+            if isinstance(first, (TxnParticipant, _Round)):
+                hooks.append((type(event).__name__, callbacks[0].__name__))
+        edges = len(members) - 2  # each group's tree has one edge fewer than members
+        assert sorted(set(hooks)) == [("Event", "_relay"), ("Event", "_sent"),
+                                      ("Timeout", "_vote")]
+        # one relay per tree edge per phase, one reply per member per phase,
+        # one vote Timeout per member
+        assert hooks.count(("Event", "_relay")) == 2 * edges
+        assert hooks.count(("Event", "_sent")) == 2 * len(members)
+        assert hooks.count(("Timeout", "_vote")) == len(members)
+        # every participant delivery (two phases, a request and a reply per
+        # tree edge, plus the coordinator's request to each root) scheduled
+        # no put
+        assert len(puts) == 2 * (2 * edges + 2)
+        assert not any(put is event for put in puts for event, _ in scheduled)
 
 
 class TestRunScopedState:
