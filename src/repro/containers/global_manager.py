@@ -87,7 +87,7 @@ class GlobalManager:
         #: route spare-pool traffic through the shared FleetArbiter
         self.tenant = "default"
         self.arbiter = None
-        self._recv_proc = env.process(self._recv_loop(), name="gm-recv")
+        self.endpoint.handle(self._on_report, MessageType.METRIC_REPORT)
         self._control_proc = env.process(self._control_loop(), name="gm-control")
         self._stopped = False
 
@@ -116,13 +116,8 @@ class GlobalManager:
 
     # -- message handling ----------------------------------------------------------------
 
-    def _recv_loop(self):
-        while True:
-            try:
-                msg = yield self.endpoint.recv(MessageType.METRIC_REPORT)
-            except Interrupt:
-                return
-            self.ingest_report(msg.payload)
+    def _on_report(self, msg: Message) -> None:
+        self.ingest_report(msg.payload)
 
     def ingest_report(self, report: dict) -> None:
         """Record one metric report (from a direct message or an overlay)."""
@@ -574,8 +569,8 @@ class GlobalManager:
     def stop(self) -> None:
         self._stopped = True
         self.recovery.stop()
-        for proc in (self._recv_proc, self._control_proc):
-            if proc.is_alive:
-                proc.interrupt("stop")
+        self.endpoint.handle(None, MessageType.METRIC_REPORT)
+        if self._control_proc.is_alive:
+            self._control_proc.interrupt("stop")
         for manager in self.locals.values():
             manager.stop()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.simkernel import Environment, Interrupt
+from repro.simkernel import Environment
 from repro.simkernel.errors import FaultError
 from repro.cluster.scheduler import container_owner
 from repro.controlplane import ProtocolAbort, ProtocolExit, protocols
@@ -98,7 +98,7 @@ class RecoveryManager:
         self.manager_detector.start()
 
         self.gm.recovery = self
-        self._proc = env.process(self._run(), name="gm-recovery")
+        self.gm.endpoint.handle(self._on_replica_suspect, MessageType.REPLICA_SUSPECT)
 
     # -- liveness feed ---------------------------------------------------------------
 
@@ -110,16 +110,11 @@ class RecoveryManager:
 
     # -- suspicion intake --------------------------------------------------------------
 
-    def _run(self):
-        while True:
-            try:
-                msg = yield self.gm.endpoint.recv(MessageType.REPLICA_SUSPECT)
-            except Interrupt:
-                return
-            self.env.process(
-                self._replace_replica(dict(msg.payload)),
-                name=f"replace:{msg.payload.get('replica')}",
-            )
+    def _on_replica_suspect(self, msg: Message) -> None:
+        self.env.process(
+            self._replace_replica(dict(msg.payload)),
+            name=f"replace:{msg.payload.get('replica')}",
+        )
 
     def _on_manager_suspect(self, name: str) -> None:
         self.env.process(self._recover_manager(name), name=f"rehost:{name}")
@@ -324,6 +319,4 @@ class RecoveryManager:
 
     def stop(self) -> None:
         self.manager_detector.stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        self.gm.endpoint.handle(None, MessageType.REPLICA_SUSPECT)

@@ -81,8 +81,8 @@ class _FastSend(_Transfer):
     :mod:`tests.oracles.evpath` keeps as the differential oracle.  Besides
     the transfer's own events it schedules only the mailbox put, a retry
     backoff ``Timeout`` per retry, and ``result``, which succeeds with the
-    message once it is delivered.  A transaction participant's mailbox
-    takes the message at the call and schedules no put, so ``result``
+    message once it is delivered.  A message type the endpoint handles at
+    delivery (:meth:`Endpoint.handle`) schedules no put, so ``result``
     succeeds at once.
 
     The constructor does the control-plane accounting and places the first
@@ -109,9 +109,9 @@ class _FastSend(_Transfer):
         _Transfer.__init__(self, messenger.network, src_node, dest.node, message.size_bytes)
 
     def _completed(self, _event) -> None:
-        # The bytes arrived: put the message into the destination mailbox.
-        # The send returns it when the put fires, or at once if the mailbox
-        # took it at the call (a transaction participant's).
+        # The bytes arrived: deliver the message to the destination.  The
+        # send returns it when the mailbox put fires, or at once if a
+        # handler took it at the call (Endpoint.handle).
         put = self.dest.deliver(self.message)
         if put.processed:
             self.result.succeed(self.message)
@@ -171,15 +171,11 @@ class Messenger:
 
     # -- registry -------------------------------------------------------------
 
-    def endpoint(self, node: Node, name: str, cls: type = Endpoint) -> Endpoint:
-        """Create and register an endpoint with a unique name.
-
-        ``cls`` is an :class:`Endpoint` subclass for an owner that takes its
-        deliveries itself (a transaction participant).
-        """
+    def endpoint(self, node: Node, name: str) -> Endpoint:
+        """Create and register an endpoint with a unique name."""
         if name in self._endpoints:
             raise SimulationError(f"endpoint {name!r} already registered")
-        ep = cls(self.env, node, name)
+        ep = Endpoint(self.env, node, name)
         self._endpoints[name] = ep
         return ep
 

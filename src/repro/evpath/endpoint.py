@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
-from repro.simkernel import Environment, FilterStore
+from repro.simkernel import Environment, FilterStore, processed_event
 from repro.evpath.messages import Message, MessageType
 from repro.cluster.node import Node
 
@@ -15,7 +15,8 @@ class Endpoint:
     Processes receive with ``yield endpoint.recv()`` (optionally filtered by
     message type or predicate).  Delivery into the mailbox is done by a
     :class:`~repro.evpath.channel.Messenger` after the simulated network
-    transfer completes.
+    transfer completes.  A one-way message type with a :meth:`handle`
+    handler skips the mailbox: the handler takes it at delivery.
     """
 
     def __init__(self, env: Environment, node: Node, name: str):
@@ -25,11 +26,40 @@ class Endpoint:
         self._inbox = FilterStore(env, name=f"inbox:{name}")
         #: count of messages ever delivered (monitoring)
         self.delivered = 0
+        #: one-way message handlers, by the message type's value
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
+
+    def handle(self, fn: Optional[Callable[[Message], None]],
+               *mtypes: MessageType) -> None:
+        """Hand every message of the types ``mtypes`` to ``fn`` when it is
+        delivered, instead of putting it into the mailbox.
+
+        ``fn=None`` removes the types' handler: their later messages go to
+        the mailbox again.
+        """
+        # Keyed by each type's value string, which hashes in C; a
+        # MessageType member hashes through Enum's Python __hash__, and
+        # deliver looks up every message it is given.
+        handlers = self._handlers
+        for mtype in mtypes:
+            if fn is None:
+                handlers.pop(mtype._value_, None)
+            else:
+                handlers[mtype._value_] = fn
 
     def deliver(self, message: Message):
-        """Put a message into the mailbox (called by the messenger)."""
+        """Hand a message to its type's handler, or put it into the
+        mailbox (called by the messenger).
+
+        Returns the put, or an already processed event when a handler took
+        the message: nothing is scheduled for it.
+        """
         self.delivered += 1
-        return self._inbox.put(message)
+        handler = self._handlers.get(message.mtype._value_)
+        if handler is None:
+            return self._inbox.put(message)
+        handler(message)
+        return processed_event(self.env)
 
     def recv(
         self,

@@ -129,10 +129,13 @@ class MessageSchema:
     optional: Tuple[str, ...] = ()
     allow_extra: bool = False
     freeform: bool = False
-    #: every declared field, built once: :meth:`validate` runs on every send
+    #: the required and every declared field, built once: :meth:`validate`
+    #: runs on every send
+    required_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
     known: FrozenSet[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "required_set", frozenset(self.required))
         object.__setattr__(self, "known", frozenset(self.required + self.optional))
 
     def validate(self, message: "Message") -> None:
@@ -144,20 +147,23 @@ class MessageSchema:
                 f"{self.mtype.value} payload must be a mapping with fields "
                 f"{sorted(self.required)}, got {type(payload).__name__}"
             )
+        # Two set comparisons on the key view; the lists the error texts
+        # name are built only when one fails.
+        keys = payload.keys()
+        if keys >= self.required_set and (self.allow_extra or keys <= self.known):
+            return
         missing = [f for f in self.required if f not in payload]
         if missing:
             raise MessageSchemaError(
                 f"{self.mtype.value} payload missing required fields "
                 f"{missing} (got {sorted(payload)})"
             )
-        if not self.allow_extra:
-            known = self.known
-            extra = [f for f in payload if f not in known]
-            if extra:
-                raise MessageSchemaError(
-                    f"{self.mtype.value} payload has undeclared fields "
-                    f"{extra} (declared: {sorted(known)})"
-                )
+        known = self.known
+        extra = [f for f in payload if f not in known]
+        raise MessageSchemaError(
+            f"{self.mtype.value} payload has undeclared fields "
+            f"{extra} (declared: {sorted(known)})"
+        )
 
 
 def _schema(mtype: MessageType, *required: str, optional: Tuple[str, ...] = (),

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simkernel import Environment, Event, Interrupt, bare_event
+from repro.simkernel import Environment, Event, bare_event
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
 from repro.evpath.messages import Message, MessageType
@@ -505,7 +505,7 @@ class HeartbeatMonitor:
         self.detector = detector
         self.endpoint = messenger.endpoint(node, endpoint_name)
         detector.monitor = self
-        self._proc = env.process(self._recv_loop(), name=f"hb-monitor {endpoint_name}")
+        self.endpoint.handle(self._on_heartbeat, MessageType.HEARTBEAT)
 
     def rehost(self, node: Node) -> None:
         """Re-pin the monitor endpoint after its host was replaced.
@@ -519,15 +519,8 @@ class HeartbeatMonitor:
         self.endpoint.node = node
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        self._proc = None
+        self.endpoint.handle(None, MessageType.HEARTBEAT)
         self.messenger.unregister(self.endpoint.name)
 
-    def _recv_loop(self):
-        while True:
-            try:
-                msg = yield self.endpoint.recv(MessageType.HEARTBEAT)
-            except Interrupt:
-                return
-            self.detector.beat(msg.payload["member"])
+    def _on_heartbeat(self, msg: Message) -> None:
+        self.detector.beat(msg.payload["member"])

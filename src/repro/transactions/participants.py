@@ -5,11 +5,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.simkernel import Environment, processed_event
+from repro.simkernel import Environment
 from repro.simkernel.errors import SimulationError
 from repro.cluster.node import Node
 from repro.evpath.channel import Messenger
-from repro.evpath.endpoint import Endpoint
 from repro.evpath.messages import Message, MessageType
 
 from repro.transactions.failures import FailureInjector
@@ -19,20 +18,6 @@ _COMMIT = MessageType.TXN_COMMIT
 _ABORT = MessageType.TXN_ABORT
 _VOTE = MessageType.TXN_VOTE
 _ACK = MessageType.TXN_ACK
-
-
-class _Mailbox(Endpoint):
-    """A participant's endpoint.  :meth:`deliver` hands the message to the
-    participant instead of storing it, and returns an already processed
-    event, so nothing is scheduled for the put and no other endpoint's
-    delivery changes."""
-
-    arrive: Callable[[Message], None]
-
-    def deliver(self, message: Message):
-        self.delivered += 1
-        self.arrive(message)
-        return processed_event(self.env)
 
 
 class _Round:
@@ -149,9 +134,11 @@ class TxnParticipant:
     TXN_VOTE to its parent.  Decisions (TXN_COMMIT / TXN_ABORT) flow down
     the same tree and acks aggregate back up.
 
-    There is no process per participant or per message: delivery to the
-    participant's endpoint runs a chain of callbacks, a :class:`_Round` per
-    handled message, outcome-identical to the process-per-message
+    There is no process per participant or per message: the endpoint
+    hands each TXN message to the participant at delivery
+    (:meth:`~repro.evpath.endpoint.Endpoint.handle`), which runs a chain
+    of callbacks, a :class:`_Round` per handled message, outcome-identical
+    to the process-per-message
     participant kept in :mod:`tests.oracles.transactions` (a ``_run`` loop
     spawning one handler process per message).  It schedules only events
     that carry time: its sends and the ``vote_compute_seconds``
@@ -192,8 +179,8 @@ class TxnParticipant:
         self.injector = injector
         self.vote_compute_seconds = vote_compute_seconds
         self.children: List["TxnParticipant"] = []
-        self.endpoint = messenger.endpoint(node, name, cls=_Mailbox)
-        self.endpoint.arrive = self._arrive
+        self.endpoint = messenger.endpoint(node, name)
+        self.endpoint.handle(self._arrive, _VOTE_REQUEST, _COMMIT, _ABORT, _VOTE, _ACK)
         #: commit/abort decisions this participant applied
         self.committed: List[int] = []
         self.aborted: List[int] = []
@@ -219,7 +206,7 @@ class TxnParticipant:
             round_ = self._slots.get(msg.payload["txn_id"])
             if round_ is not None:
                 round_.offer(msg)
-        elif mtype is _VOTE_REQUEST or mtype is _COMMIT or mtype is _ABORT:
+        else:
             busy = self._busy
             if self._armed or (busy is not None and busy.waiting):
                 self._armed = False

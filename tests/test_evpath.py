@@ -412,12 +412,16 @@ def _send_later(env, at, send, src, to, message):
 
 class TestSendSchedulesOnlyTimedEvents:
     """A send schedules only events that carry time: its transfer's
-    ``Timeout``, the mailbox put (none for a transaction participant's
-    mailbox), a backoff ``Timeout`` per retry and the send's ``result``; no
-    bare step event."""
+    ``Timeout``, the mailbox put (none for a message type the endpoint
+    handles at delivery), a backoff ``Timeout`` per retry and the send's
+    ``result``; no bare step event."""
 
     @staticmethod
-    def _kinds(plan=None, cls=None):
+    def _kinds(plan=None, receiver=None, message=None):
+        """Send ``message`` (an ACK by default) from node 0 to the endpoint
+        ``receiver(env, machine, messenger)`` names (a plain endpoint
+        "dst" on node 1 by default); return the kinds of the events the
+        send scheduled, and the messenger."""
         from repro.simkernel import Environment
         from repro.cluster import Machine
         from repro.faults import NetworkFaultState
@@ -425,17 +429,20 @@ class TestSendSchedulesOnlyTimedEvents:
         env = Environment()
         machine = Machine(env, num_nodes=4, cores_per_node=2)
         messenger = Messenger(env, machine.network)
-        if cls is None:
-            messenger.endpoint(machine.nodes[1], "dst")
+        if receiver is None:
+            to = messenger.endpoint(machine.nodes[1], "dst").name
         else:
-            messenger.endpoint(machine.nodes[1], "dst", cls=cls).arrive = lambda message: None
+            to = receiver(env, machine, messenger)
+            env.run(until=1.0)  # the receiver is up and idle
         if plan is not None:
             machine.network.faults = NetworkFaultState(env, plan)
+        before = env.events_processed
         with scheduled_kinds(env) as kinds:
-            sent = messenger.send(machine.nodes[0], "dst", Message(MessageType.ACK, "src"))
-            env.run()
+            sent = messenger.send(machine.nodes[0], to,
+                                  message or Message(MessageType.ACK, "src"))
+            env.run(until=sent)
         assert sent.ok
-        assert len(kinds) == env.events_processed  # the spy saw every event
+        assert len(kinds) == env.events_processed - before  # the spy saw every event
         return kinds, messenger
 
     def test_send(self):
@@ -444,10 +451,48 @@ class TestSendSchedulesOnlyTimedEvents:
         assert messenger.retries == 0
 
     def test_send_to_a_participant(self):
-        from repro.transactions.participants import _Mailbox
+        from repro.transactions import TxnParticipant
 
-        kinds, _ = self._kinds(cls=_Mailbox)
+        def participant(env, machine, messenger):
+            return TxnParticipant(env, messenger, machine.nodes[1], "p").endpoint.name
+
+        # an ack for no open round: dropped at delivery
+        kinds, _ = self._kinds(receiver=participant, message=Message(
+            MessageType.TXN_ACK, "src", payload={"txn_id": 1}))
         assert kinds == ["Timeout", "result"]
+
+    def test_metric_report_to_the_global_manager(self):
+        from repro.containers.global_manager import GlobalManager
+
+        gms = []
+
+        def global_manager(env, machine, messenger):
+            gms.append(GlobalManager(env, messenger, machine.nodes[1], scheduler=None,
+                                     sla_interval=30.0, control_interval=1e6))
+            return gms[0].endpoint.name
+
+        report = dict(container="c", time=1.0, buffer_occupancy=0.5, queued=3)
+        kinds, _ = self._kinds(receiver=global_manager, message=Message(
+            MessageType.METRIC_REPORT, "lm", payload=report))
+        assert kinds == ["Timeout", "result"]
+        assert gms[0]._reports == {"c": report}
+        assert gms[0].endpoint.pending == 0
+
+    def test_heartbeat_to_a_monitor(self):
+        from repro.faults.detect import FailureDetector, HeartbeatMonitor
+
+        detectors = []
+
+        def monitor(env, machine, messenger):
+            detectors.append(FailureDetector(env, "lm", 5.0))
+            detectors[0].watch("r0")
+            return HeartbeatMonitor(env, messenger, "hb", machine.nodes[1],
+                                    detectors[0]).endpoint.name
+
+        kinds, _ = self._kinds(receiver=monitor, message=Message(
+            MessageType.HEARTBEAT, "r0", payload={"member": "r0"}))
+        assert kinds == ["Timeout", "result"]
+        assert detectors[0].beats == 1
 
     def test_send_retried_past_a_partition(self):
         from repro.faults.plan import FaultPlan

@@ -267,6 +267,140 @@ class TestProcessesPerOperation:
         assert failover.failover.store.fs.bytes_read > 0
         assert started == []
 
+    def test_one_way_messages_start_no_receive_process(self, monkeypatch):
+        """Metric reports, replica suspicions and heartbeats are handled at
+        delivery: a fault-tolerant fig7 run and a failover run start no
+        ``gm-recv``, ``gm-recovery`` or ``hb-monitor`` process."""
+        from repro.containers.recovery import RecoveryManager
+        from repro.simkernel.process import Process
+        from repro.spec import build_preset
+
+        names = []
+        init = Process.__init__
+
+        def counting(self, env, generator, name=None):
+            names.append(name if isinstance(name, str) else str(name))
+            init(self, env, generator, name)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        for preset in ("fig7", "failover"):
+            env = Environment()
+            pipe = build_preset(env, preset, workload=dict(steps=6))
+            assert isinstance(pipe.global_manager.recovery, RecoveryManager)
+            assert all(m.detector is not None for m in pipe.managers.values())
+            assert pipe.run(settle=120)
+        assert "gm-control" in names  # the spy saw the managers start
+        assert [n for n in names
+                if n in ("gm-recv", "gm-recovery") or n.startswith("hb-monitor")] == []
+
+
+class TestStopAtTheCall:
+    """``GlobalManager.stop()`` removes the report handler at the call: a
+    report delivered before it in the same instant is ingested, one
+    delivered after it stays in the inbox and is never ingested."""
+
+    @staticmethod
+    def _report(pipe, container):
+        from repro.evpath.messages import Message, MessageType
+
+        payload = dict(container=container, time=pipe.env.now,
+                       buffer_occupancy=0.25, queued=7)
+        return Message(MessageType.METRIC_REPORT, sender="test", payload=payload)
+
+    def test_report_after_stop_is_not_ingested(self):
+        env = Environment()
+        pipe = build(env)
+        gm = pipe.global_manager
+        env.run(until=20.0)
+        gm.endpoint.deliver(self._report(pipe, "before"))
+        gm.stop()
+        gm.endpoint.deliver(self._report(pipe, "after"))
+        sent = pipe.messenger.send(gm.node, gm.endpoint.name, self._report(pipe, "sent"))
+        env.run(until=sent)
+        env.run(until=env.now + 20.0)
+        assert "before" in gm._reports
+        assert "after" not in gm._reports and "sent" not in gm._reports
+        assert [m.payload["container"] for m in gm.endpoint._inbox.items] == ["after", "sent"]
+
+
+class TestHandlersAtDelivery:
+    """Metric reports, replica suspicions and heartbeats are handled at
+    delivery; the receive loops they replaced are kept in
+    :mod:`tests.oracles.receivers`.  Both must give the same reports and
+    histories, actions, replacements, detector suspicions and beats,
+    telemetry marks, fates and final clock: on fig7 with fault tolerance,
+    the overload, predictive and failover presets under their burst plan, a
+    smoke crash (a REPLICA_SUSPECT that a REPLACE answers) and a links
+    window (real HEARTBEATs), with fewer events."""
+
+    @staticmethod
+    def _run(oracle, name):
+        from unittest import mock
+
+        from repro.dst import DSTScenario
+        from repro.dst.scenario import plan_for
+        from repro.faults.detect import FailureDetector
+        from repro.spec import build_preset
+        from tests.oracles import receivers as reference
+
+        suspicions, pipes = [], []
+        detector_init = FailureDetector.__init__
+
+        def noting(self, env, name, lease_timeout, on_suspect=None, suspend_when=None):
+            def suspect(member):
+                suspicions.append((env.now, name, member))
+                if on_suspect is not None:
+                    on_suspect(member)
+            detector_init(self, env, name, lease_timeout, suspect, suspend_when)
+
+        patches = [mock.patch.object(FailureDetector, "__init__", noting)]
+        if oracle:
+            patches += [mock.patch.object(cls, attr, fn, create=True)
+                        for cls, attr, fn in reference.PATCHES]
+        for patch in patches:
+            patch.start()
+        try:
+            if name == "fig7":
+                env = Environment()
+                pipe = build_preset(env, name, workload=dict(steps=6))
+                finished = pipe.run(settle=120)
+            else:
+                report = DSTScenario(name=name, preset=name, plan=plan_for(name),
+                                     hook=pipes.append).run(None)
+                assert not report.violations
+                finished, pipe = report.finished, pipes[0]
+                env = pipe.env
+        finally:
+            for patch in patches:
+                patch.stop()
+        gm = pipe.global_manager
+        managers = list(pipe.managers.values())
+        detectors = [gm.recovery.manager_detector] + [m.detector for m in managers]
+        return dict(
+            finished=finished, reports=gm._reports, queue=gm._queue_hist,
+            occupancy=gm._occupancy_hist, actions=gm.actions_taken,
+            replacements=gm.recovery.replacements, refused=gm.recovery.refused,
+            suspicions=suspicions,
+            detectors=[(d.name, sorted(d.suspected), d.false_positives, d.beats)
+                       for d in detectors],
+            heartbeats=[m.detector.monitor.endpoint.delivered for m in managers],
+            marks=pipe.telemetry.events, end_to_end=pipe.end_to_end,
+            shed=pipe.fates.shed_records, unfated=pipe.fates.unfated(), now=env.now,
+        ), env.events_processed
+
+    @pytest.mark.parametrize("name", ["fig7", "overload", "predictive", "failover",
+                                      "smoke", "links"])
+    def test_same_outcomes(self, name):
+        live, live_events = self._run(False, name)
+        oracle, oracle_events = self._run(True, name)
+        assert live == oracle
+        assert live["finished"] and not live["unfated"] and live["reports"]
+        assert live_events < oracle_events
+        if name == "smoke":
+            assert live["suspicions"] and live["replacements"]
+        if name == "links":
+            assert sum(live["heartbeats"]) > 0
+
 
 class TestArbiterBackedGM:
     """The GM's fleet face: borrowing from (and returning loans to) a

@@ -10,6 +10,7 @@ a loud failure instead.
 
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -78,3 +79,35 @@ def test_schema_error_texts(payload, text):
     with pytest.raises(MessageSchemaError) as err:
         validate_message(Message(MessageType.RESIZE_COMPLETE, "lm", payload=payload))
     assert str(err.value) == text
+
+
+@pytest.mark.parametrize("mtype, payload, text", [
+    # a missing field is named before an undeclared one
+    (MessageType.RESIZE_COMPLETE, {"bogus": 1},
+     "resize_complete payload missing required fields ['units'] (got ['bogus'])"),
+    # every missing field, in declared order
+    (MessageType.DATA_METADATA, {"seq": 1, "writer": "w"},
+     "data_metadata payload missing required fields "
+     "['chunk_id', 'nbytes', 'natoms', 'timestep', 'writer_node'] (got ['seq', 'writer'])"),
+    # a read-only mapping is checked like a dict
+    (MessageType.RESIZE_COMPLETE, MappingProxyType({"units": 1, "zz": 0, "aa": 0}),
+     "resize_complete payload has undeclared fields ['zz', 'aa'] "
+     "(declared: ['nodes', 'units'])"),
+    (MessageType.HEARTBEAT, None,
+     "heartbeat payload must be a mapping with fields ['member'], got NoneType"),
+])
+def test_schema_error_texts_on_mixed_payloads(mtype, payload, text):
+    from repro.evpath.messages import Message, MessageSchemaError, validate_message
+
+    with pytest.raises(MessageSchemaError) as err:
+        validate_message(Message(mtype, "lm", payload=payload))
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("payload", [
+    {"units": 1}, {"units": 1, "nodes": [3]}, MappingProxyType({"nodes": [], "units": 2}),
+])
+def test_schema_accepts_required_and_optional_fields(payload):
+    from repro.evpath.messages import Message, validate_message
+
+    validate_message(Message(MessageType.RESIZE_COMPLETE, "lm", payload=payload))

@@ -504,11 +504,12 @@ class TestParticipantSchedulesOnlyTimedEvents:
     put."""
 
     def test_one_commit(self):
-        from repro.transactions.participants import _Mailbox, _Round
+        from repro.evpath.endpoint import Endpoint
+        from repro.transactions.participants import _Round
 
         env = Environment()
         scheduled, puts = [], []
-        schedule, schedule_at, deliver = env.schedule, env.schedule_at, _Mailbox.deliver
+        schedule, schedule_at, deliver = env.schedule, env.schedule_at, Endpoint.deliver
 
         # Hold each scheduled event's callback list: the engine runs that
         # list, so after the run it names every callback the event ran.
@@ -521,15 +522,15 @@ class TestParticipantSchedulesOnlyTimedEvents:
             return schedule_at(event, *args, **kwargs)
 
         def noting_deliver(self, message):
-            puts.append(deliver(self, message))
-            return puts[-1]
+            puts.append((self, deliver(self, message)))
+            return puts[-1][1]
 
         env.schedule, env.schedule_at = spy, spy_at
         machine, messenger, tm = rig(env)
         w = tm.build_group("w", machine.nodes[:16], fanout=4)
         r = tm.build_group("r", machine.nodes[16:20], fanout=4)
         members = w.participants + r.participants
-        with mock.patch.object(_Mailbox, "deliver", noting_deliver):
+        with mock.patch.object(Endpoint, "deliver", noting_deliver):
             out = run_one(env, tm, [w, r])
         assert out.committed and out.acks_complete
         assert len(scheduled) == env.events_processed + env.tombstones_skipped
@@ -549,6 +550,8 @@ class TestParticipantSchedulesOnlyTimedEvents:
         # every participant delivery (two phases, a request and a reply per
         # tree edge, plus the coordinator's request to each root) scheduled
         # no put
+        endpoints = {p.endpoint for p in members}
+        puts = [put for endpoint, put in puts if endpoint in endpoints]
         assert len(puts) == 2 * (2 * edges + 2)
         assert not any(put is event for put in puts for event, _ in scheduled)
 
